@@ -10,12 +10,15 @@
 //! `Vec`) into a shared structure that is:
 //!
 //! * **Sharded** — N independently locked shards, so concurrent server
-//!   threads rarely contend; the shard index is a multiplicative hash
-//!   of the key bits.
-//! * **Sorted** — each shard is a `Vec` ordered by [`PointKey`] and
-//!   probed by binary search: O(log n) key comparisons where the old
-//!   memo paid O(n). A probe counter in [`CacheStats`] lets tests pin
-//!   the bound so the linear scan cannot quietly come back.
+//!   threads rarely contend; the shard index is taken from bits 32 and
+//!   up of the key's hash (see [`PointHashState`]).
+//! * **Hashed** — each shard holds two hash maps: `ready` for solved
+//!   values and `flights` for claims still being solved. Every
+//!   operation consults at most both maps once, so admitting a miss
+//!   costs the same in an empty cache as in one holding 10⁵ points. A
+//!   probe counter in [`CacheStats`] counts those hash-table lookups and
+//!   lets tests pin the constant, so neither the old linear scan nor a
+//!   search that grows with the shard can quietly come back.
 //! * **Single-flight** — [`begin`](SolvedPointCache::begin) returns
 //!   [`Admission::Claimed`] to exactly one caller per missing key;
 //!   concurrent identical queries get [`Admission::Shared`] and block
@@ -34,6 +37,8 @@
 //! proven to reproduce scalar solves bit-for-bit — so a value filled by
 //! a batch grid is interchangeable with one filled by a scalar solve.
 
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,6 +70,84 @@ impl PointKey {
     /// Scheme tag for values that do not depend on the scheme beyond
     /// what the other key fields already capture.
     pub const SHARED_SCHEME: u32 = 0;
+}
+
+/// Builds [`PointHasher`]s: the cheap, seeded hasher for [`PointKey`]
+/// maps and sets.
+///
+/// The state starts from a seed drawn once per instance from
+/// [`RandomState`]. Each float-bits word is folded in by an xor, a
+/// multiply and a rotate; the two `u32` tags are xored in; `finish`
+/// applies splitmix64's finalizer. That is four multiplies per key where
+/// SipHash spends dozens of rounds. The seed matters because keys are
+/// the bits of client-chosen floats: through the multiply's carries it
+/// decides which keys share a hash, so a client cannot precompute keys
+/// that pile into one bucket. Clones share the seed.
+///
+/// [`SolvedPointCache`] picks a shard from bits 32 and up of this hash.
+/// std's `HashMap` indexes buckets with the low bits and keeps the top
+/// seven as a per-slot tag, so both stay uniformly spread inside a
+/// shard whatever the shard count.
+#[derive(Debug, Clone)]
+pub struct PointHashState {
+    seed: u64,
+}
+
+impl PointHashState {
+    /// A hasher builder with a fresh random seed.
+    pub fn new() -> Self {
+        PointHashState {
+            seed: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl Default for PointHashState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BuildHasher for PointHashState {
+    type Hasher = PointHasher;
+
+    fn build_hasher(&self) -> PointHasher {
+        PointHasher(self.seed)
+    }
+}
+
+/// The hasher [`PointHashState`] builds.
+#[derive(Debug, Clone)]
+pub struct PointHasher(u64);
+
+impl Hasher for PointHasher {
+    fn finish(&self) -> u64 {
+        // splitmix64's finalizer: a bijection in which every output bit
+        // depends on every input bit.
+        let mut h = self.0;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        // A key's two tags in a row xor in `scheme << 32 | machine`.
+        self.0 = self.0.rotate_left(32) ^ u64::from(word);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(26);
+    }
 }
 
 /// Outcome of one [`SolvedPointCache::begin`] admission.
@@ -143,35 +226,37 @@ impl<V: Copy> Flight<V> {
     }
 }
 
+/// One lock's worth of the cache. A key is in at most one of the maps.
 #[derive(Debug)]
-enum Slot<V> {
-    Ready(V),
-    Pending(Arc<Flight<V>>),
+struct Shard<V> {
+    /// Solved values.
+    ready: HashMap<PointKey, V, PointHashState>,
+    /// Claims still being solved; empty whenever no solve is running.
+    flights: HashMap<PointKey, Arc<Flight<V>>, PointHashState>,
 }
 
-type Shard<V> = Mutex<Vec<(PointKey, Slot<V>)>>;
-
-/// Point-in-time counters for one cache. `probes` counts key
-/// comparisons made by shard binary searches — the quantity whose
-/// growth distinguishes O(log n) lookups from the old linear scan.
+/// Point-in-time counters for one cache. `probes` counts hash-table
+/// lookups, one per shard map an operation consults, so it grows by a
+/// constant per operation however many entries the cache holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from a `Ready` slot.
+    /// Lookups answered from a solved value.
     pub hits: u64,
-    /// Lookups that found no slot (the caller must solve).
+    /// Lookups that found no solved value (the caller must solve).
     pub misses: u64,
     /// Admissions that joined another caller's in-progress solve.
     pub coalesced: u64,
     /// Values published or inserted.
     pub inserts: u64,
-    /// Total key comparisons across all shard searches.
+    /// Total hash-table lookups across all shard maps.
     pub probes: u64,
 }
 
-/// The sharded, sorted, single-flight solved-point cache.
+/// The sharded, hash-indexed, single-flight solved-point cache.
 #[derive(Debug)]
 pub struct SolvedPointCache<V> {
-    shards: Box<[Shard<V>]>,
+    hasher: PointHashState,
+    shards: Box<[Mutex<Shard<V>>]>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -197,11 +282,21 @@ impl<V: Copy> SolvedPointCache<V> {
     }
 
     /// A cache with at least `shards` shards (rounded up to a power of
-    /// two so the shard index is a mask, not a division).
+    /// two so the shard index is a mask, not a division). Empty shards
+    /// allocate nothing.
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
+        let hasher = PointHashState::new();
         SolvedPointCache {
-            shards: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..n)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        ready: HashMap::with_hasher(hasher.clone()),
+                        flights: HashMap::with_hasher(hasher.clone()),
+                    })
+                })
+                .collect(),
+            hasher,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -210,80 +305,42 @@ impl<V: Copy> SolvedPointCache<V> {
         }
     }
 
-    fn shard(&self, key: &PointKey) -> &Shard<V> {
-        // splitmix64-style finalizer over the xored key bits: cheap,
-        // and any single-bit difference diffuses into the low bits
-        // that select the shard.
-        let mut h = key.service
-            ^ key.think.rotate_left(29)
-            ^ (u64::from(key.scheme) << 17)
-            ^ (u64::from(key.machine) << 43);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+    fn shard(&self, key: &PointKey) -> &Mutex<Shard<V>> {
+        let h = self.hasher.hash_one(key);
+        &self.shards[(h >> 32) as usize & (self.shards.len() - 1)]
     }
 
-    /// Binary search counting its key comparisons into `self.probes`.
-    fn search(&self, entries: &[(PointKey, Slot<V>)], key: &PointKey) -> Result<usize, usize> {
-        let mut lo = 0usize;
-        let mut hi = entries.len();
-        let mut comparisons = 0u64;
-        let found = loop {
-            if lo >= hi {
-                break Err(lo);
-            }
-            let mid = lo + (hi - lo) / 2;
-            comparisons += 1;
-            match entries[mid].0.cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => break Ok(mid),
-            }
-        };
-        self.probes.fetch_add(comparisons, Ordering::Relaxed);
-        found
+    fn count(&self, counter: &AtomicU64, probes: u64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.probes.fetch_add(probes, Ordering::Relaxed);
     }
 
-    /// Looks up a solved value. Pending (in-flight) slots read as
+    /// Looks up a solved value. Pending (in-flight) keys read as
     /// misses: `get` never blocks.
     pub fn get(&self, key: &PointKey) -> Option<V> {
-        let entries = self.shard(key).lock();
-        match self.search(&entries, key) {
-            Ok(i) => match &entries[i].1 {
-                Slot::Ready(v) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(*v)
-                }
-                Slot::Pending(_) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            },
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let value = self.shard(key).lock().ready.get(key).copied();
+        let outcome = if value.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        self.count(outcome, 1);
+        value
     }
 
     /// Inserts (or overwrites) a solved value, resolving any waiters
     /// parked on the key.
     pub fn insert(&self, key: PointKey, value: V) {
-        let flight = {
-            let mut entries = self.shard(&key).lock();
-            match self.search(&entries, &key) {
-                Ok(i) => match std::mem::replace(&mut entries[i].1, Slot::Ready(value)) {
-                    Slot::Pending(f) => Some(f),
-                    Slot::Ready(_) => None,
-                },
-                Err(i) => {
-                    entries.insert(i, (key, Slot::Ready(value)));
-                    None
-                }
+        let (flight, probes) = {
+            let mut shard = self.shard(&key).lock();
+            shard.ready.insert(key, value);
+            if shard.flights.is_empty() {
+                (None, 1)
+            } else {
+                (shard.flights.remove(&key), 2)
             }
         };
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.count(&self.inserts, probes);
         if let Some(f) = flight {
             f.resolve(FlightState::Done(value));
         }
@@ -293,24 +350,25 @@ impl<V: Copy> SolvedPointCache<V> {
     /// caller per missing key is told [`Admission::Claimed`]; the rest
     /// share that claimant's [`Flight`].
     pub fn begin(&self, key: PointKey) -> Admission<V> {
-        let mut entries = self.shard(&key).lock();
-        match self.search(&entries, &key) {
-            Ok(i) => match &entries[i].1 {
-                Slot::Ready(v) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Admission::Hit(*v)
-                }
-                Slot::Pending(f) => {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    Admission::Shared(Arc::clone(f))
-                }
-            },
-            Err(i) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                entries.insert(i, (key, Slot::Pending(Arc::new(Flight::new()))));
-                Admission::Claimed
-            }
+        let mut shard = self.shard(&key).lock();
+        if let Some(v) = shard.ready.get(&key) {
+            let v = *v;
+            drop(shard);
+            self.count(&self.hits, 1);
+            return Admission::Hit(v);
         }
+        let (admission, outcome) = match shard.flights.entry(key) {
+            Entry::Occupied(flight) => {
+                (Admission::Shared(Arc::clone(flight.get())), &self.coalesced)
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::new(Flight::new()));
+                (Admission::Claimed, &self.misses)
+            }
+        };
+        drop(shard);
+        self.count(outcome, 2);
+        admission
     }
 
     /// Fulfills a [`Admission::Claimed`] admission. Equivalent to
@@ -320,33 +378,28 @@ impl<V: Copy> SolvedPointCache<V> {
         self.insert(key, value);
     }
 
-    /// Abandons a claimed solve: removes the pending slot and wakes its
+    /// Abandons a claimed solve: removes the pending claim and wakes its
     /// waiters empty-handed. Call this on the error/panic path of a
     /// claimant so coalesced queries fall back to solving for
-    /// themselves instead of blocking forever.
+    /// themselves instead of blocking forever. A publish that won the
+    /// race has already retired the claim, so its value stays.
     pub fn abort(&self, key: &PointKey) {
-        let flight = {
-            let mut entries = self.shard(key).lock();
-            match self.search(&entries, key) {
-                Ok(i) => match &entries[i].1 {
-                    Slot::Pending(_) => match entries.remove(i).1 {
-                        Slot::Pending(f) => Some(f),
-                        Slot::Ready(_) => unreachable!("checked pending above"),
-                    },
-                    // A concurrent publish won the race; keep the value.
-                    Slot::Ready(_) => None,
-                },
-                Err(_) => None,
-            }
-        };
+        let flight = self.shard(key).lock().flights.remove(key);
+        self.probes.fetch_add(1, Ordering::Relaxed);
         if let Some(f) = flight {
             f.resolve(FlightState::Aborted);
         }
     }
 
-    /// Number of `Ready` + pending entries across all shards.
+    /// Number of solved + pending entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock();
+                shard.ready.len() + shard.flights.len()
+            })
+            .sum()
     }
 
     /// True when no entry (solved or in-flight) exists.
@@ -445,6 +498,133 @@ mod tests {
             "expected ≤ {log_bound} probes for {lookups} lookups over {n} entries \
              (binary search), measured {probes} — linear scanning is back?"
         );
+    }
+
+    #[test]
+    fn probes_per_lookup_stay_constant_as_one_shard_grows() {
+        // A lookup consults at most both maps of its shard, at any
+        // size; a binary-searched shard would pay ⌈log2 n⌉ (10 to 16
+        // here) and trip the bound.
+        let cache: SolvedPointCache<f64> = SolvedPointCache::with_shards(1);
+        let mut filled = 0u64;
+        for n in [1u64 << 10, 1 << 14, 1 << 16] {
+            for i in filled..n {
+                cache.insert(key(i), i as f64);
+            }
+            filled = n;
+            let before = cache.stats();
+            let lookups: u64 = 1024;
+            for i in 0..lookups {
+                // Alternate present keys and absent ones.
+                let k = if i % 2 == 0 {
+                    key(i * 7 % n)
+                } else {
+                    key(n + i)
+                };
+                assert_eq!(cache.get(&k).is_some(), i % 2 == 0);
+            }
+            for i in 0..lookups {
+                assert!(matches!(cache.begin(key(i * 5 % n)), Admission::Hit(_)));
+            }
+            let after = cache.stats();
+            let per_lookup = (after.probes - before.probes) as f64 / (2 * lookups) as f64;
+            assert!(
+                per_lookup <= 3.0,
+                "{per_lookup} probes per lookup over {n} entries"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_keys_fill_the_default_shards_evenly() {
+        // A `shd` sweep's demands differ only in the low mantissa bits
+        // of `(service, think)`; the shard index must still spread them.
+        let cache: SolvedPointCache<u64> = SolvedPointCache::new();
+        let (service, think) = (0.0123f64.to_bits(), 2.5f64.to_bits());
+        let n: u64 = 1 << 16;
+        for i in 0..n {
+            let k = PointKey {
+                service: service + i,
+                think: think - 3 * i,
+                scheme: PointKey::SHARED_SCHEME,
+                machine: 16,
+            };
+            cache.insert(k, i);
+        }
+        let sizes: Vec<usize> = cache.shards.iter().map(|s| s.lock().ready.len()).collect();
+        assert_eq!(sizes.len(), DEFAULT_SHARDS);
+        let mean = n as f64 / DEFAULT_SHARDS as f64;
+        for (i, size) in sizes.iter().enumerate() {
+            let off = (*size as f64 - mean).abs() / mean;
+            assert!(
+                off <= 0.25,
+                "shard {i} holds {size}, mean {mean}: {sizes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn abort_after_a_racing_publish_keeps_the_value() {
+        let cache: SolvedPointCache<f64> = SolvedPointCache::new();
+        assert!(matches!(cache.begin(key(4)), Admission::Claimed));
+        cache.publish(key(4), 4.0);
+        cache.abort(&key(4));
+        assert_eq!(cache.get(&key(4)), Some(4.0));
+        assert_eq!(cache.len(), 1);
+        assert!(matches!(cache.begin(key(4)), Admission::Hit(v) if v == 4.0));
+    }
+
+    #[test]
+    fn insert_over_a_pending_key_wakes_its_waiters_with_the_value() {
+        let cache: SolvedPointCache<f64> = SolvedPointCache::new();
+        assert!(matches!(cache.begin(key(5)), Admission::Claimed));
+        let flight = match cache.begin(key(5)) {
+            Admission::Shared(flight) => flight,
+            other => panic!("expected to share the flight, got {other:?}"),
+        };
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| flight.wait());
+            cache.insert(key(5), 5.0);
+            assert_eq!(waiter.join().unwrap(), Some(5.0));
+        });
+        assert_eq!(cache.get(&key(5)), Some(5.0));
+        // The claim is retired: a late abort from the claimant is a no-op.
+        cache.abort(&key(5));
+        assert_eq!(cache.get(&key(5)), Some(5.0));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn get_on_a_pending_key_is_a_miss_and_does_not_block() {
+        let cache: SolvedPointCache<f64> = SolvedPointCache::new();
+        assert!(matches!(cache.begin(key(6)), Admission::Claimed));
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::scope(|scope| {
+            scope.spawn(|| tx.send(cache.get(&key(6))).unwrap());
+            let got = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("get returned while the claim was pending");
+            assert_eq!(got, None);
+        });
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.coalesced), (0, 2, 0));
+        cache.publish(key(6), 6.0);
+        assert_eq!(cache.get(&key(6)), Some(6.0));
+    }
+
+    #[test]
+    fn len_counts_ready_and_in_flight_entries() {
+        let cache: SolvedPointCache<f64> = SolvedPointCache::new();
+        assert!(cache.is_empty());
+        cache.insert(key(1), 1.0);
+        cache.insert(key(2), 2.0);
+        assert!(matches!(cache.begin(key(3)), Admission::Claimed));
+        assert!(matches!(cache.begin(key(4)), Admission::Claimed));
+        assert_eq!(cache.len(), 4);
+        cache.publish(key(3), 3.0);
+        assert_eq!(cache.len(), 4);
+        cache.abort(&key(4));
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

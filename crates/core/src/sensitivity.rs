@@ -150,11 +150,12 @@ pub fn sensitivity_table_at(
 /// cached `w` is the same number either way).
 ///
 /// Storage is the workspace-wide sharded solved-point cache
-/// ([`SolvedPointCache`]): binary-searched sorted shards replace the
-/// O(n) linear scan this module used to carry, so table fills no longer
-/// degrade quadratically as distinct demands accumulate (the
-/// `lookup_probes_stay_logarithmic` test in [`crate::cache`] pins the
-/// probe bound).
+/// ([`SolvedPointCache`]): hash-indexed shards replace the O(n) linear
+/// scan this module used to carry, so a lookup or insert costs a
+/// constant number of hash-table probes however many distinct demands
+/// accumulate (the `probes_per_lookup_stay_constant_as_one_shard_grows`
+/// test in [`crate::cache`] pins the constant). A fresh cache allocates
+/// nothing until its first insert, so building one per table is cheap.
 struct CpiCache {
     processors: u32,
     system: BusSystemModel,

@@ -48,7 +48,7 @@
 //! unwinding, waking any coalesced waiters, who then re-claim and solve
 //! for themselves ([`resolve_lanes`]'s retry arm).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver, Stages};
 use swcc_core::bus::BusPerformance;
-use swcc_core::cache::{Admission, Flight, PointKey, SolvedPointCache};
+use swcc_core::cache::{Admission, Flight, PointHashState, PointKey, SolvedPointCache};
 use swcc_core::demand::{scheme_demand, Demand};
 use swcc_core::network::{NetworkPerformance, OperatingPoint};
 use swcc_core::queue::machine_repairman;
@@ -296,51 +296,55 @@ struct Acct {
     coalesced: u64,
 }
 
-/// RAII over this request's claimed cache slots: `publish` moves a
-/// slot from pending to solved; anything still pending on drop (solver
-/// error, panic) is aborted so coalesced waiters wake and re-claim.
+/// RAII over this request's claimed cache slots: a claim is pending
+/// (`None`) until `publish` records its value; anything still pending on
+/// drop (solver error, panic) is aborted so coalesced waiters wake and
+/// re-claim.
 struct ClaimSet<'a, V: Copy> {
     cache: &'a SolvedPointCache<V>,
-    pending: HashSet<PointKey>,
-    solved: HashMap<PointKey, V>,
+    claims: HashMap<PointKey, Option<V>, PointHashState>,
 }
 
 impl<'a, V: Copy> ClaimSet<'a, V> {
     fn new(cache: &'a SolvedPointCache<V>) -> Self {
         ClaimSet {
             cache,
-            pending: HashSet::new(),
-            solved: HashMap::new(),
+            claims: HashMap::with_hasher(PointHashState::new()),
         }
     }
 
     fn claim(&mut self, key: PointKey) {
-        self.pending.insert(key);
+        self.claims.insert(key, None);
     }
 
     fn owns(&self, key: &PointKey) -> bool {
-        self.pending.contains(key)
+        self.claims.contains_key(key)
     }
 
     fn pending_keys(&self) -> Vec<PointKey> {
-        self.pending.iter().copied().collect()
+        self.claims
+            .iter()
+            .filter(|(_, value)| value.is_none())
+            .map(|(key, _)| *key)
+            .collect()
     }
 
     fn publish(&mut self, key: PointKey, value: V) {
         self.cache.publish(key, value);
-        self.pending.remove(&key);
-        self.solved.insert(key, value);
+        self.claims.insert(key, Some(value));
     }
 
     fn solved(&self, key: &PointKey) -> Option<V> {
-        self.solved.get(key).copied()
+        self.claims.get(key).copied().flatten()
     }
 }
 
 impl<V: Copy> Drop for ClaimSet<'_, V> {
     fn drop(&mut self) {
-        for key in &self.pending {
-            self.cache.abort(key);
+        for (key, value) in &self.claims {
+            if value.is_none() {
+                self.cache.abort(key);
+            }
         }
     }
 }

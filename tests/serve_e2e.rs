@@ -439,3 +439,92 @@ fn request_accounting_shows_up_in_stats() {
     server.shutdown();
     server.join();
 }
+
+/// The cache counters from `{"cmd":"stats"}`:
+/// `(hits, misses, coalesced, probes, entries)`.
+fn cache_stats(client: &mut Client) -> [u64; 5] {
+    let stats = client.send(r#"{"cmd":"stats"}"#);
+    let cache = stats
+        .get_field("stats")
+        .and_then(|s| s.get_field("cache"))
+        .expect("stats response has a cache section");
+    ["hits", "misses", "coalesced", "probes", "entries"].map(|name| {
+        cache
+            .get_field(name)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("missing cache counter {name}"))
+    })
+}
+
+#[test]
+fn cold_sweep_admission_cost_does_not_grow_with_the_cache() {
+    // Counts, not timings: a sorted-shard cache probed ~log2(entries)
+    // keys per lookup, so the same cold sweep cost more probes in a
+    // full cache than in an empty one. Two cold 2,048-point sweeps, the
+    // second into a cache holding about 40k entries, must cost the
+    // same per lookup.
+    const POINTS: u32 = 2048;
+    let server = start(1);
+    let mut client = Client::connect(&server);
+    let system = BusSystemModel::new();
+    let base = WorkloadParams::at_level(Level::Middle);
+    let query = |from: f64, to: f64| {
+        format!(
+            "{{\"kind\":\"power\",\"scheme\":\"dragon\",\
+             \"machine\":{{\"interconnect\":\"bus\",\"processors\":16}},\
+             \"sweep\":{{\"param\":\"shd\",\"from\":{from},\"to\":{to},\"points\":{POINTS}}}}}"
+        )
+    };
+    let cold_sweep = |client: &mut Client, from: f64, to: f64| -> f64 {
+        let [hits0, misses0, coalesced0, probes0, _] = cache_stats(client);
+        let response = client.send(&format!(
+            "{{\"compact\":true,\"queries\":[{}]}}",
+            query(from, to)
+        ));
+        assert!(ok(&response), "{}", client.response);
+        let values = response
+            .get_field("results")
+            .and_then(|r| r.get_index(0))
+            .and_then(|q| q.get_field("values"))
+            .and_then(Value::as_array)
+            .expect("compact response has values");
+        assert_eq!(values.len(), POINTS as usize);
+        for (i, served) in (0..POINTS).zip(values) {
+            let shd = from + (to - from) * f64::from(i) / f64::from(POINTS - 1);
+            let w = base.with_param(ParamId::Shd, shd).unwrap();
+            let direct = analyze_bus(Scheme::Dragon, &w, &system, 16).unwrap();
+            assert_eq!(
+                served.as_f64().unwrap().to_bits(),
+                direct.power().to_bits(),
+                "sweep point {i} (shd = {shd})"
+            );
+        }
+        let [hits, misses, coalesced, probes, _] = cache_stats(client);
+        assert_eq!((hits, misses), (hits0, misses0 + u64::from(POINTS)), "cold");
+        let lookups = (hits + misses + coalesced) - (hits0 + misses0 + coalesced0);
+        (probes - probes0) as f64 / lookups as f64
+    };
+
+    let empty = cold_sweep(&mut client, 0.01, 0.02);
+    let fill: Vec<String> = (0..19)
+        .map(|k| {
+            let from = 0.1 + 0.01 * f64::from(k);
+            query(from, from + 0.009)
+        })
+        .collect();
+    let response = client.send(&format!(
+        "{{\"compact\":true,\"queries\":[{}]}}",
+        fill.join(",")
+    ));
+    assert!(ok(&response), "{}", client.response);
+    let entries = cache_stats(&mut client)[4];
+    assert!(entries >= 40_000, "cache holds {entries} entries");
+    let full = cold_sweep(&mut client, 0.03, 0.04);
+    assert!(
+        (full - empty).abs() <= 0.10 * empty,
+        "probes per lookup: {empty:.3} into an empty cache, {full:.3} into {entries} entries"
+    );
+    drop(client);
+    server.shutdown();
+    server.join();
+}
