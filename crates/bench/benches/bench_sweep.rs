@@ -65,23 +65,11 @@ fn patel_warm_start(c: &mut Criterion) {
     const SOLVES: u32 = 50;
     let mut group = c.benchmark_group("patel_rate_sweep_50");
     group.throughput(Throughput::Elements(u64::from(SOLVES)));
-    // Legacy fixed-iteration bisection, 200 halvings per solve.
-    group.bench_function("legacy_bisection", |b| {
+    // Newton from the light-load guess every time (the cold solve).
+    group.bench_function("cold_newton", |b| {
         b.iter(|| {
             (1..=SOLVES)
                 .map(|i| solve(f64::from(i) * 0.002, 20.0, 8).unwrap())
-                .collect::<Vec<_>>()
-        })
-    });
-    // Newton from the light-load guess every time.
-    group.bench_function("cold_newton", |b| {
-        b.iter(|| {
-            let mut solver = WarmSolver::new();
-            (1..=SOLVES)
-                .map(|i| {
-                    solver.reset();
-                    solver.solve(f64::from(i) * 0.002, 20.0, 8).unwrap()
-                })
                 .collect::<Vec<_>>()
         })
     });

@@ -89,8 +89,6 @@ impl CurveBench {
 struct PatelBench {
     solves: u32,
     stages: u32,
-    /// The pre-sweep-engine solver: 200 bisection steps per solve.
-    legacy_bisection_ns_per_solve: f64,
     cold_ns_per_solve: f64,
     warm_ns_per_solve: f64,
     cold_iterations: u32,
@@ -212,13 +210,6 @@ fn run() -> Report {
         }
         iterations
     };
-    let legacy_ns = median_ns(|| {
-        for i in 1..=PATEL_SOLVES {
-            std::hint::black_box(
-                swcc_core::network::solve(f64::from(i) * 0.002, 20.0, stages).unwrap(),
-            );
-        }
-    });
     let cold_ns = median_ns(|| {
         let mut solver = WarmSolver::new();
         sweep_rates(&mut solver, true);
@@ -301,7 +292,6 @@ fn run() -> Report {
         patel_rate_sweep: PatelBench {
             solves: PATEL_SOLVES,
             stages,
-            legacy_bisection_ns_per_solve: legacy_ns / f64::from(PATEL_SOLVES),
             cold_ns_per_solve: cold_ns / f64::from(PATEL_SOLVES),
             warm_ns_per_solve: warm_ns / f64::from(PATEL_SOLVES),
             cold_iterations,

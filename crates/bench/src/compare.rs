@@ -209,10 +209,9 @@ const EXACT_FIELDS: [&str; 2] = [
 ];
 
 /// Machine-dependent timings, reported but never gated.
-const INFO_FIELDS: [&str; 5] = [
+const INFO_FIELDS: [&str; 4] = [
     "mva_curve.swept_ns_per_point",
     "bus_curve_dragon.swept_ns_per_point",
-    "patel_rate_sweep.legacy_bisection_ns_per_solve",
     "patel_rate_sweep.cold_ns_per_solve",
     "patel_rate_sweep.warm_ns_per_solve",
 ];
@@ -322,7 +321,6 @@ mod tests {
               "bus_curve_dragon": {{"points": 64, "pointwise_ns_per_point": 340.0,
                                     "swept_ns_per_point": 12.4, "speedup": 27.7}},
               "patel_rate_sweep": {{"solves": 50, "stages": 8,
-                                    "legacy_bisection_ns_per_solve": 7990.0,
                                     "cold_ns_per_solve": 175.0, "warm_ns_per_solve": 179.0,
                                     "cold_iterations": {cold_iterations},
                                     "warm_iterations": 199,

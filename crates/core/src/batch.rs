@@ -8,15 +8,16 @@
 //! arithmetic inside it. This module removes that overhead by solving N
 //! independent points per call over flat `Vec<f64>` lanes:
 //!
-//! * [`BatchPatelSolver`] advances the bracket-guarded Newton fixed
-//!   point of [`crate::network::patel`] for **all active lanes per
-//!   iteration**. Each lane carries its own `[lo, hi]` root bracket and
-//!   convergence state; converged lanes are *compacted out* of the
-//!   active set (swap-remove on every lane array), so a lane that
-//!   converges at iteration 3 stops paying for lanes that need 8. The
-//!   propagation loop runs stage-outer/lane-inner over contiguous
-//!   arrays — one bounds-check region, no per-solve dispatch, and a
-//!   body the compiler can auto-vectorize.
+//! * [`BatchPatelSolver`] runs the guarded-Newton kernel of
+//!   [`crate::network::patel`] — the same per-lane step the scalar
+//!   solve runs — for **all active lanes per iteration**, one pass per
+//!   phase of the step. Each lane carries its own `[lo, hi]` root
+//!   bracket and convergence state; converged lanes are *compacted
+//!   out* of the active set (a stable write-cursor pass over every lane
+//!   array), so a lane that converges at iteration 3 stops paying for
+//!   lanes that need 8. The propagation runs in blocks of lanes,
+//!   stage-outer/lane-inner — no per-solve dispatch, and a body the
+//!   compiler can auto-vectorize.
 //! * [`machine_repairman_grid`] and [`machine_repairman_sweep_grid`]
 //!   evaluate the exact-MVA recurrence of [`crate::queue`] for a whole
 //!   grid of `(service, think)` lanes in one population-outer,
@@ -32,7 +33,10 @@
 //!
 //! * a [`BatchPatelSolver`] lane equals
 //!   [`solve_with`](crate::network::solve_with) with the same hint,
-//!   bit for bit (including its iteration count);
+//!   bit for bit (including its iteration count), so a cold lane is
+//!   [`solve`](crate::network::solve) and the operating point of
+//!   [`analyze_network`](crate::network::analyze_network) at the same
+//!   demand;
 //! * a [`machine_repairman_grid`] lane equals
 //!   [`machine_repairman`](crate::queue::machine_repairman) bit for
 //!   bit, and a [`machine_repairman_sweep_grid`] lane equals
@@ -45,7 +49,9 @@
 
 use crate::error::{ModelError, Result};
 use crate::metrics;
-use crate::network::patel::{OperatingPoint, DEFAULT_TOLERANCE};
+use crate::network::patel::{
+    residual_and_slope, Lane, OperatingPoint, DEFAULT_TOLERANCE, MAX_ITERATIONS,
+};
 use crate::queue::{MvaSolution, MvaSweep};
 
 /// A hint value meaning "start this lane cold" in
@@ -118,26 +124,27 @@ struct ActiveLanes {
     hi: Vec<f64>,
     demand: Vec<f64>,
     stages: Vec<u32>,
-    /// Propagated request probability (scratch, rewritten per iteration).
-    m: Vec<f64>,
-    /// d(propagate)/dU (scratch, rewritten per iteration).
-    dm: Vec<f64>,
+    /// Residual at `x` (scratch, rewritten per iteration).
+    f: Vec<f64>,
+    /// Residual slope at `x`, then the Newton step (scratch, rewritten
+    /// per iteration).
+    step: Vec<f64>,
 }
 
 impl ActiveLanes {
-    /// Allocates all `n` slots up front with fresh brackets; the seed
-    /// pass fills `lane`/`x`/`demand`/`stages` by direct writes and
-    /// truncates to the lanes that actually enter the active set.
+    /// Allocates all `n` slots up front; the seed pass fills them by
+    /// direct writes and truncates to the lanes that actually enter the
+    /// active set.
     fn with_len(n: usize) -> Self {
         ActiveLanes {
             lane: vec![0; n],
             x: vec![0.0; n],
             lo: vec![0.0; n],
-            hi: vec![1.0; n],
+            hi: vec![0.0; n],
             demand: vec![0.0; n],
             stages: vec![0; n],
-            m: vec![0.0; n],
-            dm: vec![0.0; n],
+            f: vec![0.0; n],
+            step: vec![0.0; n],
         }
     }
 
@@ -145,8 +152,23 @@ impl ActiveLanes {
         self.lane.len()
     }
 
+    /// The kernel state of active lane `i`.
+    fn get(&self, i: usize) -> Lane {
+        Lane {
+            x: self.x[i],
+            lo: self.lo[i],
+            hi: self.hi[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, lane: Lane) {
+        self.x[i] = lane.x;
+        self.lo[i] = lane.lo;
+        self.hi[i] = lane.hi;
+    }
+
     /// Copies surviving lane `src` into compacted slot `dst` during a
-    /// retire pass. The `m`/`dm` scratch is not copied: both are fully
+    /// retire pass. The `f`/`step` scratch is not copied: both are fully
     /// rewritten from `x` at the top of the next iteration.
     fn compact(&mut self, dst: usize, src: usize) {
         self.lane[dst] = self.lane[src];
@@ -165,9 +187,20 @@ impl ActiveLanes {
         self.hi.truncate(n);
         self.demand.truncate(n);
         self.stages.truncate(n);
-        self.m.truncate(n);
-        self.dm.truncate(n);
+        self.f.truncate(n);
+        self.step.truncate(n);
     }
+}
+
+/// Lanes per block of the residual pass: enough independent stage
+/// ladders to fill the vector units, few enough to stay in registers.
+const LANE_BLOCK: usize = 8;
+
+/// Views `LANE_BLOCK` consecutive lanes of a lane array as a block.
+fn block<T>(lanes: &[T], start: usize) -> &[T; LANE_BLOCK] {
+    lanes[start..start + LANE_BLOCK]
+        .try_into()
+        .expect("the range is exactly LANE_BLOCK long")
 }
 
 /// Solves N independent Patel fixed points in lockstep over flat
@@ -324,13 +357,15 @@ impl BatchPatelSolver {
         }
         let zero_demand_lanes = active.demand.iter().filter(|d| **d == 0.0).count(); // swcc-lint: allow(float-eq) — counting idle lanes: -0.0 demand is idle too
         if hints.is_none() && zero_demand_lanes == 0 {
-            // Fast seed: every lane enters the active set with the
-            // scalar solver's cold light-load start, in straight
-            // vectorizable passes.
+            // Fast seed: every lane enters the active set cold, in
+            // straight vectorizable passes.
             let demand = &active.demand[..n];
-            let x = &mut active.x[..n];
+            let (x, lo, hi) = (&mut active.x[..n], &mut active.lo[..n], &mut active.hi[..n]);
             for i in 0..n {
-                x[i] = 1.0 / (1.0 + demand[i]);
+                let lane = Lane::cold(demand[i]);
+                x[i] = lane.x;
+                lo[i] = lane.lo;
+                hi[i] = lane.hi;
             }
             let lane = &mut active.lane[..n];
             for (i, l) in lane.iter_mut().enumerate() {
@@ -344,9 +379,8 @@ impl BatchPatelSolver {
             // General seed. Zero-demand lanes retire immediately (the
             // processor thinks full-time), exactly as the scalar
             // solver's early return; everything else enters the active
-            // set with the scalar starting point: the hint when it is
-            // a usable interior guess, else the light-load
-            // approximation 1/(1 + m·t).
+            // set started from its hint, exactly as the scalar solver
+            // starts.
             let mut width = 0;
             for i in 0..n {
                 let stage_count = stages.get(i);
@@ -357,18 +391,10 @@ impl BatchPatelSolver {
                         OperatingPoint::from_parts(stage_count, rates[i], sizes[i], 1.0, 0.0);
                     continue;
                 }
-                let hint = hints.map(|h| h[i]);
-                let warm = matches!(hint, Some(h) if h > 0.0 && h < 1.0);
-                let x = if warm {
-                    hint.unwrap_or_default()
-                } else {
-                    1.0 / (1.0 + demand)
-                };
-                if warm {
-                    warm_lanes += 1;
-                }
+                let (lane, warm) = Lane::start(demand, hints.map_or(COLD, |h| h[i]));
+                warm_lanes += u64::from(warm);
                 active.lane[width] = i as u32;
-                active.x[width] = x;
+                active.set(width, lane);
                 active.demand[width] = demand;
                 active.stages[width] = stage_count;
                 width += 1;
@@ -378,12 +404,14 @@ impl BatchPatelSolver {
 
         let solved_lanes = active.len() as u64;
         let tolerance = self.tolerance;
-        let max_stages = match stages {
-            Stages::Uniform(s) => *s,
-            Stages::PerLane(s) => s.iter().copied().max().unwrap_or(0),
+        let uniform = match stages {
+            Stages::Uniform(s) => Some(*s),
+            Stages::PerLane(_) => None,
         };
-        let uniform = matches!(stages, Stages::Uniform(_));
 
+        // Each lockstep iteration is one kernel step for every active
+        // lane (see `crate::network::patel`), run phase by phase as
+        // passes over the lane arrays.
         let mut iteration = 0u32;
         let mut total_iterations = 0u64;
         let mut fallbacks = 0u64;
@@ -392,163 +420,106 @@ impl BatchPatelSolver {
             let width = active.len();
             total_iterations += width as u64;
 
-            // Residual and slope for every active lane. Per lane this
-            // is exactly the scalar `residual_and_slope`:
-            // m = clamp(1 − U), then `stages` applications of
-            // pass = 1 − m/2; dm ×= pass; m = 1 − pass².
-            //
-            // The uniform-stages path is blocked by lane so each
-            // block's m/dm live in registers across all the stage
-            // applications instead of round-tripping through memory
-            // once per stage.
+            // Phase 1, residual and slope, in blocks of `LANE_BLOCK`
+            // lanes so each block's stage ladder runs in registers.
+            // Uniform stages hand the kernel one shared count, which
+            // folds its per-lane stage masks away.
             {
-                let m = &mut active.m[..width];
-                let dm = &mut active.dm[..width];
                 let x = &active.x[..width];
-                if uniform {
-                    const LANE_BLOCK: usize = 8;
-                    let mut i = 0;
-                    while i + LANE_BLOCK <= width {
-                        let mut mv = [0.0; LANE_BLOCK];
-                        let mut dmv = [-1.0; LANE_BLOCK];
-                        for k in 0..LANE_BLOCK {
-                            mv[k] = (1.0 - x[i + k]).clamp(0.0, 1.0);
+                let demand = &active.demand[..width];
+                let lane_stages = &active.stages[..width];
+                let f = &mut active.f[..width];
+                let slope = &mut active.step[..width];
+                let mut i = 0;
+                while i + LANE_BLOCK <= width {
+                    let (bf, bs) = match uniform {
+                        Some(s) => {
+                            residual_and_slope(block(x, i), block(demand, i), &[s; LANE_BLOCK])
                         }
-                        for _ in 0..max_stages {
-                            for k in 0..LANE_BLOCK {
-                                let pass = 1.0 - mv[k] / 2.0;
-                                dmv[k] *= pass;
-                                mv[k] = 1.0 - pass * pass;
-                            }
+                        None => {
+                            residual_and_slope(block(x, i), block(demand, i), block(lane_stages, i))
                         }
-                        m[i..i + LANE_BLOCK].copy_from_slice(&mv);
-                        dm[i..i + LANE_BLOCK].copy_from_slice(&dmv);
-                        i += LANE_BLOCK;
-                    }
-                    for j in i..width {
-                        let mut mj = (1.0 - x[j]).clamp(0.0, 1.0);
-                        let mut dmj = -1.0;
-                        for _ in 0..max_stages {
-                            let pass = 1.0 - mj / 2.0;
-                            dmj *= pass;
-                            mj = 1.0 - pass * pass;
-                        }
-                        m[j] = mj;
-                        dm[j] = dmj;
-                    }
-                } else {
-                    for i in 0..width {
-                        m[i] = (1.0 - x[i]).clamp(0.0, 1.0);
-                        dm[i] = -1.0;
-                    }
-                    let lane_stages = &active.stages[..width];
-                    for s in 0..max_stages {
-                        for i in 0..width {
-                            if s < lane_stages[i] {
-                                let pass = 1.0 - m[i] / 2.0;
-                                dm[i] *= pass;
-                                m[i] = 1.0 - pass * pass;
-                            }
-                        }
-                    }
+                    };
+                    f[i..i + LANE_BLOCK].copy_from_slice(&bf);
+                    slope[i..i + LANE_BLOCK].copy_from_slice(&bs);
+                    i += LANE_BLOCK;
+                }
+                for j in i..width {
+                    let ([fj], [sj]) = residual_and_slope(&[x[j]], &[demand[j]], &[lane_stages[j]]);
+                    f[j] = fj;
+                    slope[j] = sj;
                 }
             }
 
-            // Bracket-and-step pass: residual, slope, bracket update,
-            // and Newton step for every active lane in one lane-inner
-            // sweep over contiguous arrays. The step is stashed in
-            // `dm` (the slope is not needed past this point), so the
-            // retire logic below never recomputes the residual.
-            // Selects rather than branches, and non-short-circuit `|`,
-            // keep the whole pass (division included) a straight-line
-            // loop the compiler can vectorize.
+            // Phases 2 and 3: bracket update and Newton step for every
+            // lane, plus a count of the lanes the retire test will
+            // take. The step replaces the slope in `step`, so the
+            // retire pass below never recomputes it. Branch-free, so
+            // the pass (division included) vectorizes.
             let mut retiring = 0usize;
-            let force_midpoint = iteration >= 200;
+            let capped = iteration >= MAX_ITERATIONS;
             {
-                let m = &active.m[..width];
-                let dm = &mut active.dm[..width];
+                let f = &active.f[..width];
+                let step = &mut active.step[..width];
                 let x = &active.x[..width];
-                let demand = &active.demand[..width];
                 let lo = &mut active.lo[..width];
                 let hi = &mut active.hi[..width];
                 for i in 0..width {
-                    let f = m[i] - x[i] * demand[i];
-                    let above = f >= 0.0;
-                    lo[i] = if above { x[i] } else { lo[i] };
-                    hi[i] = if above { hi[i] } else { x[i] };
-                    let step = -f / (dm[i] - demand[i]);
-                    dm[i] = step;
-                    retiring += usize::from(
-                        force_midpoint
-                            | (step.abs() <= 0.5 * tolerance)
-                            | (hi[i] - lo[i] <= tolerance),
-                    );
+                    let mut lane = Lane {
+                        x: x[i],
+                        lo: lo[i],
+                        hi: hi[i],
+                    };
+                    step[i] = lane.bracket(f[i], step[i]);
+                    lo[i] = lane.lo;
+                    hi[i] = lane.hi;
+                    retiring += usize::from(lane.retire(step[i], tolerance, capped).is_some());
                 }
             }
 
             let mut retired = 0u64;
             if retiring == 0 {
-                // Common early-iteration case: nobody converged, so
-                // the x update is a pure branch-light array pass (the
-                // bracket fallback is the only data-dependent branch,
-                // mirroring the scalar solver's guarded Newton step).
-                let dm = &active.dm[..width];
+                // Common early-iteration case: nobody retires, so phase
+                // 4 is a plain pass of guarded steps.
+                let step = &active.step[..width];
                 let x = &mut active.x[..width];
                 let lo = &active.lo[..width];
                 let hi = &active.hi[..width];
                 for i in 0..width {
-                    let newton = x[i] + dm[i];
-                    let inside = (newton > lo[i]) & (newton < hi[i]);
-                    x[i] = if inside {
-                        newton
-                    } else {
-                        0.5 * (lo[i] + hi[i])
+                    let mut lane = Lane {
+                        x: x[i],
+                        lo: lo[i],
+                        hi: hi[i],
                     };
-                    fallbacks += u64::from(!inside);
+                    fallbacks += u64::from(lane.advance(step[i]));
+                    x[i] = lane.x;
                 }
             } else {
-                // Retire-and-compact scan: the same decision ladder,
-                // in the same order, as the scalar loop, replaying the
-                // stashed step. Converged lanes scatter their results;
-                // survivors take their Newton step and slide down to
-                // the write cursor, preserving lane order.
+                // Retire-and-compact scan: phases 3 and 4 per lane.
+                // Retired lanes scatter their results; survivors take
+                // their guarded step and slide down to the write
+                // cursor, preserving lane order.
                 let mut write = 0;
                 for i in 0..width {
-                    let step = active.dm[i];
-                    let x = active.x[i];
-                    let lo = active.lo[i];
-                    let hi = active.hi[i];
-                    let root = if step.abs() <= 0.5 * tolerance {
-                        Some(((x + step).clamp(lo, hi), true))
-                    } else if hi - lo <= tolerance {
-                        Some((0.5 * (lo + hi), true))
-                    } else if force_midpoint {
-                        Some((0.5 * (lo + hi), false))
-                    } else {
-                        None
-                    };
-                    match root {
+                    let mut lane = active.get(i);
+                    let step = active.step[i];
+                    match lane.retire(step, tolerance, capped) {
                         Some((u, lane_converged)) => {
-                            let lane = active.lane[i] as usize;
-                            points[lane] = OperatingPoint::from_parts(
+                            let index = active.lane[i] as usize;
+                            points[index] = OperatingPoint::from_parts(
                                 active.stages[i],
-                                rates[lane],
-                                sizes[lane],
+                                rates[index],
+                                sizes[index],
                                 u,
                                 u * active.demand[i],
                             );
-                            iterations[lane] = iteration;
-                            converged[lane] = lane_converged;
+                            iterations[index] = iteration;
+                            converged[index] = lane_converged;
                             retired += 1;
                         }
                         None => {
-                            let newton = x + step;
-                            active.x[i] = if newton > lo && newton < hi {
-                                newton
-                            } else {
-                                fallbacks += 1;
-                                0.5 * (lo + hi)
-                            };
+                            fallbacks += u64::from(lane.advance(step));
+                            active.x[i] = lane.x;
                             active.compact(write, i);
                             write += 1;
                         }

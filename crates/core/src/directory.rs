@@ -109,7 +109,9 @@ impl DirectoryPerformance {
 
 /// Analyzes the directory protocol on a circuit-switched multistage
 /// network of the given stage count, using the same Patel contention
-/// model as the software schemes.
+/// model as the software schemes: the operating point is the cold
+/// guarded-Newton solve ([`patel::solve`]) of the directory mix's
+/// demand.
 ///
 /// # Errors
 ///
@@ -231,6 +233,28 @@ mod tests {
         let p_light = analyze_directory(&light, 8).unwrap();
         assert!(p_heavy.network_demand() > p_light.network_demand());
         assert!(p_heavy.power() < p_light.power());
+    }
+
+    #[test]
+    fn operating_point_is_the_cold_solve_of_its_demand() {
+        for level in Level::ALL {
+            let w = WorkloadParams::at_level(level);
+            for stages in [0u32, 2, 6, 10] {
+                let dir = analyze_directory(&w, stages).unwrap();
+                let d = demand(&directory_mix(&w), &NetworkSystemModel::new(stages)).unwrap();
+                assert_eq!(dir.cpu_demand().to_bits(), d.cpu().to_bits());
+                assert_eq!(dir.network_demand().to_bits(), d.interconnect().to_bits());
+                let point =
+                    patel::solve(d.transaction_rate(), d.transaction_size(), stages).unwrap();
+                for (got, want) in [
+                    (dir.point.think_fraction(), point.think_fraction()),
+                    (dir.point.accepted_rate(), point.accepted_rate()),
+                    (dir.utilization(), point.throughput()),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{level} at {stages} stages");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,19 +20,16 @@
 
 use swcc_obs::RegistryBuilder;
 
-/// Newton/bisection fixed-point solves completed ([`crate::network::patel`]).
+/// Guarded-Newton fixed-point solves completed, scalar and batch lanes
+/// alike ([`crate::network::patel`]).
 pub const SOLVER_SOLVES: &str = "core.solver.solves";
-/// Residual function evaluations across all Patel solves (legacy
-/// bisection included).
+/// Residual function evaluations across all Patel solves.
 pub const SOLVER_RESIDUAL_EVALS: &str = "core.solver.residual_evals";
 /// Solves that started from a warm-start hint (a nearby root).
 pub const SOLVER_WARM_REUSES: &str = "core.solver.warm_start_reuses";
 /// Newton steps that left the root bracket and fell back to its
 /// midpoint (the bisection safety net).
 pub const SOLVER_BRACKET_FALLBACKS: &str = "core.solver.bracket_fallbacks";
-/// Solves taken by the legacy fixed-200-step bisection path
-/// ([`crate::network::patel::solve`]).
-pub const SOLVER_LEGACY_BISECTIONS: &str = "core.solver.legacy_bisections";
 /// Distribution of residual evaluations per guarded-Newton solve.
 pub const SOLVER_ITERATIONS: &str = "core.solver.iterations";
 
@@ -80,7 +77,7 @@ pub const NETWORK_CURVE_POINTS: &str = "core.network.curve_points";
 // unless a trace sink is installed ([`swcc_obs::install_sink`]).
 
 /// Span around one Patel fixed-point solve. Fields: `rate`, `size`,
-/// `stages`, `warm`, `legacy`.
+/// `stages`, `warm`.
 pub const EV_SOLVER_SOLVE: &str = "patel.solve";
 /// Sampled per-iteration convergence point inside a solve. Fields:
 /// `iter`, `x` (current `U` probe), `residual`, `lo`, `hi` (bracket).
@@ -122,7 +119,6 @@ pub fn register(builder: RegistryBuilder) -> RegistryBuilder {
         .counter(SOLVER_RESIDUAL_EVALS)
         .counter(SOLVER_WARM_REUSES)
         .counter(SOLVER_BRACKET_FALLBACKS)
-        .counter(SOLVER_LEGACY_BISECTIONS)
         .histogram(
             SOLVER_ITERATIONS,
             &[
@@ -174,7 +170,6 @@ mod tests {
             SOLVER_RESIDUAL_EVALS,
             SOLVER_WARM_REUSES,
             SOLVER_BRACKET_FALLBACKS,
-            SOLVER_LEGACY_BISECTIONS,
             MVA_SOLVES,
             MVA_SWEEPS,
             MVA_SWEEP_POINTS,
@@ -241,15 +236,25 @@ mod tests {
         );
     }
 
+    /// `solve` was once a fixed 200-step bisection with its own counter;
+    /// it is now the cold guarded-Newton solve and reports through the
+    /// shared solver counters.
     #[test]
     fn legacy_bisection_reports_fixed_eval_budget() {
+        let mut reference = WarmSolver::new();
+        reference.solve(0.03, 20.0, 8).unwrap();
+        let iterations = u64::from(reference.last_iterations());
         let ((), span) = swcc_obs::capture(|| {
             solve(0.03, 20.0, 8).unwrap();
         });
-        assert_eq!(span.counter(SOLVER_LEGACY_BISECTIONS), Some(1));
-        // One bracket check plus 200 fixed halvings.
-        assert_eq!(span.counter(SOLVER_RESIDUAL_EVALS), Some(201));
-        assert_eq!(span.counter(SOLVER_SOLVES), None, "legacy path is separate");
+        assert_eq!(span.counter(SOLVER_SOLVES), Some(1));
+        // A handful of Newton steps, a small fraction of the cap.
+        assert!((1..=10).contains(&iterations), "{iterations} iterations");
+        assert_eq!(span.counter(SOLVER_RESIDUAL_EVALS), Some(iterations));
+        assert_eq!(span.counter(SOLVER_WARM_REUSES), None, "solve is cold");
+        let iters = span.histogram(SOLVER_ITERATIONS).unwrap();
+        assert_eq!(iters.count, 1);
+        assert_eq!(iters.sum, iterations as f64);
     }
 
     #[test]

@@ -113,6 +113,12 @@ impl fmt::Display for NetworkPerformance {
 
 /// Analyzes one scheme on a multistage network of the given stage count.
 ///
+/// The operating point is the cold guarded-Newton solve
+/// ([`patel::solve`]) of the scheme's demand, so it is bitwise the
+/// point a [`crate::batch::BatchPatelSolver`] lane, a
+/// [`network_power_curves`] point, or `swcc-serve` computes for the same
+/// demand.
+///
 /// # Errors
 ///
 /// Returns [`ModelError::UnsupportedScheme`] for [`Scheme::Dragon`]
@@ -164,10 +170,10 @@ pub fn analyze_network(
 /// processors).
 ///
 /// Consecutive stage counts have nearby fixed points, so the sweep
-/// solves them with one [`WarmSolver`]: each point's `U` seeds the next
-/// point's bisection bracket. Results agree with pointwise
+/// solves them with one [`WarmSolver`]: each point's `U` is the next
+/// point's first Newton probe. Results agree with pointwise
 /// [`analyze_network`] to within the solver tolerance
-/// ([`DEFAULT_TOLERANCE`]).
+/// ([`DEFAULT_TOLERANCE`]); only the warm start separates them.
 ///
 /// # Errors
 ///
@@ -241,11 +247,10 @@ pub fn network_power_curve(
 /// of a single lockstep batch ([`crate::batch::BatchPatelSolver`]).
 ///
 /// Each lane is cold-started, so every point is **bit-identical** to
-/// [`solve_with`] with default options at the same `(rate, size,
-/// stages)` — and therefore agrees with pointwise [`analyze_network`]
-/// and with the warm-chained [`network_power_curve`] to within the
-/// solver tolerance ([`DEFAULT_TOLERANCE`]), the same documented
-/// equivalence those two paths share.
+/// pointwise [`analyze_network`] (the cold [`solve`] at the same
+/// `(rate, size, stages)`), and agrees with the warm-chained
+/// [`network_power_curve`] to within the solver tolerance
+/// ([`DEFAULT_TOLERANCE`]).
 ///
 /// # Errors
 ///
@@ -391,15 +396,86 @@ mod tests {
                     cold.think_fraction().to_bits(),
                     "{s} at {stages} stages"
                 );
-                // ...and within solver tolerance of the legacy pointwise path.
+                // ...and to pointwise analyze_network, which runs the
+                // same cold kernel.
                 let pointwise = analyze_network(s, &w, stages).unwrap();
-                let du = (batched.operating_point().think_fraction()
-                    - pointwise.operating_point().think_fraction())
-                .abs();
-                assert!(du < 1e-9, "{s} at {stages} stages: ΔU = {du:e}");
+                assert_eq!(
+                    batched.operating_point().think_fraction().to_bits(),
+                    pointwise.operating_point().think_fraction().to_bits(),
+                    "{s} at {stages} stages"
+                );
+                assert_eq!(batched.power().to_bits(), pointwise.power().to_bits());
                 assert_eq!(batched.demand(), pointwise.demand());
             }
         }
+    }
+
+    #[test]
+    fn one_answer_per_operating_point() {
+        // analyze_network, a BatchPatelSolver lane and a
+        // network_power_curves point at the same demand are one answer,
+        // bit for bit.
+        let schemes = [Scheme::Base, Scheme::NoCache, Scheme::SoftwareFlush];
+        for level in Level::ALL {
+            let w = WorkloadParams::at_level(level);
+            let curves = network_power_curves(&schemes, &w, 10).unwrap();
+            for (i, &s) in schemes.iter().enumerate() {
+                for stages in 0..=10u32 {
+                    let pointwise = analyze_network(s, &w, stages).unwrap();
+                    let d = pointwise.demand();
+                    let lane = crate::batch::BatchPatelSolver::new()
+                        .solve(&[d.transaction_rate()], &[d.transaction_size()], stages)
+                        .unwrap()
+                        .points()[0];
+                    let batched = NetworkPerformance::from_operating_point(s, stages, d, lane);
+                    let curve = curves[i][stages as usize];
+                    for other in [batched, curve] {
+                        assert_eq!(other.demand(), d);
+                        for (name, got, want) in [
+                            (
+                                "think_fraction",
+                                other.operating_point().think_fraction(),
+                                pointwise.operating_point().think_fraction(),
+                            ),
+                            (
+                                "accepted_rate",
+                                other.operating_point().accepted_rate(),
+                                pointwise.operating_point().accepted_rate(),
+                            ),
+                            ("power", other.power(), pointwise.power()),
+                        ] {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{s} at {level}, {stages} stages: {name}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_network_records_exactly_one_solve() {
+        let w = WorkloadParams::default();
+        let (perf, span) =
+            swcc_obs::capture(|| analyze_network(Scheme::SoftwareFlush, &w, 8).unwrap());
+        let d = perf.demand();
+        let mut solver = WarmSolver::new();
+        solver
+            .solve(d.transaction_rate(), d.transaction_size(), 8)
+            .unwrap();
+        assert!(solver.last_iterations() > 0);
+        assert_eq!(span.counter(metrics::NETWORK_ANALYSES), Some(1));
+        assert_eq!(span.counter(metrics::SOLVER_SOLVES), Some(1));
+        assert_eq!(
+            span.counter(metrics::SOLVER_RESIDUAL_EVALS),
+            Some(u64::from(solver.last_iterations()))
+        );
+        let iters = span.histogram(metrics::SOLVER_ITERATIONS).unwrap();
+        assert_eq!(iters.count, 1);
+        assert_eq!(iters.sum, f64::from(solver.last_iterations()));
     }
 
     #[test]

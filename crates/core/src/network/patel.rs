@@ -22,8 +22,17 @@
 //! fraction"); whenever it is not, it is presenting a (re)request at the
 //! network input, hence `m_0 = 1 − U`. The accepted unit-request rate at
 //! the memory side is `m_n`, and consistency requires it to equal the
-//! demand `U·m·t`. The fixed point is solved by bisection (the residual
-//! is strictly decreasing in `U`).
+//! demand `U·m·t`.
+//!
+//! The fixed point is solved by one bracket-guarded Newton kernel (the
+//! residual is strictly decreasing in `U`, so `[0, 1]` brackets the
+//! root): Newton steps converge quadratically, and a step that would
+//! leave the bracket falls back to its midpoint, so the worst case is
+//! bisection. The same per-lane step backs [`solve`], [`solve_with`],
+//! [`WarmSolver`] and every lane of
+//! [`BatchPatelSolver`](crate::batch::BatchPatelSolver); a cold solve
+//! takes about four to five residual evaluations at the default
+//! tolerance.
 
 use serde::{Deserialize, Serialize};
 use swcc_obs::Field;
@@ -39,8 +48,7 @@ use crate::metrics;
 pub fn propagate(m0: f64, stages: u32) -> f64 {
     let mut m = m0.clamp(0.0, 1.0);
     for _ in 0..stages {
-        let pass = 1.0 - m / 2.0;
-        m = 1.0 - pass * pass;
+        m = stage(m).0;
     }
     m
 }
@@ -119,126 +127,46 @@ impl OperatingPoint {
 
 /// Solves the fixed point for a processor offering transactions of size
 /// `size` cycles at `rate` transactions per cycle through a network of
-/// `stages` stages.
+/// `stages` stages: the cold guarded-Newton solve at
+/// [`DEFAULT_TOLERANCE`], i.e. [`solve_with`] with default options.
+///
+/// Every Patel entry point runs the same per-lane step (see the module
+/// docs), so this returns the same bits for the same `(rate, size,
+/// stages)` as a cold [`WarmSolver`] and as a
+/// [`BatchPatelSolver`](crate::batch::BatchPatelSolver) lane.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::InvalidConfig`] if `rate` or `size` is negative
-/// or non-finite, and [`ModelError::Convergence`] if bisection fails to
-/// bracket a root (which cannot happen for valid inputs; it is checked
-/// defensively).
+/// or non-finite.
 pub fn solve(rate: f64, size: f64, stages: u32) -> Result<OperatingPoint> {
-    if !rate.is_finite() || rate < 0.0 {
-        return Err(ModelError::InvalidConfig {
-            name: "rate",
-            reason: "must be finite and non-negative",
-        });
-    }
-    if !size.is_finite() || size < 0.0 {
-        return Err(ModelError::InvalidConfig {
-            name: "size",
-            reason: "must be finite and non-negative",
-        });
-    }
-    let demand = rate * size;
-    // swcc-lint: allow(float-eq) — zero demand skips the queueing model; -0.0 is zero demand
-    if demand == 0.0 {
-        // The processor never uses the network: it thinks all the time.
-        return Ok(OperatingPoint {
-            stages,
-            rate,
-            size,
-            think_fraction: 1.0,
-            accepted: 0.0,
-        });
-    }
-    // Residual f(U) = m_n(1−U) − U·m·t is strictly decreasing:
-    // f(0) = propagate(1) ≥ 0, f(1) = −m·t < 0.
-    let residual = |u: f64| propagate(1.0 - u, stages) - u * demand;
-    let tracing = swcc_obs::trace_enabled();
-    let _solve_span = if tracing {
-        swcc_obs::span(
-            metrics::EV_SOLVER_SOLVE,
-            &[
-                Field::f64("rate", rate),
-                Field::f64("size", size),
-                Field::u64("stages", u64::from(stages)),
-                Field::bool("warm", false),
-                Field::bool("legacy", true),
-            ],
-        )
-    } else {
-        swcc_obs::span(metrics::EV_SOLVER_SOLVE, &[])
-    };
-    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-    if residual(lo) < 0.0 {
-        return Err(ModelError::Convergence {
-            solver: "patel fixed point",
-            residual: residual(lo),
-        });
-    }
-    for iter in 0..200u32 {
-        let mid = 0.5 * (lo + hi);
-        let f = residual(mid);
-        if tracing {
-            swcc_obs::event_sampled(
-                metrics::EV_SOLVER_ITERATION,
-                &[
-                    Field::u64("iter", u64::from(iter + 1)),
-                    Field::f64("x", mid),
-                    Field::f64("residual", f),
-                    Field::f64("lo", lo),
-                    Field::f64("hi", hi),
-                ],
-            );
-        }
-        if f >= 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SOLVER_LEGACY_BISECTIONS, 1);
-        // One bracket check plus the fixed 200 halvings.
-        swcc_obs::counter_add(metrics::SOLVER_RESIDUAL_EVALS, 201);
-    }
-    let u = 0.5 * (lo + hi);
-    if tracing {
-        swcc_obs::event(
-            metrics::EV_SOLVER_RESULT,
-            &[
-                Field::u64("iterations", 200),
-                Field::u64("fallbacks", 0),
-                Field::f64("root", u),
-                Field::bool("converged", true),
-            ],
-        );
-    }
-    Ok(OperatingPoint {
-        stages,
-        rate,
-        size,
-        think_fraction: u,
-        accepted: u * demand,
-    })
+    solve_with(rate, size, stages, SolveOptions::default())
 }
 
-/// Default bisection tolerance for [`solve_with`] and [`WarmSolver`]:
-/// the bracket is narrowed until `hi − lo ≤ 1e-13`, i.e. `U` is resolved
-/// to well below any model-relevant difference.
+/// Default stopping tolerance of the guarded-Newton solve: a lane
+/// retires once its Newton step is at most half of it, or once its root
+/// bracket is at most this wide, i.e. `U` is resolved to well below any
+/// model-relevant difference.
 pub const DEFAULT_TOLERANCE: f64 = 1e-13;
+
+/// Residual evaluations after which a lane whose bracket is still wider
+/// than the tolerance retires at the bracket midpoint, flagged as not
+/// converged.
+pub(crate) const MAX_ITERATIONS: u32 = 200;
 
 /// Options controlling a warm-started, tolerance-terminated fixed-point
 /// solve ([`solve_with`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SolveOptions {
-    /// Stop once the bisection bracket is narrower than this.
+    /// Stop once the Newton step is at most half this, or the root
+    /// bracket is at most this wide.
     pub tolerance: f64,
     /// A guess for the root — typically the `U` of a nearby operating
-    /// point (e.g. the previous point of a sweep). The residual's sign
-    /// at the guess collapses the initial bracket to one side, so a
-    /// wrong guess costs one extra evaluation but never a wrong answer.
+    /// point (e.g. the previous point of a sweep). The solve's first
+    /// probe is the guess instead of the light-load approximation, so a
+    /// good guess saves Newton steps; a wrong one costs steps but never
+    /// a wrong answer. Guesses outside the open interval `(0, 1)`
+    /// (including NaN) are ignored.
     pub hint: Option<f64>,
 }
 
@@ -252,12 +180,8 @@ impl Default for SolveOptions {
 }
 
 /// Like [`solve`], but with a configurable stopping tolerance and an
-/// optional warm-start hint (see [`SolveOptions`]).
-///
-/// With default options this agrees with [`solve`] to within the
-/// tolerance while doing a fraction of the residual evaluations
-/// ([`solve`] always bisects 200 times; `1e-13` needs ~43 cold, fewer
-/// warm).
+/// optional warm-start hint (see [`SolveOptions`]). With default options
+/// it is [`solve`].
 ///
 /// # Errors
 ///
@@ -272,6 +196,185 @@ pub fn solve_with(
     solve_inner(rate, size, stages, options).map(|(op, _)| op)
 }
 
+// --- The guarded-Newton kernel -----------------------------------------
+//
+// The residual f(U) = propagate(1 − U) − U·m·t is strictly decreasing
+// (f(0) = propagate(1) ≥ 0, f(1) = −m·t < 0), so [0, 1] brackets its
+// root. One step of the solve, per lane:
+//
+// 1. residual and slope at the probe `x`, through `stages` 2×2 stages
+//    (`residual_and_slope`);
+// 2. bracket update by the residual's sign, and the Newton step −f/f'
+//    (`Lane::bracket`);
+// 3. the retire test (`Lane::retire`);
+// 4. otherwise the guarded step: to x + step, or to the bracket midpoint
+//    when that would leave the bracket (`Lane::advance`).
+//
+// The scalar loop (`solve_inner`, behind `solve`, `solve_with` and
+// `WarmSolver`) runs the phases in sequence; `crate::batch` runs each
+// phase as one pass over all of its active lanes. Each phase is written
+// once, here, and a lane never reads another lane's state, so a lane's
+// float-op sequence is the same on every path.
+
+/// One 2×2 crossbar stage: the request probability leaving it, and the
+/// probability `1 − m/2` that a request entering with probability `m`
+/// passes, which is also the stage's derivative.
+#[inline(always)]
+fn stage(m: f64) -> (f64, f64) {
+    let pass = 1.0 - m / 2.0;
+    (1.0 - pass * pass, pass)
+}
+
+/// Phase 1 for `W` lanes: the residual `f(U) = propagate(1 − U) − U·m·t`
+/// and its slope `f'(U)` at each lane's probe `x[k]`, with demand
+/// `demand[k]` through `stages[k]` stages.
+///
+/// By the chain rule `d(propagate)/dU` is minus the product of the pass
+/// probabilities, so `f' < 0` and a Newton step is always defined. The
+/// stage ladder runs stage-outer/lane-inner, so for `W > 1` the lanes'
+/// values stay in registers and the ladder vectorizes; a lane with fewer
+/// stages than the block's deepest keeps its values once its own stages
+/// are done. `W = 1` is the scalar solve. Each lane sees exactly the
+/// scalar sequence of operations, whatever the block.
+#[inline(always)]
+pub(crate) fn residual_and_slope<const W: usize>(
+    x: &[f64; W],
+    demand: &[f64; W],
+    stages: &[u32; W],
+) -> ([f64; W], [f64; W]) {
+    let mut m = x.map(|x| (1.0 - x).clamp(0.0, 1.0));
+    let mut dm = [-1.0; W];
+    // Every lane takes the block's shallowest count of stages in
+    // lockstep; only the rounds past it need a per-lane mask, and a
+    // block with one shared count has none.
+    let shallow = stages.iter().copied().min().unwrap_or(0);
+    let deep = stages.iter().copied().max().unwrap_or(0);
+    for _ in 0..shallow {
+        for k in 0..W {
+            let (next, pass) = stage(m[k]);
+            m[k] = next;
+            dm[k] *= pass;
+        }
+    }
+    for round in shallow..deep {
+        for k in 0..W {
+            if round < stages[k] {
+                let (next, pass) = stage(m[k]);
+                m[k] = next;
+                dm[k] *= pass;
+            }
+        }
+    }
+    let mut f = [0.0; W];
+    let mut slope = [0.0; W];
+    for k in 0..W {
+        f[k] = m[k] - x[k] * demand[k];
+        slope[k] = dm[k] - demand[k];
+    }
+    (f, slope)
+}
+
+/// The guarded-Newton state of one lane: its probe `x` and its root
+/// bracket `[lo, hi]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    pub(crate) x: f64,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+}
+
+impl Lane {
+    /// A cold lane for demand `m·t`: the full bracket `[0, 1]`, probed
+    /// first at the light-load approximation `U ≈ 1/(1 + m·t)`, which
+    /// is exact as contention vanishes.
+    #[inline(always)]
+    pub(crate) fn cold(demand: f64) -> Lane {
+        Lane {
+            x: 1.0 / (1.0 + demand),
+            lo: 0.0,
+            hi: 1.0,
+        }
+    }
+
+    /// A lane probed first at `hint` when it lies strictly inside
+    /// `(0, 1)` — typically the root of a nearby operating point — and
+    /// cold otherwise (NaN included). Also returns whether the hint was
+    /// taken.
+    #[inline(always)]
+    pub(crate) fn start(demand: f64, hint: f64) -> (Lane, bool) {
+        if hint > 0.0 && hint < 1.0 {
+            (
+                Lane {
+                    x: hint,
+                    lo: 0.0,
+                    hi: 1.0,
+                },
+                true,
+            )
+        } else {
+            (Lane::cold(demand), false)
+        }
+    }
+
+    /// Phase 2: tightens the bracket by the sign of the residual `f` at
+    /// `x` (the residual is decreasing, so `f ≥ 0` puts the root at or
+    /// above `x`) and returns the Newton step `−f/slope`.
+    #[inline(always)]
+    pub(crate) fn bracket(&mut self, f: f64, slope: f64) -> f64 {
+        let above = f >= 0.0;
+        self.lo = if above { self.x } else { self.lo };
+        self.hi = if above { self.hi } else { self.x };
+        -f / slope
+    }
+
+    /// Phase 3: the retire test for the step just computed. A lane
+    /// retires with `(root, converged)`
+    ///
+    /// * on a step of at most half the tolerance: quadratic convergence
+    ///   makes `x + step` essentially exact, so it is taken, clamped into
+    ///   the bracket, without another evaluation;
+    /// * on a bracket at most `tolerance` wide: at its midpoint;
+    /// * when `capped` (the iteration cap is reached) with the bracket
+    ///   still wider: at its midpoint, not converged.
+    #[inline(always)]
+    pub(crate) fn retire(&self, step: f64, tolerance: f64, capped: bool) -> Option<(f64, bool)> {
+        if step.abs() <= 0.5 * tolerance {
+            // `f64::clamp` minus its `lo <= hi` assertion, which cannot
+            // fire (the bracket never inverts) but would keep the batch
+            // engine's retire-count pass from vectorizing.
+            let root = self.x + step;
+            let root = if root < self.lo { self.lo } else { root };
+            Some((if root > self.hi { self.hi } else { root }, true))
+        } else if self.hi - self.lo <= tolerance {
+            Some((self.midpoint(), true))
+        } else if capped {
+            Some((self.midpoint(), false))
+        } else {
+            None
+        }
+    }
+
+    /// Phase 4: the guarded step — to `x + step` when that lies strictly
+    /// inside the bracket, else to the bracket's midpoint, so the worst
+    /// case degrades to bisection and cannot diverge. Returns whether it
+    /// fell back to the midpoint.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self, step: f64) -> bool {
+        let newton = self.x + step;
+        let inside = (newton > self.lo) & (newton < self.hi);
+        self.x = if inside { newton } else { self.midpoint() };
+        !inside
+    }
+
+    #[inline(always)]
+    fn midpoint(&self) -> f64 {
+        0.5 * (self.lo + self.hi)
+    }
+}
+
+/// The scalar solve: validation, then the kernel's step on one lane
+/// until it retires. Allocation-free; returns the operating point and
+/// the residual evaluations it took.
 fn solve_inner(
     rate: f64,
     size: f64,
@@ -299,6 +402,7 @@ fn solve_inner(
     let demand = rate * size;
     // swcc-lint: allow(float-eq) — zero demand skips the queueing model; -0.0 is zero demand
     if demand == 0.0 {
+        // The processor never uses the network: it thinks all the time.
         return Ok((
             OperatingPoint {
                 stages,
@@ -310,40 +414,7 @@ fn solve_inner(
             0,
         ));
     }
-    // Residual f(U) = propagate(1−U) − U·m·t and its derivative in one
-    // pass: propagate is a composition of g(m) = 1 − (1 − m/2)² with
-    // g'(m) = 1 − m/2, so the chain rule gives the product of the pass
-    // probabilities. f' = d(propagate)/dU − demand is strictly negative
-    // (propagate is non-decreasing in its input, whose derivative in U
-    // is −1), so Newton steps are always well-defined.
-    let residual_and_slope = |u: f64| {
-        let mut m = (1.0 - u).clamp(0.0, 1.0);
-        let mut dm_du = -1.0;
-        for _ in 0..stages {
-            let pass = 1.0 - m / 2.0;
-            dm_du *= pass;
-            m = 1.0 - pass * pass;
-        }
-        (m - u * demand, dm_du - demand)
-    };
-    // Bracket-guarded Newton: each probe tightens the [lo, hi] root
-    // bracket by its residual sign (f is strictly decreasing), Newton
-    // steps that would leave the bracket fall back to its midpoint, so
-    // worst case degrades to bisection and cannot diverge. Quadratic
-    // convergence makes the last step essentially exact; accepting a
-    // sub-tolerance step without re-evaluating is safe.
-    //
-    // Cold solves start from the light-load approximation
-    // `U ≈ 1/(1 + m·t)` (exact as contention vanishes); a warm-start
-    // hint — the root of a nearby operating point — starts closer still
-    // and skips the approach iterations.
-    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
-    let warm = matches!(options.hint, Some(h) if h > 0.0 && h < 1.0);
-    let mut x = if warm {
-        options.hint.unwrap_or_default()
-    } else {
-        1.0 / (1.0 + demand)
-    };
+    let (mut lane, warm) = Lane::start(demand, options.hint.unwrap_or(f64::NAN));
     let tracing = swcc_obs::trace_enabled();
     let _solve_span = if tracing {
         swcc_obs::span(
@@ -353,7 +424,6 @@ fn solve_inner(
                 Field::f64("size", size),
                 Field::u64("stages", u64::from(stages)),
                 Field::bool("warm", warm),
-                Field::bool("legacy", false),
             ],
         )
     } else {
@@ -361,48 +431,26 @@ fn solve_inner(
     };
     let mut iterations = 0u32;
     let mut fallbacks = 0u64;
-    let mut converged = true;
-    let u = loop {
-        let (f, slope) = residual_and_slope(x);
+    let (u, converged) = loop {
+        let ([f], [slope]) = residual_and_slope(&[lane.x], &[demand], &[stages]);
         iterations += 1;
         if tracing {
             swcc_obs::event_sampled(
                 metrics::EV_SOLVER_ITERATION,
                 &[
                     Field::u64("iter", u64::from(iterations)),
-                    Field::f64("x", x),
+                    Field::f64("x", lane.x),
                     Field::f64("residual", f),
-                    Field::f64("lo", lo),
-                    Field::f64("hi", hi),
+                    Field::f64("lo", lane.lo),
+                    Field::f64("hi", lane.hi),
                 ],
             );
         }
-        if f >= 0.0 {
-            lo = x;
-        } else {
-            hi = x;
+        let step = lane.bracket(f, slope);
+        if let Some(root) = lane.retire(step, options.tolerance, iterations >= MAX_ITERATIONS) {
+            break root;
         }
-        let step = -f / slope;
-        if step.abs() <= 0.5 * options.tolerance {
-            break (x + step).clamp(lo, hi);
-        }
-        if hi - lo <= options.tolerance {
-            break 0.5 * (lo + hi);
-        }
-        if iterations >= 200 {
-            // Iteration cap with the bracket still wider than the
-            // tolerance: the answer is the best midpoint, but the solve
-            // did not converge. trace-report flags this as a divergence.
-            converged = false;
-            break 0.5 * (lo + hi);
-        }
-        let newton = x + step;
-        x = if newton > lo && newton < hi {
-            newton
-        } else {
-            fallbacks += 1;
-            0.5 * (lo + hi)
-        };
+        fallbacks += u64::from(lane.advance(step));
     };
     if tracing {
         swcc_obs::event(
@@ -442,10 +490,10 @@ fn solve_inner(
 /// hint for the next solve.
 ///
 /// Intended for sweeps over a slowly-varying parameter (network size,
-/// offered rate): consecutive roots are close, so the bracket starts
-/// nearly collapsed and each solve needs far fewer bisection steps than
-/// a cold one. Correctness never depends on the hint — a stale or wrong
-/// hint only costs iterations.
+/// offered rate): consecutive roots are close, so the first probe starts
+/// near the root and each solve needs fewer Newton steps than a cold
+/// one. Correctness never depends on the hint — a stale or wrong hint
+/// only costs iterations.
 #[derive(Debug, Clone)]
 pub struct WarmSolver {
     tolerance: f64,
@@ -462,11 +510,7 @@ impl Default for WarmSolver {
 impl WarmSolver {
     /// Creates a cold solver with [`DEFAULT_TOLERANCE`].
     pub fn new() -> Self {
-        WarmSolver {
-            tolerance: DEFAULT_TOLERANCE,
-            hint: None,
-            last_iterations: 0,
-        }
+        WarmSolver::with_tolerance(DEFAULT_TOLERANCE)
     }
 
     /// Creates a cold solver with a custom stopping tolerance.
@@ -499,7 +543,8 @@ impl WarmSolver {
         Ok(op)
     }
 
-    /// Bisection steps taken by the most recent [`WarmSolver::solve`].
+    /// Residual evaluations (Newton steps) taken by the most recent
+    /// [`WarmSolver::solve`]; 0 for a zero-demand point.
     pub fn last_iterations(&self) -> u32 {
         self.last_iterations
     }
@@ -618,23 +663,86 @@ mod tests {
         assert!(solve(f64::NAN, 1.0, 4).is_err());
     }
 
+    /// The independent oracle: the fixed-200-step bisection that once
+    /// backed [`solve`]. It shares no code with the kernel beyond
+    /// [`propagate`].
+    fn bisection(rate: f64, size: f64, stages: u32) -> f64 {
+        let demand = rate * size;
+        if demand == 0.0 {
+            return 1.0;
+        }
+        let residual = |u: f64| propagate(1.0 - u, stages) - u * demand;
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if residual(mid) >= 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
     #[test]
     fn solve_with_matches_legacy_solve() {
         for (m, t, n) in [(0.03, 20.0, 8), (0.4 / 17.0, 17.0, 4), (0.002, 20.0, 10)] {
-            let legacy = solve(m, t, n).unwrap();
-            let cold = solve_with(m, t, n, SolveOptions::default()).unwrap();
+            let cold = solve(m, t, n).unwrap();
+            let with = solve_with(m, t, n, SolveOptions::default()).unwrap();
+            assert_eq!(
+                cold.think_fraction().to_bits(),
+                with.think_fraction().to_bits()
+            );
+            assert_eq!(
+                cold.accepted_rate().to_bits(),
+                with.accepted_rate().to_bits()
+            );
+            let mut warm = WarmSolver::new();
+            let first = warm.solve(m, t, n).unwrap();
+            assert_eq!(
+                cold.think_fraction().to_bits(),
+                first.think_fraction().to_bits()
+            );
+            let oracle = bisection(m, t, n);
             let hinted = solve_with(
                 m,
                 t,
                 n,
                 SolveOptions {
-                    hint: Some(legacy.think_fraction()),
+                    hint: Some(oracle),
                     ..SolveOptions::default()
                 },
             )
             .unwrap();
-            assert!((cold.think_fraction() - legacy.think_fraction()).abs() < 1e-12);
-            assert!((hinted.think_fraction() - legacy.think_fraction()).abs() < 1e-12);
+            assert!((cold.think_fraction() - oracle).abs() < 1e-12);
+            assert!((hinted.think_fraction() - oracle).abs() < 1e-12);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn kernel_matches_the_bisection_oracle(
+            rate in 0.0..=1.0f64,
+            size in 0.0..=40.0f64,
+            stages in 0u32..=12,
+        ) {
+            // rate ∈ (0, 1]; a slice of sizes snaps to exactly zero so
+            // the zero-demand early return is exercised, not approached.
+            let rate = if rate > 0.0 { rate } else { 1.0 };
+            let size = if size < 1.0 { 0.0 } else { size };
+            let got = solve(rate, size, stages).unwrap().think_fraction();
+            let want = bisection(rate, size, stages);
+            proptest::prop_assert!(
+                (got - want).abs() <= 1e-12,
+                "U = {} vs oracle {} at rate {}, size {}, {} stages",
+                got,
+                want,
+                rate,
+                size,
+                stages
+            );
         }
     }
 
@@ -691,7 +799,7 @@ mod tests {
         // Counts are deterministic: the hint starts closer to the root
         // than the cold light-load guess, so the sweep needs strictly
         // fewer Newton steps — and either path needs a small fraction of
-        // the legacy 200 bisections per point.
+        // the 200-step iteration cap per point.
         assert!(
             warm_iters < cold_iters,
             "warm {warm_iters} vs cold {cold_iters} Newton steps"

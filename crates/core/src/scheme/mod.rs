@@ -88,15 +88,40 @@ impl fmt::Display for Scheme {
 /// Produced by [`Scheme::mix`]; consumed by [`crate::demand::demand`].
 /// Frequencies are expectations, not probabilities, and may exceed 1 for
 /// compound events (they never do for the paper's parameter ranges).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Entries live inline, in insertion order, one slot per distinct
+/// [`Operation`]: building a mix never touches the heap.
+#[derive(Debug, Clone)]
 pub struct OperationMix {
-    entries: Vec<(Operation, f64)>,
+    entries: [(Operation, f64); Operation::ALL.len()],
+    len: usize,
+}
+
+impl Default for OperationMix {
+    fn default() -> Self {
+        OperationMix {
+            entries: [(Operation::Instruction, 0.0); Operation::ALL.len()],
+            len: 0,
+        }
+    }
+}
+
+impl PartialEq for OperationMix {
+    /// Two mixes are equal when their live entries are, in order.
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
 }
 
 impl OperationMix {
     /// Creates an empty mix.
     pub fn new() -> Self {
         OperationMix::default()
+    }
+
+    /// The live entries, in insertion order.
+    fn entries(&self) -> &[(Operation, f64)] {
+        &self.entries[..self.len]
     }
 
     /// Adds `freq` occurrences of `op` per instruction.
@@ -117,16 +142,20 @@ impl OperationMix {
         if freq == 0.0 {
             return;
         }
-        if let Some(entry) = self.entries.iter_mut().find(|(o, _)| *o == op) {
+        let len = self.len;
+        if let Some(entry) = self.entries[..len].iter_mut().find(|(o, _)| *o == op) {
             entry.1 += freq;
         } else {
-            self.entries.push((op, freq));
+            // At most one slot per distinct operation, so a new
+            // operation always finds a free slot.
+            self.entries[len] = (op, freq);
+            self.len += 1;
         }
     }
 
     /// The frequency of one operation (0 if absent).
     pub fn freq(&self, op: Operation) -> f64 {
-        self.entries
+        self.entries()
             .iter()
             .find(|(o, _)| *o == op)
             .map_or(0.0, |&(_, f)| f)
@@ -135,17 +164,43 @@ impl OperationMix {
     /// Iterates over `(operation, frequency)` pairs with nonzero
     /// frequency, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Operation, f64)> + '_ {
-        self.entries.iter().copied()
+        self.entries().iter().copied()
     }
 
     /// Number of distinct operations in the mix.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the mix is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+}
+
+/// Serialized as `{"entries": [[operation, frequency], ...]}`, the live
+/// entries in insertion order.
+impl Serialize for OperationMix {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![("entries".to_string(), self.entries().to_value())])
+    }
+}
+
+impl Deserialize for OperationMix {
+    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let entries = value
+            .get_field("entries")
+            .ok_or_else(|| serde::DeError::custom("missing field entries"))?;
+        let mut mix = OperationMix::new();
+        for (op, freq) in Vec::<(Operation, f64)>::from_value(entries)? {
+            if !(freq.is_finite() && freq >= 0.0) || mix.iter().any(|(o, _)| o == op) {
+                return Err(serde::DeError::custom(
+                    "operation mix entries must be distinct, finite and non-negative",
+                ));
+            }
+            mix.push(op, freq);
+        }
+        Ok(mix)
     }
 }
 
@@ -214,6 +269,55 @@ mod tests {
         .collect();
         assert_eq!(m.len(), 2);
         assert_eq!(m.freq(Operation::Instruction), 1.0);
+    }
+
+    #[test]
+    fn mix_keeps_insertion_order_and_compares_live_entries() {
+        let mut a = OperationMix::new();
+        a.push(Operation::WriteThrough, 0.2);
+        a.push(Operation::Instruction, 1.0);
+        a.push(Operation::WriteThrough, 0.1);
+        let order: Vec<Operation> = a.iter().map(|(op, _)| op).collect();
+        assert_eq!(order, [Operation::WriteThrough, Operation::Instruction]);
+        let mut b = OperationMix::new();
+        b.push(Operation::WriteThrough, 0.2 + 0.1);
+        b.push(Operation::Instruction, 1.0);
+        assert_eq!(a, b);
+        b.push(Operation::ReadThrough, 0.5);
+        assert_ne!(a, b);
+        assert_eq!(OperationMix::new(), OperationMix::default());
+    }
+
+    #[test]
+    fn mix_holds_every_operation_at_once() {
+        let mut m = OperationMix::new();
+        for round in 0..3 {
+            for (i, op) in Operation::ALL.into_iter().enumerate() {
+                m.push(op, (i + round + 1) as f64);
+            }
+        }
+        assert_eq!(m.len(), Operation::ALL.len());
+        for (i, op) in Operation::ALL.into_iter().enumerate() {
+            assert_eq!(m.freq(op), (3 * i + 6) as f64, "{op}");
+        }
+    }
+
+    #[test]
+    fn mix_serializes_its_live_entries() {
+        let w = WorkloadParams::default();
+        for s in Scheme::ALL {
+            let mix = s.mix(&w);
+            let value = mix.to_value();
+            let entries = value.get_field("entries").and_then(|e| e.as_array());
+            assert_eq!(entries.map(Vec::len), Some(mix.len()), "{s}");
+            assert_eq!(OperationMix::from_value(&value).unwrap(), mix, "{s}");
+        }
+        let one = (Operation::Instruction, 1.0).to_value();
+        let duplicate = serde::Value::Object(vec![(
+            "entries".to_string(),
+            serde::Value::Array(vec![one.clone(), one]),
+        )]);
+        assert!(OperationMix::from_value(&duplicate).is_err());
     }
 
     #[test]

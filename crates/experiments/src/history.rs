@@ -72,7 +72,7 @@ pub struct AccuracyEntry {
 /// Whole-run solver work counters (machine-independent).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolverStats {
-    /// Guarded-Newton + legacy solves completed.
+    /// Guarded-Newton solves completed.
     pub solves: u64,
     /// Residual evaluations across all solves.
     pub residual_evals: u64,
@@ -282,8 +282,7 @@ impl HistoryRecord {
             wall_ms,
             accuracy,
             solver: SolverStats {
-                solves: counter(core_metrics::SOLVER_SOLVES)
-                    + counter(core_metrics::SOLVER_LEGACY_BISECTIONS),
+                solves: counter(core_metrics::SOLVER_SOLVES),
                 residual_evals: counter(core_metrics::SOLVER_RESIDUAL_EVALS),
                 warm_reuses: counter(core_metrics::SOLVER_WARM_REUSES),
                 bracket_fallbacks: counter(core_metrics::SOLVER_BRACKET_FALLBACKS),

@@ -278,9 +278,9 @@ fn section_iterations(out: &mut String, report: &TraceReport) {
         .collect();
     let _ = write!(
         out,
-        "<p class=\"note\">{} guarded-Newton solves ({} warm-started, {} legacy bisections, \
+        "<p class=\"note\">{} guarded-Newton solves ({} warm-started, \
          {} bracket fallbacks).</p>",
-        c.solves, c.warm, c.legacy, c.fallbacks
+        c.solves, c.warm, c.fallbacks
     );
     out.push_str(&bar_chart(&rows, "solves"));
     let _ = write!(
@@ -637,11 +637,7 @@ pub fn render_dashboard(trace: Option<&TraceReport>, history: &[HistoryRecord]) 
         out.push_str("<div class=\"tiles\">");
         stat_tile(&mut out, "trace events", &report.events.to_string());
         stat_tile(&mut out, "spans", &report.spans.to_string());
-        stat_tile(
-            &mut out,
-            "solves",
-            &(report.convergence.solves + report.convergence.legacy).to_string(),
-        );
+        stat_tile(&mut out, "solves", &report.convergence.solves.to_string());
         if let Some(worst) = report.worst_rel_error() {
             stat_tile(
                 &mut out,
@@ -702,7 +698,7 @@ mod tests {
         analyze(
             &[
                 r#"{"ev":"start","name":"runner.batch","span":1,"parent":0,"seq":0,"thread":1}"#,
-                r#"{"ev":"start","name":"patel.solve","span":2,"parent":1,"seq":1,"thread":1,"fields":{"warm":false,"legacy":false}}"#,
+                r#"{"ev":"start","name":"patel.solve","span":2,"parent":1,"seq":1,"thread":1,"fields":{"warm":false}}"#,
                 r#"{"ev":"point","name":"patel.result","span":2,"parent":2,"seq":2,"thread":1,"fields":{"iterations":5,"fallbacks":0,"converged":true}}"#,
                 r#"{"ev":"end","name":"patel.solve","span":2,"parent":1,"seq":3,"thread":1,"dur_ns":4000}"#,
                 r#"{"ev":"point","name":"validation.point","span":1,"parent":1,"seq":4,"thread":1,"fields":{"preset":"POPS","protocol":"Base","cache_bytes":65536,"n":2,"sim_power":1.8,"model_power":1.7,"rel_error":0.055}}"#,

@@ -58,13 +58,11 @@ pub struct ExperimentTiming {
 /// `patel.result` events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConvergenceSummary {
-    /// Guarded-Newton solves seen (legacy bisections excluded).
+    /// Guarded-Newton solves seen.
     pub solves: u64,
     /// Of those, solves that started from a warm-start hint.
     pub warm: u64,
-    /// Legacy fixed-200-step bisection solves.
-    pub legacy: u64,
-    /// Iterations-to-tolerance of every non-legacy solve, sorted.
+    /// Iterations-to-tolerance of every solve, sorted.
     pub iterations: Vec<u64>,
     /// Newton steps that fell back to the bisection midpoint.
     pub fallbacks: u64,
@@ -290,11 +288,8 @@ impl TraceReport {
         let c = &self.convergence;
         let _ = writeln!(
             out,
-            "  solves: {} ({} guarded-Newton of which {} warm-started, {} legacy bisections)",
-            c.solves + c.legacy,
-            c.solves,
-            c.warm,
-            c.legacy
+            "  solves: {} guarded-Newton, {} warm-started",
+            c.solves, c.warm
         );
         let _ = writeln!(
             out,
@@ -454,13 +449,9 @@ pub fn analyze(jsonl: &str) -> TraceReport {
             EventKind::SpanStart => {
                 report.spans += 1;
                 if event.name == "patel.solve" {
-                    if field_bool(event, "legacy") == Some(true) {
-                        report.convergence.legacy += 1;
-                    } else {
-                        report.convergence.solves += 1;
-                        if field_bool(event, "warm") == Some(true) {
-                            report.convergence.warm += 1;
-                        }
+                    report.convergence.solves += 1;
+                    if field_bool(event, "warm") == Some(true) {
+                        report.convergence.warm += 1;
                     }
                 }
             }
@@ -549,11 +540,11 @@ mod tests {
         [
             r#"{"ev":"start","name":"runner.batch","span":1,"parent":0,"seq":0,"thread":1,"fields":{"experiments":2,"workers":2,"observe":true}}"#,
             r#"{"ev":"start","name":"runner.experiment","span":2,"parent":1,"seq":1,"thread":2,"fields":{"id":"fig1","worker":0,"queue_wait_ms":0.1}}"#,
-            r#"{"ev":"start","name":"patel.solve","span":3,"parent":2,"seq":2,"thread":2,"fields":{"rate":0.03,"size":20,"stages":8,"warm":false,"legacy":false}}"#,
+            r#"{"ev":"start","name":"patel.solve","span":3,"parent":2,"seq":2,"thread":2,"fields":{"rate":0.03,"size":20,"stages":8,"warm":false}}"#,
             r#"{"ev":"point","name":"patel.iteration","span":3,"parent":3,"seq":3,"thread":2,"fields":{"iter":1,"x":0.6,"residual":0.01,"lo":0,"hi":1}}"#,
             r#"{"ev":"point","name":"patel.result","span":3,"parent":3,"seq":4,"thread":2,"fields":{"iterations":5,"fallbacks":1,"root":0.52,"converged":true}}"#,
             r#"{"ev":"end","name":"patel.solve","span":3,"parent":2,"seq":5,"thread":2,"dur_ns":4200}"#,
-            r#"{"ev":"start","name":"patel.solve","span":4,"parent":2,"seq":6,"thread":2,"fields":{"rate":0.04,"size":20,"stages":8,"warm":true,"legacy":false}}"#,
+            r#"{"ev":"start","name":"patel.solve","span":4,"parent":2,"seq":6,"thread":2,"fields":{"rate":0.04,"size":20,"stages":8,"warm":true}}"#,
             r#"{"ev":"point","name":"patel.result","span":4,"parent":4,"seq":7,"thread":2,"fields":{"iterations":3,"fallbacks":0,"root":0.5,"converged":true}}"#,
             r#"{"ev":"end","name":"patel.solve","span":4,"parent":2,"seq":8,"thread":2,"dur_ns":2100}"#,
             r#"{"ev":"point","name":"validation.point","span":2,"parent":2,"seq":9,"thread":2,"fields":{"preset":"POPS","protocol":"Base","cache_bytes":65536,"n":2,"sim_power":1.8,"model_power":1.7,"rel_error":0.055}}"#,
@@ -600,7 +591,6 @@ mod tests {
         let c = &report.convergence;
         assert_eq!(c.solves, 2);
         assert_eq!(c.warm, 1);
-        assert_eq!(c.legacy, 0);
         assert_eq!(c.iterations, vec![3, 5]);
         assert_eq!(c.fallbacks, 1);
         assert_eq!(c.divergences, 0);

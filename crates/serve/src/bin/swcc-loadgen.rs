@@ -43,7 +43,8 @@
 //!
 //! `--verify` additionally replays a set of full-mode single queries
 //! and bit-compares every served float against the equivalent direct
-//! library call in this process — proving the wire format preserves
+//! library call in this process (network floats against both a batch
+//! lane and `analyze_network`) — proving the wire format preserves
 //! results exactly. Keep `--connections` at or below the server's
 //! worker count: the server is one-thread-per-connection.
 
@@ -58,7 +59,7 @@ use serde::Value;
 use swcc_core::batch::{BatchPatelSolver, Stages};
 use swcc_core::bus::analyze_bus;
 use swcc_core::demand::scheme_demand;
-use swcc_core::network::NetworkPerformance;
+use swcc_core::network::{analyze_network, NetworkPerformance};
 use swcc_core::scheme::Scheme;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, WorkloadParams};
@@ -496,17 +497,20 @@ fn verify(addr: &str, processors: u32) -> Result<u64, String> {
             .map_err(|e| e.to_string())?;
         let direct =
             NetworkPerformance::from_operating_point(scheme, stages, demand, solved.points()[0]);
-        for (name, want) in [
-            ("power", direct.power()),
-            ("utilization", direct.utilization()),
+        let pointwise = analyze_network(scheme, &workload, stages).map_err(|e| e.to_string())?;
+        for (name, batch, scalar) in [
+            ("power", direct.power(), pointwise.power()),
+            ("utilization", direct.utilization(), pointwise.utilization()),
         ] {
             let got = field_f64(point, name)?;
-            if got.to_bits() != want.to_bits() {
-                return Err(format!(
-                    "verify: network {scheme} {name} mismatch: served {got:?} vs direct {want:?}"
-                ));
+            for (path, want) in [("batch", batch), ("analyze_network", scalar)] {
+                if got.to_bits() != want.to_bits() {
+                    return Err(format!(
+                        "verify: network {scheme} {name} mismatch: served {got:?} vs {path} {want:?}"
+                    ));
+                }
+                checked += 1;
             }
-            checked += 1;
         }
     }
     Ok(checked)

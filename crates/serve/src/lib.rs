@@ -19,9 +19,9 @@
 //!
 //! Served results are **bit-identical** to direct library calls: bus
 //! answers match [`swcc_core::bus::analyze_bus`], network answers match
-//! the modern guarded-Newton solver path
-//! ([`swcc_core::batch::BatchPatelSolver`], equivalently
-//! `patel::solve_with` cold). The golden end-to-end tests and
+//! [`swcc_core::network::analyze_network`] (the server's
+//! [`swcc_core::batch::BatchPatelSolver`] lanes run the same
+//! guarded-Newton kernel as the pointwise solve). The golden end-to-end tests and
 //! `swcc-loadgen --verify` both check this across the wire.
 
 #![warn(missing_docs)]

@@ -21,11 +21,9 @@
 //! * **Network** — likewise keyed on
 //!   `(transaction_size, transaction_rate)` bits plus the stage count,
 //!   caching the solved [`OperatingPoint`]. Misses are solved by
-//!   [`BatchPatelSolver::solve_grid`], whose cold lanes are
-//!   bit-identical to the pointwise guarded-Newton solver
-//!   (`patel::solve_with`) — *not* the legacy 200-step bisection that
-//!   `analyze_network` still uses, so served network results match the
-//!   modern solver path.
+//!   [`BatchPatelSolver::solve_grid`], whose cold lanes run the same
+//!   guarded-Newton kernel as `patel::solve`, so served network results
+//!   match `analyze_network` bitwise.
 //!
 //! Both keys use [`PointKey::SHARED_SCHEME`]: the solved value depends
 //! on the scheme only through the demand bits, so two schemes (or two

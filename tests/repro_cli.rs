@@ -497,10 +497,10 @@ fn traced_parallel_run_round_trips_and_changes_nothing() {
         assert!(ids.contains(e.id), "missing runner span for {}", e.id);
     }
     let c = &report.convergence;
-    assert!(c.solves + c.legacy > 0, "solver spans must be traced");
+    assert!(c.solves > 0, "solver spans must be traced");
     assert_eq!(
         c.iterations.len() as u64,
-        c.solves + c.legacy,
+        c.solves,
         "every solve must emit a convergence record"
     );
     assert!(

@@ -7,9 +7,10 @@
 //! direct library result **bitwise** — cold (cache miss), warm (cache
 //! hit), and coalesced (attached to another request's in-flight solve)
 //! paths alike. Bus results are compared against
-//! [`swcc_core::bus::analyze_bus`]; network results against the modern
-//! batch solver path ([`swcc_core::batch::BatchPatelSolver`]), which is
-//! the solver the server uses (not the legacy 200-step bisection).
+//! [`swcc_core::bus::analyze_bus`]; network results against both
+//! [`swcc_core::network::analyze_network`] and the batch solver path
+//! ([`swcc_core::batch::BatchPatelSolver`]) the server solves with —
+//! one guarded-Newton kernel backs both, so they are one answer.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -19,7 +20,7 @@ use serde::Value;
 use swcc_core::batch::{BatchPatelSolver, Stages};
 use swcc_core::bus::analyze_bus;
 use swcc_core::demand::scheme_demand;
-use swcc_core::network::NetworkPerformance;
+use swcc_core::network::{analyze_network, NetworkPerformance};
 use swcc_core::scheme::Scheme;
 use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
@@ -211,18 +212,25 @@ fn golden_network_results_match_the_batch_solver_path() {
                 demand,
                 solved.points()[0],
             );
+            let pointwise = analyze_network(scheme, &workload, stages).unwrap();
             let response = client.send(&line);
             assert!(ok(&response), "{}", client.response);
             let point = first_point(&response);
-            for (name, want) in [
-                ("power", direct.power()),
-                ("utilization", direct.utilization()),
-                ("think_fraction", direct.operating_point().think_fraction()),
+            for (name, want, scalar) in [
+                ("power", direct.power(), pointwise.power()),
+                ("utilization", direct.utilization(), pointwise.utilization()),
+                (
+                    "think_fraction",
+                    direct.operating_point().think_fraction(),
+                    pointwise.operating_point().think_fraction(),
+                ),
             ] {
+                let served = f(point, name).to_bits();
+                assert_eq!(served, want.to_bits(), "{scheme} {stages} stages {name}");
                 assert_eq!(
-                    f(point, name).to_bits(),
-                    want.to_bits(),
-                    "{scheme} {stages} stages {name}"
+                    served,
+                    scalar.to_bits(),
+                    "{scheme} {stages} stages {name} vs analyze_network"
                 );
             }
         }
