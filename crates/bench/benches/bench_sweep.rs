@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use swcc_core::bus::{analyze_bus, analyze_bus_sweep};
-use swcc_core::network::{network_power_curve, solve, WarmSolver};
+use swcc_core::network::{network_power_curve, solve, solve_with, SolveOptions};
 use swcc_core::queue::{machine_repairman, machine_repairman_sweep};
 use swcc_core::scheme::Scheme;
 use swcc_core::system::BusSystemModel;
@@ -76,9 +76,17 @@ fn patel_warm_start(c: &mut Criterion) {
     // Newton seeded with the previous sweep point's root.
     group.bench_function("warm_newton", |b| {
         b.iter(|| {
-            let mut solver = WarmSolver::new();
+            let mut hint = None;
             (1..=SOLVES)
-                .map(|i| solver.solve(f64::from(i) * 0.002, 20.0, 8).unwrap())
+                .map(|i| {
+                    let options = SolveOptions {
+                        hint,
+                        ..SolveOptions::default()
+                    };
+                    let op = solve_with(f64::from(i) * 0.002, 20.0, 8, options).unwrap();
+                    hint = Some(op.think_fraction());
+                    op
+                })
                 .collect::<Vec<_>>()
         })
     });

@@ -27,7 +27,8 @@ use swcc_bench::compare::compare_reports;
 use swcc_bench::BENCH_SCHEMA;
 use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver};
 use swcc_core::bus::{analyze_bus, analyze_bus_sweep};
-use swcc_core::network::WarmSolver;
+use swcc_core::metrics::SOLVER_RESIDUAL_EVALS;
+use swcc_core::network::{solve, solve_with, SolveOptions, DEFAULT_TOLERANCE};
 use swcc_core::queue::{machine_repairman, machine_repairman_sweep};
 use swcc_core::scheme::Scheme;
 use swcc_core::system::BusSystemModel;
@@ -43,6 +44,24 @@ const BATCH_LANES: usize = 1000;
 const SAMPLES: usize = 25;
 /// Iterations batched inside each timed sample.
 const ITERS: usize = 40;
+
+/// The warm reference: solves `rates` at size 20 in order, each solve
+/// hinted with the previous one's `U`.
+fn warm_chain(rates: impl Iterator<Item = f64>, stages: u32, tolerance: f64) {
+    let mut hint = None;
+    for rate in rates {
+        let op = solve_with(rate, 20.0, stages, SolveOptions { tolerance, hint }).unwrap();
+        hint = Some(op.think_fraction());
+        std::hint::black_box(op);
+    }
+}
+
+/// Residual evaluations the solves inside `f` report (an untimed pass).
+fn residual_evals(f: impl FnOnce()) -> u32 {
+    let ((), span) = swcc_obs::capture(f);
+    let evals = span.counter(SOLVER_RESIDUAL_EVALS).unwrap_or(0);
+    u32::try_from(evals).expect("a 50-solve sweep stays far below u32::MAX evaluations")
+}
 
 /// Median wall-clock nanoseconds of one `f()` call, measured over
 /// [`SAMPLES`] batches of [`ITERS`] calls each.
@@ -140,7 +159,8 @@ impl PatelBench {
 struct BatchPatelBench {
     lanes: usize,
     stages: u32,
-    /// Warm scalar path: one `WarmSolver` chained across the grid.
+    /// Warm scalar path: `solve_with` chained across the grid, each
+    /// solve hinted with the previous one's `U`.
     warm_scalar_ns_per_solve: f64,
     batch_ns_per_solve: f64,
     /// Total residual evaluations across the batch; deterministic for
@@ -199,41 +219,24 @@ fn run() -> Report {
     });
 
     let stages = 8u32;
-    let sweep_rates = |solver: &mut WarmSolver, reset: bool| -> u32 {
-        let mut iterations = 0;
-        for i in 1..=PATEL_SOLVES {
-            if reset {
-                solver.reset();
-            }
-            std::hint::black_box(solver.solve(f64::from(i) * 0.002, 20.0, stages).unwrap());
-            iterations += solver.last_iterations();
+    let rates = || (1..=PATEL_SOLVES).map(|i| f64::from(i) * 0.002);
+    let cold_sweep = || {
+        for rate in rates() {
+            std::hint::black_box(solve(rate, 20.0, stages).unwrap());
         }
-        iterations
     };
-    let cold_ns = median_ns(|| {
-        let mut solver = WarmSolver::new();
-        sweep_rates(&mut solver, true);
-    });
-    let warm_ns = median_ns(|| {
-        let mut solver = WarmSolver::new();
-        sweep_rates(&mut solver, false);
-    });
-    let mut solver = WarmSolver::new();
-    let cold_iterations = sweep_rates(&mut solver, true);
-    solver.reset();
-    let warm_iterations = sweep_rates(&mut solver, false);
+    let cold_ns = median_ns(cold_sweep);
+    let warm_ns = median_ns(|| warm_chain(rates(), stages, DEFAULT_TOLERANCE));
+    let cold_iterations = residual_evals(cold_sweep);
+    let warm_iterations = residual_evals(|| warm_chain(rates(), stages, DEFAULT_TOLERANCE));
 
     // Setup/iteration split: re-run the warm sweep at a coarse
     // tolerance. The iteration-count delta is large and deterministic,
     // so the two-point fit stays out of timer noise (unlike cold vs
     // warm, whose ~40-iteration gap is invisible at ~200 ns/solve).
     const COARSE_TOLERANCE: f64 = 1e-2;
-    let coarse_ns = median_ns(|| {
-        let mut solver = WarmSolver::with_tolerance(COARSE_TOLERANCE);
-        sweep_rates(&mut solver, false);
-    });
-    let mut coarse_solver = WarmSolver::with_tolerance(COARSE_TOLERANCE);
-    let coarse_iterations = sweep_rates(&mut coarse_solver, false);
+    let coarse_ns = median_ns(|| warm_chain(rates(), stages, COARSE_TOLERANCE));
+    let coarse_iterations = residual_evals(|| warm_chain(rates(), stages, COARSE_TOLERANCE));
     let (setup_ns_per_solve, iteration_ns) = PatelBench::split_overhead(
         warm_ns,
         coarse_ns,
@@ -246,12 +249,8 @@ fn run() -> Report {
     let batch_rates: Vec<f64> = (1..=BATCH_LANES).map(|i| i as f64 * 1.0e-4).collect();
     let batch_sizes = vec![20.0; BATCH_LANES];
     let batch_solver = BatchPatelSolver::new();
-    let warm_grid_ns = median_ns(|| {
-        let mut solver = WarmSolver::new();
-        for &rate in &batch_rates {
-            std::hint::black_box(solver.solve(rate, 20.0, stages).unwrap());
-        }
-    });
+    let warm_grid_ns =
+        median_ns(|| warm_chain(batch_rates.iter().copied(), stages, DEFAULT_TOLERANCE));
     let batch_ns = median_ns(|| {
         std::hint::black_box(
             batch_solver

@@ -2,10 +2,10 @@
 //! many independent operating points in lockstep.
 //!
 //! The paper's methodology is sweeping the analytical models across
-//! grids of workload parameters, and profiling shows that at warm-solver
-//! speeds (~200 ns/solve) the *dispatch* around each scalar solve —
-//! validation, span bookkeeping, struct assembly — costs more than the
-//! arithmetic inside it. This module removes that overhead by solving N
+//! grids of workload parameters, and at a few hundred nanoseconds per
+//! scalar solve the *dispatch* around each one — validation, span
+//! bookkeeping, struct assembly — costs as much as the arithmetic
+//! inside it. This module removes that overhead by solving N
 //! independent points per call over flat `Vec<f64>` lanes:
 //!
 //! * [`BatchPatelSolver`] runs the guarded-Newton kernel of
@@ -18,18 +18,20 @@
 //!   lanes that need 8. The propagation runs in blocks of lanes,
 //!   stage-outer/lane-inner — no per-solve dispatch, and a body the
 //!   compiler can auto-vectorize.
-//! * [`machine_repairman_grid`] and [`machine_repairman_sweep_grid`]
-//!   evaluate the exact-MVA recurrence of [`crate::queue`] for a whole
-//!   grid of `(service, think)` lanes in one population-outer,
-//!   lane-inner pass.
+//! * [`machine_repairman_grid`] runs the exact-MVA recurrence step of
+//!   [`crate::queue`] for a whole grid of `(service, think)` lanes in
+//!   one population-outer, lane-inner pass, and
+//!   [`machine_repairman_sweep_grid`] runs the scalar lane loop of
+//!   [`crate::queue`] once per lane.
 //!
 //! # Exact compatibility
 //!
 //! The batch engines are **bit-compatible** with the scalar APIs: each
 //! lane executes exactly the floating-point operations, in exactly the
-//! order, that the scalar solver would execute for the same inputs.
-//! Lanes are independent, so interleaving them (or compacting the
-//! active set) cannot change any lane's op sequence. Concretely:
+//! order, that the scalar solver would execute for the same inputs,
+//! because both run the one step of each algorithm. Lanes are
+//! independent, so interleaving them (or compacting the active set)
+//! cannot change any lane's op sequence. Concretely:
 //!
 //! * a [`BatchPatelSolver`] lane equals
 //!   [`solve_with`](crate::network::solve_with) with the same hint,
@@ -52,7 +54,7 @@ use crate::metrics;
 use crate::network::patel::{
     residual_and_slope, Lane, OperatingPoint, DEFAULT_TOLERANCE, MAX_ITERATIONS,
 };
-use crate::queue::{MvaSolution, MvaSweep};
+use crate::queue::{self, MvaSolution, MvaSweep};
 
 /// A hint value meaning "start this lane cold" in
 /// [`BatchPatelSolver::solve_hinted`]. Any value outside the open
@@ -598,39 +600,6 @@ impl Stages<'_> {
     }
 }
 
-fn validate_mva_lanes(services: &[f64], thinks: &[f64]) -> Result<()> {
-    if thinks.len() != services.len() {
-        return Err(ModelError::InvalidConfig {
-            name: "batch",
-            reason: "lane slices must all have the same length",
-        });
-    }
-    if services.iter().any(|s| !s.is_finite() || *s < 0.0) {
-        return Err(ModelError::InvalidConfig {
-            name: "service",
-            reason: "must be finite and non-negative",
-        });
-    }
-    if thinks.iter().any(|z| !z.is_finite() || *z < 0.0) {
-        return Err(ModelError::InvalidConfig {
-            name: "think",
-            reason: "must be finite and non-negative",
-        });
-    }
-    if services
-        .iter()
-        .zip(thinks)
-        // swcc-lint: allow(float-eq) — degenerate all-zero queue guard; -0.0 qualifies
-        .any(|(s, z)| *s == 0.0 && *z == 0.0)
-    {
-        return Err(ModelError::InvalidConfig {
-            name: "service+think",
-            reason: "service and think time cannot both be zero",
-        });
-    }
-    Ok(())
-}
-
 /// Solves the machine-repairman model at population `customers` for a
 /// whole grid of `(service, think)` lanes in one lockstep MVA pass.
 ///
@@ -665,13 +634,7 @@ pub fn machine_repairman_grid(
     services: &[f64],
     thinks: &[f64],
 ) -> Result<Vec<MvaSolution>> {
-    if customers == 0 {
-        return Err(ModelError::InvalidConfig {
-            name: "customers",
-            reason: "must be at least 1",
-        });
-    }
-    validate_mva_lanes(services, thinks)?;
+    queue::validate(Some(customers), services, thinks)?;
     let n = services.len();
     if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::BATCH_MVA_GRIDS, 1);
@@ -700,14 +663,7 @@ pub fn machine_repairman_grid(
     for i in 0..n {
         // swcc-lint: allow(float-eq) — zero service short-circuits the MVA recursion; -0.0 is the same no-op queue
         if services[i] == 0.0 {
-            out[i] = MvaSolution::from_parts(
-                customers,
-                services[i],
-                thinks[i],
-                0.0,
-                f64::from(customers) / thinks[i],
-                0.0,
-            );
+            out[i] = queue::idle(customers, services[i], thinks[i]);
         } else {
             lane.push(i as u32);
             service.push(services[i]);
@@ -726,9 +682,8 @@ pub fn machine_repairman_grid(
         let service = &service[..width];
         let think = &think[..width];
         for i in 0..width {
-            response[i] = service[i] * (1.0 + queue_len[i]);
-            throughput[i] = kf / (think[i] + response[i]);
-            queue_len[i] = throughput[i] * response[i];
+            (response[i], throughput[i], queue_len[i]) =
+                queue::step(service[i], think[i], kf, queue_len[i]);
         }
     }
     for i in 0..width {
@@ -746,12 +701,13 @@ pub fn machine_repairman_grid(
 
 /// Solves machine-repairman **curves** (every population
 /// `1..=max_customers`) for a whole grid of `(service, think)` lanes in
-/// one lockstep pass.
+/// one call.
 ///
-/// Lane `i` of the result is point-for-point bit-identical to
-/// `machine_repairman_sweep(max_customers, services[i], thinks[i])`.
-/// One pass over the populations serves every lane, so a 4-scheme bus
-/// figure costs one traversal instead of four.
+/// Each lane runs the scalar lane loop behind
+/// [`machine_repairman_sweep`](crate::queue::machine_repairman_sweep),
+/// so lane `i` of the result is point-for-point bit-identical to
+/// `machine_repairman_sweep(max_customers, services[i], thinks[i])`;
+/// the grid pays validation and instrumentation once for all lanes.
 ///
 /// # Errors
 ///
@@ -762,7 +718,7 @@ pub fn machine_repairman_sweep_grid(
     services: &[f64],
     thinks: &[f64],
 ) -> Result<Vec<MvaSweep>> {
-    validate_mva_lanes(services, thinks)?;
+    queue::validate(None, services, thinks)?;
     let n = services.len();
     if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::BATCH_MVA_GRIDS, 1);
@@ -786,54 +742,29 @@ pub fn machine_repairman_sweep_grid(
     } else {
         swcc_obs::span(metrics::EV_BATCH_MVA_GRID, &[])
     };
-
-    let mut curves: Vec<Vec<MvaSolution>> = (0..n)
-        .map(|_| Vec::with_capacity(max_customers as usize))
-        .collect();
-    let mut queue_len = vec![0.0; n];
-    for k in 1..=max_customers {
-        let kf = f64::from(k);
-        for i in 0..n {
-            // swcc-lint: allow(float-eq) — zero service short-circuits the MVA recursion; -0.0 is the same no-op queue
-            if services[i] == 0.0 {
-                curves[i].push(MvaSolution::from_parts(
-                    k,
-                    services[i],
-                    thinks[i],
-                    0.0,
-                    kf / thinks[i],
-                    0.0,
-                ));
-            } else {
-                let response = services[i] * (1.0 + queue_len[i]);
-                let throughput = kf / (thinks[i] + response);
-                queue_len[i] = throughput * response;
-                curves[i].push(MvaSolution::from_parts(
-                    k,
-                    services[i],
-                    thinks[i],
-                    response,
-                    throughput,
-                    queue_len[i],
-                ));
-            }
-        }
-    }
-    Ok(curves
-        .into_iter()
-        .enumerate()
-        .map(|(i, points)| MvaSweep::from_parts(services[i], thinks[i], points))
+    Ok(services
+        .iter()
+        .zip(thinks)
+        .map(|(&service, &think)| queue::Lane::new(service, think).sweep(max_customers))
         .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{solve_with, SolveOptions, WarmSolver};
+    use crate::network::{solve_with, SolveOptions};
     use crate::queue::{machine_repairman, machine_repairman_sweep};
 
     fn bits(x: f64) -> u64 {
         x.to_bits()
+    }
+
+    /// A cold scalar solve and the residual evaluations it reported.
+    fn scalar_solve(rate: f64, size: f64, stages: u32) -> (OperatingPoint, u64) {
+        let (point, span) =
+            swcc_obs::capture(|| solve_with(rate, size, stages, SolveOptions::default()).unwrap());
+        let iterations = span.counter(metrics::SOLVER_RESIDUAL_EVALS).unwrap_or(0);
+        (point, iterations)
     }
 
     #[test]
@@ -876,16 +807,15 @@ mod tests {
         let batch = BatchPatelSolver::new().solve(&rates, &sizes, 8).unwrap();
         let mut distinct = std::collections::BTreeSet::new();
         for (i, (&rate, &size)) in rates.iter().zip(&sizes).enumerate() {
-            let mut solver = WarmSolver::new();
-            let scalar = solver.solve(rate, size, 8).unwrap();
+            let (scalar, iterations) = scalar_solve(rate, size, 8);
             assert_eq!(
                 bits(batch.points()[i].think_fraction()),
                 bits(scalar.think_fraction()),
                 "lane {i}"
             );
             assert_eq!(
-                batch.iterations()[i],
-                solver.last_iterations(),
+                u64::from(batch.iterations()[i]),
+                iterations,
                 "lane {i} iteration count"
             );
             distinct.insert(batch.iterations()[i]);

@@ -33,24 +33,6 @@ pub struct BusPerformance {
 }
 
 impl BusPerformance {
-    /// Assembles a performance point from its parts (the batch engine
-    /// evaluates whole grids outside this module; see [`crate::batch`]).
-    pub(crate) fn from_parts(
-        scheme: Scheme,
-        processors: u32,
-        demand: Demand,
-        waiting: f64,
-        bus_utilization: f64,
-    ) -> Self {
-        BusPerformance {
-            scheme,
-            processors,
-            demand,
-            waiting,
-            bus_utilization,
-        }
-    }
-
     /// Assembles a performance point from an externally solved queueing
     /// result — a `(waiting, bus_utilization)` pair produced by
     /// [`machine_repairman`], [`crate::batch::machine_repairman_grid`],
@@ -259,24 +241,6 @@ pub fn analyze_bus_sweep(
         .collect())
 }
 
-/// Sweeps processor count from 1 to `max_processors` inclusive.
-///
-/// Delegates to [`analyze_bus_sweep`], so the whole curve costs one
-/// incremental MVA pass instead of one solve per point.
-///
-/// # Errors
-///
-/// Propagates errors as [`analyze_bus_sweep`] does (which for valid
-/// workloads cannot occur).
-pub fn bus_power_curve(
-    scheme: Scheme,
-    workload: &WorkloadParams,
-    system: &BusSystemModel,
-    max_processors: u32,
-) -> Result<Vec<BusPerformance>> {
-    analyze_bus_sweep(scheme, workload, system, max_processors)
-}
-
 /// Sweeps processor count from 1 to `max_processors` for **several
 /// schemes at once**, running every scheme's MVA recurrence in one
 /// lockstep grid pass ([`machine_repairman_sweep_grid`]).
@@ -358,7 +322,7 @@ pub fn bus_power_curve_set(
                 .points()
                 .iter()
                 .map(|mva| {
-                    BusPerformance::from_parts(
+                    BusPerformance::from_queue_solution(
                         scheme,
                         mva.customers(),
                         demand,
@@ -396,7 +360,7 @@ mod tests {
         // model (it asymptotes as the bus saturates).
         let w = WorkloadParams::at_level(Level::High);
         for s in Scheme::ALL {
-            let curve = bus_power_curve(s, &w, &sys(), 24).unwrap();
+            let curve = analyze_bus_sweep(s, &w, &sys(), 24).unwrap();
             for pair in curve.windows(2) {
                 assert!(
                     pair[1].power() >= pair[0].power() - 1e-9,
@@ -471,7 +435,7 @@ mod tests {
     #[test]
     fn bus_utilization_grows_with_processors() {
         let w = WorkloadParams::default();
-        let curve = bus_power_curve(Scheme::SoftwareFlush, &w, &sys(), 16).unwrap();
+        let curve = analyze_bus_sweep(Scheme::SoftwareFlush, &w, &sys(), 16).unwrap();
         for pair in curve.windows(2) {
             assert!(pair[1].bus_utilization() >= pair[0].bus_utilization() - 1e-12);
         }

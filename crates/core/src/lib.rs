@@ -89,12 +89,10 @@ pub mod prelude {
     pub use crate::batch::{
         machine_repairman_grid, machine_repairman_sweep_grid, BatchPatelSolver, PatelBatchSolution,
     };
-    pub use crate::bus::{
-        analyze_bus, analyze_bus_sweep, bus_power_curve, bus_power_curves, BusPerformance,
-    };
+    pub use crate::bus::{analyze_bus, analyze_bus_sweep, bus_power_curves, BusPerformance};
     pub use crate::demand::{demand, scheme_demand, Demand};
     pub use crate::network::{
-        analyze_network, network_power_curve, network_power_curves, NetworkPerformance, WarmSolver,
+        analyze_network, network_power_curve, network_power_curves, NetworkPerformance,
     };
     pub use crate::queue::{machine_repairman, machine_repairman_sweep, MvaSolution, MvaSweep};
     pub use crate::scheme::{OperationMix, Scheme};

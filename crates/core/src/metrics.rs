@@ -65,9 +65,11 @@ pub const BATCH_RETIRE_ITERATIONS: &str = "core.batch.retire_iterations";
 
 /// Pointwise network analyses ([`crate::network::analyze_network`]).
 pub const NETWORK_ANALYSES: &str = "core.network.analyses";
-/// Warm-started network power curves ([`crate::network::network_power_curve`]).
+/// Network power curves, one per scheme of
+/// [`crate::network::network_power_curves`] (and of
+/// [`crate::network::network_power_curve`], its one-scheme case).
 pub const NETWORK_CURVES: &str = "core.network.curves";
-/// Network operating points produced inside warm-started curves.
+/// Network operating points produced inside power curves.
 pub const NETWORK_CURVE_POINTS: &str = "core.network.curve_points";
 
 // --- Trace event names (see `swcc_obs::trace`) -------------------------
@@ -104,12 +106,6 @@ pub const EV_BATCH_ITERATION: &str = "batch.iteration";
 /// Span around one lockstep MVA grid evaluation. Fields: `lanes`,
 /// `customers`.
 pub const EV_BATCH_MVA_GRID: &str = "batch.mva_grid";
-/// Span around one warm-started network power curve. Fields: `scheme`,
-/// `max_stages`.
-pub const EV_NETWORK_CURVE: &str = "network.curve";
-/// Sampled per-stage point inside a network curve. Fields: `stages`,
-/// `cpus`, `power`, `think_fraction`, `warm_iterations`.
-pub const EV_NETWORK_CURVE_POINT: &str = "network.curve_point";
 
 /// Registers every model-layer metric on the builder.
 #[must_use]
@@ -156,7 +152,7 @@ pub fn register(builder: RegistryBuilder) -> RegistryBuilder {
 mod tests {
     use super::*;
     use crate::bus::analyze_bus_sweep;
-    use crate::network::{network_power_curve, solve, WarmSolver};
+    use crate::network::{network_power_curve, solve};
     use crate::queue::machine_repairman;
     use crate::scheme::Scheme;
     use crate::system::BusSystemModel;
@@ -223,11 +219,13 @@ mod tests {
         assert_eq!(curve.len(), 9);
         assert_eq!(span.counter(NETWORK_CURVES), Some(1));
         assert_eq!(span.counter(NETWORK_CURVE_POINTS), Some(9));
-        // Every stage has nonzero demand, so each point is one solve.
+        // The curve is one cold batch with a lane per stage count.
+        assert_eq!(span.counter(BATCH_PATEL_BATCHES), Some(1));
+        assert_eq!(span.counter(BATCH_PATEL_LANES), Some(9));
+        // Every stage has nonzero demand, so each lane is one solve.
         assert_eq!(span.counter(SOLVER_SOLVES), Some(9));
         assert!(span.counter(SOLVER_RESIDUAL_EVALS).unwrap_or(0) >= 9);
-        // Points after the first are warm-started.
-        assert_eq!(span.counter(SOLVER_WARM_REUSES), Some(8));
+        assert_eq!(span.counter(SOLVER_WARM_REUSES), None, "every lane is cold");
         let iters = span.histogram(SOLVER_ITERATIONS).unwrap();
         assert_eq!(iters.count, 9);
         assert_eq!(
@@ -241,9 +239,10 @@ mod tests {
     /// shared solver counters.
     #[test]
     fn legacy_bisection_reports_fixed_eval_budget() {
-        let mut reference = WarmSolver::new();
-        reference.solve(0.03, 20.0, 8).unwrap();
-        let iterations = u64::from(reference.last_iterations());
+        let reference = crate::batch::BatchPatelSolver::new()
+            .solve(&[0.03], &[20.0], 8)
+            .unwrap();
+        let iterations = u64::from(reference.iterations()[0]);
         let ((), span) = swcc_obs::capture(|| {
             solve(0.03, 20.0, 8).unwrap();
         });
@@ -260,7 +259,7 @@ mod tests {
     #[test]
     fn zero_demand_solves_do_no_solver_work() {
         let ((), span) = swcc_obs::capture(|| {
-            WarmSolver::new().solve(0.0, 20.0, 8).unwrap();
+            solve(0.0, 20.0, 8).unwrap();
         });
         assert_eq!(span.counter(SOLVER_SOLVES), None);
         assert_eq!(span.counter(SOLVER_RESIDUAL_EVALS), None);

@@ -11,9 +11,7 @@ pub mod packet;
 pub mod patel;
 
 pub use packet::{analyze_network_packet, PacketPerformance};
-pub use patel::{
-    propagate, solve, solve_with, OperatingPoint, SolveOptions, WarmSolver, DEFAULT_TOLERANCE,
-};
+pub use patel::{propagate, solve, solve_with, OperatingPoint, SolveOptions, DEFAULT_TOLERANCE};
 
 use std::fmt;
 
@@ -167,13 +165,8 @@ pub fn analyze_network(
 }
 
 /// Sweeps stage count from 0 to `max_stages` (1 to `2^max_stages`
-/// processors).
-///
-/// Consecutive stage counts have nearby fixed points, so the sweep
-/// solves them with one [`WarmSolver`]: each point's `U` is the next
-/// point's first Newton probe. Results agree with pointwise
-/// [`analyze_network`] to within the solver tolerance
-/// ([`DEFAULT_TOLERANCE`]); only the warm start separates them.
+/// processors): the one-scheme case of [`network_power_curves`], so
+/// every point is bit-identical to pointwise [`analyze_network`].
 ///
 /// # Errors
 ///
@@ -185,61 +178,7 @@ pub fn network_power_curve(
     workload: &WorkloadParams,
     max_stages: u32,
 ) -> Result<Vec<NetworkPerformance>> {
-    if scheme.requires_bus() {
-        return Err(ModelError::UnsupportedScheme {
-            scheme,
-            interconnect: "multistage network",
-        });
-    }
-    let tracing = swcc_obs::trace_enabled();
-    let _curve_span = if tracing {
-        swcc_obs::span(
-            metrics::EV_NETWORK_CURVE,
-            &[
-                swcc_obs::Field::text("scheme", scheme.to_string()),
-                swcc_obs::Field::u64("max_stages", u64::from(max_stages)),
-            ],
-        )
-    } else {
-        swcc_obs::span(metrics::EV_NETWORK_CURVE, &[])
-    };
-    let mut solver = patel::WarmSolver::new();
-    let curve: Result<Vec<NetworkPerformance>> = (0..=max_stages)
-        .map(|stages| {
-            let system = NetworkSystemModel::new(stages);
-            let demand = scheme_demand(scheme, workload, &system)?;
-            let point =
-                solver.solve(demand.transaction_rate(), demand.transaction_size(), stages)?;
-            let perf = NetworkPerformance {
-                scheme,
-                stages,
-                demand,
-                point,
-            };
-            if tracing {
-                swcc_obs::event_sampled(
-                    metrics::EV_NETWORK_CURVE_POINT,
-                    &[
-                        swcc_obs::Field::u64("stages", u64::from(stages)),
-                        swcc_obs::Field::u64("cpus", u64::from(perf.processors())),
-                        swcc_obs::Field::f64("power", perf.power()),
-                        swcc_obs::Field::f64("think_fraction", point.think_fraction()),
-                        swcc_obs::Field::u64(
-                            "warm_iterations",
-                            u64::from(solver.last_iterations()),
-                        ),
-                    ],
-                );
-            }
-            Ok(perf)
-        })
-        .collect();
-    let curve = curve?;
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::NETWORK_CURVES, 1);
-        swcc_obs::counter_add(metrics::NETWORK_CURVE_POINTS, curve.len() as u64);
-    }
-    Ok(curve)
+    Ok(network_power_curves(&[scheme], workload, max_stages)?.swap_remove(0))
 }
 
 /// Sweeps stage count from 0 to `max_stages` for **several schemes at
@@ -248,9 +187,7 @@ pub fn network_power_curve(
 ///
 /// Each lane is cold-started, so every point is **bit-identical** to
 /// pointwise [`analyze_network`] (the cold [`solve`] at the same
-/// `(rate, size, stages)`), and agrees with the warm-chained
-/// [`network_power_curve`] to within the solver tolerance
-/// ([`DEFAULT_TOLERANCE`]).
+/// `(rate, size, stages)`).
 ///
 /// # Errors
 ///
@@ -269,8 +206,8 @@ pub fn network_power_curve(
 /// let w = WorkloadParams::default();
 /// let schemes = [Scheme::NoCache, Scheme::SoftwareFlush];
 /// let curves = network_power_curves(&schemes, &w, 8)?;
-/// let warm = network_power_curve(Scheme::SoftwareFlush, &w, 8)?;
-/// assert_eq!(curves[1].len(), warm.len());
+/// let one = network_power_curve(Scheme::SoftwareFlush, &w, 8)?;
+/// assert_eq!(curves[1], one);
 /// # Ok(())
 /// # }
 /// ```
@@ -363,10 +300,11 @@ mod tests {
             assert_eq!(curve.len(), 11);
             for (stages, swept) in curve.iter().enumerate() {
                 let pointwise = analyze_network(s, &w, stages as u32).unwrap();
-                let du = (swept.operating_point().think_fraction()
-                    - pointwise.operating_point().think_fraction())
-                .abs();
-                assert!(du < 1e-9, "{s} at {stages} stages: ΔU = {du:e}");
+                assert_eq!(
+                    swept.operating_point().think_fraction().to_bits(),
+                    pointwise.operating_point().think_fraction().to_bits(),
+                    "{s} at {stages} stages"
+                );
                 assert_eq!(swept.demand(), pointwise.demand());
             }
         }
@@ -412,14 +350,15 @@ mod tests {
 
     #[test]
     fn one_answer_per_operating_point() {
-        // analyze_network, a BatchPatelSolver lane and a
-        // network_power_curves point at the same demand are one answer,
-        // bit for bit.
+        // analyze_network, a BatchPatelSolver lane, a
+        // network_power_curves point and a network_power_curve point at
+        // the same demand are one answer, bit for bit.
         let schemes = [Scheme::Base, Scheme::NoCache, Scheme::SoftwareFlush];
         for level in Level::ALL {
             let w = WorkloadParams::at_level(level);
             let curves = network_power_curves(&schemes, &w, 10).unwrap();
             for (i, &s) in schemes.iter().enumerate() {
+                let single = network_power_curve(s, &w, 10).unwrap();
                 for stages in 0..=10u32 {
                     let pointwise = analyze_network(s, &w, stages).unwrap();
                     let d = pointwise.demand();
@@ -429,7 +368,7 @@ mod tests {
                         .points()[0];
                     let batched = NetworkPerformance::from_operating_point(s, stages, d, lane);
                     let curve = curves[i][stages as usize];
-                    for other in [batched, curve] {
+                    for other in [batched, curve, single[stages as usize]] {
                         assert_eq!(other.demand(), d);
                         for (name, got, want) in [
                             (
@@ -462,20 +401,20 @@ mod tests {
         let (perf, span) =
             swcc_obs::capture(|| analyze_network(Scheme::SoftwareFlush, &w, 8).unwrap());
         let d = perf.demand();
-        let mut solver = WarmSolver::new();
-        solver
-            .solve(d.transaction_rate(), d.transaction_size(), 8)
-            .unwrap();
-        assert!(solver.last_iterations() > 0);
+        let iterations = crate::batch::BatchPatelSolver::new()
+            .solve(&[d.transaction_rate()], &[d.transaction_size()], 8)
+            .unwrap()
+            .iterations()[0];
+        assert!(iterations > 0);
         assert_eq!(span.counter(metrics::NETWORK_ANALYSES), Some(1));
         assert_eq!(span.counter(metrics::SOLVER_SOLVES), Some(1));
         assert_eq!(
             span.counter(metrics::SOLVER_RESIDUAL_EVALS),
-            Some(u64::from(solver.last_iterations()))
+            Some(u64::from(iterations))
         );
         let iters = span.histogram(metrics::SOLVER_ITERATIONS).unwrap();
         assert_eq!(iters.count, 1);
-        assert_eq!(iters.sum, f64::from(solver.last_iterations()));
+        assert_eq!(iters.sum, f64::from(iterations));
     }
 
     #[test]

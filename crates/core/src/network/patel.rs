@@ -28,10 +28,10 @@
 //! residual is strictly decreasing in `U`, so `[0, 1]` brackets the
 //! root): Newton steps converge quadratically, and a step that would
 //! leave the bracket falls back to its midpoint, so the worst case is
-//! bisection. The same per-lane step backs [`solve`], [`solve_with`],
-//! [`WarmSolver`] and every lane of
-//! [`BatchPatelSolver`](crate::batch::BatchPatelSolver); a cold solve
-//! takes about four to five residual evaluations at the default
+//! bisection. The same per-lane step backs [`solve`], [`solve_with`]
+//! and every lane of [`BatchPatelSolver`](crate::batch::BatchPatelSolver),
+//! so a scalar solve and a batch lane return the same bits; a cold
+//! solve takes about four to five residual evaluations at the default
 //! tolerance.
 
 use serde::{Deserialize, Serialize};
@@ -132,7 +132,7 @@ impl OperatingPoint {
 ///
 /// Every Patel entry point runs the same per-lane step (see the module
 /// docs), so this returns the same bits for the same `(rate, size,
-/// stages)` as a cold [`WarmSolver`] and as a
+/// stages)` as a cold
 /// [`BatchPatelSolver`](crate::batch::BatchPatelSolver) lane.
 ///
 /// # Errors
@@ -167,6 +167,10 @@ pub struct SolveOptions {
     /// good guess saves Newton steps; a wrong one costs steps but never
     /// a wrong answer. Guesses outside the open interval `(0, 1)`
     /// (including NaN) are ignored.
+    ///
+    /// A hinted solve stops at a different Newton iterate than the cold
+    /// one, so its `U` can differ from the cold answer in the last bits
+    /// (within the tolerance). Every model entry point solves cold.
     pub hint: Option<f64>,
 }
 
@@ -177,23 +181,6 @@ impl Default for SolveOptions {
             hint: None,
         }
     }
-}
-
-/// Like [`solve`], but with a configurable stopping tolerance and an
-/// optional warm-start hint (see [`SolveOptions`]). With default options
-/// it is [`solve`].
-///
-/// # Errors
-///
-/// As [`solve`], plus [`ModelError::InvalidConfig`] if
-/// `options.tolerance` is not finite and positive.
-pub fn solve_with(
-    rate: f64,
-    size: f64,
-    stages: u32,
-    options: SolveOptions,
-) -> Result<OperatingPoint> {
-    solve_inner(rate, size, stages, options).map(|(op, _)| op)
 }
 
 // --- The guarded-Newton kernel -----------------------------------------
@@ -210,11 +197,11 @@ pub fn solve_with(
 // 4. otherwise the guarded step: to x + step, or to the bracket midpoint
 //    when that would leave the bracket (`Lane::advance`).
 //
-// The scalar loop (`solve_inner`, behind `solve`, `solve_with` and
-// `WarmSolver`) runs the phases in sequence; `crate::batch` runs each
-// phase as one pass over all of its active lanes. Each phase is written
-// once, here, and a lane never reads another lane's state, so a lane's
-// float-op sequence is the same on every path.
+// The scalar loop (`solve_with`, behind `solve`) runs the phases in
+// sequence; `crate::batch` runs each phase as one pass over all of its
+// active lanes. Each phase is written once, here, and a lane never
+// reads another lane's state, so a lane's float-op sequence is the same
+// on every path.
 
 /// One 2×2 crossbar stage: the request probability leaving it, and the
 /// probability `1 − m/2` that a request entering with probability `m`
@@ -372,15 +359,23 @@ impl Lane {
     }
 }
 
-/// The scalar solve: validation, then the kernel's step on one lane
-/// until it retires. Allocation-free; returns the operating point and
-/// the residual evaluations it took.
-fn solve_inner(
+/// Like [`solve`], but with a configurable stopping tolerance and an
+/// optional warm-start hint (see [`SolveOptions`]). With default options
+/// it is [`solve`].
+///
+/// This is the scalar loop: validation, then the kernel's step on one
+/// lane until it retires, allocation-free.
+///
+/// # Errors
+///
+/// As [`solve`], plus [`ModelError::InvalidConfig`] if
+/// `options.tolerance` is not finite and positive.
+pub fn solve_with(
     rate: f64,
     size: f64,
     stages: u32,
     options: SolveOptions,
-) -> Result<(OperatingPoint, u32)> {
+) -> Result<OperatingPoint> {
     if !rate.is_finite() || rate < 0.0 {
         return Err(ModelError::InvalidConfig {
             name: "rate",
@@ -403,16 +398,13 @@ fn solve_inner(
     // swcc-lint: allow(float-eq) — zero demand skips the queueing model; -0.0 is zero demand
     if demand == 0.0 {
         // The processor never uses the network: it thinks all the time.
-        return Ok((
-            OperatingPoint {
-                stages,
-                rate,
-                size,
-                think_fraction: 1.0,
-                accepted: 0.0,
-            },
-            0,
-        ));
+        return Ok(OperatingPoint {
+            stages,
+            rate,
+            size,
+            think_fraction: 1.0,
+            accepted: 0.0,
+        });
     }
     let (mut lane, warm) = Lane::start(demand, options.hint.unwrap_or(f64::NAN));
     let tracing = swcc_obs::trace_enabled();
@@ -474,86 +466,13 @@ fn solve_inner(
             swcc_obs::counter_add(metrics::SOLVER_BRACKET_FALLBACKS, fallbacks);
         }
     }
-    Ok((
-        OperatingPoint {
-            stages,
-            rate,
-            size,
-            think_fraction: u,
-            accepted: u * demand,
-        },
-        iterations,
-    ))
-}
-
-/// A fixed-point solver that reuses each solution as the warm-start
-/// hint for the next solve.
-///
-/// Intended for sweeps over a slowly-varying parameter (network size,
-/// offered rate): consecutive roots are close, so the first probe starts
-/// near the root and each solve needs fewer Newton steps than a cold
-/// one. Correctness never depends on the hint — a stale or wrong hint
-/// only costs iterations.
-#[derive(Debug, Clone)]
-pub struct WarmSolver {
-    tolerance: f64,
-    hint: Option<f64>,
-    last_iterations: u32,
-}
-
-impl Default for WarmSolver {
-    fn default() -> Self {
-        WarmSolver::new()
-    }
-}
-
-impl WarmSolver {
-    /// Creates a cold solver with [`DEFAULT_TOLERANCE`].
-    pub fn new() -> Self {
-        WarmSolver::with_tolerance(DEFAULT_TOLERANCE)
-    }
-
-    /// Creates a cold solver with a custom stopping tolerance.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        WarmSolver {
-            tolerance,
-            hint: None,
-            last_iterations: 0,
-        }
-    }
-
-    /// Solves one operating point, warm-starting from the previous
-    /// solution (if any) and remembering this one for the next call.
-    ///
-    /// # Errors
-    ///
-    /// As [`solve_with`].
-    pub fn solve(&mut self, rate: f64, size: f64, stages: u32) -> Result<OperatingPoint> {
-        let (op, iterations) = solve_inner(
-            rate,
-            size,
-            stages,
-            SolveOptions {
-                tolerance: self.tolerance,
-                hint: self.hint,
-            },
-        )?;
-        self.last_iterations = iterations;
-        self.hint = Some(op.think_fraction());
-        Ok(op)
-    }
-
-    /// Residual evaluations (Newton steps) taken by the most recent
-    /// [`WarmSolver::solve`]; 0 for a zero-demand point.
-    pub fn last_iterations(&self) -> u32 {
-        self.last_iterations
-    }
-
-    /// Drops the remembered hint; the next solve starts cold.
-    pub fn reset(&mut self) {
-        self.hint = None;
-        self.last_iterations = 0;
-    }
+    Ok(OperatingPoint {
+        stages,
+        rate,
+        size,
+        think_fraction: u,
+        accepted: u * demand,
+    })
 }
 
 #[cfg(test)]
@@ -697,11 +616,13 @@ mod tests {
                 cold.accepted_rate().to_bits(),
                 with.accepted_rate().to_bits()
             );
-            let mut warm = WarmSolver::new();
-            let first = warm.solve(m, t, n).unwrap();
+            let lane = crate::batch::BatchPatelSolver::new()
+                .solve(&[m], &[t], n)
+                .unwrap()
+                .points()[0];
             assert_eq!(
                 cold.think_fraction().to_bits(),
-                first.think_fraction().to_bits()
+                lane.think_fraction().to_bits()
             );
             let oracle = bisection(m, t, n);
             let hinted = solve_with(
@@ -782,18 +703,40 @@ mod tests {
         }
     }
 
+    /// Solves one point under a capture; returns it with the residual
+    /// evaluations and warm-start reuses the solve reported.
+    fn counted(rate: f64, size: f64, hint: Option<f64>) -> (OperatingPoint, u64, u64) {
+        let (op, span) = swcc_obs::capture(|| {
+            solve_with(
+                rate,
+                size,
+                8,
+                SolveOptions {
+                    hint,
+                    ..SolveOptions::default()
+                },
+            )
+            .unwrap()
+        });
+        let count = |name| span.counter(name).unwrap_or(0);
+        (
+            op,
+            count(metrics::SOLVER_RESIDUAL_EVALS),
+            count(metrics::SOLVER_WARM_REUSES),
+        )
+    }
+
     #[test]
     fn warm_start_reduces_solver_work() {
-        let mut warm = WarmSolver::new();
-        let mut cold = WarmSolver::new();
-        let (mut warm_iters, mut cold_iters) = (0u32, 0u32);
+        let (mut warm_iters, mut cold_iters) = (0u64, 0u64);
+        let mut hint = None;
         for i in 1..=50 {
             let m = f64::from(i) * 0.002;
-            let w = warm.solve(m, 20.0, 8).unwrap();
-            warm_iters += warm.last_iterations();
-            cold.reset();
-            let c = cold.solve(m, 20.0, 8).unwrap();
-            cold_iters += cold.last_iterations();
+            let (w, iters, _) = counted(m, 20.0, hint);
+            warm_iters += iters;
+            hint = Some(w.think_fraction());
+            let (c, iters, _) = counted(m, 20.0, None);
+            cold_iters += iters;
             assert!((w.think_fraction() - c.think_fraction()).abs() < 1e-9);
         }
         // Counts are deterministic: the hint starts closer to the root
@@ -810,13 +753,16 @@ mod tests {
 
     #[test]
     fn warm_solver_handles_zero_demand_between_solves() {
-        let mut solver = WarmSolver::new();
-        let a = solver.solve(0.03, 20.0, 8).unwrap();
-        let idle = solver.solve(0.0, 20.0, 8).unwrap();
+        // A hint chain through an idle point: a, then a zero-demand
+        // point hinted with a's root, then a's demand again hinted with
+        // the idle point's root.
+        let (a, _, _) = counted(0.03, 20.0, None);
+        let (idle, iters, _) = counted(0.0, 20.0, Some(a.think_fraction()));
         assert_eq!(idle.think_fraction(), 1.0);
-        assert_eq!(solver.last_iterations(), 0);
+        assert_eq!(iters, 0, "a zero-demand point does no solver work");
         // A hint of exactly 1.0 is out of the open interval and ignored.
-        let b = solver.solve(0.03, 20.0, 8).unwrap();
+        let (b, _, reuses) = counted(0.03, 20.0, Some(idle.think_fraction()));
+        assert_eq!(reuses, 0);
         assert!((a.think_fraction() - b.think_fraction()).abs() < 1e-12);
     }
 }

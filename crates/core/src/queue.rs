@@ -19,8 +19,18 @@
 //!
 //! with `Q(0) = 0`. The contention penalty per transaction is
 //! `w = R(n) − b`.
+//!
+//! The recurrence is written once, as one step ([`step`]) beside the
+//! zero-service closed form ([`idle`]) and one input check
+//! ([`validate`]). A scalar lane loop ([`Lane`]) runs them behind
+//! [`machine_repairman`], [`machine_repairman_sweep`] and every lane of
+//! [`machine_repairman_sweep_grid`](crate::batch::machine_repairman_sweep_grid);
+//! [`machine_repairman_grid`](crate::batch::machine_repairman_grid)
+//! runs the same step lane-inner. Each lane therefore executes the same
+//! float ops in the same order on every path.
 
 use std::fmt;
+use std::slice;
 
 use serde::{Deserialize, Serialize};
 
@@ -137,61 +147,151 @@ impl fmt::Display for MvaSolution {
 /// # }
 /// ```
 pub fn machine_repairman(customers: u32, service: f64, think: f64) -> Result<MvaSolution> {
-    if customers == 0 {
+    validate(
+        Some(customers),
+        slice::from_ref(&service),
+        slice::from_ref(&think),
+    )?;
+    if swcc_obs::enabled() {
+        swcc_obs::counter_add(metrics::MVA_SOLVES, 1);
+    }
+    let mut lane = Lane::new(service, think);
+    let mut solution = lane.solve_next();
+    for _ in 1..customers {
+        solution = lane.solve_next();
+    }
+    Ok(solution)
+}
+
+/// The one input check of every MVA entry point, scalar or grid: lane
+/// slices of equal length, every time finite and non-negative, and no
+/// lane with both times zero (customers must spend time somewhere). A
+/// pointwise solve passes its population as `customers`, which must be
+/// at least 1; a sweep, which may be empty, passes `None`.
+pub(crate) fn validate(customers: Option<u32>, services: &[f64], thinks: &[f64]) -> Result<()> {
+    if customers == Some(0) {
         return Err(ModelError::InvalidConfig {
             name: "customers",
             reason: "must be at least 1",
         });
     }
-    if !service.is_finite() || service < 0.0 {
+    if thinks.len() != services.len() {
+        return Err(ModelError::InvalidConfig {
+            name: "batch",
+            reason: "lane slices must all have the same length",
+        });
+    }
+    if services.iter().any(|s| !s.is_finite() || *s < 0.0) {
         return Err(ModelError::InvalidConfig {
             name: "service",
             reason: "must be finite and non-negative",
         });
     }
-    if !think.is_finite() || think < 0.0 {
+    if thinks.iter().any(|z| !z.is_finite() || *z < 0.0) {
         return Err(ModelError::InvalidConfig {
             name: "think",
             reason: "must be finite and non-negative",
         });
     }
-    // swcc-lint: allow(float-eq) — service==think==0 is the rejected degenerate queue; -0.0 qualifies
-    if service == 0.0 && think == 0.0 {
+    if services
+        .iter()
+        .zip(thinks)
+        // swcc-lint: allow(float-eq) — service==think==0 is the rejected degenerate queue; -0.0 qualifies
+        .any(|(s, z)| *s == 0.0 && *z == 0.0)
+    {
         return Err(ModelError::InvalidConfig {
             name: "service+think",
             reason: "service and think time cannot both be zero",
         });
     }
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::MVA_SOLVES, 1);
-    }
-    // swcc-lint: allow(float-eq) — zero service is the no-queue fast path; -0.0 is the same idle server
-    if service == 0.0 {
-        return Ok(MvaSolution {
-            customers,
-            service,
-            think,
-            response: 0.0,
-            throughput: f64::from(customers) / think,
-            queue_len: 0.0,
-        });
-    }
-    let mut queue_len = 0.0;
-    let mut response = service;
-    let mut throughput = 0.0;
-    for k in 1..=customers {
-        response = service * (1.0 + queue_len);
-        throughput = f64::from(k) / (think + response);
-        queue_len = throughput * response;
-    }
-    Ok(MvaSolution {
+    Ok(())
+}
+
+/// The zero-service closed form: a lane that never uses the server
+/// sees no contention, so with `customers` customers it has no response
+/// time, no queue, and throughput `customers / think`.
+#[inline(always)]
+pub(crate) fn idle(customers: u32, service: f64, think: f64) -> MvaSolution {
+    MvaSolution {
         customers,
         service,
         think,
-        response,
-        throughput,
-        queue_len,
-    })
+        response: 0.0,
+        throughput: f64::from(customers) / think,
+        queue_len: 0.0,
+    }
+}
+
+/// One step of the recurrence: from the queue length `Q(k−1)`, the
+/// response time, throughput and queue length `(R(k), X(k), Q(k))` with
+/// `customers = k`.
+#[inline(always)]
+pub(crate) fn step(service: f64, think: f64, customers: f64, queue_len: f64) -> (f64, f64, f64) {
+    let response = service * (1.0 + queue_len);
+    let throughput = customers / (think + response);
+    (response, throughput, throughput * response)
+}
+
+/// The scalar lane loop: one `(service, think)` lane stepped through
+/// the populations 1, 2, … in turn. Allocation-free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    service: f64,
+    think: f64,
+    customers: u32,
+    queue_len: f64,
+}
+
+impl Lane {
+    /// A lane at population 0, with `Q(0) = 0`.
+    #[inline(always)]
+    pub(crate) fn new(service: f64, think: f64) -> Lane {
+        Lane {
+            service,
+            think,
+            customers: 0,
+            queue_len: 0.0,
+        }
+    }
+
+    /// Adds one customer and returns the exact solution at the new
+    /// population: the closed form for a zero-service lane, else one
+    /// recurrence step.
+    #[inline(always)]
+    pub(crate) fn solve_next(&mut self) -> MvaSolution {
+        self.customers += 1;
+        // swcc-lint: allow(float-eq) — zero service is the no-queue fast path; -0.0 is the same idle server
+        if self.service == 0.0 {
+            return idle(self.customers, self.service, self.think);
+        }
+        let (response, throughput, queue_len) = step(
+            self.service,
+            self.think,
+            f64::from(self.customers),
+            self.queue_len,
+        );
+        self.queue_len = queue_len;
+        MvaSolution {
+            customers: self.customers,
+            service: self.service,
+            think: self.think,
+            response,
+            throughput,
+            queue_len,
+        }
+    }
+
+    /// The lane's solutions at every population `1..=max_customers`.
+    pub(crate) fn sweep(mut self, max_customers: u32) -> MvaSweep {
+        // A counted range sizes the vector once and writes each point
+        // without a capacity check.
+        let points = (0..max_customers).map(|_| self.solve_next()).collect();
+        MvaSweep {
+            service: self.service,
+            think: self.think,
+            points,
+        }
+    }
 }
 
 /// Machine-repairman solutions for every population `1..=max`, computed
@@ -243,16 +343,6 @@ impl MvaSweep {
     pub fn into_points(self) -> Vec<MvaSolution> {
         self.points
     }
-
-    /// Assembles a sweep from its parts (the batch engine runs the
-    /// recurrence outside this module; see [`crate::batch`]).
-    pub(crate) fn from_parts(service: f64, think: f64, points: Vec<MvaSolution>) -> Self {
-        MvaSweep {
-            service,
-            think,
-            points,
-        }
-    }
 }
 
 /// Solves the machine-repairman model for **all** populations
@@ -281,25 +371,7 @@ impl MvaSweep {
 /// # }
 /// ```
 pub fn machine_repairman_sweep(max_customers: u32, service: f64, think: f64) -> Result<MvaSweep> {
-    if !service.is_finite() || service < 0.0 {
-        return Err(ModelError::InvalidConfig {
-            name: "service",
-            reason: "must be finite and non-negative",
-        });
-    }
-    if !think.is_finite() || think < 0.0 {
-        return Err(ModelError::InvalidConfig {
-            name: "think",
-            reason: "must be finite and non-negative",
-        });
-    }
-    // swcc-lint: allow(float-eq) — service==think==0 is the rejected degenerate queue; -0.0 qualifies
-    if service == 0.0 && think == 0.0 {
-        return Err(ModelError::InvalidConfig {
-            name: "service+think",
-            reason: "service and think time cannot both be zero",
-        });
-    }
+    validate(None, slice::from_ref(&service), slice::from_ref(&think))?;
     if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::MVA_SWEEPS, 1);
         swcc_obs::counter_add(metrics::MVA_SWEEP_POINTS, u64::from(max_customers));
@@ -316,44 +388,7 @@ pub fn machine_repairman_sweep(max_customers: u32, service: f64, think: f64) -> 
     } else {
         swcc_obs::span(metrics::EV_MVA_SWEEP, &[])
     };
-    let mut points = Vec::with_capacity(max_customers as usize);
-    // swcc-lint: allow(float-eq) — zero service is the no-queue fast path; -0.0 is the same idle server
-    if service == 0.0 {
-        for k in 1..=max_customers {
-            points.push(MvaSolution {
-                customers: k,
-                service,
-                think,
-                response: 0.0,
-                throughput: f64::from(k) / think,
-                queue_len: 0.0,
-            });
-        }
-        return Ok(MvaSweep {
-            service,
-            think,
-            points,
-        });
-    }
-    let mut queue_len = 0.0;
-    for k in 1..=max_customers {
-        let response = service * (1.0 + queue_len);
-        let throughput = f64::from(k) / (think + response);
-        queue_len = throughput * response;
-        points.push(MvaSolution {
-            customers: k,
-            service,
-            think,
-            response,
-            throughput,
-            queue_len,
-        });
-    }
-    Ok(MvaSweep {
-        service,
-        think,
-        points,
-    })
+    Ok(Lane::new(service, think).sweep(max_customers))
 }
 
 /// Asymptotic bounds on the machine-repairman model (operational

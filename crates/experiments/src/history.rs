@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use swcc_core::batch::BatchPatelSolver;
 use swcc_core::metrics as core_metrics;
-use swcc_core::network::WarmSolver;
+use swcc_core::network::{solve_with, SolveOptions};
 use swcc_obs::quantile::median;
 use swcc_obs::MetricsSnapshot;
 
@@ -101,23 +101,28 @@ impl WarmStartStats {
     pub fn measure() -> WarmStartStats {
         const SOLVES: u32 = 50;
         const STAGES: u32 = 8;
-        fn sweep(solver: &mut WarmSolver, reset: bool) -> u64 {
-            let mut iterations = 0u64;
-            for i in 1..=SOLVES {
-                if reset {
-                    solver.reset();
+        /// Residual evaluations of the rate sweep, each solve hinted
+        /// with the previous one's `U` when `warm`.
+        fn sweep(warm: bool) -> u64 {
+            let ((), span) = swcc_obs::capture(|| {
+                let mut hint = None;
+                for i in 1..=SOLVES {
+                    let options = SolveOptions {
+                        hint,
+                        ..SolveOptions::default()
+                    };
+                    let op = solve_with(f64::from(i) * 0.002, 20.0, STAGES, options)
+                        .expect("bench sweep rates are solvable");
+                    if warm {
+                        hint = Some(op.think_fraction());
+                    }
                 }
-                let _ = solver
-                    .solve(f64::from(i) * 0.002, 20.0, STAGES)
-                    .expect("bench sweep rates are solvable");
-                iterations += u64::from(solver.last_iterations());
-            }
-            iterations
+            });
+            span.counter(core_metrics::SOLVER_RESIDUAL_EVALS)
+                .unwrap_or(0)
         }
-        let mut solver = WarmSolver::new();
-        let cold_iterations = sweep(&mut solver, true);
-        solver.reset();
-        let warm_iterations = sweep(&mut solver, false);
+        let cold_iterations = sweep(false);
+        let warm_iterations = sweep(true);
         WarmStartStats {
             cold_iterations,
             warm_iterations,

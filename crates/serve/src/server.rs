@@ -1111,11 +1111,33 @@ fn serve_connection(
     }
 }
 
+/// The listeners a shutdown has to wake: every thread blocked in
+/// `accept` needs one connection to see the shutdown flag and exit.
+#[derive(Debug, Clone, Copy)]
+struct Listeners {
+    addr: SocketAddr,
+    workers: usize,
+    telemetry: Option<SocketAddr>,
+}
+
+impl Listeners {
+    /// Wakes the pool: one connect per worker, and one to the telemetry
+    /// listener. A connect no thread accepts waits harmlessly in the
+    /// backlog.
+    fn wake(&self) {
+        for _ in 0..self.workers {
+            let _ = TcpStream::connect(self.addr);
+        }
+        if let Some(addr) = self.telemetry {
+            let _ = TcpStream::connect(addr);
+        }
+    }
+}
+
 /// A running server: worker pool plus the shared state.
 #[derive(Debug)]
 pub struct RunningServer {
-    addr: SocketAddr,
-    telemetry_addr: Option<SocketAddr>,
+    listeners: Listeners,
     state: Arc<ServeState>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -1123,12 +1145,12 @@ pub struct RunningServer {
 impl RunningServer {
     /// The bound address (resolves `:0` to the chosen port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listeners.addr
     }
 
     /// The bound exposition-listener address, when one was configured.
     pub fn telemetry_addr(&self) -> Option<SocketAddr> {
-        self.telemetry_addr
+        self.listeners.telemetry
     }
 
     /// The shared state (stats and caches), for in-process inspection.
@@ -1136,17 +1158,10 @@ impl RunningServer {
         &self.state
     }
 
-    /// Requests shutdown and wakes workers blocked in `accept`.
+    /// Requests shutdown and wakes every thread blocked in `accept`.
     pub fn shutdown(&self) {
         self.state.request_shutdown();
-        for _ in 0..self.handles.len() {
-            // Each connect pops one blocked accept; the worker sees the
-            // flag and exits.
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(addr) = self.telemetry_addr {
-            let _ = TcpStream::connect(addr);
-        }
+        self.listeners.wake();
     }
 
     /// Waits for every worker to exit. Call [`Self::shutdown`] first
@@ -1164,11 +1179,22 @@ impl RunningServer {
 ///
 /// Propagates bind/spawn I/O errors.
 pub fn spawn(config: ServeConfig) -> io::Result<RunningServer> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let listener = Arc::new(listener);
-    let state = Arc::new(ServeState::new(&config));
+    let listener = Arc::new(TcpListener::bind(&config.addr)?);
+    let telemetry_listener = config
+        .telemetry_addr
+        .as_ref()
+        .map(TcpListener::bind)
+        .transpose()?;
     let workers = config.workers.max(1);
+    let listeners = Listeners {
+        addr: listener.local_addr()?,
+        workers,
+        telemetry: telemetry_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?,
+    };
+    let state = Arc::new(ServeState::new(&config));
     let mut handles = Vec::with_capacity(workers + 1);
     for i in 0..workers {
         let listener = Arc::clone(&listener);
@@ -1176,25 +1202,18 @@ pub fn spawn(config: ServeConfig) -> io::Result<RunningServer> {
         let read_timeout = config.read_timeout;
         let handle = thread::Builder::new()
             .name(format!("swcc-serve-{i}"))
-            .spawn(move || worker_loop(&listener, &state, addr, read_timeout))?;
+            .spawn(move || worker_loop(&listener, &state, listeners, read_timeout))?;
         handles.push(handle);
     }
-    let telemetry_addr = match &config.telemetry_addr {
-        None => None,
-        Some(bind) => {
-            let telemetry_listener = TcpListener::bind(bind)?;
-            let telemetry_addr = telemetry_listener.local_addr()?;
-            let state = Arc::clone(&state);
-            let handle = thread::Builder::new()
-                .name("swcc-serve-telemetry".to_string())
-                .spawn(move || telemetry_loop(&telemetry_listener, &state))?;
-            handles.push(handle);
-            Some(telemetry_addr)
-        }
-    };
+    if let Some(telemetry_listener) = telemetry_listener {
+        let state = Arc::clone(&state);
+        let handle = thread::Builder::new()
+            .name("swcc-serve-telemetry".to_string())
+            .spawn(move || telemetry_loop(&telemetry_listener, &state))?;
+        handles.push(handle);
+    }
     Ok(RunningServer {
-        addr,
-        telemetry_addr,
+        listeners,
         state,
         handles,
     })
@@ -1265,7 +1284,7 @@ fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
 fn worker_loop(
     listener: &TcpListener,
     state: &Arc<ServeState>,
-    addr: SocketAddr,
+    listeners: Listeners,
     read_timeout: Duration,
 ) {
     loop {
@@ -1284,11 +1303,9 @@ fn worker_loop(
             swcc_obs::counter_add(metrics::SERVE_CONNECTIONS, 1);
         }
         if let Ok(true) = serve_connection(state, stream, read_timeout) {
-            // This connection initiated shutdown: wake the peers
-            // blocked in accept so the pool drains.
-            for _ in 0..16 {
-                let _ = TcpStream::connect(addr);
-            }
+            // This connection initiated shutdown: wake the peers and
+            // the telemetry listener blocked in accept so they drain.
+            listeners.wake();
             return;
         }
     }

@@ -99,7 +99,11 @@ fn kind_from_char(c: &str) -> Option<AccessKind> {
     }
 }
 
-/// Writes a trace in the text format.
+/// Opening of the header line [`write_text`] writes first:
+/// `# swcc trace: <cpus> cpus, <records> records`.
+const TEXT_HEADER: &str = "# swcc trace: ";
+
+/// Writes a trace in the text format, header line first.
 ///
 /// A `&mut` reference to any writer can be passed.
 ///
@@ -109,7 +113,7 @@ fn kind_from_char(c: &str) -> Option<AccessKind> {
 pub fn write_text<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoError> {
     writeln!(
         writer,
-        "# swcc trace: {} cpus, {} records",
+        "{TEXT_HEADER}{} cpus, {} records",
         trace.cpus(),
         trace.len()
     )?;
@@ -121,29 +125,49 @@ pub fn write_text<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoE
 
 /// Reads a trace in the text format.
 ///
+/// When the first line is the header [`write_text`] writes, its
+/// processor count is the trace's, so trailing idle processors survive
+/// a round trip. Without the header the count is inferred from the
+/// largest processor id present.
+///
 /// # Errors
 ///
 /// Returns [`TraceIoError::Parse`] with a line number for malformed
-/// lines, and propagates I/O errors.
+/// lines, a malformed header, and processor ids at or above the
+/// header's count (or equal to `u16::MAX`, which leaves no count to
+/// hold them); propagates I/O errors.
 pub fn read_text<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
+    let mut declared = None;
     let mut records = Vec::new();
     for (idx, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
         let lineno = idx + 1;
+        let err = |message: String| TraceIoError::Parse {
+            line: lineno,
+            message,
+        };
+        if let Some(header) = line.strip_prefix(TEXT_HEADER).filter(|_| lineno == 1) {
+            let cpus = header
+                .split_once(" cpus")
+                .and_then(|(cpus, _)| cpus.trim().parse::<u16>().ok())
+                .ok_or_else(|| err(format!("malformed header {line:?}")))?;
+            declared = Some(cpus);
+            continue;
+        }
         let content = line.split('#').next().unwrap_or("").trim();
         if content.is_empty() {
             continue;
         }
         let mut parts = content.split_whitespace();
-        let err = |message: String| TraceIoError::Parse {
-            line: lineno,
-            message,
-        };
         let cpu: u16 = parts
             .next()
             .ok_or_else(|| err("missing cpu field".into()))?
             .parse()
             .map_err(|e| err(format!("bad cpu field: {e}")))?;
+        let bound = declared.unwrap_or(u16::MAX);
+        if cpu >= bound {
+            return Err(err(format!("cpu {cpu} out of range (< {bound})")));
+        }
         let kind = parts
             .next()
             .and_then(kind_from_char)
@@ -159,7 +183,11 @@ pub fn read_text<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
         }
         records.push(Access::new(CpuId(cpu), kind, Addr(addr)));
     }
-    Ok(Trace::from_records(records))
+    // Extending grows the count to cover every id, so a headerless
+    // trace infers it and a declared one keeps it.
+    let mut trace = Trace::new(declared.unwrap_or(0));
+    trace.extend(records);
+    Ok(trace)
 }
 
 /// Writes a trace in the binary format.
@@ -232,11 +260,16 @@ mod tests {
 
     #[test]
     fn text_round_trip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_text(&t, &mut buf).unwrap();
-        let back = read_text(buf.as_slice()).unwrap();
-        assert_eq!(t, back);
+        // The second trace's trailing processors are idle: only the
+        // header carries its processor count.
+        let mut idle = Trace::new(4);
+        idle.push(Access::new(CpuId(0), AccessKind::Load, Addr(0x10)));
+        for t in [sample(), idle] {
+            let mut buf = Vec::new();
+            write_text(&t, &mut buf).unwrap();
+            let back = read_text(buf.as_slice()).unwrap();
+            assert_eq!(t, back);
+        }
     }
 
     #[test]
@@ -285,6 +318,11 @@ mod tests {
         assert!(read_text("x i 0x10\n".as_bytes()).is_err());
         assert!(read_text("0 i zz\n".as_bytes()).is_err());
         assert!(read_text("0 i\n".as_bytes()).is_err());
+        // Id 65535 leaves no processor count to hold it; with a header,
+        // ids must lie below the declared count.
+        assert!(read_text("65535 r 0x10\n".as_bytes()).is_err());
+        assert!(read_text("# swcc trace: 2 cpus, 1 records\n2 r 0x10\n".as_bytes()).is_err());
+        assert!(read_text("# swcc trace: many cpus\n".as_bytes()).is_err());
     }
 
     #[test]

@@ -15,13 +15,21 @@ use swcc_core::batch::{
     machine_repairman_grid, machine_repairman_sweep_grid, BatchPatelSolver, Stages, COLD,
 };
 use swcc_core::bus::{analyze_bus_sweep, bus_power_curve_set, bus_power_curves};
-use swcc_core::network::{solve_with, SolveOptions, WarmSolver};
+use swcc_core::metrics::SOLVER_RESIDUAL_EVALS;
+use swcc_core::network::{solve_with, OperatingPoint, SolveOptions};
 use swcc_core::prelude::*;
 use swcc_core::queue::{machine_repairman, machine_repairman_sweep};
 use swcc_core::system::BusSystemModel;
 
 fn bits(x: f64) -> u64 {
     x.to_bits()
+}
+
+/// A cold scalar solve and the residual evaluations it reported.
+fn scalar_solve(rate: f64, size: f64, stages: u32) -> (OperatingPoint, u64) {
+    let (point, span) =
+        swcc_obs::capture(|| solve_with(rate, size, stages, SolveOptions::default()).unwrap());
+    (point, span.counter(SOLVER_RESIDUAL_EVALS).unwrap_or(0))
 }
 
 /// A strategy over Patel lanes: rates span idle through saturated,
@@ -88,7 +96,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cold batch Patel solves match per-lane scalar solves bitwise,
-    /// and per-lane iteration counts match a fresh scalar solver's.
+    /// and per-lane iteration counts match the residual evaluations
+    /// each scalar solve reports.
     #[test]
     fn batch_patel_matches_scalar_bitwise(lanes in patel_lanes(), stages in 1u32..12) {
         let rates: Vec<f64> = lanes.iter().map(|l| l.0).collect();
@@ -96,8 +105,7 @@ proptest! {
         let batch = BatchPatelSolver::new().solve(&rates, &sizes, stages).unwrap();
         prop_assert_eq!(batch.len(), lanes.len());
         for i in 0..lanes.len() {
-            let mut scalar = WarmSolver::new();
-            let point = scalar.solve(rates[i], sizes[i], stages).unwrap();
+            let (point, iterations) = scalar_solve(rates[i], sizes[i], stages);
             prop_assert_eq!(
                 bits(batch.points()[i].think_fraction()),
                 bits(point.think_fraction())
@@ -106,7 +114,7 @@ proptest! {
                 bits(batch.points()[i].accepted_rate()),
                 bits(point.accepted_rate())
             );
-            prop_assert_eq!(batch.iterations()[i], scalar.last_iterations());
+            prop_assert_eq!(u64::from(batch.iterations()[i]), iterations);
         }
     }
 
@@ -268,16 +276,15 @@ fn convergence_mask_retires_lanes_at_scalar_iteration_counts() {
     let batch = BatchPatelSolver::new().solve(&rates, &sizes, 8).unwrap();
     let mut distinct = std::collections::BTreeSet::new();
     for i in 0..rates.len() {
-        let mut scalar = WarmSolver::new();
-        let point = scalar.solve(rates[i], sizes[i], 8).unwrap();
+        let (point, iterations) = scalar_solve(rates[i], sizes[i], 8);
         assert_eq!(
             bits(batch.points()[i].think_fraction()),
             bits(point.think_fraction()),
             "lane {i}"
         );
         assert_eq!(
-            batch.iterations()[i],
-            scalar.last_iterations(),
+            u64::from(batch.iterations()[i]),
+            iterations,
             "lane {i} retired at the wrong iteration"
         );
         assert!(batch.converged()[i], "lane {i}");

@@ -1,7 +1,6 @@
 //! Cross-module integration tests of the analytical model: the paper's
 //! qualitative claims, checked end-to-end through the public API.
 
-use swcc_core::bus::bus_power_curve;
 use swcc_core::network::{analyze_network, network_power_curve};
 use swcc_core::prelude::*;
 use swcc_core::sensitivity::sensitivity_table;
@@ -89,7 +88,7 @@ fn software_flush_can_beat_dragon_with_generous_apl_and_low_mdshd() {
 fn bus_saturation_flattens_the_power_curve() {
     // Under heavy sharing, the bus saturates: power stops growing.
     let w = WorkloadParams::at_level(Level::High);
-    let curve = bus_power_curve(Scheme::NoCache, &w, &system(), 32).unwrap();
+    let curve = analyze_bus_sweep(Scheme::NoCache, &w, &system(), 32).unwrap();
     let p8 = curve[7].power();
     let p32 = curve[31].power();
     assert!(
@@ -104,7 +103,7 @@ fn network_power_grows_where_bus_power_stalls() {
     // §6.3: network bandwidth scales with processors, so past bus
     // saturation the network wins.
     let w = WorkloadParams::default();
-    let bus = bus_power_curve(Scheme::SoftwareFlush, &w, &system(), 64).unwrap();
+    let bus = analyze_bus_sweep(Scheme::SoftwareFlush, &w, &system(), 64).unwrap();
     let net = network_power_curve(Scheme::SoftwareFlush, &w, 6).unwrap();
     let bus64 = bus.last().unwrap().power();
     let net64 = net.last().unwrap().power();
@@ -163,7 +162,7 @@ fn uniprocessor_has_no_contention_under_any_scheme() {
 fn utilization_decreases_monotonically_in_processor_count() {
     let w = WorkloadParams::default();
     for s in Scheme::ALL {
-        let curve = bus_power_curve(s, &w, &system(), 24).unwrap();
+        let curve = analyze_bus_sweep(s, &w, &system(), 24).unwrap();
         for pair in curve.windows(2) {
             assert!(
                 pair[1].utilization() <= pair[0].utilization() + 1e-12,

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use swcc_core::network::{propagate, solve, SolveOptions, WarmSolver};
+use swcc_core::network::{propagate, solve, SolveOptions};
 use swcc_core::prelude::*;
 use swcc_core::queue::{machine_repairman, machine_repairman_sweep};
 use swcc_sim::cache::{Cache, LineState};
@@ -187,10 +187,13 @@ proptest! {
             warm.think_fraction(),
             cold.think_fraction()
         );
-        let mut solver = WarmSolver::new();
-        let a = solver.solve(rate, size, stages).unwrap();
-        let b = solver.solve(rate, size, stages).unwrap();
-        prop_assert!((a.think_fraction() - b.think_fraction()).abs() <= 1e-9);
+        // A hint chain: the same point hinted with its own cold root.
+        let rehinted = SolveOptions {
+            hint: Some(cold.think_fraction()),
+            ..SolveOptions::default()
+        };
+        let again = swcc_core::network::solve_with(rate, size, stages, rehinted).unwrap();
+        prop_assert!((again.think_fraction() - cold.think_fraction()).abs() <= 1e-9);
     }
 
     #[test]
@@ -259,7 +262,8 @@ proptest! {
         records in prop::collection::vec(
             (0u16..8, 0u8..4, 0u64..u64::MAX / 2),
             0..200,
-        )
+        ),
+        idle in 0u16..4,
     ) {
         use swcc_trace::io::{read_binary, read_text, write_binary, write_text};
         use swcc_trace::{Access, AccessKind, Trace};
@@ -269,25 +273,64 @@ proptest! {
             AccessKind::Store,
             AccessKind::Flush,
         ];
-        let trace = Trace::from_records(
+        let inferred = Trace::from_records(
             records
                 .into_iter()
                 .map(|(cpu, k, addr)| Access::new(cpu, kinds[k as usize], addr))
                 .collect(),
         );
-        let mut text = Vec::new();
-        write_text(&trace, &mut text).unwrap();
-        prop_assert_eq!(&read_text(text.as_slice()).unwrap(), &trace);
-        let mut bin = Vec::new();
-        write_binary(&trace, &mut bin).unwrap();
-        prop_assert_eq!(&read_binary(bin.as_slice()).unwrap(), &trace);
+        // The same records pushed into a trace that declares `idle`
+        // more processors than they use.
+        let mut declared = Trace::new(inferred.cpus() + idle);
+        for &access in inferred.records() {
+            declared.push(access);
+        }
+        for trace in [&inferred, &declared] {
+            let mut text = Vec::new();
+            write_text(trace, &mut text).unwrap();
+            prop_assert_eq!(&read_text(text.as_slice()).unwrap(), trace);
+            let mut bin = Vec::new();
+            write_binary(trace, &mut bin).unwrap();
+            prop_assert_eq!(&read_binary(bin.as_slice()).unwrap(), trace);
+        }
     }
 
     #[test]
-    fn trace_readers_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+    fn trace_readers_never_panic_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+        lines in prop::collection::vec(
+            // Processor ids over the whole u16 range, with its top end
+            // and small ids drawn often.
+            ((0u8..4, any::<u16>()).prop_map(|(edge, id)| match edge {
+                0 => u16::MAX - id % 2,
+                1 => id % 8,
+                _ => id,
+            }), 0u8..4, any::<u64>()),
+            0..8,
+        ),
+        header in (any::<bool>(), 0u16..16),
+    ) {
         // Malformed input must surface as Err, never as a panic.
         let _ = swcc_trace::io::read_binary(bytes.as_slice());
-        let _ = swcc_trace::io::read_text(bytes.as_slice());
+        // Well-formed lines, with or without a processor-count header:
+        // whatever parses keeps every record below the trace's count.
+        let mut text = String::new();
+        if header.0 {
+            text.push_str(&format!("# swcc trace: {} cpus, {} records\n", header.1, lines.len()));
+        }
+        for (cpu, kind, addr) in &lines {
+            let kind = ["i", "r", "w", "f"][*kind as usize];
+            text.push_str(&format!("{cpu} {kind} {addr:#x}\n"));
+        }
+        for input in [bytes.as_slice(), text.as_bytes()] {
+            if let Ok(trace) = swcc_trace::io::read_text(input) {
+                prop_assert!(
+                    trace.records().iter().all(|a| a.cpu.0 < trace.cpus()),
+                    "a record at or above the {}-processor count",
+                    trace.cpus()
+                );
+            }
+        }
     }
 
     #[test]

@@ -336,13 +336,32 @@ fn errors_name_the_offending_query_and_keep_the_connection_alive() {
 
 #[test]
 fn shutdown_command_stops_the_server() {
-    let server = start(2);
-    let mut client = Client::connect(&server);
-    let response = client.send(r#"{"cmd":"shutdown"}"#);
-    assert!(ok(&response));
-    assert!(server.state().shutting_down());
-    // join() returning proves the whole pool drained.
-    server.join();
+    // More workers than a fixed wake-up budget, and a telemetry
+    // listener: every thread blocked in accept must leave.
+    for (workers, telemetry) in [(2, false), (24, false), (2, true)] {
+        let server = spawn(ServeConfig {
+            workers,
+            telemetry_addr: telemetry.then(|| "127.0.0.1:0".to_string()),
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback listeners");
+        let mut client = Client::connect(&server);
+        let response = client.send(r#"{"cmd":"shutdown"}"#);
+        assert!(ok(&response));
+        assert!(server.state().shutting_down());
+        // join() returning proves the whole pool drained; joining on a
+        // helper thread turns a thread left in accept into a failure
+        // instead of a hang.
+        let (joined, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = joined.send(());
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "{workers} workers, telemetry {telemetry}: still running 10 s after shutdown"
+        );
+    }
 }
 
 #[test]
