@@ -138,17 +138,12 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     }
     let seed: u64 = args.num("seed", 42)?;
     let output = args.flag("output").ok_or("missing -o FILE")?;
-    let trace = if args.has("flushes") {
-        // Rebuild the preset with flush emission enabled.
-        let mut b = swcc_trace::synth::SynthConfig::builder();
-        b.cpus(cpus)
-            .instructions_per_cpu(instructions)
-            .seed(seed)
-            .emit_flushes(true);
-        b.build().generate()
-    } else {
-        preset.config(cpus, instructions, seed).generate()
-    };
+    let config = preset
+        .config(cpus, instructions, seed)
+        .to_builder()
+        .emit_flushes(args.has("flushes"))
+        .build();
+    let trace = config.generate();
     let file = File::create(output).map_err(|e| format!("cannot create {output}: {e}"))?;
     let writer = BufWriter::new(file);
     let res = if args.has("text") || output.ends_with(".txt") {
@@ -169,11 +164,16 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
 fn sim_config(args: &Args, protocol: ProtocolKind) -> Result<SimConfig, String> {
     let cache_kib: u64 = args.num("cache-kib", 64)?;
     let ways: usize = args.num("ways", 1)?;
+    let cache_bytes = cache_kib
+        .checked_mul(1024)
+        .ok_or_else(|| format!("--cache-kib {cache_kib} is too large"))?;
     let mut b = SimConfig::builder(protocol);
-    b.cache_bytes(cache_kib * 1024).ways(ways);
+    b.cache_bytes(cache_bytes).ways(ways);
     if args.has("exponential") {
         b.service(ServiceDiscipline::Exponential);
     }
+    b.check_geometry()
+        .map_err(|e| format!("bad cache geometry (--cache-kib {cache_kib} --ways {ways}): {e}"))?;
     Ok(b.build())
 }
 

@@ -4,6 +4,17 @@
 //! caches with 16-byte blocks (configurable), per-line coherence state.
 //! The cache stores only tags and states — the simulator never models
 //! data values, only timing and coherence traffic.
+//!
+//! ## Layout
+//!
+//! All lines live in one flat `sets × ways` array, set-major. A set's
+//! resident lines form a prefix of its `ways` slots, most recently used
+//! first; empty slots follow them. A hit moves the line to the front of
+//! its set by rotating the slots before it, so no access allocates, and
+//! a direct-mapped lookup is one array load.
+
+use std::error::Error;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -42,11 +53,22 @@ impl LineState {
     }
 }
 
-/// One resident line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One slot of a set: a resident line, or empty (`state` is `None`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     block: BlockAddr,
-    state: LineState,
+    state: Option<LineState>,
+}
+
+impl Line {
+    const EMPTY: Line = Line {
+        block: BlockAddr(0),
+        state: None,
+    };
+
+    fn holds(&self, block: BlockAddr) -> bool {
+        self.block == block && self.state.is_some()
+    }
 }
 
 /// What `insert` evicted, if anything.
@@ -56,13 +78,107 @@ pub struct Eviction {
     pub victim: Option<(BlockAddr, LineState)>,
 }
 
+/// Why a cache geometry is rejected (see [`check_geometry`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum GeometryError {
+    /// Associativity zero.
+    NoWays,
+    /// A block offset of 64 bits or more.
+    BlockBits(u32),
+    /// Capacity zero or not a multiple of the block size.
+    Capacity {
+        /// The requested capacity in bytes.
+        capacity_bytes: u64,
+        /// The block size in bytes.
+        block_bytes: u64,
+    },
+    /// The blocks do not divide evenly into the ways.
+    Ways {
+        /// Blocks the capacity holds.
+        blocks: u64,
+        /// The requested associativity.
+        ways: usize,
+    },
+    /// A set count that is not a power of two.
+    Sets(u64),
+}
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            GeometryError::NoWays => f.write_str("need at least one way"),
+            GeometryError::BlockBits(bits) => {
+                write!(f, "block offset must be under 64 bits, got {bits}")
+            }
+            GeometryError::Capacity {
+                capacity_bytes,
+                block_bytes,
+            } => write!(
+                f,
+                "capacity must be a positive multiple of the block size \
+                 ({capacity_bytes} bytes, {block_bytes}-byte blocks)"
+            ),
+            GeometryError::Ways { blocks, ways } => write!(
+                f,
+                "capacity must divide evenly into {ways} ways ({blocks} blocks)"
+            ),
+            GeometryError::Sets(sets) => {
+                write!(f, "set count must be a power of two, got {sets}")
+            }
+        }
+    }
+}
+
+impl Error for GeometryError {}
+
+/// Checks a cache geometry without building the cache: `capacity_bytes`
+/// of `ways`-way sets of `2^block_bits`-byte blocks. Returns the set
+/// count.
+///
+/// # Errors
+///
+/// Zero ways, a block offset of 64 bits or more, a capacity that is
+/// zero or not a multiple of the block size, blocks that do not divide
+/// into the ways, or a set count that is not a power of two.
+pub fn check_geometry(
+    capacity_bytes: u64,
+    ways: usize,
+    block_bits: u32,
+) -> Result<u64, GeometryError> {
+    if ways == 0 {
+        return Err(GeometryError::NoWays);
+    }
+    let block_bytes = 1u64
+        .checked_shl(block_bits)
+        .ok_or(GeometryError::BlockBits(block_bits))?;
+    let blocks = capacity_bytes / block_bytes;
+    if blocks == 0 || !capacity_bytes.is_multiple_of(block_bytes) {
+        return Err(GeometryError::Capacity {
+            capacity_bytes,
+            block_bytes,
+        });
+    }
+    // `ways` above `u64::MAX` cannot divide a `u64` block count.
+    let ways64 = u64::try_from(ways).map_err(|_| GeometryError::Ways { blocks, ways })?;
+    if !blocks.is_multiple_of(ways64) {
+        return Err(GeometryError::Ways { blocks, ways });
+    }
+    let sets = blocks / ways64;
+    if !sets.is_power_of_two() {
+        return Err(GeometryError::Sets(sets));
+    }
+    Ok(sets)
+}
+
 /// A set-associative cache indexed by block address.
 ///
 /// Each set is kept in LRU order (most recent first). Capacity is
 /// `sets × ways` blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    /// `sets × ways` slots, set-major (see the module docs).
+    lines: Vec<Line>,
     ways: usize,
     set_mask: u64,
 }
@@ -73,35 +189,26 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate: zero ways, capacity not a
-    /// multiple of `ways × block_size`, or a non-power-of-two set count.
+    /// Panics if the geometry is degenerate (see [`check_geometry`]):
+    /// zero ways, capacity not a multiple of `ways × block_size`, or a
+    /// non-power-of-two set count.
     pub fn new(capacity_bytes: u64, ways: usize, block_bits: u32) -> Self {
-        assert!(ways > 0, "need at least one way");
-        let block_bytes = 1u64 << block_bits;
-        let blocks = capacity_bytes / block_bytes;
-        assert!(
-            blocks > 0 && capacity_bytes.is_multiple_of(block_bytes),
-            "capacity must be a positive multiple of the block size"
-        );
-        assert!(
-            blocks.is_multiple_of(ways as u64),
-            "capacity must divide evenly into {ways} ways"
-        );
-        let num_sets = blocks / ways as u64;
-        assert!(
-            num_sets.is_power_of_two(),
-            "set count must be a power of two, got {num_sets}"
-        );
+        let sets =
+            check_geometry(capacity_bytes, ways, block_bits).unwrap_or_else(|e| panic!("{e}"));
+        let slots = usize::try_from(sets)
+            .ok()
+            .and_then(|s| s.checked_mul(ways))
+            .expect("the line array fits in memory");
         Cache {
-            sets: vec![Vec::with_capacity(ways); num_sets as usize],
+            lines: vec![Line::EMPTY; slots],
             ways,
-            set_mask: num_sets - 1,
+            set_mask: sets - 1,
         }
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lines.len() / self.ways
     }
 
     /// Associativity.
@@ -109,39 +216,52 @@ impl Cache {
         self.ways
     }
 
-    fn set_index(&self, block: BlockAddr) -> usize {
-        (block.0 & self.set_mask) as usize
+    /// The first slot of `block`'s set.
+    fn set_start(&self, block: BlockAddr) -> usize {
+        (block.0 & self.set_mask) as usize * self.ways
+    }
+
+    /// The slots of `block`'s set.
+    fn set(&self, block: BlockAddr) -> &[Line] {
+        let start = self.set_start(block);
+        &self.lines[start..start + self.ways]
+    }
+
+    /// The slots of `block`'s set, mutably.
+    fn set_mut(&mut self, block: BlockAddr) -> &mut [Line] {
+        let start = self.set_start(block);
+        &mut self.lines[start..start + self.ways]
     }
 
     /// Looks up a block *without* touching LRU order.
     pub fn peek(&self, block: BlockAddr) -> Option<LineState> {
-        self.sets[self.set_index(block)]
+        self.set(block)
             .iter()
-            .find(|l| l.block == block)
-            .map(|l| l.state)
+            .find(|l| l.holds(block))
+            .and_then(|l| l.state)
     }
 
     /// Looks up a block and promotes it to most-recently-used.
     /// Returns its state if resident.
     pub fn touch(&mut self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
-        let pos = set.iter().position(|l| l.block == block)?;
-        let line = set.remove(pos);
-        set.insert(0, line);
-        Some(line.state)
+        let set = self.set_mut(block);
+        let pos = set.iter().position(|l| l.holds(block))?;
+        if pos > 0 {
+            set[..=pos].rotate_right(1);
+        }
+        set[0].state
     }
 
     /// Sets the state of a resident block (no LRU change).
     ///
     /// Returns `true` if the block was resident.
     pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
-        let si = self.set_index(block);
-        if let Some(line) = self.sets[si].iter_mut().find(|l| l.block == block) {
-            line.state = state;
-            true
-        } else {
-            false
+        match self.set_mut(block).iter_mut().find(|l| l.holds(block)) {
+            Some(line) => {
+                line.state = Some(state);
+                true
+            }
+            None => false,
         }
     }
 
@@ -153,33 +273,42 @@ impl Cache {
     /// Panics if the block is already resident (protocol logic must
     /// `touch`/`set_state` instead of re-inserting).
     pub fn insert(&mut self, block: BlockAddr, state: LineState) -> Eviction {
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
+        let set = self.set_mut(block);
         assert!(
-            set.iter().all(|l| l.block != block),
+            !set.iter().any(|l| l.holds(block)),
             "insert of resident block {block}"
         );
-        let victim = if set.len() == self.ways {
-            let v = set.pop().expect("full set is nonempty");
-            Some((v.block, v.state))
-        } else {
-            None
+        // The first empty slot, or the LRU line when the set is full.
+        let last = set
+            .iter()
+            .position(|l| l.state.is_none())
+            .unwrap_or(set.len() - 1);
+        let out = set[last];
+        if last > 0 {
+            set[..=last].rotate_right(1);
+        }
+        set[0] = Line {
+            block,
+            state: Some(state),
         };
-        set.insert(0, Line { block, state });
-        Eviction { victim }
+        Eviction {
+            victim: out.state.map(|s| (out.block, s)),
+        }
     }
 
     /// Removes a block, returning its state if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
-        let pos = set.iter().position(|l| l.block == block)?;
-        Some(set.remove(pos).state)
+        let set = self.set_mut(block);
+        let pos = set.iter().position(|l| l.holds(block))?;
+        let state = set[pos].state;
+        set[pos..].rotate_left(1);
+        set[set.len() - 1] = Line::EMPTY;
+        state
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines.iter().filter(|l| l.state.is_some()).count()
     }
 }
 
@@ -285,6 +414,45 @@ mod tests {
     }
 
     #[test]
+    fn geometry_errors_match_the_constructor_panics() {
+        assert_eq!(check_geometry(64 * 1024, 1, 4), Ok(4096));
+        assert_eq!(check_geometry(48, 3, 4), Ok(1));
+        for (bytes, ways, bits, want) in [
+            (48, 1, 4, GeometryError::Sets(3)),
+            (48 * 1024, 1, 4, GeometryError::Sets(3072)),
+            (64 * 1024, 0, 4, GeometryError::NoWays),
+            (64, 3, 4, GeometryError::Ways { blocks: 4, ways: 3 }),
+            (1024, 1, 64, GeometryError::BlockBits(64)),
+            (
+                0,
+                1,
+                4,
+                GeometryError::Capacity {
+                    capacity_bytes: 0,
+                    block_bytes: 16,
+                },
+            ),
+            (
+                100,
+                1,
+                4,
+                GeometryError::Capacity {
+                    capacity_bytes: 100,
+                    block_bytes: 16,
+                },
+            ),
+        ] {
+            assert_eq!(check_geometry(bytes, ways, bits), Err(want));
+            let panic = std::panic::catch_unwind(|| Cache::new(bytes, ways, bits))
+                .expect_err("Cache::new rejects what check_geometry rejects");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(*message, want.to_string());
+        }
+    }
+
+    #[test]
     fn touch_promotes_to_mru() {
         // One set, 4 ways.
         let mut c = Cache::new(4 * 16, 4, 4);
@@ -294,5 +462,115 @@ mod tests {
         c.touch(blk(0)); // 0 is now MRU; LRU is 1.
         let ev = c.insert(blk(10), LineState::Clean);
         assert_eq!(ev.victim.unwrap().0, blk(1));
+    }
+
+    /// The layout the flat cache replaced, kept as its reference: one
+    /// `Vec` per set, most recent first.
+    struct ReferenceCache {
+        sets: Vec<Vec<(BlockAddr, LineState)>>,
+        ways: usize,
+    }
+
+    impl ReferenceCache {
+        fn new(sets: usize, ways: usize) -> Self {
+            ReferenceCache {
+                sets: vec![Vec::new(); sets],
+                ways,
+            }
+        }
+
+        fn set(&mut self, block: BlockAddr) -> &mut Vec<(BlockAddr, LineState)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(block.0 % n) as usize]
+        }
+
+        fn peek(&mut self, block: BlockAddr) -> Option<LineState> {
+            self.set(block).iter().find(|l| l.0 == block).map(|l| l.1)
+        }
+
+        fn touch(&mut self, block: BlockAddr) -> Option<LineState> {
+            let set = self.set(block);
+            let pos = set.iter().position(|l| l.0 == block)?;
+            let line = set.remove(pos);
+            set.insert(0, line);
+            Some(line.1)
+        }
+
+        fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
+            match self.set(block).iter_mut().find(|l| l.0 == block) {
+                Some(line) => {
+                    line.1 = state;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, block: BlockAddr, state: LineState) -> Option<(BlockAddr, LineState)> {
+            let ways = self.ways;
+            let set = self.set(block);
+            let victim = if set.len() == ways { set.pop() } else { None };
+            set.insert(0, (block, state));
+            victim
+        }
+
+        fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
+            let set = self.set(block);
+            let pos = set.iter().position(|l| l.0 == block)?;
+            Some(set.remove(pos).1)
+        }
+
+        fn occupancy(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    const STATES: [LineState; 4] = [
+        LineState::Clean,
+        LineState::Dirty,
+        LineState::SharedClean,
+        LineState::SharedDirty,
+    ];
+
+    proptest::proptest! {
+        /// Every `sim-validate` point is direct-mapped, so the
+        /// benchmark digest cannot see the LRU order of a wider set:
+        /// the flat layout must match the one-`Vec`-per-set model on
+        /// every call, at every associativity the simulator is run with.
+        #[test]
+        fn flat_cache_matches_the_lru_reference(
+            ways_log in 0u32..4,
+            sets_log in 0u32..3,
+            ops in proptest::collection::vec((0u8..5, 0u64..24, 0usize..4), 1..300),
+        ) {
+            let ways = 1usize << ways_log;
+            let sets = 1usize << sets_log;
+            let mut flat = Cache::new((sets * ways * 16) as u64, ways, 4);
+            let mut reference = ReferenceCache::new(sets, ways);
+            proptest::prop_assert_eq!(flat.num_sets(), sets);
+            for (op, block, state) in ops {
+                let block = BlockAddr(block);
+                let state = STATES[state];
+                match op {
+                    0 => proptest::prop_assert_eq!(flat.touch(block), reference.touch(block)),
+                    1 => proptest::prop_assert_eq!(flat.peek(block), reference.peek(block)),
+                    2 => proptest::prop_assert_eq!(
+                        flat.set_state(block, state),
+                        reference.set_state(block, state)
+                    ),
+                    3 => proptest::prop_assert_eq!(
+                        flat.invalidate(block),
+                        reference.invalidate(block)
+                    ),
+                    // Insert only what is absent, as the protocols do.
+                    _ if reference.peek(block).is_none() => proptest::prop_assert_eq!(
+                        flat.insert(block, state).victim,
+                        reference.insert(block, state)
+                    ),
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(flat.occupancy(), reference.occupancy());
+            }
+        }
     }
 }

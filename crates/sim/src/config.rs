@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use swcc_core::system::BusSystemModel;
 use swcc_trace::{Addr, AddressLayout};
 
+use crate::cache::{check_geometry, GeometryError};
 use crate::protocol::ProtocolKind;
 
 /// Which interconnect the simulated machine uses.
@@ -213,19 +214,30 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Validates (by constructing a cache) and returns the configuration.
+    /// Checks the cache geometry set so far, without building a cache
+    /// (see [`check_geometry`]): the error [`SimConfigBuilder::build`]
+    /// would panic with.
+    ///
+    /// # Errors
+    ///
+    /// The [`GeometryError`] of a degenerate geometry.
+    pub fn check_geometry(&self) -> Result<(), GeometryError> {
+        let c = &self.config;
+        check_geometry(c.cache_bytes, c.ways, c.block_bits).map(|_| ())
+    }
+
+    /// Validates and returns the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate cache geometry (see [`crate::cache::Cache::new`])
-    /// or if a snoopy protocol is combined with a network interconnect.
+    /// Panics on degenerate cache geometry (see
+    /// [`SimConfigBuilder::check_geometry`], which reports it as an
+    /// error instead) or if a snoopy protocol is combined with a network
+    /// interconnect.
     pub fn build(&self) -> SimConfig {
-        // Constructing a throwaway cache validates the geometry eagerly.
-        let _ = crate::cache::Cache::new(
-            self.config.cache_bytes,
-            self.config.ways,
-            self.config.block_bits,
-        );
+        if let Err(e) = self.check_geometry() {
+            panic!("{e}");
+        }
         if matches!(self.config.interconnect, InterconnectKind::Network { .. }) {
             assert!(
                 !self.config.protocol.requires_bus(),
@@ -273,5 +285,31 @@ mod tests {
         let mut b = SimConfig::builder(ProtocolKind::Base);
         b.cache_bytes(48); // 3 blocks, direct-mapped: not a power of two
         let _ = b.build();
+    }
+
+    #[test]
+    fn build_panics_on_exactly_the_geometries_the_check_rejects() {
+        for (bytes, ways, bits) in [
+            (48, 1, 4),
+            (48 * 1024, 1, 4),
+            (64 * 1024, 0, 4),
+            (64, 3, 4),
+            (0, 1, 4),
+            (100, 1, 4),
+            (1024, 1, 64),
+            (48, 3, 4),
+            (16 * 1024, 2, 5),
+        ] {
+            let mut b = SimConfig::builder(ProtocolKind::Base);
+            b.cache_bytes(bytes).ways(ways).block_bits(bits);
+            let built = std::panic::catch_unwind(|| b.build());
+            match b.check_geometry() {
+                Ok(()) => assert!(built.is_ok(), "{bytes} B, {ways} ways"),
+                Err(e) => {
+                    let panic = built.expect_err("build rejects a bad geometry");
+                    assert_eq!(panic.downcast_ref::<String>(), Some(&e.to_string()));
+                }
+            }
+        }
     }
 }

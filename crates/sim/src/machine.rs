@@ -9,8 +9,11 @@
 //! ## Engine
 //!
 //! Each processor has a local clock and replays its own substream of the
-//! trace. The engine always advances the processor with the smallest
-//! local time (ties broken by processor id, so runs are deterministic).
+//! trace, read in place. The engine always advances the processor with
+//! the smallest local time (ties broken by processor id, so runs are
+//! deterministic). The pick is a branch-free scan over the processors
+//! that still have records, in ascending id order, keeping the first
+//! strictly smaller clock, so a tie goes to the lowest id.
 //! Bus operations request the bus at the processor's current time; the
 //! bus grants in FCFS order (`bus_free` high-water mark), and the
 //! difference between request and grant is accounted as contention.
@@ -109,8 +112,9 @@ pub struct Multiprocessor {
     pub(crate) bus_busy: u64,
     pub(crate) counters: Vec<CpuCounters>,
     fabric: Fabric,
-    /// Memory module targeted by the current access (network routing).
-    pending_dst: u32,
+    /// Block of the current access; the network fabric routes it to
+    /// its memory module.
+    pending_block: BlockAddr,
     /// Processor issuing the current access (network routing source).
     pending_cpu: u32,
     /// RNG for stochastic service disciplines.
@@ -150,7 +154,7 @@ impl Multiprocessor {
             bus_busy: 0,
             counters: vec![CpuCounters::default(); usize::from(cpus)],
             fabric,
-            pending_dst: 0,
+            pending_block: BlockAddr(0),
             pending_cpu: 0,
             rng,
         }
@@ -191,28 +195,29 @@ impl Multiprocessor {
         let mut progress = Progress::new(crate::metrics::EV_SIM_PROGRESS, trace.len() as u64)
             .check_every(PROGRESS_CHECK_EVERY)
             .gauge(crate::metrics::SIM_ACCESSES_PER_SECOND);
-        // Split the trace into per-cpu substreams.
-        let mut streams: Vec<Vec<Access>> = vec![Vec::new(); self.time.len()];
-        for a in trace {
-            streams[a.cpu.index()].push(*a);
-        }
-        let mut cursors = vec![0usize; streams.len()];
+        let mut streams = Streams::new(trace, self.time.len());
+        // Processors with records left, in ascending id order.
+        let mut live: Vec<usize> = (0..self.time.len())
+            .filter(|&cpu| streams.has_next(cpu))
+            .collect();
         let mut done = 0u64;
-        loop {
-            // Advance the processor with the smallest local clock that
-            // still has records (ties: lowest id). Linear scan is fine
-            // for the paper's processor counts (≤ 16).
-            let mut next: Option<usize> = None;
-            for cpu in 0..streams.len() {
-                if cursors[cpu] < streams[cpu].len()
-                    && next.is_none_or(|best| self.time[cpu] < self.time[best])
-                {
-                    next = Some(cpu);
-                }
+        while !live.is_empty() {
+            // The smallest (clock, id): a strict `<` over ascending ids
+            // keeps the lowest id on a tie, and both selects compile to
+            // conditional moves.
+            let mut best = 0;
+            let mut best_time = self.time[live[0]];
+            for (slot, &cpu) in live.iter().enumerate().skip(1) {
+                let time = self.time[cpu];
+                let earlier = time < best_time;
+                best = if earlier { slot } else { best };
+                best_time = if earlier { time } else { best_time };
             }
-            let Some(cpu) = next else { break };
-            let access = streams[cpu][cursors[cpu]];
-            cursors[cpu] += 1;
+            let cpu = live[best];
+            let access = streams.next(cpu);
+            if !streams.has_next(cpu) {
+                live.remove(best);
+            }
             self.step(cpu, access);
             done += 1;
             // The heartbeat only *reads* progress; it cannot perturb the
@@ -297,10 +302,7 @@ impl Multiprocessor {
     /// Processes one record on one processor.
     pub(crate) fn step(&mut self, cpu: usize, access: Access) {
         let block = access.addr.block(self.config.block_bits());
-        // Memory is block-interleaved across the modules: the network
-        // fabric routes this access's transactions to module
-        // block mod 2^stages.
-        self.pending_dst = (block.0 % self.caches.len() as u64) as u32;
+        self.pending_block = block;
         self.pending_cpu = cpu as u32;
         match access.kind {
             AccessKind::Fetch => self.fetch(cpu, block),
@@ -418,7 +420,9 @@ impl Multiprocessor {
             Fabric::Network { system, links } => {
                 let n = system.stages();
                 let src = self.pending_cpu;
-                let dst = self.pending_dst;
+                // Memory is block-interleaved across the 2^n modules:
+                // the access goes to module block mod 2^n.
+                let dst = (self.pending_block.0 & ((1u64 << n) - 1)) as u32;
                 let link_id = |i: u32| -> usize {
                     let low = n - i - 1;
                     let mask = (1u32 << low) - 1;
@@ -488,22 +492,99 @@ impl Multiprocessor {
         dirty
     }
 
-    /// The other caches currently holding `block`.
-    pub(crate) fn other_holders(&self, cpu: usize, block: BlockAddr) -> Vec<usize> {
-        (0..self.caches.len())
-            .filter(|&o| o != cpu && self.caches[o].peek(block).is_some())
-            .collect()
-    }
-
-    /// The cache (other than `cpu`) that owns `block` dirty, if any.
-    pub(crate) fn find_owner(&self, cpu: usize, block: BlockAddr) -> Option<usize> {
-        (0..self.caches.len())
-            .find(|&o| o != cpu && self.caches[o].peek(block).is_some_and(LineState::is_dirty))
-    }
-
     /// Whether the software schemes treat `addr` as shared.
     pub(crate) fn is_shared_addr(&self, addr: Addr) -> bool {
         self.config.shared_policy().is_shared(addr)
+    }
+}
+
+/// What one snoop of the other caches found for a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Snoop {
+    /// Other caches holding the block.
+    pub(crate) holders: u64,
+    /// The lowest-numbered other cache holding it dirty.
+    pub(crate) owner: Option<usize>,
+}
+
+/// Peeks once into every cache but `cpu`'s for `block`.
+pub(crate) fn snoop(caches: &[Cache], cpu: usize, block: BlockAddr) -> Snoop {
+    let mut found = Snoop {
+        holders: 0,
+        owner: None,
+    };
+    for (o, cache) in caches.iter().enumerate() {
+        if o == cpu {
+            continue;
+        }
+        if let Some(state) = cache.peek(block) {
+            found.holders += 1;
+            if state.is_dirty() && found.owner.is_none() {
+                found.owner = Some(o);
+            }
+        }
+    }
+    found
+}
+
+/// Each processor's substream of a trace, read in place.
+///
+/// Every record stores the distance to the next record of the same
+/// processor, so a processor's cursor steps from record to record
+/// without copying the trace. Two bytes per record keep the per-run
+/// allocation small: faulting in fresh pages, more than the copy
+/// itself, is what made per-processor copies of the trace expensive.
+/// Distances saturate at `u16::MAX`; from a saturated one the cursor
+/// scans forward for the processor's next record. A distance of zero
+/// marks a processor's last record.
+struct Streams<'a> {
+    records: &'a [Access],
+    gaps: Vec<u16>,
+    /// Index of each processor's next record, or `records.len()` once
+    /// it has none.
+    cursors: Vec<usize>,
+}
+
+impl<'a> Streams<'a> {
+    fn new(trace: &'a Trace, cpus: usize) -> Self {
+        let records = trace.records();
+        let mut gaps = vec![0u16; records.len()];
+        let mut cursors = vec![records.len(); cpus];
+        for (at, a) in records.iter().enumerate().rev() {
+            let next = &mut cursors[a.cpu.index()];
+            if *next < records.len() {
+                gaps[at] = u16::try_from(*next - at).unwrap_or(u16::MAX);
+            }
+            *next = at;
+        }
+        Streams {
+            records,
+            gaps,
+            cursors,
+        }
+    }
+
+    fn has_next(&self, cpu: usize) -> bool {
+        self.cursors[cpu] < self.records.len()
+    }
+
+    /// Takes `cpu`'s next record; `has_next(cpu)` must hold.
+    fn next(&mut self, cpu: usize) -> Access {
+        let at = self.cursors[cpu];
+        let access = self.records[at];
+        let gap = self.gaps[at];
+        let mut next = if gap == 0 {
+            self.records.len()
+        } else {
+            at + usize::from(gap)
+        };
+        if gap == u16::MAX {
+            while self.records[next].cpu != access.cpu {
+                next += 1;
+            }
+        }
+        self.cursors[cpu] = next;
+        access
     }
 }
 
@@ -526,7 +607,114 @@ pub fn simulate(trace: &Trace, config: &SimConfig) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swcc_trace::synth::Preset;
     use swcc_trace::CpuId;
+
+    /// The scheduler [`Multiprocessor::run`] replaced, kept as its
+    /// reference: per-processor copies of the trace and a linear scan
+    /// that takes the first processor with a strictly smaller clock
+    /// among those with records left.
+    fn run_reference(m: &mut Multiprocessor, trace: &Trace) -> SimReport {
+        let mut streams: Vec<Vec<Access>> = vec![Vec::new(); m.time.len()];
+        for a in trace {
+            streams[a.cpu.index()].push(*a);
+        }
+        let mut cursors = vec![0usize; streams.len()];
+        loop {
+            let mut next: Option<usize> = None;
+            for cpu in 0..streams.len() {
+                if cursors[cpu] < streams[cpu].len()
+                    && next.is_none_or(|best| m.time[cpu] < m.time[best])
+                {
+                    next = Some(cpu);
+                }
+            }
+            let Some(cpu) = next else { break };
+            let access = streams[cpu][cursors[cpu]];
+            cursors[cpu] += 1;
+            m.step(cpu, access);
+        }
+        m.report()
+    }
+
+    /// Runs `trace` through the engine and the reference on two fresh
+    /// machines and requires the same report, caches and clocks.
+    fn assert_reference_order(config: &SimConfig, cpus: u16, trace: &Trace) {
+        let mut engine = Multiprocessor::new(config.clone(), cpus);
+        let mut reference = Multiprocessor::new(config.clone(), cpus);
+        let report = engine.run(trace);
+        assert_eq!(report, run_reference(&mut reference, trace), "{config:?}");
+        assert_eq!(engine.caches, reference.caches);
+        assert_eq!(engine.time, reference.time);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// The branch-free pick and the in-place streams replay every
+        /// record in the reference order, so every statistic matches:
+        /// all five protocols, 1 to 16 processors, direct-mapped and
+        /// 2-way caches small enough to evict, fixed and exponential
+        /// service, and the 2-stage network fabric.
+        #[test]
+        fn run_replays_the_reference_order(
+            cpus in 0usize..4,
+            preset in 0usize..3,
+            seed in 0u64..1_000_000,
+            ways in 1usize..3,
+            kib_log in 0u32..3,
+            exponential in proptest::bool::ANY,
+            flushes in proptest::bool::ANY,
+        ) {
+            let synth = |cpus: u16| {
+                Preset::ALL[preset]
+                    .config(cpus, 500, seed)
+                    .to_builder()
+                    .emit_flushes(flushes)
+                    .build()
+                    .generate()
+            };
+            let service = if exponential {
+                ServiceDiscipline::Exponential
+            } else {
+                ServiceDiscipline::Fixed
+            };
+            let cpus = [1u16, 3, 8, 16][cpus];
+            let trace = synth(cpus);
+            for protocol in ProtocolKind::ALL {
+                let mut b = SimConfig::builder(protocol);
+                b.cache_bytes(1024 << kib_log).ways(ways).service(service).seed(seed);
+                assert_reference_order(&b.build(), cpus, &trace);
+            }
+            let trace = synth(4);
+            for protocol in [ProtocolKind::Base, ProtocolKind::NoCache, ProtocolKind::SoftwareFlush] {
+                let mut b = SimConfig::builder(protocol);
+                b.cache_bytes(1024 << kib_log).ways(ways).service(service).seed(seed).network(2);
+                assert_reference_order(&b.build(), 4, &trace);
+            }
+        }
+    }
+
+    #[test]
+    fn streams_resume_after_a_saturated_gap() {
+        // cpu0's two records lie more than u16::MAX records apart, so
+        // its cursor jumps the saturated distance and scans the rest.
+        for gap in [usize::from(u16::MAX) - 1, usize::from(u16::MAX), 70_000] {
+            let mut records = vec![acc(0, AccessKind::Fetch, 0x0)];
+            records
+                .extend((0..gap).map(|i| acc(1, AccessKind::Fetch, 0x40000 + 4 * (i as u64 % 64))));
+            records.push(acc(0, AccessKind::Store, 0x4000_0000));
+            records.push(acc(1, AccessKind::Load, 0x4000_0000));
+            let trace = Trace::from_records(records);
+            for protocol in [ProtocolKind::Dragon, ProtocolKind::WriteInvalidate] {
+                assert_reference_order(&SimConfig::new(protocol), 2, &trace);
+            }
+            let mut streams = Streams::new(&trace, 2);
+            assert_eq!(streams.next(0).addr, Addr(0x0));
+            assert_eq!(streams.next(0).addr, Addr(0x4000_0000));
+            assert!(!streams.has_next(0));
+        }
+    }
 
     fn acc(cpu: u16, kind: AccessKind, addr: u64) -> Access {
         Access::new(CpuId(cpu), kind, Addr(addr))

@@ -10,16 +10,14 @@
 //! the analytical model and compared against a timed simulation of the
 //! *same* trace.
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 use swcc_core::workload::WorkloadParams;
+use swcc_trace::stats::TraceStats;
 use swcc_trace::{AccessKind, BlockAddr, Trace};
 
 use crate::cache::{Cache, LineState};
 use crate::config::SimConfig;
-
-use self::stats_ext::shared_blocks;
+use crate::machine::snoop;
 
 /// Raw measurement counters, exposed for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -63,13 +61,19 @@ pub fn measure_workload(trace: &Trace, config: &SimConfig) -> WorkloadParams {
 }
 
 /// Like [`measure_workload`], also returning the raw counters.
+///
+/// One pass of [`TraceStats::measure_shared`] yields the trace-only
+/// parameters and the shared blocks; one replay through the caches
+/// yields the rest. The replay snoops the other caches at most once per
+/// reference: the snoop's holders and dirty owner stay valid through the
+/// reference, because only the referencing cache changes before a store
+/// updates the others.
 pub fn measure_workload_with_counts(
     trace: &Trace,
     config: &SimConfig,
 ) -> (WorkloadParams, MeasurementCounts) {
     let block_bits = config.block_bits();
-    let shared = shared_blocks(trace, block_bits);
-    let trace_stats = swcc_trace::stats::TraceStats::measure(trace, block_bits);
+    let (trace_stats, shared) = TraceStats::measure_shared(trace, block_bits);
 
     let cpus = usize::from(trace.cpus().max(1));
     let mut caches: Vec<Cache> = (0..cpus)
@@ -85,31 +89,42 @@ pub fn measure_workload_with_counts(
                 m.instructions += 1;
                 if caches[cpu].touch(block).is_none() {
                     m.instr_misses += 1;
-                    fill(&mut caches, cpu, block, &mut m);
+                    let others = snoop(&caches, cpu, block).holders;
+                    fill(&mut caches[cpu], block, others, &mut m);
                 }
             }
             AccessKind::Load | AccessKind::Store => {
                 m.data_refs += 1;
-                let is_shared = shared.contains(&block);
+                let write = a.kind.is_write();
+                let is_shared = shared.contains(block);
+                let hit = caches[cpu].touch(block).is_some();
+                if hit && !write && !is_shared {
+                    // A load hit on an unshared block counts nothing more.
+                    continue;
+                }
+                let found = snoop(&caches, cpu, block);
                 if is_shared {
                     m.shared_refs += 1;
-                    if holders(&caches, cpu, block) > 0 {
+                    if found.holders > 0 {
                         m.shared_refs_other_present += 1;
                     }
                 }
-                let hit = caches[cpu].touch(block).is_some();
                 if !hit {
                     m.data_misses += 1;
                     if is_shared {
                         m.shared_misses += 1;
-                        if dirty_elsewhere(&caches, cpu, block) {
+                        if found.owner.is_some() {
                             m.shared_misses_other_dirty += 1;
                         }
                     }
-                    fill(&mut caches, cpu, block, &mut m);
+                    fill(&mut caches[cpu], block, found.holders, &mut m);
                 }
-                if a.kind.is_write() {
-                    store_update(&mut caches, cpu, block, is_shared, &mut m);
+                if write {
+                    store_update(&mut caches, cpu, block, found.holders);
+                    if is_shared && found.holders > 0 {
+                        m.broadcast_stores += 1;
+                        m.broadcast_holders += found.holders;
+                    }
                 }
             }
             AccessKind::Flush => {
@@ -153,82 +168,31 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-fn holders(caches: &[Cache], cpu: usize, block: BlockAddr) -> u64 {
-    caches
-        .iter()
-        .enumerate()
-        .filter(|&(o, c)| o != cpu && c.peek(block).is_some())
-        .count() as u64
-}
-
-fn dirty_elsewhere(caches: &[Cache], cpu: usize, block: BlockAddr) -> bool {
-    caches
-        .iter()
-        .enumerate()
-        .any(|(o, c)| o != cpu && c.peek(block).is_some_and(LineState::is_dirty))
-}
-
-fn fill(caches: &mut [Cache], cpu: usize, block: BlockAddr, m: &mut MeasurementCounts) {
-    let state = if holders(caches, cpu, block) > 0 {
+/// Fills a missed block, shared if `others` other caches hold it.
+fn fill(cache: &mut Cache, block: BlockAddr, others: u64, m: &mut MeasurementCounts) {
+    let state = if others > 0 {
         LineState::SharedClean
     } else {
         LineState::Clean
     };
-    let ev = caches[cpu].insert(block, state);
+    let ev = cache.insert(block, state);
     if ev.victim.is_some_and(|(_, s)| s.is_dirty()) {
         m.dirty_replacements += 1;
     }
 }
 
-fn store_update(
-    caches: &mut [Cache],
-    cpu: usize,
-    block: BlockAddr,
-    is_shared: bool,
-    m: &mut MeasurementCounts,
-) {
-    let others: Vec<usize> = (0..caches.len())
-        .filter(|&o| o != cpu && caches[o].peek(block).is_some())
-        .collect();
-    if others.is_empty() {
+/// The write half of a store that `others` other caches also hold:
+/// Dragon's broadcast update, or a local write when there are none.
+fn store_update(caches: &mut [Cache], cpu: usize, block: BlockAddr, others: u64) {
+    if others == 0 {
         caches[cpu].set_state(block, LineState::Dirty);
     } else {
-        if is_shared {
-            m.broadcast_stores += 1;
-            m.broadcast_holders += others.len() as u64;
-        }
-        for o in others {
-            caches[o].set_state(block, LineState::SharedClean);
-        }
-        caches[cpu].set_state(block, LineState::SharedDirty);
-    }
-}
-
-/// Trace-level helpers shared with measurement.
-pub(crate) mod stats_ext {
-    use super::*;
-
-    /// The set of blocks touched (by data references) by more than one
-    /// processor.
-    pub(crate) fn shared_blocks(trace: &Trace, block_bits: u32) -> HashSet<BlockAddr> {
-        use std::collections::HashMap;
-        let mut first: HashMap<BlockAddr, u16> = HashMap::new();
-        let mut shared = HashSet::new();
-        for a in trace {
-            if a.kind.is_data() {
-                let block = a.addr.block(block_bits);
-                match first.get(&block) {
-                    Some(&c) if c != a.cpu.0 => {
-                        shared.insert(block);
-                    }
-                    Some(_) => {}
-                    None => {
-                        first.insert(block, a.cpu.0);
-                    }
-                }
+        for (o, cache) in caches.iter_mut().enumerate() {
+            if o != cpu {
+                cache.set_state(block, LineState::SharedClean);
             }
         }
-        shared
+        caches[cpu].set_state(block, LineState::SharedDirty);
     }
 }
 
@@ -301,5 +265,140 @@ mod tests {
         };
         assert!(large.msdat() <= small.msdat());
         assert!(large.mains() <= small.mains());
+    }
+
+    /// The replay [`measure_workload_with_counts`] replaced, kept as its
+    /// reference: a separate SipHash pass for the shared blocks, and a
+    /// fresh scan of the other caches for every question the replay
+    /// asks.
+    fn reference_counts(trace: &Trace, config: &SimConfig) -> MeasurementCounts {
+        use std::collections::{HashMap, HashSet};
+        let block_bits = config.block_bits();
+        let mut first: HashMap<BlockAddr, u16> = HashMap::new();
+        let mut shared = HashSet::new();
+        for a in trace {
+            if a.kind.is_data() {
+                let block = a.addr.block(block_bits);
+                match first.get(&block) {
+                    Some(&c) if c != a.cpu.0 => {
+                        shared.insert(block);
+                    }
+                    Some(_) => {}
+                    None => {
+                        first.insert(block, a.cpu.0);
+                    }
+                }
+            }
+        }
+        let holders = |caches: &[Cache], cpu: usize, block: BlockAddr| -> Vec<usize> {
+            (0..caches.len())
+                .filter(|&o| o != cpu && caches[o].peek(block).is_some())
+                .collect()
+        };
+        let fill =
+            |caches: &mut [Cache], cpu: usize, block: BlockAddr, m: &mut MeasurementCounts| {
+                let state = if holders(caches, cpu, block).is_empty() {
+                    LineState::Clean
+                } else {
+                    LineState::SharedClean
+                };
+                if caches[cpu]
+                    .insert(block, state)
+                    .victim
+                    .is_some_and(|(_, s)| s.is_dirty())
+                {
+                    m.dirty_replacements += 1;
+                }
+            };
+        let cpus = usize::from(trace.cpus().max(1));
+        let mut caches: Vec<Cache> = (0..cpus)
+            .map(|_| Cache::new(config.cache_bytes(), config.ways(), block_bits))
+            .collect();
+        let mut m = MeasurementCounts::default();
+        for a in trace {
+            let cpu = a.cpu.index();
+            let block = a.addr.block(block_bits);
+            match a.kind {
+                AccessKind::Fetch => {
+                    m.instructions += 1;
+                    if caches[cpu].touch(block).is_none() {
+                        m.instr_misses += 1;
+                        fill(&mut caches, cpu, block, &mut m);
+                    }
+                }
+                AccessKind::Load | AccessKind::Store => {
+                    m.data_refs += 1;
+                    let is_shared = shared.contains(&block);
+                    if is_shared {
+                        m.shared_refs += 1;
+                        if !holders(&caches, cpu, block).is_empty() {
+                            m.shared_refs_other_present += 1;
+                        }
+                    }
+                    if caches[cpu].touch(block).is_none() {
+                        m.data_misses += 1;
+                        if is_shared {
+                            m.shared_misses += 1;
+                            if (0..cpus).any(|o| {
+                                o != cpu && caches[o].peek(block).is_some_and(LineState::is_dirty)
+                            }) {
+                                m.shared_misses_other_dirty += 1;
+                            }
+                        }
+                        fill(&mut caches, cpu, block, &mut m);
+                    }
+                    if a.kind.is_write() {
+                        let others = holders(&caches, cpu, block);
+                        if others.is_empty() {
+                            caches[cpu].set_state(block, LineState::Dirty);
+                        } else {
+                            if is_shared {
+                                m.broadcast_stores += 1;
+                                m.broadcast_holders += others.len() as u64;
+                            }
+                            for o in others {
+                                caches[o].set_state(block, LineState::SharedClean);
+                            }
+                            caches[cpu].set_state(block, LineState::SharedDirty);
+                        }
+                    }
+                }
+                AccessKind::Flush => {}
+            }
+        }
+        m
+    }
+
+    proptest::proptest! {
+        /// The one-pass statistics and the single snoop per reference
+        /// count what the reference counts. Every kind of record hits
+        /// every block, so processors fetch from blocks that others
+        /// load and store: a block no two processors load or store can
+        /// still sit in another cache, and the replay must snoop for it.
+        #[test]
+        fn replay_matches_the_reference_replay(
+            records in proptest::collection::vec((0u16..4, 0u8..4, 0u64..1024), 1..500),
+            ways in 1usize..3,
+            sets_log in 0u32..4,
+        ) {
+            use swcc_trace::{Access, AccessKind};
+            let kinds = [
+                AccessKind::Fetch,
+                AccessKind::Load,
+                AccessKind::Store,
+                AccessKind::Flush,
+            ];
+            let trace = Trace::from_records(
+                records
+                    .into_iter()
+                    .map(|(cpu, kind, addr)| Access::new(cpu, kinds[usize::from(kind)], addr))
+                    .collect(),
+            );
+            let mut b = SimConfig::builder(ProtocolKind::Dragon);
+            b.cache_bytes((16 * ways as u64) << sets_log).ways(ways);
+            let config = b.build();
+            let (_, counts) = measure_workload_with_counts(&trace, &config);
+            proptest::prop_assert_eq!(counts, reference_counts(&trace, &config));
+        }
     }
 }

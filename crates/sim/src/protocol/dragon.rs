@@ -20,7 +20,7 @@ use swcc_core::system::Operation;
 use swcc_trace::BlockAddr;
 
 use crate::cache::LineState;
-use crate::machine::Multiprocessor;
+use crate::machine::{snoop, Multiprocessor};
 
 /// Handles a data reference under the Dragon protocol.
 pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: BlockAddr) {
@@ -32,16 +32,15 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
     }
     // Miss. Find a dirty owner (cache supply) and other holders.
     m.counters[cpu].data_misses += 1;
-    let owner = m.find_owner(cpu, block);
-    let shared = !m.other_holders(cpu, block).is_empty();
-    let fill_state = if shared {
+    let found = snoop(&m.caches, cpu, block);
+    let fill_state = if found.holders > 0 {
         LineState::SharedClean
     } else {
         LineState::Clean
     };
     let dirty_victim = m.fill(cpu, block, fill_state);
-    m.miss_op(cpu, dirty_victim, owner.is_some());
-    if let Some(o) = owner {
+    m.miss_op(cpu, dirty_victim, found.owner.is_some());
+    if let Some(o) = found.owner {
         // The supplier keeps ownership; both ends now know it's shared.
         m.caches[o].set_state(block, LineState::SharedDirty);
     }
@@ -51,23 +50,33 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
 }
 
 /// Performs the write half of a store: broadcast if shared, else local.
+///
+/// One pass over the other caches: the first holder found puts the
+/// broadcast on the bus, so every snooper's cycle steal follows it, in
+/// ascending processor order.
 fn store_update(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    let others = m.other_holders(cpu, block);
-    if others.is_empty() {
-        m.caches[cpu].set_state(block, LineState::Dirty);
-    } else {
-        m.counters[cpu].broadcasts += 1;
-        m.bus_op(cpu, Operation::WriteBroadcast);
-        for o in others {
-            // Snooping caches update their copy, stealing one cycle,
-            // and lose any ownership (the writer is now the owner).
-            m.caches[o].set_state(block, LineState::SharedClean);
-            m.counters[o].updates += 1;
-            m.counters[o].cycle_steals += 1;
-            m.bus_op(o, Operation::CycleSteal);
+    let mut broadcast = false;
+    for o in 0..m.caches.len() {
+        // Snooping caches update their copy, stealing one cycle, and
+        // lose any ownership (the writer is now the owner).
+        if o == cpu || !m.caches[o].set_state(block, LineState::SharedClean) {
+            continue;
         }
-        m.caches[cpu].set_state(block, LineState::SharedDirty);
+        if !broadcast {
+            broadcast = true;
+            m.counters[cpu].broadcasts += 1;
+            m.bus_op(cpu, Operation::WriteBroadcast);
+        }
+        m.counters[o].updates += 1;
+        m.counters[o].cycle_steals += 1;
+        m.bus_op(o, Operation::CycleSteal);
     }
+    let state = if broadcast {
+        LineState::SharedDirty
+    } else {
+        LineState::Dirty
+    };
+    m.caches[cpu].set_state(block, state);
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use swcc_core::system::Operation;
 use swcc_trace::BlockAddr;
 
 use crate::cache::LineState;
-use crate::machine::Multiprocessor;
+use crate::machine::{snoop, Multiprocessor};
 
 /// Handles a data reference under the write-invalidate protocol.
 pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: BlockAddr) {
@@ -41,24 +41,23 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
         }
         None => {
             m.counters[cpu].data_misses += 1;
-            let owner = m.find_owner(cpu, block);
-            let others = m.other_holders(cpu, block);
+            let found = snoop(&m.caches, cpu, block);
             let fill_state = if write {
                 LineState::Dirty
-            } else if others.is_empty() {
+            } else if found.holders == 0 {
                 LineState::Clean
             } else {
                 LineState::SharedClean
             };
             let dirty_victim = m.fill(cpu, block, fill_state);
-            m.miss_op(cpu, dirty_victim, owner.is_some());
+            m.miss_op(cpu, dirty_victim, found.owner.is_some());
             if write {
                 invalidate_others(m, cpu, block);
-            } else {
+            } else if found.holders > 0 {
                 // Every snooping holder observes the fill and downgrades
                 // to Shared — including a dirty owner, whose supplying
                 // transfer updates memory (Illinois).
-                for o in others {
+                for o in (0..m.caches.len()).filter(|&o| o != cpu) {
                     m.caches[o].set_state(block, LineState::SharedClean);
                 }
             }
@@ -77,8 +76,10 @@ fn upgrade(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
 
 /// Invalidates every other copy; each snooping cache steals one cycle.
 fn invalidate_others(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    for o in m.other_holders(cpu, block) {
-        m.caches[o].invalidate(block);
+    for o in 0..m.caches.len() {
+        if o == cpu || m.caches[o].invalidate(block).is_none() {
+            continue;
+        }
         m.counters[o].invalidations += 1;
         m.counters[o].cycle_steals += 1;
         m.bus_op(o, Operation::CycleSteal);

@@ -18,25 +18,104 @@
 //! `opres`, `nshd`) depend on cache geometry and are measured by the
 //! simulator (`swcc-sim::measure`).
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 
 use serde::{Deserialize, Serialize};
 
 use crate::record::{AccessKind, BlockAddr, CpuId, Trace};
 
-/// Which processors have touched a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Touch {
-    One(CpuId),
-    Many,
+/// Builds [`BlockHasher`]s, the cheap hasher for block addresses.
+///
+/// Block addresses can come from a trace file, so the state starts from
+/// a seed drawn once per instance from [`RandomState`]: without it, a
+/// crafted trace could pile its blocks into one bucket. A key is xored
+/// into the seed and `finish` applies splitmix64's finalizer: two
+/// multiplies where SipHash spends dozens of rounds.
+#[derive(Debug, Clone)]
+struct BlockHashState {
+    seed: u64,
 }
 
-/// Per-block run state for the `apl` estimator.
+impl BlockHashState {
+    fn new() -> Self {
+        BlockHashState {
+            seed: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl BuildHasher for BlockHashState {
+    type Hasher = BlockHasher;
+
+    fn build_hasher(&self) -> BlockHasher {
+        BlockHasher(self.seed)
+    }
+}
+
+/// The hasher [`BlockHashState`] builds.
+#[derive(Debug, Clone)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        // splitmix64's finalizer: a bijection in which every output bit
+        // depends on every input bit.
+        let mut h = self.0;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+}
+
+/// Per-block state of the measuring pass: the open run of
+/// same-processor references, and the block's data references.
 #[derive(Debug, Clone, Copy)]
-struct Run {
+struct Block {
+    /// The processor whose run is open.
     cpu: CpuId,
-    len: u64,
+    /// Whether a second processor ever referenced the block.
+    shared: bool,
+    /// Whether the open run contains a store.
     wrote: bool,
+    /// References in the open run.
+    len: u64,
+    /// Data references to the block.
+    refs: u64,
+}
+
+/// The blocks that data references from more than one processor touch
+/// (the paper's Dragon-style "shared"), as measured by
+/// [`TraceStats::measure_shared`].
+#[derive(Debug, Clone)]
+pub struct SharedBlocks(HashSet<BlockAddr, BlockHashState>);
+
+impl SharedBlocks {
+    /// Whether `block` is shared.
+    pub fn contains(&self, block: BlockAddr) -> bool {
+        self.0.contains(&block)
+    }
+
+    /// Number of shared blocks.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no block is shared.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// Summary statistics of a multiprocessor trace.
@@ -59,89 +138,82 @@ impl TraceStats {
     /// Measures a trace with the given block-offset width in bits
     /// (4 for the paper's 16-byte blocks).
     pub fn measure(trace: &Trace, block_bits: u32) -> Self {
-        // Pass 1: which blocks are shared (touched by >1 cpu)?
-        let mut touched: HashMap<BlockAddr, Touch> = HashMap::new();
-        for a in trace {
-            if a.kind.is_data() {
-                let block = a.addr.block(block_bits);
-                touched
-                    .entry(block)
-                    .and_modify(|t| {
-                        if *t != Touch::Many && *t != Touch::One(a.cpu) {
-                            *t = Touch::Many;
-                        }
-                    })
-                    .or_insert(Touch::One(a.cpu));
-            }
-        }
-        let data_blocks = touched.len() as u64;
-        let shared_blocks = touched.values().filter(|&&t| t == Touch::Many).count() as u64;
+        Self::measure_shared(trace, block_bits).0
+    }
 
-        // Pass 2: counts and run-length statistics on shared blocks.
+    /// Like [`TraceStats::measure`], also returning the shared blocks.
+    ///
+    /// One pass over the trace. A run closes exactly when a second
+    /// processor references its block, which is also when the block
+    /// becomes shared, so every closed run is a shared block's run and
+    /// the run statistics need not know in advance which blocks are
+    /// shared. Each block counts its data references, and the shared
+    /// blocks' counts add up to the references behind `shd`.
+    pub fn measure_shared(trace: &Trace, block_bits: u32) -> (Self, SharedBlocks) {
         let mut stats = TraceStats {
             instructions: 0,
             loads: 0,
             stores: 0,
             flushes: 0,
             shared_data_refs: 0,
-            data_blocks,
-            shared_blocks,
+            data_blocks: 0,
+            shared_blocks: 0,
             runs: 0,
             write_runs: 0,
             write_run_refs: 0,
             per_cpu_instructions: vec![0; usize::from(trace.cpus())],
         };
-        let mut runs: HashMap<BlockAddr, Run> = HashMap::new();
+        let hasher = BlockHashState::new();
+        let mut blocks: HashMap<BlockAddr, Block, BlockHashState> =
+            HashMap::with_hasher(hasher.clone());
+        // Records of each kind, in `AccessKind` declaration order; the
+        // counts and the per-processor tally need no branch on the kind.
+        let mut kinds = [0u64; 4];
         for a in trace {
-            match a.kind {
-                AccessKind::Fetch => {
-                    stats.instructions += 1;
-                    stats.per_cpu_instructions[a.cpu.index()] += 1;
+            kinds[a.kind as usize] += 1;
+            stats.per_cpu_instructions[a.cpu.index()] += u64::from(a.kind == AccessKind::Fetch);
+            if !a.kind.is_data() {
+                continue;
+            }
+            let write = a.kind.is_write();
+            let block = blocks.entry(a.addr.block(block_bits)).or_insert(Block {
+                cpu: a.cpu,
+                shared: false,
+                wrote: false,
+                len: 0,
+                refs: 0,
+            });
+            if block.cpu != a.cpu {
+                // Another processor took over: close the run.
+                stats.runs += 1;
+                if block.wrote {
+                    stats.write_runs += 1;
+                    stats.write_run_refs += block.len;
                 }
-                AccessKind::Flush => stats.flushes += 1,
-                AccessKind::Load | AccessKind::Store => {
-                    if a.kind.is_write() {
-                        stats.stores += 1;
-                    } else {
-                        stats.loads += 1;
-                    }
-                    let block = a.addr.block(block_bits);
-                    if touched.get(&block) == Some(&Touch::Many) {
-                        stats.shared_data_refs += 1;
-                        match runs.get_mut(&block) {
-                            Some(run) if run.cpu == a.cpu => {
-                                run.len += 1;
-                                run.wrote |= a.kind.is_write();
-                            }
-                            Some(run) => {
-                                // Another processor took over: close the run.
-                                stats.runs += 1;
-                                if run.wrote {
-                                    stats.write_runs += 1;
-                                    stats.write_run_refs += run.len;
-                                }
-                                *run = Run {
-                                    cpu: a.cpu,
-                                    len: 1,
-                                    wrote: a.kind.is_write(),
-                                };
-                            }
-                            None => {
-                                runs.insert(
-                                    block,
-                                    Run {
-                                        cpu: a.cpu,
-                                        len: 1,
-                                        wrote: a.kind.is_write(),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
+                block.cpu = a.cpu;
+                block.shared = true;
+                block.wrote = false;
+                block.len = 0;
+            }
+            block.len += 1;
+            block.wrote |= write;
+            block.refs += 1;
+        }
+        let [fetches, loads, stores, flushes] = kinds;
+        stats.instructions = fetches;
+        stats.loads = loads;
+        stats.stores = stores;
+        stats.flushes = flushes;
+        let mut shared = SharedBlocks(HashSet::with_hasher(hasher));
+        stats.data_blocks = blocks.len() as u64;
+        for (&addr, block) in &blocks {
+            if block.shared {
+                stats.shared_data_refs += block.refs;
+                shared.0.insert(addr);
             }
         }
-        stats
+        stats.shared_blocks = shared.len() as u64;
+        (stats, shared)
     }
 
     /// Instructions executed (fetch records).
@@ -349,5 +421,126 @@ mod tests {
                 .expect("4-cpu trace with sharing has runs")
         };
         assert!(apl(16.0) > apl(2.0), "longer sections → longer runs");
+    }
+
+    /// The two passes [`TraceStats::measure_shared`] replaced, kept as
+    /// its reference: pass 1 finds the shared blocks, pass 2 counts and
+    /// follows runs on those blocks only.
+    fn two_pass_reference(trace: &Trace, block_bits: u32) -> (TraceStats, HashSet<BlockAddr>) {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Touch {
+            One(CpuId),
+            Many,
+        }
+        struct Run {
+            cpu: CpuId,
+            len: u64,
+            wrote: bool,
+        }
+        let mut touched: HashMap<BlockAddr, Touch> = HashMap::new();
+        for a in trace {
+            if a.kind.is_data() {
+                touched
+                    .entry(a.addr.block(block_bits))
+                    .and_modify(|t| {
+                        if *t != Touch::One(a.cpu) {
+                            *t = Touch::Many;
+                        }
+                    })
+                    .or_insert(Touch::One(a.cpu));
+            }
+        }
+        let shared: HashSet<BlockAddr> = touched
+            .iter()
+            .filter(|(_, &t)| t == Touch::Many)
+            .map(|(&b, _)| b)
+            .collect();
+        let mut stats = TraceStats {
+            instructions: 0,
+            loads: 0,
+            stores: 0,
+            flushes: 0,
+            shared_data_refs: 0,
+            data_blocks: touched.len() as u64,
+            shared_blocks: shared.len() as u64,
+            runs: 0,
+            write_runs: 0,
+            write_run_refs: 0,
+            per_cpu_instructions: vec![0; usize::from(trace.cpus())],
+        };
+        let mut runs: HashMap<BlockAddr, Run> = HashMap::new();
+        for a in trace {
+            match a.kind {
+                AccessKind::Fetch => {
+                    stats.instructions += 1;
+                    stats.per_cpu_instructions[a.cpu.index()] += 1;
+                }
+                AccessKind::Flush => stats.flushes += 1,
+                AccessKind::Load | AccessKind::Store => {
+                    let write = a.kind.is_write();
+                    if write {
+                        stats.stores += 1;
+                    } else {
+                        stats.loads += 1;
+                    }
+                    let block = a.addr.block(block_bits);
+                    if !shared.contains(&block) {
+                        continue;
+                    }
+                    stats.shared_data_refs += 1;
+                    let run = runs.entry(block).or_insert(Run {
+                        cpu: a.cpu,
+                        len: 0,
+                        wrote: false,
+                    });
+                    if run.cpu != a.cpu {
+                        stats.runs += 1;
+                        if run.wrote {
+                            stats.write_runs += 1;
+                            stats.write_run_refs += run.len;
+                        }
+                        *run = Run {
+                            cpu: a.cpu,
+                            len: 0,
+                            wrote: false,
+                        };
+                    }
+                    run.len += 1;
+                    run.wrote |= write;
+                }
+            }
+        }
+        (stats, shared)
+    }
+
+    proptest::proptest! {
+        /// One pass gives the two-pass statistics and shared set, on
+        /// traces dense enough in a few blocks that runs open, close
+        /// and interleave across every processor.
+        #[test]
+        fn one_pass_matches_the_two_pass_reference(
+            records in proptest::collection::vec((0u16..4, 0u8..4, 0u64..256), 0..400),
+            block_bits in 0u32..6,
+        ) {
+            let kinds = [
+                AccessKind::Fetch,
+                AccessKind::Load,
+                AccessKind::Store,
+                AccessKind::Flush,
+            ];
+            let trace = Trace::from_records(
+                records
+                    .into_iter()
+                    .map(|(cpu, kind, addr)| acc(cpu, kinds[usize::from(kind)], addr))
+                    .collect(),
+            );
+            let (stats, shared) = TraceStats::measure_shared(&trace, block_bits);
+            let (want, want_shared) = two_pass_reference(&trace, block_bits);
+            proptest::prop_assert_eq!(&stats, &want);
+            proptest::prop_assert_eq!(shared.len(), want_shared.len());
+            for &block in &want_shared {
+                proptest::prop_assert!(shared.contains(block));
+            }
+        }
     }
 }

@@ -123,6 +123,23 @@ impl SynthConfig {
     pub fn generate(&self) -> Trace {
         Generator::new(self.clone()).run()
     }
+
+    /// A builder starting from this configuration, so a preset can be
+    /// rebuilt with one knob changed.
+    ///
+    /// ```
+    /// use swcc_trace::synth::thor_like;
+    ///
+    /// let plain = thor_like(2, 1_000, 7);
+    /// let flushing = plain.to_builder().emit_flushes(true).build();
+    /// assert!(flushing.emits_flushes());
+    /// assert_eq!(flushing.seed(), plain.seed());
+    /// ```
+    pub fn to_builder(&self) -> SynthConfigBuilder {
+        SynthConfigBuilder {
+            config: self.clone(),
+        }
+    }
 }
 
 /// Builder for [`SynthConfig`] (non-consuming, per C-BUILDER).
