@@ -14,17 +14,13 @@
 //! Per-point nanosecond columns are rendered informationally but never
 //! gated.
 //!
-//! Both `swcc-bench/v1` and `swcc-bench/v2` reports are accepted. The
-//! v2-only batch-engine fields (`batch_patel.*`, `batch_grid.*`) are
-//! gated only when the baseline records them: comparing against a v1
-//! baseline skips them, while a v2 baseline makes them mandatory in
-//! the fresh report.
+//! Both reports must be `swcc-bench/v2` and carry every compared field.
 
 use std::fmt::Write as _;
 
 use serde_json::Value;
 
-use crate::{BENCH_SCHEMA, BENCH_SCHEMA_V1};
+use crate::BENCH_SCHEMA;
 
 /// A gated speedup-ratio comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,11 +160,9 @@ fn parse_report(label: &str, json: &str) -> Result<Value, String> {
     let value: Value =
         serde_json::from_str(json).map_err(|e| format!("{label}: invalid JSON: {e}"))?;
     match value.get_field("schema").and_then(Value::as_str) {
-        // Pre-schema reports are accepted as the v1 shape they were.
-        None => Ok(value),
-        Some(s) if s == BENCH_SCHEMA || s == BENCH_SCHEMA_V1 => Ok(value),
-        Some(other) => Err(format!(
-            "{label}: unsupported bench schema {other:?} (expected {BENCH_SCHEMA:?} or {BENCH_SCHEMA_V1:?})"
+        Some(BENCH_SCHEMA) => Ok(value),
+        schema => Err(format!(
+            "{label}: unsupported bench schema {schema:?} (expected {BENCH_SCHEMA:?})"
         )),
     }
 }
@@ -196,38 +190,27 @@ fn lookup_u64(label: &str, v: &Value, path: &'static str) -> Result<u64, String>
 }
 
 /// Speedup-ratio fields gated with the percentage tolerance.
-const RATIO_FIELDS: [&str; 3] = [
+const RATIO_FIELDS: [&str; 5] = [
     "mva_curve.speedup",
     "bus_curve_dragon.speedup",
     "patel_rate_sweep.iteration_speedup",
+    "batch_patel.speedup_vs_warm",
+    "batch_grid.speedup",
 ];
 
 /// Deterministic iteration counts gated exactly.
-const EXACT_FIELDS: [&str; 2] = [
+const EXACT_FIELDS: [&str; 3] = [
     "patel_rate_sweep.cold_iterations",
     "patel_rate_sweep.warm_iterations",
+    "batch_patel.batch_iterations",
 ];
 
 /// Machine-dependent timings, reported but never gated.
-const INFO_FIELDS: [&str; 4] = [
+const INFO_FIELDS: [&str; 8] = [
     "mva_curve.swept_ns_per_point",
     "bus_curve_dragon.swept_ns_per_point",
     "patel_rate_sweep.cold_ns_per_solve",
     "patel_rate_sweep.warm_ns_per_solve",
-];
-
-/// v2-only ratio fields (batch engine). Gated like [`RATIO_FIELDS`],
-/// but only when the **baseline** carries them — a v1 baseline simply
-/// has no batch expectations yet. Once a baseline records them, a
-/// fresh report missing them is an error (the batch engine vanished).
-const V2_RATIO_FIELDS: [&str; 2] = ["batch_patel.speedup_vs_warm", "batch_grid.speedup"];
-
-/// v2-only deterministic counts, gated exactly when the baseline has
-/// them.
-const V2_EXACT_FIELDS: [&str; 1] = ["batch_patel.batch_iterations"];
-
-/// v2-only informational timings.
-const V2_INFO_FIELDS: [&str; 4] = [
     "patel_rate_sweep.setup_ns_per_solve",
     "patel_rate_sweep.iteration_ns",
     "batch_patel.batch_ns_per_solve",
@@ -254,17 +237,8 @@ pub fn compare_reports(
     }
     let old = parse_report("baseline", old_json)?;
     let new = parse_report("fresh", new_json)?;
-
-    // v2-only fields are gated iff the baseline records them; a v1 (or
-    // pre-schema) baseline has no batch expectations to enforce.
-    let in_baseline = |name: &'static str| lookup(&old, name).is_ok();
-
-    let mut ratios = Vec::with_capacity(RATIO_FIELDS.len() + V2_RATIO_FIELDS.len());
-    for name in RATIO_FIELDS
-        .iter()
-        .copied()
-        .chain(V2_RATIO_FIELDS.iter().copied().filter(|&n| in_baseline(n)))
-    {
+    let mut ratios = Vec::with_capacity(RATIO_FIELDS.len());
+    for name in RATIO_FIELDS {
         let o = lookup_f64("baseline", &old, name)?;
         let n = lookup_f64("fresh", &new, name)?;
         ratios.push(RatioRow {
@@ -274,24 +248,16 @@ pub fn compare_reports(
             floor: o * (1.0 - tolerance),
         });
     }
-    let mut exacts = Vec::with_capacity(EXACT_FIELDS.len() + V2_EXACT_FIELDS.len());
-    for name in EXACT_FIELDS
-        .iter()
-        .copied()
-        .chain(V2_EXACT_FIELDS.iter().copied().filter(|&n| in_baseline(n)))
-    {
+    let mut exacts = Vec::with_capacity(EXACT_FIELDS.len());
+    for name in EXACT_FIELDS {
         exacts.push(ExactRow {
             name,
             old: lookup_u64("baseline", &old, name)?,
             new: lookup_u64("fresh", &new, name)?,
         });
     }
-    let mut info = Vec::with_capacity(INFO_FIELDS.len() + V2_INFO_FIELDS.len());
-    for name in INFO_FIELDS
-        .iter()
-        .copied()
-        .chain(V2_INFO_FIELDS.iter().copied().filter(|&n| in_baseline(n)))
-    {
+    let mut info = Vec::with_capacity(INFO_FIELDS.len());
+    for name in INFO_FIELDS {
         info.push(InfoRow {
             name,
             old: lookup_f64("baseline", &old, name)?,
@@ -310,10 +276,25 @@ pub fn compare_reports(
 mod tests {
     use super::*;
 
-    fn report(mva_speedup: f64, cold_iterations: u64) -> String {
+    /// A v2 report with the given gated values, and with the
+    /// batch-engine sections only when `batch` is given.
+    fn doc(mva_speedup: f64, cold_iterations: u64, batch: Option<(f64, u64)>) -> String {
+        let batch = batch.map_or(String::new(), |(speedup, iterations)| {
+            format!(
+                r#",
+              "batch_patel": {{"lanes": 1000, "stages": 8,
+                               "warm_scalar_ns_per_solve": 225.0,
+                               "batch_ns_per_solve": 40.0,
+                               "batch_iterations": {iterations},
+                               "speedup_vs_warm": {speedup}}},
+              "batch_grid": {{"lanes": 1000, "customers": 64,
+                              "pointwise_ns_per_lane": 350.0,
+                              "batch_ns_per_lane": 60.0, "speedup": 5.8}}"#
+            )
+        });
         format!(
             r#"{{
-              "schema": "swcc-bench/v1",
+              "schema": "swcc-bench/v2",
               "samples": 25,
               "generated_by": "test",
               "mva_curve": {{"points": 64, "pointwise_ns_per_point": 170.0,
@@ -324,28 +305,20 @@ mod tests {
                                     "cold_ns_per_solve": 175.0, "warm_ns_per_solve": 179.0,
                                     "cold_iterations": {cold_iterations},
                                     "warm_iterations": 199,
-                                    "iteration_speedup": 1.19, "wall_speedup": 0.98}}
+                                    "iteration_speedup": 1.19, "wall_speedup": 0.98,
+                                    "setup_ns_per_solve": 19.1, "iteration_ns": 44.1}}{batch}
             }}"#
         )
     }
 
-    /// A v2 report: the v1 sections plus the batch-engine additions.
-    fn report_v2(batch_speedup: f64, batch_iterations: u64) -> String {
-        let v1 = report(18.5, 238);
-        let body = v1.trim_end().trim_end_matches('}');
-        format!(
-            r#"{body},
-              "batch_patel": {{"lanes": 1000, "stages": 8,
-                               "warm_scalar_ns_per_solve": 225.0,
-                               "batch_ns_per_solve": 40.0,
-                               "batch_iterations": {batch_iterations},
-                               "speedup_vs_warm": {batch_speedup}}},
-              "batch_grid": {{"lanes": 1000, "customers": 64,
-                              "pointwise_ns_per_lane": 350.0,
-                              "batch_ns_per_lane": 60.0, "speedup": 5.8}}
-            }}"#
-        )
-        .replace("swcc-bench/v1", "swcc-bench/v2")
+    /// A report varying the scalar gated values.
+    fn report(mva_speedup: f64, cold_iterations: u64) -> String {
+        doc(mva_speedup, cold_iterations, Some((5.6, 4242)))
+    }
+
+    /// A report varying the batch-engine gated values.
+    fn batch_report(batch_speedup: f64, batch_iterations: u64) -> String {
+        doc(18.5, 238, Some((batch_speedup, batch_iterations)))
     }
 
     #[test]
@@ -354,11 +327,14 @@ mod tests {
         let outcome = compare_reports(&r, &r, 0.2).unwrap();
         assert!(outcome.passed(), "{}", outcome.render());
         assert!(outcome.render().contains("bench compare: passed"));
+        assert_eq!(outcome.ratios.len(), RATIO_FIELDS.len());
+        assert_eq!(outcome.exacts.len(), EXACT_FIELDS.len());
+        assert_eq!(outcome.info.len(), INFO_FIELDS.len());
     }
 
     #[test]
     fn identical_v2_reports_gate_the_batch_fields() {
-        let r = report_v2(5.6, 4242);
+        let r = batch_report(5.6, 4242);
         let outcome = compare_reports(&r, &r, 0.2).unwrap();
         assert!(outcome.passed(), "{}", outcome.render());
         assert!(outcome
@@ -376,29 +352,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_baseline_skips_batch_fields_against_v2_fresh() {
-        let outcome = compare_reports(&report(18.5, 238), &report_v2(5.6, 4242), 0.2).unwrap();
-        assert!(outcome.passed(), "{}", outcome.render());
-        assert!(!outcome.ratios.iter().any(|r| r.name.starts_with("batch_")));
-        assert!(!outcome.exacts.iter().any(|e| e.name.starts_with("batch_")));
-    }
-
-    #[test]
     fn v2_baseline_requires_batch_fields_in_fresh() {
-        let err = compare_reports(&report_v2(5.6, 4242), &report(18.5, 238), 0.2).unwrap_err();
+        // The batch fields are mandatory on both sides.
+        let batchless = doc(18.5, 238, None);
+        let err = compare_reports(&report(18.5, 238), &batchless, 0.2).unwrap_err();
+        assert!(err.contains("batch_patel"), "{err}");
+        let err = compare_reports(&batchless, &report(18.5, 238), 0.2).unwrap_err();
         assert!(err.contains("batch_patel"), "{err}");
     }
 
     #[test]
     fn drifted_batch_speedup_fails_the_gate() {
-        let outcome = compare_reports(&report_v2(5.6, 4242), &report_v2(2.0, 4242), 0.2).unwrap();
+        let outcome =
+            compare_reports(&batch_report(5.6, 4242), &batch_report(2.0, 4242), 0.2).unwrap();
         assert!(!outcome.passed());
         assert!(outcome.render().contains("FAIL"));
     }
 
     #[test]
     fn drifted_batch_iteration_count_fails_the_gate() {
-        let outcome = compare_reports(&report_v2(5.6, 4242), &report_v2(5.6, 4300), 0.2).unwrap();
+        let outcome =
+            compare_reports(&batch_report(5.6, 4242), &batch_report(5.6, 4300), 0.2).unwrap();
         assert!(!outcome.passed());
     }
 
@@ -425,17 +399,23 @@ mod tests {
     }
 
     #[test]
-    fn schemaless_baselines_are_accepted() {
-        let legacy = report(18.5, 238).replace(r#""schema": "swcc-bench/v1","#, "");
-        let outcome = compare_reports(&legacy, &report(18.5, 238), 0.2).unwrap();
-        assert!(outcome.passed());
-    }
-
-    #[test]
     fn foreign_schema_is_rejected() {
-        let foreign = report(18.5, 238).replace("swcc-bench/v1", "swcc-bench/v9");
-        let err = compare_reports(&foreign, &report(18.5, 238), 0.2).unwrap_err();
-        assert!(err.contains("unsupported bench schema"), "{err}");
+        // Every schema but v2 is foreign: a future revision, the retired
+        // v1, and a report with no schema at all — on either side.
+        let v2 = report(18.5, 238);
+        let foreign = [
+            v2.replace("swcc-bench/v2", "swcc-bench/v9"),
+            v2.replace("swcc-bench/v2", "swcc-bench/v1"),
+            v2.replace(r#""schema": "swcc-bench/v2","#, ""),
+        ];
+        for other in &foreign {
+            let err = compare_reports(other, &v2, 0.2).unwrap_err();
+            assert!(err.contains("unsupported bench schema"), "{err}");
+            assert!(err.contains("baseline"), "{err}");
+            let err = compare_reports(&v2, other, 0.2).unwrap_err();
+            assert!(err.contains("unsupported bench schema"), "{err}");
+            assert!(err.contains("fresh"), "{err}");
+        }
     }
 
     #[test]

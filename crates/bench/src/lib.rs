@@ -17,14 +17,11 @@
 
 pub mod compare;
 
-/// Schema identifier written into every `BENCH_sweep.json` report.
-/// v2 adds the batch-engine sections (`batch_patel`, `batch_grid`) and
-/// the warm-solver setup/iteration time split.
+/// Schema identifier written into every `BENCH_sweep.json` report and
+/// the only one `--compare` accepts. v2 added the batch-engine sections
+/// (`batch_patel`, `batch_grid`) and the warm-solver setup/iteration
+/// time split.
 pub const BENCH_SCHEMA: &str = "swcc-bench/v2";
-
-/// The previous schema revision; `--compare` still accepts v1 (and
-/// pre-schema) baselines, skipping the v2-only fields.
-pub const BENCH_SCHEMA_V1: &str = "swcc-bench/v1";
 
 /// Returns the quick run options shared by all benches, so every bench
 /// times the same workload an experiment smoke test runs.

@@ -1,8 +1,8 @@
 //! Captures build provenance (git commit, toolchain versions, profile)
-//! into compile-time env vars for the v2 run manifest. Every value
-//! degrades to `"unknown"` rather than failing the build — provenance
-//! is best-effort by design (e.g. builds from a source tarball have no
-//! git history).
+//! into compile-time env vars for `repro --version` and the run
+//! records. Every value degrades to `"unknown"` rather than failing the
+//! build — provenance is best-effort by design (e.g. builds from a
+//! source tarball have no git history).
 
 use std::process::Command;
 
@@ -17,6 +17,31 @@ fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
         None
     } else {
         Some(line)
+    }
+}
+
+/// Reruns this script whenever the commit HEAD resolves to can change:
+/// HEAD itself (a checkout), the branch ref it names (a commit on that
+/// branch) and `packed-refs`. `git rev-parse --git-path` resolves each
+/// path, so worktrees and relocated git directories work too. Only
+/// existing paths are watched, because Cargo reruns a script on every
+/// build while a watched path is missing. A branch that lives only in
+/// `packed-refs` is watched through its directory, where the next
+/// commit writes it.
+fn watch_git_head() {
+    let branch = command_line("git", &["symbolic-ref", "-q", "HEAD"]);
+    for name in ["HEAD", "packed-refs"].into_iter().chain(branch.as_deref()) {
+        let Some(mut path) =
+            command_line("git", &["rev-parse", "--git-path", name]).map(std::path::PathBuf::from)
+        else {
+            continue;
+        };
+        if !path.exists() && Some(name) == branch.as_deref() {
+            path.pop();
+        }
+        if path.exists() {
+            println!("cargo:rerun-if-changed={}", path.display());
+        }
     }
 }
 
@@ -37,5 +62,5 @@ fn main() {
     println!("cargo:rustc-env=SWCC_RUSTC={rustc}");
     println!("cargo:rustc-env=SWCC_CARGO={cargo}");
     println!("cargo:rustc-env=SWCC_PROFILE={profile}");
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    watch_git_head();
 }

@@ -4,12 +4,14 @@
 //! repro list                                  list experiment ids and titles
 //! repro all [options]                         run every experiment
 //! repro <id>... [options]                     run selected experiments
-//! repro check-manifest <path>                 validate a run manifest
+//! repro check-record [--record PATH]          validate the newest run record
 //! repro trace-report <path>                   summarize a --trace JSONL file
 //! repro trace-export <path> --format F        convert a trace for other tools
 //! repro history [--last K] [--tolerance PCT]  show run history + drift gate
+//!               [--record PATH]
 //!               [--loadgen-report PATH ...]    …and trend loadgen steady p99
 //! repro report --html PATH [trace.jsonl]      write the HTML run dashboard
+//!              [--record PATH]
 //! repro sim-report [--quick] [--json]         model-vs-sim residuals + event mix
 //!                  [--out PATH]                …with a JSON copy written to PATH
 //! repro accuracy [--quick] [--baseline PATH]  run the model-accuracy gate
@@ -23,12 +25,12 @@
 //!                      available core)
 //!   --metrics          print solver/runner metric totals to stderr after
 //!                      the run
-//!   --manifest PATH    write a schema-versioned JSON run manifest
+//!   --record PATH      append this run's swcc-run/v1 record to the log at
+//!                      PATH; history, report and check-record read the
+//!                      same log (default history/runs.jsonl)
 //!   --trace PATH       record a structured span/event trace as JSONL
 //!   --trace-sample N   keep 1 in N high-frequency (sampled-class) events
 //!                      (default 16; 1 keeps everything)
-//!   --record-history   append this run to the run-history log
-//!   --history-file P   history log path (default history/runs.jsonl)
 //!   --format F         trace-export output: chrome | folded
 //!   --out PATH         trace-export destination (default stdout)
 //! ```
@@ -45,7 +47,9 @@
 //! trends the `swcc-loadgen/v2` steady-state p99 under the same
 //! trailing-median ceiling, printing one explicit skip line for any
 //! report that lacks the quantity (a v1 report, or a run without
-//! `--timeline`).
+//! `--timeline`). `check-record` exits nonzero unless every line of the
+//! log is a `swcc-run/v1` record and the newest covers every registered
+//! experiment.
 //! `report --html` writes a single-file dependency-free dashboard.
 //! `sim-report` reruns the full validation matrix and prints, per
 //! validation point, the model-vs-sim residuals (power, miss rates,
@@ -61,11 +65,12 @@
 //! flags apply once (for value flags, the last value wins). Output
 //! order always matches request order, and every artifact carries a
 //! `runner:` footnote with its wall-clock duration. Observation
-//! (`--metrics`/`--manifest`/`--record-history`) never changes the
-//! artifacts themselves.
+//! (`--metrics`/`--record`/`--trace`) never changes the artifacts
+//! themselves.
 
 use std::io::Write;
 use std::num::NonZeroUsize;
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -73,10 +78,10 @@ use std::time::Instant;
 use swcc_experiments::gate::{run_gate, AccuracyBaseline};
 use swcc_experiments::history::{
     append_record, detect_drift, load_history, loadgen_p99_drift, loadgen_steady_p99,
-    render_history, HistoryRecord, LoadgenP99, DEFAULT_DRIFT_TOLERANCE, DEFAULT_HISTORY_PATH,
+    render_history, BuildProvenance, LoadgenP99, RecordedRun, DEFAULT_DRIFT_TOLERANCE,
+    DEFAULT_RECORD_PATH,
 };
 use swcc_experiments::html_report::render_dashboard;
-use swcc_experiments::manifest::{BuildProvenance, ManifestOptions, RunManifest};
 use swcc_experiments::registry::{find, RunOptions, EXPERIMENTS};
 use swcc_experiments::runner::{self, default_jobs, run_selected_observed};
 use swcc_experiments::sim_report;
@@ -107,17 +112,16 @@ macro_rules! say {
 
 fn usage() {
     eprintln!(
-        "usage: repro list | check-manifest <path> | trace-report <path> |\n\
+        "usage: repro list | check-record [--record PATH] | trace-report <path> |\n\
          \x20      trace-export <path> --format chrome|folded [--out PATH] |\n\
-         \x20      history [--last K] [--tolerance PCT] [--history-file PATH]\n\
+         \x20      history [--last K] [--tolerance PCT] [--record PATH]\n\
          \x20              [--loadgen-report PATH ...] |\n\
-         \x20      report --html PATH [trace.jsonl] [--history-file PATH] |\n\
+         \x20      report --html PATH [trace.jsonl] [--record PATH] |\n\
          \x20      sim-report [--quick] [--json] [--out PATH] |\n\
          \x20      accuracy [--quick] [--baseline PATH] |\n\
          \x20      all [options] | <id>... [options] | --version\n\
-         options: [--quick] [--json] [--jobs N] [--metrics] [--manifest PATH]\n\
-         \x20        [--trace PATH] [--trace-sample N] [--record-history]\n\
-         \x20        [--history-file PATH]"
+         options: [--quick] [--json] [--jobs N] [--metrics] [--record PATH]\n\
+         \x20        [--trace PATH] [--trace-sample N]"
     );
     eprintln!("ids:");
     for e in EXPERIMENTS {
@@ -125,99 +129,207 @@ fn usage() {
     }
 }
 
-/// Removes **every** occurrence of the flag; true if it appeared at all.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != name);
-    args.len() != before
+/// The flags an experiment run accepts.
+const RUN_FLAGS: &[&str] = &[
+    "--quick",
+    "--json",
+    "--all",
+    "--metrics",
+    "--jobs",
+    "--record",
+    "--trace",
+    "--trace-sample",
+];
+
+/// A subcommand's accepted flags, how many positional arguments may
+/// follow its name, and the line printed when either is wrong. `None`
+/// for a name that is not a subcommand (an experiment run).
+fn subcommand(
+    name: &str,
+) -> Option<(&'static [&'static str], RangeInclusive<usize>, &'static str)> {
+    Some(match name {
+        "list" => (&[], 0..=0, "list takes no options or arguments"),
+        "check-record" => (
+            &["--record"],
+            0..=0,
+            "usage: repro check-record [--record PATH]",
+        ),
+        "trace-report" => (&[], 1..=1, "usage: repro trace-report <path>"),
+        "trace-export" => (
+            &["--format", "--out"],
+            1..=1,
+            "usage: repro trace-export <path> --format chrome|folded [--out PATH]",
+        ),
+        "history" => (
+            &["--last", "--tolerance", "--record", "--loadgen-report"],
+            0..=0,
+            "usage: repro history [--last K] [--tolerance PCT] [--record PATH] \
+             [--loadgen-report PATH ...]",
+        ),
+        "report" => (
+            &["--html", "--record"],
+            0..=1,
+            "usage: repro report --html PATH [trace.jsonl] [--record PATH]",
+        ),
+        "sim-report" => (
+            &["--quick", "--json", "--out"],
+            0..=0,
+            "usage: repro sim-report [--quick] [--json] [--out PATH]",
+        ),
+        "accuracy" => (
+            &["--quick", "--baseline"],
+            0..=0,
+            "usage: repro accuracy [--quick] [--baseline PATH]",
+        ),
+        _ => return None,
+    })
 }
 
-/// Parses `--name V` / `--name=V` out of `args`, removing every
-/// occurrence; the last value wins. `Ok(None)` if absent.
-fn take_value_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let prefix = format!("{name}=");
-    let mut value = None;
-    loop {
-        let Some(pos) = args
+/// The command line, consumed flag by flag.
+struct Args {
+    /// Arguments not consumed yet.
+    rest: Vec<String>,
+    /// The flags that appeared.
+    given: Vec<&'static str>,
+}
+
+impl Args {
+    /// Removes **every** occurrence of the flag; true if it appeared at all.
+    fn flag(&mut self, name: &'static str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| a != name);
+        self.seen(name, self.rest.len() != before)
+    }
+
+    /// Removes every `--name V` / `--name=V` occurrence, returning the
+    /// values in order.
+    fn values(&mut self, name: &'static str) -> Result<Vec<String>, String> {
+        let prefix = format!("{name}=");
+        let mut values = Vec::new();
+        while let Some(pos) = self
+            .rest
             .iter()
             .position(|a| a == name || a.starts_with(&prefix))
-        else {
-            return Ok(value);
-        };
-        if args[pos] == name {
-            if pos + 1 >= args.len() {
-                return Err(format!("{name} needs a value"));
+        {
+            if self.rest[pos] == name {
+                if pos + 1 >= self.rest.len() {
+                    return Err(format!("{name} needs a value"));
+                }
+                values.push(self.rest.remove(pos + 1));
+                self.rest.remove(pos);
+            } else {
+                values.push(self.rest.remove(pos)[prefix.len()..].to_string());
             }
-            value = Some(args.remove(pos + 1));
-            args.remove(pos);
-        } else {
-            value = Some(args.remove(pos)[prefix.len()..].to_string());
+        }
+        self.seen(name, !values.is_empty());
+        Ok(values)
+    }
+
+    /// The last value of `--name`, parsed; `what` names the expected
+    /// kind of value in the error.
+    fn value<T>(
+        &mut self,
+        name: &'static str,
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.values(name)?.pop() {
+            Some(v) => parse(&v)
+                .map(Some)
+                .ok_or_else(|| format!("{name}: not {what}: {v}")),
+            None => Ok(None),
+        }
+    }
+
+    fn seen(&mut self, name: &'static str, present: bool) -> bool {
+        if present {
+            self.given.push(name);
+        }
+        present
+    }
+}
+
+/// Everything `repro` parses besides `--version`.
+struct Cli {
+    quick: bool,
+    json: bool,
+    all: bool,
+    metrics: bool,
+    jobs: Option<NonZeroUsize>,
+    record: Option<String>,
+    trace: Option<String>,
+    trace_sample: Option<u64>,
+    baseline: Option<String>,
+    format: Option<String>,
+    out: Option<String>,
+    last: Option<usize>,
+    tolerance: Option<f64>,
+    loadgen_reports: Vec<String>,
+    html: Option<String>,
+}
+
+impl Cli {
+    fn parse(args: &mut Args) -> Result<Cli, String> {
+        let text = |v: &str| Some(v.to_string());
+        let cli = Cli {
+            quick: args.flag("--quick"),
+            json: args.flag("--json"),
+            all: args.flag("--all"),
+            metrics: args.flag("--metrics"),
+            // 0 means "one job per available core".
+            jobs: args.value("--jobs", "a number", |v| {
+                v.parse()
+                    .ok()
+                    .map(|n| NonZeroUsize::new(n).unwrap_or_else(default_jobs))
+            })?,
+            record: args.value("--record", "a path", text)?,
+            trace: args.value("--trace", "a path", text)?,
+            trace_sample: args.value("--trace-sample", "a number", |v| v.parse().ok())?,
+            baseline: args.value("--baseline", "a path", text)?,
+            format: args.value("--format", "a format", text)?,
+            out: args.value("--out", "a path", text)?,
+            last: args.value("--last", "a number", |v| v.parse().ok())?,
+            tolerance: args.value("--tolerance", "a percentage", |v| {
+                let pct: f64 = v.parse().ok()?;
+                (pct.is_finite() && pct >= 0.0).then_some(pct / 100.0)
+            })?,
+            loadgen_reports: args.values("--loadgen-report")?,
+            html: args.value("--html", "a path", text)?,
+        };
+        match args.rest.iter().find(|a| a.starts_with('-')) {
+            Some(unknown) => Err(format!("unknown option: {unknown}")),
+            None => Ok(cli),
         }
     }
 }
 
-/// Parses every `--name V` / `--name=V` occurrence out of `args`, in
-/// order (unlike [`take_value_flag`], repeats accumulate rather than
-/// last-wins — the order is the history order).
-fn take_value_flags(args: &mut Vec<String>, name: &str) -> Result<Vec<String>, String> {
-    let prefix = format!("{name}=");
-    let mut values = Vec::new();
-    loop {
-        let Some(pos) = args
-            .iter()
-            .position(|a| a == name || a.starts_with(&prefix))
-        else {
-            return Ok(values);
-        };
-        if args[pos] == name {
-            if pos + 1 >= args.len() {
-                return Err(format!("{name} needs a value"));
-            }
-            values.push(args.remove(pos + 1));
-            args.remove(pos);
-        } else {
-            values.push(args.remove(pos)[prefix.len()..].to_string());
-        }
-    }
-}
-
-/// Parses the `--jobs` value; `0` means "one job per available core".
-fn parse_jobs(value: &str) -> Result<NonZeroUsize, String> {
-    let n: usize = value
-        .parse()
-        .map_err(|_| format!("--jobs: not a number: {value}"))?;
-    Ok(NonZeroUsize::new(n).unwrap_or_else(default_jobs))
-}
-
-fn check_manifest(path: &str) -> ExitCode {
-    let json = match std::fs::read_to_string(path) {
-        Ok(j) => j,
+fn check_record(path: &str) -> ExitCode {
+    let records = match load_history(Path::new(path)) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("cannot read {path}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let manifest = match RunManifest::from_json(&json) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(newest) = records.last() else {
+        eprintln!("{path}: no run records");
+        return ExitCode::FAILURE;
     };
-    let missing = manifest.missing_experiments();
+    let missing = newest.missing_experiments();
     if !missing.is_empty() {
         eprintln!(
-            "{path}: manifest covers {} of {} experiments; missing: {}",
-            manifest.experiments.len(),
+            "{path}: the newest record covers {} of {} experiments; missing: {}",
+            newest.experiments.len(),
             EXPERIMENTS.len(),
             missing.join(", ")
         );
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "{path}: ok ({} experiments, schema {})",
-        manifest.experiments.len(),
-        manifest.schema
+        "{path}: ok ({} record(s); the newest covers all {} experiments, schema {})",
+        records.len(),
+        newest.experiments.len(),
+        newest.schema
     );
     ExitCode::SUCCESS
 }
@@ -280,12 +392,12 @@ fn trace_export_cmd(path: &str, format_name: &str, out: Option<&str>) -> ExitCod
 }
 
 fn history_cmd(
-    history_file: &str,
+    record_path: &str,
     last: usize,
     tolerance: f64,
     loadgen_reports: &[String],
 ) -> ExitCode {
-    let records = match load_history(Path::new(history_file)) {
+    let records = match load_history(Path::new(record_path)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -334,7 +446,7 @@ fn history_cmd(
     }
 }
 
-fn report_cmd(html_out: &str, trace_path: Option<&str>, history_file: &str) -> ExitCode {
+fn report_cmd(html_out: &str, trace_path: Option<&str>, record_path: &str) -> ExitCode {
     let report = match trace_path {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(jsonl) => Some(trace_report::analyze(&jsonl)),
@@ -345,7 +457,7 @@ fn report_cmd(html_out: &str, trace_path: Option<&str>, history_file: &str) -> E
         },
         None => None,
     };
-    let history = match load_history(Path::new(history_file)) {
+    let history = match load_history(Path::new(record_path)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -432,9 +544,12 @@ fn accuracy_cmd(quick: bool, baseline_path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version") {
-        if args.len() != 1 {
+    let mut args = Args {
+        rest: std::env::args().skip(1).collect(),
+        given: Vec::new(),
+    };
+    if args.rest.iter().any(|a| a == "--version") {
+        if args.rest.len() != 1 {
             eprintln!("--version takes no other arguments");
             return ExitCode::FAILURE;
         }
@@ -446,245 +561,74 @@ fn main() -> ExitCode {
         say!("profile {}", build.profile);
         return ExitCode::SUCCESS;
     }
-    let quick = take_flag(&mut args, "--quick");
-    let json = take_flag(&mut args, "--json");
-    let all_flag = take_flag(&mut args, "--all");
-    let metrics = take_flag(&mut args, "--metrics");
-    let record_history = take_flag(&mut args, "--record-history");
-    macro_rules! value_flag {
-        ($name:literal) => {
-            match take_value_flag(&mut args, $name) {
-                Ok(v) => v,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
+    let cli = match Cli::parse(&mut args) {
+        Ok(cli) => cli,
+        Err(msg) => {
+            eprintln!("{msg}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    let Args { rest: args, given } = args;
+    let record_path = cli.record.as_deref().unwrap_or(DEFAULT_RECORD_PATH);
+    if let Some(name) = args.first().map(String::as_str) {
+        if let Some((flags, arity, line)) = subcommand(name) {
+            let required = match name {
+                "trace-export" => cli.format.is_some(),
+                "report" => cli.html.is_some(),
+                _ => true,
+            };
+            if !required
+                || !arity.contains(&(args.len() - 1))
+                || given.iter().any(|f| !flags.contains(f))
+            {
+                eprintln!("{line}");
+                return ExitCode::FAILURE;
             }
-        };
+            return match name {
+                "list" => {
+                    for e in EXPERIMENTS {
+                        say!("{:<8} {}", e.id, e.title);
+                    }
+                    ExitCode::SUCCESS
+                }
+                "check-record" => check_record(record_path),
+                "trace-report" => trace_report_cmd(&args[1]),
+                "trace-export" => trace_export_cmd(
+                    &args[1],
+                    cli.format.as_deref().unwrap_or_default(),
+                    cli.out.as_deref(),
+                ),
+                "history" => history_cmd(
+                    record_path,
+                    cli.last.unwrap_or(0),
+                    cli.tolerance.unwrap_or(DEFAULT_DRIFT_TOLERANCE),
+                    &cli.loadgen_reports,
+                ),
+                "report" => report_cmd(
+                    cli.html.as_deref().unwrap_or_default(),
+                    args.get(1).map(String::as_str),
+                    record_path,
+                ),
+                "sim-report" => sim_report_cmd(cli.quick, cli.json, cli.out.as_deref()),
+                "accuracy" => accuracy_cmd(
+                    cli.quick,
+                    cli.baseline.as_deref().unwrap_or(DEFAULT_ACCURACY_BASELINE),
+                ),
+                other => unreachable!("{other} is not a subcommand"),
+            };
+        }
     }
-    let jobs = value_flag!("--jobs");
-    let jobs = match jobs.as_deref().map(parse_jobs).transpose() {
-        Ok(j) => j,
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest_path = value_flag!("--manifest");
-    let trace_path = value_flag!("--trace");
-    let trace_sample = value_flag!("--trace-sample");
-    let trace_sample = match trace_sample
-        .as_deref()
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("--trace-sample: not a number: {v}"))
-        })
-        .transpose()
-    {
-        Ok(s) => s.unwrap_or(TRACE_SAMPLE_DEFAULT),
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline_path = value_flag!("--baseline");
-    let format = value_flag!("--format");
-    let out = value_flag!("--out");
-    let last = value_flag!("--last");
-    let last = match last
-        .as_deref()
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--last: not a number: {v}"))
-        })
-        .transpose()
-    {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let tolerance = value_flag!("--tolerance");
-    let tolerance = match tolerance
-        .as_deref()
-        .map(|v| match v.parse::<f64>() {
-            Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct / 100.0),
-            _ => Err(format!("--tolerance: not a percentage: {v}")),
-        })
-        .transpose()
-    {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let history_file = value_flag!("--history-file");
-    let loadgen_reports = match take_value_flags(&mut args, "--loadgen-report") {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let html = value_flag!("--html");
-    if let Some(unknown) = args.iter().find(|a| a.starts_with('-')) {
-        eprintln!("unknown option: {unknown}");
+    if let Some(flag) = given.iter().find(|f| !RUN_FLAGS.contains(f)) {
+        eprintln!("{flag} does not apply to experiment runs");
         usage();
         return ExitCode::FAILURE;
     }
-    let export_option = format.is_some() || out.is_some();
-    let history_option = last.is_some() || tolerance.is_some() || !loadgen_reports.is_empty();
-    let report_option = html.is_some();
-    let history_file_option = history_file.is_some();
-    let run_option = json
-        || all_flag
-        || metrics
-        || record_history
-        || jobs.is_some()
-        || manifest_path.is_some()
-        || trace_path.is_some();
-    let any_option = quick
-        || run_option
-        || baseline_path.is_some()
-        || export_option
-        || history_option
-        || report_option
-        || history_file_option;
-    if args.first().map(String::as_str) == Some("list") {
-        if any_option || args.len() > 1 {
-            eprintln!("list takes no options or arguments");
-            usage();
-            return ExitCode::FAILURE;
-        }
-        for e in EXPERIMENTS {
-            say!("{:<8} {}", e.id, e.title);
-        }
-        return ExitCode::SUCCESS;
-    }
-    if args.first().map(String::as_str) == Some("check-manifest") {
-        if any_option || args.len() != 2 {
-            eprintln!("usage: repro check-manifest <path>");
-            return ExitCode::FAILURE;
-        }
-        return check_manifest(&args[1]);
-    }
-    if args.first().map(String::as_str) == Some("trace-report") {
-        if any_option || args.len() != 2 {
-            eprintln!("usage: repro trace-report <path>");
-            return ExitCode::FAILURE;
-        }
-        return trace_report_cmd(&args[1]);
-    }
-    if args.first().map(String::as_str) == Some("trace-export") {
-        let other = quick
-            || run_option
-            || baseline_path.is_some()
-            || history_option
-            || report_option
-            || history_file_option;
-        if other || args.len() != 2 || format.is_none() {
-            eprintln!("usage: repro trace-export <path> --format chrome|folded [--out PATH]");
-            return ExitCode::FAILURE;
-        }
-        return trace_export_cmd(
-            &args[1],
-            format.as_deref().unwrap_or_default(),
-            out.as_deref(),
-        );
-    }
-    if args.first().map(String::as_str) == Some("history") {
-        let other =
-            quick || run_option || baseline_path.is_some() || export_option || report_option;
-        if other || args.len() != 1 {
-            eprintln!(
-                "usage: repro history [--last K] [--tolerance PCT] [--history-file PATH] \
-                 [--loadgen-report PATH ...]"
-            );
-            return ExitCode::FAILURE;
-        }
-        return history_cmd(
-            history_file.as_deref().unwrap_or(DEFAULT_HISTORY_PATH),
-            last.unwrap_or(0),
-            tolerance.unwrap_or(DEFAULT_DRIFT_TOLERANCE),
-            &loadgen_reports,
-        );
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        let other =
-            quick || run_option || baseline_path.is_some() || export_option || history_option;
-        if other || args.len() > 2 || html.is_none() {
-            eprintln!("usage: repro report --html PATH [trace.jsonl] [--history-file PATH]");
-            return ExitCode::FAILURE;
-        }
-        return report_cmd(
-            html.as_deref().unwrap_or_default(),
-            args.get(1).map(String::as_str),
-            history_file.as_deref().unwrap_or(DEFAULT_HISTORY_PATH),
-        );
-    }
-    if args.first().map(String::as_str) == Some("sim-report") {
-        let other = all_flag
-            || metrics
-            || record_history
-            || jobs.is_some()
-            || manifest_path.is_some()
-            || trace_path.is_some()
-            || baseline_path.is_some()
-            || format.is_some()
-            || history_option
-            || report_option
-            || history_file_option;
-        if other || args.len() > 1 {
-            eprintln!("usage: repro sim-report [--quick] [--json] [--out PATH]");
-            return ExitCode::FAILURE;
-        }
-        return sim_report_cmd(quick, json, out.as_deref());
-    }
-    if args.first().map(String::as_str) == Some("accuracy") {
-        let other =
-            run_option || export_option || history_option || report_option || history_file_option;
-        if other || args.len() > 1 {
-            eprintln!("usage: repro accuracy [--quick] [--baseline PATH]");
-            return ExitCode::FAILURE;
-        }
-        return accuracy_cmd(
-            quick,
-            baseline_path
-                .as_deref()
-                .unwrap_or(DEFAULT_ACCURACY_BASELINE),
-        );
-    }
-    if baseline_path.is_some() {
-        eprintln!("--baseline only applies to the accuracy subcommand");
+    if args.is_empty() && !cli.all {
         usage();
         return ExitCode::FAILURE;
     }
-    if export_option || history_option || report_option {
-        eprintln!(
-            "--format/--out, --last/--tolerance/--loadgen-report, and --html only apply \
-             to the trace-export, sim-report, history, and report subcommands"
-        );
-        usage();
-        return ExitCode::FAILURE;
-    }
-    if history_file_option && !record_history {
-        eprintln!("--history-file on a run requires --record-history");
-        usage();
-        return ExitCode::FAILURE;
-    }
-    if args.is_empty() && !all_flag {
-        usage();
-        return ExitCode::FAILURE;
-    }
-    let wants_all = all_flag || args.iter().any(|a| a == "all");
+    let wants_all = cli.all || args.iter().any(|a| a == "all");
     let selected: Vec<&'static swcc_experiments::Experiment> = if wants_all {
         if args.iter().any(|a| a != "all") {
             eprintln!("cannot combine 'all' with explicit experiment ids");
@@ -709,12 +653,12 @@ fn main() -> ExitCode {
         }
         v
     };
-    let opts = if quick {
+    let opts = if cli.quick {
         RunOptions::quick()
     } else {
         RunOptions::default()
     };
-    let observe = metrics || manifest_path.is_some() || record_history;
+    let observe = cli.metrics || cli.record.is_some();
     let registry = if observe {
         let builder = swcc_core::metrics::register(swcc_obs::RegistryBuilder::new());
         let builder = swcc_sim::metrics::register(builder);
@@ -728,9 +672,10 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let trace_sink = if let Some(path) = &trace_path {
+    let trace_sink = if let Some(path) = &cli.trace {
+        let sample = cli.trace_sample.unwrap_or(TRACE_SAMPLE_DEFAULT).max(1);
         let sink: &'static swcc_obs::JsonlSink = Box::leak(Box::new(
-            swcc_obs::JsonlSink::with_sampling(TRACE_CAPACITY, trace_sample.max(1)),
+            swcc_obs::JsonlSink::with_sampling(TRACE_CAPACITY, sample),
         ));
         if swcc_obs::install_sink(sink).is_err() {
             eprintln!("cannot install trace sink");
@@ -740,12 +685,14 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let jobs = jobs.unwrap_or_else(|| NonZeroUsize::new(1).expect("1 is non-zero"));
+    let jobs = cli
+        .jobs
+        .unwrap_or_else(|| NonZeroUsize::new(1).expect("1 is non-zero"));
     let count = selected.len();
     let wall = Instant::now();
     let records = run_selected_observed(&selected, &opts, jobs, observe);
     let wall = wall.elapsed();
-    if json {
+    if cli.json {
         let artifacts: Vec<(&str, swcc_experiments::Artifact)> =
             records.iter().map(|r| (r.id, r.artifact.clone())).collect();
         match serde_json::to_string_pretty(&artifacts) {
@@ -763,38 +710,21 @@ fn main() -> ExitCode {
     }
     if let Some(registry) = registry {
         let totals = registry.snapshot();
-        if let Some(path) = &manifest_path {
-            let manifest = RunManifest::new(
-                ManifestOptions {
-                    quick,
-                    jobs: jobs.get(),
-                },
-                &records,
-                wall.as_secs_f64() * 1e3,
-                &totals,
-            );
-            if let Err(e) = std::fs::write(path, manifest.to_json() + "\n") {
-                eprintln!("cannot write manifest {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote manifest to {path}");
-        }
-        if record_history {
-            let record = HistoryRecord::from_run(
-                quick,
+        if let Some(path) = &cli.record {
+            let record = RecordedRun::from_run(
+                cli.quick,
                 jobs.get(),
                 &records,
                 wall.as_secs_f64() * 1e3,
                 &totals,
             );
-            let path = history_file.as_deref().unwrap_or(DEFAULT_HISTORY_PATH);
             if let Err(e) = append_record(Path::new(path), &record) {
-                eprintln!("cannot append history record to {path}: {e}");
+                eprintln!("cannot append run record to {path}: {e}");
                 return ExitCode::FAILURE;
             }
-            eprintln!("recorded run history to {path}");
+            eprintln!("recorded run to {path}");
         }
-        if metrics {
+        if cli.metrics {
             eprint!("{}", totals.render());
         }
     }

@@ -3,10 +3,10 @@
 //! The paper's validation figures (Figs 1–3) bound how far the analytic
 //! model may drift from the trace-driven simulation. This module turns
 //! that envelope into a CI gate: a checked-in baseline file declares an
-//! explicit tolerance per figure, the gate re-runs the figure and
-//! compares [`crate::validation::max_relative_error`] against it, and
-//! any breach fails the run. A baseline is data, not code — tightening
-//! the envelope is a one-line diff reviewers can see.
+//! explicit tolerance per figure, the gate re-runs the figure's curves
+//! of the validation matrix and compares their worst power error
+//! against it, and any breach fails the run. A baseline is data, not
+//! code — tightening the envelope is a one-line diff reviewers can see.
 
 use serde::{Deserialize, Serialize};
 
@@ -141,15 +141,24 @@ pub fn run_gate(
 ) -> Result<GateOutcome, String> {
     let mut rows = Vec::with_capacity(baseline.figures.len());
     for figure in &baseline.figures {
-        let artifact = match figure.id.as_str() {
-            "fig1" => validation::fig1(opts),
-            "fig2" => validation::fig2(opts),
-            "fig3" => validation::fig3(opts),
-            other => return Err(format!("accuracy baseline names unknown figure {other:?}")),
-        };
+        let curves: Vec<_> = validation::curves()
+            .into_iter()
+            .filter(|c| c.figure == figure.id)
+            .collect();
+        if curves.is_empty() {
+            return Err(format!(
+                "accuracy baseline names unknown figure {:?}",
+                figure.id
+            ));
+        }
+        let measured = curves
+            .iter()
+            .flat_map(|c| validation::run_curve(c, opts).points)
+            .map(|p| p.power_rel_error())
+            .fold(0.0, f64::max);
         rows.push(GateRow {
             id: figure.id.clone(),
-            measured: validation::max_relative_error(&artifact),
+            measured,
             limit: figure.max_rel_error,
         });
     }

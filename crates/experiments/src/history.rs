@@ -1,64 +1,175 @@
-//! The append-only run-history store behind `repro all
-//! --record-history` and the `repro history` drift gate.
+//! The run record and its append-only log behind `repro --record`,
+//! `history`, `report` and `check-record`.
 //!
-//! Bench baselines (`swcc-bench --compare`) catch regressions against
-//! a *committed* reference file, but need someone to have committed
-//! one. History is the complement: every recorded run appends one
-//! line to `history/runs.jsonl` (schema [`HISTORY_SCHEMA`]), and
+//! A recorded run appends one `swcc-run/v1` line ([`RUN_SCHEMA`]) to a
+//! JSONL log (`history/runs.jsonl` by default): build provenance, the
+//! run options, the wall clock, each experiment's timings, worker and
+//! counters, per-figure model-vs-simulation accuracy, and the run's
+//! metric totals. One strict reader ([`RecordedRun::from_jsonl`]) reads
+//! it back and rejects every other schema.
+//!
 //! `repro history` compares the newest record against the **trailing
-//! median** of its comparable predecessors — regression detection
-//! that works with no baseline at all and gets stronger as the log
-//! grows.
+//! median** of its comparable predecessors — regression detection that
+//! needs no committed baseline and gets stronger as the log grows. Only
+//! machine-independent quantities are gated, so a laptop and a CI runner
+//! can share a log, and each is a ceiling (lower is better):
 //!
-//! Only machine-independent quantities are gated, so a laptop and a
-//! CI runner can share a log:
+//! * **solver work** — the run's `core.solver.solves` and
+//!   `core.solver.residual_evals` totals;
+//! * **per-figure accuracy** — the worst model-vs-simulation error of
+//!   each validation figure.
 //!
-//! * **warm-start iteration speedup** (higher is better; floor) —
-//!   the residual-evaluation ratio of cold versus warm Patel sweeps,
-//!   deterministic for a given solver.
-//! * **solver work counts** (lower is better; ceiling) — residual
-//!   evaluations and solves across the whole run.
-//! * **per-figure accuracy errors** (lower is better; ceiling) — the
-//!   model-vs-simulation envelope of each validation figure.
-//! * **batch reference iterations** (lower is better; ceiling) — the
-//!   residual evaluations of a fixed 256-lane batch solve,
-//!   deterministic for a given batch engine.
-//! * **sim reference makespan** (lower is better; ceiling) — the final
-//!   cycle count of a fixed reference trace replay, deterministic for
-//!   a given simulator.
-//!
-//! Wall-clock time, batch throughput (lanes per second), and sim
-//! throughput (accesses per second) are recorded for the trend table
-//! but never gated.
-//! Records from `--quick` runs and full runs are never compared with
-//! each other (the workload differs by construction), and a record is
-//! only comparable when it covers the same number of experiments.
+//! Wall clock and simulator throughput (`sim.accesses` over the summed
+//! `sim.run_ms`) are shown in the trend table but never gated. Records
+//! from `--quick` runs and full runs are never compared with each other
+//! (the workload differs by construction), and a record is only
+//! comparable when it covers the same number of experiments.
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use swcc_core::batch::BatchPatelSolver;
 use swcc_core::metrics as core_metrics;
-use swcc_core::network::{solve_with, SolveOptions};
 use swcc_obs::quantile::median;
 use swcc_obs::MetricsSnapshot;
+use swcc_sim::metrics as sim_metrics;
 
 use crate::artifact::Artifact;
-use crate::manifest::{BuildProvenance, MetricsReport};
+use crate::registry::EXPERIMENTS;
 use crate::runner::RunRecord;
 use crate::validation::max_relative_error;
 
-/// Schema identifier written into every history record.
-pub const HISTORY_SCHEMA: &str = "swcc-run-history/v1";
+/// Schema identifier of every run record.
+pub const RUN_SCHEMA: &str = "swcc-run/v1";
 
 /// Default relative drift tolerance (5%).
 pub const DEFAULT_DRIFT_TOLERANCE: f64 = 0.05;
 
-/// Default path of the history log, relative to the working directory.
-pub const DEFAULT_HISTORY_PATH: &str = "history/runs.jsonl";
+/// Default path of the record log, relative to the working directory.
+pub const DEFAULT_RECORD_PATH: &str = "history/runs.jsonl";
+
+/// Build provenance stamped into every record at compile time (see
+/// `build.rs`). Every field degrades to `"unknown"` rather than
+/// failing — e.g. a build from a source tarball has no git commit.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BuildProvenance {
+    /// Abbreviated git commit the binary was built from.
+    pub git_commit: String,
+    /// `rustc --version` of the compiling toolchain.
+    pub rustc: String,
+    /// `cargo --version` of the driving cargo.
+    pub cargo: String,
+    /// Cargo build profile (`"debug"` / `"release"`).
+    pub profile: String,
+}
+
+impl BuildProvenance {
+    /// The provenance baked into this binary.
+    pub fn current() -> Self {
+        BuildProvenance {
+            git_commit: option_env!("SWCC_GIT_COMMIT")
+                .unwrap_or("unknown")
+                .to_string(),
+            rustc: option_env!("SWCC_RUSTC").unwrap_or("unknown").to_string(),
+            cargo: option_env!("SWCC_CARGO").unwrap_or("unknown").to_string(),
+            profile: option_env!("SWCC_PROFILE").unwrap_or("unknown").to_string(),
+        }
+    }
+}
+
+/// One named counter value.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MetricCounter {
+    /// Metric name (`"core.solver.residual_evals"`, ...).
+    pub name: String,
+    /// Accumulated value.
+    pub value: u64,
+}
+
+/// One named gauge value.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MetricGauge {
+    /// Metric name.
+    pub name: String,
+    /// Last value set.
+    pub value: f64,
+}
+
+/// One named histogram, reduced to count/sum/mean.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MetricHistogram {
+    /// Metric name.
+    pub name: String,
+    /// Observations recorded.
+    pub count: u64,
+    /// Sum of all finite observations.
+    pub sum: f64,
+    /// `sum / count`, or `0.0` when empty.
+    pub mean: f64,
+}
+
+/// A metrics snapshot in record form.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct MetricsReport {
+    /// Counters, sorted by name.
+    pub counters: Vec<MetricCounter>,
+    /// Gauges, sorted by name.
+    pub gauges: Vec<MetricGauge>,
+    /// Histograms, sorted by name.
+    pub histograms: Vec<MetricHistogram>,
+}
+
+impl MetricsReport {
+    /// Converts an in-memory snapshot to record form.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Self {
+        MetricsReport {
+            counters: snapshot
+                .counters
+                .iter()
+                .map(|c| MetricCounter {
+                    name: c.name.clone(),
+                    value: c.value,
+                })
+                .collect(),
+            gauges: snapshot
+                .gauges
+                .iter()
+                .map(|g| MetricGauge {
+                    name: g.name.clone(),
+                    value: g.value,
+                })
+                .collect(),
+            histograms: snapshot
+                .histograms
+                .iter()
+                .map(|h| MetricHistogram {
+                    name: h.name.clone(),
+                    count: h.count,
+                    sum: h.sum,
+                    mean: h.mean(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// One experiment's entry in a record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ExperimentRun {
+    /// Stable experiment id.
+    pub id: String,
+    /// Human-readable title.
+    pub title: String,
+    /// Wall-clock run time in milliseconds.
+    pub duration_ms: f64,
+    /// Queue wait (batch start to claim) in milliseconds.
+    pub queue_wait_ms: f64,
+    /// Zero-based worker thread index that ran it.
+    pub worker: usize,
+    /// Solver/sweep counters attributed to this experiment.
+    pub counters: Vec<MetricCounter>,
+}
 
 /// Model-vs-simulation accuracy of one validation figure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,161 +180,10 @@ pub struct AccuracyEntry {
     pub max_rel_error: f64,
 }
 
-/// Whole-run solver work counters (machine-independent).
+/// One recorded run: a single `swcc-run/v1` line of the log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SolverStats {
-    /// Guarded-Newton solves completed.
-    pub solves: u64,
-    /// Residual evaluations across all solves.
-    pub residual_evals: u64,
-    /// Solves that reused a warm-start hint.
-    pub warm_reuses: u64,
-    /// Newton steps that fell back to the bisection midpoint.
-    pub bracket_fallbacks: u64,
-}
-
-/// The cold-versus-warm Patel iteration comparison, recomputed at
-/// record time (cheap: iteration counts only, no timing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WarmStartStats {
-    /// Residual evaluations of the cold (reset-per-solve) sweep.
-    pub cold_iterations: u64,
-    /// Residual evaluations of the warm-started sweep.
-    pub warm_iterations: u64,
-    /// `cold / warm` — the machine-independent speedup the sweep
-    /// engine's warm starting buys.
-    pub iteration_speedup: f64,
-}
-
-impl WarmStartStats {
-    /// Recomputes the cold/warm iteration sweep (the same 50-solve
-    /// rate sweep `swcc-bench` times, minus the timing).
-    pub fn measure() -> WarmStartStats {
-        const SOLVES: u32 = 50;
-        const STAGES: u32 = 8;
-        /// Residual evaluations of the rate sweep, each solve hinted
-        /// with the previous one's `U` when `warm`.
-        fn sweep(warm: bool) -> u64 {
-            let ((), span) = swcc_obs::capture(|| {
-                let mut hint = None;
-                for i in 1..=SOLVES {
-                    let options = SolveOptions {
-                        hint,
-                        ..SolveOptions::default()
-                    };
-                    let op = solve_with(f64::from(i) * 0.002, 20.0, STAGES, options)
-                        .expect("bench sweep rates are solvable");
-                    if warm {
-                        hint = Some(op.think_fraction());
-                    }
-                }
-            });
-            span.counter(core_metrics::SOLVER_RESIDUAL_EVALS)
-                .unwrap_or(0)
-        }
-        let cold_iterations = sweep(false);
-        let warm_iterations = sweep(true);
-        WarmStartStats {
-            cold_iterations,
-            warm_iterations,
-            iteration_speedup: cold_iterations as f64 / warm_iterations.max(1) as f64,
-        }
-    }
-}
-
-/// Batch-engine statistics: the run's whole-run lane counters plus a
-/// fixed reference grid re-solved at record time (mirroring how
-/// [`WarmStartStats`] re-runs the bench rate sweep).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchStats {
-    /// Batched Patel solves the recorded run issued.
-    pub batches: u64,
-    /// Lanes across those batches.
-    pub lanes: u64,
-    /// Residual evaluations of the fixed 256-lane reference grid —
-    /// deterministic for a given solver, so it is gated as a ceiling
-    /// like the scalar iteration counts.
-    pub reference_iterations: u64,
-    /// Reference-grid throughput in lanes per second. Machine
-    /// dependent: shown in the trend table, never gated.
-    pub lanes_per_second: f64,
-}
-
-impl BatchStats {
-    /// Lanes in the reference grid.
-    pub const REFERENCE_LANES: usize = 256;
-
-    /// Re-solves the fixed reference grid (the bench batch section's
-    /// demand range at a smaller width) and pairs it with the run's
-    /// batch counters.
-    pub fn measure(batches: u64, lanes: u64) -> BatchStats {
-        const STAGES: u32 = 8;
-        const REPS: usize = 8;
-        let rates: Vec<f64> = (1..=Self::REFERENCE_LANES)
-            .map(|i| i as f64 * 4.0e-4)
-            .collect();
-        let sizes = vec![20.0; Self::REFERENCE_LANES];
-        let solver = BatchPatelSolver::new();
-        let start = Instant::now();
-        let mut reference_iterations = 0;
-        for _ in 0..REPS {
-            let solution = solver
-                .solve(&rates, &sizes, STAGES)
-                .expect("reference grid is solvable");
-            reference_iterations = solution.total_iterations();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        BatchStats {
-            batches,
-            lanes,
-            reference_iterations,
-            lanes_per_second: (Self::REFERENCE_LANES * REPS) as f64 / elapsed.max(1e-12),
-        }
-    }
-}
-
-/// Simulator statistics: a fixed reference trace replay re-run at
-/// record time (the same re-measure-at-record-time shape as
-/// [`WarmStartStats`] and [`BatchStats`]), so sim wall-clock and
-/// throughput trend alongside the solver quantities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimStats {
-    /// Trace records the reference replay processed.
-    pub reference_accesses: u64,
-    /// Final makespan (cycles) of the reference replay —
-    /// deterministic for a given simulator, so it is gated as a
-    /// ceiling like the solver iteration counts.
-    pub reference_makespan: u64,
-    /// Reference-replay throughput in accesses per second. Machine
-    /// dependent: shown in the trend table, never gated.
-    pub accesses_per_second: f64,
-    /// Reference-replay wall-clock milliseconds (trend only).
-    pub wall_ms: f64,
-}
-
-impl SimStats {
-    /// Replays the fixed reference trace (Dragon, 4 processors) and
-    /// measures throughput.
-    pub fn measure() -> SimStats {
-        use swcc_sim::{simulate, ProtocolKind, SimConfig};
-        let trace = swcc_trace::synth::pops_like(4, 10_000, 0xA7).generate();
-        let config = SimConfig::new(ProtocolKind::Dragon);
-        let start = Instant::now();
-        let report = simulate(&trace, &config);
-        let elapsed = start.elapsed().as_secs_f64();
-        SimStats {
-            reference_accesses: trace.len() as u64,
-            reference_makespan: report.makespan(),
-            accesses_per_second: trace.len() as f64 / elapsed.max(1e-12),
-            wall_ms: elapsed * 1e3,
-        }
-    }
-}
-
-/// One recorded run: a single line of `history/runs.jsonl`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistoryRecord {
-    /// Always [`HISTORY_SCHEMA`].
+pub struct RecordedRun {
+    /// Always [`RUN_SCHEMA`].
     pub schema: String,
     /// Build provenance of the recording binary.
     pub build: BuildProvenance,
@@ -231,26 +191,19 @@ pub struct HistoryRecord {
     pub quick: bool,
     /// Worker threads the runner was given.
     pub jobs: usize,
-    /// Experiments the run covered.
-    pub experiments: usize,
     /// Whole-batch wall-clock milliseconds (trend only, never gated).
     pub wall_ms: f64,
+    /// Per-experiment entries, in run order.
+    pub experiments: Vec<ExperimentRun>,
     /// Per-validation-figure accuracy, sorted by figure id.
     pub accuracy: Vec<AccuracyEntry>,
-    /// Whole-run solver counters.
-    pub solver: SolverStats,
-    /// Cold-versus-warm iteration comparison.
-    pub warm_start: WarmStartStats,
-    /// Batch-engine counters and reference-grid measurement. `None`
-    /// only for records written before the batch engine existed.
-    pub batch: Option<BatchStats>,
-    /// Simulator reference-replay measurement. `None` only for records
-    /// written before sim telemetry existed.
-    pub sim: Option<SimStats>,
+    /// Process-wide metric totals (from the installed registry).
+    pub metrics: MetricsReport,
 }
 
-impl HistoryRecord {
-    /// Builds a record from a finished observed run.
+impl RecordedRun {
+    /// Builds a record from a finished observed run and the process-wide
+    /// metrics snapshot.
     ///
     /// Validation figures are recognized by their `"… sim"` series
     /// (the model/sim pairing [`max_relative_error`] scores); other
@@ -261,7 +214,7 @@ impl HistoryRecord {
         records: &[RunRecord],
         wall_ms: f64,
         totals: &MetricsSnapshot,
-    ) -> HistoryRecord {
+    ) -> RecordedRun {
         let mut accuracy: Vec<AccuracyEntry> = records
             .iter()
             .filter_map(|r| match &r.artifact {
@@ -275,70 +228,91 @@ impl HistoryRecord {
             })
             .collect();
         accuracy.sort_by(|a, b| a.figure.cmp(&b.figure));
-
-        let report = MetricsReport::from_snapshot(totals);
-        let counter = |name: &str| report.counter(name).unwrap_or(0);
-        HistoryRecord {
-            schema: HISTORY_SCHEMA.to_string(),
+        RecordedRun {
+            schema: RUN_SCHEMA.to_string(),
             build: BuildProvenance::current(),
             quick,
             jobs,
-            experiments: records.len(),
             wall_ms,
+            experiments: records
+                .iter()
+                .map(|r| ExperimentRun {
+                    id: r.id.to_string(),
+                    title: r.title.to_string(),
+                    duration_ms: r.duration.as_secs_f64() * 1e3,
+                    queue_wait_ms: r.queue_wait.as_secs_f64() * 1e3,
+                    worker: r.worker,
+                    counters: MetricsReport::from_snapshot(&r.metrics).counters,
+                })
+                .collect(),
             accuracy,
-            solver: SolverStats {
-                solves: counter(core_metrics::SOLVER_SOLVES),
-                residual_evals: counter(core_metrics::SOLVER_RESIDUAL_EVALS),
-                warm_reuses: counter(core_metrics::SOLVER_WARM_REUSES),
-                bracket_fallbacks: counter(core_metrics::SOLVER_BRACKET_FALLBACKS),
-            },
-            warm_start: WarmStartStats::measure(),
-            batch: Some(BatchStats::measure(
-                counter(core_metrics::BATCH_PATEL_BATCHES),
-                counter(core_metrics::BATCH_PATEL_LANES),
-            )),
-            sim: Some(SimStats::measure()),
+            metrics: MetricsReport::from_snapshot(totals),
         }
     }
 
     /// Serializes to one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        serde_json::to_string(self).expect("history serialization is infallible")
+        serde_json::to_string(self).expect("record serialization is infallible")
     }
 
-    /// Parses one JSONL line, rejecting unknown schema revisions.
+    /// Parses one JSONL line.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON, a wrong
-    /// shape, or a schema other than [`HISTORY_SCHEMA`].
-    pub fn from_jsonl(line: &str) -> Result<HistoryRecord, String> {
+    /// shape, or a schema other than [`RUN_SCHEMA`].
+    pub fn from_jsonl(line: &str) -> Result<RecordedRun, String> {
         let value: Value =
-            serde_json::from_str(line).map_err(|e| format!("invalid history record: {e}"))?;
-        let schema = value
-            .get_field("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "history record has no schema field".to_string())?;
-        if schema != HISTORY_SCHEMA {
-            return Err(format!(
-                "unsupported history schema {schema:?} (expected {HISTORY_SCHEMA:?})"
-            ));
+            serde_json::from_str(line).map_err(|e| format!("invalid run record: {e}"))?;
+        match value.get_field("schema").and_then(Value::as_str) {
+            Some(RUN_SCHEMA) => {
+                RecordedRun::from_value(&value).map_err(|e| format!("invalid run record: {e}"))
+            }
+            Some(other) => Err(format!(
+                "unsupported run record schema {other:?} (expected {RUN_SCHEMA:?})"
+            )),
+            None => Err(format!(
+                "run record has no schema field (expected {RUN_SCHEMA:?})"
+            )),
         }
-        if value.get_field("batch").is_none() {
-            // Pre-batch-engine record: the vendored serde has no
-            // `#[serde(default)]`, so read it through the mirror and
-            // upgrade explicitly (same pattern as `RunManifestV1`).
-            let early: HistoryRecordPreBatch =
-                serde_json::from_str(line).map_err(|e| format!("invalid history record: {e}"))?;
-            return Ok(early.upgrade());
-        }
-        if value.get_field("sim").is_none() {
-            // Pre-sim-telemetry record: same mirror-and-upgrade dance.
-            let early: HistoryRecordPreSim =
-                serde_json::from_str(line).map_err(|e| format!("invalid history record: {e}"))?;
-            return Ok(early.upgrade());
-        }
-        serde_json::from_str(line).map_err(|e| format!("invalid history record: {e}"))
+    }
+
+    /// The entry for one experiment id, if present.
+    pub fn experiment(&self, id: &str) -> Option<&ExperimentRun> {
+        self.experiments.iter().find(|e| e.id == id)
+    }
+
+    /// Registered experiment ids this record does **not** cover — empty
+    /// for a full `repro --all` run.
+    pub fn missing_experiments(&self) -> Vec<&'static str> {
+        EXPERIMENTS
+            .iter()
+            .map(|e| e.id)
+            .filter(|id| self.experiment(id).is_none())
+            .collect()
+    }
+
+    /// A whole-run counter total; 0 when the run did not record it.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.metrics
+            .counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    }
+
+    /// Simulator throughput: `sim.accesses` over the summed `sim.run_ms`,
+    /// in accesses per second. `None` when the run simulated nothing.
+    /// Machine dependent, so shown but never gated.
+    pub fn sim_accesses_per_second(&self) -> Option<f64> {
+        let accesses = self.counter(sim_metrics::SIM_ACCESSES);
+        let run_ms = self
+            .metrics
+            .histograms
+            .iter()
+            .find(|h| h.name == sim_metrics::SIM_RUN_MS)?
+            .sum;
+        (accesses > 0 && run_ms > 0.0).then(|| accesses as f64 / (run_ms / 1e3))
     }
 
     /// Worst accuracy error across this record's validation figures.
@@ -350,81 +324,13 @@ impl HistoryRecord {
     }
 }
 
-/// The record shape written before the batch engine existed —
-/// identical to [`HistoryRecord`] minus the `batch` section. Old logs
-/// are read through this mirror and upgraded explicitly.
-#[derive(Debug, Clone, Deserialize)]
-struct HistoryRecordPreBatch {
-    schema: String,
-    build: BuildProvenance,
-    quick: bool,
-    jobs: usize,
-    experiments: usize,
-    wall_ms: f64,
-    accuracy: Vec<AccuracyEntry>,
-    solver: SolverStats,
-    warm_start: WarmStartStats,
-}
-
-impl HistoryRecordPreBatch {
-    fn upgrade(self) -> HistoryRecord {
-        HistoryRecord {
-            schema: self.schema,
-            build: self.build,
-            quick: self.quick,
-            jobs: self.jobs,
-            experiments: self.experiments,
-            wall_ms: self.wall_ms,
-            accuracy: self.accuracy,
-            solver: self.solver,
-            warm_start: self.warm_start,
-            batch: None,
-            sim: None,
-        }
-    }
-}
-
-/// The record shape written after the batch engine but before sim
-/// telemetry: [`HistoryRecord`] minus the `sim` section.
-#[derive(Debug, Clone, Deserialize)]
-struct HistoryRecordPreSim {
-    schema: String,
-    build: BuildProvenance,
-    quick: bool,
-    jobs: usize,
-    experiments: usize,
-    wall_ms: f64,
-    accuracy: Vec<AccuracyEntry>,
-    solver: SolverStats,
-    warm_start: WarmStartStats,
-    batch: Option<BatchStats>,
-}
-
-impl HistoryRecordPreSim {
-    fn upgrade(self) -> HistoryRecord {
-        HistoryRecord {
-            schema: self.schema,
-            build: self.build,
-            quick: self.quick,
-            jobs: self.jobs,
-            experiments: self.experiments,
-            wall_ms: self.wall_ms,
-            accuracy: self.accuracy,
-            solver: self.solver,
-            warm_start: self.warm_start,
-            batch: self.batch,
-            sim: None,
-        }
-    }
-}
-
-/// Appends one record to the history log, creating the file and its
-/// parent directory as needed.
+/// Appends one record to the log, creating the file and its parent
+/// directory as needed.
 ///
 /// # Errors
 ///
 /// Propagates the underlying filesystem error.
-pub fn append_record(path: &Path, record: &HistoryRecord) -> std::io::Result<()> {
+pub fn append_record(path: &Path, record: &RecordedRun) -> std::io::Result<()> {
     use std::io::Write as _;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -438,16 +344,16 @@ pub fn append_record(path: &Path, record: &HistoryRecord) -> std::io::Result<()>
     writeln!(file, "{}", record.to_jsonl())
 }
 
-/// Loads the whole history log, oldest first. A missing file is an
-/// empty history, not an error.
+/// Loads the whole log, oldest first. A missing file is an empty
+/// history, not an error.
 ///
 /// # Errors
 ///
 /// Returns a line-numbered message for an unreadable file or a record
-/// that fails [`HistoryRecord::from_jsonl`] — the log is an
-/// append-only store this tool owns, so corruption is worth failing
-/// loudly over (unlike trace ingestion, which tolerates truncation).
-pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, String> {
+/// that fails [`RecordedRun::from_jsonl`] — the log is an append-only
+/// store this tool owns, so corruption is worth failing loudly over
+/// (unlike trace ingestion, which tolerates truncation).
+pub fn load_history(path: &Path) -> Result<Vec<RecordedRun>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -458,7 +364,7 @@ pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let record = HistoryRecord::from_jsonl(line)
+        let record = RecordedRun::from_jsonl(line)
             .map_err(|e| format!("{} line {}: {e}", path.display(), lineno + 1))?;
         records.push(record);
     }
@@ -467,40 +373,30 @@ pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, String> {
 
 // --- drift detection ----------------------------------------------------
 
-/// Which direction a quantity may safely move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftDirection {
-    /// Higher is better: drift when current < median × (1 − tol).
-    Floor,
-    /// Lower is better: drift when current > median × (1 + tol) + ε.
-    Ceiling,
-}
-
-/// One gated quantity's comparison against its trailing median.
+/// One gated quantity's comparison against its trailing median. Every
+/// gated quantity is a ceiling: lower is better.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftRow {
-    /// Quantity name (`"warm iteration speedup"`, ...).
+    /// Quantity name (`"solver residual evals"`, ...).
     pub quantity: String,
-    /// The newest record's value.
+    /// The newest sample's value.
     pub current: f64,
-    /// Trailing median across comparable predecessors.
+    /// Trailing median across the earlier samples.
     pub median: f64,
-    /// Gate direction.
-    pub direction: DriftDirection,
-    /// `true` when the value breached its bound.
+    /// `true` when the value exceeded `median × (1 + tolerance) + ε`.
     pub drifted: bool,
 }
 
-/// The full drift verdict for the newest record.
+/// The full drift verdict for the newest sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftOutcome {
     /// Per-quantity comparisons (empty when nothing was comparable).
     pub rows: Vec<DriftRow>,
-    /// Comparable trailing records the medians were computed over.
+    /// Trailing samples the medians were computed over.
     pub compared: usize,
     /// Relative tolerance used.
     pub tolerance: f64,
-    /// Why nothing was gated, when `rows` is empty.
+    /// Why something was not gated.
     pub notes: Vec<String>,
 }
 
@@ -525,27 +421,22 @@ impl DriftOutcome {
         }
         let _ = writeln!(
             out,
-            "drift check vs trailing median of {} run(s), tolerance {:.1}%",
+            "drift check vs trailing median of {} run(s), tolerance {:.1}% (ceilings)",
             self.compared,
             self.tolerance * 100.0
         );
         let _ = writeln!(
             out,
-            "  {:<28} {:>12} {:>12} {:>8}  status",
-            "quantity", "current", "median", "bound"
+            "  {:<28} {:>12} {:>12}  status",
+            "quantity", "current", "median"
         );
         for row in &self.rows {
-            let bound = match row.direction {
-                DriftDirection::Floor => "floor",
-                DriftDirection::Ceiling => "ceil",
-            };
             let _ = writeln!(
                 out,
-                "  {:<28} {:>12.4} {:>12.4} {:>8}  {}",
+                "  {:<28} {:>12.4} {:>12.4}  {}",
                 row.quantity,
                 row.current,
                 row.median,
-                bound,
                 if row.drifted { "DRIFT" } else { "ok" }
             );
         }
@@ -559,50 +450,23 @@ impl DriftOutcome {
     }
 }
 
-/// The machine-independent quantities of one record, as (name,
-/// direction, value) rows. Accuracy entries are keyed per figure so a
-/// drift names the curve that moved.
-fn gated_quantities(record: &HistoryRecord) -> Vec<(String, DriftDirection, f64)> {
+/// The machine-independent quantities of one record, as (name, value)
+/// pairs. Accuracy entries are keyed per figure so a drift names the
+/// curve that moved.
+fn gated_quantities(record: &RecordedRun) -> Vec<(String, f64)> {
     let mut out = vec![
         (
-            "warm iteration speedup".to_string(),
-            DriftDirection::Floor,
-            record.warm_start.iteration_speedup,
-        ),
-        (
-            "warm sweep iterations".to_string(),
-            DriftDirection::Ceiling,
-            record.warm_start.warm_iterations as f64,
-        ),
-        (
             "solver residual evals".to_string(),
-            DriftDirection::Ceiling,
-            record.solver.residual_evals as f64,
+            record.counter(core_metrics::SOLVER_RESIDUAL_EVALS) as f64,
         ),
         (
             "solver solves".to_string(),
-            DriftDirection::Ceiling,
-            record.solver.solves as f64,
+            record.counter(core_metrics::SOLVER_SOLVES) as f64,
         ),
     ];
-    if let Some(batch) = &record.batch {
-        out.push((
-            "batch reference iterations".to_string(),
-            DriftDirection::Ceiling,
-            batch.reference_iterations as f64,
-        ));
-    }
-    if let Some(sim) = &record.sim {
-        out.push((
-            "sim reference makespan".to_string(),
-            DriftDirection::Ceiling,
-            sim.reference_makespan as f64,
-        ));
-    }
     for entry in &record.accuracy {
         out.push((
             format!("{} max rel error", entry.figure),
-            DriftDirection::Ceiling,
             entry.max_rel_error,
         ));
     }
@@ -616,83 +480,72 @@ fn gated_quantities(record: &HistoryRecord) -> Vec<(String, DriftDirection, f64)
 /// `--quick` run and a full run do different work by construction).
 /// With fewer than two comparable predecessors every quantity is
 /// skipped — the gate trivially passes and says why.
-pub fn detect_drift(history: &[HistoryRecord], tolerance: f64) -> DriftOutcome {
-    let Some((current, trailing)) = history.split_last() else {
-        return DriftOutcome {
-            rows: Vec::new(),
-            compared: 0,
-            tolerance,
-            notes: vec!["insufficient history: no records yet".to_string()],
-        };
+pub fn detect_drift(history: &[RecordedRun], tolerance: f64) -> DriftOutcome {
+    let samples: Vec<Vec<(String, f64)>> = match history.last() {
+        Some(newest) => history
+            .iter()
+            .filter(|r| r.quick == newest.quick && r.experiments.len() == newest.experiments.len())
+            .map(gated_quantities)
+            .collect(),
+        None => Vec::new(),
     };
-    let comparable: Vec<&HistoryRecord> = trailing
-        .iter()
-        .filter(|r| r.quick == current.quick && r.experiments == current.experiments)
-        .collect();
-    if comparable.len() < 2 {
-        return DriftOutcome {
-            rows: Vec::new(),
-            compared: comparable.len(),
-            tolerance,
-            notes: vec![format!(
-                "insufficient history: {} comparable trailing run(s), but a trailing \
-                 median needs at least 2 — gating against a single run would turn \
-                 one noisy sample into a hard floor; record more history",
-                comparable.len()
-            )],
-        };
-    }
+    trailing_median_gate(&samples, "comparable run(s)", tolerance)
+}
 
+/// The trailing-median rule behind both gates. The last sample is the
+/// newest; each of its quantities is a ceiling against the median of the
+/// same quantity over the earlier samples. With fewer than two earlier
+/// samples nothing is gated — a median of one would turn one noisy
+/// sample into a hard ceiling — and the outcome says why. A quantity
+/// that some earlier sample lacks (a figure added since) is skipped
+/// with a note, never failed.
+fn trailing_median_gate(
+    samples: &[Vec<(String, f64)>],
+    what: &str,
+    tolerance: f64,
+) -> DriftOutcome {
     // For near-zero medians (a perfect accuracy figure) the relative
     // band collapses; the absolute epsilon keeps noise from flagging.
     const EPSILON: f64 = 1e-9;
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for (quantity, direction, current_value) in gated_quantities(current) {
-        let trailing_values: Vec<f64> = comparable
+    let mut outcome = DriftOutcome {
+        rows: Vec::new(),
+        compared: samples.len().saturating_sub(1),
+        tolerance,
+        notes: Vec::new(),
+    };
+    let Some((current, trailing)) = samples.split_last().filter(|(_, t)| t.len() >= 2) else {
+        outcome.notes.push(format!(
+            "insufficient history: {} trailing {what}, but a trailing median needs at \
+             least 2 — gating against a single sample would turn one noisy value into \
+             a hard ceiling; record more history",
+            outcome.compared
+        ));
+        return outcome;
+    };
+    for (quantity, value) in current {
+        let trailing_values: Vec<f64> = trailing
             .iter()
-            .filter_map(|r| {
-                gated_quantities(r)
-                    .into_iter()
-                    .find(|(name, _, _)| *name == quantity)
-                    .map(|(_, _, v)| v)
-            })
+            .filter_map(|s| s.iter().find(|(name, _)| name == quantity).map(|s| s.1))
             .collect();
-        // A quantity must exist in every comparable record (a figure
-        // added this run has no trailing median yet). Say so explicitly
-        // rather than failing — old logs predate new quantities.
-        if trailing_values.len() < comparable.len() {
-            notes.push(format!(
-                "{quantity}: SKIPPED ({} of {} comparable run(s) predate it; \
-                 record more history)",
-                comparable.len() - trailing_values.len(),
-                comparable.len()
+        if trailing_values.len() < trailing.len() {
+            outcome.notes.push(format!(
+                "{quantity}: SKIPPED ({} of {} trailing {what} predate it; record more history)",
+                trailing.len() - trailing_values.len(),
+                trailing.len()
             ));
             continue;
         }
-        let Some(trailing_median) = median(&trailing_values) else {
+        let Some(median) = median(&trailing_values) else {
             continue;
         };
-        let drifted = match direction {
-            DriftDirection::Floor => current_value < trailing_median * (1.0 - tolerance) - EPSILON,
-            DriftDirection::Ceiling => {
-                current_value > trailing_median * (1.0 + tolerance) + EPSILON
-            }
-        };
-        rows.push(DriftRow {
-            quantity,
-            current: current_value,
-            median: trailing_median,
-            direction,
-            drifted,
+        outcome.rows.push(DriftRow {
+            quantity: quantity.clone(),
+            current: *value,
+            median,
+            drifted: *value > median * (1.0 + tolerance) + EPSILON,
         });
     }
-    DriftOutcome {
-        rows,
-        compared: comparable.len(),
-        tolerance,
-        notes,
-    }
+    outcome
 }
 
 // --- loadgen steady-state p99 trending ----------------------------------
@@ -744,60 +597,23 @@ pub fn loadgen_steady_p99(json: &str) -> Result<LoadgenP99, String> {
     }
 }
 
-/// Gates the newest loadgen steady-state p99 against the trailing
-/// median of its predecessors — the same trailing-median ceiling shape
-/// as [`detect_drift`], including the two-predecessor minimum and the
-/// explicit insufficient-history skip.
+/// Gates the newest loadgen steady-state p99 (the last value) against
+/// the trailing median of its predecessors, under the same rule as
+/// [`detect_drift`].
 pub fn loadgen_p99_drift(values: &[f64], tolerance: f64) -> DriftOutcome {
-    let Some((current, trailing)) = values.split_last() else {
-        return DriftOutcome {
-            rows: Vec::new(),
-            compared: 0,
-            tolerance,
-            notes: vec!["insufficient history: no loadgen steady-state p99 values".to_string()],
-        };
-    };
-    if trailing.len() < 2 {
-        return DriftOutcome {
-            rows: Vec::new(),
-            compared: trailing.len(),
-            tolerance,
-            notes: vec![format!(
-                "insufficient history: {} trailing loadgen report(s), but a trailing \
-                 median needs at least 2 — record more timeline runs",
-                trailing.len()
-            )],
-        };
-    }
-    let Some(trailing_median) = median(trailing) else {
-        return DriftOutcome {
-            rows: Vec::new(),
-            compared: trailing.len(),
-            tolerance,
-            notes: vec!["insufficient history: trailing p99s have no median".to_string()],
-        };
-    };
-    const EPSILON: f64 = 1e-9;
-    DriftOutcome {
-        rows: vec![DriftRow {
-            quantity: "loadgen steady p99 (us)".to_string(),
-            current: *current,
-            median: trailing_median,
-            direction: DriftDirection::Ceiling,
-            drifted: *current > trailing_median * (1.0 + tolerance) + EPSILON,
-        }],
-        compared: trailing.len(),
-        tolerance,
-        notes: Vec::new(),
-    }
+    let samples: Vec<Vec<(String, f64)>> = values
+        .iter()
+        .map(|&v| vec![("loadgen steady p99 (us)".to_string(), v)])
+        .collect();
+    trailing_median_gate(&samples, "loadgen report(s)", tolerance)
 }
 
 /// Renders the `repro history` trend table over the last `last`
 /// records (0 = all).
-pub fn render_history(records: &[HistoryRecord], last: usize) -> String {
+pub fn render_history(records: &[RecordedRun], last: usize) -> String {
     let mut out = String::new();
     if records.is_empty() {
-        out.push_str("history is empty (run `repro all --record-history` first)\n");
+        out.push_str("history is empty (run `repro all --record PATH` first)\n");
         return out;
     }
     let shown = if last == 0 || last >= records.len() {
@@ -813,15 +629,14 @@ pub fn render_history(records: &[HistoryRecord], last: usize) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:<4} {:<10} {:<5} {:>4} {:>10} {:>9} {:>13} {:>12} {:>11} {:>11}",
+        "  {:<4} {:<10} {:<5} {:>4} {:>10} {:>8} {:>13} {:>11} {:>11}",
         "#",
         "commit",
         "quick",
         "exps",
         "wall ms",
-        "speedup",
+        "solves",
         "resid evals",
-        "batch l/s",
         "sim acc/s",
         "worst err"
     );
@@ -832,27 +647,20 @@ pub fn render_history(records: &[HistoryRecord], last: usize) -> String {
             .worst_rel_error()
             .map(|e| format!("{:.2}%", e * 100.0))
             .unwrap_or_else(|| "-".to_string());
-        let batch_rate = r
-            .batch
-            .as_ref()
-            .map(|b| format!("{:.2e}", b.lanes_per_second))
-            .unwrap_or_else(|| "-".to_string());
         let sim_rate = r
-            .sim
-            .as_ref()
-            .map(|s| format!("{:.2e}", s.accesses_per_second))
+            .sim_accesses_per_second()
+            .map(|s| format!("{s:.2e}"))
             .unwrap_or_else(|| "-".to_string());
         let _ = writeln!(
             out,
-            "  {:<4} {:<10} {:<5} {:>4} {:>10.1} {:>9.2} {:>13} {:>12} {:>11} {:>11}",
+            "  {:<4} {:<10} {:<5} {:>4} {:>10.1} {:>8} {:>13} {:>11} {:>11}",
             offset + i + 1,
             commit,
             r.quick,
-            r.experiments,
+            r.experiments.len(),
             r.wall_ms,
-            r.warm_start.iteration_speedup,
-            r.solver.residual_evals,
-            batch_rate,
+            r.counter(core_metrics::SOLVER_SOLVES),
+            r.counter(core_metrics::SOLVER_RESIDUAL_EVALS),
             sim_rate,
             worst
         );
@@ -861,187 +669,161 @@ pub fn render_history(records: &[HistoryRecord], last: usize) -> String {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod tests {
+    use std::num::NonZeroUsize;
 
-    fn record(quick: bool, speedup: f64, evals: u64, err: f64) -> HistoryRecord {
-        HistoryRecord {
-            schema: HISTORY_SCHEMA.to_string(),
+    use super::*;
+    use crate::registry::{find, RunOptions};
+    use crate::runner::run_selected_observed;
+
+    /// A hand-built record of 20 experiments: 1000 solves, `evals`
+    /// residual evaluations, a fig1 error of `err`, and 55,000 simulated
+    /// accesses in 11 ms. Shared with the dashboard tests.
+    pub(crate) fn record(quick: bool, evals: u64, err: f64) -> RecordedRun {
+        let counter = |name: &str, value| MetricCounter {
+            name: name.to_string(),
+            value,
+        };
+        let experiment = ExperimentRun {
+            id: "fig1".to_string(),
+            title: "Figure 1".to_string(),
+            duration_ms: 5.0,
+            queue_wait_ms: 0.0,
+            worker: 0,
+            counters: Vec::new(),
+        };
+        RecordedRun {
+            schema: RUN_SCHEMA.to_string(),
             build: BuildProvenance::current(),
             quick,
             jobs: 1,
-            experiments: 20,
             wall_ms: 100.0,
+            experiments: vec![experiment; 20],
             accuracy: vec![AccuracyEntry {
                 figure: "fig1".to_string(),
                 max_rel_error: err,
             }],
-            solver: SolverStats {
-                solves: 1000,
-                residual_evals: evals,
-                warm_reuses: 500,
-                bracket_fallbacks: 3,
+            metrics: MetricsReport {
+                counters: vec![
+                    counter(core_metrics::SOLVER_RESIDUAL_EVALS, evals),
+                    counter(core_metrics::SOLVER_SOLVES, 1000),
+                    counter(sim_metrics::SIM_ACCESSES, 55_000),
+                ],
+                gauges: Vec::new(),
+                histograms: vec![MetricHistogram {
+                    name: sim_metrics::SIM_RUN_MS.to_string(),
+                    count: 4,
+                    sum: 11.0,
+                    mean: 2.75,
+                }],
             },
-            warm_start: WarmStartStats {
-                cold_iterations: 400,
-                warm_iterations: 160,
-                iteration_speedup: speedup,
-            },
-            batch: Some(BatchStats {
-                batches: 12,
-                lanes: 4000,
-                reference_iterations: 1200,
-                lanes_per_second: 2.5e7,
-            }),
-            sim: Some(SimStats {
-                reference_accesses: 55_000,
-                reference_makespan: 90_000,
-                accesses_per_second: 5.0e6,
-                wall_ms: 11.0,
-            }),
         }
+    }
+
+    /// The record of a real observed `table1 fig11` run.
+    fn sample_run() -> RecordedRun {
+        let batch = vec![find("table1").unwrap(), find("fig11").unwrap()];
+        let records = run_selected_observed(
+            &batch,
+            &RunOptions::quick(),
+            NonZeroUsize::new(1).unwrap(),
+            true,
+        );
+        RecordedRun::from_run(true, 1, &records, 12.5, &MetricsSnapshot::default())
     }
 
     #[test]
     fn record_round_trips_through_jsonl() {
-        let r = record(true, 2.5, 9000, 0.12);
+        let r = record(true, 9000, 0.12);
         let line = r.to_jsonl();
         assert!(!line.contains('\n'));
-        assert_eq!(HistoryRecord::from_jsonl(&line).unwrap(), r);
+        assert_eq!(RecordedRun::from_jsonl(&line).unwrap(), r);
     }
 
     #[test]
-    fn pre_batch_records_parse_and_skip_batch_gating() {
-        // A line written before the batch engine: no `batch` field (and,
-        // being older still than the sim stats, no `sim` either).
-        let mut r = record(true, 2.5, 9000, 0.12);
-        r.batch = None;
-        r.sim = None;
-        let line = r
-            .to_jsonl()
-            .replace(",\"batch\":null", "")
-            .replace(",\"sim\":null", "");
-        assert!(!line.contains("batch"), "{line}");
-        let parsed = HistoryRecord::from_jsonl(&line).unwrap();
-        assert_eq!(parsed, r);
+    fn real_run_round_trips_through_jsonl() {
+        let r = sample_run();
+        assert_eq!(RecordedRun::from_jsonl(&r.to_jsonl()).unwrap(), r);
+    }
 
-        // Mixed history: batchless predecessors mean the batch ceiling
-        // has no trailing median, so it is skipped, not failed.
-        let mut old = record(true, 2.5, 9000, 0.12);
-        old.batch = None;
-        old.sim = None;
-        let history = [old.clone(), old, record(true, 2.5, 9000, 0.12)];
-        let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
-        assert!(outcome.passed(), "{}", outcome.render());
-        assert!(!outcome
-            .rows
+    #[test]
+    fn captures_per_experiment_solver_counters() {
+        let run = sample_run();
+        let fig11 = run.experiment("fig11").unwrap();
+        let evals = fig11
+            .counters
             .iter()
-            .any(|row| row.quantity == "batch reference iterations"));
+            .find(|c| c.name == core_metrics::SOLVER_RESIDUAL_EVALS)
+            .map(|c| c.value);
+        assert!(evals.unwrap_or(0) > 0, "fig11 must report solver work");
+        let table1 = run.experiment("table1").unwrap();
+        assert!(table1.counters.is_empty(), "a static table does no solves");
+        assert!(run.accuracy.is_empty(), "neither is a validation figure");
     }
 
     #[test]
-    fn drifted_batch_iterations_fail_the_gate() {
-        let mut slow = record(true, 2.5, 9000, 0.12);
-        if let Some(batch) = &mut slow.batch {
-            batch.reference_iterations = 2400; // batch engine doing 2x the work
+    fn new_records_carry_build_provenance() {
+        let run = sample_run();
+        assert_eq!(run.schema, RUN_SCHEMA);
+        for field in [
+            &run.build.git_commit,
+            &run.build.rustc,
+            &run.build.cargo,
+            &run.build.profile,
+        ] {
+            assert!(!field.is_empty(), "provenance fields are never empty");
         }
-        let history = [
-            record(true, 2.5, 9000, 0.12),
-            record(true, 2.5, 9000, 0.12),
-            slow,
-        ];
-        let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
-        assert!(!outcome.passed());
-        let row = outcome
-            .rows
-            .iter()
-            .find(|r| r.quantity == "batch reference iterations")
-            .unwrap();
-        assert!(row.drifted);
+        // The test binary is always built by cargo, so at least the
+        // profile must have resolved to a real value.
+        assert_ne!(run.build.profile, "unknown");
     }
 
     #[test]
-    fn pre_sim_records_parse_skip_sim_gating_and_say_so() {
-        // A line written after the batch engine but before sim
-        // telemetry: has `batch`, lacks `sim`.
-        let mut r = record(true, 2.5, 9000, 0.12);
-        r.sim = None;
-        let line = r.to_jsonl().replace(",\"sim\":null", "");
-        assert!(!line.contains("\"sim\""), "{line}");
-        let parsed = HistoryRecord::from_jsonl(&line).unwrap();
-        assert_eq!(parsed, r);
-
-        // Mixed history: simless predecessors mean the makespan
-        // ceiling has no trailing median — skipped with an explicit
-        // printed line, never failed.
-        let mut old = record(true, 2.5, 9000, 0.12);
-        old.sim = None;
-        let history = [old.clone(), old, record(true, 2.5, 9000, 0.12)];
-        let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
-        assert!(outcome.passed(), "{}", outcome.render());
-        assert!(!outcome
-            .rows
-            .iter()
-            .any(|row| row.quantity == "sim reference makespan"));
-        let rendered = outcome.render();
-        assert!(
-            rendered.contains("sim reference makespan: SKIPPED"),
-            "{rendered}"
-        );
-    }
-
-    #[test]
-    fn drifted_sim_makespan_fails_the_gate() {
-        let mut slow = record(true, 2.5, 9000, 0.12);
-        if let Some(sim) = &mut slow.sim {
-            sim.reference_makespan = 180_000; // simulator burning 2x cycles
-        }
-        let history = [
-            record(true, 2.5, 9000, 0.12),
-            record(true, 2.5, 9000, 0.12),
-            slow,
-        ];
-        let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
-        assert!(!outcome.passed());
-        let row = outcome
-            .rows
-            .iter()
-            .find(|r| r.quantity == "sim reference makespan")
-            .unwrap();
-        assert!(row.drifted);
-    }
-
-    #[test]
-    fn sim_stats_reference_replay_is_deterministic() {
-        let a = SimStats::measure();
-        let b = SimStats::measure();
-        assert_eq!(a.reference_makespan, b.reference_makespan);
-        assert_eq!(a.reference_accesses, b.reference_accesses);
-        assert!(a.reference_accesses > 0);
-        assert!(a.accesses_per_second > 0.0);
-        assert!(a.wall_ms > 0.0);
-    }
-
-    #[test]
-    fn batch_stats_reference_grid_is_deterministic() {
-        let a = BatchStats::measure(3, 99);
-        let b = BatchStats::measure(3, 99);
-        assert_eq!(a.reference_iterations, b.reference_iterations);
-        assert_eq!(a.batches, 3);
-        assert_eq!(a.lanes, 99);
-        assert!(a.reference_iterations > 0);
-        assert!(a.lanes_per_second > 0.0);
+    fn missing_experiments_flags_partial_runs() {
+        let missing = sample_run().missing_experiments();
+        assert!(missing.contains(&"fig5"), "fig5 was not in the batch");
+        assert!(!missing.contains(&"fig11"));
+        assert_eq!(missing.len(), EXPERIMENTS.len() - 2);
     }
 
     #[test]
     fn rejects_foreign_schema_and_garbage() {
-        let mut r = record(true, 2.5, 9000, 0.12);
-        r.schema = "swcc-run-history/v0".to_string();
-        assert!(HistoryRecord::from_jsonl(&r.to_jsonl())
-            .unwrap_err()
-            .contains("unsupported history schema"));
-        assert!(HistoryRecord::from_jsonl("not json").is_err());
-        assert!(HistoryRecord::from_jsonl("{}").is_err());
+        let mut r = record(true, 9000, 0.12);
+        r.schema = "swcc-run/v0".to_string();
+        let err = RecordedRun::from_jsonl(&r.to_jsonl()).unwrap_err();
+        assert!(err.contains("unsupported run record schema"), "{err}");
+        assert!(RecordedRun::from_jsonl("not json").is_err());
+        assert!(RecordedRun::from_jsonl("{}").is_err());
+        // The right schema on the wrong shape is still an error.
+        assert!(RecordedRun::from_jsonl(r#"{"schema":"swcc-run/v1"}"#).is_err());
+    }
+
+    #[test]
+    fn rejects_retired_schemas_by_name() {
+        let line = sample_run().to_jsonl();
+        for retired in ["swcc-run-manifest/v2", "swcc-run-history/v1"] {
+            let err = RecordedRun::from_jsonl(&line.replace(RUN_SCHEMA, retired)).unwrap_err();
+            assert!(err.contains("unsupported run record schema"), "{err}");
+            assert!(
+                err.contains(RUN_SCHEMA),
+                "the error names the schema: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_json() {
+        assert!(RecordedRun::from_jsonl("{").is_err());
+        assert!(RecordedRun::from_jsonl("[1, 2]").is_err());
+    }
+
+    #[test]
+    fn sim_throughput_reads_the_metric_totals() {
+        let r = record(true, 9000, 0.12);
+        assert_eq!(r.sim_accesses_per_second(), Some(55_000.0 / 0.011));
+        let mut idle = r;
+        idle.metrics.histograms.clear();
+        assert_eq!(idle.sim_accesses_per_second(), None);
     }
 
     #[test]
@@ -1054,8 +836,8 @@ mod tests {
         let path = dir.join("nested").join("runs.jsonl");
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(load_history(&path).unwrap(), Vec::new(), "missing = empty");
-        let a = record(true, 2.5, 9000, 0.12);
-        let b = record(false, 2.6, 9100, 0.11);
+        let a = record(true, 9000, 0.12);
+        let b = record(false, 9100, 0.11);
         append_record(&path, &a).unwrap();
         append_record(&path, &b).unwrap();
         assert_eq!(load_history(&path).unwrap(), vec![a, b]);
@@ -1091,8 +873,8 @@ mod tests {
             outcome.render()
         );
         for history in [
-            vec![record(true, 2.5, 9000, 0.12)],
-            vec![record(true, 2.5, 9000, 0.12), record(true, 2.5, 9000, 0.12)],
+            vec![record(true, 9000, 0.12)],
+            vec![record(true, 9000, 0.12), record(true, 9000, 0.12)],
         ] {
             let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
             assert!(outcome.passed());
@@ -1107,9 +889,9 @@ mod tests {
     fn quick_and_full_runs_never_compare() {
         // Two full-run predecessors, but the newest is --quick.
         let history = [
-            record(false, 2.5, 9000, 0.12),
-            record(false, 2.5, 9000, 0.12),
-            record(true, 1.0, 90000, 0.9),
+            record(false, 9000, 0.12),
+            record(false, 9000, 0.12),
+            record(true, 90000, 0.9),
         ];
         let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
         assert!(outcome.rows.is_empty(), "nothing comparable");
@@ -1119,10 +901,10 @@ mod tests {
     #[test]
     fn steady_history_passes() {
         let history = [
-            record(true, 2.50, 9000, 0.120),
-            record(true, 2.52, 9010, 0.119),
-            record(true, 2.48, 8990, 0.121),
-            record(true, 2.51, 9005, 0.120),
+            record(true, 9000, 0.120),
+            record(true, 9010, 0.119),
+            record(true, 8990, 0.121),
+            record(true, 9005, 0.120),
         ];
         let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
         assert_eq!(outcome.compared, 3);
@@ -1131,56 +913,63 @@ mod tests {
     }
 
     #[test]
-    fn drifted_speedup_fails_the_gate() {
-        let history = [
-            record(true, 2.50, 9000, 0.12),
-            record(true, 2.52, 9000, 0.12),
-            record(true, 1.20, 9000, 0.12), // speedup collapsed
-        ];
+    fn quantities_the_trailing_runs_lack_skip_with_a_note() {
+        // The newest run records a figure its predecessors never had:
+        // that figure has no trailing median, so it is skipped with an
+        // explicit printed line, and everything else is still gated.
+        let mut newest = record(true, 9000, 0.12);
+        newest.accuracy.push(AccuracyEntry {
+            figure: "fig2".to_string(),
+            max_rel_error: 0.5,
+        });
+        let history = [record(true, 9000, 0.12), record(true, 9000, 0.12), newest];
         let outcome = detect_drift(&history, DEFAULT_DRIFT_TOLERANCE);
+        assert!(outcome.passed(), "{}", outcome.render());
+        assert!(!outcome.rows.iter().any(|r| r.quantity.starts_with("fig2")));
+        assert!(outcome
+            .rows
+            .iter()
+            .any(|r| r.quantity == "fig1 max rel error"));
+        let rendered = outcome.render();
+        assert!(
+            rendered.contains("fig2 max rel error: SKIPPED (2 of 2"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("predate it"), "{rendered}");
+    }
+
+    #[test]
+    fn drifted_accuracy_and_counts_fail_the_gate() {
+        let worse_accuracy = [
+            record(true, 9000, 0.120),
+            record(true, 9000, 0.120),
+            record(true, 9000, 0.200), // accuracy envelope blew up
+        ];
+        assert!(!detect_drift(&worse_accuracy, DEFAULT_DRIFT_TOLERANCE).passed());
+        let more_evals = [
+            record(true, 9000, 0.12),
+            record(true, 9000, 0.12),
+            record(true, 20000, 0.12), // solver doing far more work
+        ];
+        let outcome = detect_drift(&more_evals, DEFAULT_DRIFT_TOLERANCE);
         assert!(!outcome.passed());
         let row = outcome
             .rows
             .iter()
-            .find(|r| r.quantity == "warm iteration speedup")
+            .find(|r| r.quantity == "solver residual evals")
             .unwrap();
         assert!(row.drifted);
         assert!(outcome.render().contains("drift: FAILED"));
     }
 
     #[test]
-    fn drifted_accuracy_and_counts_fail_the_gate() {
-        let worse_accuracy = [
-            record(true, 2.5, 9000, 0.120),
-            record(true, 2.5, 9000, 0.120),
-            record(true, 2.5, 9000, 0.200), // accuracy envelope blew up
-        ];
-        assert!(!detect_drift(&worse_accuracy, DEFAULT_DRIFT_TOLERANCE).passed());
-        let more_evals = [
-            record(true, 2.5, 9000, 0.12),
-            record(true, 2.5, 9000, 0.12),
-            record(true, 2.5, 20000, 0.12), // solver doing far more work
-        ];
-        assert!(!detect_drift(&more_evals, DEFAULT_DRIFT_TOLERANCE).passed());
-    }
-
-    #[test]
     fn improvements_pass_every_gate() {
         let history = [
-            record(true, 2.5, 9000, 0.12),
-            record(true, 2.5, 9000, 0.12),
-            record(true, 3.5, 5000, 0.05), // strictly better everywhere
+            record(true, 9000, 0.12),
+            record(true, 9000, 0.12),
+            record(true, 5000, 0.05), // strictly better everywhere
         ];
         assert!(detect_drift(&history, DEFAULT_DRIFT_TOLERANCE).passed());
-    }
-
-    #[test]
-    fn warm_start_stats_are_deterministic_and_warm_wins() {
-        let a = WarmStartStats::measure();
-        let b = WarmStartStats::measure();
-        assert_eq!(a, b, "iteration counts are machine-independent");
-        assert!(a.warm_iterations < a.cold_iterations);
-        assert!(a.iteration_speedup > 1.0);
     }
 
     #[test]
@@ -1201,7 +990,7 @@ mod tests {
             other => panic!("expected Absent, got {other:?}"),
         }
         // Not a loadgen report / not JSON: hard errors.
-        assert!(loadgen_steady_p99(r#"{"schema":"swcc-run-history/v1"}"#).is_err());
+        assert!(loadgen_steady_p99(r#"{"schema":"swcc-run/v1"}"#).is_err());
         assert!(loadgen_steady_p99("{}").is_err());
         assert!(loadgen_steady_p99("garbage").is_err());
     }
@@ -1235,15 +1024,18 @@ mod tests {
     #[test]
     fn trend_table_renders_and_truncates() {
         let records = vec![
-            record(true, 2.5, 9000, 0.12),
-            record(true, 2.6, 9100, 0.11),
-            record(true, 2.7, 9200, 0.10),
+            record(true, 9000, 0.12),
+            record(true, 9100, 0.11),
+            record(true, 9200, 0.10),
         ];
         let all = render_history(&records, 0);
         assert!(all.contains("showing 3 of 3"));
+        assert!(all.contains("sim acc/s"), "{all}");
+        assert!(all.contains("5.00e6"), "{all}");
         let last = render_history(&records, 2);
         assert!(last.contains("showing 2 of 3"));
         assert!(last.lines().any(|l| l.trim_start().starts_with("2 ")));
+        assert!(render_history(&records, 9).contains("showing 3 of 3"));
         assert!(render_history(&[], 5).contains("history is empty"));
     }
 }

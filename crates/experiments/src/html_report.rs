@@ -14,9 +14,9 @@
 //! * **Coherence event mix** — per-protocol invalidation / update /
 //!   write-back / fill rates summed from the simulator's `sim.events`
 //!   summaries.
-//! * **History sparklines** — warm-start speedup, solver work,
-//!   accuracy, wall-clock, and simulator-throughput trends over the
-//!   `history/runs.jsonl` log.
+//! * **History sparklines** — solver work, accuracy, wall-clock, and
+//!   simulator-throughput trends over the run-record log
+//!   (`history/runs.jsonl` by default).
 //!
 //! Chart styling follows the repo's data-viz conventions: one blue
 //! series hue (charts here never show two series), light/dark themes
@@ -28,8 +28,9 @@
 
 use std::fmt::Write as _;
 
-use crate::history::HistoryRecord;
-use crate::manifest::BuildProvenance;
+use swcc_core::metrics::{SOLVER_RESIDUAL_EVALS, SOLVER_SOLVES};
+
+use crate::history::{BuildProvenance, RecordedRun};
 use crate::trace_report::TraceReport;
 
 /// Chart geometry: bar thickness (≤ 24px per the mark spec).
@@ -443,12 +444,12 @@ fn section_event_mix(out: &mut String, report: &TraceReport) {
     out.push_str("</tbody></table></details></section>");
 }
 
-fn section_history(out: &mut String, history: &[HistoryRecord]) {
+fn section_history(out: &mut String, history: &[RecordedRun]) {
     out.push_str("<section class=\"card\"><h2>Run history</h2>");
     if history.len() < 2 {
         out.push_str(
             "<p class=\"note\">Fewer than two recorded runs — run \
-             <code>repro all --record-history</code> to grow the log.</p></section>",
+             <code>repro all --record PATH</code> to grow the log.</p></section>",
         );
         return;
     }
@@ -474,10 +475,10 @@ fn section_history(out: &mut String, history: &[HistoryRecord]) {
     out.push_str("<div class=\"spark-row\">");
     spark(
         out,
-        "Warm-start iteration speedup",
+        "Solver solves",
         history
             .iter()
-            .map(|r| r.warm_start.iteration_speedup)
+            .map(|r| r.counter(SOLVER_SOLVES) as f64)
             .collect(),
     );
     spark(
@@ -485,7 +486,7 @@ fn section_history(out: &mut String, history: &[HistoryRecord]) {
         "Solver residual evaluations",
         history
             .iter()
-            .map(|r| r.solver.residual_evals as f64)
+            .map(|r| r.counter(SOLVER_RESIDUAL_EVALS) as f64)
             .collect(),
     );
     spark(
@@ -506,12 +507,7 @@ fn section_history(out: &mut String, history: &[HistoryRecord]) {
         "Sim accesses/s (machine-dependent)",
         history
             .iter()
-            .map(|r| {
-                r.sim
-                    .as_ref()
-                    .map(|s| s.accesses_per_second)
-                    .unwrap_or(f64::NAN)
-            })
+            .map(|r| r.sim_accesses_per_second().unwrap_or(f64::NAN))
             .collect(),
     );
     out.push_str("</div>");
@@ -519,7 +515,7 @@ fn section_history(out: &mut String, history: &[HistoryRecord]) {
     out.push_str(
         "<details><summary>Table view</summary><table>\
          <thead><tr><th>#</th><th>commit</th><th>quick</th><th>exps</th>\
-         <th>wall ms</th><th>speedup</th><th>resid evals</th><th>worst err</th>\
+         <th>wall ms</th><th>solves</th><th>resid evals</th><th>worst err</th>\
          <th>sim acc/s</th></tr>\
          </thead><tbody>",
     );
@@ -530,22 +526,21 @@ fn section_history(out: &mut String, history: &[HistoryRecord]) {
             .map(|e| format!("{:.2}%", e * 100.0))
             .unwrap_or_else(|| "-".to_string());
         let sim_rate = r
-            .sim
-            .as_ref()
-            .map(|s| format!("{:.2e}", s.accesses_per_second))
+            .sim_accesses_per_second()
+            .map(|s| format!("{s:.2e}"))
             .unwrap_or_else(|| "-".to_string());
         let _ = write!(
             out,
             "<tr><td class=\"num\">{}</td><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{:.1}</td><td class=\"num\">{:.2}</td>\
+             <td class=\"num\">{:.1}</td><td class=\"num\">{}</td>\
              <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
             i + 1,
             esc(&commit),
             r.quick,
-            r.experiments,
+            r.experiments.len(),
             r.wall_ms,
-            r.warm_start.iteration_speedup,
-            r.solver.residual_evals,
+            r.counter(SOLVER_SOLVES),
+            r.counter(SOLVER_RESIDUAL_EVALS),
             worst,
             sim_rate
         );
@@ -616,7 +611,7 @@ code { font-size: 11.5px; }
 /// `trace` is optional (a dashboard can be history-only); `history`
 /// may be empty. The output is a single self-contained HTML document:
 /// no scripts, stylesheets, fonts, or images are fetched.
-pub fn render_dashboard(trace: Option<&TraceReport>, history: &[HistoryRecord]) -> String {
+pub fn render_dashboard(trace: Option<&TraceReport>, history: &[RecordedRun]) -> String {
     let build = BuildProvenance::current();
     let mut out = String::with_capacity(32 * 1024);
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">");
@@ -689,9 +684,7 @@ pub fn render_dashboard(trace: Option<&TraceReport>, history: &[HistoryRecord]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{
-        AccuracyEntry, BatchStats, SimStats, SolverStats, WarmStartStats, HISTORY_SCHEMA,
-    };
+    use crate::history::tests::record;
     use crate::trace_report::analyze;
 
     fn sample_report() -> TraceReport {
@@ -709,42 +702,11 @@ mod tests {
         )
     }
 
-    fn sample_history(n: usize) -> Vec<HistoryRecord> {
+    fn sample_history(n: usize) -> Vec<RecordedRun> {
         (0..n)
-            .map(|i| HistoryRecord {
-                schema: HISTORY_SCHEMA.to_string(),
-                build: BuildProvenance::current(),
-                quick: true,
-                jobs: 1,
-                experiments: 20,
+            .map(|i| RecordedRun {
                 wall_ms: 100.0 + i as f64,
-                accuracy: vec![AccuracyEntry {
-                    figure: "fig1".to_string(),
-                    max_rel_error: 0.12,
-                }],
-                solver: SolverStats {
-                    solves: 1000,
-                    residual_evals: 9000 + i as u64,
-                    warm_reuses: 500,
-                    bracket_fallbacks: 3,
-                },
-                warm_start: WarmStartStats {
-                    cold_iterations: 400,
-                    warm_iterations: 160,
-                    iteration_speedup: 2.5,
-                },
-                batch: Some(BatchStats {
-                    batches: 12,
-                    lanes: 4000,
-                    reference_iterations: 1200,
-                    lanes_per_second: 2.5e7,
-                }),
-                sim: Some(SimStats {
-                    reference_accesses: 55_000,
-                    reference_makespan: 90_000,
-                    accesses_per_second: 5.0e6,
-                    wall_ms: 11.0,
-                }),
+                ..record(true, 9000 + i as u64, 0.12)
             })
             .collect()
     }

@@ -43,7 +43,6 @@ pub mod figures;
 pub mod gate;
 pub mod history;
 pub mod html_report;
-pub mod manifest;
 pub mod plot;
 pub mod registry;
 pub mod runner;
@@ -54,6 +53,6 @@ pub mod trace_report;
 pub mod validation;
 
 pub use artifact::{Artifact, Figure, Series, Table};
-pub use manifest::{BuildProvenance, RunManifest, MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1};
+pub use history::{BuildProvenance, RecordedRun, RUN_SCHEMA};
 pub use registry::{find, Experiment, RunOptions, EXPERIMENTS};
 pub use runner::{default_jobs, run_all, run_selected, run_selected_observed, RunRecord};

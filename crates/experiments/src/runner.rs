@@ -22,7 +22,7 @@
 //! then carries the solver/sweep counters attributable to that one
 //! experiment, plus its queue wait and the worker that ran it. The
 //! `repro` binary turns these into `--metrics` output and the
-//! `--manifest` run manifest. Observation never changes the artifacts —
+//! `--record` run record. Observation never changes the artifacts —
 //! only the bookkeeping around them.
 
 use std::num::NonZeroUsize;

@@ -14,12 +14,10 @@
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use swcc_core::prelude::*;
-use swcc_sim::measure::{measure_workload_with_counts, MeasurementCounts};
-use swcc_sim::{simulate, ProtocolKind, SimConfig, SimReport};
-use swcc_trace::synth::Preset;
+use swcc_sim::measure::MeasurementCounts;
+use swcc_sim::SimReport;
 
-use crate::validation::ValidationOptions;
+use crate::validation::{curves, run_curve, ValidationOptions};
 
 /// Schema identifier written into every sim-report document.
 pub const SIM_REPORT_SCHEMA: &str = "swcc-sim-report/v1";
@@ -169,51 +167,8 @@ pub struct SimReportDoc {
     pub totals: SimReportTotals,
 }
 
-/// One validation curve of the Figures 1–3 matrix.
-struct Curve {
-    figure: &'static str,
-    preset: Preset,
-    protocol: ProtocolKind,
-    cache_kib: u64,
-    max_cpus: u16,
-}
-
-/// The exact matrix the validation figures run: Fig 1 (Base and
-/// Dragon, 64K, ≤4), Fig 2 (Dragon, 16/64/256K, ≤4), Fig 3 (Dragon on
-/// PERO, 16/64/256K, ≤8).
-fn matrix() -> Vec<Curve> {
-    let mut curves = Vec::new();
-    for protocol in [ProtocolKind::Base, ProtocolKind::Dragon] {
-        curves.push(Curve {
-            figure: "fig1",
-            preset: Preset::Pops,
-            protocol,
-            cache_kib: 64,
-            max_cpus: 4,
-        });
-    }
-    for cache_kib in [16, 64, 256] {
-        curves.push(Curve {
-            figure: "fig2",
-            preset: Preset::Pops,
-            protocol: ProtocolKind::Dragon,
-            cache_kib,
-            max_cpus: 4,
-        });
-    }
-    for cache_kib in [16, 64, 256] {
-        curves.push(Curve {
-            figure: "fig3",
-            preset: Preset::Pero,
-            protocol: ProtocolKind::Dragon,
-            cache_kib,
-            max_cpus: 8,
-        });
-    }
-    curves
-}
-
-/// Runs the validation matrix and assembles the report document.
+/// Runs the validation matrix behind Figures 1–3 and assembles the
+/// report document.
 pub fn generate(quick: bool, opts: &ValidationOptions) -> SimReportDoc {
     let start = Instant::now();
     let mut points = Vec::new();
@@ -221,72 +176,41 @@ pub fn generate(quick: bool, opts: &ValidationOptions) -> SimReportDoc {
     let mut measurements = Vec::new();
     let mut accesses = 0u64;
 
-    for curve in matrix() {
-        let mut config_b = SimConfig::builder(curve.protocol);
-        config_b.cache_bytes(curve.cache_kib * 1024);
-        let config = config_b.build();
-
-        // Same convention as `validation::compare_curves`: measure the
-        // workload once, from the largest trace of the curve.
-        let full_trace = curve
-            .preset
-            .config(curve.max_cpus, opts.instructions_per_cpu, opts.seed)
-            .generate();
-        let (workload, counts) = measure_workload_with_counts(&full_trace, &config);
+    for curve in curves() {
+        let run = run_curve(&curve, opts);
         measurements.push(CurveMeasurement {
             figure: curve.figure.to_string(),
             preset: curve.preset.to_string(),
             cache_kib: curve.cache_kib,
             cpus: u32::from(curve.max_cpus),
-            counts,
+            counts: run.counts,
         });
-
-        let scheme = curve
-            .protocol
-            .scheme()
-            .expect("the validation matrix runs the paper's protocols");
-        let protocol_events = {
-            let name = curve.protocol.to_string();
-            match protocols.iter().position(|p| p.protocol == name) {
-                Some(i) => i,
-                None => {
-                    protocols.push(ProtocolEvents::new(name));
-                    protocols.len() - 1
-                }
+        let protocol = curve.protocol.to_string();
+        let events = match protocols.iter().position(|p| p.protocol == protocol) {
+            Some(i) => i,
+            None => {
+                protocols.push(ProtocolEvents::new(protocol.clone()));
+                protocols.len() - 1
             }
         };
-
-        for n in 1..=curve.max_cpus {
-            let trace = curve
-                .preset
-                .config(n, opts.instructions_per_cpu, opts.seed)
-                .generate();
-            let report = simulate(&trace, &config);
-            let perf = analyze_bus(scheme, &workload, config.system(), u32::from(n))
-                .expect("bus analysis cannot fail for valid workloads");
-            accesses += report.accesses();
-            protocols[protocol_events].absorb(&report);
-            let sim_power = report.power();
-            let model_power = perf.power();
+        for point in &run.points {
+            accesses += point.sim.accesses();
+            protocols[events].absorb(&point.sim);
             points.push(PointResidual {
                 figure: curve.figure.to_string(),
                 preset: curve.preset.to_string(),
-                protocol: curve.protocol.to_string(),
+                protocol: protocol.clone(),
                 cache_kib: curve.cache_kib,
-                n: u32::from(n),
-                sim_power,
-                model_power,
-                power_rel_error: if sim_power > 0.0 {
-                    (model_power - sim_power).abs() / sim_power
-                } else {
-                    0.0
-                },
-                sim_msdat: report.msdat(),
-                model_msdat: workload.msdat(),
-                sim_mains: report.mains(),
-                model_mains: workload.mains(),
-                sim_bus_utilization: report.bus_utilization(),
-                model_bus_utilization: perf.bus_utilization(),
+                n: u32::from(point.n),
+                sim_power: point.sim.power(),
+                model_power: point.model.power(),
+                power_rel_error: point.power_rel_error(),
+                sim_msdat: point.sim.msdat(),
+                model_msdat: run.workload.msdat(),
+                sim_mains: point.sim.mains(),
+                model_mains: run.workload.mains(),
+                sim_bus_utilization: point.sim.bus_utilization(),
+                model_bus_utilization: point.model.bus_utilization(),
             });
         }
     }
@@ -437,6 +361,8 @@ pub fn render(doc: &SimReportDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swcc_sim::measure::measure_workload_with_counts;
+    use swcc_sim::{ProtocolKind, SimConfig};
     use swcc_trace::synth::pops_like;
 
     fn quick() -> ValidationOptions {

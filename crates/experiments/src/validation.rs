@@ -16,8 +16,8 @@
 //! Table 1's fixed times.
 
 use swcc_core::prelude::*;
-use swcc_sim::measure::measure_workload;
-use swcc_sim::{simulate, ProtocolKind, SimConfig};
+use swcc_sim::measure::{measure_workload_with_counts, MeasurementCounts};
+use swcc_sim::{simulate, ProtocolKind, SimConfig, SimReport};
 use swcc_trace::synth::Preset;
 
 use crate::artifact::{Figure, Series};
@@ -47,82 +47,159 @@ impl Default for ValidationOptions {
     }
 }
 
-/// One model-vs-simulation comparison curve pair.
-fn compare_curves(
-    preset: Preset,
-    protocol: ProtocolKind,
-    cache_bytes: u64,
-    max_cpus: u16,
-    opts: &ValidationOptions,
-) -> (Series, Series) {
-    let mut config_b = SimConfig::builder(protocol);
-    config_b.cache_bytes(cache_bytes);
-    let config = config_b.build();
+/// One model-vs-simulation curve of Figures 1–3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Curve {
+    /// Validation figure the curve belongs to (`"fig1"`, ...).
+    pub figure: &'static str,
+    /// Synthetic trace preset.
+    pub preset: Preset,
+    /// Coherence protocol simulated and modeled.
+    pub protocol: ProtocolKind,
+    /// Cache size in KiB.
+    pub cache_kib: u64,
+    /// Largest processor count; the curve runs `1..=max_cpus`.
+    pub max_cpus: u16,
+}
 
-    // Measure the workload once, from the largest trace (the paper's
-    // parameters are "expected to be nearly constant" in n; it also
-    // notes the resulting small single-processor discrepancy).
-    let full_trace = preset
-        .config(max_cpus, opts.instructions_per_cpu, opts.seed)
-        .generate();
-    let workload = measure_workload(&full_trace, &config);
+/// The validation matrix behind Figures 1–3, in figure order: Fig 1
+/// (Base and Dragon, 64K, ≤4), Fig 2 (Dragon, 16/64/256K, ≤4), Fig 3
+/// (Dragon on PERO, 16/64/256K, ≤8).
+pub(crate) fn curves() -> Vec<Curve> {
+    use Preset::{Pero, Pops};
+    use ProtocolKind::{Base, Dragon};
+    let curve = |figure, preset, protocol, cache_kib, max_cpus| Curve {
+        figure,
+        preset,
+        protocol,
+        cache_kib,
+        max_cpus,
+    };
+    vec![
+        curve("fig1", Pops, Base, 64, 4),
+        curve("fig1", Pops, Dragon, 64, 4),
+        curve("fig2", Pops, Dragon, 16, 4),
+        curve("fig2", Pops, Dragon, 64, 4),
+        curve("fig2", Pops, Dragon, 256, 4),
+        curve("fig3", Pero, Dragon, 16, 8),
+        curve("fig3", Pero, Dragon, 64, 8),
+        curve("fig3", Pero, Dragon, 256, 8),
+    ]
+}
 
-    let tracing = swcc_obs::trace_enabled();
-    let mut sim_points = Vec::new();
-    let mut model_points = Vec::new();
-    for n in 1..=max_cpus {
-        let trace = preset
-            .config(n, opts.instructions_per_cpu, opts.seed)
-            .generate();
-        let report = simulate(&trace, &config);
-        sim_points.push((f64::from(n), report.power()));
-        let scheme = protocol
-            .scheme()
-            .expect("validation runs the paper's protocols");
-        let perf = analyze_bus(scheme, &workload, config.system(), u32::from(n))
-            .expect("bus analysis cannot fail for valid workloads");
-        model_points.push((f64::from(n), perf.power()));
-        if tracing {
-            let sim_power = report.power();
-            let model_power = perf.power();
-            let rel_error = if sim_power > 0.0 {
-                (model_power - sim_power).abs() / sim_power
-            } else {
-                0.0
-            };
-            swcc_obs::event(
-                EV_VALIDATION_POINT,
-                &[
-                    swcc_obs::Field::text("preset", preset.to_string()),
-                    swcc_obs::Field::text("protocol", protocol.to_string()),
-                    swcc_obs::Field::u64("cache_bytes", cache_bytes),
-                    swcc_obs::Field::u64("n", u64::from(n)),
-                    swcc_obs::Field::f64("sim_power", sim_power),
-                    swcc_obs::Field::f64("model_power", model_power),
-                    swcc_obs::Field::f64("rel_error", rel_error),
-                ],
-            );
+/// One processor count of a validation curve.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CurvePoint {
+    /// Processor count.
+    pub n: u16,
+    /// The trace-driven simulation of an `n`-processor trace.
+    pub sim: SimReport,
+    /// The bus model at the curve's measured workload and `n` processors.
+    pub model: BusPerformance,
+}
+
+impl CurvePoint {
+    /// `|model − sim| / sim` on processing power (0 when the simulation
+    /// made no progress) — the paper's Fig 1 gap.
+    pub(crate) fn power_rel_error(&self) -> f64 {
+        let sim = self.sim.power();
+        if sim > 0.0 {
+            (self.model.power() - sim).abs() / sim
+        } else {
+            0.0
         }
     }
-    (
-        Series::new(format!("{preset} {protocol} sim"), sim_points),
-        Series::new(format!("{preset} {protocol} model"), model_points),
-    )
+}
+
+/// One validation curve, compared point by point.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CurveRun {
+    /// The workload measured from the curve's largest trace, which the
+    /// model is fed at every processor count.
+    pub workload: WorkloadParams,
+    /// The raw counters behind `workload`.
+    pub counts: MeasurementCounts,
+    /// One point per processor count, `1..=max_cpus`.
+    pub points: Vec<CurvePoint>,
+}
+
+/// Compares model and simulation along one curve: measures the workload
+/// once, from the largest trace (the paper's parameters are "expected to
+/// be nearly constant" in n; it also notes the resulting small
+/// single-processor discrepancy), then simulates each processor count
+/// and evaluates the bus model there.
+pub(crate) fn run_curve(curve: &Curve, opts: &ValidationOptions) -> CurveRun {
+    let mut config_b = SimConfig::builder(curve.protocol);
+    config_b.cache_bytes(curve.cache_kib * 1024);
+    let config = config_b.build();
+    let trace = |n| {
+        curve
+            .preset
+            .config(n, opts.instructions_per_cpu, opts.seed)
+            .generate()
+    };
+    let (workload, counts) = measure_workload_with_counts(&trace(curve.max_cpus), &config);
+    let scheme = curve
+        .protocol
+        .scheme()
+        .expect("validation runs the paper's protocols");
+    let points = (1..=curve.max_cpus)
+        .map(|n| {
+            let point = CurvePoint {
+                n,
+                sim: simulate(&trace(n), &config),
+                model: analyze_bus(scheme, &workload, config.system(), u32::from(n))
+                    .expect("bus analysis cannot fail for valid workloads"),
+            };
+            if swcc_obs::trace_enabled() {
+                swcc_obs::event(
+                    EV_VALIDATION_POINT,
+                    &[
+                        swcc_obs::Field::text("preset", curve.preset.to_string()),
+                        swcc_obs::Field::text("protocol", curve.protocol.to_string()),
+                        swcc_obs::Field::u64("cache_bytes", curve.cache_kib * 1024),
+                        swcc_obs::Field::u64("n", u64::from(n)),
+                        swcc_obs::Field::f64("sim_power", point.sim.power()),
+                        swcc_obs::Field::f64("model_power", point.model.power()),
+                        swcc_obs::Field::f64("rel_error", point.power_rel_error()),
+                    ],
+                );
+            }
+            point
+        })
+        .collect();
+    CurveRun {
+        workload,
+        counts,
+        points,
+    }
+}
+
+/// A validation figure: each of its curves as a `"{label} sim"` and
+/// `"{label} model"` processing-power series pair.
+fn figure(id: &str, title: &str, label: fn(&Curve) -> String, opts: &ValidationOptions) -> Figure {
+    let mut fig = Figure::new(title, "processors", "processing power");
+    for curve in curves().iter().filter(|c| c.figure == id) {
+        let run = run_curve(curve, opts);
+        let series = |kind: &str, power: fn(&CurvePoint) -> f64| {
+            let points = run.points.iter().map(|p| (f64::from(p.n), power(p)));
+            Series::new(format!("{} {kind}", label(curve)), points.collect())
+        };
+        fig.push_series(series("sim", |p| p.sim.power()));
+        fig.push_series(series("model", |p| p.model.power()));
+    }
+    fig
 }
 
 /// Figure 1: model vs simulation for Base and Dragon, 64 KiB caches,
 /// 1–4 processors, on a POPS-like trace.
 pub fn fig1(opts: &ValidationOptions) -> Figure {
-    let mut fig = Figure::new(
+    let mut fig = figure(
+        "fig1",
         "Figure 1: model versus simulation, 64KB caches (POPS-like trace)",
-        "processors",
-        "processing power",
+        |c| format!("{} {}", c.preset, c.protocol),
+        opts,
     );
-    for protocol in [ProtocolKind::Base, ProtocolKind::Dragon] {
-        let (sim, model) = compare_curves(Preset::Pops, protocol, 64 * 1024, 4, opts);
-        fig.push_series(sim);
-        fig.push_series(model);
-    }
     fig.notes.push(
         "the analytic bus model assumes exponential service and overestimates contention \
          relative to the fixed-service-time simulation (paper §3)"
@@ -134,49 +211,23 @@ pub fn fig1(opts: &ValidationOptions) -> Figure {
 /// Figure 2: impact of cache size (16K/64K/256K) on Dragon, model vs
 /// simulation, 1–4 processors.
 pub fn fig2(opts: &ValidationOptions) -> Figure {
-    let mut fig = Figure::new(
+    figure(
+        "fig2",
         "Figure 2: cache-size impact on Dragon, <=4 processors (POPS-like trace)",
-        "processors",
-        "processing power",
-    );
-    for cache_kib in [16u64, 64, 256] {
-        let (mut sim, mut model) = compare_curves(
-            Preset::Pops,
-            ProtocolKind::Dragon,
-            cache_kib * 1024,
-            4,
-            opts,
-        );
-        sim.name = format!("{cache_kib}K sim");
-        model.name = format!("{cache_kib}K model");
-        fig.push_series(sim);
-        fig.push_series(model);
-    }
-    fig
+        |c| format!("{}K", c.cache_kib),
+        opts,
+    )
 }
 
 /// Figure 3: the same comparison carried to 8 processors (PERO-like
 /// trace, as in the paper's 8-processor PERO run).
 pub fn fig3(opts: &ValidationOptions) -> Figure {
-    let mut fig = Figure::new(
+    figure(
+        "fig3",
         "Figure 3: cache-size impact on Dragon, <=8 processors (PERO-like trace)",
-        "processors",
-        "processing power",
-    );
-    for cache_kib in [16u64, 64, 256] {
-        let (mut sim, mut model) = compare_curves(
-            Preset::Pero,
-            ProtocolKind::Dragon,
-            cache_kib * 1024,
-            8,
-            opts,
-        );
-        sim.name = format!("{cache_kib}K sim");
-        model.name = format!("{cache_kib}K model");
-        fig.push_series(sim);
-        fig.push_series(model);
-    }
-    fig
+        |c| format!("{}K", c.cache_kib),
+        opts,
+    )
 }
 
 /// Maximum relative error between the matching model and simulation

@@ -3,7 +3,7 @@
 //! The model layer answers "how fast is the multiprocessor"; this crate
 //! answers "how hard did the solvers work to find out". It provides the
 //! counters behind `repro --metrics` and the machine-readable run
-//! manifest (`repro --manifest`), with nothing but `std` underneath —
+//! record (`repro --record`), with nothing but `std` underneath —
 //! no external dependencies, no locks on the record path.
 //!
 //! Three pieces:

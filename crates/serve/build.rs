@@ -1,7 +1,7 @@
 //! Captures build provenance (git commit, toolchain versions, profile)
 //! into compile-time env vars so `stats` and `telemetry` responses can
 //! identify the binary that produced them — the same stamp the run
-//! manifests carry. Every value degrades to `"unknown"` rather than
+//! records carry. Every value degrades to `"unknown"` rather than
 //! failing the build; provenance is best-effort by design.
 
 use std::process::Command;
@@ -20,6 +20,31 @@ fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
     }
 }
 
+/// Reruns this script whenever the commit HEAD resolves to can change:
+/// HEAD itself (a checkout), the branch ref it names (a commit on that
+/// branch) and `packed-refs`. `git rev-parse --git-path` resolves each
+/// path, so worktrees and relocated git directories work too. Only
+/// existing paths are watched, because Cargo reruns a script on every
+/// build while a watched path is missing. A branch that lives only in
+/// `packed-refs` is watched through its directory, where the next
+/// commit writes it.
+fn watch_git_head() {
+    let branch = command_line("git", &["symbolic-ref", "-q", "HEAD"]);
+    for name in ["HEAD", "packed-refs"].into_iter().chain(branch.as_deref()) {
+        let Some(mut path) =
+            command_line("git", &["rev-parse", "--git-path", name]).map(std::path::PathBuf::from)
+        else {
+            continue;
+        };
+        if !path.exists() && Some(name) == branch.as_deref() {
+            path.pop();
+        }
+        if path.exists() {
+            println!("cargo:rerun-if-changed={}", path.display());
+        }
+    }
+}
+
 fn main() {
     let unknown = || "unknown".to_string();
     let git_commit =
@@ -32,5 +57,5 @@ fn main() {
     println!("cargo:rustc-env=SWCC_GIT_COMMIT={git_commit}");
     println!("cargo:rustc-env=SWCC_RUSTC={rustc}");
     println!("cargo:rustc-env=SWCC_PROFILE={profile}");
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    watch_git_head();
 }

@@ -1,17 +1,17 @@
 //! End-to-end tests of the `repro` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 use swcc_experiments::history;
-use swcc_experiments::manifest::RunManifest;
 use swcc_experiments::trace_report;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
-/// A per-test scratch path for manifest/trace/baseline files, cleaned
+/// A per-test scratch path for record/trace/baseline files, cleaned
 /// up on drop.
 struct TempManifest(PathBuf);
 
@@ -287,7 +287,7 @@ fn unknown_options_are_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option: --frobnicate"));
 }
 
-// --- Observability: --metrics and --manifest ---------------------------
+// --- Observability: --metrics and --record -----------------------------
 
 #[test]
 fn metrics_flag_reports_solver_counters() {
@@ -306,83 +306,123 @@ fn metrics_flag_reports_solver_counters() {
 }
 
 #[test]
-fn manifest_records_experiments_and_solver_counters() {
-    let tmp = TempManifest::new("partial");
+fn recorded_line_is_read_by_history_report_and_check_record() {
+    let log = TempManifest::new("partial-record");
     let out = repro()
         .args([
-            "fig10",
+            "table1",
             "fig11",
             "--quick",
             "--jobs",
             "2",
-            "--manifest",
-            tmp.path(),
+            "--record",
+            log.path(),
         ])
         .output()
-        .expect("spawn repro --manifest");
+        .expect("spawn repro --record");
     assert!(out.status.success());
-    let json = std::fs::read_to_string(tmp.path()).expect("manifest written");
-    let manifest = RunManifest::from_json(&json).expect("manifest parses");
-    assert_eq!(manifest.schema, swcc_experiments::MANIFEST_SCHEMA);
-    assert!(manifest.options.quick);
-    assert_eq!(manifest.options.jobs, 2);
-    assert_eq!(manifest.totals.experiments, 2);
-    assert!(manifest.totals.wall_ms > 0.0);
-    for id in ["fig10", "fig11"] {
-        let entry = manifest.experiment(id).expect(id);
-        assert!(entry.duration_ms >= 0.0);
-        let evals = entry
-            .counters
-            .iter()
-            .find(|c| c.name == "core.solver.residual_evals")
-            .map(|c| c.value)
-            .unwrap_or(0);
-        assert!(evals > 0, "{id} must attribute solver work, got {evals}");
-    }
-    // Process totals cover at least the per-experiment sums.
-    assert!(
-        manifest
-            .metrics
-            .counter("core.solver.residual_evals")
-            .unwrap_or(0)
-            > 0
-    );
+    let text = std::fs::read_to_string(log.path()).expect("record written");
+    assert_eq!(text.lines().count(), 1, "one run appends one line");
+    let records = history::load_history(Path::new(log.path())).expect("record parses");
+    let record = &records[0];
+    assert_eq!(record.schema, swcc_experiments::RUN_SCHEMA);
+    assert!(record.quick);
+    assert_eq!(record.jobs, 2);
+    assert_eq!(record.experiments.len(), 2);
+    assert!(record.wall_ms > 0.0);
+    let fig11 = record.experiment("fig11").expect("fig11");
+    assert!(fig11.duration_ms >= 0.0);
+    let evals = fig11
+        .counters
+        .iter()
+        .find(|c| c.name == "core.solver.residual_evals")
+        .map_or(0, |c| c.value);
+    assert!(evals > 0, "fig11 must attribute solver work, got {evals}");
+    assert!(record.experiment("table1").unwrap().counters.is_empty());
+    // The run's totals cover at least the per-experiment sums.
+    assert!(record.counter("core.solver.residual_evals") >= evals);
 
-    // check-manifest: parses, but flags missing registry coverage.
-    let check = repro()
-        .args(["check-manifest", tmp.path()])
+    // `history` and `report --html` read the line.
+    let out = repro()
+        .args(["history", "--record", log.path()])
         .output()
-        .expect("spawn check-manifest");
+        .expect("spawn repro history");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("run history: showing 1 of 1"), "{stdout}");
+    let html = TempManifest::new("partial-record-html");
+    let out = repro()
+        .args(["report", "--html", html.path(), "--record", log.path()])
+        .output()
+        .expect("spawn repro report");
     assert!(
-        !check.status.success(),
-        "partial manifest must fail coverage"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    assert!(std::fs::read_to_string(html.path())
+        .expect("dashboard written")
+        .contains("Run history"));
+
+    // check-record: parses, but flags missing registry coverage.
+    let check = repro()
+        .args(["check-record", "--record", log.path()])
+        .output()
+        .expect("spawn check-record");
+    assert!(!check.status.success(), "a partial run must fail coverage");
     assert!(String::from_utf8_lossy(&check.stderr).contains("missing:"));
 }
 
 #[test]
-fn check_manifest_rejects_garbage() {
+fn check_record_rejects_garbage_and_retired_schemas() {
     let tmp = TempManifest::new("garbage");
-    std::fs::write(tmp.path(), "{\"schema\": \"other/v9\"}").unwrap();
+    std::fs::write(tmp.path(), "{\"schema\": \"other/v9\"}\n").unwrap();
     let out = repro()
-        .args(["check-manifest", tmp.path()])
+        .args(["check-record", "--record", tmp.path()])
         .output()
-        .expect("spawn check-manifest");
+        .expect("spawn check-record");
     assert!(!out.status.success());
     let missing = repro()
-        .args(["check-manifest", "/nonexistent/manifest.json"])
+        .args(["check-record", "--record", "/nonexistent/runs.jsonl"])
         .output()
-        .expect("spawn check-manifest");
+        .expect("spawn check-record");
     assert!(!missing.status.success());
-    assert!(String::from_utf8_lossy(&missing.stderr).contains("cannot read"));
+    assert!(String::from_utf8_lossy(&missing.stderr).contains("no run records"));
+
+    // The manifest and history formats this record replaced are not
+    // read at all: every reader of the log names the one schema.
+    let mut line: serde_json::Value =
+        serde_json::from_str(&recorded_run().to_jsonl()).expect("record is JSON");
+    for retired in ["swcc-run-manifest/v2", "swcc-run-history/v1"] {
+        if let serde_json::Value::Object(entries) = &mut line {
+            for (key, value) in entries.iter_mut() {
+                if key == "schema" {
+                    *value = serde_json::Value::Str(retired.to_string());
+                }
+            }
+        }
+        std::fs::write(tmp.path(), serde_json::to_string(&line).unwrap() + "\n").unwrap();
+        let html = TempManifest::new("retired-html");
+        for argv in [
+            &["check-record", "--record", tmp.path()][..],
+            &["history", "--record", tmp.path()],
+            &["report", "--html", html.path(), "--record", tmp.path()],
+        ] {
+            let out = repro().args(argv).output().expect("spawn repro");
+            assert!(!out.status.success(), "{argv:?} must reject {retired}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(retired), "{argv:?}: {stderr}");
+            assert!(stderr.contains("swcc-run/v1"), "{argv:?}: {stderr}");
+        }
+    }
 }
 
 #[test]
-fn observation_does_not_change_artifacts_and_manifest_covers_registry() {
+fn observation_does_not_change_artifacts_and_record_covers_registry() {
     // The acceptance bar for the observability layer: a full observed
     // run produces byte-identical artifacts (modulo nondeterministic
-    // runner timing notes) and a manifest covering the whole registry.
-    let tmp = TempManifest::new("all");
+    // runner timing notes) and a record covering the whole registry.
+    let log = TempManifest::new("all");
     let plain = repro()
         .args(["--all", "--quick", "--jobs", "0", "--json"])
         .output()
@@ -396,8 +436,8 @@ fn observation_does_not_change_artifacts_and_manifest_covers_registry() {
             "0",
             "--json",
             "--metrics",
-            "--manifest",
-            tmp.path(),
+            "--record",
+            log.path(),
         ])
         .output()
         .expect("spawn observed run");
@@ -411,24 +451,33 @@ fn observation_does_not_change_artifacts_and_manifest_covers_registry() {
     strip_runner_notes(&mut observed_json);
     assert_eq!(
         plain_json, observed_json,
-        "metrics/manifest must not change artifact output"
+        "metrics/record must not change artifact output"
     );
 
-    let manifest =
-        RunManifest::from_json(&std::fs::read_to_string(tmp.path()).expect("manifest written"))
-            .expect("manifest parses");
+    let records = history::load_history(Path::new(log.path())).expect("record parses");
+    let record = records.last().expect("record written");
     assert!(
-        manifest.missing_experiments().is_empty(),
-        "an --all manifest must cover the registry"
+        record.missing_experiments().is_empty(),
+        "an --all record must cover the registry"
     );
     assert_eq!(
-        manifest.totals.experiments,
+        record.experiments.len(),
         swcc_experiments::EXPERIMENTS.len()
     );
+    assert_eq!(
+        record
+            .accuracy
+            .iter()
+            .map(|a| a.figure.as_str())
+            .collect::<Vec<_>>(),
+        ["ext_netsim", "fig1", "fig2", "fig3"],
+        "every model-vs-simulation figure carries its accuracy"
+    );
+    assert!(record.sim_accesses_per_second().unwrap_or(0.0) > 0.0);
     let check = repro()
-        .args(["check-manifest", tmp.path()])
+        .args(["check-record", "--record", log.path()])
         .output()
-        .expect("spawn check-manifest");
+        .expect("spawn check-record");
     assert!(
         check.status.success(),
         "{}",
@@ -752,14 +801,14 @@ fn trace_export_produces_chrome_json_and_folded_stacks() {
     assert!(String::from_utf8_lossy(&missing.stderr).contains("--format"));
 }
 
-// --- History: --record-history and repro history -------------------------
+// --- History: --record and repro history ---------------------------------
 
 #[test]
 fn record_history_appends_schema_checked_records() {
     let log = TempManifest::new("history-log");
     for expected in 1..=2u64 {
         let out = repro()
-            .args(["table1", "--record-history", "--history-file", log.path()])
+            .args(["table1", "--record", log.path()])
             .output()
             .expect("spawn recorded run");
         assert!(
@@ -767,60 +816,69 @@ fn record_history_appends_schema_checked_records() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(String::from_utf8_lossy(&out.stderr).contains("recorded run history"));
-        let records =
-            history::load_history(std::path::Path::new(log.path())).expect("history log parses");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("recorded run to"));
+        let records = history::load_history(Path::new(log.path())).expect("history log parses");
         assert_eq!(records.len() as u64, expected, "append-only log grows");
         let last = records.last().unwrap();
-        assert_eq!(last.schema, history::HISTORY_SCHEMA);
-        assert_eq!(last.experiments, 1);
-        assert!(last.warm_start.iteration_speedup > 1.0);
+        assert_eq!(last.schema, history::RUN_SCHEMA);
+        assert_eq!(last.experiments.len(), 1);
     }
-    // --history-file without --record-history makes no sense on a run.
+    // --record needs a path, and the history options make no sense on a
+    // run.
     let out = repro()
-        .args(["table1", "--history-file", log.path()])
+        .args(["table1", "--record"])
         .output()
         .expect("spawn repro");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--record-history"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--record needs a value"));
+    let out = repro()
+        .args(["table1", "--last", "2"])
+        .output()
+        .expect("spawn repro");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--last does not apply"));
 }
 
-/// A hand-built steady history record, as the drift tests' baseline.
-fn synthetic_record(speedup: f64, evals: u64, err: f64) -> history::HistoryRecord {
-    history::HistoryRecord {
-        schema: history::HISTORY_SCHEMA.to_string(),
-        build: swcc_experiments::BuildProvenance::current(),
-        quick: true,
-        jobs: 1,
-        experiments: 26,
-        wall_ms: 500.0,
-        accuracy: vec![history::AccuracyEntry {
-            figure: "fig1".to_string(),
-            max_rel_error: err,
-        }],
-        solver: history::SolverStats {
-            solves: 400,
-            residual_evals: evals,
-            warm_reuses: 200,
-            bracket_fallbacks: 2,
-        },
-        warm_start: history::WarmStartStats {
-            cold_iterations: 400,
-            warm_iterations: 160,
-            iteration_speedup: speedup,
-        },
-        batch: Some(history::BatchStats {
-            batches: 12,
-            lanes: 4000,
-            reference_iterations: 1200,
-            lanes_per_second: 2.5e7,
-        }),
-        sim: Some(history::SimStats {
-            reference_accesses: 55_000,
-            reference_makespan: 90_000,
-            accesses_per_second: 5.0e6,
-            wall_ms: 11.0,
-        }),
+/// The record of one real `table1 fig11 --quick` run, made once per
+/// test binary.
+fn recorded_run() -> history::RecordedRun {
+    static RUN: OnceLock<history::RecordedRun> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let log = TempManifest::new("fixture-record");
+        let out = repro()
+            .args(["table1", "fig11", "--quick", "--record", log.path()])
+            .output()
+            .expect("spawn recorded run");
+        assert!(out.status.success());
+        let mut records = history::load_history(Path::new(log.path())).expect("record parses");
+        records.pop().expect("one record")
+    })
+    .clone()
+}
+
+/// A real record with its whole-run residual evaluations set to `evals`
+/// and one validation figure, fig1, at error `err`: the drift tests'
+/// fixture.
+fn synthetic_record(evals: u64, err: f64) -> history::RecordedRun {
+    let mut record = recorded_run();
+    let counter = record
+        .metrics
+        .counters
+        .iter_mut()
+        .find(|c| c.name == "core.solver.residual_evals")
+        .expect("the run records solver work");
+    counter.value = evals;
+    record.accuracy = vec![history::AccuracyEntry {
+        figure: "fig1".to_string(),
+        max_rel_error: err,
+    }];
+    record
+}
+
+/// Writes `records` to the log at `path`, oldest first.
+fn write_log(path: &str, records: &[history::RecordedRun]) {
+    for record in records {
+        history::append_record(Path::new(path), record).unwrap();
     }
 }
 
@@ -828,15 +886,14 @@ fn synthetic_record(speedup: f64, evals: u64, err: f64) -> history::HistoryRecor
 fn history_subcommand_gates_drift_with_its_exit_code() {
     // Steady log: the gate passes.
     let steady = TempManifest::new("history-steady");
-    for record in [
-        synthetic_record(2.50, 9000, 0.120),
-        synthetic_record(2.52, 9010, 0.119),
-        synthetic_record(2.48, 8990, 0.121),
-    ] {
-        history::append_record(std::path::Path::new(steady.path()), &record).unwrap();
-    }
+    let steady_records = [
+        synthetic_record(9000, 0.120),
+        synthetic_record(9010, 0.119),
+        synthetic_record(8990, 0.121),
+    ];
+    write_log(steady.path(), &steady_records);
     let out = repro()
-        .args(["history", "--history-file", steady.path()])
+        .args(["history", "--record", steady.path()])
         .output()
         .expect("spawn repro history");
     assert!(
@@ -848,30 +905,43 @@ fn history_subcommand_gates_drift_with_its_exit_code() {
     assert!(stdout.contains("run history: showing 3 of 3"), "{stdout}");
     assert!(stdout.contains("drift: OK"), "{stdout}");
 
-    // Drifted newest record: solver suddenly does 3x the work → the
-    // acceptance-criteria negative test, nonzero exit.
-    let drifted = TempManifest::new("history-drifted");
-    std::fs::copy(steady.path(), drifted.path()).unwrap();
-    history::append_record(
-        std::path::Path::new(drifted.path()),
-        &synthetic_record(2.51, 27000, 0.120),
-    )
-    .unwrap();
-    let out = repro()
-        .args(["history", "--history-file", drifted.path()])
-        .output()
-        .expect("spawn repro history drifted");
-    assert!(!out.status.success(), "drifted history must exit nonzero");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("drift: FAILED"), "{stdout}");
-    assert!(stdout.contains("solver residual evals"), "{stdout}");
+    // Drifted newest record: the solver suddenly does 3x the work, or
+    // fig1's accuracy envelope blows up → nonzero exit naming the
+    // quantity.
+    for (tag, newest, quantity) in [
+        (
+            "evals",
+            synthetic_record(27000, 0.120),
+            "solver residual evals",
+        ),
+        ("error", synthetic_record(9000, 0.5), "fig1 max rel error"),
+    ] {
+        let drifted = TempManifest::new(&format!("history-drifted-{tag}"));
+        write_log(drifted.path(), &steady_records);
+        write_log(drifted.path(), &[newest]);
+        let out = repro()
+            .args(["history", "--record", drifted.path()])
+            .output()
+            .expect("spawn repro history drifted");
+        assert!(!out.status.success(), "drifted history must exit nonzero");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("drift: FAILED"), "{stdout}");
+        let row = stdout
+            .lines()
+            .find(|l| l.contains(quantity))
+            .unwrap_or_else(|| panic!("no {quantity} row: {stdout}"));
+        assert!(row.ends_with("DRIFT"), "{row}");
+    }
 
-    // A generous --tolerance lets the same log pass, and --last trims
+    // A generous --tolerance lets a drifted log pass, and --last trims
     // the trend table.
+    let drifted = TempManifest::new("history-drifted-tolerant");
+    write_log(drifted.path(), &steady_records);
+    write_log(drifted.path(), &[synthetic_record(27000, 0.120)]);
     let out = repro()
         .args([
             "history",
-            "--history-file",
+            "--record",
             drifted.path(),
             "--tolerance",
             "900",
@@ -887,7 +957,7 @@ fn history_subcommand_gates_drift_with_its_exit_code() {
 
     // A missing log renders as empty and passes.
     let out = repro()
-        .args(["history", "--history-file", "/nonexistent/runs.jsonl"])
+        .args(["history", "--record", "/nonexistent/runs.jsonl"])
         .output()
         .expect("spawn repro history empty");
     assert!(out.status.success());
@@ -901,10 +971,9 @@ fn history_below_the_median_window_skips_with_insufficient_history() {
     // though the record's values would scream drift against any real
     // baseline.
     let log = TempManifest::new("history-short");
-    let awful = synthetic_record(0.01, 999_999_999, 0.999);
-    history::append_record(std::path::Path::new(log.path()), &awful).unwrap();
+    write_log(log.path(), &[synthetic_record(999_999_999, 0.999)]);
     let out = repro()
-        .args(["history", "--history-file", log.path()])
+        .args(["history", "--record", log.path()])
         .output()
         .expect("spawn repro history single");
     assert!(
@@ -920,13 +989,9 @@ fn history_below_the_median_window_skips_with_insufficient_history() {
     // trailing-median window. Gating now would compare the newest run
     // against a "median" of one sample, so this must also skip, even
     // with the newest record wildly worse than its lone predecessor.
-    history::append_record(
-        std::path::Path::new(log.path()),
-        &synthetic_record(0.001, u64::MAX / 2, 1.0),
-    )
-    .unwrap();
+    write_log(log.path(), &[synthetic_record(u64::MAX / 2, 1.0)]);
     let out = repro()
-        .args(["history", "--history-file", log.path()])
+        .args(["history", "--record", log.path()])
         .output()
         .expect("spawn repro history pair");
     assert!(
@@ -942,35 +1007,41 @@ fn history_below_the_median_window_skips_with_insufficient_history() {
 
 #[test]
 fn history_skips_quantities_predating_the_record_with_a_note() {
-    // Records written before the sim-throughput stats existed must not
-    // fail the gate — the gate prints one explicit skip line for the
-    // quantity and moves on (same contract as the pre-batch records).
-    let log = TempManifest::new("history-presim");
-    let mut old = synthetic_record(2.50, 9000, 0.120);
-    old.sim = None;
-    let mut older = synthetic_record(2.52, 9010, 0.119);
-    older.sim = None;
-    for record in [older, old, synthetic_record(2.48, 8990, 0.121)] {
-        history::append_record(std::path::Path::new(log.path()), &record).unwrap();
-    }
+    // The newest run covers a validation figure its predecessors lack:
+    // that figure has no trailing median, so the gate prints one
+    // explicit skip line for it and still gates everything else.
+    let log = TempManifest::new("history-new-figure");
+    let mut newest = synthetic_record(8990, 0.121);
+    newest.accuracy.push(history::AccuracyEntry {
+        figure: "fig2".to_string(),
+        max_rel_error: 0.9,
+    });
+    write_log(
+        log.path(),
+        &[
+            synthetic_record(9000, 0.120),
+            synthetic_record(9010, 0.119),
+            newest,
+        ],
+    );
     let out = repro()
-        .args(["history", "--history-file", log.path()])
+        .args(["history", "--record", log.path()])
         .output()
-        .expect("spawn repro history pre-sim");
+        .expect("spawn repro history new figure");
     assert!(
         out.status.success(),
-        "pre-sim predecessors must not fail the gate: {}",
+        "a figure the predecessors lack must not fail the gate: {}",
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("sim reference makespan: SKIPPED"),
+        stdout.contains("fig2 max rel error: SKIPPED"),
         "the skip must be explicit, not silent: {stdout}"
     );
     assert!(stdout.contains("predate it"), "{stdout}");
+    assert!(stdout.contains("fig1 max rel error"), "{stdout}");
     assert!(stdout.contains("drift: OK"), "{stdout}");
-    // The trend table still shows a sim-throughput column, dashed for
-    // the old records.
+    // The trend table shows the run's simulator throughput column.
     assert!(stdout.contains("sim acc/s"), "{stdout}");
 }
 
@@ -1069,12 +1140,10 @@ fn report_writes_a_self_contained_html_dashboard() {
         .expect("spawn traced run");
     assert!(run.status.success());
     let log = TempManifest::new("dash-history");
-    for record in [
-        synthetic_record(2.50, 9000, 0.120),
-        synthetic_record(2.52, 9010, 0.119),
-    ] {
-        history::append_record(std::path::Path::new(log.path()), &record).unwrap();
-    }
+    write_log(
+        log.path(),
+        &[synthetic_record(9000, 0.120), synthetic_record(9010, 0.119)],
+    );
 
     let html_out = TempManifest::new("dash-html");
     let out = repro()
@@ -1083,7 +1152,7 @@ fn report_writes_a_self_contained_html_dashboard() {
             "--html",
             html_out.path(),
             trace.path(),
-            "--history-file",
+            "--record",
             log.path(),
         ])
         .output()
@@ -1114,13 +1183,7 @@ fn report_writes_a_self_contained_html_dashboard() {
     assert!(String::from_utf8_lossy(&missing.stderr).contains("--html"));
     let traceless = TempManifest::new("dash-traceless");
     let out = repro()
-        .args([
-            "report",
-            "--html",
-            traceless.path(),
-            "--history-file",
-            log.path(),
-        ])
+        .args(["report", "--html", traceless.path(), "--record", log.path()])
         .output()
         .expect("spawn traceless report");
     assert!(out.status.success());
