@@ -3,11 +3,11 @@
 //! The contention solves are pure functions of a handful of `f64` bit
 //! patterns: a machine-repairman `waiting` depends only on
 //! `(service, think, processors)`, a Patel operating point only on
-//! `(rate, size, stages)`. Memoizing them turns a ~µs solve into a
-//! ~40 ns lookup, which is what makes interactive query serving
-//! ([ROADMAP item 1]) viable. This module generalizes the memo that
-//! [`crate::sensitivity`] carried privately (an O(n) linear scan over a
-//! `Vec`) into a shared structure that is:
+//! `(rate, size, stages)`. Memoizing them turns a solve into a hash
+//! lookup, which is what makes interactive query serving viable. This
+//! module generalizes the memo that [`crate::sensitivity`] carried
+//! privately (an O(n) linear scan over a `Vec`) into a shared structure
+//! that is:
 //!
 //! * **Sharded** — N independently locked shards, so concurrent server
 //!   threads rarely contend; the shard index is taken from bits 32 and
@@ -22,10 +22,21 @@
 //! * **Single-flight** — [`begin`](SolvedPointCache::begin) returns
 //!   [`Admission::Claimed`] to exactly one caller per missing key;
 //!   concurrent identical queries get [`Admission::Shared`] and block
-//!   on the claimant's [`Flight`] instead of re-solving. The claimant
+//!   on a [`Flight`] instead of re-solving. The claimant
 //!   [`publish`](SolvedPointCache::publish)es the value (or
 //!   [`abort`](SolvedPointCache::abort)s on failure, waking waiters
 //!   empty-handed so they can fall back to solving themselves).
+//! * **Lazy flights** — a claim is a `flights` entry with no flight
+//!   attached. The first caller that finds the key claimed allocates
+//!   the flight, and later callers share it, so a key nobody else asks
+//!   for costs no allocation, and publishing it locks and wakes nothing.
+//! * **Batched** — [`begin_many`](SolvedPointCache::begin_many),
+//!   [`publish_many`](SolvedPointCache::publish_many) and
+//!   [`abort_many`](SolvedPointCache::abort_many) group their keys by
+//!   shard, lock each shard once, and update the counters once. They
+//!   run the same per-key rules as the scalar calls, in key order
+//!   within each shard, so they answer exactly as a loop of scalar
+//!   calls would; flights are resolved after every lock is released.
 //!
 //! Locks are the non-poisoning [`swcc_obs::sync`] wrappers: a worker
 //! that panics mid-insert leaves a valid (merely smaller) shard behind
@@ -160,7 +171,8 @@ pub enum Admission<V> {
     /// [`abort`](SolvedPointCache::abort) on failure). Until then every
     /// other caller for the same key is parked on the flight.
     Claimed,
-    /// Another caller is already solving this key; wait on the flight.
+    /// Another caller is already solving this key; wait on the flight,
+    /// which the first such caller attached to the claim.
     Shared(Arc<Flight<V>>),
 }
 
@@ -231,8 +243,61 @@ impl<V: Copy> Flight<V> {
 struct Shard<V> {
     /// Solved values.
     ready: HashMap<PointKey, V, PointHashState>,
-    /// Claims still being solved; empty whenever no solve is running.
-    flights: HashMap<PointKey, Arc<Flight<V>>, PointHashState>,
+    /// Claims still being solved; empty whenever no solve is running. A
+    /// claim carries a flight only once a second caller shares it.
+    flights: HashMap<PointKey, Option<Arc<Flight<V>>>, PointHashState>,
+}
+
+impl<V: Copy> Shard<V> {
+    // The admission rules, one key at a time on a locked shard. Every
+    // public operation, scalar or batched, runs these bodies and adds
+    // `delta` to the cache's counters afterwards; the flights they
+    // return are resolved once every shard lock is released.
+
+    fn begin(&mut self, key: PointKey, delta: &mut CacheStats) -> Admission<V> {
+        if let Some(v) = self.ready.get(&key) {
+            delta.hits += 1;
+            delta.probes += 1;
+            return Admission::Hit(*v);
+        }
+        delta.probes += 2;
+        match self.flights.entry(key) {
+            Entry::Occupied(mut claim) => {
+                delta.coalesced += 1;
+                let flight = claim
+                    .get_mut()
+                    .get_or_insert_with(|| Arc::new(Flight::new()));
+                Admission::Shared(Arc::clone(flight))
+            }
+            Entry::Vacant(slot) => {
+                delta.misses += 1;
+                slot.insert(None);
+                Admission::Claimed
+            }
+        }
+    }
+
+    fn insert(
+        &mut self,
+        key: PointKey,
+        value: V,
+        delta: &mut CacheStats,
+    ) -> Option<Arc<Flight<V>>> {
+        self.ready.insert(key, value);
+        delta.inserts += 1;
+        if self.flights.is_empty() {
+            delta.probes += 1;
+            None
+        } else {
+            delta.probes += 2;
+            self.flights.remove(&key).flatten()
+        }
+    }
+
+    fn abort(&mut self, key: &PointKey, delta: &mut CacheStats) -> Option<Arc<Flight<V>>> {
+        delta.probes += 1;
+        self.flights.remove(key).flatten()
+    }
 }
 
 /// Point-in-time counters for one cache. `probes` counts hash-table
@@ -285,8 +350,11 @@ impl<V: Copy> SolvedPointCache<V> {
     /// two so the shard index is a mask, not a division). Empty shards
     /// allocate nothing.
     pub fn with_shards(shards: usize) -> Self {
+        Self::with_shards_and_hasher(shards, PointHashState::new())
+    }
+
+    fn with_shards_and_hasher(shards: usize, hasher: PointHashState) -> Self {
         let n = shards.max(1).next_power_of_two();
-        let hasher = PointHashState::new();
         SolvedPointCache {
             shards: (0..n)
                 .map(|_| {
@@ -305,70 +373,101 @@ impl<V: Copy> SolvedPointCache<V> {
         }
     }
 
-    fn shard(&self, key: &PointKey) -> &Mutex<Shard<V>> {
-        let h = self.hasher.hash_one(key);
-        &self.shards[(h >> 32) as usize & (self.shards.len() - 1)]
+    fn shard_index(&self, key: &PointKey) -> usize {
+        (self.hasher.hash_one(key) >> 32) as usize & (self.shards.len() - 1)
     }
 
-    fn count(&self, counter: &AtomicU64, probes: u64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.probes.fetch_add(probes, Ordering::Relaxed);
+    /// Runs `body` on one key under its shard's lock.
+    fn with_shard<R>(
+        &self,
+        key: &PointKey,
+        body: impl FnOnce(&mut Shard<V>, &mut CacheStats) -> R,
+    ) -> R {
+        let mut delta = CacheStats::default();
+        let out = body(&mut self.shards[self.shard_index(key)].lock(), &mut delta);
+        self.record(delta);
+        out
+    }
+
+    /// Runs `body` on every position of `keys`, taking each shard lock
+    /// once: one counting sort groups the positions by shard, and each
+    /// non-empty shard runs its positions in their original order, so a
+    /// key listed twice is handled twice, in list order.
+    fn for_each_by_shard(
+        &self,
+        keys: &[PointKey],
+        mut body: impl FnMut(&mut Shard<V>, usize, &mut CacheStats),
+    ) {
+        let shard_of: Vec<usize> = keys.iter().map(|k| self.shard_index(k)).collect();
+        let mut starts = vec![0usize; self.shards.len() + 1];
+        for &s in &shard_of {
+            starts[s + 1] += 1;
+        }
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut cursor = starts.clone();
+        let mut order = vec![0usize; keys.len()];
+        for (i, &s) in shard_of.iter().enumerate() {
+            order[cursor[s]] = i;
+            cursor[s] += 1;
+        }
+        let mut delta = CacheStats::default();
+        for (shard, group) in self.shards.iter().zip(starts.windows(2)) {
+            if group[0] < group[1] {
+                let mut shard = shard.lock();
+                for &i in &order[group[0]..group[1]] {
+                    body(&mut shard, i, &mut delta);
+                }
+            }
+        }
+        self.record(delta);
+    }
+
+    /// Adds one operation's (or one batch's) counts to the counters.
+    fn record(&self, delta: CacheStats) {
+        for (counter, n) in [
+            (&self.hits, delta.hits),
+            (&self.misses, delta.misses),
+            (&self.coalesced, delta.coalesced),
+            (&self.inserts, delta.inserts),
+            (&self.probes, delta.probes),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Looks up a solved value. Pending (in-flight) keys read as
     /// misses: `get` never blocks.
     pub fn get(&self, key: &PointKey) -> Option<V> {
-        let value = self.shard(key).lock().ready.get(key).copied();
-        let outcome = if value.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        self.count(outcome, 1);
-        value
+        self.with_shard(key, |shard, delta| {
+            let value = shard.ready.get(key).copied();
+            if value.is_some() {
+                delta.hits += 1;
+            } else {
+                delta.misses += 1;
+            }
+            delta.probes += 1;
+            value
+        })
     }
 
     /// Inserts (or overwrites) a solved value, resolving any waiters
     /// parked on the key.
     pub fn insert(&self, key: PointKey, value: V) {
-        let (flight, probes) = {
-            let mut shard = self.shard(&key).lock();
-            shard.ready.insert(key, value);
-            if shard.flights.is_empty() {
-                (None, 1)
-            } else {
-                (shard.flights.remove(&key), 2)
-            }
-        };
-        self.count(&self.inserts, probes);
-        if let Some(f) = flight {
-            f.resolve(FlightState::Done(value));
+        if let Some(flight) = self.with_shard(&key, |shard, delta| shard.insert(key, value, delta))
+        {
+            flight.resolve(FlightState::Done(value));
         }
     }
 
     /// Admission with single-flight coalescing: exactly one concurrent
     /// caller per missing key is told [`Admission::Claimed`]; the rest
-    /// share that claimant's [`Flight`].
+    /// share a [`Flight`] that the first of them attaches to the claim.
     pub fn begin(&self, key: PointKey) -> Admission<V> {
-        let mut shard = self.shard(&key).lock();
-        if let Some(v) = shard.ready.get(&key) {
-            let v = *v;
-            drop(shard);
-            self.count(&self.hits, 1);
-            return Admission::Hit(v);
-        }
-        let (admission, outcome) = match shard.flights.entry(key) {
-            Entry::Occupied(flight) => {
-                (Admission::Shared(Arc::clone(flight.get())), &self.coalesced)
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Arc::new(Flight::new()));
-                (Admission::Claimed, &self.misses)
-            }
-        };
-        drop(shard);
-        self.count(outcome, 2);
-        admission
+        self.with_shard(&key, |shard, delta| shard.begin(key, delta))
     }
 
     /// Fulfills a [`Admission::Claimed`] admission. Equivalent to
@@ -384,10 +483,51 @@ impl<V: Copy> SolvedPointCache<V> {
     /// themselves instead of blocking forever. A publish that won the
     /// race has already retired the claim, so its value stays.
     pub fn abort(&self, key: &PointKey) {
-        let flight = self.shard(key).lock().flights.remove(key);
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(f) = flight {
-            f.resolve(FlightState::Aborted);
+        if let Some(flight) = self.with_shard(key, |shard, delta| shard.abort(key, delta)) {
+            flight.resolve(FlightState::Aborted);
+        }
+    }
+
+    /// [`begin`](SolvedPointCache::begin) on every key, taking each
+    /// shard lock once. The admissions come back in key order and equal
+    /// those of a loop of `begin` calls: the first occurrence of a
+    /// missing key is `Claimed`, later ones `Shared`.
+    pub fn begin_many(&self, keys: &[PointKey]) -> Vec<Admission<V>> {
+        // Placeholders: the shard pass writes every position once.
+        let mut out: Vec<Admission<V>> = keys.iter().map(|_| Admission::Claimed).collect();
+        self.for_each_by_shard(keys, |shard, i, delta| out[i] = shard.begin(keys[i], delta));
+        out
+    }
+
+    /// [`publish`](SolvedPointCache::publish) of `values[i]` under
+    /// `keys[i]` for every `i`, taking each shard lock once. Waiters
+    /// are woken after every lock is released.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` and `values` differ in length.
+    pub fn publish_many(&self, keys: &[PointKey], values: &[V]) {
+        assert_eq!(keys.len(), values.len(), "publish_many: one value per key");
+        let mut woken = Vec::new();
+        self.for_each_by_shard(keys, |shard, i, delta| {
+            if let Some(flight) = shard.insert(keys[i], values[i], delta) {
+                woken.push((flight, values[i]));
+            }
+        });
+        for (flight, value) in woken {
+            flight.resolve(FlightState::Done(value));
+        }
+    }
+
+    /// [`abort`](SolvedPointCache::abort) on every key, taking each
+    /// shard lock once. Waiters are woken after every lock is released.
+    pub fn abort_many(&self, keys: &[PointKey]) {
+        let mut woken = Vec::new();
+        self.for_each_by_shard(keys, |shard, i, delta| {
+            woken.extend(shard.abort(&keys[i], delta))
+        });
+        for flight in woken {
+            flight.resolve(FlightState::Aborted);
         }
     }
 
@@ -423,6 +563,7 @@ impl<V: Copy> SolvedPointCache<V> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
     use std::thread;
 
     fn key(i: u64) -> PointKey {
@@ -709,6 +850,196 @@ mod tests {
         assert!(matches!(cache.begin(key(2)), Admission::Claimed));
         cache.publish(key(2), 2.0);
         assert_eq!(cache.get(&key(2)), Some(2.0));
+    }
+
+    #[test]
+    fn a_claim_carries_a_flight_only_once_a_second_caller_shares_it() {
+        let cache: SolvedPointCache<f64> = SolvedPointCache::with_shards(1);
+        let pending = |cache: &SolvedPointCache<f64>| {
+            cache.shards[0]
+                .lock()
+                .flights
+                .get(&key(8))
+                .map(Option::is_some)
+        };
+        assert!(matches!(cache.begin(key(8)), Admission::Claimed));
+        assert_eq!(pending(&cache), Some(false), "a lone claim has no flight");
+        let flight = match cache.begin(key(8)) {
+            Admission::Shared(flight) => flight,
+            other => panic!("expected to share the claim, got {other:?}"),
+        };
+        assert_eq!(pending(&cache), Some(true));
+        assert!(matches!(cache.begin(key(8)), Admission::Shared(f) if Arc::ptr_eq(&f, &flight)));
+        cache.publish(key(8), 8.0);
+        assert_eq!(pending(&cache), None);
+        assert_eq!(flight.wait(), Some(8.0));
+    }
+
+    /// A cache with `ready` keys solved and `claimed` keys claimed by
+    /// some other caller. Its hash seed is fixed, so two such caches
+    /// place every key in the same shard: whether a shard has pending
+    /// claims decides a publish's probe count.
+    fn seeded(shards: usize, ready: &[u64], claimed: &[u64]) -> SolvedPointCache<u64> {
+        let cache = SolvedPointCache::with_shards_and_hasher(shards, PointHashState { seed: 7 });
+        for &i in ready {
+            cache.insert(key(i), i * 10);
+        }
+        for &i in claimed {
+            let _ = cache.begin(key(i));
+        }
+        cache
+    }
+
+    /// Each admission's kind and hit value; for a shared flight, what a
+    /// waiter would read from it now.
+    fn outcomes(admissions: &[Admission<u64>]) -> Vec<(&'static str, Option<u64>)> {
+        admissions
+            .iter()
+            .map(|a| match a {
+                Admission::Hit(v) => ("hit", Some(*v)),
+                Admission::Claimed => ("claimed", None),
+                Admission::Shared(flight) => ("shared", flight.wait_for(Duration::ZERO)),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn batch_calls_equal_a_loop_of_scalar_calls(
+            one_shard in proptest::bool::ANY,
+            ready in proptest::collection::vec(0u64..32, 0..12),
+            claimed in proptest::collection::vec(0u64..32, 0..12),
+            admitted in proptest::collection::vec(0u64..32, 0..48),
+            published in proptest::collection::vec((0u64..32, 0u64..1000), 0..24),
+            aborted in proptest::collection::vec(0u64..32, 0..24),
+        ) {
+            let shards = if one_shard { 1 } else { DEFAULT_SHARDS };
+            let batch = seeded(shards, &ready, &claimed);
+            let scalar = seeded(shards, &ready, &claimed);
+            proptest::prop_assert_eq!(batch.stats(), scalar.stats());
+
+            let keys: Vec<PointKey> = admitted.iter().map(|&i| key(i)).collect();
+            let got = batch.begin_many(&keys);
+            let want: Vec<Admission<u64>> = keys.iter().map(|&k| scalar.begin(k)).collect();
+            proptest::prop_assert_eq!(outcomes(&got), outcomes(&want));
+            proptest::prop_assert_eq!(batch.stats(), scalar.stats());
+
+            let (keys, values): (Vec<PointKey>, Vec<u64>) =
+                published.iter().map(|&(i, v)| (key(i), v)).unzip();
+            batch.publish_many(&keys, &values);
+            for (k, v) in keys.iter().zip(&values) {
+                scalar.publish(*k, *v);
+            }
+            proptest::prop_assert_eq!(batch.stats(), scalar.stats());
+
+            let keys: Vec<PointKey> = aborted.iter().map(|&i| key(i)).collect();
+            batch.abort_many(&keys);
+            for k in &keys {
+                scalar.abort(k);
+            }
+            proptest::prop_assert_eq!(batch.stats(), scalar.stats());
+
+            // Every shared flight was resolved alike, and both caches
+            // hold the same entries.
+            proptest::prop_assert_eq!(outcomes(&got), outcomes(&want));
+            proptest::prop_assert_eq!(batch.len(), scalar.len());
+            for i in 0..32 {
+                proptest::prop_assert_eq!(batch.get(&key(i)), scalar.get(&key(i)), "key {}", i);
+            }
+        }
+    }
+
+    fn shards_spanned(cache: &SolvedPointCache<u64>, keys: &[PointKey]) -> usize {
+        let mut spanned: Vec<usize> = keys.iter().map(|k| cache.shard_index(k)).collect();
+        spanned.sort_unstable();
+        spanned.dedup();
+        spanned.len()
+    }
+
+    #[test]
+    fn overlapping_batches_race_and_every_shared_waiter_gets_the_published_value() {
+        let cache: SolvedPointCache<u64> = SolvedPointCache::new();
+        let sets: [Vec<PointKey>; 2] = [(0..48).map(key).collect(), (16..64).map(key).collect()];
+        let overlap: Vec<PointKey> = (16..48).map(key).collect();
+        assert!(shards_spanned(&cache, &overlap) >= 8);
+        // Both claim sets are pending at once, so each overlapping key
+        // is claimed by one thread and shared by the other.
+        let admitted = Barrier::new(2);
+        let counts: Vec<(usize, usize)> = thread::scope(|scope| {
+            let handles: Vec<_> = sets
+                .iter()
+                .map(|keys| {
+                    let (cache, admitted) = (&cache, &admitted);
+                    scope.spawn(move || {
+                        let admissions = cache.begin_many(keys);
+                        admitted.wait();
+                        let (claimed, values): (Vec<PointKey>, Vec<u64>) = keys
+                            .iter()
+                            .zip(&admissions)
+                            .filter(|(_, a)| matches!(a, Admission::Claimed))
+                            .map(|(k, _)| (*k, k.think * 10))
+                            .unzip();
+                        cache.publish_many(&claimed, &values);
+                        let mut shared = 0;
+                        for (k, admission) in keys.iter().zip(admissions) {
+                            if let Admission::Shared(flight) = admission {
+                                assert_eq!(flight.wait(), Some(k.think * 10), "{k:?}");
+                                shared += 1;
+                            }
+                        }
+                        (claimed.len(), shared)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let claimed: usize = counts.iter().map(|c| c.0).sum();
+        let shared: usize = counts.iter().map(|c| c.1).sum();
+        assert_eq!((claimed, shared), (64, 32));
+        for i in 0..64 {
+            assert_eq!(cache.get(&key(i)), Some(i * 10), "key {i}");
+        }
+        let s = cache.stats();
+        assert_eq!((s.misses, s.coalesced, s.inserts), (64, 32, 64));
+    }
+
+    #[test]
+    fn abort_many_across_shards_wakes_every_waiter_empty_handed() {
+        let cache: SolvedPointCache<u64> = SolvedPointCache::new();
+        let keys: Vec<PointKey> = (0..40).map(key).collect();
+        assert!(shards_spanned(&cache, &keys) >= 8);
+        let claimed = cache.begin_many(&keys);
+        assert!(claimed.iter().all(|a| matches!(a, Admission::Claimed)));
+        let waiters = 3;
+        let admitted = Barrier::new(waiters + 1);
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..waiters)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let flights: Vec<Arc<Flight<u64>>> = cache
+                            .begin_many(&keys)
+                            .into_iter()
+                            .map(|a| match a {
+                                Admission::Shared(flight) => flight,
+                                other => panic!("expected to share the claim, got {other:?}"),
+                            })
+                            .collect();
+                        admitted.wait();
+                        flights.iter().map(|f| f.wait()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            admitted.wait();
+            cache.abort_many(&keys);
+            for handle in handles {
+                assert!(handle.join().unwrap().iter().all(Option::is_none));
+            }
+        });
+        assert!(cache.is_empty());
+        let reclaimed = cache.begin_many(&keys);
+        assert!(reclaimed.iter().all(|a| matches!(a, Admission::Claimed)));
     }
 
     #[test]

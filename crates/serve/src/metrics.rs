@@ -21,6 +21,10 @@ pub const SERVE_QUERIES: &str = "serve.queries";
 pub const SERVE_ERRORS: &str = "serve.errors";
 /// Connections accepted by the listener pool.
 pub const SERVE_CONNECTIONS: &str = "serve.connections";
+/// Request lines rejected for exceeding their byte cap, on batch
+/// connections and on the exposition listener; each closes its
+/// connection.
+pub const SERVE_OVERSIZED_LINES: &str = "serve.oversized_lines";
 
 /// Query points answered from a ready cache entry.
 pub const SERVE_CACHE_HITS: &str = "serve.cache.hits";
@@ -72,6 +76,7 @@ pub fn register(builder: RegistryBuilder) -> RegistryBuilder {
         .counter(SERVE_QUERIES)
         .counter(SERVE_ERRORS)
         .counter(SERVE_CONNECTIONS)
+        .counter(SERVE_OVERSIZED_LINES)
         .counter(SERVE_CACHE_HITS)
         .counter(SERVE_CACHE_MISSES)
         .counter(SERVE_CACHE_COALESCED)
@@ -126,6 +131,7 @@ mod tests {
             SERVE_QUERIES,
             SERVE_ERRORS,
             SERVE_CONNECTIONS,
+            SERVE_OVERSIZED_LINES,
             SERVE_CACHE_HITS,
             SERVE_CACHE_MISSES,
             SERVE_CACHE_COALESCED,

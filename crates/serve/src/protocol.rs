@@ -1,7 +1,8 @@
 //! The newline-delimited JSON wire protocol.
 //!
-//! One request per line, one response line per request. A request is
-//! either a control command — `{"cmd":"ping"}`, `{"cmd":"stats"}`,
+//! One request per line, one response line per request; a line longer
+//! than [`MAX_LINE_BYTES`] is answered with an error and its connection
+//! closed. A request is either a control command — `{"cmd":"ping"}`, `{"cmd":"stats"}`,
 //! `{"cmd":"shutdown"}` — or a query batch:
 //!
 //! ```json
@@ -43,6 +44,11 @@ pub const MAX_QUERIES: usize = 1024;
 pub const MAX_SWEEP_POINTS: u32 = 65_536;
 /// Most query points (queries × sweep points) accepted in one request.
 pub const MAX_POINTS: usize = 262_144;
+/// Most bytes read for one request line, its newline excluded: 1 KiB
+/// for each query of the largest batch, whose queries take about 600
+/// bytes each. A longer line is answered with an error naming this
+/// limit, and the connection is closed.
+pub const MAX_LINE_BYTES: usize = MAX_QUERIES * 1024;
 
 /// The machine a query runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -44,7 +44,8 @@
 //! the connection and the process keep serving. Claimed-but-unsolved
 //! cache slots are released by a RAII guard ([`ClaimSet`]) during
 //! unwinding, waking any coalesced waiters, who then re-claim and solve
-//! for themselves ([`resolve_lanes`]'s retry arm).
+//! for themselves ([`resolve_lanes`]'s retry arm, whose claims the same
+//! guard holds).
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -70,7 +71,7 @@ use swcc_obs::MetricsRegistry;
 use crate::metrics;
 use crate::protocol::{
     error_response, parse_request, push_f64, push_json_str, Batch, Machine, Query, QueryKind,
-    Request, TelemetryFormat, PROTOCOL_VERSION,
+    Request, TelemetryFormat, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::telemetry::{self, RequestTrace, Telemetry};
 
@@ -295,24 +296,34 @@ struct Acct {
 }
 
 /// RAII over this request's claimed cache slots: a claim is pending
-/// (`None`) until `publish` records its value; anything still pending on
-/// drop (solver error, panic) is aborted so coalesced waiters wake and
-/// re-claim.
+/// (`None`) until `publish_many` records its value; anything still
+/// pending on drop (solver error, panic) is aborted so coalesced waiters
+/// wake and re-claim.
 struct ClaimSet<'a, V: Copy> {
     cache: &'a SolvedPointCache<V>,
     claims: HashMap<PointKey, Option<V>, PointHashState>,
 }
 
 impl<'a, V: Copy> ClaimSet<'a, V> {
-    fn new(cache: &'a SolvedPointCache<V>) -> Self {
+    fn new(cache: &'a SolvedPointCache<V>, lanes: usize) -> Self {
         ClaimSet {
             cache,
-            claims: HashMap::with_hasher(PointHashState::new()),
+            claims: HashMap::with_capacity_and_hasher(lanes, PointHashState::new()),
         }
     }
 
     fn claim(&mut self, key: PointKey) {
         self.claims.insert(key, None);
+    }
+
+    /// Admits one key outside the batch, for the retry arm of
+    /// [`resolve_lanes`]; a claim it wins is owned by this set.
+    fn begin(&mut self, key: PointKey) -> Admission<V> {
+        let admission = self.cache.begin(key);
+        if let Admission::Claimed = admission {
+            self.claim(key);
+        }
+        admission
     }
 
     fn owns(&self, key: &PointKey) -> bool {
@@ -327,9 +338,11 @@ impl<'a, V: Copy> ClaimSet<'a, V> {
             .collect()
     }
 
-    fn publish(&mut self, key: PointKey, value: V) {
-        self.cache.publish(key, value);
-        self.claims.insert(key, Some(value));
+    fn publish_many(&mut self, keys: &[PointKey], values: &[V]) {
+        self.cache.publish_many(keys, values);
+        for (key, value) in keys.iter().zip(values) {
+            self.claims.insert(*key, Some(*value));
+        }
     }
 
     fn solved(&self, key: &PointKey) -> Option<V> {
@@ -339,22 +352,19 @@ impl<'a, V: Copy> ClaimSet<'a, V> {
 
 impl<V: Copy> Drop for ClaimSet<'_, V> {
     fn drop(&mut self) {
-        for (key, value) in &self.claims {
-            if value.is_none() {
-                self.cache.abort(key);
-            }
+        let pending = self.pending_keys();
+        if !pending.is_empty() {
+            self.cache.abort_many(&pending);
         }
     }
 }
 
-fn admit<V: Copy>(
-    cache: &SolvedPointCache<V>,
-    lanes: &mut [Lane<V>],
-    claims: &mut ClaimSet<'_, V>,
-    acct: &mut Acct,
-) {
-    for lane in lanes.iter_mut() {
-        lane.state = match cache.begin(lane.key) {
+/// Admits every lane with one shard-grouped `begin_many`.
+fn admit<V: Copy>(lanes: &mut [Lane<V>], claims: &mut ClaimSet<'_, V>, acct: &mut Acct) {
+    let keys: Vec<PointKey> = lanes.iter().map(|lane| lane.key).collect();
+    let admissions = claims.cache.begin_many(&keys);
+    for (lane, admission) in lanes.iter_mut().zip(admissions) {
+        lane.state = match admission {
             Admission::Hit(v) => {
                 acct.hits += 1;
                 LaneState::Value(v, Provenance::Hit)
@@ -381,11 +391,12 @@ fn admit<V: Copy>(
 
 /// Settles every lane to a value: claimed lanes read the batch-solve
 /// result, coalesced lanes wait on the owning request's flight — with
-/// one re-claim retry if that request aborted or the wait timed out.
+/// one re-claim retry if that request aborted or the wait timed out. A
+/// retry's claim joins `claims`, so an error or a panic in `solve_one`
+/// releases it like the batch's own.
 fn resolve_lanes<V: Copy>(
-    cache: &SolvedPointCache<V>,
     lanes: &mut [Lane<V>],
-    claims: &ClaimSet<'_, V>,
+    claims: &mut ClaimSet<'_, V>,
     timeout: Duration,
     wait_us: &mut f64,
     solve_one: &mut dyn FnMut(&PointKey) -> Result<V, String>,
@@ -412,18 +423,13 @@ fn resolve_lanes<V: Copy>(
                     // The owning request aborted (solver error or
                     // panic) or is stuck past the timeout: take the
                     // point over ourselves.
-                    None => match cache.begin(lane.key) {
+                    None => match claims.begin(lane.key) {
                         Admission::Hit(v) => LaneState::Value(v, Provenance::Coalesced),
-                        Admission::Claimed => match solve_one(&lane.key) {
-                            Ok(v) => {
-                                cache.publish(lane.key, v);
-                                LaneState::Value(v, Provenance::Miss)
-                            }
-                            Err(e) => {
-                                cache.abort(&lane.key);
-                                return Err(e);
-                            }
-                        },
+                        Admission::Claimed => {
+                            let v = solve_one(&lane.key)?;
+                            claims.publish_many(&[lane.key], &[v]);
+                            LaneState::Value(v, Provenance::Miss)
+                        }
                         Admission::Shared(flight) => match flight.wait_for(timeout) {
                             Some(v) => LaneState::Value(v, Provenance::Coalesced),
                             None => {
@@ -617,23 +623,13 @@ pub fn run_batch_traced(
         ],
     );
 
-    // --- Admit: single-flight begin() on every point. ----------------
+    // --- Admit: one shard-grouped begin_many() per cache. -----------
     let phase_started = Instant::now();
     let mut acct = Acct::default();
-    let mut bus_claims = ClaimSet::new(&state.bus_points);
-    let mut net_claims = ClaimSet::new(&state.net_points);
-    admit(
-        &state.bus_points,
-        &mut bus_lanes,
-        &mut bus_claims,
-        &mut acct,
-    );
-    admit(
-        &state.net_points,
-        &mut net_lanes,
-        &mut net_claims,
-        &mut acct,
-    );
+    let mut bus_claims = ClaimSet::new(&state.bus_points, bus_lanes.len());
+    let mut net_claims = ClaimSet::new(&state.net_points, net_lanes.len());
+    admit(&mut bus_lanes, &mut bus_claims, &mut acct);
+    admit(&mut net_lanes, &mut net_claims, &mut acct);
     trace.phase("admit", phase_started, started, 0);
 
     // --- Solve: drain all claims into one grid call per machine
@@ -659,15 +655,14 @@ pub fn run_batch_traced(
             let grid = machine_repairman_grid(processors, &services, &thinks)
                 .map_err(|e| format!("bus solve failed: {e}"))?;
             record_solve(state, keys.len());
-            for (key, mva) in keys.iter().zip(&grid) {
-                bus_claims.publish(
-                    *key,
-                    BusPoint {
-                        waiting: mva.waiting(),
-                        bus_utilization: mva.server_utilization(),
-                    },
-                );
-            }
+            let values: Vec<BusPoint> = grid
+                .iter()
+                .map(|mva| BusPoint {
+                    waiting: mva.waiting(),
+                    bus_utilization: mva.server_utilization(),
+                })
+                .collect();
+            bus_claims.publish_many(&keys, &values);
         }
         trace.phase("solve.bus", phase_started, started, lanes_total);
     }
@@ -694,9 +689,7 @@ pub fn run_batch_traced(
             .solve_grid(&rates, &sizes, &Stages::PerLane(&stage_counts), None)
             .map_err(|e| format!("network solve failed: {e}"))?;
         record_solve(state, net_pending.len());
-        for (key, point) in net_pending.iter().zip(batch_solution.points()) {
-            net_claims.publish(*key, *point);
-        }
+        net_claims.publish_many(&net_pending, batch_solution.points());
         trace.phase(
             "solve.network",
             phase_started,
@@ -710,17 +703,15 @@ pub fn run_batch_traced(
     let phase_started = Instant::now();
     let mut flight_wait_us = 0.0;
     resolve_lanes(
-        &state.bus_points,
         &mut bus_lanes,
-        &bus_claims,
+        &mut bus_claims,
         state.solve_timeout,
         &mut flight_wait_us,
         &mut solve_bus_one,
     )?;
     resolve_lanes(
-        &state.net_points,
         &mut net_lanes,
-        &net_claims,
+        &mut net_claims,
         state.solve_timeout,
         &mut flight_wait_us,
         &mut solve_net_one,
@@ -1068,6 +1059,47 @@ pub fn handle_request_deferred(state: &ServeState, line: &str) -> (String, bool,
     )
 }
 
+/// Longest request line the exposition listener reads: an HTTP request
+/// line naming one of three short paths.
+const MAX_SCRAPE_LINE_BYTES: usize = 4096;
+
+/// How a capped line read ended.
+enum LineRead {
+    /// The peer closed the connection before sending another byte.
+    Closed,
+    /// The buffer holds one line, with its newline if the peer sent one.
+    Line,
+    /// More than the cap arrived without a newline.
+    TooLong,
+}
+
+/// Reads one line into `line`, buffering at most `cap` bytes before its
+/// newline (`cap + 1` in all), so a peer that never sends a newline
+/// cannot grow the buffer without bound.
+fn read_line_capped(reader: impl BufRead, line: &mut Vec<u8>, cap: usize) -> io::Result<LineRead> {
+    line.clear();
+    let n = reader
+        .take((cap as u64).saturating_add(1))
+        .read_until(b'\n', line)?;
+    Ok(if n == 0 {
+        LineRead::Closed
+    } else if n > cap && line.last() != Some(&b'\n') {
+        LineRead::TooLong
+    } else {
+        LineRead::Line
+    })
+}
+
+fn utf8(line: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn count_oversized_line() {
+    if swcc_obs::enabled() {
+        swcc_obs::counter_add(metrics::SERVE_OVERSIZED_LINES, 1);
+    }
+}
+
 fn serve_connection(
     state: &ServeState,
     stream: TcpStream,
@@ -1077,15 +1109,22 @@ fn serve_connection(
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if state.shutting_down() {
             return Ok(true);
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(false),
-            Ok(_) => {}
+        match read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES) {
+            Ok(LineRead::Closed) => return Ok(false),
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => {
+                count_oversized_line();
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                writer.write_all(error_response(None, &message).as_bytes())?;
+                writer.write_all(b"\n")?;
+                writer.flush()?;
+                return Ok(false);
+            }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -1094,7 +1133,7 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         }
-        let trimmed = line.trim();
+        let trimmed = utf8(&line)?.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -1242,11 +1281,22 @@ fn telemetry_loop(listener: &TcpListener, state: &Arc<ServeState>) {
 fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
+    let mut request_line = Vec::new();
+    // An over-long line is rejected before decoding: the cap may split
+    // a character.
+    let path = match read_line_capped(&mut reader, &mut request_line, MAX_SCRAPE_LINE_BYTES)? {
+        LineRead::TooLong => None,
+        LineRead::Closed | LineRead::Line => {
+            Some(utf8(&request_line)?.split_whitespace().nth(1).unwrap_or(""))
+        }
+    };
     let (status, content_type, body) = match path {
-        "/metrics" => {
+        None => (
+            "414 URI Too Long",
+            "text/plain",
+            format!("request line exceeds {MAX_SCRAPE_LINE_BYTES} bytes\n"),
+        ),
+        Some("/metrics") => {
             let snapshot = state
                 .telemetry
                 .capture(telemetry::epoch_seconds(), state.registry);
@@ -1256,19 +1306,21 @@ fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
                 snapshot.to_prometheus(),
             )
         }
-        "/telemetry" => (
+        Some("/telemetry") => (
             "200 OK",
             "application/json",
             state.telemetry_response(TelemetryFormat::Json),
         ),
-        "/slow" => ("200 OK", "application/json", state.slow_response()),
-        _ => (
+        Some("/slow") => ("200 OK", "application/json", state.slow_response()),
+        Some(_) => (
             "404 Not Found",
             "text/plain",
             "unknown path; try /metrics, /telemetry, /slow\n".to_string(),
         ),
     };
-    if swcc_obs::enabled() {
+    if path.is_none() {
+        count_oversized_line();
+    } else if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::SERVE_TELEMETRY_SCRAPES, 1);
     }
     let mut writer = BufWriter::new(stream);
@@ -1437,6 +1489,50 @@ mod tests {
             cache.get_field("coalesced").and_then(serde::Value::as_u64),
             Some(2)
         );
+    }
+
+    #[test]
+    fn a_retry_claim_is_released_when_its_solve_panics_or_fails() {
+        let cache: SolvedPointCache<BusPoint> = SolvedPointCache::new();
+        let demand = scheme_demand(
+            Scheme::Base,
+            &WorkloadParams::at_level(Level::Middle),
+            &BusSystemModel::new(),
+        )
+        .unwrap();
+        let key = bus_key(&demand, 4);
+        type Solve = fn(&PointKey) -> Result<BusPoint, String>;
+        let panics: Solve = |_| panic!("solver exploded");
+        let fails: Solve = |_| Err("solver failed".to_string());
+        for solve in [panics, fails] {
+            // Another request claims the point, this one attaches to the
+            // claim, and the owner aborts: the retry arm re-claims it.
+            assert!(matches!(cache.begin(key), Admission::Claimed));
+            let Admission::Shared(flight) = cache.begin(key) else {
+                panic!("expected to share the claim");
+            };
+            cache.abort(&key);
+            let mut lanes = vec![Lane {
+                key,
+                demand,
+                state: LaneState::Wait(flight),
+            }];
+            let resolved = catch_unwind(AssertUnwindSafe(|| {
+                let mut claims = ClaimSet::new(&cache, lanes.len());
+                resolve_lanes(
+                    &mut lanes,
+                    &mut claims,
+                    Duration::from_secs(5),
+                    &mut 0.0,
+                    &mut |k| solve(k),
+                )
+            }));
+            assert!(!matches!(resolved, Ok(Ok(()))));
+            // The retry's claim was released, so the next caller claims
+            // the point instead of waiting on an orphaned claim.
+            assert!(matches!(cache.begin(key), Admission::Claimed));
+            cache.abort(&key);
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! ([`swcc_core::batch::BatchPatelSolver`]) the server solves with —
 //! one guarded-Newton kernel backs both, so they are one answer.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use serde::Value;
@@ -25,6 +26,9 @@ use swcc_core::scheme::Scheme;
 use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, ParamId, WorkloadParams};
+use swcc_obs::MetricsRegistry;
+use swcc_serve::metrics::SERVE_OVERSIZED_LINES;
+use swcc_serve::protocol::MAX_LINE_BYTES;
 use swcc_serve::{spawn, RunningServer, ServeConfig};
 
 fn start(workers: usize) -> RunningServer {
@@ -551,6 +555,75 @@ fn cold_sweep_admission_cost_does_not_grow_with_the_cache() {
         (full - empty).abs() <= 0.10 * empty,
         "probes per lookup: {empty:.3} into an empty cache, {full:.3} into {entries} entries"
     );
+    drop(client);
+    server.shutdown();
+    server.join();
+}
+
+/// The registry this test binary installs once, so connection-level
+/// counters can be read back. Only the over-long line test reads it.
+fn registry() -> &'static MetricsRegistry {
+    static REGISTRY: OnceLock<&'static MetricsRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        let registry = swcc_serve::metrics::register(swcc_obs::RegistryBuilder::new()).build();
+        let registry: &'static MetricsRegistry = Box::leak(Box::new(registry));
+        swcc_obs::install(registry).expect("first registry install in this process");
+        registry
+    })
+}
+
+#[test]
+fn an_over_long_request_line_is_rejected_counted_and_closed() {
+    let registry = registry();
+    let server = spawn(ServeConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        telemetry_addr: Some("127.0.0.1:0".to_string()),
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback listeners");
+
+    // One byte over the cap and no newline: the server stops reading
+    // there, answers an error naming the limit, and closes.
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = BufWriter::new(stream);
+    writer
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("write");
+    writer.flush().expect("flush");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read the rejection");
+    let rejection: Value = serde_json::from_str(response.trim()).expect("JSON error response");
+    assert!(!ok(&rejection), "{response}");
+    let error = rejection.get_field("error").and_then(Value::as_str);
+    assert!(
+        error.is_some_and(|e| e.contains(&MAX_LINE_BYTES.to_string())),
+        "{response}"
+    );
+    response.clear();
+    assert_eq!(reader.read_line(&mut response).expect("read"), 0, "closed");
+    assert_eq!(registry.counter_value(SERVE_OVERSIZED_LINES), Some(1));
+
+    // The single worker is free again, and a line of exactly the cap is
+    // served.
+    let mut client = Client::connect(&server);
+    let ping = r#"{"cmd":"ping"}"#;
+    let padded = format!("{ping}{}", " ".repeat(MAX_LINE_BYTES - ping.len()));
+    assert!(ok(&client.send(&padded)), "{}", client.response);
+
+    // The exposition listener caps its request line too.
+    let telemetry = server.telemetry_addr().expect("telemetry listener");
+    let mut scrape = TcpStream::connect(telemetry).expect("connect");
+    let path = "x".repeat(8192);
+    scrape
+        .write_all(format!("GET /{path} HTTP/1.0\r\n\r\n").as_bytes())
+        .expect("write");
+    let mut reply = String::new();
+    let _ = scrape.read_to_string(&mut reply);
+    assert!(reply.starts_with("HTTP/1.0 414 "), "{reply}");
+    assert_eq!(registry.counter_value(SERVE_OVERSIZED_LINES), Some(2));
+
     drop(client);
     server.shutdown();
     server.join();
