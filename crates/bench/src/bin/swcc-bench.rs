@@ -11,9 +11,9 @@
 //! swcc-bench --compare old.json new.json [--tolerance <pct>]
 //! ```
 //!
-//! Unlike the Criterion benches this is a single fast pass (median of
-//! a few dozen batched samples), intended for regression tracking and
-//! for the README's performance table. `--compare` diffs two reports
+//! This is a single fast pass (median of a few dozen batched samples),
+//! intended for regression tracking and for the README's performance
+//! table. `--compare` diffs two reports
 //! and exits nonzero when a machine-independent quantity (speedup
 //! ratio, solver iteration count) regressed — the perf half of CI's
 //! regression gate (the tolerance applies to the ratios; counts must

@@ -1,19 +1,17 @@
-//! # swcc-bench — benchmark harness
+//! # swcc-bench — sweep-engine benchmark
 //!
-//! Criterion benchmarks for the software-cache-coherence reproduction.
-//! Each of the paper's tables and figures has a benchmark that runs the
-//! corresponding experiment from `swcc-experiments` (`bench_tables`,
-//! `bench_figures`, `bench_validation`); `bench_components` times the
-//! individual solvers and the simulator; `bench_ablations` times the
-//! design-choice variants called out in DESIGN.md (Dragon second-order
-//! terms, hardware cost-table derivation, network message-size trade).
-//!
-//! Run with `cargo bench --workspace`. The simulation-backed benchmarks
-//! use the `quick` experiment profile and reduced sample counts so a
-//! full `cargo bench` completes in minutes.
+//! The `swcc-bench` binary times the batched solver kernels against
+//! their pointwise references (the MVA/bus sweep, warm-started and
+//! lockstep batch Patel solves, the MVA grid) and writes the speedup
+//! ratios and solver iteration counts as a `BENCH_sweep.json` report.
 //!
 //! The [`compare`] module backs `swcc-bench --compare old.json
-//! new.json`, the perf half of CI's regression gate.
+//! new.json`, the perf half of CI's regression gate: ratios are gated
+//! within a tolerance, iteration counts exactly.
+//!
+//! Other layers are timed elsewhere: perfbench (`perfbench/`) measures
+//! the model, simulator and service per layer, and `repro --record`
+//! stores each experiment's `duration_ms` in the `swcc-run/v1` record.
 
 pub mod compare;
 
@@ -22,18 +20,3 @@ pub mod compare;
 /// (`batch_patel`, `batch_grid`) and the warm-solver setup/iteration
 /// time split.
 pub const BENCH_SCHEMA: &str = "swcc-bench/v2";
-
-/// Returns the quick run options shared by all benches, so every bench
-/// times the same workload an experiment smoke test runs.
-pub fn bench_options() -> swcc_experiments::RunOptions {
-    swcc_experiments::RunOptions::quick()
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn bench_options_are_quick() {
-        let o = super::bench_options();
-        assert!(o.validation.instructions_per_cpu <= 20_000);
-    }
-}

@@ -569,6 +569,20 @@ mod tests {
     }
 
     #[test]
+    fn equal_unit_load_gives_equal_utilization_for_any_message_size() {
+        // At m·t = 0.4 on 8 stages, 1-word messages (t = 17) at a high
+        // rate and 16-word messages (t = 32) at a low rate give the same
+        // U, bit for bit: utilization is set by the unit load m·t, so
+        // circuit set-up cost must be charged in t.
+        let one_word = solve(0.4 / 17.0, 17.0, 8).unwrap();
+        let sixteen_words = solve(0.4 / 32.0, 32.0, 8).unwrap();
+        assert_eq!(
+            one_word.think_fraction().to_bits(),
+            sixteen_words.think_fraction().to_bits()
+        );
+    }
+
+    #[test]
     fn more_stages_do_not_increase_acceptance() {
         let small = solve(0.05, 10.0, 2).unwrap();
         let large = solve(0.05, 10.0, 10).unwrap();

@@ -1,8 +1,10 @@
 //! Captures build provenance (git commit, toolchain versions, profile)
 //! into compile-time env vars for `repro --version` and the run
-//! records. Every value degrades to `"unknown"` rather than failing the
-//! build — provenance is best-effort by design (e.g. builds from a
-//! source tarball have no git history).
+//! records. swcc-serve runs this same script (its `build` key points
+//! here) so its `stats` and `telemetry` responses carry the same stamp.
+//! Every value degrades to `"unknown"` rather than failing the build —
+//! provenance is best-effort by design (e.g. builds from a source
+//! tarball have no git history).
 
 use std::process::Command;
 

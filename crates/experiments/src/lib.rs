@@ -12,10 +12,12 @@
 //! * [`validation`] — Figures 1–3 (model versus trace-driven
 //!   simulation).
 //! * [`registry`] — id-indexed access to all twenty experiments, used by
-//!   the `repro` binary and the benchmark suite.
+//!   the `repro` binary.
 //! * [`runner`] — a scoped-thread pool that runs batches of experiments
 //!   concurrently (`repro --jobs N`) and records per-experiment
 //!   wall-clock durations into the artifacts.
+//! * [`tree`], [`trace_report`], [`trace_export`] — the read side of
+//!   `repro --trace` files: parsing, span trees, reports and exports.
 //!
 //! Run everything with:
 //!
@@ -50,6 +52,7 @@ pub mod sim_report;
 pub mod tables;
 pub mod trace_export;
 pub mod trace_report;
+pub mod tree;
 pub mod validation;
 
 pub use artifact::{Artifact, Figure, Series, Table};

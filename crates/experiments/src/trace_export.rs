@@ -24,14 +24,16 @@
 //! truth (concurrent spans are laid out from their own lane cursors,
 //! so cross-thread overlap is approximate).
 //!
-//! Ingestion is lenient (see [`swcc_obs::tree::parse_trace`]):
+//! Ingestion is lenient (see [`crate::tree::parse_trace`]):
 //! truncated or corrupt lines are skipped and counted, never fatal.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use swcc_obs::tree::{parse_trace, ParsedEvent, ParsedTrace, Scalar, SpanTree};
+use serde::Value;
 use swcc_obs::EventKind;
+
+use crate::tree::{parse_trace, ParsedEvent, ParsedTrace, SpanTree};
 
 /// Output format for [`export`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,55 +87,14 @@ pub fn export(jsonl: &str, format: ExportFormat) -> Export {
 
 // --- chrome trace-event export ------------------------------------------
 
-/// Appends a JSON-escaped copy of `s` to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_scalar(out: &mut String, value: &Scalar) {
-    match value {
-        Scalar::U64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Scalar::I64(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Scalar::F64(v) if v.is_finite() => {
-            let _ = write!(out, "{v}");
-        }
-        Scalar::F64(_) | Scalar::Null => out.push_str("null"),
-        Scalar::Bool(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Scalar::Str(v) => push_json_str(out, v),
-    }
-}
-
-fn push_args(out: &mut String, fields: &[(String, Scalar)]) {
-    out.push('{');
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(out, key);
-        out.push(':');
-        push_scalar(out, value);
-    }
-    out.push('}');
+/// A JSON object with `entries` in order.
+fn object(entries: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 /// Microseconds (Chrome's unit) from synthesized nanoseconds.
@@ -161,13 +122,15 @@ pub fn export_chrome(trace: &ParsedTrace) -> String {
     // thread ordinal → lane cursor (synthesized ns).
     let mut lane_now: BTreeMap<u64, u64> = BTreeMap::new();
     // open span id → (synthesized start ns, start fields).
-    let mut open: BTreeMap<u64, (u64, Vec<(String, Scalar)>)> = BTreeMap::new();
+    let mut open: BTreeMap<u64, (u64, Vec<(String, Value)>)> = BTreeMap::new();
     let mut threads: BTreeSet<u64> = BTreeSet::new();
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Value> = Vec::new();
 
     for event in order {
         threads.insert(event.thread);
         let now = lane_now.get(&event.thread).copied().unwrap_or(0);
+        let name = || Value::Str(event.name.clone());
+        let cat = || Value::Str(category(&event.name).to_string());
         match event.kind {
             EventKind::SpanStart => {
                 let parent_start = open.get(&event.parent).map(|(ts, _)| *ts).unwrap_or(0);
@@ -181,70 +144,54 @@ pub fn export_chrome(trace: &ParsedTrace) -> String {
                     .unwrap_or_else(|| (now, Vec::new()));
                 let dur = event.dur_ns.unwrap_or(0);
                 lane_now.insert(event.thread, now.max(start.saturating_add(dur)));
-                args.push(("span_id".to_string(), Scalar::U64(event.span)));
-                let mut rec = String::with_capacity(128);
-                rec.push_str("{\"name\":");
-                push_json_str(&mut rec, &event.name);
-                rec.push_str(",\"cat\":");
-                push_json_str(&mut rec, category(&event.name));
-                let _ = write!(
-                    rec,
-                    ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":",
-                    us(start),
-                    us(dur),
-                    event.thread
-                );
-                push_args(&mut rec, &args);
-                rec.push('}');
-                records.push(rec);
+                args.push(("span_id".to_string(), Value::UInt(event.span)));
+                records.push(object(vec![
+                    ("name", name()),
+                    ("cat", cat()),
+                    ("ph", Value::Str("X".to_string())),
+                    ("ts", Value::Float(us(start))),
+                    ("dur", Value::Float(us(dur))),
+                    ("pid", Value::UInt(1)),
+                    ("tid", Value::UInt(event.thread)),
+                    ("args", Value::Object(args)),
+                ]));
             }
-            EventKind::Point => {
-                let mut rec = String::with_capacity(128);
-                rec.push_str("{\"name\":");
-                push_json_str(&mut rec, &event.name);
-                rec.push_str(",\"cat\":");
-                push_json_str(&mut rec, category(&event.name));
-                let _ = write!(
-                    rec,
-                    ",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\",\"args\":",
-                    us(now),
-                    event.thread
-                );
-                push_args(&mut rec, &event.fields);
-                rec.push('}');
-                records.push(rec);
-            }
+            EventKind::Point => records.push(object(vec![
+                ("name", name()),
+                ("cat", cat()),
+                ("ph", Value::Str("i".to_string())),
+                ("ts", Value::Float(us(now))),
+                ("pid", Value::UInt(1)),
+                ("tid", Value::UInt(event.thread)),
+                ("s", Value::Str("t".to_string())),
+                ("args", Value::Object(event.fields.clone())),
+            ])),
         }
     }
 
-    let mut out = String::with_capacity(64 + records.len() * 128);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for thread in &threads {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{thread},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            if *thread == 1 {
+    let mut events: Vec<Value> = threads
+        .iter()
+        .map(|&thread| {
+            let label = if thread == 1 {
                 "main".to_string()
             } else {
                 format!("worker-{}", thread - 1)
-            }
-        );
-    }
-    for rec in records {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&rec);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+            };
+            object(vec![
+                ("name", Value::Str("thread_name".to_string())),
+                ("ph", Value::Str("M".to_string())),
+                ("pid", Value::UInt(1)),
+                ("tid", Value::UInt(thread)),
+                ("args", object(vec![("name", Value::Str(label))])),
+            ])
+        })
+        .collect();
+    events.extend(records);
+    let document = object(vec![
+        ("traceEvents", Value::Array(events)),
+        ("displayTimeUnit", Value::Str("ms".to_string())),
+    ]);
+    serde_json::to_string(&document).expect("JSON value serialization is infallible")
 }
 
 // --- folded flamegraph export -------------------------------------------
@@ -306,7 +253,6 @@ pub fn export_folded(tree: &SpanTree) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::Value;
 
     fn sample_trace() -> String {
         [

@@ -7,7 +7,7 @@
 //! back into the three summaries the paper's diagnostics need:
 //!
 //! * **Per-phase timing** — wall-clock totals *and self time* per span
-//!   name (via the reconstructed [`swcc_obs::tree::SpanTree`]), plus a
+//!   name (via the reconstructed [`crate::tree::SpanTree`]), plus a
 //!   per-experiment breakdown from the runner's spans.
 //! * **Convergence diagnostics** — the distribution of Patel solver
 //!   iterations to tolerance (p50/p90/p99 via
@@ -28,9 +28,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use serde::Value;
 use swcc_obs::quantile;
-use swcc_obs::tree::{parse_trace, ParsedEvent, Scalar, SpanTree};
 use swcc_obs::EventKind;
+
+use crate::tree::{parse_trace, ParsedEvent, SpanTree};
 
 /// Aggregate timing for one span name.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -371,19 +373,19 @@ impl TraceReport {
 }
 
 fn field_str<'a>(event: &'a ParsedEvent, key: &str) -> Option<&'a str> {
-    event.field(key).and_then(Scalar::as_str)
+    event.field(key).and_then(Value::as_str)
 }
 
 fn field_u64(event: &ParsedEvent, key: &str) -> Option<u64> {
-    event.field(key).and_then(Scalar::as_u64)
+    event.field(key).and_then(Value::as_u64)
 }
 
 fn field_f64(event: &ParsedEvent, key: &str) -> Option<f64> {
-    event.field(key).and_then(Scalar::as_f64)
+    event.field(key).and_then(Value::as_f64)
 }
 
 fn field_bool(event: &ParsedEvent, key: &str) -> Option<bool> {
-    event.field(key).and_then(Scalar::as_bool)
+    event.field(key).and_then(Value::as_bool)
 }
 
 /// Parses a `repro --trace` JSONL file into a [`TraceReport`].
@@ -420,18 +422,8 @@ pub fn analyze(jsonl: &str) -> TraceReport {
     // Experiment breakdown from the runner's spans.
     for node in tree.nodes() {
         if node.name == "runner.experiment" && node.closed {
-            let id = node
-                .fields
-                .iter()
-                .find(|(k, _)| k == "id")
-                .and_then(|(_, v)| v.as_str())
-                .unwrap_or("?");
-            let worker = node
-                .fields
-                .iter()
-                .find(|(k, _)| k == "worker")
-                .and_then(|(_, v)| v.as_u64())
-                .unwrap_or(0);
+            let id = node.field("id").and_then(Value::as_str).unwrap_or("?");
+            let worker = node.field("worker").and_then(Value::as_u64).unwrap_or(0);
             report.experiments.push(ExperimentTiming {
                 id: id.to_string(),
                 duration_ns: node.dur_ns.unwrap_or(0),

@@ -47,17 +47,14 @@
 #![forbid(unsafe_code)]
 
 mod metric;
-pub mod progress;
 pub mod quantile;
 mod recorder;
 mod registry;
 pub mod sync;
 pub mod trace;
-pub mod tree;
 pub mod window;
 
 pub use metric::{Counter, Gauge, Histogram};
-pub use progress::Progress;
 pub use recorder::{
     capture, counter_add, enabled, gauge_set, install, installed, observe, InstallError,
     NoopRecorder, Recorder,
@@ -70,7 +67,6 @@ pub use trace::{
     event, event_sampled, install_sink, span, span_under, trace_enabled, EventKind, EventSink,
     Field, FieldValue, JsonlSink, Span, TraceEvent,
 };
-pub use tree::{parse_line, parse_trace, ParsedEvent, ParsedTrace, Scalar, SpanNode, SpanTree};
 pub use window::{WindowRing, WindowStats, WindowedSnapshot, WINDOW_SECONDS};
 
 #[cfg(test)]

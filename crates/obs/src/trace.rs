@@ -22,6 +22,9 @@
 //!   where events go. [`JsonlSink`] collects newline-delimited JSON
 //!   into a lock-free slab for writing out at process exit.
 //!
+//! This crate only writes traces. The read side (parsing the lines back
+//! into span trees) is `swcc_experiments::tree`.
+//!
 //! With no sink installed every entry point returns after **one relaxed
 //! atomic load** — the same "observation is free when off" budget as
 //! the metric dispatch — so instrumentation lives permanently inside

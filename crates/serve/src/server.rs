@@ -781,11 +781,7 @@ pub fn run_batch_traced(
         swcc_obs::counter_add(metrics::SERVE_CACHE_COALESCED, acct.coalesced);
     }
     trace.phase("render", phase_started, started, 0);
-    let _ = write!(
-        out,
-        ",\"elapsed_us\":{}}}",
-        started.elapsed().as_micros() as u64
-    );
+    out.push('}');
     Ok(out)
 }
 
@@ -1450,6 +1446,17 @@ mod tests {
         assert_eq!(stats.misses, 32, "cold pass claims every point");
         assert!(stats.hits >= 32, "warm pass is all hits");
         assert_eq!(state.solves.load(Ordering::Relaxed), 1, "one grid call");
+    }
+
+    #[test]
+    fn one_line_gets_byte_identical_responses_from_fresh_states() {
+        // A response carries no server-side timing, so two fresh servers
+        // answer the same line with the same bytes.
+        let line = r#"{"id":7,"queries":[{"scheme":"dragon","machine":{"interconnect":"bus","processors":8},"sweep":{"param":"shd","from":0.01,"to":0.2,"points":16}},{"kind":"penalty","scheme":"base","machine":{"interconnect":"bus","processors":4}},{"scheme":"software-flush","machine":{"interconnect":"network","stages":6}},{"kind":"sensitivity","scheme":"no-cache","machine":{"interconnect":"bus","processors":16}}]}"#;
+        let (first, _) = handle_request(&state(), line);
+        let (second, _) = handle_request(&state(), line);
+        assert!(first.starts_with("{\"ok\":true"), "{first}");
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -28,7 +28,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use swcc_core::system::{CostModel, NetworkSystemModel, OpCost, Operation};
-use swcc_obs::Progress;
 use swcc_trace::{Access, AccessKind, Addr, BlockAddr, Trace};
 
 use crate::cache::{Cache, LineState};
@@ -36,11 +35,6 @@ use crate::config::{InterconnectKind, ServiceDiscipline, SimConfig};
 use crate::metrics::{EV_SIM_BUS_OP, EV_SIM_CACHE_FILL, EV_SIM_EVENTS, EV_SIM_RUN};
 use crate::protocol::{base, dragon, no_cache, software_flush, write_invalidate, ProtocolKind};
 use crate::report::SimReport;
-
-/// Replayed accesses between progress-heartbeat eligibility checks —
-/// cheap enough to leave on permanently, frequent enough that a
-/// 256-core run heartbeats well inside the throttle interval.
-const PROGRESS_CHECK_EVERY: u64 = 64 * 1024;
 
 /// Per-processor event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -192,9 +186,6 @@ impl Multiprocessor {
             swcc_obs::span(EV_SIM_RUN, &[])
         };
         let start = Instant::now();
-        let mut progress = Progress::new(crate::metrics::EV_SIM_PROGRESS, trace.len() as u64)
-            .check_every(PROGRESS_CHECK_EVERY)
-            .gauge(crate::metrics::SIM_ACCESSES_PER_SECOND);
         let mut streams = Streams::new(trace, self.time.len());
         // Processors with records left, in ascending id order.
         let mut live: Vec<usize> = (0..self.time.len())
@@ -220,12 +211,6 @@ impl Multiprocessor {
             }
             self.step(cpu, access);
             done += 1;
-            // The heartbeat only *reads* progress; it cannot perturb the
-            // simulated state, so observed and unobserved runs stay
-            // bit-identical (tests/sim_observation.rs).
-            if progress.due(done) {
-                progress.tick(done);
-            }
         }
         let report = self.report();
         self.record_run_metrics(&report, done, start);

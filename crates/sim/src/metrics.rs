@@ -61,8 +61,7 @@ pub const SIM_CYCLE_STEALS: &str = "sim.cycle_steals";
 pub const SIM_CONTENTION_CYCLES: &str = "sim.contention_cycles";
 /// Distribution of per-run wall-clock times, in milliseconds.
 pub const SIM_RUN_MS: &str = "sim.run_ms";
-/// Trace records replayed per wall-clock second by the most recent run
-/// (also refreshed by the in-run progress heartbeat).
+/// Trace records replayed per wall-clock second by the most recent run.
 pub const SIM_ACCESSES_PER_SECOND: &str = "sim.accesses_per_second";
 
 /// Stochastic network-fabric simulations completed
@@ -90,10 +89,6 @@ pub const EV_SIM_BUS_OP: &str = "sim.bus_op";
 /// Sampled cache fill (line transition) event. Fields: `cpu`, `block`,
 /// `dirty` (the inserted state), `dirty_victim` (a write-back happened).
 pub const EV_SIM_CACHE_FILL: &str = "sim.cache_fill";
-/// Throttled progress heartbeat inside a long replay
-/// ([`swcc_obs::Progress`]). Fields: `done`, `total`, `per_second`,
-/// `eta_s`, `elapsed_s`.
-pub const EV_SIM_PROGRESS: &str = "sim.progress";
 /// Terminal per-run coherence-event summary, emitted when the replay
 /// finishes. Fields: `protocol`, `accesses`, `invalidations`,
 /// `updates`, `broadcasts`, `write_backs`, `fills`, `bus_transactions`,

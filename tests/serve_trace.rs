@@ -18,7 +18,7 @@ use swcc_core::bus::analyze_bus;
 use swcc_core::scheme::Scheme;
 use swcc_core::system::BusSystemModel;
 use swcc_core::workload::{Level, WorkloadParams};
-use swcc_obs::tree::{Scalar, SpanNode, SpanTree};
+use swcc_experiments::tree::{parse_trace, SpanTree};
 use swcc_obs::{JsonlSink, MetricsRegistry};
 use swcc_serve::{spawn, RunningServer, ServeConfig};
 
@@ -78,10 +78,6 @@ impl Client {
 
 fn ok(value: &Value) -> bool {
     value.get_field("ok").and_then(Value::as_bool) == Some(true)
-}
-
-fn node_field<'a>(node: &'a SpanNode, key: &str) -> Option<&'a Scalar> {
-    node.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// Sleeps just past the next wall-clock second boundary. The window
@@ -165,7 +161,7 @@ fn solve_spans_parent_under_the_owning_request_span() {
     assert!(owner_misses > 0, "owner claimed the cold points");
 
     let text = sink.lines().join("\n");
-    let parsed = swcc_obs::parse_trace(&text);
+    let parsed = parse_trace(&text);
     assert_eq!(parsed.skipped, 0, "trace lines all parse");
     let tree = SpanTree::build(&parsed.events);
 
@@ -173,8 +169,7 @@ fn solve_spans_parent_under_the_owning_request_span() {
         tree.nodes()
             .iter()
             .position(|n| {
-                n.name == "serve.request"
-                    && node_field(n, "request").and_then(Scalar::as_str) == Some(rid)
+                n.name == "serve.request" && n.field("request").and_then(Value::as_str) == Some(rid)
             })
             .unwrap_or_else(|| panic!("no serve.request span for {rid}"))
     };

@@ -1,16 +1,17 @@
 //! Property tests of the trace analytics pipeline: arbitrary span
 //! forests serialized through the real wire writer
 //! ([`swcc_obs::trace::event_to_jsonl`]) must round-trip through the
-//! parser and span tree ([`swcc_obs::tree`]) with identical structure
+//! parser and span tree ([`swcc_experiments::tree`]) with identical structure
 //! and durations, and the Chrome / folded exporters must stay
 //! internally consistent (valid JSON, self-times partitioning the root
 //! total).
 
 use proptest::prelude::*;
 
+use serde::Value;
 use swcc_experiments::trace_export::{export, export_chrome, ExportFormat};
+use swcc_experiments::tree::{parse_line, parse_trace, SpanTree};
 use swcc_obs::trace::{event_to_jsonl, EventKind, Field, TraceEvent};
-use swcc_obs::tree::{parse_line, parse_trace, Scalar, SpanTree};
 
 /// Span names the generator draws from; includes characters the folded
 /// exporter must escape (space, semicolon).
@@ -246,10 +247,10 @@ proptest! {
         let event = parse_line(&line).expect("writer output parses");
         prop_assert_eq!(event.name.as_str(), "probe");
         prop_assert_eq!((event.span, event.parent, event.seq, event.thread), (7, 3, 11, 2));
-        prop_assert_eq!(event.field("u").and_then(Scalar::as_u64), Some(u));
-        prop_assert_eq!(event.field("i").and_then(Scalar::as_f64), Some(i as f64));
-        prop_assert_eq!(event.field("f").and_then(Scalar::as_f64), Some(f));
-        prop_assert_eq!(event.field("b").and_then(Scalar::as_bool), Some(flag));
-        prop_assert_eq!(event.field("s").and_then(Scalar::as_str), Some(s.as_str()));
+        prop_assert_eq!(event.field("u").and_then(Value::as_u64), Some(u));
+        prop_assert_eq!(event.field("i").and_then(Value::as_f64), Some(i as f64));
+        prop_assert_eq!(event.field("f").and_then(Value::as_f64), Some(f));
+        prop_assert_eq!(event.field("b").and_then(Value::as_bool), Some(flag));
+        prop_assert_eq!(event.field("s").and_then(Value::as_str), Some(s.as_str()));
     }
 }
