@@ -36,7 +36,7 @@ impl BusPerformance {
     /// Assembles a performance point from an externally solved queueing
     /// result — a `(waiting, bus_utilization)` pair produced by
     /// [`machine_repairman`], [`crate::batch::machine_repairman_grid`],
-    /// or a solved-point cache ([`crate::cache`]) fed by either. When
+    /// or `swcc-serve`'s solved-point cache, which either fills. When
     /// the parts come from the same demand and queueing inputs, every
     /// getter is bit-identical to the [`analyze_bus`] result (the
     /// getters are shared and the batch lanes are proven bit-equal to

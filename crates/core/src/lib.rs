@@ -64,7 +64,6 @@
 
 pub mod batch;
 pub mod bus;
-pub mod cache;
 pub mod demand;
 pub mod directory;
 mod error;

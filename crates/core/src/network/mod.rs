@@ -36,7 +36,7 @@ pub struct NetworkPerformance {
 impl NetworkPerformance {
     /// Assembles a performance point from an externally solved Patel
     /// operating point — e.g. a [`crate::batch::BatchPatelSolver`] lane
-    /// or a solved-point cache ([`crate::cache`]) entry. With the same
+    /// or an entry of `swcc-serve`'s solved-point cache. With the same
     /// demand and point, every getter matches what the solving path
     /// produced, bitwise. The caller is responsible for the
     /// [`Scheme::requires_bus`] check that [`analyze_network`] performs.

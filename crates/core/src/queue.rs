@@ -20,9 +20,9 @@
 //! with `Q(0) = 0`. The contention penalty per transaction is
 //! `w = R(n) − b`.
 //!
-//! The recurrence is written once, as one step ([`step`]) beside the
-//! zero-service closed form ([`idle`]) and one input check
-//! ([`validate`]). A scalar lane loop ([`Lane`]) runs them behind
+//! The recurrence is written once, as one step (`step`) beside the
+//! zero-service closed form (`idle`) and one input check
+//! (`validate`). A scalar lane loop (`Lane`) runs them behind
 //! [`machine_repairman`], [`machine_repairman_sweep`] and every lane of
 //! [`machine_repairman_sweep_grid`](crate::batch::machine_repairman_sweep_grid);
 //! [`machine_repairman_grid`](crate::batch::machine_repairman_grid)

@@ -16,10 +16,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::machine_repairman_grid;
-use crate::cache::{PointKey, SolvedPointCache};
 use crate::demand::{scheme_demand, Demand};
 use crate::error::Result;
-use crate::queue::machine_repairman;
 use crate::scheme::Scheme;
 use crate::system::BusSystemModel;
 use crate::workload::{Level, ParamId, WorkloadParams, TABLE7_RANGES};
@@ -125,6 +123,11 @@ pub fn sensitivity_table(processors: u32) -> Result<SensitivityTable> {
 /// Like [`sensitivity_table`] but holds the non-varied parameters at an
 /// arbitrary operating point instead of the Table 7 middle values.
 ///
+/// The table's 88 bus demands (11 parameters × 4 schemes × low and high)
+/// are solved by one [`machine_repairman_grid`] call, one lane per
+/// demand. Grid lanes are bit-identical to scalar solves, so every cell
+/// equals the [`crate::bus::analyze_bus`] time at its workload.
+///
 /// # Errors
 ///
 /// Propagates [`crate::ModelError::InvalidConfig`] if `processors == 0`.
@@ -132,104 +135,10 @@ pub fn sensitivity_table_at(
     processors: u32,
     operating_point: &WorkloadParams,
 ) -> Result<SensitivityTable> {
-    let mut cache = CpiCache::new(processors);
-    sensitivity_table_cached(operating_point, &mut cache)
-}
-
-/// Memoized contention-solve evaluation keyed on the MVA inputs.
-///
-/// `analyze_bus` depends on the workload only through the demand
-/// `(c, b)`, and the contention penalty `w` depends on the demand only
-/// through the queueing inputs `(service, think) = (b, c − b)`. Keying
-/// on those bits — with [`PointKey::SHARED_SCHEME`], rather than on the
-/// `(Scheme, Demand)` pair that produced them — lets *any* solve fill
-/// the cache for *any* consumer: two schemes whose variations induce
-/// the same queue see one solve, and a table filled by the batch grid
-/// engine ([`machine_repairman_grid`]) is shared with later scalar
-/// lookups (the batch lanes are bit-identical to scalar solves, so the
-/// cached `w` is the same number either way).
-///
-/// Storage is the workspace-wide sharded solved-point cache
-/// ([`SolvedPointCache`]): hash-indexed shards replace the O(n) linear
-/// scan this module used to carry, so a lookup or insert costs a
-/// constant number of hash-table probes however many distinct demands
-/// accumulate (the `probes_per_lookup_stay_constant_as_one_shard_grows`
-/// test in [`crate::cache`] pins the constant). A fresh cache allocates
-/// nothing until its first insert, so building one per table is cheap.
-struct CpiCache {
-    processors: u32,
-    system: BusSystemModel,
-    /// `(service bits, think bits, SHARED_SCHEME, processors) → waiting`.
-    points: SolvedPointCache<f64>,
-}
-
-impl CpiCache {
-    fn new(processors: u32) -> Self {
-        CpiCache {
-            processors,
-            system: BusSystemModel::new(),
-            points: SolvedPointCache::new(),
-        }
-    }
-
-    fn key(&self, demand: &Demand) -> PointKey {
-        PointKey {
-            service: demand.interconnect().to_bits(),
-            think: demand.think_time().to_bits(),
-            scheme: PointKey::SHARED_SCHEME,
-            machine: self.processors,
-        }
-    }
-
-    /// Solves every demand not already cached in one lockstep batch
-    /// grid pass, so a whole table's worth of cells costs a single
-    /// [`machine_repairman_grid`] call.
-    fn fill_batch(&mut self, demands: &[Demand]) -> Result<()> {
-        let mut keys: Vec<PointKey> = Vec::new();
-        let mut services: Vec<f64> = Vec::new();
-        let mut thinks: Vec<f64> = Vec::new();
-        for demand in demands {
-            let key = self.key(demand);
-            if self.points.get(&key).is_none() && !keys.contains(&key) {
-                keys.push(key);
-                services.push(demand.interconnect());
-                thinks.push(demand.think_time());
-            }
-        }
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let grid = machine_repairman_grid(self.processors, &services, &thinks)?;
-        for (key, mva) in keys.into_iter().zip(grid) {
-            self.points.insert(key, mva.waiting());
-        }
-        Ok(())
-    }
-
-    /// Execution time `c + w` for one scheme/workload, reusing any prior
-    /// result — scalar- or batch-solved — computed at the same queueing
-    /// inputs.
-    fn cycles_per_instruction(&mut self, scheme: Scheme, workload: &WorkloadParams) -> Result<f64> {
-        let demand = scheme_demand(scheme, workload, &self.system)?;
-        let key = self.key(&demand);
-        if let Some(waiting) = self.points.get(&key) {
-            return Ok(demand.cpu() + waiting);
-        }
-        let mva = machine_repairman(self.processors, demand.interconnect(), demand.think_time())?;
-        self.points.insert(key, mva.waiting());
-        Ok(demand.cpu() + mva.waiting())
-    }
-}
-
-fn sensitivity_table_cached(
-    operating_point: &WorkloadParams,
-    cache: &mut CpiCache,
-) -> Result<SensitivityTable> {
-    // First pass: materialize every cell's workload and demand, then
-    // hand the whole set of missing queueing points to the batch grid
-    // engine in one call.
-    let mut variations = Vec::with_capacity(ParamId::ALL.len());
-    let mut demands = Vec::with_capacity(ParamId::ALL.len() * Scheme::ALL.len() * 2);
+    let system = BusSystemModel::new();
+    let cell_count = ParamId::ALL.len() * Scheme::ALL.len();
+    let mut pairs = Vec::with_capacity(cell_count);
+    let mut demands = Vec::with_capacity(2 * cell_count);
     for param in ParamId::ALL {
         let range = TABLE7_RANGES.range(param);
         let low = operating_point
@@ -239,27 +148,26 @@ fn sensitivity_table_cached(
             .with_param(param, range.high)
             .expect("Table 7 high values are in-domain");
         for scheme in Scheme::ALL {
-            demands.push(scheme_demand(scheme, &low, &cache.system)?);
-            demands.push(scheme_demand(scheme, &high, &cache.system)?);
-        }
-        variations.push((param, low, high));
-    }
-    cache.fill_batch(&demands)?;
-    let mut cells = Vec::with_capacity(ParamId::ALL.len() * Scheme::ALL.len());
-    for (param, low, high) in &variations {
-        for scheme in Scheme::ALL {
-            cells.push(SensitivityCell {
-                param: *param,
-                scheme,
-                time_low: cache.cycles_per_instruction(scheme, low)?,
-                time_high: cache.cycles_per_instruction(scheme, high)?,
-            });
+            pairs.push((param, scheme));
+            demands.push(scheme_demand(scheme, &low, &system)?);
+            demands.push(scheme_demand(scheme, &high, &system)?);
         }
     }
-    Ok(SensitivityTable {
-        processors: cache.processors,
-        cells,
-    })
+    let services: Vec<f64> = demands.iter().map(Demand::interconnect).collect();
+    let thinks: Vec<f64> = demands.iter().map(Demand::think_time).collect();
+    let grid = machine_repairman_grid(processors, &services, &thinks)?;
+    let time = |i: usize| demands[i].cpu() + grid[i].waiting();
+    let cells = pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (param, scheme))| SensitivityCell {
+            param,
+            scheme,
+            time_low: time(2 * i),
+            time_high: time(2 * i + 1),
+        })
+        .collect();
+    Ok(SensitivityTable { processors, cells })
 }
 
 /// The paper's §4 caveat operationalized: each parameter's effect is
@@ -272,16 +180,12 @@ fn sensitivity_table_cached(
 ///
 /// Propagates [`crate::ModelError::InvalidConfig`] if `processors == 0`.
 pub fn sensitivity_table_averaged(processors: u32) -> Result<SensitivityTable> {
-    // One cache across all three miss-rate levels: variations that leave
-    // a scheme's demand unchanged (most of them, for Base) are solved
-    // once for the whole average.
-    let mut cache = CpiCache::new(processors);
     let mut tables = Vec::new();
     for level in Level::ALL {
         let op = WorkloadParams::default()
             .with_param(ParamId::Msdat, TABLE7_RANGES.value(ParamId::Msdat, level))
             .expect("Table 7 values are in-domain");
-        tables.push(sensitivity_table_cached(&op, &mut cache)?);
+        tables.push(sensitivity_table_at(processors, &op)?);
     }
     // Average the percent changes by averaging times (same denominator
     // structure: keep the low/high times averaged across tables).
@@ -521,91 +425,90 @@ mod tests {
         );
     }
 
-    #[test]
-    fn memoized_table_matches_direct_analyze_bus() {
-        // The demand-keyed cache must be a pure optimization: every cell
-        // equals what a fresh analyze_bus call computes, bitwise.
+    /// The operating points the bitwise checks cover: the Table 7
+    /// middle values, and the low- and high-`msdat` points of
+    /// `operating_point_changes_apparent_significance`.
+    fn operating_points() -> [WorkloadParams; 3] {
+        let middle = WorkloadParams::default();
+        [
+            middle,
+            middle.with_param(ParamId::Msdat, 0.004).unwrap(),
+            middle.with_param(ParamId::Msdat, 0.024).unwrap(),
+        ]
+    }
+
+    /// Direct `analyze_bus` execution times of one cell's low and high
+    /// variation at `op`.
+    fn direct_times(cell: &SensitivityCell, op: &WorkloadParams, processors: u32) -> (f64, f64) {
         use crate::bus::analyze_bus;
-        let t = table();
         let sys = BusSystemModel::new();
-        let base = WorkloadParams::at_level(Level::Middle);
-        for c in t.cells() {
-            let range = TABLE7_RANGES.range(c.param);
-            let low = base.with_param(c.param, range.low).unwrap();
-            let high = base.with_param(c.param, range.high).unwrap();
-            let t_low = analyze_bus(c.scheme, &low, &sys, 16)
+        let range = TABLE7_RANGES.range(cell.param);
+        let time = |value: f64| {
+            let w = op.with_param(cell.param, value).unwrap();
+            analyze_bus(cell.scheme, &w, &sys, processors)
                 .unwrap()
-                .cycles_per_instruction();
-            let t_high = analyze_bus(c.scheme, &high, &sys, 16)
-                .unwrap()
-                .cycles_per_instruction();
-            assert_eq!(c.time_low, t_low, "{}/{} low", c.param, c.scheme);
-            assert_eq!(c.time_high, t_high, "{}/{} high", c.param, c.scheme);
+                .cycles_per_instruction()
+        };
+        (time(range.low), time(range.high))
+    }
+
+    #[test]
+    fn table_cells_match_direct_analyze_bus() {
+        // One grid over every cell must give each cell, bitwise, what a
+        // fresh analyze_bus call computes.
+        for op in operating_points() {
+            for n in [1, 16] {
+                let t = sensitivity_table_at(n, &op).unwrap();
+                for c in t.cells() {
+                    let (low, high) = direct_times(c, &op, n);
+                    let at = format!("{}/{} at n={n}, msdat={}", c.param, c.scheme, op.msdat());
+                    assert_eq!(c.time_low.to_bits(), low.to_bits(), "{at} low");
+                    assert_eq!(c.time_high.to_bits(), high.to_bits(), "{at} high");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn averaged_table_is_the_mean_of_direct_analyze_bus_times() {
+        let levels: Vec<WorkloadParams> = Level::ALL
+            .iter()
+            .map(|&level| {
+                WorkloadParams::default()
+                    .with_param(ParamId::Msdat, TABLE7_RANGES.value(ParamId::Msdat, level))
+                    .unwrap()
+            })
+            .collect();
+        for n in [1, 16] {
+            let t = sensitivity_table_averaged(n).unwrap();
+            assert_eq!(t.cells().len(), 44);
+            for c in t.cells() {
+                let times: Vec<(f64, f64)> =
+                    levels.iter().map(|op| direct_times(c, op, n)).collect();
+                let low = times.iter().map(|t| t.0).sum::<f64>() / 3.0;
+                let high = times.iter().map(|t| t.1).sum::<f64>() / 3.0;
+                let at = format!("{}/{} at n={n}", c.param, c.scheme);
+                assert_eq!(c.time_low.to_bits(), low.to_bits(), "{at} low");
+                assert_eq!(c.time_high.to_bits(), high.to_bits(), "{at} high");
+            }
         }
     }
 
     #[test]
     fn table_is_solved_as_one_batch_grid() {
-        // The whole table's contention solves go through a single
-        // lockstep grid call, and every assembly lookup hits the
-        // batch-filled cache — no scalar solves at all.
+        // Every cell's low and high demand is one lane of a single
+        // lockstep grid call; nothing is deduped and nothing is solved
+        // by the scalar MVA.
         use crate::metrics;
         let ((), span) = swcc_obs::capture(|| {
             sensitivity_table(16).unwrap();
         });
         assert_eq!(span.counter(metrics::BATCH_MVA_GRIDS), Some(1));
-        let lanes = span.counter(metrics::BATCH_MVA_GRID_LANES).unwrap();
-        assert!(
-            (1..=88).contains(&lanes),
-            "deduped lanes should not exceed 11 params × 4 schemes × 2 levels, got {lanes}"
-        );
+        assert_eq!(span.counter(metrics::BATCH_MVA_GRID_LANES), Some(88));
         assert_eq!(
             span.counter(metrics::MVA_SOLVES),
-            Some(lanes),
+            Some(88),
             "only the batch grid may solve"
-        );
-    }
-
-    #[test]
-    fn averaged_table_shares_the_cache_across_levels() {
-        use crate::metrics;
-        let ((), span) = swcc_obs::capture(|| {
-            sensitivity_table_averaged(16).unwrap();
-        });
-        // Three tables, three grid calls — but later grids only solve
-        // queueing points the earlier ones have not already cached.
-        assert_eq!(span.counter(metrics::BATCH_MVA_GRIDS), Some(3));
-        let lanes = span.counter(metrics::BATCH_MVA_GRID_LANES).unwrap();
-        assert!(
-            lanes < 3 * 88,
-            "cache sharing across msdat levels should dedupe, got {lanes}"
-        );
-    }
-
-    #[test]
-    fn memo_lookups_are_logarithmic_not_linear() {
-        // Regression for the O(n)-scan memo this module used to carry:
-        // every lookup/insert over the shared solved-point cache must
-        // probe at most ~log2(entries) keys. The bound is the binary-
-        // search invariant itself, so a reintroduced scan (probes ≈
-        // entries/2 per lookup) trips it even at table-sized n; the
-        // large-n separation is pinned in `crate::cache` tests.
-        let mut cache = CpiCache::new(16);
-        let t =
-            sensitivity_table_cached(&WorkloadParams::at_level(Level::Middle), &mut cache).unwrap();
-        assert_eq!(t.cells().len(), 44);
-        let s = cache.points.stats();
-        let entries = (cache.points.len() as u64).max(2);
-        let ops = s.hits + s.misses + s.inserts;
-        assert!(ops >= 88, "every cell consults the memo, got {ops} ops");
-        let bound = ops * (u64::from(entries.ilog2()) + 2);
-        assert!(
-            s.probes <= bound,
-            "probes {} exceed the logarithmic bound {} ({} ops over {} entries)",
-            s.probes,
-            bound,
-            ops,
-            entries
         );
     }
 

@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn raw_sync_catches_paths_and_brace_imports() {
         let src = "use std::sync::{Arc, Mutex};\nlet c = std::sync::Condvar::new();\n";
-        let f = ctx_findings("crates/core/src/cache.rs", src);
+        let f = ctx_findings("crates/serve/src/cache.rs", src);
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].rule, "no-raw-sync");
         assert_eq!(f[0].line, 1);
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn raw_sync_ignores_guards_wrappers_and_the_sync_module() {
         let clean = "use std::sync::{Arc, MutexGuard};\nuse swcc_obs::sync::Mutex;\n";
-        assert!(ctx_findings("crates/core/src/cache.rs", clean).is_empty());
+        assert!(ctx_findings("crates/serve/src/cache.rs", clean).is_empty());
         let exempt = "let m = std::sync::Mutex::new(0);";
         assert!(ctx_findings("crates/obs/src/sync.rs", exempt).is_empty());
     }

@@ -69,6 +69,20 @@ pub use trace::{
 };
 pub use window::{WindowRing, WindowStats, WindowedSnapshot, WINDOW_SECONDS};
 
+/// Appends `v` as a JSON number: a finite value in std's shortest
+/// round-trip `Display` form, anything else as `null` (the vendored
+/// JSON serializer's convention, since JSON has no NaN or infinity).
+/// Trace lines, telemetry windows and `swcc-serve` responses all write
+/// their floats through this one function.
+pub fn push_json_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

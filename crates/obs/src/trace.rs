@@ -46,6 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::push_json_f64;
+
 /// A typed value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
@@ -417,14 +419,6 @@ fn push_json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 /// Serializes one event to a single JSONL line (no trailing newline).

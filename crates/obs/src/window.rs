@@ -49,6 +49,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::push_json_f64;
 use crate::quantile;
 use crate::registry::MetricsSnapshot;
 
@@ -390,16 +391,6 @@ impl WindowedSnapshot {
             }
         }
         out
-    }
-}
-
-/// Appends a finite float in shortest round-trip form, `null` otherwise
-/// (the vendored JSON serializer's convention).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 

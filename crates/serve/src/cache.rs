@@ -4,10 +4,8 @@
 //! patterns: a machine-repairman `waiting` depends only on
 //! `(service, think, processors)`, a Patel operating point only on
 //! `(rate, size, stages)`. Memoizing them turns a solve into a hash
-//! lookup, which is what makes interactive query serving viable. This
-//! module generalizes the memo that [`crate::sensitivity`] carried
-//! privately (an O(n) linear scan over a `Vec`) into a shared structure
-//! that is:
+//! lookup, which is what makes interactive query serving viable. The
+//! server keeps one cache per machine family, and each is:
 //!
 //! * **Sharded** — N independently locked shards, so concurrent server
 //!   threads rarely contend; the shard index is taken from bits 32 and
@@ -17,15 +15,16 @@
 //!   operation consults at most both maps once, so admitting a miss
 //!   costs the same in an empty cache as in one holding 10⁵ points. A
 //!   probe counter in [`CacheStats`] counts those hash-table lookups and
-//!   lets tests pin the constant, so neither the old linear scan nor a
-//!   search that grows with the shard can quietly come back.
+//!   lets tests pin the constant, so neither a linear scan nor a search
+//!   that grows with the shard can quietly come back.
 //! * **Single-flight** — [`begin`](SolvedPointCache::begin) returns
 //!   [`Admission::Claimed`] to exactly one caller per missing key;
 //!   concurrent identical queries get [`Admission::Shared`] and block
-//!   on a [`Flight`] instead of re-solving. The claimant
-//!   [`publish`](SolvedPointCache::publish)es the value (or
-//!   [`abort`](SolvedPointCache::abort)s on failure, waking waiters
-//!   empty-handed so they can fall back to solving themselves).
+//!   on a [`Flight`] instead of re-solving. The claimant publishes the
+//!   value ([`publish_many`](SolvedPointCache::publish_many)) or, on
+//!   failure, aborts the claim
+//!   ([`abort_many`](SolvedPointCache::abort_many)), waking waiters
+//!   empty-handed so they can fall back to solving themselves.
 //! * **Lazy flights** — a claim is a `flights` entry with no flight
 //!   attached. The first caller that finds the key claimed allocates
 //!   the flight, and later callers share it, so a key nobody else asks
@@ -37,6 +36,8 @@
 //!   run the same per-key rules as the scalar calls, in key order
 //!   within each shard, so they answer exactly as a loop of scalar
 //!   calls would; flights are resolved after every lock is released.
+//!   The scalar `get`, `insert`, `publish` and `abort` exist only in
+//!   test builds, as the reference the batch calls must equal.
 //!
 //! Locks are the non-poisoning [`swcc_obs::sync`] wrappers: a worker
 //! that panics mid-insert leaves a valid (merely smaller) shard behind
@@ -44,7 +45,7 @@
 //!
 //! Keys are *bit patterns*, not floats: two demands hash and compare
 //! equal exactly when their inputs are bit-identical, which is the same
-//! criterion under which the batch engines ([`crate::batch`]) are
+//! criterion under which the batch engines ([`swcc_core::batch`]) are
 //! proven to reproduce scalar solves bit-for-bit — so a value filled by
 //! a batch grid is interchangeable with one filled by a scalar solve.
 
@@ -59,28 +60,19 @@ use swcc_obs::sync::{Condvar, Mutex};
 /// Identifies one solved operating point.
 ///
 /// The `(service, think)` fields are the `to_bits()` images of the
-/// queueing inputs (for the network model: transaction size and rate).
-/// `scheme` and `machine` are small discriminant tags chosen by the
-/// caller; [`PointKey::SHARED_SCHEME`] is reserved for values that are
-/// scheme-invariant (e.g. bus `waiting`, which depends on the demand
-/// alone), letting any scheme's solve fill the cache for every scheme —
-/// the sharing property the sensitivity memo relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// queueing inputs (for the network model: transaction size and rate),
+/// and `machine` is the bus processor count or the network stage count.
+/// No field names the scheme: a solved value depends on the scheme only
+/// through the demand bits, so two schemes (or two workloads) that
+/// induce the same queue share one entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PointKey {
     /// Bit pattern of the service-time-like input (`b` / transaction size).
     pub service: u64,
     /// Bit pattern of the think-time-like input (`c − b` / rate).
     pub think: u64,
-    /// Scheme discriminant, or [`PointKey::SHARED_SCHEME`].
-    pub scheme: u32,
-    /// Machine discriminant (bus processor count, network stage tag, …).
+    /// Machine discriminant (bus processor count, network stage count).
     pub machine: u32,
-}
-
-impl PointKey {
-    /// Scheme tag for values that do not depend on the scheme beyond
-    /// what the other key fields already capture.
-    pub const SHARED_SCHEME: u32 = 0;
 }
 
 /// Builds [`PointHasher`]s: the cheap, seeded hasher for [`PointKey`]
@@ -88,7 +80,7 @@ impl PointKey {
 ///
 /// The state starts from a seed drawn once per instance from
 /// [`RandomState`]. Each float-bits word is folded in by an xor, a
-/// multiply and a rotate; the two `u32` tags are xored in; `finish`
+/// multiply and a rotate; the `u32` machine tag is xored in; `finish`
 /// applies splitmix64's finalizer. That is four multiplies per key where
 /// SipHash spends dozens of rounds. The seed matters because keys are
 /// the bits of client-chosen floats: through the multiply's carries it
@@ -110,12 +102,6 @@ impl PointHashState {
         PointHashState {
             seed: RandomState::new().build_hasher().finish(),
         }
-    }
-}
-
-impl Default for PointHashState {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -150,8 +136,8 @@ impl Hasher for PointHasher {
     }
 
     fn write_u32(&mut self, word: u32) {
-        // A key's two tags in a row xor in `scheme << 32 | machine`.
-        self.0 = self.0.rotate_left(32) ^ u64::from(word);
+        // A key's one tag, `machine`, is xored in; `finish` spreads it.
+        self.0 ^= u64::from(word);
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -167,9 +153,9 @@ pub enum Admission<V> {
     /// The value was already solved; use it directly.
     Hit(V),
     /// This caller owns the solve: compute the value, then
-    /// [`publish`](SolvedPointCache::publish) it (or
-    /// [`abort`](SolvedPointCache::abort) on failure). Until then every
-    /// other caller for the same key is parked on the flight.
+    /// [`publish_many`](SolvedPointCache::publish_many) it (or
+    /// [`abort_many`](SolvedPointCache::abort_many) on failure). Until
+    /// then every other caller for the same key is parked on the flight.
     Claimed,
     /// Another caller is already solving this key; wait on the flight,
     /// which the first such caller attached to the claim.
@@ -198,22 +184,10 @@ impl<V: Copy> Flight<V> {
         }
     }
 
-    /// Blocks until the claimant publishes or aborts. `None` means the
-    /// solve was abandoned and the caller should solve for itself.
-    pub fn wait(&self) -> Option<V> {
-        let guard = self
-            .ready
-            .wait_while(self.state.lock(), |s| matches!(s, FlightState::Solving));
-        match *guard {
-            FlightState::Done(v) => Some(v),
-            FlightState::Aborted => None,
-            FlightState::Solving => unreachable!("wait_while exits only on a terminal state"),
-        }
-    }
-
-    /// Like [`wait`](Flight::wait) but gives up after `timeout`.
-    /// `None` also covers the timeout case — from the waiter's view an
-    /// overdue solve and an abandoned one call for the same fallback.
+    /// Blocks until the claimant publishes or aborts, or until
+    /// `timeout` passes. `None` means the solve was abandoned or is
+    /// overdue — from the waiter's view both call for the same
+    /// fallback: solve for itself.
     pub fn wait_for(&self, timeout: Duration) -> Option<V> {
         let deadline = std::time::Instant::now() + timeout;
         let mut guard = self.state.lock();
@@ -334,25 +308,15 @@ pub struct SolvedPointCache<V> {
 /// stay cache-friendly for single-threaded users.
 const DEFAULT_SHARDS: usize = 16;
 
-impl<V: Copy> Default for SolvedPointCache<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<V: Copy> SolvedPointCache<V> {
-    /// A cache with the default shard count.
+    /// A cache with the default shard count. Empty shards allocate
+    /// nothing.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::with_shards_and_hasher(DEFAULT_SHARDS, PointHashState::new())
     }
 
-    /// A cache with at least `shards` shards (rounded up to a power of
-    /// two so the shard index is a mask, not a division). Empty shards
-    /// allocate nothing.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_hasher(shards, PointHashState::new())
-    }
-
+    /// A cache with at least `shards` shards, rounded up to a power of
+    /// two so the shard index is a mask, not a division.
     fn with_shards_and_hasher(shards: usize, hasher: PointHashState) -> Self {
         let n = shards.max(1).next_power_of_two();
         SolvedPointCache {
@@ -439,53 +403,11 @@ impl<V: Copy> SolvedPointCache<V> {
         }
     }
 
-    /// Looks up a solved value. Pending (in-flight) keys read as
-    /// misses: `get` never blocks.
-    pub fn get(&self, key: &PointKey) -> Option<V> {
-        self.with_shard(key, |shard, delta| {
-            let value = shard.ready.get(key).copied();
-            if value.is_some() {
-                delta.hits += 1;
-            } else {
-                delta.misses += 1;
-            }
-            delta.probes += 1;
-            value
-        })
-    }
-
-    /// Inserts (or overwrites) a solved value, resolving any waiters
-    /// parked on the key.
-    pub fn insert(&self, key: PointKey, value: V) {
-        if let Some(flight) = self.with_shard(&key, |shard, delta| shard.insert(key, value, delta))
-        {
-            flight.resolve(FlightState::Done(value));
-        }
-    }
-
     /// Admission with single-flight coalescing: exactly one concurrent
     /// caller per missing key is told [`Admission::Claimed`]; the rest
     /// share a [`Flight`] that the first of them attaches to the claim.
     pub fn begin(&self, key: PointKey) -> Admission<V> {
         self.with_shard(&key, |shard, delta| shard.begin(key, delta))
-    }
-
-    /// Fulfills a [`Admission::Claimed`] admission. Equivalent to
-    /// [`insert`](SolvedPointCache::insert); the separate name marks
-    /// the single-flight protocol in calling code.
-    pub fn publish(&self, key: PointKey, value: V) {
-        self.insert(key, value);
-    }
-
-    /// Abandons a claimed solve: removes the pending claim and wakes its
-    /// waiters empty-handed. Call this on the error/panic path of a
-    /// claimant so coalesced queries fall back to solving for
-    /// themselves instead of blocking forever. A publish that won the
-    /// race has already retired the claim, so its value stays.
-    pub fn abort(&self, key: &PointKey) {
-        if let Some(flight) = self.with_shard(key, |shard, delta| shard.abort(key, delta)) {
-            flight.resolve(FlightState::Aborted);
-        }
     }
 
     /// [`begin`](SolvedPointCache::begin) on every key, taking each
@@ -499,9 +421,9 @@ impl<V: Copy> SolvedPointCache<V> {
         out
     }
 
-    /// [`publish`](SolvedPointCache::publish) of `values[i]` under
-    /// `keys[i]` for every `i`, taking each shard lock once. Waiters
-    /// are woken after every lock is released.
+    /// Fulfills claimed admissions: stores `values[i]` under `keys[i]`
+    /// for every `i`, taking each shard lock once, and wakes the
+    /// waiters parked on those keys once every lock is released.
     ///
     /// # Panics
     ///
@@ -519,8 +441,12 @@ impl<V: Copy> SolvedPointCache<V> {
         }
     }
 
-    /// [`abort`](SolvedPointCache::abort) on every key, taking each
-    /// shard lock once. Waiters are woken after every lock is released.
+    /// Abandons claimed solves: removes each pending claim, taking each
+    /// shard lock once, and wakes its waiters empty-handed once every
+    /// lock is released. Call this on the error/panic path of a
+    /// claimant so coalesced queries fall back to solving for
+    /// themselves instead of blocking forever. A publish that won the
+    /// race has already retired the claim, so its value stays.
     pub fn abort_many(&self, keys: &[PointKey]) {
         let mut woken = Vec::new();
         self.for_each_by_shard(keys, |shard, i, delta| {
@@ -542,11 +468,6 @@ impl<V: Copy> SolvedPointCache<V> {
             .sum()
     }
 
-    /// True when no entry (solved or in-flight) exists.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot of the admission counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -555,6 +476,71 @@ impl<V: Copy> SolvedPointCache<V> {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
+        }
+    }
+}
+
+// The scalar calls. The server admits, publishes and aborts whole
+// batches, so only the tests use these: as the one-key reference that
+// the batch calls must equal.
+#[cfg(test)]
+impl<V: Copy> SolvedPointCache<V> {
+    pub(crate) fn with_shards(shards: usize) -> Self {
+        Self::with_shards_and_hasher(shards, PointHashState::new())
+    }
+
+    /// Looks up a solved value. Pending (in-flight) keys read as
+    /// misses: `get` never blocks.
+    pub(crate) fn get(&self, key: &PointKey) -> Option<V> {
+        self.with_shard(key, |shard, delta| {
+            let value = shard.ready.get(key).copied();
+            if value.is_some() {
+                delta.hits += 1;
+            } else {
+                delta.misses += 1;
+            }
+            delta.probes += 1;
+            value
+        })
+    }
+
+    /// Inserts (or overwrites) a solved value, resolving any waiters
+    /// parked on the key.
+    pub(crate) fn insert(&self, key: PointKey, value: V) {
+        if let Some(flight) = self.with_shard(&key, |shard, delta| shard.insert(key, value, delta))
+        {
+            flight.resolve(FlightState::Done(value));
+        }
+    }
+
+    /// Fulfills one claim; `insert` under the single-flight name.
+    pub(crate) fn publish(&self, key: PointKey, value: V) {
+        self.insert(key, value);
+    }
+
+    /// Abandons one claim, waking its waiters empty-handed.
+    pub(crate) fn abort(&self, key: &PointKey) {
+        if let Some(flight) = self.with_shard(key, |shard, delta| shard.abort(key, delta)) {
+            flight.resolve(FlightState::Aborted);
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+#[cfg(test)]
+impl<V: Copy> Flight<V> {
+    /// Blocks until the claimant publishes (`Some`) or aborts (`None`).
+    pub(crate) fn wait(&self) -> Option<V> {
+        let guard = self
+            .ready
+            .wait_while(self.state.lock(), |s| matches!(s, FlightState::Solving));
+        match *guard {
+            FlightState::Done(v) => Some(v),
+            FlightState::Aborted => None,
+            FlightState::Solving => unreachable!("wait_while exits only on a terminal state"),
         }
     }
 }
@@ -570,7 +556,6 @@ mod tests {
         PointKey {
             service: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             think: i,
-            scheme: PointKey::SHARED_SCHEME,
             machine: 16,
         }
     }
@@ -593,7 +578,6 @@ mod tests {
         let base = PointKey {
             service: 10,
             think: 20,
-            scheme: 1,
             machine: 16,
         };
         cache.insert(base, 1.0);
@@ -603,7 +587,6 @@ mod tests {
                 ..base
             },
             PointKey { think: 21, ..base },
-            PointKey { scheme: 2, ..base },
             PointKey {
                 machine: 17,
                 ..base
@@ -687,7 +670,6 @@ mod tests {
             let k = PointKey {
                 service: service + i,
                 think: think - 3 * i,
-                scheme: PointKey::SHARED_SCHEME,
                 machine: 16,
             };
             cache.insert(k, i);

@@ -3,8 +3,8 @@
 //! A std-only TCP service that answers batches of coherence-model
 //! queries — `(scheme, workload, machine) → power / penalty /
 //! sensitivity` — through the `swcc-core` batch solver engine, fronted
-//! by the workspace's sharded single-flight solved-point cache
-//! ([`swcc_core::cache::SolvedPointCache`]).
+//! by a sharded single-flight solved-point cache that this crate keeps
+//! in a private module, `cache`.
 //!
 //! The wire protocol (newline-delimited JSON) is documented in
 //! [`protocol`]; the admission/solve pipeline and its bit-identity
@@ -28,6 +28,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+mod cache;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -18,8 +18,10 @@
 //!   or `"sensitivity"` (parameter ranking; bus only, no sweep).
 //! * `scheme` — `"base"`, `"no-cache"`, `"software-flush"`, `"dragon"`
 //!   (case-insensitive; the dash is optional).
-//! * `machine` — `{"interconnect":"bus","processors":N}` or
-//!   `{"interconnect":"network","stages":S}` (`2^S` processors).
+//! * `machine` — `{"interconnect":"bus","processors":N}` with `N` from
+//!   1 to [`MAX_BUS_PROCESSORS`], or
+//!   `{"interconnect":"network","stages":S}` (`2^S` processors, `S` from
+//!   1 to 30).
 //! * `workload` — optional overrides of the Table 7 middle values,
 //!   keyed by paper parameter name (`ls`, `msdat`, …, `nshd`).
 //! * `sweep` — optional: vary one parameter over `points` evenly
@@ -44,6 +46,11 @@ pub const MAX_QUERIES: usize = 1024;
 pub const MAX_SWEEP_POINTS: u32 = 65_536;
 /// Most query points (queries × sweep points) accepted in one request.
 pub const MAX_POINTS: usize = 262_144;
+/// Most processors accepted for a bus machine: 64 times the paper's
+/// largest bus. The MVA solve is linear in the processor count, so this
+/// keeps a request of [`MAX_POINTS`] points to a fraction of a second
+/// of solving.
+pub const MAX_BUS_PROCESSORS: u32 = 1024;
 /// Most bytes read for one request line, its newline excluded: 1 KiB
 /// for each query of the largest batch, whose queries take about 600
 /// bytes each. A longer line is answered with an error naming this
@@ -180,8 +187,10 @@ fn parse_machine(value: &Value) -> Result<Machine, String> {
                 .get_field("processors")
                 .and_then(Value::as_u64)
                 .ok_or("bus machine needs an integer \"processors\"")?;
-            if processors == 0 || processors > u64::from(u32::MAX) {
-                return Err("\"processors\" must be between 1 and 2^32-1".into());
+            if processors == 0 || processors > u64::from(MAX_BUS_PROCESSORS) {
+                return Err(format!(
+                    "\"processors\" must be between 1 and {MAX_BUS_PROCESSORS}"
+                ));
             }
             Ok(Machine::Bus {
                 processors: processors as u32,
@@ -401,17 +410,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }))
 }
 
-/// Appends a float in shortest round-trip form (`null` if non-finite,
-/// mirroring the vendored JSON serializer).
-pub fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Appends a JSON string literal (the protocol never emits strings
 /// needing more than quote/backslash/control escapes).
 pub fn push_json_str(out: &mut String, s: &str) {
@@ -522,6 +520,23 @@ mod tests {
     }
 
     #[test]
+    fn bus_processor_counts_are_capped() {
+        let line = |n: u64| {
+            format!(
+                r#"{{"queries":[{{"scheme":"dragon","machine":{{"interconnect":"bus","processors":{n}}}}}]}}"#
+            )
+        };
+        for n in [1, u64::from(MAX_BUS_PROCESSORS)] {
+            assert!(parse_request(&line(n)).is_ok(), "{n} processors");
+        }
+        for n in [0, u64::from(MAX_BUS_PROCESSORS) + 1, u64::from(u32::MAX)] {
+            let err = parse_request(&line(n)).unwrap_err();
+            assert!(err.contains("query 0"), "{err}");
+            assert!(err.contains("between 1 and 1024"), "{err}");
+        }
+    }
+
+    #[test]
     fn sweep_bounds_are_validated() {
         let zero = r#"{"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4},"sweep":{"param":"shd","from":0.0,"to":0.1,"points":0}}]}"#;
         assert!(parse_request(zero).unwrap_err().contains("points"));
@@ -592,14 +607,15 @@ mod tests {
 
     #[test]
     fn floats_round_trip_through_the_response_format() {
+        use swcc_obs::push_json_f64;
         for v in [0.04992, 1.06912, f64::MIN_POSITIVE, 1.0 / 3.0, 16.0] {
             let mut s = String::new();
-            push_f64(&mut s, v);
+            push_json_f64(&mut s, v);
             let parsed: f64 = s.parse().unwrap();
             assert_eq!(parsed.to_bits(), v.to_bits(), "{v}");
         }
         let mut s = String::new();
-        push_f64(&mut s, f64::NAN);
+        push_json_f64(&mut s, f64::NAN);
         assert_eq!(s, "null");
     }
 

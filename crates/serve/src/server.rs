@@ -8,7 +8,8 @@
 //! ## Admission and bit-identity
 //!
 //! Every query point reduces to a queueing-solver input before it
-//! touches the cache:
+//! touches the server's solved-point caches (the private `cache`
+//! module, one cache per machine family):
 //!
 //! * **Bus** — `analyze_bus` depends on the workload only through the
 //!   demand `(c, b)`, and the contention solve only through
@@ -25,8 +26,8 @@
 //!   guarded-Newton kernel as `patel::solve`, so served network results
 //!   match `analyze_network` bitwise.
 //!
-//! Both keys use [`PointKey::SHARED_SCHEME`]: the solved value depends
-//! on the scheme only through the demand bits, so two schemes (or two
+//! Neither key names the scheme: the solved value depends on the
+//! scheme only through the demand bits, so two schemes (or two
 //! workloads) that induce the same queue share one cache entry.
 //!
 //! Admission is single-flight: the first request to miss a key claims
@@ -42,10 +43,10 @@
 //! A panic while solving a batch is caught at the request boundary and
 //! reported as an error response naming the originating request id —
 //! the connection and the process keep serving. Claimed-but-unsolved
-//! cache slots are released by a RAII guard ([`ClaimSet`]) during
+//! cache slots are released by a RAII guard (`ClaimSet`) during
 //! unwinding, waking any coalesced waiters, who then re-claim and solve
-//! for themselves ([`resolve_lanes`]'s retry arm, whose claims the same
-//! guard holds).
+//! for themselves (the retry arm of `resolve_lanes`, whose claims the
+//! same guard holds).
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -58,7 +59,6 @@ use std::time::{Duration, Instant};
 
 use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver, Stages};
 use swcc_core::bus::BusPerformance;
-use swcc_core::cache::{Admission, Flight, PointHashState, PointKey, SolvedPointCache};
 use swcc_core::demand::{scheme_demand, Demand};
 use swcc_core::network::{NetworkPerformance, OperatingPoint};
 use swcc_core::queue::machine_repairman;
@@ -66,12 +66,13 @@ use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::ParamId;
 
-use swcc_obs::MetricsRegistry;
+use swcc_obs::{push_json_f64, MetricsRegistry};
 
+use crate::cache::{Admission, Flight, PointHashState, PointKey, SolvedPointCache};
 use crate::metrics;
 use crate::protocol::{
-    error_response, parse_request, push_f64, push_json_str, Batch, Machine, Query, QueryKind,
-    Request, TelemetryFormat, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    error_response, parse_request, push_json_str, Batch, Machine, Query, QueryKind, Request,
+    TelemetryFormat, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::telemetry::{self, RequestTrace, Telemetry};
 
@@ -458,7 +459,6 @@ fn bus_key(demand: &Demand, processors: u32) -> PointKey {
     PointKey {
         service: demand.interconnect().to_bits(),
         think: demand.think_time().to_bits(),
-        scheme: PointKey::SHARED_SCHEME,
         machine: processors,
     }
 }
@@ -467,7 +467,6 @@ fn net_key(demand: &Demand, stages: u32) -> PointKey {
     PointKey {
         service: demand.transaction_size().to_bits(),
         think: demand.transaction_rate().to_bits(),
-        scheme: PointKey::SHARED_SCHEME,
         machine: stages,
     }
 }
@@ -748,7 +747,7 @@ pub fn run_batch_traced(
                     out.push_str("{\"param\":");
                     push_json_str(&mut out, param.name());
                     out.push_str(",\"percent\":");
-                    push_f64(&mut out, *percent);
+                    push_json_f64(&mut out, *percent);
                     out.push('}');
                 }
                 out.push_str("]}");
@@ -812,7 +811,7 @@ fn render_bus_query(
                 QueryKind::Penalty => perf.waiting(),
                 _ => perf.power(),
             };
-            push_f64(out, primary);
+            push_json_f64(out, primary);
         }
         out.push_str("]}");
         return Ok(());
@@ -833,19 +832,19 @@ fn render_bus_query(
         out.push('{');
         if let Some(value) = query.sweep_values.get(j) {
             out.push_str("\"value\":");
-            push_f64(out, *value);
+            push_json_f64(out, *value);
             out.push(',');
         }
         out.push_str("\"power\":");
-        push_f64(out, perf.power());
+        push_json_f64(out, perf.power());
         out.push_str(",\"utilization\":");
-        push_f64(out, perf.utilization());
+        push_json_f64(out, perf.utilization());
         out.push_str(",\"cpi\":");
-        push_f64(out, perf.cycles_per_instruction());
+        push_json_f64(out, perf.cycles_per_instruction());
         out.push_str(",\"waiting\":");
-        push_f64(out, perf.waiting());
+        push_json_f64(out, perf.waiting());
         out.push_str(",\"bus_utilization\":");
-        push_f64(out, perf.bus_utilization());
+        push_json_f64(out, perf.bus_utilization());
         out.push_str(",\"cached\":");
         push_json_str(out, provenance.name());
         out.push('}');
@@ -872,7 +871,7 @@ fn render_net_query(
             let (point, _) = lane_value(lane)?;
             let perf =
                 NetworkPerformance::from_operating_point(query.scheme, stages, lane.demand, point);
-            push_f64(out, perf.power());
+            push_json_f64(out, perf.power());
         }
         out.push_str("]}");
         return Ok(());
@@ -888,17 +887,17 @@ fn render_net_query(
         out.push('{');
         if let Some(value) = query.sweep_values.get(j) {
             out.push_str("\"value\":");
-            push_f64(out, *value);
+            push_json_f64(out, *value);
             out.push(',');
         }
         out.push_str("\"power\":");
-        push_f64(out, perf.power());
+        push_json_f64(out, perf.power());
         out.push_str(",\"utilization\":");
-        push_f64(out, perf.utilization());
+        push_json_f64(out, perf.utilization());
         out.push_str(",\"think_fraction\":");
-        push_f64(out, point.think_fraction());
+        push_json_f64(out, point.think_fraction());
         out.push_str(",\"accepted_rate\":");
-        push_f64(out, point.accepted_rate());
+        push_json_f64(out, point.accepted_rate());
         out.push_str(",\"cached\":");
         push_json_str(out, provenance.name());
         out.push('}');

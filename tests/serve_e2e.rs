@@ -28,7 +28,7 @@ use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, ParamId, WorkloadParams};
 use swcc_obs::MetricsRegistry;
 use swcc_serve::metrics::SERVE_OVERSIZED_LINES;
-use swcc_serve::protocol::MAX_LINE_BYTES;
+use swcc_serve::protocol::{MAX_BUS_PROCESSORS, MAX_LINE_BYTES};
 use swcc_serve::{spawn, RunningServer, ServeConfig};
 
 fn start(workers: usize) -> RunningServer {
@@ -331,7 +331,23 @@ fn errors_name_the_offending_query_and_keep_the_connection_alive() {
     );
     assert!(!ok(&dragon_net));
 
-    // The connection survives all three errors.
+    let bus = |kind: &str, processors: u32| {
+        format!(
+            r#"{{"queries":[{{"kind":"{kind}","scheme":"dragon","machine":{{"interconnect":"bus","processors":{processors}}}}}]}}"#
+        )
+    };
+    for kind in ["power", "sensitivity"] {
+        let too_many_cpus = client.send(&bus(kind, MAX_BUS_PROCESSORS + 1));
+        let message = too_many_cpus
+            .get_field("error")
+            .and_then(Value::as_str)
+            .unwrap();
+        assert!(message.contains("between 1 and 1024"), "{message}");
+    }
+
+    // The connection survives all these errors.
+    let largest_bus = client.send(&bus("power", MAX_BUS_PROCESSORS));
+    assert!(ok(&largest_bus), "{}", client.response);
     let pong = client.send(r#"{"cmd":"ping"}"#);
     assert!(ok(&pong));
     server.shutdown();
