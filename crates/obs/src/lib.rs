@@ -50,6 +50,7 @@ mod metric;
 pub mod quantile;
 mod recorder;
 mod registry;
+mod ryu;
 pub mod sync;
 pub mod trace;
 pub mod window;
@@ -69,15 +70,22 @@ pub use trace::{
 };
 pub use window::{WindowRing, WindowStats, WindowedSnapshot, WINDOW_SECONDS};
 
-/// Appends `v` as a JSON number: a finite value in std's shortest
-/// round-trip `Display` form, anything else as `null` (the vendored
-/// JSON serializer's convention, since JSON has no NaN or infinity).
-/// Trace lines, telemetry windows and `swcc-serve` responses all write
-/// their floats through this one function.
+/// Appends `v` as a JSON number: a finite value exactly as std's
+/// `Display` writes it (shortest round-trip digits, never an exponent),
+/// anything else as `null` (the vendored JSON serializer's convention,
+/// since JSON has no NaN or infinity). Trace lines, telemetry windows
+/// and `swcc-serve` responses all write their floats through this one
+/// function.
+///
+/// The digits come from an in-tree Ryū. When the value lies exactly
+/// halfway between the two shortest decimals that parse back to it, the
+/// larger one is written, as std does, where reference Ryū would pick
+/// the even one: 2⁻²⁵ is written `0.000000029802322387695313`. A test
+/// compares the bytes with `write!(s, "{v}")` over random bit patterns
+/// and the edge classes of the format.
 pub fn push_json_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        ryu::push_shortest(out, v);
     } else {
         out.push_str("null");
     }

@@ -27,11 +27,18 @@
 //! * `sweep` — optional: vary one parameter over `points` evenly
 //!   spaced values from `from` to `to`; each point is one query.
 //!
-//! Floats in responses are formatted with Rust's shortest round-trip
-//! `Display`, so parsing them back with a correctly rounded `f64`
-//! parser reproduces the served bits exactly — the golden tests and
-//! `swcc-loadgen --verify` rely on this to prove served results
-//! bit-identical to direct library calls.
+//! A present field of the wrong type (a negative or fractional `id`, a
+//! `compact` or `slow` that is not a boolean, …) is an error naming the
+//! field, never a silent default.
+//!
+//! Floats in responses are written by [`swcc_obs::push_json_f64`], an
+//! in-tree Ryū whose bytes equal Rust's shortest round-trip `Display`
+//! (swcc-obs's `push_json_f64_matches_std_display` test compares them
+//! over random bit patterns and the format's edge classes), so parsing
+//! them back with a correctly rounded `f64` parser reproduces the
+//! served bits exactly — the golden tests and `swcc-loadgen --verify`
+//! rely on this to prove served results bit-identical to direct
+//! library calls.
 
 use serde::Value;
 use swcc_core::scheme::Scheme;
@@ -338,10 +345,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             "telemetry" => {
-                let slow = value
-                    .get_field("slow")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false);
+                let slow = match value.get_field("slow") {
+                    None => false,
+                    Some(v) => v.as_bool().ok_or("telemetry \"slow\" must be a boolean")?,
+                };
                 let format = match value.get_field("format") {
                     None => TelemetryFormat::Json,
                     Some(v) => match v.as_str() {
@@ -373,7 +380,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             queries.len()
         ));
     }
-    let id = value.get_field("id").and_then(Value::as_u64);
+    let id = match value.get_field("id") {
+        None => None,
+        Some(v) => Some(v.as_u64().ok_or("\"id\" must be a non-negative integer")?),
+    };
     let request = match value.get_field("request") {
         None => None,
         Some(v) => {
@@ -386,10 +396,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Some(rid.to_string())
         }
     };
-    let compact = value
-        .get_field("compact")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
+    let compact = match value.get_field("compact") {
+        None => false,
+        Some(v) => v.as_bool().ok_or("\"compact\" must be a boolean")?,
+    };
     let mut parsed = Vec::with_capacity(queries.len());
     let mut total_points = 0usize;
     for (i, q) in queries.iter().enumerate() {
@@ -603,20 +613,34 @@ mod tests {
         assert!(parse_request(&long).unwrap_err().contains("request"));
         let empty = r#"{"request":"","queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]}"#;
         assert!(parse_request(empty).is_err());
-    }
 
-    #[test]
-    fn floats_round_trip_through_the_response_format() {
-        use swcc_obs::push_json_f64;
-        for v in [0.04992, 1.06912, f64::MIN_POSITIVE, 1.0 / 3.0, 16.0] {
-            let mut s = String::new();
-            push_json_f64(&mut s, v);
-            let parsed: f64 = s.parse().unwrap();
-            assert_eq!(parsed.to_bits(), v.to_bits(), "{v}");
+        // A present field of the wrong type is an error naming it, never
+        // a silent default.
+        let query =
+            r#""queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]"#;
+        for (field, value) in [
+            ("id", "-1"),
+            ("id", "1.5"),
+            ("id", "\"7\""),
+            ("id", "null"),
+            ("compact", "\"true\""),
+            ("compact", "1"),
+            ("request", "7"),
+        ] {
+            let line = format!(r#"{{"{field}":{value},{query}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains(&format!("\"{field}\"")), "{line}: {err}");
         }
-        let mut s = String::new();
-        push_json_f64(&mut s, f64::NAN);
-        assert_eq!(s, "null");
+        let line = format!(r#"{{"id":7,"compact":true,{query}}}"#);
+        let Request::Batch(batch) = parse_request(&line).unwrap() else {
+            panic!("expected a batch");
+        };
+        assert_eq!((batch.id, batch.compact), (Some(7), true));
+        for value in ["\"yes\"", "1", "null"] {
+            let line = format!(r#"{{"cmd":"telemetry","slow":{value}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains("\"slow\""), "{line}: {err}");
+        }
     }
 
     #[test]

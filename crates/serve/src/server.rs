@@ -229,11 +229,9 @@ impl ServeState {
             self.solves.load(Ordering::Relaxed),
             self.solve_lanes.load(Ordering::Relaxed),
         );
-        let _ = write!(
-            out,
-            "\"uptime_s\":{},\"build\":{{\"commit\":",
-            self.telemetry.uptime_s()
-        );
+        out.push_str("\"uptime_s\":");
+        push_json_f64(&mut out, self.telemetry.uptime_s());
+        out.push_str(",\"build\":{\"commit\":");
         push_json_str(&mut out, telemetry::build_commit());
         out.push_str(",\"rustc\":");
         push_json_str(&mut out, telemetry::build_rustc());
@@ -1622,5 +1620,100 @@ mod tests {
             cache.get_field("entries").and_then(serde::Value::as_u64),
             Some(1)
         );
+    }
+
+    /// A valid batch line: every proper prefix of it is malformed.
+    const BATCH_LINE: &str = r#"{"id":3,"request":"r-3","compact":true,"queries":[{"kind":"power","scheme":"dragon","machine":{"interconnect":"bus","processors":8},"workload":{"shd":0.1},"sweep":{"param":"apl","from":1.0,"to":25.0,"points":4}}]}"#;
+
+    /// Lines whose only fault is a present field of the wrong type.
+    const WRONG_TYPED: &[&str] = &[
+        r#"{"id":-1,"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]}"#,
+        r#"{"id":1.5,"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]}"#,
+        r#"{"compact":"true","queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]}"#,
+        r#"{"request":7,"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]}"#,
+        r#"{"cmd":"telemetry","slow":"yes"}"#,
+    ];
+
+    /// JSON-looking fragments: no command name and no query field, so
+    /// no line built from them is a valid request.
+    const SOUP: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        "\"",
+        ":",
+        ",",
+        " ",
+        "\\",
+        "\\u00",
+        "0",
+        "-1",
+        "1.5",
+        "1e999",
+        "true",
+        "null",
+        "\"queries\"",
+        "\"id\"",
+        "\"compact\"",
+        "\"cmd\"",
+        "\"x\"",
+    ];
+
+    /// Sends `line` through `handle_request` and asserts one JSON error
+    /// response: it parses, says `"ok":false`, and shuts nothing down.
+    fn assert_rejected(state: &ServeState, line: &str) {
+        let (response, shutdown) = handle_request(state, line);
+        let parsed = serde_json::from_str::<serde::Value>(&response).unwrap_or_else(|e| {
+            panic!("{line:?} got a response that is not JSON ({e}): {response}")
+        });
+        assert_eq!(
+            parsed.get_field("ok").and_then(serde::Value::as_bool),
+            Some(false),
+            "{line:?} got {response}"
+        );
+        assert!(!shutdown, "{line:?} shut the server down");
+    }
+
+    /// The deterministic half of the hostile-line property below: every
+    /// truncation of a valid line and every wrongly typed field.
+    #[test]
+    fn every_proper_prefix_and_every_wrong_type_is_rejected() {
+        let state = state();
+        let (response, _) = handle_request(&state, BATCH_LINE);
+        assert!(response.starts_with("{\"ok\":true"), "{response}");
+        for cut in 0..BATCH_LINE.len() {
+            assert_rejected(&state, &BATCH_LINE[..cut]);
+        }
+        for line in WRONG_TYPED {
+            assert_rejected(&state, line);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_lines_get_one_json_error_response(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..128),
+            soup in proptest::collection::vec(0..SOUP.len(), 0..64),
+            depth in 129usize..4096,
+        ) {
+            let state = state();
+            assert_rejected(&state, &String::from_utf8_lossy(&bytes));
+            let soup: String = soup.iter().map(|&i| SOUP[i]).collect();
+            assert_rejected(&state, &soup);
+            // Nesting past the JSON reader's 128 levels, bare and inside
+            // an otherwise valid query.
+            let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            assert_rejected(&state, &nested);
+            let nested = format!(
+                r#"{{"queries":[{{"scheme":"base","machine":{{"interconnect":"bus","processors":4}},"workload":{{"shd":{}0{}}}}}]}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            );
+            assert_rejected(&state, &nested);
+            proptest::prop_assert_eq!(state.errors.load(Ordering::Relaxed), 4);
+        }
     }
 }

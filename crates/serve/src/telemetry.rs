@@ -28,7 +28,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use swcc_obs::sync::Mutex;
 use swcc_obs::window::{self, WindowRing, WindowedSnapshot};
-use swcc_obs::{MetricsRegistry, MetricsSnapshot};
+use swcc_obs::{push_json_f64, MetricsRegistry, MetricsSnapshot};
 
 use crate::metrics;
 use crate::protocol::push_json_str;
@@ -323,10 +323,10 @@ impl TelemetrySnapshot {
         let mut out = String::with_capacity(2048);
         let _ = write!(
             out,
-            "{{\"ok\":true,\"schema\":\"{TELEMETRY_SCHEMA}\",\"uptime_s\":{},\
-             \"build\":{{\"commit\":",
-            self.uptime_s
+            "{{\"ok\":true,\"schema\":\"{TELEMETRY_SCHEMA}\",\"uptime_s\":"
         );
+        push_json_f64(&mut out, self.uptime_s);
+        out.push_str(",\"build\":{\"commit\":");
         push_json_str(&mut out, build_commit());
         out.push_str(",\"rustc\":");
         push_json_str(&mut out, build_rustc());
@@ -377,7 +377,9 @@ fn access_line(
     trace: &RequestTrace,
 ) -> String {
     let mut out = String::with_capacity(192);
-    let _ = write!(out, "{{\"ts_s\":{},\"request\":", epoch_seconds_f64());
+    out.push_str("{\"ts_s\":");
+    push_json_f64(&mut out, epoch_seconds_f64());
+    out.push_str(",\"request\":");
     push_json_str(&mut out, request_id);
     let _ = write!(out, ",\"cmd\":\"{cmd}\",\"ok\":{ok},\"schemes\":[");
     for (i, scheme) in trace.schemes.iter().enumerate() {
@@ -389,15 +391,13 @@ fn access_line(
     let _ = write!(
         out,
         "],\"queries\":{},\"points\":{},\"hits\":{},\"misses\":{},\
-         \"coalesced\":{},\"flight_wait_us\":{},\"duration_us\":{}}}",
-        trace.queries,
-        trace.points,
-        trace.hits,
-        trace.misses,
-        trace.coalesced,
-        finite(trace.flight_wait_us),
-        finite(duration_us),
+         \"coalesced\":{},\"flight_wait_us\":",
+        trace.queries, trace.points, trace.hits, trace.misses, trace.coalesced,
     );
+    push_json_f64(&mut out, finite(trace.flight_wait_us));
+    out.push_str(",\"duration_us\":");
+    push_json_f64(&mut out, finite(duration_us));
+    out.push('}');
     out
 }
 
@@ -415,32 +415,28 @@ fn slow_capture(
     let mut out = String::with_capacity(512);
     out.push_str("{\"request\":");
     push_json_str(&mut out, request_id);
+    let _ = write!(out, ",\"cmd\":\"{cmd}\",\"ok\":{ok},\"captured_at_s\":");
+    push_json_f64(&mut out, epoch_seconds_f64());
+    out.push_str(",\"duration_us\":");
+    push_json_f64(&mut out, finite(duration_us));
+    out.push_str(",\"threshold_us\":");
+    push_json_f64(&mut out, finite(threshold_us));
     let _ = write!(
         out,
-        ",\"cmd\":\"{cmd}\",\"ok\":{ok},\"captured_at_s\":{},\
-         \"duration_us\":{},\"threshold_us\":{},\"queries\":{},\"points\":{},\
-         \"hits\":{},\"misses\":{},\"coalesced\":{},\"flight_wait_us\":{},\
-         \"spans\":[{{\"name\":\"serve.request\",\"start_us\":0,\"dur_us\":{}}}",
-        epoch_seconds_f64(),
-        finite(duration_us),
-        finite(threshold_us),
-        trace.queries,
-        trace.points,
-        trace.hits,
-        trace.misses,
-        trace.coalesced,
-        finite(trace.flight_wait_us),
-        finite(duration_us),
+        ",\"queries\":{},\"points\":{},\"hits\":{},\"misses\":{},\"coalesced\":{},\
+         \"flight_wait_us\":",
+        trace.queries, trace.points, trace.hits, trace.misses, trace.coalesced,
     );
+    push_json_f64(&mut out, finite(trace.flight_wait_us));
+    out.push_str(",\"spans\":[{\"name\":\"serve.request\",\"start_us\":0,\"dur_us\":");
+    push_json_f64(&mut out, finite(duration_us));
+    out.push('}');
     for phase in &trace.phases {
-        let _ = write!(
-            out,
-            ",{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"lanes\":{}}}",
-            phase.name,
-            finite(phase.start_us),
-            finite(phase.dur_us),
-            phase.lanes,
-        );
+        let _ = write!(out, ",{{\"name\":\"{}\",\"start_us\":", phase.name);
+        push_json_f64(&mut out, finite(phase.start_us));
+        out.push_str(",\"dur_us\":");
+        push_json_f64(&mut out, finite(phase.dur_us));
+        let _ = write!(out, ",\"lanes\":{}}}", phase.lanes);
     }
     out.push_str("]}");
     out
