@@ -615,4 +615,163 @@ mod tests {
             assert!((s.queue_len() + thinking - f64::from(n)).abs() < 1e-9);
         }
     }
+
+    /// A seeded discrete-event simulation of the closed machine-repairman
+    /// network: `customers` each think for an exponential time of mean
+    /// `think`, then queue first-come first-served at one server whose
+    /// service times are exponential of mean `service`. It knows nothing
+    /// of MVA, so it is an independent oracle for the recurrence.
+    struct RepairmanSim {
+        rng: u64,
+    }
+
+    /// Simulated means of one lane: the queueing delay per visit (MVA's
+    /// `waiting()`) and the server's busy fraction (its
+    /// `server_utilization()`), each with the standard error of its
+    /// batch means.
+    struct Estimate {
+        waiting: f64,
+        waiting_se: f64,
+        utilization: f64,
+        utilization_se: f64,
+    }
+
+    impl RepairmanSim {
+        /// SplitMix64, then an exponential draw by inversion.
+        fn exponential(&mut self, mean: f64) -> f64 {
+            self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let uniform = (z >> 11) as f64 / (1u64 << 53) as f64;
+            -mean * (1.0 - uniform).ln()
+        }
+
+        /// Runs `warmup` service completions, then `batches` batches of
+        /// `per_batch` completions each.
+        fn run(
+            &mut self,
+            customers: usize,
+            service: f64,
+            think: f64,
+            warmup: usize,
+            batches: usize,
+            per_batch: usize,
+        ) -> Estimate {
+            let mut think_end: Vec<f64> = (0..customers).map(|_| self.exponential(think)).collect();
+            let mut queue: std::collections::VecDeque<(usize, f64)> = Default::default();
+            let (mut in_service, mut service_end) = (usize::MAX, f64::INFINITY);
+            let (mut now, mut busy) = (0.0f64, 0.0f64);
+            let (mut waits, mut starts) = (0.0f64, 0usize);
+            let mut completions = 0usize;
+            let mut batch_start = (0.0f64, 0.0f64, 0.0f64, 0usize);
+            let (mut w_means, mut u_means) = (Vec::new(), Vec::new());
+            while w_means.len() < batches {
+                let (mut next, mut arriving) = (service_end, usize::MAX);
+                for (c, &t) in think_end.iter().enumerate() {
+                    if t < next {
+                        (next, arriving) = (t, c);
+                    }
+                }
+                if service_end.is_finite() {
+                    busy += next - now;
+                }
+                now = next;
+                if arriving != usize::MAX {
+                    think_end[arriving] = f64::INFINITY;
+                    queue.push_back((arriving, now));
+                } else {
+                    think_end[in_service] = now + self.exponential(think);
+                    service_end = f64::INFINITY;
+                    completions += 1;
+                    if completions == warmup {
+                        batch_start = (now, busy, waits, starts);
+                    } else if completions > warmup
+                        && (completions - warmup).is_multiple_of(per_batch)
+                    {
+                        let (t0, busy0, waits0, starts0) = batch_start;
+                        w_means.push((waits - waits0) / (starts - starts0) as f64);
+                        u_means.push((busy - busy0) / (now - t0));
+                        batch_start = (now, busy, waits, starts);
+                    }
+                }
+                if service_end.is_infinite() {
+                    if let Some((c, arrived)) = queue.pop_front() {
+                        waits += now - arrived;
+                        starts += 1;
+                        in_service = c;
+                        service_end = now + self.exponential(service);
+                    }
+                }
+            }
+            let mean_and_se = |v: &[f64]| {
+                let n = v.len() as f64;
+                let mean = v.iter().sum::<f64>() / n;
+                let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+                (mean, (var / n).sqrt())
+            };
+            let (waiting, waiting_se) = mean_and_se(&w_means);
+            let (utilization, utilization_se) = mean_and_se(&u_means);
+            Estimate {
+                waiting,
+                waiting_se,
+                utilization,
+                utilization_se,
+            }
+        }
+    }
+
+    #[test]
+    fn mva_matches_an_event_simulation_of_the_closed_network() {
+        // Light, moderate and saturating loads (the doc example's lane
+        // among them) at every population from 2 to 16.
+        let services = [0.1, 0.37, 1.0];
+        let thinks = [2.0, 1.2, 1.5];
+        let sweeps = crate::batch::machine_repairman_sweep_grid(16, &services, &thinks).unwrap();
+        let mut sim = RepairmanSim { rng: 0x5EED };
+        for customers in 2..=16u32 {
+            let grid = crate::batch::machine_repairman_grid(customers, &services, &thinks).unwrap();
+            for (lane, (&service, &think)) in services.iter().zip(&thinks).enumerate() {
+                // 40 batches of 1,500 visits after 2,000 warm-up visits.
+                // The bound is five standard errors of the batch means,
+                // which shrink as one over the root of the visit count,
+                // plus the estimate over that count: what happens less
+                // than once in the run (an idle server at saturation)
+                // cannot show in it. Neither term is fitted to the
+                // results.
+                let (batches, per_batch) = (40, 1_500);
+                let est = sim.run(
+                    customers as usize,
+                    service,
+                    think,
+                    2_000,
+                    batches,
+                    per_batch,
+                );
+                let visits = (batches * per_batch) as f64;
+                let within =
+                    |mva: f64, sim: f64, se: f64| (mva - sim).abs() <= 5.0 * se + sim / visits;
+                let scalar = machine_repairman(customers, service, think).unwrap();
+                let solutions = [scalar, grid[lane], *sweeps[lane].get(customers).unwrap()];
+                for mva in solutions {
+                    let (w, u) = (mva.waiting(), mva.server_utilization());
+                    assert!(
+                        within(w, est.waiting, est.waiting_se),
+                        "n={customers} b={service} z={think}: MVA w {w:.5}, \
+                         simulated {:.5} ± {:.5}",
+                        est.waiting,
+                        est.waiting_se
+                    );
+                    assert!(
+                        within(u, est.utilization, est.utilization_se),
+                        "n={customers} b={service} z={think}: MVA U {u:.5}, \
+                         simulated {:.5} ± {:.5}",
+                        est.utilization,
+                        est.utilization_se
+                    );
+                }
+            }
+        }
+    }
 }

@@ -12,9 +12,9 @@
 //!               [--loadgen-report PATH ...]    …and trend loadgen steady p99
 //! repro report --html PATH [trace.jsonl]      write the HTML run dashboard
 //!              [--record PATH]
-//! repro sim-report [--quick] [--json]         model-vs-sim residuals + event mix
-//!                  [--out PATH]                …with a JSON copy written to PATH
-//! repro accuracy [--quick] [--baseline PATH]  run the model-accuracy gate
+//! repro sim-report [--record PATH]            model-vs-sim residuals + event mix
+//! repro accuracy [--baseline PATH]            run the model-accuracy gate
+//!                [--record PATH]
 //! repro --version                             print version + build provenance
 //!
 //! options:
@@ -25,9 +25,10 @@
 //!                      available core)
 //!   --metrics          print solver/runner metric totals to stderr after
 //!                      the run
-//!   --record PATH      append this run's swcc-run/v1 record to the log at
-//!                      PATH; history, report and check-record read the
-//!                      same log (default history/runs.jsonl)
+//!   --record PATH      append this run's swcc-run/v2 record to the log at
+//!                      PATH; check-record, history, report, sim-report
+//!                      and accuracy read the same log (default
+//!                      history/runs.jsonl)
 //!   --trace PATH       record a structured span/event trace as JSONL
 //!   --trace-sample N   keep 1 in N high-frequency (sampled-class) events
 //!                      (default 16; 1 keeps everything)
@@ -36,8 +37,8 @@
 //! ```
 //!
 //! `trace-report` renders per-phase timings, solver convergence
-//! diagnostics, and the model-vs-sim accuracy table from a trace file,
-//! and exits nonzero if any solver diverged. `trace-export` converts a
+//! diagnostics, and the coherence event mix from a trace file, and
+//! exits nonzero if any solver diverged. `trace-export` converts a
 //! trace into the Chrome trace-event JSON that `chrome://tracing` and
 //! Perfetto load (`--format chrome`) or collapsed flamegraph stacks
 //! with self-time weights (`--format folded`). `history` prints the
@@ -48,17 +49,18 @@
 //! trailing-median ceiling, printing one explicit skip line for any
 //! report that lacks the quantity (a v1 report, or a run without
 //! `--timeline`). `check-record` exits nonzero unless every line of the
-//! log is a `swcc-run/v1` record and the newest covers every registered
-//! experiment.
+//! log is a `swcc-run/v2` record and the newest covers every registered
+//! experiment, holds every validation row of the fig1–fig3 experiments
+//! it ran, and replayed accesses in them.
 //! `report --html` writes a single-file dependency-free dashboard.
-//! `sim-report` reruns the full validation matrix and prints, per
-//! validation point, the model-vs-sim residuals (power, miss rates,
+//! `sim-report` prints the newest record's model-vs-simulation section:
+//! per validation point the model-vs-sim residuals (power, miss rates,
 //! bus utilization), plus per-protocol coherence-event breakdowns and
-//! the raw workload-measurement counters; `--out PATH` additionally
-//! writes the machine-readable `swcc-sim-report/v1` JSON document.
-//! `accuracy` re-runs the validation figures against the checked-in
+//! the raw workload-measurement counters. `accuracy` compares the
+//! newest record's per-figure accuracy against the checked-in
 //! tolerance baseline (`baselines/accuracy.json`) and exits nonzero on
-//! a breach.
+//! a breach or when the record lacks a baseline figure. Neither re-runs
+//! a simulation: record a run of `fig1 fig2 fig3` (or `all`) first.
 //!
 //! `--all` is accepted as a flag alias for the `all` subcommand; it
 //! cannot be combined with explicit ids. Repeated ids run once, repeated
@@ -75,7 +77,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use swcc_experiments::gate::{run_gate, AccuracyBaseline};
+use swcc_experiments::gate::{self, AccuracyBaseline};
 use swcc_experiments::history::{
     append_record, detect_drift, load_history, loadgen_p99_drift, loadgen_steady_p99,
     render_history, BuildProvenance, LoadgenP99, RecordedRun, DEFAULT_DRIFT_TOLERANCE,
@@ -172,14 +174,14 @@ fn subcommand(
             "usage: repro report --html PATH [trace.jsonl] [--record PATH]",
         ),
         "sim-report" => (
-            &["--quick", "--json", "--out"],
+            &["--record"],
             0..=0,
-            "usage: repro sim-report [--quick] [--json] [--out PATH]",
+            "usage: repro sim-report [--record PATH]",
         ),
         "accuracy" => (
-            &["--quick", "--baseline"],
+            &["--baseline", "--record"],
             0..=0,
-            "usage: repro accuracy [--quick] [--baseline PATH]",
+            "usage: repro accuracy [--baseline PATH] [--record PATH]",
         ),
         _ => return None,
     })
@@ -303,17 +305,23 @@ impl Cli {
     }
 }
 
+/// The newest record of the log at `path`, with its record count.
+fn newest_record(path: &str) -> Result<(RecordedRun, usize), String> {
+    let mut records = load_history(Path::new(path))?;
+    let count = records.len();
+    records
+        .pop()
+        .map(|r| (r, count))
+        .ok_or_else(|| format!("{path}: no run records"))
+}
+
 fn check_record(path: &str) -> ExitCode {
-    let records = match load_history(Path::new(path)) {
+    let (newest, count) = match newest_record(path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    };
-    let Some(newest) = records.last() else {
-        eprintln!("{path}: no run records");
-        return ExitCode::FAILURE;
     };
     let missing = newest.missing_experiments();
     if !missing.is_empty() {
@@ -325,10 +333,19 @@ fn check_record(path: &str) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    let gaps = newest.validation_gaps();
+    if !gaps.is_empty() {
+        eprintln!("{path}: the newest record's validation section is incomplete:");
+        for gap in gaps {
+            eprintln!("  {gap}");
+        }
+        return ExitCode::FAILURE;
+    }
     eprintln!(
-        "{path}: ok ({} record(s); the newest covers all {} experiments, schema {})",
-        records.len(),
+        "{path}: ok ({count} record(s); the newest covers all {} experiments and {} \
+         validation points, schema {})",
         newest.experiments.len(),
+        newest.validation.rows.len(),
         newest.schema
     );
     ExitCode::SUCCESS
@@ -473,42 +490,26 @@ fn report_cmd(html_out: &str, trace_path: Option<&str>, record_path: &str) -> Ex
     ExitCode::SUCCESS
 }
 
-fn sim_report_cmd(quick: bool, json: bool, out: Option<&str>) -> ExitCode {
-    let opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::default()
-    };
-    let doc = sim_report::generate(quick, &opts.validation);
-    if let Some(path) = out {
-        let payload = match serde_json::to_string_pretty(&doc) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot serialize sim report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, payload + "\n") {
-            eprintln!("cannot write {path}: {e}");
+fn sim_report_cmd(record_path: &str) -> ExitCode {
+    let record = match newest_record(record_path) {
+        Ok((r, _)) => r,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote sim report to {path}");
+    };
+    if record.validation.rows.is_empty() {
+        eprintln!(
+            "{record_path}: the newest record ran none of fig1, fig2, fig3; record them \
+             with `repro fig1 fig2 fig3 --record {record_path}`"
+        );
+        return ExitCode::FAILURE;
     }
-    if json {
-        match serde_json::to_string_pretty(&doc) {
-            Ok(s) => say!("{s}"),
-            Err(e) => {
-                eprintln!("cannot serialize sim report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        say!("{}", sim_report::render(&doc).trim_end());
-    }
+    say!("{}", sim_report::render(&record).trim_end());
     ExitCode::SUCCESS
 }
 
-fn accuracy_cmd(quick: bool, baseline_path: &str) -> ExitCode {
+fn accuracy_cmd(baseline_path: &str, record_path: &str) -> ExitCode {
     let json = match std::fs::read_to_string(baseline_path) {
         Ok(j) => j,
         Err(e) => {
@@ -523,15 +524,12 @@ fn accuracy_cmd(quick: bool, baseline_path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let opts = if quick {
-        RunOptions::quick()
-    } else {
-        RunOptions::default()
-    };
-    let outcome = match run_gate(&baseline, &opts.validation) {
+    let outcome = match newest_record(record_path)
+        .and_then(|(r, _)| gate::check(&baseline, &r).map_err(|e| format!("{record_path}: {e}")))
+    {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{baseline_path}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -610,10 +608,10 @@ fn main() -> ExitCode {
                     args.get(1).map(String::as_str),
                     record_path,
                 ),
-                "sim-report" => sim_report_cmd(cli.quick, cli.json, cli.out.as_deref()),
+                "sim-report" => sim_report_cmd(record_path),
                 "accuracy" => accuracy_cmd(
-                    cli.quick,
                     cli.baseline.as_deref().unwrap_or(DEFAULT_ACCURACY_BASELINE),
+                    record_path,
                 ),
                 other => unreachable!("{other} is not a subcommand"),
             };

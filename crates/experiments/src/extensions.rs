@@ -18,7 +18,9 @@ use swcc_sim::{
 };
 use swcc_trace::synth::Preset;
 
-use crate::artifact::{Figure, Series, Table};
+use crate::artifact::{Artifact, Figure, Series, Table};
+use crate::registry::{Comparison, Output};
+use crate::validation::rel_error;
 
 /// Network schemes (Dragon needs a bus).
 const NETWORK_SCHEMES: [Scheme; 3] = [Scheme::Base, Scheme::SoftwareFlush, Scheme::NoCache];
@@ -94,13 +96,15 @@ pub fn directory_vs_software() -> Table {
 }
 
 /// Extension: Patel's analytical model versus the cycle-level
-/// circuit-switched network simulator.
-pub fn patel_vs_simulation(instructions_per_cpu: u64, seed: u64) -> Figure {
+/// circuit-switched network simulator. The run record keeps the worst
+/// utilization gap as the figure's accuracy.
+pub fn patel_vs_simulation(instructions_per_cpu: u64, seed: u64) -> Output {
     let mut fig = Figure::new(
         "Extension: Patel model vs circuit-switched network simulation",
         "stages",
         "processor utilization",
     );
+    let mut worst: f64 = 0.0;
     for scheme in NETWORK_SCHEMES {
         let mut model_pts = Vec::new();
         let mut sim_pts = Vec::new();
@@ -117,6 +121,7 @@ pub fn patel_vs_simulation(instructions_per_cpu: u64, seed: u64) -> Figure {
                 },
             )
             .expect("simulation succeeds");
+            worst = worst.max(rel_error(model.utilization(), sim.utilization()));
             model_pts.push((f64::from(stages), model.utilization()));
             sim_pts.push((f64::from(stages), sim.utilization()));
         }
@@ -126,7 +131,10 @@ pub fn patel_vs_simulation(instructions_per_cpu: u64, seed: u64) -> Figure {
     fig.notes.push(
         "validating the paper's §6.2 methodology by simulation was its stated future work".into(),
     );
-    fig
+    Output {
+        artifact: Artifact::Figure(fig),
+        comparison: Comparison::Worst(worst),
+    }
 }
 
 /// Extension: tests the model's exponential-service assumption.
@@ -139,9 +147,11 @@ pub fn patel_vs_simulation(instructions_per_cpu: u64, seed: u64) -> Figure {
 /// this assumption, but the exponential-service run does not confirm
 /// it: in `repro_output.txt` it lands farther from the model than the
 /// fixed-service run at every processor count (at 2, 4 and 8 CPUs `w`
-/// is 0.131 / 0.481 / 1.569 exponential, 0.1005 / 0.386 / 1.343 model,
-/// 0.0785 / 0.376 / 1.431 fixed). The model overestimates the
+/// is 0.1310 / 0.4807 / 1.5692 exponential, 0.1005 / 0.3860 / 1.3433
+/// model, 0.0785 / 0.3756 / 1.4314 fixed). The model overestimates the
 /// fixed-service contention at 2–4 CPUs and underestimates it at 8.
+/// The table's note orders the three `w` of each row and names the
+/// rows where exponential service lands farther from the model.
 pub fn service_discipline(instructions_per_cpu: usize, seed: u64) -> Table {
     let mut t = Table::new(
         "Extension: bus service-time discipline vs model contention (w per instruction)",
@@ -152,6 +162,9 @@ pub fn service_discipline(instructions_per_cpu: usize, seed: u64) -> Table {
             "model w".into(),
         ],
     );
+    // Per processor count: the three w from lowest to highest, and
+    // whether exponential service lands farther from the model.
+    let (mut orders, mut farther) = (Vec::new(), Vec::new());
     for cpus in [2u16, 4, 8] {
         let trace = Preset::Pero
             .config(cpus, instructions_per_cpu, seed)
@@ -160,8 +173,8 @@ pub fn service_discipline(instructions_per_cpu: usize, seed: u64) -> Table {
         let mut b = SimConfig::builder(ProtocolKind::Dragon);
         b.service(ServiceDiscipline::Exponential).seed(seed);
         let exp_cfg = b.build();
-        let fixed = simulate(&trace, &fixed_cfg);
-        let exponential = simulate(&trace, &exp_cfg);
+        let fixed = simulate(&trace, &fixed_cfg).contention_per_instruction();
+        let exponential = simulate(&trace, &exp_cfg).contention_per_instruction();
         let workload = measure_workload(&trace, &fixed_cfg);
         let model = analyze_bus(
             Scheme::Dragon,
@@ -169,19 +182,38 @@ pub fn service_discipline(instructions_per_cpu: usize, seed: u64) -> Table {
             fixed_cfg.system(),
             u32::from(cpus),
         )
-        .expect("bus analysis");
+        .expect("bus analysis")
+        .waiting();
+        let mut order = [
+            ("fixed", fixed),
+            ("model", model),
+            ("exponential", exponential),
+        ];
+        order.sort_by(|a, b| a.1.total_cmp(&b.1));
+        orders.push(format!(
+            "{cpus} CPUs {}",
+            order.map(|(name, _)| name).join(" < ")
+        ));
+        if (exponential - model).abs() > (fixed - model).abs() {
+            farther.push(cpus.to_string());
+        }
         t.push_row(vec![
             cpus.to_string(),
-            format!("{:.4}", fixed.contention_per_instruction()),
-            format!("{:.4}", exponential.contention_per_instruction()),
-            format!("{:.4}", model.waiting()),
+            format!("{fixed:.4}"),
+            format!("{exponential:.4}"),
+            format!("{model:.4}"),
         ]);
     }
-    t.notes.push(
-        "paper §3: the model \"consistently overestimates bus contention\" because it \
-         assumes exponential service while the simulator uses fixed times"
-            .into(),
-    );
+    t.notes.push(format!(
+        "w from lowest to highest: {}; exponential service lands farther from the model \
+         than fixed service at {} CPUs",
+        orders.join(", "),
+        if farther.is_empty() {
+            "no".to_string()
+        } else {
+            farther.join(", ")
+        }
+    ));
     t
 }
 
@@ -469,7 +501,8 @@ mod tests {
 
     #[test]
     fn patel_validation_pairs_track_each_other() {
-        let f = patel_vs_simulation(3_000, 42);
+        let out = patel_vs_simulation(3_000, 42);
+        let f = out.artifact.as_figure().unwrap();
         for scheme in ["Base", "Software-Flush", "No-Cache"] {
             let model = f.series_named(&format!("{scheme} model")).unwrap();
             let sim = f.series_named(&format!("{scheme} sim")).unwrap();

@@ -3,14 +3,15 @@
 //! The paper's validation figures (Figs 1–3) bound how far the analytic
 //! model may drift from the trace-driven simulation. This module turns
 //! that envelope into a CI gate: a checked-in baseline file declares an
-//! explicit tolerance per figure, the gate re-runs the figure's curves
-//! of the validation matrix and compares their worst power error
-//! against it, and any breach fails the run. A baseline is data, not
-//! code — tightening the envelope is a one-line diff reviewers can see.
+//! explicit tolerance per figure, the gate reads each figure's worst
+//! power error from a run record's accuracy (the worst of the figure's
+//! validation rows) and compares it against the tolerance, and any
+//! breach fails the run. A baseline is data, not code — tightening the
+//! envelope is a one-line diff reviewers can see.
 
 use serde::{Deserialize, Serialize};
 
-use crate::validation::{self, ValidationOptions};
+use crate::history::RecordedRun;
 
 /// Schema identifier required of every accuracy baseline file.
 pub const ACCURACY_SCHEMA: &str = "swcc-accuracy-baseline/v1";
@@ -128,53 +129,43 @@ impl GateOutcome {
     }
 }
 
-/// Runs every figure named in the baseline and compares its fresh
-/// model-vs-simulation error against the declared tolerance.
+/// Compares each figure named in the baseline, as `record` measured
+/// it, against its declared tolerance.
 ///
 /// # Errors
 ///
-/// Returns a message if the baseline names a figure the gate does not
-/// know how to run.
-pub fn run_gate(
-    baseline: &AccuracyBaseline,
-    opts: &ValidationOptions,
-) -> Result<GateOutcome, String> {
-    let mut rows = Vec::with_capacity(baseline.figures.len());
-    for figure in &baseline.figures {
-        let curves: Vec<_> = validation::curves()
-            .into_iter()
-            .filter(|c| c.figure == figure.id)
-            .collect();
-        if curves.is_empty() {
-            return Err(format!(
-                "accuracy baseline names unknown figure {:?}",
-                figure.id
-            ));
-        }
-        let measured = curves
-            .iter()
-            .flat_map(|c| validation::run_curve(c, opts).points)
-            .map(|p| p.power_rel_error())
-            .fold(0.0, f64::max);
-        rows.push(GateRow {
-            id: figure.id.clone(),
-            measured,
-            limit: figure.max_rel_error,
-        });
-    }
+/// Returns a message naming the first baseline figure the record has
+/// no accuracy for.
+pub fn check(baseline: &AccuracyBaseline, record: &RecordedRun) -> Result<GateOutcome, String> {
+    let rows = baseline
+        .figures
+        .iter()
+        .map(|figure| {
+            let entry = record
+                .accuracy
+                .iter()
+                .find(|a| a.figure == figure.id)
+                .ok_or_else(|| {
+                    format!(
+                        "the run record has no accuracy for {:?}: its run did not run \
+                         that figure",
+                        figure.id
+                    )
+                })?;
+            Ok(GateRow {
+                id: figure.id.clone(),
+                measured: entry.max_rel_error,
+                limit: figure.max_rel_error,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     Ok(GateOutcome { rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick() -> ValidationOptions {
-        ValidationOptions {
-            instructions_per_cpu: 20_000,
-            seed: 0xA7,
-        }
-    }
+    use crate::history::tests::record;
 
     fn baseline(figures: &[(&str, f64)]) -> AccuracyBaseline {
         AccuracyBaseline {
@@ -210,25 +201,36 @@ mod tests {
 
     #[test]
     fn gate_passes_inside_the_envelope() {
-        // The validation tests assert fig1's quick-run error < 0.25, so
-        // a 30% tolerance must pass.
-        let outcome = run_gate(&baseline(&[("fig1", 0.30)]), &quick()).unwrap();
-        assert!(outcome.passed(), "{}", outcome.render());
-        assert!(outcome.render().contains("ok"));
+        // The record's fig1 error is 12%: a 30% tolerance passes, and so
+        // does a tolerance equal to the error.
+        for limit in [0.30, 0.12] {
+            let outcome = check(&baseline(&[("fig1", limit)]), &record(true, 9000, 0.12)).unwrap();
+            assert!(outcome.passed(), "{}", outcome.render());
+            assert!(outcome.render().contains("ok"));
+            assert!(outcome.render().contains("12.00%"));
+        }
     }
 
     #[test]
     fn gate_fails_on_injected_drift() {
         // A synthetic impossible tolerance simulates an accuracy
-        // regression: the fresh error cannot be under 0.01%.
-        let outcome = run_gate(&baseline(&[("fig1", 0.0001)]), &quick()).unwrap();
+        // regression: the recorded error is not under 0.01%.
+        let outcome = check(&baseline(&[("fig1", 0.0001)]), &record(true, 9000, 0.12)).unwrap();
         assert!(!outcome.passed());
         assert!(outcome.render().contains("FAIL"));
     }
 
     #[test]
     fn gate_rejects_unknown_figures() {
-        let err = run_gate(&baseline(&[("fig99", 0.5)]), &quick()).unwrap_err();
-        assert!(err.contains("fig99"), "{err}");
+        // A figure the record lacks (never run, or unknown) is an error
+        // naming it, never a pass.
+        for id in ["fig99", "fig2"] {
+            let err = check(
+                &baseline(&[("fig1", 0.5), (id, 0.5)]),
+                &record(true, 9000, 0.12),
+            )
+            .unwrap_err();
+            assert!(err.contains(id), "{err}");
+        }
     }
 }

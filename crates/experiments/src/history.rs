@@ -1,12 +1,16 @@
-//! The run record and its append-only log behind `repro --record`,
-//! `history`, `report` and `check-record`.
+//! The run record and its append-only log behind `repro --record` and
+//! the commands that read it.
 //!
-//! A recorded run appends one `swcc-run/v1` line ([`RUN_SCHEMA`]) to a
+//! A recorded run appends one `swcc-run/v2` line ([`RUN_SCHEMA`]) to a
 //! JSONL log (`history/runs.jsonl` by default): build provenance, the
 //! run options, the wall clock, each experiment's timings, worker and
-//! counters, per-figure model-vs-simulation accuracy, and the run's
-//! metric totals. One strict reader ([`RecordedRun::from_jsonl`]) reads
-//! it back and rejects every other schema.
+//! counters, per-figure model-vs-simulation accuracy, the validation
+//! points the fig1–fig3 experiments compared ([`Validation`]), and the
+//! run's metric totals. One strict reader ([`RecordedRun::from_jsonl`])
+//! reads it back and rejects every other schema, `swcc-run/v1` included.
+//! `repro sim-report`, `repro accuracy` and the dashboard read their
+//! model-vs-simulation numbers from the newest record; none re-runs a
+//! simulation.
 //!
 //! `repro history` compares the newest record against the **trailing
 //! median** of its comparable predecessors — regression detection that
@@ -35,13 +39,12 @@ use swcc_obs::quantile::median;
 use swcc_obs::MetricsSnapshot;
 use swcc_sim::metrics as sim_metrics;
 
-use crate::artifact::Artifact;
-use crate::registry::EXPERIMENTS;
+use crate::registry::{Comparison, EXPERIMENTS};
 use crate::runner::RunRecord;
-use crate::validation::max_relative_error;
+use crate::sim_report::Validation;
 
 /// Schema identifier of every run record.
-pub const RUN_SCHEMA: &str = "swcc-run/v1";
+pub const RUN_SCHEMA: &str = "swcc-run/v2";
 
 /// Default relative drift tolerance (5%).
 pub const DEFAULT_DRIFT_TOLERANCE: f64 = 0.05;
@@ -171,16 +174,17 @@ pub struct ExperimentRun {
     pub counters: Vec<MetricCounter>,
 }
 
-/// Model-vs-simulation accuracy of one validation figure.
+/// Model-vs-simulation accuracy of one figure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccuracyEntry {
     /// Experiment id (`"fig1"`, ...).
     pub figure: String,
-    /// Worst `|model − sim| / sim` across the figure's curves.
+    /// Worst `|model − sim| / sim` across the figure's points: for
+    /// fig1–fig3 the largest `power_rel_error` among its validation rows.
     pub max_rel_error: f64,
 }
 
-/// One recorded run: a single `swcc-run/v1` line of the log.
+/// One recorded run: a single `swcc-run/v2` line of the log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecordedRun {
     /// Always [`RUN_SCHEMA`].
@@ -195,8 +199,11 @@ pub struct RecordedRun {
     pub wall_ms: f64,
     /// Per-experiment entries, in run order.
     pub experiments: Vec<ExperimentRun>,
-    /// Per-validation-figure accuracy, sorted by figure id.
+    /// Per-figure model-vs-simulation accuracy, sorted by figure id.
     pub accuracy: Vec<AccuracyEntry>,
+    /// The validation points of the run's fig1–fig3 experiments, with
+    /// their event sums and measurement counters.
+    pub validation: Validation,
     /// Process-wide metric totals (from the installed registry).
     pub metrics: MetricsReport,
 }
@@ -205,9 +212,10 @@ impl RecordedRun {
     /// Builds a record from a finished observed run and the process-wide
     /// metrics snapshot.
     ///
-    /// Validation figures are recognized by their `"… sim"` series
-    /// (the model/sim pairing [`max_relative_error`] scores); other
-    /// artifacts contribute nothing to `accuracy`.
+    /// The fig1–fig3 experiments' curve runs become the [`Validation`]
+    /// rows, in figure order, and each such figure's accuracy is the
+    /// worst of its rows. `ext_netsim` hands over its own worst gap.
+    /// Other experiments contribute to neither.
     pub fn from_run(
         quick: bool,
         jobs: usize,
@@ -215,19 +223,28 @@ impl RecordedRun {
         wall_ms: f64,
         totals: &MetricsSnapshot,
     ) -> RecordedRun {
-        let mut accuracy: Vec<AccuracyEntry> = records
+        // By id, the validation rows come in figure order and the
+        // accuracy entries sorted.
+        let mut by_id: Vec<&RunRecord> = records.iter().collect();
+        by_id.sort_by_key(|r| r.id);
+        let validation = Validation::from_runs(by_id.iter().flat_map(|r| match &r.comparison {
+            Comparison::Curves(runs) => runs.as_slice(),
+            _ => &[],
+        }));
+        let accuracy = by_id
             .iter()
-            .filter_map(|r| match &r.artifact {
-                Artifact::Figure(fig) if fig.series.iter().any(|s| s.name.ends_with(" sim")) => {
-                    Some(AccuracyEntry {
-                        figure: r.id.to_string(),
-                        max_rel_error: max_relative_error(fig),
-                    })
-                }
-                _ => None,
+            .filter_map(|r| {
+                let max_rel_error = match r.comparison {
+                    Comparison::None => return None,
+                    Comparison::Curves(_) => validation.max_power_rel_error(Some(r.id)),
+                    Comparison::Worst(worst) => worst,
+                };
+                Some(AccuracyEntry {
+                    figure: r.id.to_string(),
+                    max_rel_error,
+                })
             })
             .collect();
-        accuracy.sort_by(|a, b| a.figure.cmp(&b.figure));
         RecordedRun {
             schema: RUN_SCHEMA.to_string(),
             build: BuildProvenance::current(),
@@ -246,6 +263,7 @@ impl RecordedRun {
                 })
                 .collect(),
             accuracy,
+            validation,
             metrics: MetricsReport::from_snapshot(totals),
         }
     }
@@ -315,7 +333,16 @@ impl RecordedRun {
         (accesses > 0 && run_ms > 0.0).then(|| accesses as f64 / (run_ms / 1e3))
     }
 
-    /// Worst accuracy error across this record's validation figures.
+    /// What this record's validation section lacks for the fig1–fig3
+    /// experiments it ran: a line for each figure whose rows are not
+    /// exactly its curves' points in matrix order, and one if the
+    /// simulations replayed no accesses. Empty when nothing is missing.
+    pub fn validation_gaps(&self) -> Vec<String> {
+        self.validation.gaps(|id| self.experiment(id).is_some())
+    }
+
+    /// Worst accuracy error across this record's model-vs-simulation
+    /// figures.
     pub fn worst_rel_error(&self) -> Option<f64> {
         self.accuracy
             .iter()
@@ -675,10 +702,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::registry::{find, RunOptions};
     use crate::runner::run_selected_observed;
+    use crate::sim_report::{PointResidual, ProtocolEvents};
 
     /// A hand-built record of 20 experiments: 1000 solves, `evals`
-    /// residual evaluations, a fig1 error of `err`, and 55,000 simulated
-    /// accesses in 11 ms. Shared with the dashboard tests.
+    /// residual evaluations, a fig1 error of `err` from one POPS Base
+    /// validation row, and 55,000 simulated accesses in 11 ms. Shared
+    /// with the dashboard tests.
     pub(crate) fn record(quick: bool, evals: u64, err: f64) -> RecordedRun {
         let counter = |name: &str, value| MetricCounter {
             name: name.to_string(),
@@ -703,6 +732,39 @@ pub(crate) mod tests {
                 figure: "fig1".to_string(),
                 max_rel_error: err,
             }],
+            validation: Validation {
+                rows: vec![PointResidual {
+                    figure: "fig1".to_string(),
+                    preset: "POPS".to_string(),
+                    protocol: "Base".to_string(),
+                    cache_kib: 64,
+                    n: 2,
+                    sim_power: 1.8,
+                    model_power: 1.8 * (1.0 - err),
+                    power_rel_error: err,
+                    sim_msdat: 0.02,
+                    model_msdat: 0.02,
+                    sim_mains: 0.01,
+                    model_mains: 0.01,
+                    sim_bus_utilization: 0.4,
+                    model_bus_utilization: 0.45,
+                }],
+                protocols: vec![ProtocolEvents {
+                    protocol: "Base".to_string(),
+                    runs: 1,
+                    accesses: 5000,
+                    misses: 120,
+                    invalidations: 0,
+                    updates: 0,
+                    broadcasts: 0,
+                    write_backs: 7,
+                    fills: 120,
+                    bus_transactions: 127,
+                    flushes: 0,
+                    cycle_steals: 0,
+                }],
+                measurements: Vec::new(),
+            },
             metrics: MetricsReport {
                 counters: vec![
                     counter(core_metrics::SOLVER_RESIDUAL_EVALS, evals),
@@ -759,6 +821,8 @@ pub(crate) mod tests {
         let table1 = run.experiment("table1").unwrap();
         assert!(table1.counters.is_empty(), "a static table does no solves");
         assert!(run.accuracy.is_empty(), "neither is a validation figure");
+        assert_eq!(run.validation, Validation::default());
+        assert!(run.validation_gaps().is_empty(), "no validation figure ran");
     }
 
     #[test]
@@ -795,13 +859,13 @@ pub(crate) mod tests {
         assert!(RecordedRun::from_jsonl("not json").is_err());
         assert!(RecordedRun::from_jsonl("{}").is_err());
         // The right schema on the wrong shape is still an error.
-        assert!(RecordedRun::from_jsonl(r#"{"schema":"swcc-run/v1"}"#).is_err());
+        assert!(RecordedRun::from_jsonl(r#"{"schema":"swcc-run/v2"}"#).is_err());
     }
 
     #[test]
     fn rejects_retired_schemas_by_name() {
         let line = sample_run().to_jsonl();
-        for retired in ["swcc-run-manifest/v2", "swcc-run-history/v1"] {
+        for retired in ["swcc-run/v1", "swcc-run-manifest/v2", "swcc-run-history/v1"] {
             let err = RecordedRun::from_jsonl(&line.replace(RUN_SCHEMA, retired)).unwrap_err();
             assert!(err.contains("unsupported run record schema"), "{err}");
             assert!(

@@ -7,10 +7,11 @@
 //!   name from a `--trace` file, with its table twin.
 //! * **Iterations to tolerance** — the Patel solver's convergence
 //!   distribution as a bar chart plus p50/p90/p99 summary.
-//! * **Model-vs-sim accuracy** — the per-curve envelope table.
-//! * **Model-vs-sim divergence** — every traced validation point,
-//!   worst relative error first, with sim and model power side by
-//!   side.
+//! * **Model-vs-sim accuracy** — each figure's worst relative error in
+//!   the newest run record.
+//! * **Model-vs-sim divergence** — every validation point of the
+//!   newest run record, worst relative error first, with sim and model
+//!   power side by side.
 //! * **Coherence event mix** — per-protocol invalidation / update /
 //!   write-back / fill rates summed from the simulator's `sim.events`
 //!   summaries.
@@ -31,6 +32,7 @@ use std::fmt::Write as _;
 use swcc_core::metrics::{SOLVER_RESIDUAL_EVALS, SOLVER_SOLVES};
 
 use crate::history::{BuildProvenance, RecordedRun};
+use crate::sim_report::PointResidual;
 use crate::trace_report::TraceReport;
 
 /// Chart geometry: bar thickness (≤ 24px per the mark spec).
@@ -299,79 +301,81 @@ fn section_iterations(out: &mut String, report: &TraceReport) {
     );
 }
 
-fn section_accuracy(out: &mut String, report: &TraceReport) {
+/// The note an accuracy or divergence section shows when the newest
+/// record compared nothing.
+const NO_VALIDATION: &str = "<p class=\"note\">The newest run record compared no model \
+    with a simulation — record a run of <code>fig1 fig2 fig3</code> (or <code>all</code>) \
+    with <code>--record PATH</code>.</p></section>";
+
+fn section_accuracy(out: &mut String, newest: Option<&RecordedRun>) {
     out.push_str("<section class=\"card\"><h2>Model vs simulation accuracy</h2>");
-    if report.accuracy.is_empty() {
-        out.push_str("<p class=\"note\">No validation points in the trace.</p></section>");
+    let accuracy = newest.map_or(&[][..], |r| &r.accuracy);
+    if accuracy.is_empty() {
+        out.push_str(NO_VALIDATION);
         return;
     }
     out.push_str(
         "<p class=\"note\">Worst relative gap between the analytic model and the \
-         trace-driven simulation, per validation curve.</p>\
-         <table><thead><tr><th>preset</th><th>protocol</th><th>cache KiB</th>\
-         <th>points</th><th>max rel error</th></tr></thead><tbody>",
+         simulation, per figure of the newest run record — the values the accuracy and \
+         drift gates read.</p>\
+         <table><thead><tr><th>figure</th><th>max rel error</th></tr></thead><tbody>",
     );
-    for r in &report.accuracy {
+    for a in accuracy {
         let _ = write!(
             out,
-            "<tr><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{:.1}%</td></tr>",
-            esc(&r.preset),
-            esc(&r.protocol),
-            r.cache_bytes / 1024,
-            r.points,
-            r.max_rel_error * 100.0
+            "<tr><td>{}</td><td class=\"num\">{:.1}%</td></tr>",
+            esc(&a.figure),
+            a.max_rel_error * 100.0
         );
     }
     out.push_str("</tbody></table></section>");
 }
 
-fn section_divergence(out: &mut String, report: &TraceReport) {
+fn section_divergence(out: &mut String, newest: Option<&RecordedRun>) {
     out.push_str("<section class=\"card\"><h2>Model vs simulation divergence</h2>");
-    if report.divergence.is_empty() {
-        out.push_str("<p class=\"note\">No validation points in the trace.</p></section>");
+    let points = newest.map_or(&[][..], |r| &r.validation.rows);
+    if points.is_empty() {
+        out.push_str(NO_VALIDATION);
         return;
     }
     out.push_str(
         "<p class=\"note\">Per-point relative error, worst first — where on each curve \
          the analytic model drifts from the trace-driven simulation.</p>",
     );
-    let label = |p: &crate::trace_report::DivergencePoint| {
+    let label = |p: &PointResidual| {
         format!(
-            "{} {} {}K n={}",
-            p.preset,
-            p.protocol,
-            p.cache_bytes / 1024,
-            p.n
+            "{} {} {} {}K n={}",
+            p.figure, p.preset, p.protocol, p.cache_kib, p.n
         )
     };
-    let mut worst: Vec<&crate::trace_report::DivergencePoint> = report.divergence.iter().collect();
-    worst.sort_by(|a, b| b.rel_error.total_cmp(&a.rel_error));
+    let mut worst: Vec<&PointResidual> = points.iter().collect();
+    worst.sort_by(|a, b| b.power_rel_error.total_cmp(&a.power_rel_error));
     let rows: Vec<(String, f64)> = worst
         .iter()
         .take(10)
-        .map(|p| (label(p), p.rel_error * 100.0))
+        .map(|p| (label(p), p.power_rel_error * 100.0))
         .collect();
     out.push_str(&bar_chart(&rows, "% rel error"));
     // Table twin: every point, in curve order.
     out.push_str(
         "<details><summary>Table view</summary><table>\
-         <thead><tr><th>preset</th><th>protocol</th><th>cache KiB</th><th>n</th>\
-         <th>sim power</th><th>model power</th><th>rel error</th></tr></thead><tbody>",
+         <thead><tr><th>figure</th><th>preset</th><th>protocol</th><th>cache KiB</th>\
+         <th>n</th><th>sim power</th><th>model power</th><th>rel error</th></tr></thead><tbody>",
     );
-    for p in &report.divergence {
+    for p in points {
         let _ = write!(
             out,
-            "<tr><td>{}</td><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{:.3}</td><td class=\"num\">{:.3}</td>\
-             <td class=\"num\">{:.1}%</td></tr>",
+            "<tr><td>{}</td><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
+             <td class=\"num\">{}</td><td class=\"num\">{:.3}</td>\
+             <td class=\"num\">{:.3}</td><td class=\"num\">{:.1}%</td></tr>",
+            esc(&p.figure),
             esc(&p.preset),
             esc(&p.protocol),
-            p.cache_bytes / 1024,
+            p.cache_kib,
             p.n,
             p.sim_power,
             p.model_power,
-            p.rel_error * 100.0
+            p.power_rel_error * 100.0
         );
     }
     out.push_str("</tbody></table></details></section>");
@@ -609,7 +613,8 @@ code { font-size: 11.5px; }
 /// Renders the complete dashboard page.
 ///
 /// `trace` is optional (a dashboard can be history-only); `history`
-/// may be empty. The output is a single self-contained HTML document:
+/// may be empty. The accuracy and divergence sections read the newest
+/// record of `history`. The output is a single self-contained HTML document:
 /// no scripts, stylesheets, fonts, or images are fetched.
 pub fn render_dashboard(trace: Option<&TraceReport>, history: &[RecordedRun]) -> String {
     let build = BuildProvenance::current();
@@ -628,12 +633,13 @@ pub fn render_dashboard(trace: Option<&TraceReport>, history: &[RecordedRun]) ->
         esc(&build.rustc)
     );
 
+    let newest = history.last();
     if let Some(report) = trace {
         out.push_str("<div class=\"tiles\">");
         stat_tile(&mut out, "trace events", &report.events.to_string());
         stat_tile(&mut out, "spans", &report.spans.to_string());
         stat_tile(&mut out, "solves", &report.convergence.solves.to_string());
-        if let Some(worst) = report.worst_rel_error() {
+        if let Some(worst) = newest.and_then(RecordedRun::worst_rel_error) {
             stat_tile(
                 &mut out,
                 "worst accuracy",
@@ -665,17 +671,18 @@ pub fn render_dashboard(trace: Option<&TraceReport>, history: &[RecordedRun]) ->
 
         section_phase_timings(&mut out, report);
         section_iterations(&mut out, report);
-        section_accuracy(&mut out, report);
-        section_divergence(&mut out, report);
-        section_event_mix(&mut out, report);
     } else {
         out.push_str(
             "<section class=\"card\"><p class=\"note\">No trace supplied — run with \
              <code>repro report &lt;trace.jsonl&gt; --html …</code> for phase timings, \
-             convergence, and accuracy sections.</p></section>",
+             convergence, and event-mix sections.</p></section>",
         );
     }
-
+    section_accuracy(&mut out, newest);
+    section_divergence(&mut out, newest);
+    if let Some(report) = trace {
+        section_event_mix(&mut out, report);
+    }
     section_history(&mut out, history);
     out.push_str("</body></html>\n");
     out
@@ -694,7 +701,6 @@ mod tests {
                 r#"{"ev":"start","name":"patel.solve","span":2,"parent":1,"seq":1,"thread":1,"fields":{"warm":false}}"#,
                 r#"{"ev":"point","name":"patel.result","span":2,"parent":2,"seq":2,"thread":1,"fields":{"iterations":5,"fallbacks":0,"converged":true}}"#,
                 r#"{"ev":"end","name":"patel.solve","span":2,"parent":1,"seq":3,"thread":1,"dur_ns":4000}"#,
-                r#"{"ev":"point","name":"validation.point","span":1,"parent":1,"seq":4,"thread":1,"fields":{"preset":"POPS","protocol":"Base","cache_bytes":65536,"n":2,"sim_power":1.8,"model_power":1.7,"rel_error":0.055}}"#,
                 r#"{"ev":"point","name":"sim.events","span":1,"parent":1,"seq":5,"thread":1,"fields":{"protocol":"Dragon","accesses":5000,"invalidations":0,"updates":40,"broadcasts":41,"write_backs":7,"fills":120,"bus_transactions":170,"flushes":0,"cycle_steals":80}}"#,
                 r#"{"ev":"end","name":"runner.batch","span":1,"parent":0,"seq":6,"thread":1,"dur_ns":20000}"#,
             ]
@@ -742,17 +748,27 @@ mod tests {
             "<svg",
             "prefers-color-scheme: dark",
             "clean — no solver divergences",
+            "worst accuracy",
         ] {
             assert!(html.contains(needle), "missing {needle:?}");
         }
-        // The accuracy table carries the traced curve.
-        assert!(html.contains("POPS"));
+        // The accuracy and divergence sections carry the newest
+        // record's accuracy and validation row, with or without a trace.
+        for html in [html, render_dashboard(None, &sample_history(3))] {
+            assert!(html.contains("<tr><td>fig1</td><td class=\"num\">12.0%</td></tr>"));
+            assert!(html.contains("fig1 POPS Base 64K n=2"));
+            assert!(
+                html.contains("<td>fig1</td><td>POPS</td><td>Base</td>"),
+                "{html}"
+            );
+        }
     }
 
     #[test]
     fn dashboard_without_trace_or_history_still_renders() {
         let html = render_dashboard(None, &[]);
         assert!(html.contains("No trace supplied"));
+        assert!(html.contains("compared no model"));
         assert!(html.contains("Fewer than two recorded runs"));
         assert!(!html.contains("<script"));
     }

@@ -16,6 +16,9 @@
 //! * [`runner`] — a scoped-thread pool that runs batches of experiments
 //!   concurrently (`repro --jobs N`) and records per-experiment
 //!   wall-clock durations into the artifacts.
+//! * [`history`], [`sim_report`], [`gate`] — the `swcc-run/v2` run
+//!   record behind `repro --record`, its model-vs-simulation section and
+//!   the tables, accuracy gate and drift gate that read it.
 //! * [`tree`], [`trace_report`], [`trace_export`] — the read side of
 //!   `repro --trace` files: parsing, span trees, reports and exports.
 //!
@@ -31,8 +34,8 @@
 //! use swcc_experiments::registry::{find, RunOptions};
 //!
 //! let exp = find("fig5").expect("fig5 is registered");
-//! let artifact = (exp.run)(&RunOptions::quick());
-//! println!("{}", artifact.render());
+//! let output = (exp.run)(&RunOptions::quick());
+//! println!("{}", output.artifact.render());
 //! ```
 
 #![warn(missing_docs)]

@@ -1,13 +1,14 @@
 //! The experiment registry: every paper table and figure by id.
 //!
 //! `cargo run -p swcc-experiments --bin repro -- <id>` looks experiments
-//! up here; `swcc-bench` iterates the same registry so that every
-//! artifact has a benchmark.
+//! up here, and the runner runs them. Each run yields an
+//! [`Output`]: the artifact, and for the experiments that compare the
+//! model with a simulation, the comparison the run record keeps.
 
 use std::fmt;
 
-use crate::artifact::Artifact;
-use crate::validation::ValidationOptions;
+use crate::artifact::{Artifact, Figure, Table};
+use crate::validation::{CurveRun, ValidationOptions};
 use crate::{extensions, figures, tables, validation};
 
 /// How much work simulation-backed experiments should do.
@@ -41,6 +42,46 @@ impl RunOptions {
     }
 }
 
+/// What one experiment run produces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Output {
+    /// The table or figure.
+    pub artifact: Artifact,
+    /// The model-vs-simulation comparison behind it, for the run record.
+    pub(crate) comparison: Comparison,
+}
+
+/// A model-vs-simulation comparison, as the run record keeps it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Comparison {
+    /// The experiment compares nothing.
+    None,
+    /// Figures 1–3: the run of each curve of the validation matrix that
+    /// the figure plots. The record keeps one row per point.
+    Curves(Vec<CurveRun>),
+    /// Another model-vs-simulation figure (`ext_netsim`): the worst
+    /// [`validation::rel_error`] over its points.
+    Worst(f64),
+}
+
+impl From<Table> for Output {
+    fn from(table: Table) -> Output {
+        Output {
+            artifact: Artifact::Table(table),
+            comparison: Comparison::None,
+        }
+    }
+}
+
+impl From<Figure> for Output {
+    fn from(figure: Figure) -> Output {
+        Output {
+            artifact: Artifact::Figure(figure),
+            comparison: Comparison::None,
+        }
+    }
+}
+
 /// One reproducible experiment.
 pub struct Experiment {
     /// Stable id (`"table8"`, `"fig11"`, ...).
@@ -48,7 +89,7 @@ pub struct Experiment {
     /// Human-readable title.
     pub title: &'static str,
     /// Runs the experiment.
-    pub run: fn(&RunOptions) -> Artifact,
+    pub run: fn(&RunOptions) -> Output,
 }
 
 impl fmt::Debug for Experiment {
@@ -69,66 +110,66 @@ macro_rules! experiments {
 /// All experiments, in paper order.
 pub static EXPERIMENTS: &[Experiment] = experiments! {
     "table1", "System model: bus operation costs" =>
-        |_| Artifact::Table(tables::table1());
+        |_| tables::table1().into();
     "table2", "Workload model parameters" =>
-        |_| Artifact::Table(tables::table2());
+        |_| tables::table2().into();
     "table3", "Operation frequencies: Base" =>
-        |_| Artifact::Table(tables::table3());
+        |_| tables::table3().into();
     "table4", "Operation frequencies: No-Cache" =>
-        |_| Artifact::Table(tables::table4());
+        |_| tables::table4().into();
     "table5", "Operation frequencies: Software-Flush" =>
-        |_| Artifact::Table(tables::table5());
+        |_| tables::table5().into();
     "table6", "Operation frequencies: Dragon" =>
-        |_| Artifact::Table(tables::table6());
+        |_| tables::table6().into();
     "table7", "Parameter ranges" =>
-        |_| Artifact::Table(tables::table7());
+        |_| tables::table7().into();
     "table8", "Sensitivity analysis" =>
-        |o| Artifact::Table(tables::table8(o.sensitivity_processors));
+        |o| tables::table8(o.sensitivity_processors).into();
     "table9", "System model: network operation costs" =>
-        |_| Artifact::Table(tables::table9(8));
+        |_| tables::table9(8).into();
     "fig1", "Model vs simulation: Base and Dragon, 64KB caches" =>
-        |o| Artifact::Figure(validation::fig1(&o.validation));
+        |o| validation::fig1(&o.validation);
     "fig2", "Cache-size impact on Dragon, <=4 processors" =>
-        |o| Artifact::Figure(validation::fig2(&o.validation));
+        |o| validation::fig2(&o.validation);
     "fig3", "Cache-size impact on Dragon, <=8 processors" =>
-        |o| Artifact::Figure(validation::fig3(&o.validation));
+        |o| validation::fig3(&o.validation);
     "fig4", "Schemes on a bus: low shd and ls" =>
-        |_| Artifact::Figure(figures::fig4());
+        |_| figures::fig4().into();
     "fig5", "Schemes on a bus: medium shd and ls" =>
-        |_| Artifact::Figure(figures::fig5());
+        |_| figures::fig5().into();
     "fig6", "Schemes on a bus: high shd and ls" =>
-        |_| Artifact::Figure(figures::fig6());
+        |_| figures::fig6().into();
     "fig7", "Effect of varying apl" =>
-        |_| Artifact::Figure(figures::fig7());
+        |_| figures::fig7().into();
     "fig8", "Effect of apl with low sharing" =>
-        |_| Artifact::Figure(figures::fig8());
+        |_| figures::fig8().into();
     "fig9", "Effect of apl with medium sharing" =>
-        |_| Artifact::Figure(figures::fig9());
+        |_| figures::fig9().into();
     "fig10", "Buses versus networks in the small scale" =>
-        |_| Artifact::Figure(figures::fig10());
+        |_| figures::fig10().into();
     "fig11", "Network utilization vs request rate, 256 processors" =>
-        |_| Artifact::Figure(figures::fig11());
+        |_| figures::fig11().into();
     "ext_packet", "Extension: packet vs circuit switching" =>
-        |_| Artifact::Figure(extensions::packet_vs_circuit());
+        |_| extensions::packet_vs_circuit().into();
     "ext_directory", "Extension: directory hardware vs software schemes" =>
-        |_| Artifact::Table(extensions::directory_vs_software());
+        |_| extensions::directory_vs_software().into();
     "ext_netsim", "Extension: Patel model vs network simulation" =>
-        |o| Artifact::Figure(extensions::patel_vs_simulation(
+        |o| extensions::patel_vs_simulation(
             o.validation.instructions_per_cpu as u64 / 4,
             o.validation.seed,
-        ));
+        );
     "ext_service", "Extension: bus service-time discipline vs model contention" =>
-        |o| Artifact::Table(extensions::service_discipline(
+        |o| extensions::service_discipline(
             o.validation.instructions_per_cpu,
             o.validation.seed,
-        ));
+        ).into();
     "ext_invalidate", "Extension: write-update vs write-invalidate snoopy hardware" =>
-        |_| Artifact::Figure(extensions::update_vs_invalidate());
+        |_| extensions::update_vs_invalidate().into();
     "ext_tracenet", "Extension: trace-driven network simulation vs model" =>
-        |o| Artifact::Table(extensions::trace_driven_network(
+        |o| extensions::trace_driven_network(
             o.validation.instructions_per_cpu,
             o.validation.seed,
-        ));
+        ).into();
 };
 
 /// Looks an experiment up by id.
@@ -182,7 +223,7 @@ mod tests {
         let opts = RunOptions::quick();
         for e in EXPERIMENTS {
             if e.id.starts_with("table") || matches!(e.id, "fig4" | "fig5" | "fig6") {
-                let artifact = (e.run)(&opts);
+                let artifact = (e.run)(&opts).artifact;
                 assert!(!artifact.render().is_empty(), "{}", e.id);
             }
         }

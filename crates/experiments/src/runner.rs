@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use swcc_obs::{MetricsSnapshot, RegistryBuilder};
 
 use crate::artifact::Artifact;
-use crate::registry::{Experiment, RunOptions, EXPERIMENTS};
+use crate::registry::{Comparison, Experiment, Output, RunOptions, EXPERIMENTS};
 
 /// Span around one whole runner batch. Fields: `experiments`, `workers`,
 /// `observe`.
@@ -78,6 +78,9 @@ pub struct RunRecord {
     /// `runner: completed in … ms` footnote, so rendered and JSON output
     /// carry the timing with them.
     pub artifact: Artifact,
+    /// The model-vs-simulation comparison behind the artifact, which
+    /// the run record keeps.
+    pub(crate) comparison: Comparison,
     /// Wall-clock time this experiment took.
     pub duration: Duration,
     /// Time between batch start and a worker claiming this experiment.
@@ -197,7 +200,13 @@ pub fn run_selected_observed(
                         swcc_obs::span_under(EV_RUNNER_EXPERIMENT, 0, &[])
                     };
                     let start = Instant::now();
-                    let (mut artifact, metrics) = if observe {
+                    let (
+                        Output {
+                            mut artifact,
+                            comparison,
+                        },
+                        metrics,
+                    ) = if observe {
                         swcc_obs::capture(|| (exp.run)(options))
                     } else {
                         ((exp.run)(options), MetricsSnapshot::default())
@@ -217,6 +226,7 @@ pub fn run_selected_observed(
                         id: exp.id,
                         title: exp.title,
                         artifact,
+                        comparison,
                         duration,
                         queue_wait,
                         worker,
@@ -275,7 +285,7 @@ mod tests {
         assert_eq!(records.len(), batch.len());
         for (exp, record) in batch.iter().zip(&records) {
             assert_eq!(exp.id, record.id, "results must keep input order");
-            let direct = (exp.run)(&opts);
+            let direct = (exp.run)(&opts).artifact;
             assert_eq!(
                 without_runner_notes(record.artifact.clone()),
                 direct,

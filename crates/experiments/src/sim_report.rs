@@ -1,26 +1,24 @@
-//! The `repro sim-report` artifact: model-vs-sim divergence analytics.
+//! The run record's model-vs-simulation section, and the
+//! `repro sim-report` text that renders it.
 //!
-//! The validation figures (Figures 1–3) plot model and simulation
-//! processing power side by side; this module reports the *residuals*
-//! — per validation point, how far the analytical model sits from the
-//! trace-driven simulation on power, miss rates, and bus utilization —
-//! plus the per-protocol coherence-event breakdowns and the raw
-//! [`MeasurementCounts`] the measurement pipeline computes (previously
-//! exposed "for diagnostics" but dropped by every caller).
-//!
-//! The JSON document (schema [`SIM_REPORT_SCHEMA`]) is what CI gates
-//! with `jq`; [`render`] produces the human table.
+//! The fig1–fig3 experiments hand their curve runs to the run record
+//! ([`crate::history`]), which keeps them as one [`Validation`]: a
+//! [`PointResidual`] row per validation point — how far the analytical
+//! model sits from the trace-driven simulation on power, miss rates and
+//! bus utilization — plus per-protocol coherence-event sums and the raw
+//! [`MeasurementCounts`] of each curve's workload measurement. A
+//! figure's accuracy is the largest `power_rel_error` among its rows.
+//! [`render`] prints a record's section as tables; nothing here runs a
+//! simulation.
 
-use std::time::Instant;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 use swcc_sim::measure::MeasurementCounts;
 use swcc_sim::SimReport;
 
-use crate::validation::{curves, run_curve, ValidationOptions};
-
-/// Schema identifier written into every sim-report document.
-pub const SIM_REPORT_SCHEMA: &str = "swcc-sim-report/v1";
+use crate::history::RecordedRun;
+use crate::validation::{curves, CurveRun};
 
 /// One validation point's model-vs-sim residuals.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,8 +55,8 @@ pub struct PointResidual {
 }
 
 /// Coherence-event totals summed over every simulation of one
-/// protocol in the report's matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// protocol among the validation points.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProtocolEvents {
     /// Coherence protocol.
     pub protocol: String,
@@ -87,23 +85,6 @@ pub struct ProtocolEvents {
 }
 
 impl ProtocolEvents {
-    fn new(protocol: String) -> ProtocolEvents {
-        ProtocolEvents {
-            protocol,
-            runs: 0,
-            accesses: 0,
-            misses: 0,
-            invalidations: 0,
-            updates: 0,
-            broadcasts: 0,
-            write_backs: 0,
-            fills: 0,
-            bus_transactions: 0,
-            flushes: 0,
-            cycle_steals: 0,
-        }
-    }
-
     fn absorb(&mut self, report: &SimReport) {
         self.runs += 1;
         self.accesses += report.accesses();
@@ -120,7 +101,7 @@ impl ProtocolEvents {
 }
 
 /// The raw measurement counters behind one validation curve's workload
-/// parameters — the [`MeasurementCounts`] diagnostics surfaced.
+/// parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CurveMeasurement {
     /// Validation figure the curve belongs to.
@@ -135,136 +116,134 @@ pub struct CurveMeasurement {
     pub counts: MeasurementCounts,
 }
 
-/// Whole-report totals: the lines CI gates with `jq`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimReportTotals {
-    /// Validation points compared.
-    pub points: u64,
-    /// Trace records replayed across every timed simulation.
-    pub accesses: u64,
-    /// Wall-clock milliseconds the whole report took.
-    pub wall_ms: f64,
-    /// Replay throughput: `accesses / wall` (nonzero on any real run).
-    pub accesses_per_second: f64,
-    /// Worst power residual across every point.
-    pub max_power_rel_error: f64,
-}
-
-/// The whole `swcc-sim-report/v1` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimReportDoc {
-    /// Always [`SIM_REPORT_SCHEMA`].
-    pub schema: String,
-    /// Whether the `--quick` validation profile was used.
-    pub quick: bool,
+/// The model-vs-simulation section of a run record: what the run's
+/// fig1–fig3 experiments compared. Empty when the run ran none of them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Validation {
     /// Per-validation-point residuals, in matrix order.
-    pub points: Vec<PointResidual>,
-    /// Per-protocol coherence-event breakdowns, sorted by protocol.
+    pub rows: Vec<PointResidual>,
+    /// Per-protocol coherence-event sums, sorted by protocol.
     pub protocols: Vec<ProtocolEvents>,
     /// Raw measurement counters, one per validation curve.
     pub measurements: Vec<CurveMeasurement>,
-    /// Whole-report totals.
-    pub totals: SimReportTotals,
 }
 
-/// Runs the validation matrix behind Figures 1–3 and assembles the
-/// report document.
-pub fn generate(quick: bool, opts: &ValidationOptions) -> SimReportDoc {
-    let start = Instant::now();
-    let mut points = Vec::new();
-    let mut protocols: Vec<ProtocolEvents> = Vec::new();
-    let mut measurements = Vec::new();
-    let mut accesses = 0u64;
-
-    for curve in curves() {
-        let run = run_curve(&curve, opts);
-        measurements.push(CurveMeasurement {
-            figure: curve.figure.to_string(),
-            preset: curve.preset.to_string(),
-            cache_kib: curve.cache_kib,
-            cpus: u32::from(curve.max_cpus),
-            counts: run.counts,
-        });
-        let protocol = curve.protocol.to_string();
-        let events = match protocols.iter().position(|p| p.protocol == protocol) {
-            Some(i) => i,
-            None => {
-                protocols.push(ProtocolEvents::new(protocol.clone()));
-                protocols.len() - 1
-            }
-        };
-        for point in &run.points {
-            accesses += point.sim.accesses();
-            protocols[events].absorb(&point.sim);
-            points.push(PointResidual {
+impl Validation {
+    /// The section of the given curve runs, kept in their order.
+    pub(crate) fn from_runs<'a>(runs: impl IntoIterator<Item = &'a CurveRun>) -> Validation {
+        let mut section = Validation::default();
+        let mut protocols = BTreeMap::new();
+        for run in runs {
+            let curve = &run.curve;
+            section.measurements.push(CurveMeasurement {
                 figure: curve.figure.to_string(),
                 preset: curve.preset.to_string(),
-                protocol: protocol.clone(),
                 cache_kib: curve.cache_kib,
-                n: u32::from(point.n),
-                sim_power: point.sim.power(),
-                model_power: point.model.power(),
-                power_rel_error: point.power_rel_error(),
-                sim_msdat: point.sim.msdat(),
-                model_msdat: run.workload.msdat(),
-                sim_mains: point.sim.mains(),
-                model_mains: run.workload.mains(),
-                sim_bus_utilization: point.sim.bus_utilization(),
-                model_bus_utilization: point.model.bus_utilization(),
+                cpus: u32::from(curve.max_cpus),
+                counts: run.counts,
             });
+            let protocol = curve.protocol.to_string();
+            let events = protocols
+                .entry(protocol.clone())
+                .or_insert_with(|| ProtocolEvents {
+                    protocol: protocol.clone(),
+                    ..ProtocolEvents::default()
+                });
+            for point in &run.points {
+                events.absorb(&point.sim);
+                section.rows.push(PointResidual {
+                    figure: curve.figure.to_string(),
+                    preset: curve.preset.to_string(),
+                    protocol: protocol.clone(),
+                    cache_kib: curve.cache_kib,
+                    n: u32::from(point.n),
+                    sim_power: point.sim.power(),
+                    model_power: point.model.power(),
+                    power_rel_error: point.power_rel_error(),
+                    sim_msdat: point.sim.msdat(),
+                    model_msdat: run.workload.msdat(),
+                    sim_mains: point.sim.mains(),
+                    model_mains: run.workload.mains(),
+                    sim_bus_utilization: point.sim.bus_utilization(),
+                    model_bus_utilization: point.model.bus_utilization(),
+                });
+            }
         }
+        section.protocols = protocols.into_values().collect();
+        section
     }
 
-    protocols.sort_by(|a, b| a.protocol.cmp(&b.protocol));
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let max_power_rel_error = points
-        .iter()
-        .map(|p| p.power_rel_error)
-        .fold(0.0f64, f64::max);
-    SimReportDoc {
-        schema: SIM_REPORT_SCHEMA.to_string(),
-        quick,
-        totals: SimReportTotals {
-            points: points.len() as u64,
-            accesses,
-            wall_ms,
-            accesses_per_second: accesses as f64 / (wall_ms / 1e3).max(1e-12),
-            max_power_rel_error,
-        },
-        points,
-        protocols,
-        measurements,
+    /// Worst power residual among `figure`'s rows, or among every row
+    /// with `None`; 0 without rows.
+    pub(crate) fn max_power_rel_error(&self, figure: Option<&str>) -> f64 {
+        self.rows
+            .iter()
+            .filter(|p| figure.is_none_or(|f| p.figure == f))
+            .map(|p| p.power_rel_error)
+            .fold(0.0, f64::max)
+    }
+
+    /// Trace records replayed across every simulated validation point.
+    pub fn accesses(&self) -> u64 {
+        self.protocols.iter().map(|p| p.accesses).sum()
+    }
+
+    /// What a complete section lacks for the validation figures that
+    /// `ran` says ran; see `RecordedRun::validation_gaps`. Rows are
+    /// compared by trace, protocol, cache and `n`, in matrix order.
+    pub(crate) fn gaps(&self, ran: impl Fn(&str) -> bool) -> Vec<String> {
+        let matrix = curves();
+        let mut figures: Vec<&str> = matrix.iter().map(|c| c.figure).filter(|f| ran(f)).collect();
+        figures.dedup();
+        let mut gaps = Vec::new();
+        for figure in &figures {
+            let have: Vec<(String, String, u64, u32)> = self
+                .rows
+                .iter()
+                .filter(|p| p.figure == *figure)
+                .map(|p| (p.preset.clone(), p.protocol.clone(), p.cache_kib, p.n))
+                .collect();
+            let want: Vec<_> = matrix
+                .iter()
+                .filter(|c| c.figure == *figure)
+                .flat_map(|c| {
+                    (1..=u32::from(c.max_cpus))
+                        .map(|n| (c.preset.to_string(), c.protocol.to_string(), c.cache_kib, n))
+                })
+                .collect();
+            if have != want {
+                gaps.push(format!(
+                    "{figure}: {} validation rows do not match its {} matrix points",
+                    have.len(),
+                    want.len()
+                ));
+            }
+        }
+        if !figures.is_empty() && self.accesses() == 0 {
+            gaps.push("the validation simulations replayed no accesses".to_string());
+        }
+        gaps
     }
 }
 
-/// Renders the human-readable tables of a sim-report document.
-pub fn render(doc: &SimReportDoc) -> String {
+/// Renders a record's model-vs-simulation section as the
+/// `repro sim-report` tables. The totals' timing is the summed run time
+/// of the figures that contributed rows.
+pub fn render(record: &RecordedRun) -> String {
     use std::fmt::Write as _;
+    let section = &record.validation;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "sim report ({}, {} profile)",
-        doc.schema,
-        if doc.quick { "quick" } else { "full" }
+        record.schema,
+        if record.quick { "quick" } else { "full" }
     );
     out.push_str("\nmodel-vs-sim residuals per validation point:\n");
-    let _ = writeln!(
-        out,
-        "  {:<5} {:<5} {:<16} {:>5} {:>2} {:>8} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8}",
-        "fig",
-        "trace",
-        "protocol",
-        "cache",
-        "n",
-        "sim pwr",
-        "mdl pwr",
-        "err%",
-        "sim msd",
-        "mdl msd",
-        "sim bus",
-        "mdl bus"
+    out.push_str(
+        "  fig   trace protocol         cache  n  sim pwr  mdl pwr    err%  sim msd  mdl msd  sim bus  mdl bus\n",
     );
-    for p in &doc.points {
+    for p in &section.rows {
         let _ = writeln!(
             out,
             "  {:<5} {:<5} {:<16} {:>4}K {:>2} {:>8.3} {:>8.3} {:>6.2}% {:>8.4} {:>8.4} {:>8.3} {:>8.3}",
@@ -283,22 +262,10 @@ pub fn render(doc: &SimReportDoc) -> String {
         );
     }
     out.push_str("\ncoherence events per protocol:\n");
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>4} {:>10} {:>9} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>8}",
-        "protocol",
-        "runs",
-        "accesses",
-        "misses",
-        "inval",
-        "updates",
-        "bcast",
-        "wbacks",
-        "fills",
-        "bus txn",
-        "steals"
+    out.push_str(
+        "  protocol         runs   accesses    misses    inval  updates    bcast    wbacks     fills    bus txn   steals\n",
     );
-    for p in &doc.protocols {
+    for p in &section.protocols {
         let _ = writeln!(
             out,
             "  {:<16} {:>4} {:>10} {:>9} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>8}",
@@ -316,21 +283,10 @@ pub fn render(doc: &SimReportDoc) -> String {
         );
     }
     out.push_str("\nmeasurement counts per validation curve:\n");
-    let _ = writeln!(
-        out,
-        "  {:<5} {:<5} {:>5} {:>4} {:>10} {:>9} {:>9} {:>10} {:>10} {:>9}",
-        "fig",
-        "trace",
-        "cache",
-        "cpus",
-        "data refs",
-        "misses",
-        "shared",
-        "shd other",
-        "bcast st",
-        "dirty rp"
+    out.push_str(
+        "  fig   trace cache cpus  data refs    misses    shared  shd other   bcast st  dirty rp\n",
     );
-    for m in &doc.measurements {
+    for m in &section.measurements {
         let _ = writeln!(
             out,
             "  {:<5} {:<5} {:>4}K {:>4} {:>10} {:>9} {:>9} {:>10} {:>10} {:>9}",
@@ -346,70 +302,112 @@ pub fn render(doc: &SimReportDoc) -> String {
             m.counts.dirty_replacements,
         );
     }
+    let figures: BTreeSet<&str> = section.rows.iter().map(|p| p.figure.as_str()).collect();
+    let wall_ms: f64 = figures
+        .iter()
+        .filter_map(|f| record.experiment(f))
+        .map(|e| e.duration_ms)
+        .sum();
+    let accesses = section.accesses();
     let _ = writeln!(
         out,
         "\ntotals: {} points, {} accesses replayed in {:.1} ms ({:.2e} accesses/s), worst power residual {:.2}%",
-        doc.totals.points,
-        doc.totals.accesses,
-        doc.totals.wall_ms,
-        doc.totals.accesses_per_second,
-        doc.totals.max_power_rel_error * 100.0,
+        section.rows.len(),
+        accesses,
+        wall_ms,
+        accesses as f64 / (wall_ms / 1e3).max(1e-12),
+        section.max_power_rel_error(None) * 100.0,
     );
     out
 }
 
 #[cfg(test)]
 mod tests {
+    use std::num::NonZeroUsize;
+    use std::sync::OnceLock;
+
     use super::*;
+    use crate::registry::{find, RunOptions};
+    use crate::runner::run_selected;
+    use crate::validation::ValidationOptions;
+    use swcc_obs::MetricsSnapshot;
     use swcc_sim::measure::measure_workload_with_counts;
     use swcc_sim::{ProtocolKind, SimConfig};
     use swcc_trace::synth::pops_like;
 
-    fn quick() -> ValidationOptions {
-        ValidationOptions {
-            instructions_per_cpu: 4_000,
-            seed: 0xA7,
-        }
+    /// The record of one short fig1–fig3 run, made once per test binary.
+    fn record() -> &'static RecordedRun {
+        static RECORD: OnceLock<RecordedRun> = OnceLock::new();
+        RECORD.get_or_init(|| {
+            let opts = RunOptions {
+                validation: ValidationOptions {
+                    instructions_per_cpu: 4_000,
+                    seed: 0xA7,
+                },
+                ..RunOptions::quick()
+            };
+            let batch: Vec<_> = ["fig1", "fig2", "fig3"]
+                .iter()
+                .map(|id| find(id).unwrap())
+                .collect();
+            let runs = run_selected(&batch, &opts, NonZeroUsize::new(1).unwrap());
+            RecordedRun::from_run(true, 1, &runs, 1.0, &MetricsSnapshot::default())
+        })
     }
 
     #[test]
     fn report_covers_the_full_validation_matrix() {
-        let doc = generate(true, &quick());
-        assert_eq!(doc.schema, SIM_REPORT_SCHEMA);
+        let section = &record().validation;
         // fig1: 2 curves x 4, fig2: 3 x 4, fig3: 3 x 8.
-        assert_eq!(doc.points.len(), 2 * 4 + 3 * 4 + 3 * 8);
-        assert_eq!(doc.totals.points, doc.points.len() as u64);
-        assert_eq!(doc.measurements.len(), 8);
-        assert!(doc.totals.accesses > 0);
-        assert!(doc.totals.accesses_per_second > 0.0);
-        for p in &doc.points {
+        assert_eq!(section.rows.len(), 2 * 4 + 3 * 4 + 3 * 8);
+        assert_eq!(section.measurements.len(), 8);
+        assert!(section.accesses() > 0);
+        assert!(section.gaps(|_| true).is_empty());
+        for p in &section.rows {
             assert!(p.sim_power > 0.0, "{p:?}");
             assert!(p.model_power > 0.0, "{p:?}");
         }
-        assert!(doc.totals.max_power_rel_error > 0.0);
-        assert!(
-            doc.totals.max_power_rel_error < 0.5,
-            "worst residual {:.3}",
-            doc.totals.max_power_rel_error
-        );
+        let worst = section.max_power_rel_error(None);
+        assert!(worst > 0.0);
+        assert!(worst < 0.5, "worst residual {worst:.3}");
+        // Each figure's accuracy is the worst of its own rows.
+        for entry in &record().accuracy {
+            assert_eq!(
+                entry.max_rel_error.to_bits(),
+                section.max_power_rel_error(Some(&entry.figure)).to_bits()
+            );
+        }
+        // A row gone, or a figure's rows missing entirely, is a gap.
+        let mut short = section.clone();
+        short.rows.remove(9);
+        assert_eq!(short.gaps(|_| true).len(), 1);
+        assert!(short.gaps(|f| f == "fig1").is_empty());
+        assert_eq!(Validation::default().gaps(|f| f == "fig3").len(), 2);
+        assert!(Validation::default().gaps(|_| false).is_empty());
     }
 
     #[test]
     fn protocol_breakdowns_reflect_protocol_semantics() {
-        let doc = generate(true, &quick());
-        assert_eq!(doc.protocols.len(), 2, "Base and Dragon");
-        let base = doc.protocols.iter().find(|p| p.protocol == "Base").unwrap();
-        let dragon = doc
+        let section = &record().validation;
+        assert_eq!(section.protocols.len(), 2, "Base and Dragon");
+        let base = section
+            .protocols
+            .iter()
+            .find(|p| p.protocol == "Base")
+            .unwrap();
+        let dragon = section
             .protocols
             .iter()
             .find(|p| p.protocol == "Dragon")
             .unwrap();
+        assert_eq!(base.runs, 4);
+        assert_eq!(dragon.runs, 40);
         assert_eq!(base.broadcasts, 0, "Base never broadcasts");
         assert_eq!(base.updates, 0);
         assert!(dragon.broadcasts > 0, "Dragon broadcasts on shared stores");
         assert!(dragon.updates > 0, "snoopers update in place");
         assert_eq!(dragon.invalidations, 0, "Dragon never invalidates");
-        for p in &doc.protocols {
+        for p in &section.protocols {
             assert!(p.fills >= p.misses, "{p:?}");
             assert!(p.bus_transactions > 0, "{p:?}");
         }
@@ -417,15 +415,16 @@ mod tests {
 
     #[test]
     fn document_round_trips_through_json() {
-        let doc = generate(true, &quick());
-        let json = serde_json::to_string(&doc).unwrap();
-        let parsed: SimReportDoc = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, doc);
-        let rendered = render(&doc);
+        let record = record();
+        let parsed = RecordedRun::from_jsonl(&record.to_jsonl()).unwrap();
+        assert_eq!(&parsed, record);
+        let rendered = render(record);
+        assert!(rendered.starts_with("sim report (swcc-run/v2, quick profile)"));
         assert!(rendered.contains("model-vs-sim residuals"));
         assert!(rendered.contains("coherence events per protocol"));
         assert!(rendered.contains("measurement counts"));
         assert!(rendered.contains("Dragon"));
+        assert!(rendered.contains("totals: 44 points"));
     }
 
     /// Golden values for the measurement pipeline on a fixed synthetic

@@ -3,8 +3,8 @@
 //!
 //! A trace file is a stream of span/point events (see
 //! [`swcc_obs::trace`]) emitted by the instrumented solvers, sweeps,
-//! simulator, runner, and validation harness. This module folds one
-//! back into the three summaries the paper's diagnostics need:
+//! simulator and runner. This module folds one back into the three
+//! summaries the paper's diagnostics need:
 //!
 //! * **Per-phase timing** — wall-clock totals *and self time* per span
 //!   name (via the reconstructed [`crate::tree::SpanTree`]), plus a
@@ -14,9 +14,11 @@
 //!   [`swcc_obs::quantile`]), warm-start provenance, bracket
 //!   fallbacks, and *divergences*: solves that hit the iteration cap
 //!   with the root bracket still wider than the tolerance.
-//! * **Model-vs-simulation accuracy** — per validation curve, the
-//!   worst relative gap between the analytic model and the trace-driven
-//!   simulation (the Fig 1 envelope, paper §3).
+//! * **Coherence event mix** — per-protocol sums of the simulator's
+//!   `sim.events` summaries, over every simulation the run traced.
+//!
+//! Model-vs-simulation accuracy is not here: the run record keeps it
+//! (see [`crate::sim_report`]).
 //!
 //! Ingestion is lenient: truncated or corrupt JSONL lines are counted
 //! in [`TraceReport::skipped`] and surfaced as a warning, never fatal —
@@ -108,44 +110,6 @@ impl ConvergenceSummary {
     }
 }
 
-/// Model-vs-simulation accuracy for one validation curve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccuracyRow {
-    /// Trace preset name (`"POPS"`, `"PERO"`, ...).
-    pub preset: String,
-    /// Protocol name (`"Base"`, `"Dragon"`, ...).
-    pub protocol: String,
-    /// Cache size in bytes.
-    pub cache_bytes: u64,
-    /// Comparison points on the curve.
-    pub points: u64,
-    /// Worst `|model − sim| / sim` across the curve.
-    pub max_rel_error: f64,
-}
-
-/// One traced model-vs-sim comparison, from a `validation.point` event.
-///
-/// Where [`AccuracyRow`] folds a curve down to its worst gap, this
-/// keeps every point — the raw material for the dashboard's divergence
-/// section and for spotting *where* on a curve the model drifts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DivergencePoint {
-    /// Trace preset name (`"POPS"`, `"PERO"`, ...).
-    pub preset: String,
-    /// Protocol name (`"Base"`, `"Dragon"`, ...).
-    pub protocol: String,
-    /// Cache size in bytes.
-    pub cache_bytes: u64,
-    /// Processor count at this point.
-    pub n: u64,
-    /// Processing power reported by the simulator.
-    pub sim_power: f64,
-    /// Processing power predicted by the analytical model.
-    pub model_power: f64,
-    /// `|model − sim| / sim`.
-    pub rel_error: f64,
-}
-
 /// Aggregate coherence-event mix for one protocol, summed over every
 /// `sim.events` point in the trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -189,11 +153,6 @@ pub struct TraceReport {
     pub experiments: Vec<ExperimentTiming>,
     /// Patel solver convergence summary.
     pub convergence: ConvergenceSummary,
-    /// Model-vs-sim accuracy rows, sorted by (preset, protocol, cache).
-    pub accuracy: Vec<AccuracyRow>,
-    /// Every traced validation point, sorted by
-    /// (preset, protocol, cache, n).
-    pub divergence: Vec<DivergencePoint>,
     /// Per-protocol coherence-event sums, sorted by protocol.
     pub event_mix: Vec<EventMixRow>,
 }
@@ -209,15 +168,6 @@ impl TraceReport {
     /// Experiment ids that have a span in this trace.
     pub fn experiment_ids(&self) -> BTreeSet<&str> {
         self.experiments.iter().map(|e| e.id.as_str()).collect()
-    }
-
-    /// Worst accuracy gap across every validation curve, if any
-    /// validation points were traced.
-    pub fn worst_rel_error(&self) -> Option<f64> {
-        self.accuracy
-            .iter()
-            .map(|r| r.max_rel_error)
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
     }
 
     /// Renders the human-readable report.
@@ -305,26 +255,6 @@ impl TraceReport {
         let _ = writeln!(out, "  bracket fallbacks: {}", c.fallbacks);
         let _ = writeln!(out, "  divergences (iteration cap hit): {}", c.divergences);
 
-        if !self.accuracy.is_empty() {
-            out.push_str("\nmodel-vs-sim accuracy\n");
-            let _ = writeln!(
-                out,
-                "  {:<8} {:<10} {:>10} {:>8} {:>16}",
-                "preset", "protocol", "cache KiB", "points", "max rel error"
-            );
-            for r in &self.accuracy {
-                let _ = writeln!(
-                    out,
-                    "  {:<8} {:<10} {:>10} {:>8} {:>15.1}%",
-                    r.preset,
-                    r.protocol,
-                    r.cache_bytes / 1024,
-                    r.points,
-                    r.max_rel_error * 100.0
-                );
-            }
-        }
-
         if !self.event_mix.is_empty() {
             out.push_str("\ncoherence event mix\n");
             let _ = writeln!(
@@ -380,10 +310,6 @@ fn field_u64(event: &ParsedEvent, key: &str) -> Option<u64> {
     event.field(key).and_then(Value::as_u64)
 }
 
-fn field_f64(event: &ParsedEvent, key: &str) -> Option<f64> {
-    event.field(key).and_then(Value::as_f64)
-}
-
 fn field_bool(event: &ParsedEvent, key: &str) -> Option<bool> {
     event.field(key).and_then(Value::as_bool)
 }
@@ -432,8 +358,6 @@ pub fn analyze(jsonl: &str) -> TraceReport {
         }
     }
 
-    // (preset, protocol, cache) → (points, worst error).
-    let mut accuracy: BTreeMap<(String, String, u64), (u64, f64)> = BTreeMap::new();
     // protocol → summed coherence events.
     let mut event_mix: BTreeMap<String, EventMixRow> = BTreeMap::new();
     for event in &parsed.events {
@@ -456,26 +380,6 @@ pub fn analyze(jsonl: &str) -> TraceReport {
                     if field_bool(event, "converged") == Some(false) {
                         report.convergence.divergences += 1;
                     }
-                }
-                "validation.point" => {
-                    let key = (
-                        field_str(event, "preset").unwrap_or("?").to_string(),
-                        field_str(event, "protocol").unwrap_or("?").to_string(),
-                        field_u64(event, "cache_bytes").unwrap_or(0),
-                    );
-                    let err = field_f64(event, "rel_error").unwrap_or(0.0);
-                    let entry = accuracy.entry(key.clone()).or_insert((0, 0.0));
-                    entry.0 += 1;
-                    entry.1 = entry.1.max(err);
-                    report.divergence.push(DivergencePoint {
-                        preset: key.0,
-                        protocol: key.1,
-                        cache_bytes: key.2,
-                        n: field_u64(event, "n").unwrap_or(0),
-                        sim_power: field_f64(event, "sim_power").unwrap_or(0.0),
-                        model_power: field_f64(event, "model_power").unwrap_or(0.0),
-                        rel_error: err,
-                    });
                 }
                 "sim.events" => {
                     let protocol = field_str(event, "protocol").unwrap_or("?").to_string();
@@ -500,27 +404,7 @@ pub fn analyze(jsonl: &str) -> TraceReport {
     }
 
     report.convergence.iterations.sort_unstable();
-    report.divergence.sort_by(|a, b| {
-        (&a.preset, &a.protocol, a.cache_bytes, a.n).cmp(&(
-            &b.preset,
-            &b.protocol,
-            b.cache_bytes,
-            b.n,
-        ))
-    });
     report.event_mix = event_mix.into_values().collect();
-    report.accuracy = accuracy
-        .into_iter()
-        .map(
-            |((preset, protocol, cache_bytes), (points, max_rel_error))| AccuracyRow {
-                preset,
-                protocol,
-                cache_bytes,
-                points,
-                max_rel_error,
-            },
-        )
-        .collect();
     report
 }
 
@@ -539,7 +423,6 @@ mod tests {
             r#"{"ev":"start","name":"patel.solve","span":4,"parent":2,"seq":6,"thread":2,"fields":{"rate":0.04,"size":20,"stages":8,"warm":true}}"#,
             r#"{"ev":"point","name":"patel.result","span":4,"parent":4,"seq":7,"thread":2,"fields":{"iterations":3,"fallbacks":0,"root":0.5,"converged":true}}"#,
             r#"{"ev":"end","name":"patel.solve","span":4,"parent":2,"seq":8,"thread":2,"dur_ns":2100}"#,
-            r#"{"ev":"point","name":"validation.point","span":2,"parent":2,"seq":9,"thread":2,"fields":{"preset":"POPS","protocol":"Base","cache_bytes":65536,"n":2,"sim_power":1.8,"model_power":1.7,"rel_error":0.055}}"#,
             r#"{"ev":"point","name":"sim.events","span":2,"parent":2,"seq":14,"thread":2,"fields":{"protocol":"Dragon","accesses":5000,"invalidations":0,"updates":40,"broadcasts":41,"write_backs":7,"fills":120,"bus_transactions":170,"flushes":0,"cycle_steals":80}}"#,
             r#"{"ev":"end","name":"runner.experiment","span":2,"parent":1,"seq":10,"thread":2,"dur_ns":9000000}"#,
             r#"{"ev":"start","name":"runner.experiment","span":5,"parent":1,"seq":11,"thread":3,"fields":{"id":"table1","worker":1,"queue_wait_ms":0.2}}"#,
@@ -552,7 +435,7 @@ mod tests {
     #[test]
     fn parses_phase_timing_and_experiments() {
         let report = analyze(&sample_trace());
-        assert_eq!(report.events, 15);
+        assert_eq!(report.events, 14);
         assert_eq!(report.skipped, 0);
         assert_eq!(report.phases["patel.solve"].count, 2);
         assert_eq!(report.phases["patel.solve"].total_ns, 6300);
@@ -603,33 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulates_accuracy_rows() {
-        let report = analyze(&sample_trace());
-        assert_eq!(report.accuracy.len(), 1);
-        let row = &report.accuracy[0];
-        assert_eq!(row.preset, "POPS");
-        assert_eq!(row.protocol, "Base");
-        assert_eq!(row.cache_bytes, 65536);
-        assert_eq!(row.points, 1);
-        assert!((row.max_rel_error - 0.055).abs() < 1e-12);
-        assert_eq!(report.worst_rel_error(), Some(0.055));
-    }
-
-    #[test]
-    fn keeps_every_divergence_point() {
-        let report = analyze(&sample_trace());
-        assert_eq!(report.divergence.len(), 1);
-        let p = &report.divergence[0];
-        assert_eq!(p.preset, "POPS");
-        assert_eq!(p.protocol, "Base");
-        assert_eq!(p.cache_bytes, 65536);
-        assert_eq!(p.n, 2);
-        assert!((p.sim_power - 1.8).abs() < 1e-12);
-        assert!((p.model_power - 1.7).abs() < 1e-12);
-        assert!((p.rel_error - 0.055).abs() < 1e-12);
-    }
-
-    #[test]
     fn sums_sim_events_per_protocol() {
         let extra = r#"{"ev":"point","name":"sim.events","span":0,"parent":0,"seq":15,"thread":2,"fields":{"protocol":"Dragon","accesses":1000,"invalidations":0,"updates":10,"broadcasts":9,"write_backs":3,"fills":30,"bus_transactions":40,"flushes":0,"cycle_steals":20}}"#;
         let report = analyze(&format!("{}\n{extra}", sample_trace()));
@@ -656,7 +512,6 @@ mod tests {
             "self ms",
             "experiment phases",
             "solver convergence",
-            "model-vs-sim accuracy",
             "coherence event mix",
             "status: clean",
         ] {
@@ -669,7 +524,7 @@ mod tests {
         let trace = format!("not json\n{}\n{{\"ev\":\"trunc", sample_trace());
         let report = analyze(&trace);
         assert_eq!(report.skipped, 2);
-        assert_eq!(report.events, 15, "good lines still parse");
+        assert_eq!(report.events, 14, "good lines still parse");
         assert!(report.is_clean(), "skips warn, they do not fail");
         assert!(report.render().contains("skipped 2 corrupt line(s)"));
     }
@@ -687,7 +542,6 @@ mod tests {
         assert_eq!(report.events, 0);
         assert_eq!(report.skipped, 0);
         assert!(report.is_clean());
-        assert!(report.worst_rel_error().is_none());
         assert!(report.render().contains("empty trace"));
     }
 

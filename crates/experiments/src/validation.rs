@@ -10,24 +10,27 @@
 //! plotted.
 //!
 //! Expected shape (and what the tests assert): model and simulation
-//! track each other closely, with the model *overestimating contention*
-//! (hence slightly underestimating power) at higher processor counts,
-//! because it assumes exponential bus service while the simulator uses
-//! Table 1's fixed times.
+//! power stay within the per-figure ceilings of
+//! `baselines/accuracy.json`. The paper attributes its model's
+//! contention overestimate to the exponential bus service it assumes,
+//! against the simulator's fixed Table 1 times; this repo's numbers do
+//! not support that explanation. In `repro_output.txt` the
+//! exponential-service simulation of `ext_service` lands farther from
+//! the model than the fixed-service one at 2, 4 and 8 CPUs, and at 8
+//! CPUs the model's contention is below both. Fig 1's note prints the
+//! signed model-minus-simulation power gap of each of its points.
+//!
+//! Each figure hands its curve runs to the run record (see
+//! [`crate::sim_report`]), which keeps one row per validation point and
+//! derives the figure's accuracy from them.
 
 use swcc_core::prelude::*;
 use swcc_sim::measure::{measure_workload_with_counts, MeasurementCounts};
 use swcc_sim::{simulate, ProtocolKind, SimConfig, SimReport};
 use swcc_trace::synth::Preset;
 
-use crate::artifact::{Figure, Series};
-
-/// Model-vs-simulation comparison point, one per processor count of each
-/// validation curve. Fields: `preset`, `protocol`, `cache_bytes`, `n`,
-/// `sim_power`, `model_power`, `rel_error`. The `trace-report`
-/// subcommand aggregates these into its accuracy delta table (the Fig 1
-/// gap, paper §3).
-pub const EV_VALIDATION_POINT: &str = "validation.point";
+use crate::artifact::{Artifact, Figure, Series};
+use crate::registry::{Comparison, Output};
 
 /// Options shared by the simulation-backed experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +90,16 @@ pub(crate) fn curves() -> Vec<Curve> {
     ]
 }
 
+/// `|model − sim| / sim`, or 0 when the simulation made no progress:
+/// the one accuracy formula of every model-vs-simulation comparison.
+pub(crate) fn rel_error(model: f64, sim: f64) -> f64 {
+    if sim > 0.0 {
+        (model - sim).abs() / sim
+    } else {
+        0.0
+    }
+}
+
 /// One processor count of a validation curve.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CurvePoint {
@@ -99,21 +112,17 @@ pub(crate) struct CurvePoint {
 }
 
 impl CurvePoint {
-    /// `|model − sim| / sim` on processing power (0 when the simulation
-    /// made no progress) — the paper's Fig 1 gap.
+    /// [`rel_error`] on processing power — the paper's Fig 1 gap.
     pub(crate) fn power_rel_error(&self) -> f64 {
-        let sim = self.sim.power();
-        if sim > 0.0 {
-            (self.model.power() - sim).abs() / sim
-        } else {
-            0.0
-        }
+        rel_error(self.model.power(), self.sim.power())
     }
 }
 
 /// One validation curve, compared point by point.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CurveRun {
+    /// The curve that ran.
+    pub curve: Curve,
     /// The workload measured from the curve's largest trace, which the
     /// model is fed at every processor count.
     pub workload: WorkloadParams,
@@ -144,31 +153,15 @@ pub(crate) fn run_curve(curve: &Curve, opts: &ValidationOptions) -> CurveRun {
         .scheme()
         .expect("validation runs the paper's protocols");
     let points = (1..=curve.max_cpus)
-        .map(|n| {
-            let point = CurvePoint {
-                n,
-                sim: simulate(&trace(n), &config),
-                model: analyze_bus(scheme, &workload, config.system(), u32::from(n))
-                    .expect("bus analysis cannot fail for valid workloads"),
-            };
-            if swcc_obs::trace_enabled() {
-                swcc_obs::event(
-                    EV_VALIDATION_POINT,
-                    &[
-                        swcc_obs::Field::text("preset", curve.preset.to_string()),
-                        swcc_obs::Field::text("protocol", curve.protocol.to_string()),
-                        swcc_obs::Field::u64("cache_bytes", curve.cache_kib * 1024),
-                        swcc_obs::Field::u64("n", u64::from(n)),
-                        swcc_obs::Field::f64("sim_power", point.sim.power()),
-                        swcc_obs::Field::f64("model_power", point.model.power()),
-                        swcc_obs::Field::f64("rel_error", point.power_rel_error()),
-                    ],
-                );
-            }
-            point
+        .map(|n| CurvePoint {
+            n,
+            sim: simulate(&trace(n), &config),
+            model: analyze_bus(scheme, &workload, config.system(), u32::from(n))
+                .expect("bus analysis cannot fail for valid workloads"),
         })
         .collect();
     CurveRun {
+        curve: *curve,
         workload,
         counts,
         points,
@@ -176,79 +169,91 @@ pub(crate) fn run_curve(curve: &Curve, opts: &ValidationOptions) -> CurveRun {
 }
 
 /// A validation figure: each of its curves as a `"{label} sim"` and
-/// `"{label} model"` processing-power series pair.
-fn figure(id: &str, title: &str, label: fn(&Curve) -> String, opts: &ValidationOptions) -> Figure {
+/// `"{label} model"` processing-power series pair, and the curve runs
+/// behind them.
+fn figure(
+    id: &str,
+    title: &str,
+    label: fn(&Curve) -> String,
+    opts: &ValidationOptions,
+) -> (Figure, Vec<CurveRun>) {
     let mut fig = Figure::new(title, "processors", "processing power");
-    for curve in curves().iter().filter(|c| c.figure == id) {
-        let run = run_curve(curve, opts);
+    let runs: Vec<CurveRun> = curves()
+        .iter()
+        .filter(|c| c.figure == id)
+        .map(|c| run_curve(c, opts))
+        .collect();
+    for run in &runs {
         let series = |kind: &str, power: fn(&CurvePoint) -> f64| {
             let points = run.points.iter().map(|p| (f64::from(p.n), power(p)));
-            Series::new(format!("{} {kind}", label(curve)), points.collect())
+            Series::new(format!("{} {kind}", label(&run.curve)), points.collect())
         };
         fig.push_series(series("sim", |p| p.sim.power()));
         fig.push_series(series("model", |p| p.model.power()));
     }
-    fig
+    (fig, runs)
+}
+
+fn output((fig, runs): (Figure, Vec<CurveRun>)) -> Output {
+    Output {
+        artifact: Artifact::Figure(fig),
+        comparison: Comparison::Curves(runs),
+    }
 }
 
 /// Figure 1: model vs simulation for Base and Dragon, 64 KiB caches,
-/// 1–4 processors, on a POPS-like trace.
-pub fn fig1(opts: &ValidationOptions) -> Figure {
-    let mut fig = figure(
+/// 1–4 processors, on a POPS-like trace. Its note gives each point's
+/// signed power gap, `(model − sim) / sim`.
+pub fn fig1(opts: &ValidationOptions) -> Output {
+    let label = |c: &Curve| format!("{} {}", c.preset, c.protocol);
+    let (mut fig, runs) = figure(
         "fig1",
         "Figure 1: model versus simulation, 64KB caches (POPS-like trace)",
-        |c| format!("{} {}", c.preset, c.protocol),
+        label,
         opts,
     );
-    fig.notes.push(
-        "the analytic bus model assumes exponential service and overestimates contention \
-         relative to the fixed-service-time simulation (paper §3)"
-            .into(),
-    );
-    fig
+    let gaps: Vec<String> = runs
+        .iter()
+        .map(|run| {
+            let signed = run.points.iter().map(|p| {
+                let sim = p.sim.power();
+                format!("{:+.1}%", (p.model.power() - sim) / sim * 100.0)
+            });
+            format!(
+                "{} {}",
+                label(&run.curve),
+                signed.collect::<Vec<_>>().join(", ")
+            )
+        })
+        .collect();
+    fig.notes.push(format!(
+        "model minus simulated power, relative to the simulation, at 1 to {} processors: {}",
+        runs.iter().map(|r| r.curve.max_cpus).max().unwrap_or(0),
+        gaps.join("; ")
+    ));
+    output((fig, runs))
 }
 
 /// Figure 2: impact of cache size (16K/64K/256K) on Dragon, model vs
 /// simulation, 1–4 processors.
-pub fn fig2(opts: &ValidationOptions) -> Figure {
-    figure(
+pub fn fig2(opts: &ValidationOptions) -> Output {
+    output(figure(
         "fig2",
         "Figure 2: cache-size impact on Dragon, <=4 processors (POPS-like trace)",
         |c| format!("{}K", c.cache_kib),
         opts,
-    )
+    ))
 }
 
 /// Figure 3: the same comparison carried to 8 processors (PERO-like
 /// trace, as in the paper's 8-processor PERO run).
-pub fn fig3(opts: &ValidationOptions) -> Figure {
-    figure(
+pub fn fig3(opts: &ValidationOptions) -> Output {
+    output(figure(
         "fig3",
         "Figure 3: cache-size impact on Dragon, <=8 processors (PERO-like trace)",
         |c| format!("{}K", c.cache_kib),
         opts,
-    )
-}
-
-/// Maximum relative error between the matching model and simulation
-/// series of a validation figure. Used by the tests and recorded in
-/// EXPERIMENTS.md.
-pub fn max_relative_error(fig: &Figure) -> f64 {
-    let mut worst: f64 = 0.0;
-    for s in &fig.series {
-        let Some(model_name) = s.name.strip_suffix(" sim").map(|b| format!("{b} model")) else {
-            continue;
-        };
-        let model = fig
-            .series_named(&model_name)
-            .expect("every sim series has a model partner");
-        for (&(_, sim_y), &(_, model_y)) in s.points.iter().zip(&model.points) {
-            if sim_y > 0.0 {
-                worst = worst.max((model_y - sim_y).abs() / sim_y);
-            }
-        }
-    }
-    worst
+    ))
 }
 
 #[cfg(test)]
@@ -262,17 +267,30 @@ mod tests {
         }
     }
 
+    /// The figure and its worst power error over every curve point.
+    fn run(fig: fn(&ValidationOptions) -> Output) -> (Figure, f64) {
+        let out = fig(&quick());
+        let Comparison::Curves(runs) = &out.comparison else {
+            panic!("a validation figure hands over its curve runs");
+        };
+        let worst = runs
+            .iter()
+            .flat_map(|r| &r.points)
+            .map(CurvePoint::power_rel_error)
+            .fold(0.0, f64::max);
+        (out.artifact.as_figure().unwrap().clone(), worst)
+    }
+
     #[test]
     fn fig1_model_tracks_simulation() {
-        let f = fig1(&quick());
+        let (f, err) = run(fig1);
         assert_eq!(f.series.len(), 4);
-        let err = max_relative_error(&f);
         assert!(err < 0.25, "worst model-vs-sim error {err:.3}");
     }
 
     #[test]
     fn fig1_dragon_does_not_beat_base_in_simulation() {
-        let f = fig1(&quick());
+        let (f, _) = run(fig1);
         let base = f.series_named("POPS Base sim").unwrap().final_y().unwrap();
         let dragon = f
             .series_named("POPS Dragon sim")
@@ -287,19 +305,19 @@ mod tests {
 
     #[test]
     fn fig2_bigger_caches_do_better() {
-        let f = fig2(&quick());
+        let (f, err) = run(fig2);
         let small = f.series_named("16K sim").unwrap().final_y().unwrap();
         let large = f.series_named("256K sim").unwrap().final_y().unwrap();
         assert!(large > small, "256K {large:.3} vs 16K {small:.3}");
-        assert!(max_relative_error(&f) < 0.3);
+        assert!(err < 0.3);
     }
 
     #[test]
     fn fig3_scales_to_eight_processors() {
-        let f = fig3(&quick());
+        let (f, err) = run(fig3);
         let s = f.series_named("64K sim").unwrap();
         assert_eq!(s.points.len(), 8);
         assert!(s.final_y().unwrap() > s.points[0].1, "power grows with n");
-        assert!(max_relative_error(&f) < 0.35);
+        assert!(err < 0.35);
     }
 }

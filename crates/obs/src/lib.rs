@@ -91,9 +91,53 @@ pub fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Appends `s` as a JSON string literal: `"` and `\` get a backslash,
+/// newline, carriage return and tab are written `\n`, `\r` and `\t`,
+/// every other character below U+0020 `\u00XX`, and everything else as
+/// is. Trace lines and `swcc-serve` responses write their strings
+/// through this one function.
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_strings_escape_every_control_character_and_parse_back() {
+        let mut specials: Vec<char> = (0u8..0x20).map(char::from).collect();
+        specials.extend(['"', '\\']);
+        for c in specials {
+            let text = format!("a{c}b");
+            let mut out = String::new();
+            push_json_str(&mut out, &text);
+            assert!(
+                out.chars().all(|c| c >= ' '),
+                "{out:?} holds a raw control character"
+            );
+            let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+            assert_eq!(parsed.as_str(), Some(text.as_str()), "{out}");
+        }
+        let mut out = String::new();
+        push_json_str(&mut out, "tab\tline\nreturn\r nul\u{0} unit\u{1f} é");
+        assert_eq!(out, r#""tab\tline\nreturn\r nul\u0000 unit\u001f é""#);
+    }
 
     #[test]
     fn registry_and_capture_compose() {

@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::push_json_f64;
+use crate::{push_json_f64, push_json_str};
 
 /// A typed value attached to a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -402,25 +402,6 @@ pub fn span_under(name: &'static str, parent: u64, fields: &[Field]) -> Span {
 
 // --- JSONL sink --------------------------------------------------------
 
-/// Appends a JSON-escaped copy of `s` to `out`.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Serializes one event to a single JSONL line (no trailing newline).
 ///
 /// Wire format, one object per line:
@@ -437,7 +418,7 @@ pub fn event_to_jsonl(event: &TraceEvent<'_>) -> String {
     line.push_str("{\"ev\":\"");
     line.push_str(event.kind.wire_name());
     line.push_str("\",\"name\":");
-    push_json_string(&mut line, event.name);
+    push_json_str(&mut line, event.name);
     let _ = write!(
         line,
         ",\"span\":{},\"parent\":{},\"seq\":{},\"thread\":{}",
@@ -452,7 +433,7 @@ pub fn event_to_jsonl(event: &TraceEvent<'_>) -> String {
             if i > 0 {
                 line.push(',');
             }
-            push_json_string(&mut line, field.key);
+            push_json_str(&mut line, field.key);
             line.push(':');
             match &field.value {
                 FieldValue::U64(v) => {
@@ -465,8 +446,8 @@ pub fn event_to_jsonl(event: &TraceEvent<'_>) -> String {
                 FieldValue::Bool(v) => {
                     let _ = write!(line, "{v}");
                 }
-                FieldValue::Str(v) => push_json_string(&mut line, v),
-                FieldValue::Text(v) => push_json_string(&mut line, v),
+                FieldValue::Str(v) => push_json_str(&mut line, v),
+                FieldValue::Text(v) => push_json_str(&mut line, v),
             }
         }
         line.push('}');

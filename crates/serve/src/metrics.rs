@@ -25,6 +25,10 @@ pub const SERVE_CONNECTIONS: &str = "serve.connections";
 /// connections and on the exposition listener; each closes its
 /// connection.
 pub const SERVE_OVERSIZED_LINES: &str = "serve.oversized_lines";
+/// Connections closed because a request line did not complete within
+/// the read timeout of its first byte, on batch connections and on the
+/// exposition listener.
+pub const SERVE_LINE_TIMEOUTS: &str = "serve.line_timeouts";
 
 /// Query points answered from a ready cache entry.
 pub const SERVE_CACHE_HITS: &str = "serve.cache.hits";
@@ -77,6 +81,7 @@ pub fn register(builder: RegistryBuilder) -> RegistryBuilder {
         .counter(SERVE_ERRORS)
         .counter(SERVE_CONNECTIONS)
         .counter(SERVE_OVERSIZED_LINES)
+        .counter(SERVE_LINE_TIMEOUTS)
         .counter(SERVE_CACHE_HITS)
         .counter(SERVE_CACHE_MISSES)
         .counter(SERVE_CACHE_COALESCED)
@@ -132,6 +137,7 @@ mod tests {
             SERVE_ERRORS,
             SERVE_CONNECTIONS,
             SERVE_OVERSIZED_LINES,
+            SERVE_LINE_TIMEOUTS,
             SERVE_CACHE_HITS,
             SERVE_CACHE_MISSES,
             SERVE_CACHE_COALESCED,

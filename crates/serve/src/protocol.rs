@@ -420,24 +420,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }))
 }
 
-/// Appends a JSON string literal (the protocol never emits strings
-/// needing more than quote/backslash/control escapes).
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Renders an error response line.
 pub fn error_response(id: Option<u64>, message: &str) -> String {
     use std::fmt::Write as _;
@@ -446,7 +428,7 @@ pub fn error_response(id: Option<u64>, message: &str) -> String {
         let _ = write!(out, ",\"id\":{id}");
     }
     out.push_str(",\"error\":");
-    push_json_str(&mut out, message);
+    swcc_obs::push_json_str(&mut out, message);
     out.push('}');
     out
 }

@@ -66,13 +66,13 @@ use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::ParamId;
 
-use swcc_obs::{push_json_f64, MetricsRegistry};
+use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry};
 
 use crate::cache::{Admission, Flight, PointHashState, PointKey, SolvedPointCache};
 use crate::metrics;
 use crate::protocol::{
-    error_response, parse_request, push_json_str, Batch, Machine, Query, QueryKind, Request,
-    TelemetryFormat, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    error_response, parse_request, Batch, Machine, Query, QueryKind, Request, TelemetryFormat,
+    MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::telemetry::{self, RequestTrace, Telemetry};
 
@@ -83,8 +83,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads in the accept pool.
     pub workers: usize,
-    /// Per-connection read timeout; an idle connection is closed after
-    /// this long without a request line.
+    /// Per-connection read timeout: an idle connection is closed after
+    /// this long without the first byte of a request line, and a line
+    /// must complete within this long of its first byte.
     pub read_timeout: Duration,
     /// How long a coalesced query waits on another request's in-flight
     /// solve before re-claiming the point for itself.
@@ -1064,32 +1065,82 @@ enum LineRead {
     Line,
     /// More than the cap arrived without a newline.
     TooLong,
+    /// The line's first byte arrived, but its newline did not within the
+    /// timeout.
+    TimedOut,
 }
 
 /// Reads one line into `line`, buffering at most `cap` bytes before its
 /// newline (`cap + 1` in all), so a peer that never sends a newline
-/// cannot grow the buffer without bound.
-fn read_line_capped(reader: impl BufRead, line: &mut Vec<u8>, cap: usize) -> io::Result<LineRead> {
+/// cannot grow the buffer without bound. The wait for the line's first
+/// byte is bounded by `timeout`, the stream's read timeout, and ends in
+/// its `WouldBlock`/`TimedOut` error; once that byte is there, the rest
+/// of the line must arrive within `timeout` of it, however slowly the
+/// bytes trickle in.
+fn read_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+    cap: usize,
+    timeout: Duration,
+) -> io::Result<LineRead> {
     line.clear();
-    let n = reader
-        .take((cap as u64).saturating_add(1))
-        .read_until(b'\n', line)?;
-    Ok(if n == 0 {
-        LineRead::Closed
-    } else if n > cap && line.last() != Some(&b'\n') {
-        LineRead::TooLong
-    } else {
-        LineRead::Line
-    })
+    let mut deadline: Option<Instant> = None;
+    let mut shortened = false;
+    let read = loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if deadline.is_some()
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                break Ok(LineRead::TimedOut)
+            }
+            Err(e) => break Err(e),
+        };
+        if available.is_empty() {
+            break Ok(if line.is_empty() {
+                LineRead::Closed
+            } else {
+                LineRead::Line
+            });
+        }
+        let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+        let room = available.iter().take(cap + 1 - line.len());
+        let newline = room.clone().position(|&b| b == b'\n');
+        let used = newline.map_or(room.len(), |end| end + 1);
+        line.extend(room.take(used));
+        reader.consume(used);
+        if newline.is_some() {
+            break Ok(LineRead::Line);
+        }
+        if line.len() > cap {
+            break Ok(LineRead::TooLong);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break Ok(LineRead::TimedOut);
+        }
+        reader.get_ref().set_read_timeout(Some(left))?;
+        shortened = true;
+    };
+    if shortened {
+        reader.get_ref().set_read_timeout(Some(timeout))?;
+    }
+    read
 }
 
 fn utf8(line: &[u8]) -> io::Result<&str> {
     std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-fn count_oversized_line() {
+/// Counts one rejected line under `metric`.
+fn count_rejected_line(metric: &'static str) {
     if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SERVE_OVERSIZED_LINES, 1);
+        swcc_obs::counter_add(metric, 1);
     }
 }
 
@@ -1107,11 +1158,17 @@ fn serve_connection(
         if state.shutting_down() {
             return Ok(true);
         }
-        match read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES) {
+        match read_line(&mut reader, &mut line, MAX_LINE_BYTES, read_timeout) {
             Ok(LineRead::Closed) => return Ok(false),
             Ok(LineRead::Line) => {}
+            Ok(LineRead::TimedOut) => {
+                // A line trickling in past its deadline: close, so one
+                // slow client cannot hold a worker.
+                count_rejected_line(metrics::SERVE_LINE_TIMEOUTS);
+                return Ok(false);
+            }
             Ok(LineRead::TooLong) => {
-                count_oversized_line();
+                count_rejected_line(metrics::SERVE_OVERSIZED_LINES);
                 let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
                 writer.write_all(error_response(None, &message).as_bytes())?;
                 writer.write_all(b"\n")?;
@@ -1121,7 +1178,8 @@ fn serve_connection(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // Idle past the read timeout: close; clients reconnect.
+                // Idle past the read timeout before a line began: close;
+                // clients reconnect.
                 return Ok(false);
             }
             Err(e) => return Err(e),
@@ -1272,12 +1330,22 @@ fn telemetry_loop(listener: &TcpListener, state: &Arc<ServeState>) {
 }
 
 fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
+    stream.set_read_timeout(Some(SCRAPE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = Vec::new();
     // An over-long line is rejected before decoding: the cap may split
     // a character.
-    let path = match read_line_capped(&mut reader, &mut request_line, MAX_SCRAPE_LINE_BYTES)? {
+    let path = match read_line(
+        &mut reader,
+        &mut request_line,
+        MAX_SCRAPE_LINE_BYTES,
+        SCRAPE_TIMEOUT,
+    )? {
+        LineRead::TimedOut => {
+            count_rejected_line(metrics::SERVE_LINE_TIMEOUTS);
+            return Ok(());
+        }
         LineRead::TooLong => None,
         LineRead::Closed | LineRead::Line => {
             Some(utf8(&request_line)?.split_whitespace().nth(1).unwrap_or(""))
@@ -1312,7 +1380,7 @@ fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
         ),
     };
     if path.is_none() {
-        count_oversized_line();
+        count_rejected_line(metrics::SERVE_OVERSIZED_LINES);
     } else if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::SERVE_TELEMETRY_SCRAPES, 1);
     }

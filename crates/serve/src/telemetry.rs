@@ -28,10 +28,9 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use swcc_obs::sync::Mutex;
 use swcc_obs::window::{self, WindowRing, WindowedSnapshot};
-use swcc_obs::{push_json_f64, MetricsRegistry, MetricsSnapshot};
+use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry, MetricsSnapshot};
 
 use crate::metrics;
-use crate::protocol::push_json_str;
 
 /// Schema identifier carried by `telemetry` responses.
 pub const TELEMETRY_SCHEMA: &str = "swcc-telemetry/v1";

@@ -8,14 +8,14 @@ use swcc_experiments::{figures, Artifact};
 
 fn run(id: &str) -> Artifact {
     let opts = RunOptions::quick();
-    (find(id).unwrap_or_else(|| panic!("{id} registered")).run)(&opts)
+    (find(id).unwrap_or_else(|| panic!("{id} registered")).run)(&opts).artifact
 }
 
 #[test]
 fn every_registered_experiment_produces_a_nonempty_artifact() {
     let opts = RunOptions::quick();
     for e in EXPERIMENTS {
-        let artifact = (e.run)(&opts);
+        let artifact = (e.run)(&opts).artifact;
         let rendered = artifact.render();
         assert!(!rendered.trim().is_empty(), "{} rendered empty", e.id);
         assert!(rendered.len() > 40, "{} suspiciously small", e.id);

@@ -389,11 +389,11 @@ fn check_record_rejects_garbage_and_retired_schemas() {
     assert!(!missing.status.success());
     assert!(String::from_utf8_lossy(&missing.stderr).contains("no run records"));
 
-    // The manifest and history formats this record replaced are not
-    // read at all: every reader of the log names the one schema.
+    // The formats this record replaced, its own first version included,
+    // are not read at all: every reader of the log names the one schema.
     let mut line: serde_json::Value =
         serde_json::from_str(&recorded_run().to_jsonl()).expect("record is JSON");
-    for retired in ["swcc-run-manifest/v2", "swcc-run-history/v1"] {
+    for retired in ["swcc-run/v1", "swcc-run-manifest/v2", "swcc-run-history/v1"] {
         if let serde_json::Value::Object(entries) = &mut line {
             for (key, value) in entries.iter_mut() {
                 if key == "schema" {
@@ -412,7 +412,10 @@ fn check_record_rejects_garbage_and_retired_schemas() {
             assert!(!out.status.success(), "{argv:?} must reject {retired}");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains(retired), "{argv:?}: {stderr}");
-            assert!(stderr.contains("swcc-run/v1"), "{argv:?}: {stderr}");
+            assert!(
+                stderr.contains(swcc_experiments::RUN_SCHEMA),
+                "{argv:?}: {stderr}"
+            );
         }
     }
 }
@@ -474,6 +477,8 @@ fn observation_does_not_change_artifacts_and_record_covers_registry() {
         "every model-vs-simulation figure carries its accuracy"
     );
     assert!(record.sim_accesses_per_second().unwrap_or(0.0) > 0.0);
+    assert_eq!(record.validation.rows.len(), 44, "the whole matrix");
+    assert!(record.validation.accesses() > 0);
     let check = repro()
         .args(["check-record", "--record", log.path()])
         .output()
@@ -484,6 +489,29 @@ fn observation_does_not_change_artifacts_and_record_covers_registry() {
         String::from_utf8_lossy(&check.stderr)
     );
     assert!(String::from_utf8_lossy(&check.stderr).contains("ok"));
+
+    // A newest record that lacks a validation row, or whose validation
+    // simulations replayed nothing, fails check-record.
+    let mut short = record.clone();
+    short.validation.rows.remove(30);
+    let mut idle = record.clone();
+    for p in &mut idle.validation.protocols {
+        p.accesses = 0;
+    }
+    for (tag, broken, needle) in [
+        ("short", short, "fig3: 23 validation rows"),
+        ("idle", idle, "replayed no accesses"),
+    ] {
+        let bad = TempManifest::new(&format!("all-{tag}"));
+        write_log(bad.path(), &[record.clone(), broken]);
+        let check = repro()
+            .args(["check-record", "--record", bad.path()])
+            .output()
+            .expect("spawn check-record");
+        assert!(!check.status.success(), "{tag} must fail");
+        let stderr = String::from_utf8_lossy(&check.stderr);
+        assert!(stderr.contains(needle), "{tag}: {stderr}");
+    }
 }
 
 // --- Tracing: --trace and trace-report ----------------------------------
@@ -553,10 +581,9 @@ fn traced_parallel_run_round_trips_and_changes_nothing() {
         "every solve must emit a convergence record"
     );
     assert!(
-        !report.accuracy.is_empty(),
-        "validation figures must trace accuracy points"
+        !report.event_mix.is_empty(),
+        "simulation-backed experiments must trace their event summaries"
     );
-    assert!(report.worst_rel_error().unwrap() < 0.5);
 
     // The CLI subcommand agrees with the library and exits clean.
     let rendered = repro()
@@ -566,7 +593,7 @@ fn traced_parallel_run_round_trips_and_changes_nothing() {
     assert!(rendered.status.success());
     let stdout = String::from_utf8_lossy(&rendered.stdout);
     assert!(stdout.contains("status: clean"), "{stdout}");
-    assert!(stdout.contains("model-vs-sim accuracy"));
+    assert!(stdout.contains("coherence event mix"));
 }
 
 #[test]
@@ -632,11 +659,33 @@ fn mangled_trace_is_summarized_with_warnings() {
 
 // --- Accuracy gate: repro accuracy --------------------------------------
 
+/// The record line of one `fig1 fig2 fig3 --quick` run, made once per
+/// test binary; each test writes it to a log of its own.
+fn validation_record_line() -> &'static str {
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| {
+        let log = TempManifest::new("validation-record");
+        let out = repro()
+            .args(["fig1", "fig2", "fig3", "--quick", "--record", log.path()])
+            .output()
+            .expect("spawn recorded validation run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(log.path()).expect("record written")
+    })
+}
+
 #[test]
 fn accuracy_gate_passes_the_committed_baseline_and_fails_on_drift() {
-    // Against the committed tolerances the quick run must pass.
+    // Against the committed tolerances the recorded quick run must
+    // pass, with each figure's worst error read from the record.
+    let log = TempManifest::new("accuracy-record");
+    std::fs::write(log.path(), validation_record_line()).unwrap();
     let pass = repro()
-        .args(["accuracy", "--quick"])
+        .args(["accuracy", "--record", log.path()])
         .current_dir(env!("CARGO_MANIFEST_DIR").to_string() + "/../..")
         .output()
         .expect("spawn accuracy");
@@ -646,7 +695,12 @@ fn accuracy_gate_passes_the_committed_baseline_and_fails_on_drift() {
         String::from_utf8_lossy(&pass.stderr),
         String::from_utf8_lossy(&pass.stdout)
     );
-    assert!(String::from_utf8_lossy(&pass.stdout).contains("accuracy gate: passed"));
+    let stdout = String::from_utf8_lossy(&pass.stdout);
+    assert!(stdout.contains("accuracy gate: passed"));
+    for (fig, measured) in [("fig1", "11.72%"), ("fig2", "8.66%"), ("fig3", "11.62%")] {
+        let row = stdout.lines().find(|l| l.trim_start().starts_with(fig));
+        assert!(row.is_some_and(|r| r.contains(measured)), "{fig}: {stdout}");
+    }
 
     // The negative test: a synthetic drifted baseline (an impossible
     // tolerance) must fail the gate with a nonzero exit code.
@@ -657,11 +711,32 @@ fn accuracy_gate_passes_the_committed_baseline_and_fails_on_drift() {
     )
     .unwrap();
     let fail = repro()
-        .args(["accuracy", "--quick", "--baseline", drifted.path()])
+        .args([
+            "accuracy",
+            "--baseline",
+            drifted.path(),
+            "--record",
+            log.path(),
+        ])
         .output()
         .expect("spawn accuracy");
     assert!(!fail.status.success(), "drifted baseline must fail");
     assert!(String::from_utf8_lossy(&fail.stdout).contains("accuracy gate: FAILED"));
+
+    // A newest record without a baseline figure fails, naming it.
+    let partial = TempManifest::new("accuracy-partial");
+    let out = repro()
+        .args(["fig1", "--quick", "--record", partial.path()])
+        .output()
+        .expect("spawn recorded fig1 run");
+    assert!(out.status.success());
+    let out = repro()
+        .args(["accuracy", "--record", partial.path()])
+        .current_dir(env!("CARGO_MANIFEST_DIR").to_string() + "/../..")
+        .output()
+        .expect("spawn accuracy");
+    assert!(!out.status.success(), "a missing figure must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("\"fig2\""));
 }
 
 #[test]
@@ -669,7 +744,7 @@ fn accuracy_gate_rejects_bad_baselines() {
     let tmp = TempManifest::new("bad-baseline");
     std::fs::write(tmp.path(), r#"{"schema":"other/v9","figures":[]}"#).unwrap();
     let out = repro()
-        .args(["accuracy", "--quick", "--baseline", tmp.path()])
+        .args(["accuracy", "--baseline", tmp.path()])
         .output()
         .expect("spawn accuracy");
     assert!(!out.status.success());
@@ -680,6 +755,13 @@ fn accuracy_gate_rejects_bad_baselines() {
         .expect("spawn accuracy");
     assert!(!missing.status.success());
     assert!(String::from_utf8_lossy(&missing.stderr).contains("cannot read"));
+    // The gate reads a record and takes no run options.
+    let quick = repro()
+        .args(["accuracy", "--quick"])
+        .output()
+        .expect("spawn accuracy");
+    assert!(!quick.status.success());
+    assert!(String::from_utf8_lossy(&quick.stderr).contains("usage: repro accuracy"));
 }
 
 #[test]
@@ -1049,9 +1131,21 @@ fn history_skips_quantities_predating_the_record_with_a_note() {
 
 #[test]
 fn sim_report_emits_schema_versioned_json_and_human_tables() {
-    let json_out = TempManifest::new("sim-report");
+    // The recorded run is the schema-versioned JSON: one swcc-run/v2
+    // line with a row per validation point.
+    let log = TempManifest::new("sim-report-record");
+    std::fs::write(log.path(), validation_record_line()).unwrap();
+    let records = history::load_history(Path::new(log.path())).expect("record parses");
+    let record = &records[0];
+    assert_eq!(record.schema, "swcc-run/v2");
+    assert_eq!(record.validation.rows.len(), 44, "full validation matrix");
+    assert_eq!(record.validation.measurements.len(), 8);
+    assert_eq!(record.validation.protocols.len(), 2, "Base and Dragon");
+    assert!(record.validation.accesses() > 0);
+
+    // sim-report renders its human tables without re-running anything.
     let out = repro()
-        .args(["sim-report", "--quick", "--out", json_out.path()])
+        .args(["sim-report", "--record", log.path()])
         .output()
         .expect("spawn repro sim-report");
     assert!(
@@ -1059,56 +1153,39 @@ fn sim_report_emits_schema_versioned_json_and_human_tables() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-
-    // Human tables on stdout.
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "sim report (swcc-sim-report/v1, quick profile)",
+        "sim report (swcc-run/v2, quick profile)",
         "model-vs-sim residuals per validation point:",
         "coherence events per protocol:",
         "measurement counts per validation curve:",
-        "totals:",
+        "totals: 44 points",
+        "worst power residual 11.72%",
     ] {
         assert!(stdout.contains(needle), "missing {needle:?} in:\n{stdout}");
     }
-
-    // Machine-readable document in the --out file.
-    let json = std::fs::read_to_string(json_out.path()).expect("sim report written");
-    let doc: serde_json::Value = serde_json::from_str(&json).expect("sim report is JSON");
-    assert_eq!(
-        doc.get_field("schema").and_then(serde_json::Value::as_str),
-        Some("swcc-sim-report/v1")
-    );
-    let points = doc
-        .get_field("points")
-        .and_then(serde_json::Value::as_array)
-        .expect("points array");
-    assert_eq!(points.len(), 44, "full validation matrix");
-    for point in points {
-        for field in ["sim_power", "model_power", "power_rel_error"] {
-            assert!(
-                point
-                    .get_field(field)
-                    .and_then(serde_json::Value::as_f64)
-                    .is_some(),
-                "every point carries {field}"
-            );
-        }
+    // fig1 and fig2 both keep the POPS Dragon 64 KiB curve.
+    for fig in ["fig1", "fig2"] {
+        let dragon_64k = stdout
+            .lines()
+            .filter(|l| {
+                let l = l.trim_start();
+                l.starts_with(fig) && l.contains("POPS  Dragon") && l.contains(" 64K ")
+            })
+            .count();
+        assert_eq!(dragon_64k, 4, "{fig}: one residual row per processor count");
     }
-    let rate = doc
-        .get_field("totals")
-        .and_then(|t| t.get_field("accesses_per_second"))
-        .and_then(serde_json::Value::as_f64)
-        .expect("totals carry a throughput");
-    assert!(rate > 0.0, "accesses/s must be nonzero, got {rate}");
-    let protocols = doc
-        .get_field("protocols")
-        .and_then(serde_json::Value::as_array)
-        .expect("protocols array");
-    assert!(
-        protocols.len() >= 2,
-        "Base and Dragon both appear in the matrix"
-    );
+
+    // A record without validation rows, or no record at all, fails.
+    let table_only = TempManifest::new("sim-report-table-only");
+    write_log(table_only.path(), &[recorded_run()]);
+    for path in [table_only.path(), "/nonexistent/runs.jsonl"] {
+        let out = repro()
+            .args(["sim-report", "--record", path])
+            .output()
+            .expect("spawn repro sim-report");
+        assert!(!out.status.success(), "{path}");
+    }
 }
 
 #[test]
@@ -1117,19 +1194,27 @@ fn sim_report_rejects_foreign_options() {
         &["sim-report", "--jobs", "2"][..],
         &["sim-report", "--metrics"],
         &["sim-report", "--format", "chrome"],
+        &["sim-report", "--quick"],
+        &["sim-report", "--json"],
+        &["sim-report", "--out", "x.json"],
         &["sim-report", "extra-arg"],
     ] {
         let out = repro().args(argv).output().expect("spawn repro sim-report");
         assert!(!out.status.success(), "{argv:?} must fail");
         assert!(
             String::from_utf8_lossy(&out.stderr)
-                .contains("usage: repro sim-report [--quick] [--json] [--out PATH]"),
+                .contains("usage: repro sim-report [--record PATH]"),
             "{argv:?}"
         );
     }
 }
 
 // --- Dashboard: repro report --html --------------------------------------
+
+/// The start of the dashboard divergence table's row for fig3's 16 KiB
+/// curve at 3 processors.
+const DIVERGENCE_ROW: &str = "<td>fig3</td><td>PERO</td><td>Dragon</td>\
+                              <td class=\"num\">16</td><td class=\"num\">3</td>";
 
 #[test]
 fn report_writes_a_self_contained_html_dashboard() {
@@ -1144,6 +1229,13 @@ fn report_writes_a_self_contained_html_dashboard() {
         log.path(),
         &[synthetic_record(9000, 0.120), synthetic_record(9010, 0.119)],
     );
+    // The newest record carries the validation rows the accuracy and
+    // divergence sections render.
+    std::fs::write(
+        log.path(),
+        std::fs::read_to_string(log.path()).unwrap() + validation_record_line(),
+    )
+    .unwrap();
 
     let html_out = TempManifest::new("dash-html");
     let out = repro()
@@ -1164,7 +1256,13 @@ fn report_writes_a_self_contained_html_dashboard() {
     );
     let html = std::fs::read_to_string(html_out.path()).expect("dashboard written");
     assert!(html.starts_with("<!DOCTYPE html>"));
-    for section in ["Phase timings", "Run history", "<svg"] {
+    for section in [
+        "Phase timings",
+        "Model vs simulation accuracy",
+        DIVERGENCE_ROW,
+        "Run history",
+        "<svg",
+    ] {
         assert!(html.contains(section), "missing {section:?}");
     }
     // Single self-contained file: nothing fetched from anywhere.
@@ -1187,7 +1285,7 @@ fn report_writes_a_self_contained_html_dashboard() {
         .output()
         .expect("spawn traceless report");
     assert!(out.status.success());
-    assert!(std::fs::read_to_string(traceless.path())
-        .expect("traceless dashboard written")
-        .contains("No trace supplied"));
+    let html = std::fs::read_to_string(traceless.path()).expect("traceless dashboard written");
+    assert!(html.contains("No trace supplied"));
+    assert!(html.contains(DIVERGENCE_ROW), "divergence from the record");
 }

@@ -15,7 +15,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 use swcc_core::batch::{BatchPatelSolver, Stages};
@@ -27,7 +27,7 @@ use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, ParamId, WorkloadParams};
 use swcc_obs::MetricsRegistry;
-use swcc_serve::metrics::SERVE_OVERSIZED_LINES;
+use swcc_serve::metrics::{SERVE_LINE_TIMEOUTS, SERVE_OVERSIZED_LINES};
 use swcc_serve::protocol::{MAX_BUS_PROCESSORS, MAX_LINE_BYTES};
 use swcc_serve::{spawn, RunningServer, ServeConfig};
 
@@ -641,6 +641,125 @@ fn an_over_long_request_line_is_rejected_counted_and_closed() {
     assert_eq!(registry.counter_value(SERVE_OVERSIZED_LINES), Some(2));
 
     drop(client);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_trickled_request_line_times_out_from_its_first_byte() {
+    let registry = registry();
+    let timeout = Duration::from_millis(300);
+    let server = spawn(ServeConfig {
+        workers: 1,
+        read_timeout: timeout,
+        ..ServeConfig::default()
+    })
+    .expect("bind a loopback listener");
+
+    // A slow client holds the only worker: one byte every 100 ms, never
+    // a newline. Each byte arrives well within the read timeout, but
+    // the line as a whole must complete within it of its first byte, so
+    // the server closes the connection about 300 ms in.
+    let slow = TcpStream::connect(server.addr()).expect("connect");
+    slow.set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("set timeout");
+    let (started, first_sent) = std::sync::mpsc::channel();
+    let trickle = std::thread::spawn(move || {
+        let mut slow = slow;
+        let first_byte = Instant::now();
+        while first_byte.elapsed() < Duration::from_secs(3) {
+            if slow.write_all(b"{").is_err() {
+                break;
+            }
+            let _ = started.send(());
+            let mut byte = [0u8; 1];
+            match slow.read(&mut byte) {
+                Ok(0) => return Some(first_byte.elapsed()),
+                Ok(_) => panic!("no line was sent, so nothing is answered"),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Err(_) => return Some(first_byte.elapsed()),
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        None
+    });
+
+    // A concurrent ping, connected after the slow client (so the
+    // worker accepts it second), waits in the backlog until the worker
+    // is free, then is answered — well within 2 s.
+    first_sent
+        .recv()
+        .expect("the slow client sent its first byte");
+    let asked = Instant::now();
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("set timeout");
+    let mut ping = Client {
+        reader: BufReader::new(stream.try_clone().expect("clone stream")),
+        writer: BufWriter::new(stream),
+        response: String::new(),
+    };
+    assert!(ok(&ping.send(r#"{"cmd":"ping"}"#)), "{}", ping.response);
+    assert!(asked.elapsed() < Duration::from_secs(2));
+    let held = trickle
+        .join()
+        .expect("the trickling client")
+        .expect("the server closed the trickling connection");
+    assert!(
+        held >= timeout,
+        "closed after {held:?}, before the deadline"
+    );
+    assert!(held < Duration::from_secs(2), "held for {held:?}");
+    assert_eq!(registry.counter_value(SERVE_LINE_TIMEOUTS), Some(1));
+
+    drop(ping);
+    server.shutdown();
+    server.join();
+
+    // On a server with a 1 s timeout, a line split into pieces that
+    // arrive within the deadline (the last 600 ms after the first) is
+    // served. The wait for the next line's first byte is the whole
+    // timeout again, not the 700 ms the line's deadline had left after
+    // its second piece: a ping 850 ms later is answered.
+    let timeout = Duration::from_secs(1);
+    let server = spawn(ServeConfig {
+        workers: 1,
+        read_timeout: timeout,
+        ..ServeConfig::default()
+    })
+    .expect("bind a loopback listener");
+    let mut client = Client::connect(&server);
+    for (i, piece) in [r#"{"cmd":"#, r#""ping""#, "}\n"].into_iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        client.writer.write_all(piece.as_bytes()).expect("write");
+        client.writer.flush().expect("flush");
+    }
+    client.reader.read_line(&mut client.response).expect("read");
+    assert!(
+        client.response.contains(r#""ok":true"#),
+        "{}",
+        client.response
+    );
+    std::thread::sleep(Duration::from_millis(850));
+    assert!(ok(&client.send(r#"{"cmd":"ping"}"#)), "{}", client.response);
+
+    // An idle connection still closes after the read timeout without a
+    // first byte, and that is not a line timeout.
+    drop(client);
+    let mut idle = TcpStream::connect(server.addr()).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("set timeout");
+    let connected = Instant::now();
+    let mut byte = [0u8; 1];
+    assert_eq!(idle.read(&mut byte).expect("closed, not timed out"), 0);
+    assert!(connected.elapsed() >= timeout / 2);
+    assert_eq!(registry.counter_value(SERVE_LINE_TIMEOUTS), Some(1));
+
     server.shutdown();
     server.join();
 }
