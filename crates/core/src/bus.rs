@@ -17,7 +17,7 @@ use crate::batch::machine_repairman_sweep_grid;
 use crate::demand::{scheme_demand, Demand};
 use crate::error::Result;
 use crate::metrics;
-use crate::queue::{machine_repairman, machine_repairman_sweep};
+use crate::queue::{machine_repairman, map_sweep};
 use crate::scheme::Scheme;
 use crate::system::BusSystemModel;
 use crate::workload::WorkloadParams;
@@ -162,7 +162,7 @@ pub fn analyze_bus(
 ///
 /// The per-instruction demand is computed once and the whole curve comes
 /// from one incremental MVA sweep
-/// ([`machine_repairman_sweep`]), so this is
+/// ([`crate::queue::machine_repairman_sweep`]), so this is
 /// O(N) where mapping [`analyze_bus`] over the range is O(N²). Each
 /// returned point is **bit-identical** to the pointwise call at the same
 /// processor count.
@@ -208,37 +208,38 @@ pub fn analyze_bus_sweep(
         swcc_obs::span(metrics::EV_BUS_SWEEP, &[])
     };
     let demand = scheme_demand(scheme, workload, system)?;
-    let sweep =
-        machine_repairman_sweep(max_processors, demand.interconnect(), demand.think_time())?;
+    // Each point is built as the recurrence reaches it, with no
+    // intermediate `MvaSweep`.
+    let curve = map_sweep(
+        max_processors,
+        demand.interconnect(),
+        demand.think_time(),
+        |mva| BusPerformance {
+            scheme,
+            processors: mva.customers(),
+            demand,
+            waiting: mva.waiting(),
+            bus_utilization: mva.server_utilization(),
+        },
+    )?;
     if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::BUS_SWEEPS, 1);
-        swcc_obs::counter_add(metrics::BUS_SWEEP_POINTS, sweep.points().len() as u64);
+        swcc_obs::counter_add(metrics::BUS_SWEEP_POINTS, curve.len() as u64);
     }
-    Ok(sweep
-        .points()
-        .iter()
-        .map(|mva| {
-            let point = BusPerformance {
-                scheme,
-                processors: mva.customers(),
-                demand,
-                waiting: mva.waiting(),
-                bus_utilization: mva.server_utilization(),
-            };
-            if tracing {
-                swcc_obs::event_sampled(
-                    metrics::EV_BUS_SWEEP_POINT,
-                    &[
-                        swcc_obs::Field::u64("n", u64::from(point.processors)),
-                        swcc_obs::Field::f64("power", point.power()),
-                        swcc_obs::Field::f64("utilization", point.utilization()),
-                        swcc_obs::Field::f64("wait", point.waiting),
-                    ],
-                );
-            }
-            point
-        })
-        .collect())
+    if tracing {
+        for point in &curve {
+            swcc_obs::event_sampled(
+                metrics::EV_BUS_SWEEP_POINT,
+                &[
+                    swcc_obs::Field::u64("n", u64::from(point.processors)),
+                    swcc_obs::Field::f64("power", point.power()),
+                    swcc_obs::Field::f64("utilization", point.utilization()),
+                    swcc_obs::Field::f64("wait", point.waiting),
+                ],
+            );
+        }
+    }
+    Ok(curve)
 }
 
 /// Sweeps processor count from 1 to `max_processors` for **several

@@ -1,11 +1,18 @@
 //! Per-instruction demand: the paper's Equations 1 and 2.
 //!
-//! Combining a scheme's [`OperationMix`] with a [`CostModel`] yields the
-//! average cycles per instruction:
+//! Charging a scheme's operation frequencies (Tables 3–6) at the costs of
+//! a [`CostModel`] yields the average cycles per instruction:
 //!
 //! * `c = Σ freq(op) · cycles(op, cpu)` — total CPU cycles (Eq. 1), and
 //! * `b = Σ freq(op) · cycles(op, interconnect)` — bus/network cycles
 //!   (Eq. 2).
+//!
+//! One accumulator computes both sums for every entry point. It is the
+//! sink each table pushes its terms into: [`scheme_demand`] and the
+//! write-invalidate and directory analyses stream their table straight
+//! into it, and [`demand`] replays a stored [`OperationMix`] through it.
+//! It charges each term as it arrives and adds the terms in push order,
+//! so a streamed table and its stored mix give the same bits.
 //!
 //! `b` is the average interconnect transaction service time per
 //! instruction and `1/(c − b)` the average transaction rate: transactions
@@ -17,8 +24,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ModelError, Result};
-use crate::scheme::{OperationMix, Scheme};
-use crate::system::CostModel;
+use crate::scheme::{OperationMix, Scheme, TermSink};
+use crate::system::{CostModel, Operation};
 use crate::workload::WorkloadParams;
 
 /// Average per-instruction demand `(c, b)` in cycles.
@@ -67,8 +74,66 @@ impl fmt::Display for Demand {
     }
 }
 
-/// Computes the per-instruction demand of an operation mix under a cost
-/// model (Eqs. 1–2).
+/// The Eq. 1–2 accumulator: a [`TermSink`] that charges each term its
+/// cost under `system` as the term arrives.
+///
+/// After the first nonzero term the cost model lacks, later terms are
+/// checked but not charged, and [`charge`] reports that term.
+pub(crate) struct Charge<'a, M> {
+    system: &'a M,
+    cpu: f64,
+    interconnect: f64,
+    unsupported: Option<Operation>,
+}
+
+impl<M: CostModel> TermSink for Charge<'_, M> {
+    #[inline]
+    fn take(&mut self, op: Operation, freq: f64) {
+        if self.unsupported.is_some() {
+            return;
+        }
+        match self.system.cost(op) {
+            Some(cost) => {
+                self.cpu += freq * f64::from(cost.cpu());
+                self.interconnect += freq * f64::from(cost.interconnect());
+            }
+            None => self.unsupported = Some(op),
+        }
+    }
+}
+
+/// Eqs. 1–2 over the terms `table` pushes into the accumulator.
+///
+/// # Errors
+///
+/// Returns [`ModelError::UnsupportedOperation`] naming the first nonzero
+/// term the cost model does not define.
+#[inline]
+pub(crate) fn charge<'a, M: CostModel>(
+    system: &'a M,
+    table: impl FnOnce(&mut Charge<'a, M>),
+) -> Result<Demand> {
+    let mut sum = Charge {
+        system,
+        cpu: 0.0,
+        interconnect: 0.0,
+        unsupported: None,
+    };
+    table(&mut sum);
+    match sum.unsupported {
+        Some(operation) => Err(ModelError::UnsupportedOperation {
+            operation,
+            model: system.model_name(),
+        }),
+        None => Ok(Demand {
+            cpu: sum.cpu,
+            interconnect: sum.interconnect,
+        }),
+    }
+}
+
+/// Computes the per-instruction demand of a stored operation mix under a
+/// cost model (Eqs. 1–2), adding its terms in the mix's order.
 ///
 /// # Errors
 ///
@@ -76,39 +141,173 @@ impl fmt::Display for Demand {
 /// operation the cost model does not define — e.g. a Dragon
 /// write-broadcast evaluated against the multistage-network model.
 pub fn demand<M: CostModel>(mix: &OperationMix, system: &M) -> Result<Demand> {
-    let mut cpu = 0.0;
-    let mut interconnect = 0.0;
-    for (op, freq) in mix.iter() {
-        let cost = system.cost(op).ok_or(ModelError::UnsupportedOperation {
-            operation: op,
-            model: system.model_name(),
-        })?;
-        cpu += freq * f64::from(cost.cpu());
-        interconnect += freq * f64::from(cost.interconnect());
-    }
-    Ok(Demand { cpu, interconnect })
+    charge(system, |sum| {
+        for (op, freq) in mix.iter() {
+            sum.push(op, freq);
+        }
+    })
 }
 
-/// Convenience: demand of a scheme under a workload and cost model.
+/// Demand of a scheme under a workload and cost model: its table's terms
+/// charged as they are pushed, with no [`OperationMix`] built.
 ///
-/// Equivalent to `demand(&scheme.mix(workload), system)`.
+/// Equal, bit for bit, to `demand(&scheme.mix(workload), system)`.
 ///
 /// # Errors
 ///
-/// Propagates [`ModelError::UnsupportedOperation`] from [`demand`].
+/// Returns [`ModelError::UnsupportedOperation`] as [`demand`] does.
 pub fn scheme_demand<M: CostModel>(
     scheme: Scheme,
     workload: &WorkloadParams,
     system: &M,
 ) -> Result<Demand> {
-    demand(&scheme.mix(workload), system)
+    charge(system, |sum| scheme.terms(workload, sum))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::{directory_mix, directory_terms};
+    use crate::invalidate::{invalidate_mix, invalidate_terms};
     use crate::system::{BusSystemModel, NetworkSystemModel};
     use crate::workload::{Level, ParamId};
+    use proptest::TestRng;
+
+    /// The stored-mix fold the accumulator replaced, kept as the oracle
+    /// of `streamed_demand_equals_the_stored_mix_fold_bit_for_bit`: Eqs.
+    /// 1–2 summed over a built mix in insertion order, failing on the
+    /// first operation the cost model lacks.
+    fn stored_mix_fold<M: CostModel>(mix: &OperationMix, system: &M) -> Result<Demand> {
+        let mut cpu = 0.0;
+        let mut interconnect = 0.0;
+        for (op, freq) in mix.iter() {
+            let cost = system.cost(op).ok_or(ModelError::UnsupportedOperation {
+                operation: op,
+                model: system.model_name(),
+            })?;
+            cpu += freq * f64::from(cost.cpu());
+            interconnect += freq * f64::from(cost.interconnect());
+        }
+        Ok(Demand { cpu, interconnect })
+    }
+
+    /// Equal bits, or equal errors.
+    fn same(got: &Result<Demand>, want: &Result<Demand>) -> bool {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                g.cpu.to_bits() == w.cpu.to_bits()
+                    && g.interconnect.to_bits() == w.interconnect.to_bits()
+            }
+            (Err(g), Err(w)) => g == w,
+            _ => false,
+        }
+    }
+
+    /// `low` or `high` exactly a quarter of the time each, otherwise
+    /// uniform between them.
+    fn edge_or_uniform(rng: &mut TestRng, low: f64, high: f64) -> f64 {
+        match rng.below(4) {
+            0 => low,
+            1 => high,
+            _ => low + (high - low) * rng.unit_f64(),
+        }
+    }
+
+    fn random_workload(rng: &mut TestRng) -> WorkloadParams {
+        let mut w = WorkloadParams::default();
+        for id in ParamId::ALL {
+            let v = match id {
+                ParamId::Apl => edge_or_uniform(rng, 1.0, 64.0),
+                ParamId::Nshd => edge_or_uniform(rng, 0.0, 16.0),
+                _ => edge_or_uniform(rng, 0.0, 1.0),
+            };
+            w = w.with_param(id, v).unwrap();
+        }
+        w
+    }
+
+    /// Every table, streamed and replayed from its stored mix, against
+    /// the oracle under one cost model.
+    fn check_tables<M: CostModel>(w: &WorkloadParams, system: &M) {
+        for scheme in Scheme::ALL {
+            let mix = scheme.mix(w);
+            let want = stored_mix_fold(&mix, system);
+            for got in [scheme_demand(scheme, w, system), demand(&mix, system)] {
+                assert!(
+                    same(&got, &want),
+                    "{scheme} on {system:?} at {w:?}: {got:?}, oracle {want:?}"
+                );
+            }
+        }
+        let extensions = [
+            (
+                "write-invalidate",
+                invalidate_mix(w),
+                charge(system, |sum| invalidate_terms(w, sum)),
+            ),
+            (
+                "directory",
+                directory_mix(w),
+                charge(system, |sum| directory_terms(w, sum)),
+            ),
+        ];
+        for (name, mix, streamed) in extensions {
+            let want = stored_mix_fold(&mix, system);
+            for got in [streamed, demand(&mix, system)] {
+                assert!(
+                    same(&got, &want),
+                    "{name} on {system:?} at {w:?}: {got:?}, oracle {want:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_demand_equals_the_stored_mix_fold_bit_for_bit() {
+        // Release builds (CI's `cargo test --release -p swcc-core`) run
+        // far more cases.
+        const CASES: u32 = if cfg!(debug_assertions) { 256 } else { 100_000 };
+        let mut rng = TestRng::deterministic("streamed_demand_equals_the_stored_mix_fold");
+        for _ in 0..CASES {
+            let w = random_workload(&mut rng);
+            check_tables(&w, &BusSystemModel::new());
+            let hardware = BusSystemModel::from_hardware(
+                1 + rng.below(16) as u32,
+                rng.below(9) as u32,
+                1 + rng.below(6) as u32,
+            );
+            check_tables(&w, &hardware);
+            // Without sharing every snoopy Dragon term is zero, so Dragon
+            // runs on a network.
+            let unshared = w.with_param(ParamId::Shd, 0.0).unwrap();
+            for stages in 0..=10 {
+                let network = NetworkSystemModel::new(stages);
+                check_tables(&w, &network);
+                assert!(
+                    scheme_demand(Scheme::Dragon, &unshared, &network).is_ok(),
+                    "Dragon at shd = 0 on {stages} stages: {unshared:?}"
+                );
+            }
+            // A stored mix of random terms, repeated operations and zero
+            // frequencies included, in random order.
+            let mix: OperationMix = (0..1 + rng.below(16))
+                .map(|_| {
+                    let op = Operation::ALL[rng.below(Operation::ALL.len() as u64) as usize];
+                    (op, edge_or_uniform(&mut rng, 0.0, 2.0))
+                })
+                .collect();
+            let stages = rng.below(11) as u32;
+            for (got, want) in [
+                (demand(&mix, &hardware), stored_mix_fold(&mix, &hardware)),
+                (
+                    demand(&mix, &NetworkSystemModel::new(stages)),
+                    stored_mix_fold(&mix, &NetworkSystemModel::new(stages)),
+                ),
+            ] {
+                assert!(same(&got, &want), "{mix:?}: {got:?}, oracle {want:?}");
+            }
+        }
+    }
 
     #[test]
     fn base_demand_matches_hand_computation() {

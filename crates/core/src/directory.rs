@@ -36,33 +36,39 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::demand::demand;
+use crate::demand::charge;
 use crate::error::{ModelError, Result};
 use crate::network::patel;
-use crate::scheme::OperationMix;
-use crate::system::{CostModel, MissSource, NetworkSystemModel, Operation};
+use crate::scheme::{OperationMix, TermSink};
+use crate::system::{MissSource, NetworkSystemModel, Operation};
 use crate::workload::WorkloadParams;
 
 /// Operation frequencies of the directory protocol (per instruction).
 pub fn directory_mix(w: &WorkloadParams) -> OperationMix {
+    let mut m = OperationMix::new();
+    directory_terms(w, &mut m);
+    m
+}
+
+/// The directory protocol's terms, pushed into `sink` in table order.
+#[inline]
+pub(crate) fn directory_terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     let unshared_miss = w.ls() * w.msdat() * (1.0 - w.shd()) + w.mains();
     // One coherence re-fetch per run of apl references to shared data.
     let coherence_miss = w.ls() * w.shd() / w.apl();
     // Ownership/invalidate round trip once per write-containing run
     // (later writes in the run own the block already).
     let ownership = w.ls() * w.shd() * w.mdshd() / w.apl();
-    let mut m = OperationMix::new();
-    m.push(Operation::Instruction, 1.0);
-    m.push(
+    sink.push(Operation::Instruction, 1.0);
+    sink.push(
         Operation::CleanMiss(MissSource::Memory),
         unshared_miss * (1.0 - w.md()) + coherence_miss,
     );
-    m.push(
+    sink.push(
         Operation::DirtyMiss(MissSource::Memory),
         unshared_miss * w.md(),
     );
-    m.push(Operation::WriteThrough, ownership);
-    m
+    sink.push(Operation::WriteThrough, ownership);
 }
 
 /// The predicted performance of the directory protocol on a multistage
@@ -137,10 +143,7 @@ impl DirectoryPerformance {
 /// ```
 pub fn analyze_directory(workload: &WorkloadParams, stages: u32) -> Result<DirectoryPerformance> {
     let system = NetworkSystemModel::new(stages);
-    let mix = directory_mix(workload);
-    // Every operation the directory mix emits is network-defined.
-    debug_assert!(mix.iter().all(|(op, _)| system.cost(op).is_some()));
-    let d = demand(&mix, &system)?;
+    let d = charge(&system, |sum| directory_terms(workload, sum))?;
     let point = patel::solve(d.transaction_rate(), d.transaction_size(), stages)?;
     if point.think_fraction().is_nan() {
         return Err(ModelError::Convergence {
@@ -159,6 +162,7 @@ pub fn analyze_directory(workload: &WorkloadParams, stages: u32) -> Result<Direc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::demand;
     use crate::network::analyze_network;
     use crate::scheme::Scheme;
     use crate::workload::{Level, ParamId};

@@ -36,10 +36,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::demand::demand;
+use crate::demand::charge;
 use crate::error::Result;
 use crate::queue::machine_repairman;
-use crate::scheme::OperationMix;
+use crate::scheme::{OperationMix, TermSink};
 use crate::system::{BusSystemModel, MissSource, Operation};
 use crate::workload::WorkloadParams;
 
@@ -56,6 +56,14 @@ impl std::fmt::Display for WriteInvalidate {
 
 /// Operation frequencies of the write-invalidate protocol.
 pub fn invalidate_mix(w: &WorkloadParams) -> OperationMix {
+    let mut m = OperationMix::new();
+    invalidate_terms(w, &mut m);
+    m
+}
+
+/// The write-invalidate terms, pushed into `sink` in table order.
+#[inline]
+pub(crate) fn invalidate_terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     let data_miss = w.ls() * w.msdat();
     let from_cache = w.shd() * (1.0 - w.oclean());
     let mem_miss = data_miss * (1.0 - from_cache) + w.mains();
@@ -64,21 +72,19 @@ pub fn invalidate_mix(w: &WorkloadParams) -> OperationMix {
     let coherence = w.ls() * w.shd() / w.apl();
     // Upgrades: one invalidation broadcast per write-containing run.
     let upgrade = w.ls() * w.shd() * w.mdshd() / w.apl();
-    let mut m = OperationMix::new();
-    m.push(Operation::Instruction, 1.0);
-    m.push(
+    sink.push(Operation::Instruction, 1.0);
+    sink.push(
         Operation::CleanMiss(MissSource::Memory),
         mem_miss * (1.0 - w.md()) + coherence,
     );
-    m.push(Operation::DirtyMiss(MissSource::Memory), mem_miss * w.md());
-    m.push(
+    sink.push(Operation::DirtyMiss(MissSource::Memory), mem_miss * w.md());
+    sink.push(
         Operation::CleanMiss(MissSource::Cache),
         cache_miss * (1.0 - w.md()),
     );
-    m.push(Operation::DirtyMiss(MissSource::Cache), cache_miss * w.md());
-    m.push(Operation::WriteBroadcast, upgrade);
-    m.push(Operation::CycleSteal, upgrade * w.nshd());
-    m
+    sink.push(Operation::DirtyMiss(MissSource::Cache), cache_miss * w.md());
+    sink.push(Operation::WriteBroadcast, upgrade);
+    sink.push(Operation::CycleSteal, upgrade * w.nshd());
 }
 
 /// Analyzes the write-invalidate protocol on an `n`-processor bus,
@@ -115,7 +121,7 @@ pub fn bus_performance_invalidate(
     system: &BusSystemModel,
     processors: u32,
 ) -> Result<InvalidatePerformance> {
-    let d = demand(&invalidate_mix(workload), system)?;
+    let d = charge(system, |sum| invalidate_terms(workload, sum))?;
     let mva = machine_repairman(processors, d.interconnect(), d.think_time())?;
     Ok(InvalidatePerformance {
         processors,

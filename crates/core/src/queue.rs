@@ -282,15 +282,26 @@ impl Lane {
     }
 
     /// The lane's solutions at every population `1..=max_customers`.
-    pub(crate) fn sweep(mut self, max_customers: u32) -> MvaSweep {
-        // A counted range sizes the vector once and writes each point
-        // without a capacity check.
-        let points = (0..max_customers).map(|_| self.solve_next()).collect();
+    pub(crate) fn sweep(self, max_customers: u32) -> MvaSweep {
         MvaSweep {
             service: self.service,
             think: self.think,
-            points,
+            points: self.map_sweep(max_customers, |mva| mva),
         }
+    }
+
+    /// The lane's solutions at every population `1..=max_customers`,
+    /// each passed through `f` as the recurrence reaches it, so a
+    /// caller that builds its own points writes them in the same pass.
+    #[inline(always)]
+    pub(crate) fn map_sweep<T>(
+        mut self,
+        max_customers: u32,
+        mut f: impl FnMut(MvaSolution) -> T,
+    ) -> Vec<T> {
+        // A counted range sizes the vector once and writes each point
+        // without a capacity check.
+        (0..max_customers).map(|_| f(self.solve_next())).collect()
     }
 }
 
@@ -371,6 +382,23 @@ impl MvaSweep {
 /// # }
 /// ```
 pub fn machine_repairman_sweep(max_customers: u32, service: f64, think: f64) -> Result<MvaSweep> {
+    Ok(MvaSweep {
+        service,
+        think,
+        points: map_sweep(max_customers, service, think, |mva| mva)?,
+    })
+}
+
+/// [`machine_repairman_sweep`]'s check, counters and span around
+/// [`Lane::map_sweep`]: every population's solution passed through `f`
+/// as it is solved.
+#[inline]
+pub(crate) fn map_sweep<T>(
+    max_customers: u32,
+    service: f64,
+    think: f64,
+    f: impl FnMut(MvaSolution) -> T,
+) -> Result<Vec<T>> {
     validate(None, slice::from_ref(&service), slice::from_ref(&think))?;
     if swcc_obs::enabled() {
         swcc_obs::counter_add(metrics::MVA_SWEEPS, 1);
@@ -388,7 +416,7 @@ pub fn machine_repairman_sweep(max_customers: u32, service: f64, think: f64) -> 
     } else {
         swcc_obs::span(metrics::EV_MVA_SWEEP, &[])
     };
-    Ok(Lane::new(service, think).sweep(max_customers))
+    Ok(Lane::new(service, think).map_sweep(max_customers, f))
 }
 
 /// Asymptotic bounds on the machine-repairman model (operational

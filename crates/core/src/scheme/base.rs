@@ -6,21 +6,27 @@
 //! `mains`. A miss is dirty (requires a victim write-back) with
 //! probability `md`.
 
-use crate::scheme::OperationMix;
+use crate::scheme::{OperationMix, TermSink};
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
 /// Table 3: operation frequencies for the Base scheme.
 pub fn mix(w: &WorkloadParams) -> OperationMix {
-    let miss = w.ls() * w.msdat() + w.mains();
     let mut m = OperationMix::new();
-    m.push(Operation::Instruction, 1.0);
-    m.push(
+    terms(w, &mut m);
+    m
+}
+
+/// Table 3's terms, pushed into `sink` in table order.
+#[inline]
+pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
+    let miss = w.ls() * w.msdat() + w.mains();
+    sink.push(Operation::Instruction, 1.0);
+    sink.push(
         Operation::CleanMiss(MissSource::Memory),
         miss * (1.0 - w.md()),
     );
-    m.push(Operation::DirtyMiss(MissSource::Memory), miss * w.md());
-    m
+    sink.push(Operation::DirtyMiss(MissSource::Memory), miss * w.md());
 }
 
 #[cfg(test)]

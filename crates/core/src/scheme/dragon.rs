@@ -18,7 +18,7 @@
 //! `second_order_terms_are_small_except_at_high_sharing` checks that
 //! claim: it holds at the low and middle ranges, not at the high one.
 
-use crate::scheme::OperationMix;
+use crate::scheme::{OperationMix, TermSink};
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
@@ -52,10 +52,19 @@ impl Default for DragonTerms {
 }
 
 /// Table 6 with selectable second-order terms.
-pub fn mix_with_terms(w: &WorkloadParams, terms: DragonTerms) -> OperationMix {
+pub fn mix_with_terms(w: &WorkloadParams, effects: DragonTerms) -> OperationMix {
+    let mut m = OperationMix::new();
+    terms(w, effects, &mut m);
+    m
+}
+
+/// Table 6's terms, with the second-order `effects` selected, pushed
+/// into `sink` in table order.
+#[inline]
+pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, effects: DragonTerms, sink: &mut S) {
     let data_miss = w.ls() * w.msdat();
     // Probability a miss is satisfied from another cache.
-    let from_cache = if terms.cache_to_cache {
+    let from_cache = if effects.cache_to_cache {
         w.shd() * (1.0 - w.oclean())
     } else {
         0.0
@@ -63,23 +72,21 @@ pub fn mix_with_terms(w: &WorkloadParams, terms: DragonTerms) -> OperationMix {
     let mem_miss = data_miss * (1.0 - from_cache) + w.mains();
     let cache_miss = data_miss * from_cache;
     let broadcast = w.ls() * w.shd() * w.wr() * w.opres();
-    let mut m = OperationMix::new();
-    m.push(Operation::Instruction, 1.0);
-    m.push(
+    sink.push(Operation::Instruction, 1.0);
+    sink.push(
         Operation::CleanMiss(MissSource::Memory),
         mem_miss * (1.0 - w.md()),
     );
-    m.push(Operation::DirtyMiss(MissSource::Memory), mem_miss * w.md());
-    m.push(Operation::WriteBroadcast, broadcast);
-    m.push(
+    sink.push(Operation::DirtyMiss(MissSource::Memory), mem_miss * w.md());
+    sink.push(Operation::WriteBroadcast, broadcast);
+    sink.push(
         Operation::CleanMiss(MissSource::Cache),
         cache_miss * (1.0 - w.md()),
     );
-    m.push(Operation::DirtyMiss(MissSource::Cache), cache_miss * w.md());
-    if terms.cycle_stealing {
-        m.push(Operation::CycleSteal, broadcast * w.nshd());
+    sink.push(Operation::DirtyMiss(MissSource::Cache), cache_miss * w.md());
+    if effects.cycle_stealing {
+        sink.push(Operation::CycleSteal, broadcast * w.nshd());
     }
-    m
 }
 
 #[cfg(test)]

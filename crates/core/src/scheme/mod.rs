@@ -1,11 +1,14 @@
 //! The four cache-coherence schemes and their operation frequencies
 //! (paper Tables 3–6).
 //!
-//! Each scheme maps a [`WorkloadParams`] to an [`OperationMix`]: the
-//! expected number of occurrences of each hardware [`Operation`] per
-//! (non-flush) instruction. Combining a mix with a cost table
-//! ([`crate::system::CostModel`]) yields the per-instruction CPU and
-//! interconnect demand (Eqs. 1–2), computed in [`crate::demand`].
+//! Each table is written once, as a function that pushes the expected
+//! number of occurrences of each hardware [`Operation`] per (non-flush)
+//! instruction, term by term in table order, into a sink. The model's
+//! entry points hand the table the Eq. 1–2 accumulator of
+//! [`crate::demand`], which charges each term its cost from a
+//! [`crate::system::CostModel`] as it arrives. [`Scheme::mix`] hands it
+//! an [`OperationMix`] instead, which stores the terms for callers that
+//! read them one by one.
 
 pub mod base;
 pub mod dragon;
@@ -18,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::system::Operation;
 use crate::workload::WorkloadParams;
+use dragon::DragonTerms;
 
 /// A cache-coherence scheme evaluated by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -63,11 +67,20 @@ impl Scheme {
     /// The operation frequencies of this scheme under workload `w`
     /// (Tables 3–6), per non-flush instruction.
     pub fn mix(self, w: &WorkloadParams) -> OperationMix {
+        let mut mix = OperationMix::new();
+        self.terms(w, &mut mix);
+        mix
+    }
+
+    /// Pushes this scheme's table terms under workload `w` into `sink`,
+    /// in table order.
+    #[inline]
+    pub(crate) fn terms<S: TermSink>(self, w: &WorkloadParams, sink: &mut S) {
         match self {
-            Scheme::Base => base::mix(w),
-            Scheme::NoCache => no_cache::mix(w),
-            Scheme::SoftwareFlush => software_flush::mix(w),
-            Scheme::Dragon => dragon::mix(w),
+            Scheme::Base => base::terms(w, sink),
+            Scheme::NoCache => no_cache::terms(w, sink),
+            Scheme::SoftwareFlush => software_flush::terms(w, sink),
+            Scheme::Dragon => dragon::terms(w, DragonTerms::default(), sink),
         }
     }
 }
@@ -83,9 +96,45 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// Expected occurrences of each hardware operation per instruction.
+/// Where a table's `(operation, frequency)` terms go: an
+/// [`OperationMix`] that stores them, or the Eq. 1–2 accumulator of
+/// [`crate::demand`] that charges them.
+pub(crate) trait TermSink {
+    /// Takes one term of nonzero frequency.
+    fn take(&mut self, op: Operation, freq: f64);
+
+    /// Adds `freq` occurrences of `op` per instruction, under the rules
+    /// every sink shares: the frequency must be finite and non-negative,
+    /// and a zero-frequency term is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `freq` is negative or non-finite (frequencies are
+    /// expectations and must be well-formed).
+    #[inline]
+    fn push(&mut self, op: Operation, freq: f64) {
+        assert!(
+            freq.is_finite() && freq >= 0.0,
+            "operation frequency must be finite and non-negative, got {freq} for {op}"
+        );
+        // swcc-lint: allow(float-eq) — zero-frequency ops are skipped; -0.0 frequency is zero (finiteness checked above)
+        if freq != 0.0 {
+            self.take(op, freq);
+        }
+    }
+}
+
+/// Expected occurrences of each hardware operation per instruction,
+/// stored.
 ///
-/// Produced by [`Scheme::mix`]; consumed by [`crate::demand::demand`].
+/// Built by [`Scheme::mix`], [`crate::invalidate::invalidate_mix`] and
+/// [`crate::directory::directory_mix`] for the callers that read the
+/// terms themselves: the printed Tables 3–6, the network simulator's
+/// sampling table, the packet-switched model and serde. The model's own
+/// entry points never build one; they stream each table into the
+/// Eq. 1–2 accumulator, and [`crate::demand::demand`] replays a stored
+/// mix through that same accumulator. A mix keeps its terms in push
+/// order, the order in which the accumulator adds them.
 /// Frequencies are expectations, not probabilities, and may exceed 1 for
 /// compound events (they never do for the paper's parameter ranges).
 ///
@@ -134,23 +183,7 @@ impl OperationMix {
     /// Panics if `freq` is negative or non-finite (frequencies are
     /// expectations and must be well-formed).
     pub fn push(&mut self, op: Operation, freq: f64) {
-        assert!(
-            freq.is_finite() && freq >= 0.0,
-            "operation frequency must be finite and non-negative, got {freq} for {op}"
-        );
-        // swcc-lint: allow(float-eq) — zero-frequency ops are skipped; -0.0 frequency is zero (finiteness checked above)
-        if freq == 0.0 {
-            return;
-        }
-        let len = self.len;
-        if let Some(entry) = self.entries[..len].iter_mut().find(|(o, _)| *o == op) {
-            entry.1 += freq;
-        } else {
-            // At most one slot per distinct operation, so a new
-            // operation always finds a free slot.
-            self.entries[len] = (op, freq);
-            self.len += 1;
-        }
+        TermSink::push(self, op, freq);
     }
 
     /// The frequency of one operation (0 if absent).
@@ -175,6 +208,20 @@ impl OperationMix {
     /// Whether the mix is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+impl TermSink for OperationMix {
+    fn take(&mut self, op: Operation, freq: f64) {
+        let len = self.len;
+        if let Some(entry) = self.entries[..len].iter_mut().find(|(o, _)| *o == op) {
+            entry.1 += freq;
+        } else {
+            // At most one slot per distinct operation, so a new
+            // operation always finds a free slot.
+            self.entries[len] = (op, freq);
+            self.len += 1;
+        }
     }
 }
 

@@ -7,23 +7,29 @@
 //! shared store a [`Operation::WriteThrough`]. Only unshared data is
 //! cached, so the data miss rate is scaled by `1 − shd`.
 
-use crate::scheme::OperationMix;
+use crate::scheme::{OperationMix, TermSink};
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
 /// Table 4: operation frequencies for the No-Cache scheme.
 pub fn mix(w: &WorkloadParams) -> OperationMix {
-    let miss = w.ls() * w.msdat() * (1.0 - w.shd()) + w.mains();
     let mut m = OperationMix::new();
-    m.push(Operation::Instruction, 1.0);
-    m.push(
+    terms(w, &mut m);
+    m
+}
+
+/// Table 4's terms, pushed into `sink` in table order.
+#[inline]
+pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
+    let miss = w.ls() * w.msdat() * (1.0 - w.shd()) + w.mains();
+    sink.push(Operation::Instruction, 1.0);
+    sink.push(
         Operation::CleanMiss(MissSource::Memory),
         miss * (1.0 - w.md()),
     );
-    m.push(Operation::DirtyMiss(MissSource::Memory), miss * w.md());
-    m.push(Operation::ReadThrough, w.ls() * w.shd() * (1.0 - w.wr()));
-    m.push(Operation::WriteThrough, w.ls() * w.shd() * w.wr());
-    m
+    sink.push(Operation::DirtyMiss(MissSource::Memory), miss * w.md());
+    sink.push(Operation::ReadThrough, w.ls() * w.shd() * (1.0 - w.wr()));
+    sink.push(Operation::WriteThrough, w.ls() * w.shd() * w.wr());
 }
 
 #[cfg(test)]

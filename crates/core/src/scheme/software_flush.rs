@@ -21,13 +21,21 @@
 //!    stream, so instruction misses occur at rate `mains·(1 + ls·shd/apl)`
 //!    per non-flush instruction.
 
-use crate::scheme::OperationMix;
+use crate::scheme::{OperationMix, TermSink};
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
 /// Table 5: operation frequencies for the Software-Flush scheme, per
 /// non-flush instruction.
 pub fn mix(w: &WorkloadParams) -> OperationMix {
+    let mut m = OperationMix::new();
+    terms(w, &mut m);
+    m
+}
+
+/// Table 5's terms, pushed into `sink` in table order.
+#[inline]
+pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     // Flush instructions per non-flush instruction.
     let flush = w.ls() * w.shd() / w.apl();
     // Instruction misses, inflated by the flushes added to the code
@@ -35,19 +43,17 @@ pub fn mix(w: &WorkloadParams) -> OperationMix {
     let imiss = w.mains() * (1.0 + flush);
     // Unshared data misses plus instruction misses.
     let miss = w.ls() * w.msdat() * (1.0 - w.shd()) + imiss;
-    let mut m = OperationMix::new();
-    m.push(Operation::Instruction, 1.0);
+    sink.push(Operation::Instruction, 1.0);
     // Effect 2: one clean re-fetch miss per flush. The re-fetched line
     // fills the slot invalidated by the flush, so no victim write-back.
-    m.push(
+    sink.push(
         Operation::CleanMiss(MissSource::Memory),
         miss * (1.0 - w.md()) + flush,
     );
-    m.push(Operation::DirtyMiss(MissSource::Memory), miss * w.md());
+    sink.push(Operation::DirtyMiss(MissSource::Memory), miss * w.md());
     // Effect 1: the flush instruction, dirty with probability mdshd.
-    m.push(Operation::CleanFlush, flush * (1.0 - w.mdshd()));
-    m.push(Operation::DirtyFlush, flush * w.mdshd());
-    m
+    sink.push(Operation::CleanFlush, flush * (1.0 - w.mdshd()));
+    sink.push(Operation::DirtyFlush, flush * w.mdshd());
 }
 
 #[cfg(test)]

@@ -137,6 +137,7 @@ impl fmt::Display for BusSystemModel {
 }
 
 impl CostModel for BusSystemModel {
+    #[inline]
     fn cost(&self, op: Operation) -> Option<OpCost> {
         Some(self.costs[op.index()])
     }

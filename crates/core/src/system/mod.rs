@@ -99,6 +99,7 @@ impl Operation {
     ];
 
     /// Stable dense index of this operation within [`Operation::ALL`].
+    #[inline]
     pub(crate) fn index(self) -> usize {
         match self {
             Operation::Instruction => 0,
@@ -167,11 +168,13 @@ impl OpCost {
     }
 
     /// Total processor cycles consumed by the operation (no contention).
+    #[inline]
     pub fn cpu(self) -> u32 {
         self.cpu
     }
 
     /// Cycles during which the bus / network path is held.
+    #[inline]
     pub fn interconnect(self) -> u32 {
         self.interconnect
     }

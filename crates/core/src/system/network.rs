@@ -98,6 +98,7 @@ impl fmt::Display for NetworkSystemModel {
 }
 
 impl CostModel for NetworkSystemModel {
+    #[inline]
     fn cost(&self, op: Operation) -> Option<OpCost> {
         let rt = self.round_trip();
         let c = match op {

@@ -11,8 +11,9 @@
 //!   bus-versus-network, and the 256-processor network study).
 //! * [`validation`] — Figures 1–3 (model versus trace-driven
 //!   simulation).
-//! * [`registry`] — id-indexed access to all twenty experiments, used by
-//!   the `repro` binary.
+//! * [`registry`] — id-indexed access to all 26 experiments (the paper's
+//!   nine tables and eleven figures, and six extensions), used by the
+//!   `repro` binary.
 //! * [`runner`] — a scoped-thread pool that runs batches of experiments
 //!   concurrently (`repro --jobs N`) and records per-experiment
 //!   wall-clock durations into the artifacts.

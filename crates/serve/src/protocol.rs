@@ -52,6 +52,9 @@ pub const MAX_QUERIES: usize = 1024;
 /// Most sweep points accepted for one query.
 pub const MAX_SWEEP_POINTS: u32 = 65_536;
 /// Most query points (queries × sweep points) accepted in one request.
+/// The budget is checked query by query before each sweep is expanded,
+/// so a batch that exceeds it is refused at the crossing query without
+/// allocating its points.
 pub const MAX_POINTS: usize = 262_144;
 /// Most processors accepted for a bus machine: 64 times the paper's
 /// largest bus. The MVA solve is linear in the processor count, so this
@@ -239,7 +242,21 @@ fn parse_workload(value: Option<&Value>) -> Result<WorkloadParams, String> {
     Ok(workload)
 }
 
-fn parse_query(value: &Value) -> Result<Query, String> {
+/// Adds a query's `points` to the request's running `total`, refusing
+/// the query if the total crosses [`MAX_POINTS`].
+fn claim_points(total: &mut usize, points: usize) -> Result<(), String> {
+    *total += points;
+    if *total > MAX_POINTS {
+        return Err(format!(
+            "too many query points: {total} (limit {MAX_POINTS})"
+        ));
+    }
+    Ok(())
+}
+
+/// Parses one query, charging its points to the request's running
+/// `total_points` before its sweep is expanded.
+fn parse_query(value: &Value, total_points: &mut usize) -> Result<Query, String> {
     let kind = match value.get_field("kind") {
         None => QueryKind::Power,
         Some(v) => {
@@ -269,7 +286,10 @@ fn parse_query(value: &Value) -> Result<Query, String> {
     let base = parse_workload(value.get_field("workload"))?;
 
     let (workloads, sweep_values) = match value.get_field("sweep") {
-        None => (vec![base], Vec::new()),
+        None => {
+            claim_points(total_points, 1)?;
+            (vec![base], Vec::new())
+        }
         Some(sweep) => {
             if kind == QueryKind::Sensitivity {
                 return Err("\"sensitivity\" queries do not take a sweep".into());
@@ -300,6 +320,7 @@ fn parse_query(value: &Value) -> Result<Query, String> {
                     "sweep \"points\" must be between 1 and {MAX_SWEEP_POINTS}"
                 ));
             }
+            claim_points(total_points, points as usize)?;
             let points = points as u32;
             let mut workloads = Vec::with_capacity(points as usize);
             let mut values = Vec::with_capacity(points as usize);
@@ -403,14 +424,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut parsed = Vec::with_capacity(queries.len());
     let mut total_points = 0usize;
     for (i, q) in queries.iter().enumerate() {
-        let query = parse_query(q).map_err(|e| format!("query {i}: {e}"))?;
-        total_points += query.workloads.len();
+        let query = parse_query(q, &mut total_points).map_err(|e| format!("query {i}: {e}"))?;
         parsed.push(query);
-    }
-    if total_points > MAX_POINTS {
-        return Err(format!(
-            "too many query points: {total_points} (limit {MAX_POINTS})"
-        ));
     }
     Ok(Request::Batch(Batch {
         id,
@@ -536,6 +551,52 @@ mod tests {
         let out_of_domain = r#"{"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4},"sweep":{"param":"shd","from":0.0,"to":2.0,"points":3}}]}"#;
         let err = parse_request(out_of_domain).unwrap_err();
         assert!(err.contains("sweep point"), "{err}");
+    }
+
+    /// A batch of `queries` sweeps of `shd` over [`MAX_SWEEP_POINTS`]
+    /// points each; the sweep of query `leaves_domain` runs to 2.0, out
+    /// of `shd`'s domain.
+    fn full_sweeps(queries: usize, leaves_domain: usize) -> String {
+        let sweeps: Vec<String> = (0..queries)
+            .map(|i| {
+                let to = if i == leaves_domain { "2.0" } else { "1.0" };
+                format!(
+                    r#"{{"scheme":"base","machine":{{"interconnect":"bus","processors":4}},"sweep":{{"param":"shd","from":0.0,"to":{to},"points":{MAX_SWEEP_POINTS}}}}}"#
+                )
+            })
+            .collect();
+        format!(r#"{{"queries":[{}]}}"#, sweeps.join(","))
+    }
+
+    #[test]
+    fn point_budget_is_checked_before_a_sweep_expands() {
+        // Four full sweeps fill the budget exactly; the fifth crosses it.
+        // Its sweep also leaves shd's domain, so an expansion before the
+        // budget check would report the domain error instead.
+        assert_eq!(4 * MAX_SWEEP_POINTS as usize, MAX_POINTS);
+        let Request::Batch(batch) = parse_request(&full_sweeps(4, usize::MAX)).unwrap() else {
+            panic!("expected a batch");
+        };
+        let points: usize = batch.queries.iter().map(|q| q.workloads.len()).sum();
+        assert_eq!(points, MAX_POINTS);
+        let err = parse_request(&full_sweeps(5, 4)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("query 4: too many query points: 327680 (limit {MAX_POINTS})")
+        );
+    }
+
+    #[test]
+    fn the_largest_batch_is_refused_at_the_crossing_query() {
+        // MAX_QUERIES full sweeps would expand to 2^26 workloads; the
+        // budget refuses the batch at its fifth query instead.
+        let line = full_sweeps(MAX_QUERIES, usize::MAX);
+        assert!(line.len() <= MAX_LINE_BYTES, "{} bytes", line.len());
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(
+            err,
+            format!("query 4: too many query points: 327680 (limit {MAX_POINTS})")
+        );
     }
 
     #[test]
