@@ -28,7 +28,7 @@ use swcc_bench::BENCH_SCHEMA;
 use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver};
 use swcc_core::bus::{analyze_bus, analyze_bus_sweep};
 use swcc_core::metrics::SOLVER_RESIDUAL_EVALS;
-use swcc_core::network::{solve, solve_with, SolveOptions, DEFAULT_TOLERANCE};
+use swcc_core::network::{solve, solve_with, SolveOptions};
 use swcc_core::queue::{machine_repairman, machine_repairman_sweep};
 use swcc_core::scheme::Scheme;
 use swcc_core::system::BusSystemModel;
@@ -47,10 +47,10 @@ const ITERS: usize = 40;
 
 /// The warm reference: solves `rates` at size 20 in order, each solve
 /// hinted with the previous one's `U`.
-fn warm_chain(rates: impl Iterator<Item = f64>, stages: u32, tolerance: f64) {
+fn warm_chain(rates: impl Iterator<Item = f64>, stages: u32) {
     let mut hint = None;
     for rate in rates {
-        let op = solve_with(rate, 20.0, stages, SolveOptions { tolerance, hint }).unwrap();
+        let op = solve_with(rate, 20.0, stages, SolveOptions { hint }).unwrap();
         hint = Some(op.think_fraction());
         std::hint::black_box(op);
     }
@@ -119,12 +119,13 @@ struct PatelBench {
     wall_speedup: f64,
     /// Per-solve overhead outside the Newton loop (validation, warm
     /// hint bookkeeping, result assembly), from the two-point
-    /// decomposition of warm sweeps at fine and coarse tolerance.
+    /// decomposition of the warm sweep and the same sweep hinted at
+    /// each point's own root.
     /// Setup dominating per-solve cost is why a 1.20x iteration saving
     /// shows up as only ~1.03x wall time.
     setup_ns_per_solve: f64,
     /// Marginal cost of one residual evaluation, from the same
-    /// decomposition: `(fine - coarse wall) / (fine - coarse
+    /// decomposition: `(warm - rooted wall) / (warm - rooted
     /// iterations)`.
     iteration_ns: f64,
 }
@@ -135,20 +136,20 @@ impl PatelBench {
     /// counts as two samples of
     /// `wall = setup * solves + iteration_ns * iterations`.
     fn split_overhead(
-        fine_ns: f64,
-        coarse_ns: f64,
-        fine_iterations: u32,
-        coarse_iterations: u32,
+        warm_ns: f64,
+        rooted_ns: f64,
+        warm_iterations: u32,
+        rooted_iterations: u32,
         solves: u32,
     ) -> (f64, f64) {
-        let extra_iterations = f64::from(fine_iterations) - f64::from(coarse_iterations);
+        let extra_iterations = f64::from(warm_iterations) - f64::from(rooted_iterations);
         if extra_iterations <= 0.0 {
-            // Degenerate sweep (both tolerances converged alike): the
+            // Degenerate sweep (both took as many iterations): the
             // split is unidentifiable; attribute everything to setup.
-            return (fine_ns / f64::from(solves), 0.0);
+            return (warm_ns / f64::from(solves), 0.0);
         }
-        let iteration_ns = ((fine_ns - coarse_ns) / extra_iterations).max(0.0);
-        let setup_ns = (fine_ns - iteration_ns * f64::from(fine_iterations)) / f64::from(solves);
+        let iteration_ns = ((warm_ns - rooted_ns) / extra_iterations).max(0.0);
+        let setup_ns = (warm_ns - iteration_ns * f64::from(warm_iterations)) / f64::from(solves);
         (setup_ns.max(0.0), iteration_ns)
     }
 }
@@ -226,22 +227,37 @@ fn run() -> Report {
         }
     };
     let cold_ns = median_ns(cold_sweep);
-    let warm_ns = median_ns(|| warm_chain(rates(), stages, DEFAULT_TOLERANCE));
+    let warm_ns = median_ns(|| warm_chain(rates(), stages));
     let cold_iterations = residual_evals(cold_sweep);
-    let warm_iterations = residual_evals(|| warm_chain(rates(), stages, DEFAULT_TOLERANCE));
+    let warm_iterations = residual_evals(|| warm_chain(rates(), stages));
 
-    // Setup/iteration split: re-run the warm sweep at a coarse
-    // tolerance. The iteration-count delta is large and deterministic,
+    // Setup/iteration split: re-run the warm chain with each solve
+    // hinted at its own root, so each retires after one residual
+    // evaluation. The iteration-count delta is large and deterministic,
     // so the two-point fit stays out of timer noise (unlike cold vs
     // warm, whose ~40-iteration gap is invisible at ~200 ns/solve).
-    const COARSE_TOLERANCE: f64 = 1e-2;
-    let coarse_ns = median_ns(|| warm_chain(rates(), stages, COARSE_TOLERANCE));
-    let coarse_iterations = residual_evals(|| warm_chain(rates(), stages, COARSE_TOLERANCE));
+    let roots: Vec<(f64, f64)> = rates()
+        .map(|rate| (rate, solve(rate, 20.0, stages).unwrap().think_fraction()))
+        .collect();
+    let rooted_sweep = || {
+        let mut previous = 0.0;
+        for &(rate, root) in &roots {
+            // Adding `0.0 * previous` leaves the hint exact but makes each
+            // solve wait for the last, as in the warm chain; independent
+            // solves would overlap and hide the setup cost.
+            let hint = Some(root + 0.0 * previous);
+            let op = solve_with(rate, 20.0, stages, SolveOptions { hint }).unwrap();
+            previous = op.think_fraction();
+            std::hint::black_box(op);
+        }
+    };
+    let rooted_ns = median_ns(rooted_sweep);
+    let rooted_iterations = residual_evals(rooted_sweep);
     let (setup_ns_per_solve, iteration_ns) = PatelBench::split_overhead(
         warm_ns,
-        coarse_ns,
+        rooted_ns,
         warm_iterations,
-        coarse_iterations,
+        rooted_iterations,
         PATEL_SOLVES,
     );
 
@@ -249,8 +265,7 @@ fn run() -> Report {
     let batch_rates: Vec<f64> = (1..=BATCH_LANES).map(|i| i as f64 * 1.0e-4).collect();
     let batch_sizes = vec![20.0; BATCH_LANES];
     let batch_solver = BatchPatelSolver::new();
-    let warm_grid_ns =
-        median_ns(|| warm_chain(batch_rates.iter().copied(), stages, DEFAULT_TOLERANCE));
+    let warm_grid_ns = median_ns(|| warm_chain(batch_rates.iter().copied(), stages));
     let batch_ns = median_ns(|| {
         std::hint::black_box(
             batch_solver

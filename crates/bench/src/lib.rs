@@ -11,7 +11,7 @@
 //!
 //! Other layers are timed elsewhere: perfbench (`perfbench/`) measures
 //! the model, simulator and service per layer, and `repro --record`
-//! stores each experiment's `duration_ms` in the `swcc-run/v1` record.
+//! stores each experiment's `duration_ms` in the `swcc-run/v2` record.
 
 pub mod compare;
 

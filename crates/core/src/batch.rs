@@ -208,7 +208,8 @@ fn block<T>(lanes: &[T], start: usize) -> &[T; LANE_BLOCK] {
 /// Solves N independent Patel fixed points in lockstep over flat
 /// structure-of-arrays storage.
 ///
-/// Construction is free; the solver holds only the stopping tolerance.
+/// Construction is free: the solver holds no state, and every lane stops
+/// at [`DEFAULT_TOLERANCE`].
 /// See the [module docs](crate::batch) for the execution model and the
 /// bit-compatibility guarantee.
 ///
@@ -231,28 +232,13 @@ fn block<T>(lanes: &[T], start: usize) -> &[T; LANE_BLOCK] {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct BatchPatelSolver {
-    tolerance: f64,
-}
-
-impl Default for BatchPatelSolver {
-    fn default() -> Self {
-        BatchPatelSolver::new()
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct BatchPatelSolver;
 
 impl BatchPatelSolver {
-    /// Creates a solver with [`DEFAULT_TOLERANCE`].
+    /// Creates a solver.
     pub fn new() -> Self {
-        BatchPatelSolver {
-            tolerance: DEFAULT_TOLERANCE,
-        }
-    }
-
-    /// Creates a solver with a custom stopping tolerance.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        BatchPatelSolver { tolerance }
+        BatchPatelSolver
     }
 
     /// Solves one lane per `(rate, size)` pair through a network of
@@ -290,8 +276,7 @@ impl BatchPatelSolver {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidConfig`] if the slices disagree in
-    /// length, if any rate or size is negative or non-finite, or if the
-    /// tolerance is not finite and positive.
+    /// length, or if any rate or size is negative or non-finite.
     pub fn solve_grid(
         &self,
         rates: &[f64],
@@ -326,12 +311,6 @@ impl BatchPatelSolver {
                 reason: "must be finite and non-negative",
             });
         }
-        if !self.tolerance.is_finite() || self.tolerance <= 0.0 {
-            return Err(ModelError::InvalidConfig {
-                name: "tolerance",
-                reason: "must be finite and positive",
-            });
-        }
 
         let tracing = swcc_obs::trace_enabled();
         let _batch_span = if tracing {
@@ -339,7 +318,7 @@ impl BatchPatelSolver {
                 metrics::EV_BATCH_SOLVE,
                 &[
                     swcc_obs::Field::u64("lanes", n as u64),
-                    swcc_obs::Field::f64("tolerance", self.tolerance),
+                    swcc_obs::Field::f64("tolerance", DEFAULT_TOLERANCE),
                 ],
             )
         } else {
@@ -405,7 +384,6 @@ impl BatchPatelSolver {
         }
 
         let solved_lanes = active.len() as u64;
-        let tolerance = self.tolerance;
         let uniform = match stages {
             Stages::Uniform(s) => Some(*s),
             Stages::PerLane(_) => None,
@@ -475,7 +453,7 @@ impl BatchPatelSolver {
                     step[i] = lane.bracket(f[i], step[i]);
                     lo[i] = lane.lo;
                     hi[i] = lane.hi;
-                    retiring += usize::from(lane.retire(step[i], tolerance, capped).is_some());
+                    retiring += usize::from(lane.retire(step[i], capped).is_some());
                 }
             }
 
@@ -505,7 +483,7 @@ impl BatchPatelSolver {
                 for i in 0..width {
                     let mut lane = active.get(i);
                     let step = active.step[i];
-                    match lane.retire(step, tolerance, capped) {
+                    match lane.retire(step, capped) {
                         Some((u, lane_converged)) => {
                             let index = active.lane[i] as usize;
                             points[index] = OperatingPoint::from_parts(
@@ -861,7 +839,6 @@ mod tests {
                 8,
                 SolveOptions {
                     hint: Some(hints[i]),
-                    ..SolveOptions::default()
                 },
             )
             .unwrap();
@@ -908,12 +885,6 @@ mod tests {
             s.solve_grid(&[0.1], &[1.0], &Stages::PerLane(&[]), None)
                 .is_err(),
             "stages length mismatch"
-        );
-        assert!(
-            BatchPatelSolver::with_tolerance(0.0)
-                .solve(&[0.1], &[1.0], 4)
-                .is_err(),
-            "bad tolerance"
         );
     }
 

@@ -8,11 +8,14 @@
 //!   (Eq. 2).
 //!
 //! One accumulator computes both sums for every entry point. It is the
-//! sink each table pushes its terms into: [`scheme_demand`] and the
-//! write-invalidate and directory analyses stream their table straight
-//! into it, and [`demand`] replays a stored [`OperationMix`] through it.
-//! It charges each term as it arrives and adds the terms in push order,
-//! so a streamed table and its stored mix give the same bits.
+//! sink each table pushes its terms into, and it charges each term as it
+//! arrives, adding the terms in push order. [`scheme_demand`] and the
+//! write-invalidate and directory analyses read only the two sums.
+//! [`scheme_terms`] also hands each priced term to a reader, so a caller
+//! that needs the terms themselves (the printed Tables 3–6, the
+//! packet-switched model and the network simulators) reads its table in
+//! the same single pass. Only the accumulator raises
+//! [`ModelError::UnsupportedOperation`].
 //!
 //! `b` is the average interconnect transaction service time per
 //! instruction and `1/(c − b)` the average transaction rate: transactions
@@ -24,8 +27,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ModelError, Result};
-use crate::scheme::{OperationMix, Scheme, TermSink};
-use crate::system::{CostModel, Operation};
+use crate::scheme::{Scheme, TermSink};
+use crate::system::{CostModel, OpCost, Operation};
 use crate::workload::WorkloadParams;
 
 /// Average per-instruction demand `(c, b)` in cycles.
@@ -75,18 +78,21 @@ impl fmt::Display for Demand {
 }
 
 /// The Eq. 1–2 accumulator: a [`TermSink`] that charges each term its
-/// cost under `system` as the term arrives.
+/// cost under `system` as the term arrives, then hands the priced term
+/// to `observe`.
 ///
 /// After the first nonzero term the cost model lacks, later terms are
-/// checked but not charged, and [`charge`] reports that term.
-pub(crate) struct Charge<'a, M> {
+/// checked but neither charged nor observed, and [`charge`] reports
+/// that term.
+pub(crate) struct Charge<'a, M, F> {
     system: &'a M,
+    observe: F,
     cpu: f64,
     interconnect: f64,
     unsupported: Option<Operation>,
 }
 
-impl<M: CostModel> TermSink for Charge<'_, M> {
+impl<M: CostModel, F: FnMut(Operation, f64, OpCost)> TermSink for Charge<'_, M, F> {
     #[inline]
     fn take(&mut self, op: Operation, freq: f64) {
         if self.unsupported.is_some() {
@@ -96,25 +102,29 @@ impl<M: CostModel> TermSink for Charge<'_, M> {
             Some(cost) => {
                 self.cpu += freq * f64::from(cost.cpu());
                 self.interconnect += freq * f64::from(cost.interconnect());
+                (self.observe)(op, freq, cost);
             }
             None => self.unsupported = Some(op),
         }
     }
 }
 
-/// Eqs. 1–2 over the terms `table` pushes into the accumulator.
+/// Eqs. 1–2 over the terms `table` pushes into the accumulator, each
+/// charged term also handed to `observe`.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::UnsupportedOperation`] naming the first nonzero
 /// term the cost model does not define.
 #[inline]
-pub(crate) fn charge<'a, M: CostModel>(
+pub(crate) fn charge<'a, M: CostModel, F: FnMut(Operation, f64, OpCost)>(
     system: &'a M,
-    table: impl FnOnce(&mut Charge<'a, M>),
+    observe: F,
+    table: impl FnOnce(&mut Charge<'a, M, F>),
 ) -> Result<Demand> {
     let mut sum = Charge {
         system,
+        observe,
         cpu: 0.0,
         interconnect: 0.0,
         unsupported: None,
@@ -132,55 +142,63 @@ pub(crate) fn charge<'a, M: CostModel>(
     }
 }
 
-/// Computes the per-instruction demand of a stored operation mix under a
-/// cost model (Eqs. 1–2), adding its terms in the mix's order.
+/// Reads a scheme's table (Tables 3–6) under a workload and cost model in
+/// one pass: each term of nonzero frequency is charged into Eqs. 1–2 and
+/// then handed to `observe` as `(operation, frequency, cost)`, in table
+/// order. Returns the demand those terms sum to.
+///
+/// A table pushes each operation at most once, so `observe` sees each
+/// operation at most once.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::UnsupportedOperation`] if the mix contains an
-/// operation the cost model does not define — e.g. a Dragon
-/// write-broadcast evaluated against the multistage-network model.
-pub fn demand<M: CostModel>(mix: &OperationMix, system: &M) -> Result<Demand> {
-    charge(system, |sum| {
-        for (op, freq) in mix.iter() {
-            sum.push(op, freq);
-        }
-    })
+/// Returns [`ModelError::UnsupportedOperation`] if the table has a
+/// nonzero term the cost model does not define — e.g. a Dragon
+/// write-broadcast on the multistage-network model. `observe` may have
+/// seen the terms before it; a caller discards what it built from them.
+#[inline]
+pub fn scheme_terms<M: CostModel>(
+    scheme: Scheme,
+    workload: &WorkloadParams,
+    system: &M,
+    observe: impl FnMut(Operation, f64, OpCost),
+) -> Result<Demand> {
+    charge(system, observe, |sum| scheme.terms(workload, sum))
 }
 
-/// Demand of a scheme under a workload and cost model: its table's terms
-/// charged as they are pushed, with no [`OperationMix`] built.
-///
-/// Equal, bit for bit, to `demand(&scheme.mix(workload), system)`.
+/// Demand of a scheme under a workload and cost model (Eqs. 1–2):
+/// [`scheme_terms`] with no reader.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::UnsupportedOperation`] as [`demand`] does.
+/// Returns [`ModelError::UnsupportedOperation`] as [`scheme_terms`]
+/// does.
 pub fn scheme_demand<M: CostModel>(
     scheme: Scheme,
     workload: &WorkloadParams,
     system: &M,
 ) -> Result<Demand> {
-    charge(system, |sum| scheme.terms(workload, sum))
+    scheme_terms(scheme, workload, system, |_, _, _| {})
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::{directory_mix, directory_terms};
-    use crate::invalidate::{invalidate_mix, invalidate_terms};
+    use crate::directory::directory_terms;
+    use crate::invalidate::invalidate_terms;
+    use crate::scheme::collect::Collected;
     use crate::system::{BusSystemModel, NetworkSystemModel};
     use crate::workload::{Level, ParamId};
     use proptest::TestRng;
 
-    /// The stored-mix fold the accumulator replaced, kept as the oracle
-    /// of `streamed_demand_equals_the_stored_mix_fold_bit_for_bit`: Eqs.
-    /// 1–2 summed over a built mix in insertion order, failing on the
-    /// first operation the cost model lacks.
-    fn stored_mix_fold<M: CostModel>(mix: &OperationMix, system: &M) -> Result<Demand> {
+    /// The oracle of `streamed_demand_equals_the_stored_mix_fold_bit_for_bit`:
+    /// Eqs. 1–2 summed over a table's collected terms in push order, with
+    /// its own cost lookups, failing on the first operation the cost
+    /// model lacks.
+    fn fold<M: CostModel>(terms: &Collected, system: &M) -> Result<Demand> {
         let mut cpu = 0.0;
         let mut interconnect = 0.0;
-        for (op, freq) in mix.iter() {
+        for &(op, freq) in &terms.0 {
             let cost = system.cost(op).ok_or(ModelError::UnsupportedOperation {
                 operation: op,
                 model: system.model_name(),
@@ -226,40 +244,78 @@ mod tests {
         w
     }
 
-    /// Every table, streamed and replayed from its stored mix, against
-    /// the oracle under one cost model.
+    /// The six tables under `w`, collected: Tables 3–6, write-invalidate
+    /// and directory.
+    fn collected_tables(w: &WorkloadParams) -> Vec<(String, Collected)> {
+        let mut tables: Vec<_> = Scheme::ALL
+            .into_iter()
+            .map(|s| (s.to_string(), Collected::scheme(s, w)))
+            .collect();
+        tables.push((
+            "write-invalidate".into(),
+            Collected::from(|sink| invalidate_terms(w, sink)),
+        ));
+        tables.push((
+            "directory".into(),
+            Collected::from(|sink| directory_terms(w, sink)),
+        ));
+        tables
+    }
+
+    /// One table read through the accumulator, against the oracle over
+    /// its collected `terms`: the same bits or the same error, and on
+    /// success the reader saw exactly those terms, each with its cost.
+    fn check<M: CostModel>(
+        name: &dyn fmt::Display,
+        w: &WorkloadParams,
+        system: &M,
+        terms: &Collected,
+        got: &Result<Demand>,
+        seen: &[(Operation, f64, OpCost)],
+    ) {
+        let want = fold(terms, system);
+        assert!(
+            same(got, &want),
+            "{name} on {system:?} at {w:?}: {got:?}, oracle {want:?}"
+        );
+        if want.is_ok() {
+            let priced: Vec<_> = terms
+                .0
+                .iter()
+                .map(|&(op, freq)| (op, freq, system.cost(op).unwrap()))
+                .collect();
+            assert_eq!(seen, priced, "{name} on {system:?} at {w:?}");
+        }
+    }
+
+    /// Every table under one cost model, checked against the oracle.
     fn check_tables<M: CostModel>(w: &WorkloadParams, system: &M) {
         for scheme in Scheme::ALL {
-            let mix = scheme.mix(w);
-            let want = stored_mix_fold(&mix, system);
-            for got in [scheme_demand(scheme, w, system), demand(&mix, system)] {
-                assert!(
-                    same(&got, &want),
-                    "{scheme} on {system:?} at {w:?}: {got:?}, oracle {want:?}"
-                );
-            }
+            let mut seen = Vec::new();
+            let got = scheme_terms(scheme, w, system, |op, freq, cost| {
+                seen.push((op, freq, cost))
+            });
+            let demand = scheme_demand(scheme, w, system);
+            assert!(same(&demand, &got), "{scheme}: {demand:?} vs {got:?}");
+            let terms = Collected::scheme(scheme, w);
+            check(&scheme, w, system, &terms, &got, &seen);
         }
-        let extensions = [
-            (
-                "write-invalidate",
-                invalidate_mix(w),
-                charge(system, |sum| invalidate_terms(w, sum)),
-            ),
-            (
-                "directory",
-                directory_mix(w),
-                charge(system, |sum| directory_terms(w, sum)),
-            ),
-        ];
-        for (name, mix, streamed) in extensions {
-            let want = stored_mix_fold(&mix, system);
-            for got in [streamed, demand(&mix, system)] {
-                assert!(
-                    same(&got, &want),
-                    "{name} on {system:?} at {w:?}: {got:?}, oracle {want:?}"
-                );
-            }
-        }
+        let mut seen = Vec::new();
+        let got = charge(
+            system,
+            |op, freq, cost| seen.push((op, freq, cost)),
+            |sum| invalidate_terms(w, sum),
+        );
+        let terms = Collected::from(|sink| invalidate_terms(w, sink));
+        check(&"write-invalidate", w, system, &terms, &got, &seen);
+        let mut seen = Vec::new();
+        let got = charge(
+            system,
+            |op, freq, cost| seen.push((op, freq, cost)),
+            |sum| directory_terms(w, sum),
+        );
+        let terms = Collected::from(|sink| directory_terms(w, sink));
+        check(&"directory", w, system, &terms, &got, &seen);
     }
 
     #[test]
@@ -288,23 +344,24 @@ mod tests {
                     "Dragon at shd = 0 on {stages} stages: {unshared:?}"
                 );
             }
-            // A stored mix of random terms, repeated operations and zero
-            // frequencies included, in random order.
-            let mix: OperationMix = (0..1 + rng.below(16))
-                .map(|_| {
-                    let op = Operation::ALL[rng.below(Operation::ALL.len() as u64) as usize];
-                    (op, edge_or_uniform(&mut rng, 0.0, 2.0))
-                })
-                .collect();
-            let stages = rng.below(11) as u32;
-            for (got, want) in [
-                (demand(&mix, &hardware), stored_mix_fold(&mix, &hardware)),
-                (
-                    demand(&mix, &NetworkSystemModel::new(stages)),
-                    stored_mix_fold(&mix, &NetworkSystemModel::new(stages)),
-                ),
-            ] {
-                assert!(same(&got, &want), "{mix:?}: {got:?}, oracle {want:?}");
+        }
+    }
+
+    #[test]
+    fn no_table_pushes_an_operation_twice() {
+        // Each reader of `scheme_terms` (the network simulators' sampling
+        // tables above all) takes one term per operation; a repeated
+        // operation would be sampled twice.
+        let mut rng = TestRng::deterministic("no_table_pushes_an_operation_twice");
+        for _ in 0..1_000 {
+            let w = random_workload(&mut rng);
+            for (name, terms) in collected_tables(&w) {
+                for (i, &(op, _)) in terms.0.iter().enumerate() {
+                    assert!(
+                        terms.0[..i].iter().all(|&(o, _)| o != op),
+                        "{name} pushes {op} twice at {w:?}"
+                    );
+                }
             }
         }
     }
@@ -396,8 +453,20 @@ mod tests {
 
     #[test]
     fn empty_mix_has_zero_demand() {
-        let d = demand(&OperationMix::new(), &BusSystemModel::new()).unwrap();
+        // Zero-frequency terms are charged nothing and reach no reader,
+        // even for an operation the cost model lacks.
+        let mut seen = 0;
+        let d = charge(
+            &NetworkSystemModel::new(3),
+            |_, _, _| seen += 1,
+            |sum| {
+                sum.push(Operation::Instruction, 0.0);
+                sum.push(Operation::WriteBroadcast, -0.0);
+            },
+        )
+        .unwrap();
         assert_eq!(d.cpu(), 0.0);
         assert_eq!(d.interconnect(), 0.0);
+        assert_eq!(seen, 0);
     }
 }

@@ -39,18 +39,12 @@ use serde::{Deserialize, Serialize};
 use crate::demand::charge;
 use crate::error::{ModelError, Result};
 use crate::network::patel;
-use crate::scheme::{OperationMix, TermSink};
+use crate::scheme::TermSink;
 use crate::system::{MissSource, NetworkSystemModel, Operation};
 use crate::workload::WorkloadParams;
 
-/// Operation frequencies of the directory protocol (per instruction).
-pub fn directory_mix(w: &WorkloadParams) -> OperationMix {
-    let mut m = OperationMix::new();
-    directory_terms(w, &mut m);
-    m
-}
-
-/// The directory protocol's terms, pushed into `sink` in table order.
+/// The directory protocol's operation frequencies per instruction: its
+/// terms, pushed into `sink` in table order.
 #[inline]
 pub(crate) fn directory_terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     let unshared_miss = w.ls() * w.msdat() * (1.0 - w.shd()) + w.mains();
@@ -116,7 +110,7 @@ impl DirectoryPerformance {
 /// Analyzes the directory protocol on a circuit-switched multistage
 /// network of the given stage count, using the same Patel contention
 /// model as the software schemes: the operating point is the cold
-/// guarded-Newton solve ([`patel::solve`]) of the directory mix's
+/// guarded-Newton solve ([`patel::solve`]) of the directory table's
 /// demand.
 ///
 /// # Errors
@@ -143,7 +137,7 @@ impl DirectoryPerformance {
 /// ```
 pub fn analyze_directory(workload: &WorkloadParams, stages: u32) -> Result<DirectoryPerformance> {
     let system = NetworkSystemModel::new(stages);
-    let d = charge(&system, |sum| directory_terms(workload, sum))?;
+    let d = charge(&system, |_, _, _| {}, |sum| directory_terms(workload, sum))?;
     let point = patel::solve(d.transaction_rate(), d.transaction_size(), stages)?;
     if point.think_fraction().is_nan() {
         return Err(ModelError::Convergence {
@@ -162,15 +156,15 @@ pub fn analyze_directory(workload: &WorkloadParams, stages: u32) -> Result<Direc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::demand;
     use crate::network::analyze_network;
+    use crate::scheme::collect::Collected;
     use crate::scheme::Scheme;
     use crate::workload::{Level, ParamId};
 
     #[test]
     fn mix_matches_hand_computation_at_middle() {
         let w = WorkloadParams::default();
-        let m = directory_mix(&w);
+        let m = Collected::from(|sink| directory_terms(&w, sink));
         let unshared = 0.3 * 0.014 * 0.75 + 0.0022;
         let refetch = 0.3 * 0.25 * 0.13;
         let ownership = 0.3 * 0.25 * 0.25 * 0.13; // ls·shd·mdshd/apl
@@ -245,7 +239,8 @@ mod tests {
             let w = WorkloadParams::at_level(level);
             for stages in [0u32, 2, 6, 10] {
                 let dir = analyze_directory(&w, stages).unwrap();
-                let d = demand(&directory_mix(&w), &NetworkSystemModel::new(stages)).unwrap();
+                let system = NetworkSystemModel::new(stages);
+                let d = charge(&system, |_, _, _| {}, |sum| directory_terms(&w, sum)).unwrap();
                 assert_eq!(dir.cpu_demand().to_bits(), d.cpu().to_bits());
                 assert_eq!(dir.network_demand().to_bits(), d.interconnect().to_bits());
                 let point =

@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use crate::demand::charge;
 use crate::error::Result;
 use crate::queue::machine_repairman;
-use crate::scheme::{OperationMix, TermSink};
+use crate::scheme::TermSink;
 use crate::system::{BusSystemModel, MissSource, Operation};
 use crate::workload::WorkloadParams;
 
@@ -54,14 +54,8 @@ impl std::fmt::Display for WriteInvalidate {
     }
 }
 
-/// Operation frequencies of the write-invalidate protocol.
-pub fn invalidate_mix(w: &WorkloadParams) -> OperationMix {
-    let mut m = OperationMix::new();
-    invalidate_terms(w, &mut m);
-    m
-}
-
-/// The write-invalidate terms, pushed into `sink` in table order.
+/// The write-invalidate protocol's operation frequencies: its terms,
+/// pushed into `sink` in table order.
 #[inline]
 pub(crate) fn invalidate_terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     let data_miss = w.ls() * w.msdat();
@@ -121,7 +115,7 @@ pub fn bus_performance_invalidate(
     system: &BusSystemModel,
     processors: u32,
 ) -> Result<InvalidatePerformance> {
-    let d = charge(system, |sum| invalidate_terms(workload, sum))?;
+    let d = charge(system, |_, _, _| {}, |sum| invalidate_terms(workload, sum))?;
     let mva = machine_repairman(processors, d.interconnect(), d.think_time())?;
     Ok(InvalidatePerformance {
         processors,
@@ -178,6 +172,7 @@ impl InvalidatePerformance {
 mod tests {
     use super::*;
     use crate::bus::analyze_bus;
+    use crate::scheme::collect::Collected;
     use crate::scheme::Scheme;
     use crate::workload::{Level, ParamId};
 
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn mix_matches_hand_computation_at_middle() {
         let w = WorkloadParams::default();
-        let m = invalidate_mix(&w);
+        let m = Collected::from(|sink| invalidate_terms(&w, sink));
         let coherence = 0.3 * 0.25 * 0.13;
         let upgrade = coherence * 0.25;
         assert!((m.freq(Operation::WriteBroadcast) - upgrade).abs() < 1e-12);

@@ -89,12 +89,12 @@ pub mod prelude {
         machine_repairman_grid, machine_repairman_sweep_grid, BatchPatelSolver, PatelBatchSolution,
     };
     pub use crate::bus::{analyze_bus, analyze_bus_sweep, bus_power_curves, BusPerformance};
-    pub use crate::demand::{demand, scheme_demand, Demand};
+    pub use crate::demand::{scheme_demand, scheme_terms, Demand};
     pub use crate::network::{
         analyze_network, network_power_curve, network_power_curves, NetworkPerformance,
     };
     pub use crate::queue::{machine_repairman, machine_repairman_sweep, MvaSolution, MvaSweep};
-    pub use crate::scheme::{OperationMix, Scheme};
+    pub use crate::scheme::Scheme;
     pub use crate::sensitivity::{sensitivity_table, SensitivityTable};
     pub use crate::system::{
         BusSystemModel, CostModel, MissSource, NetworkSystemModel, OpCost, Operation,

@@ -34,10 +34,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::demand::scheme_demand;
+use crate::demand::scheme_terms;
 use crate::error::{ModelError, Result};
 use crate::scheme::Scheme;
-use crate::system::{CostModel, NetworkSystemModel};
+use crate::system::NetworkSystemModel;
 use crate::workload::WorkloadParams;
 
 /// The solved operating point of the packet-switched network.
@@ -122,24 +122,20 @@ pub fn analyze_network_packet(
     // the circuit model's `b` includes the 2n round trip; the payload a
     // packet must actually move is `b − 2n·(transactions)`. We recover
     // the per-instruction transaction rate and mean payload from the
-    // mix by charging each network operation its Table 9 time minus the
-    // round-trip term.
+    // table by charging each network operation its Table 9 time minus
+    // the round-trip term.
     let system = NetworkSystemModel::new(stages);
-    let demand = scheme_demand(scheme, workload, &system)?;
     let round_trip = f64::from(system.round_trip());
     // Transactions per instruction: every cycle of interconnect time
     // belongs to some operation whose cost includes exactly one 2n
-    // round trip. Recover the transaction count from the mix.
+    // round trip, so the transactions are the terms that hold the
+    // network, counted in the same pass that sums the demand.
     let mut transactions = 0.0;
-    for (op, freq) in scheme.mix(workload).iter() {
-        let cost = system.cost(op).ok_or(ModelError::UnsupportedOperation {
-            operation: op,
-            model: system.model_name(),
-        })?;
+    let demand = scheme_terms(scheme, workload, &system, |_, freq, cost| {
         if cost.interconnect() > 0 {
             transactions += freq;
         }
-    }
+    })?;
     // swcc-lint: allow(float-eq) — no-traffic guard; -0.0 transactions or demand still mean no traffic
     if transactions == 0.0 || demand.interconnect() == 0.0 {
         // No network traffic at all: the processor runs at 1/c.

@@ -143,7 +143,7 @@ pub fn solve(rate: f64, size: f64, stages: u32) -> Result<OperatingPoint> {
     solve_with(rate, size, stages, SolveOptions::default())
 }
 
-/// Default stopping tolerance of the guarded-Newton solve: a lane
+/// The stopping tolerance of every guarded-Newton solve: a lane
 /// retires once its Newton step is at most half of it, or once its root
 /// bracket is at most this wide, i.e. `U` is resolved to well below any
 /// model-relevant difference.
@@ -154,13 +154,10 @@ pub const DEFAULT_TOLERANCE: f64 = 1e-13;
 /// converged.
 pub(crate) const MAX_ITERATIONS: u32 = 200;
 
-/// Options controlling a warm-started, tolerance-terminated fixed-point
-/// solve ([`solve_with`]).
-#[derive(Debug, Clone, Copy)]
+/// Options controlling a warm-started fixed-point solve
+/// ([`solve_with`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SolveOptions {
-    /// Stop once the Newton step is at most half this, or the root
-    /// bracket is at most this wide.
-    pub tolerance: f64,
     /// A guess for the root — typically the `U` of a nearby operating
     /// point (e.g. the previous point of a sweep). The solve's first
     /// probe is the guess instead of the light-load approximation, so a
@@ -172,15 +169,6 @@ pub struct SolveOptions {
     /// one, so its `U` can differ from the cold answer in the last bits
     /// (within the tolerance). Every model entry point solves cold.
     pub hint: Option<f64>,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            tolerance: DEFAULT_TOLERANCE,
-            hint: None,
-        }
-    }
 }
 
 // --- The guarded-Newton kernel -----------------------------------------
@@ -317,22 +305,22 @@ impl Lane {
     /// Phase 3: the retire test for the step just computed. A lane
     /// retires with `(root, converged)`
     ///
-    /// * on a step of at most half the tolerance: quadratic convergence
-    ///   makes `x + step` essentially exact, so it is taken, clamped into
-    ///   the bracket, without another evaluation;
-    /// * on a bracket at most `tolerance` wide: at its midpoint;
+    /// * on a step of at most half of [`DEFAULT_TOLERANCE`]: quadratic
+    ///   convergence makes `x + step` essentially exact, so it is taken,
+    ///   clamped into the bracket, without another evaluation;
+    /// * on a bracket at most [`DEFAULT_TOLERANCE`] wide: at its midpoint;
     /// * when `capped` (the iteration cap is reached) with the bracket
     ///   still wider: at its midpoint, not converged.
     #[inline(always)]
-    pub(crate) fn retire(&self, step: f64, tolerance: f64, capped: bool) -> Option<(f64, bool)> {
-        if step.abs() <= 0.5 * tolerance {
+    pub(crate) fn retire(&self, step: f64, capped: bool) -> Option<(f64, bool)> {
+        if step.abs() <= 0.5 * DEFAULT_TOLERANCE {
             // `f64::clamp` minus its `lo <= hi` assertion, which cannot
             // fire (the bracket never inverts) but would keep the batch
             // engine's retire-count pass from vectorizing.
             let root = self.x + step;
             let root = if root < self.lo { self.lo } else { root };
             Some((if root > self.hi { self.hi } else { root }, true))
-        } else if self.hi - self.lo <= tolerance {
+        } else if self.hi - self.lo <= DEFAULT_TOLERANCE {
             Some((self.midpoint(), true))
         } else if capped {
             Some((self.midpoint(), false))
@@ -359,17 +347,15 @@ impl Lane {
     }
 }
 
-/// Like [`solve`], but with a configurable stopping tolerance and an
-/// optional warm-start hint (see [`SolveOptions`]). With default options
-/// it is [`solve`].
+/// Like [`solve`], but with an optional warm-start hint (see
+/// [`SolveOptions`]). With default options it is [`solve`].
 ///
 /// This is the scalar loop: validation, then the kernel's step on one
-/// lane until it retires, allocation-free.
+/// lane until it retires at [`DEFAULT_TOLERANCE`], allocation-free.
 ///
 /// # Errors
 ///
-/// As [`solve`], plus [`ModelError::InvalidConfig`] if
-/// `options.tolerance` is not finite and positive.
+/// As [`solve`].
 pub fn solve_with(
     rate: f64,
     size: f64,
@@ -386,12 +372,6 @@ pub fn solve_with(
         return Err(ModelError::InvalidConfig {
             name: "size",
             reason: "must be finite and non-negative",
-        });
-    }
-    if !options.tolerance.is_finite() || options.tolerance <= 0.0 {
-        return Err(ModelError::InvalidConfig {
-            name: "tolerance",
-            reason: "must be finite and positive",
         });
     }
     let demand = rate * size;
@@ -439,7 +419,7 @@ pub fn solve_with(
             );
         }
         let step = lane.bracket(f, slope);
-        if let Some(root) = lane.retire(step, options.tolerance, iterations >= MAX_ITERATIONS) {
+        if let Some(root) = lane.retire(step, iterations >= MAX_ITERATIONS) {
             break root;
         }
         fallbacks += u64::from(lane.advance(step));
@@ -639,16 +619,7 @@ mod tests {
                 lane.think_fraction().to_bits()
             );
             let oracle = bisection(m, t, n);
-            let hinted = solve_with(
-                m,
-                t,
-                n,
-                SolveOptions {
-                    hint: Some(oracle),
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
+            let hinted = solve_with(m, t, n, SolveOptions { hint: Some(oracle) }).unwrap();
             assert!((cold.think_fraction() - oracle).abs() < 1e-12);
             assert!((hinted.think_fraction() - oracle).abs() < 1e-12);
         }
@@ -682,33 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_rejects_bad_tolerance() {
-        let bad = SolveOptions {
-            tolerance: 0.0,
-            hint: None,
-        };
-        assert!(solve_with(0.03, 20.0, 8, bad).is_err());
-        let nan = SolveOptions {
-            tolerance: f64::NAN,
-            hint: None,
-        };
-        assert!(solve_with(0.03, 20.0, 8, nan).is_err());
-    }
-
-    #[test]
     fn wrong_hints_never_change_the_answer() {
         let reference = solve(0.03, 20.0, 8).unwrap().think_fraction();
         for hint in [0.001, 0.25, 0.5, 0.75, 0.999, -1.0, 0.0, 1.0, 2.0] {
-            let op = solve_with(
-                0.03,
-                20.0,
-                8,
-                SolveOptions {
-                    hint: Some(hint),
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
+            let op = solve_with(0.03, 20.0, 8, SolveOptions { hint: Some(hint) }).unwrap();
             assert!(
                 (op.think_fraction() - reference).abs() < 1e-12,
                 "hint {hint} gave {}",
@@ -720,18 +668,8 @@ mod tests {
     /// Solves one point under a capture; returns it with the residual
     /// evaluations and warm-start reuses the solve reported.
     fn counted(rate: f64, size: f64, hint: Option<f64>) -> (OperatingPoint, u64, u64) {
-        let (op, span) = swcc_obs::capture(|| {
-            solve_with(
-                rate,
-                size,
-                8,
-                SolveOptions {
-                    hint,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap()
-        });
+        let (op, span) =
+            swcc_obs::capture(|| solve_with(rate, size, 8, SolveOptions { hint }).unwrap());
         let count = |name| span.counter(name).unwrap_or(0);
         (
             op,

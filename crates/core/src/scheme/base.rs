@@ -6,18 +6,12 @@
 //! `mains`. A miss is dirty (requires a victim write-back) with
 //! probability `md`.
 
-use crate::scheme::{OperationMix, TermSink};
+use crate::scheme::TermSink;
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
-/// Table 3: operation frequencies for the Base scheme.
-pub fn mix(w: &WorkloadParams) -> OperationMix {
-    let mut m = OperationMix::new();
-    terms(w, &mut m);
-    m
-}
-
-/// Table 3's terms, pushed into `sink` in table order.
+/// Table 3, the Base scheme's operation frequencies: its terms, pushed
+/// into `sink` in table order.
 #[inline]
 pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     let miss = w.ls() * w.msdat() + w.mains();
@@ -32,14 +26,19 @@ pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::collect::Collected;
     use crate::workload::Level;
+
+    fn table(w: &WorkloadParams) -> Collected {
+        Collected::from(|sink| terms(w, sink))
+    }
 
     #[test]
     fn middle_values_match_hand_computation() {
         // ls=0.3, msdat=0.014, mains=0.0022, md=0.2
         // miss = 0.3*0.014 + 0.0022 = 0.0064
         let w = WorkloadParams::at_level(Level::Middle);
-        let m = mix(&w);
+        let m = table(&w);
         let clean = m.freq(Operation::CleanMiss(MissSource::Memory));
         let dirty = m.freq(Operation::DirtyMiss(MissSource::Memory));
         assert!((clean - 0.0064 * 0.8).abs() < 1e-12);
@@ -50,7 +49,7 @@ mod tests {
     fn clean_plus_dirty_equals_total_miss_rate() {
         for level in Level::ALL {
             let w = WorkloadParams::at_level(level);
-            let m = mix(&w);
+            let m = table(&w);
             let total = m.freq(Operation::CleanMiss(MissSource::Memory))
                 + m.freq(Operation::DirtyMiss(MissSource::Memory));
             assert!((total - (w.ls() * w.msdat() + w.mains())).abs() < 1e-12);
@@ -61,12 +60,12 @@ mod tests {
     fn base_ignores_sharing_parameters() {
         let w = WorkloadParams::default();
         let hi = w.with_param(crate::workload::ParamId::Shd, 0.9).unwrap();
-        assert_eq!(mix(&w), mix(&hi));
+        assert_eq!(table(&w), table(&hi));
     }
 
     #[test]
     fn base_emits_no_coherence_operations() {
-        let m = mix(&WorkloadParams::default());
+        let m = table(&WorkloadParams::default());
         assert_eq!(m.freq(Operation::ReadThrough), 0.0);
         assert_eq!(m.freq(Operation::WriteThrough), 0.0);
         assert_eq!(m.freq(Operation::CleanFlush), 0.0);
@@ -78,8 +77,8 @@ mod tests {
     fn zero_miss_rates_leave_only_instruction_execution() {
         let mut b = WorkloadParams::builder();
         b.msdat(0.0).mains(0.0);
-        let m = mix(&b.build().unwrap());
-        assert_eq!(m.len(), 1);
+        let m = table(&b.build().unwrap());
+        assert_eq!(m.0.len(), 1);
         assert_eq!(m.freq(Operation::Instruction), 1.0);
     }
 }

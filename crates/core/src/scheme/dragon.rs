@@ -18,28 +18,23 @@
 //! `second_order_terms_are_small_except_at_high_sharing` checks that
 //! claim: it holds at the low and middle ranges, not at the high one.
 
-use crate::scheme::{OperationMix, TermSink};
+use crate::scheme::TermSink;
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
-
-/// Table 6: operation frequencies for the Dragon scheme.
-pub fn mix(w: &WorkloadParams) -> OperationMix {
-    mix_with_terms(w, DragonTerms::default())
-}
 
 /// Which second-order Dragon effects to include.
 ///
 /// The paper remarks that cache-to-cache sourcing and cycle stealing
 /// "could have been omitted from the model without significantly
 /// affecting our results"; this switch lets a unit test check that
-/// claim (it holds at the low and middle ranges only). [`mix`] includes
-/// everything.
+/// claim (it holds at the low and middle ranges only). The model
+/// includes everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DragonTerms {
+pub(crate) struct DragonTerms {
     /// Model misses satisfied from another cache (effect 2).
-    pub cache_to_cache: bool,
+    pub(crate) cache_to_cache: bool,
     /// Model cycles stolen by snooping caches on broadcasts (effect 3).
-    pub cycle_stealing: bool,
+    pub(crate) cycle_stealing: bool,
 }
 
 impl Default for DragonTerms {
@@ -51,15 +46,9 @@ impl Default for DragonTerms {
     }
 }
 
-/// Table 6 with selectable second-order terms.
-pub fn mix_with_terms(w: &WorkloadParams, effects: DragonTerms) -> OperationMix {
-    let mut m = OperationMix::new();
-    terms(w, effects, &mut m);
-    m
-}
-
-/// Table 6's terms, with the second-order `effects` selected, pushed
-/// into `sink` in table order.
+/// Table 6, the Dragon scheme's operation frequencies: its terms, with
+/// the second-order `effects` selected, pushed into `sink` in table
+/// order.
 #[inline]
 pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, effects: DragonTerms, sink: &mut S) {
     let data_miss = w.ls() * w.msdat();
@@ -92,16 +81,26 @@ pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, effects: DragonTerms, sink:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::demand;
+    use crate::demand::{charge, scheme_demand};
+    use crate::scheme::collect::Collected;
+    use crate::scheme::Scheme;
     use crate::system::BusSystemModel;
     use crate::workload::{Level, ParamId};
+
+    fn table(w: &WorkloadParams) -> Collected {
+        table_with(w, DragonTerms::default())
+    }
+
+    fn table_with(w: &WorkloadParams, effects: DragonTerms) -> Collected {
+        Collected::from(|sink| terms(w, effects, sink))
+    }
 
     #[test]
     fn middle_values_match_hand_computation() {
         // ls=0.3, msdat=0.014, mains=0.0022, md=0.2, shd=0.25,
         // wr=0.25, oclean=0.84, opres=0.79, nshd=1.
         let w = WorkloadParams::at_level(Level::Middle);
-        let m = mix(&w);
+        let m = table(&w);
         let from_cache = 0.25 * (1.0 - 0.84); // 0.04
         let mem_miss = 0.3 * 0.014 * (1.0 - from_cache) + 0.0022;
         let cache_miss = 0.3 * 0.014 * from_cache;
@@ -120,7 +119,7 @@ mod tests {
         // change the total miss rate.
         for level in Level::ALL {
             let w = WorkloadParams::at_level(level);
-            let m = mix(&w);
+            let m = table(&w);
             let total = m.freq(Operation::CleanMiss(MissSource::Memory))
                 + m.freq(Operation::DirtyMiss(MissSource::Memory))
                 + m.freq(Operation::CleanMiss(MissSource::Cache))
@@ -134,7 +133,7 @@ mod tests {
         let w = WorkloadParams::default()
             .with_param(ParamId::Shd, 0.0)
             .unwrap();
-        assert_eq!(mix(&w), crate::scheme::base::mix(&w));
+        assert_eq!(table(&w), Collected::scheme(Scheme::Base, &w));
     }
 
     #[test]
@@ -145,15 +144,15 @@ mod tests {
         let w7 = WorkloadParams::default()
             .with_param(ParamId::Nshd, 7.0)
             .unwrap();
-        let s1 = mix(&w1).freq(Operation::CycleSteal);
-        let s7 = mix(&w7).freq(Operation::CycleSteal);
+        let s1 = table(&w1).freq(Operation::CycleSteal);
+        let s7 = table(&w7).freq(Operation::CycleSteal);
         assert!((s7 - 7.0 * s1).abs() < 1e-12);
     }
 
     #[test]
     fn ablated_terms_remove_their_operations() {
         let w = WorkloadParams::default();
-        let m = mix_with_terms(
+        let m = table_with(
             &w,
             DragonTerms {
                 cache_to_cache: false,
@@ -187,8 +186,10 @@ mod tests {
             (Level::High, -25.6),
         ] {
             let w = WorkloadParams::at_level(level);
-            let full = demand(&mix(&w), &sys).unwrap().cpu();
-            let cut = demand(&mix_with_terms(&w, ablated), &sys).unwrap().cpu();
+            let full = scheme_demand(Scheme::Dragon, &w, &sys).unwrap().cpu();
+            let cut = charge(&sys, |_, _, _| {}, |sum| terms(&w, ablated, sum))
+                .unwrap()
+                .cpu();
             let pct = (cut - full) / full * 100.0;
             assert!(
                 (pct - expected_pct).abs() < 0.05,
@@ -200,7 +201,7 @@ mod tests {
     #[test]
     fn broadcast_rate_matches_sharing_and_write_rate() {
         let w = WorkloadParams::at_level(Level::High);
-        let m = mix(&w);
+        let m = table(&w);
         assert!(
             (m.freq(Operation::WriteBroadcast) - w.ls() * w.shd() * w.wr() * w.opres()).abs()
                 < 1e-12

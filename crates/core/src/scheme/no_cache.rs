@@ -7,18 +7,12 @@
 //! shared store a [`Operation::WriteThrough`]. Only unshared data is
 //! cached, so the data miss rate is scaled by `1 − shd`.
 
-use crate::scheme::{OperationMix, TermSink};
+use crate::scheme::TermSink;
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
-/// Table 4: operation frequencies for the No-Cache scheme.
-pub fn mix(w: &WorkloadParams) -> OperationMix {
-    let mut m = OperationMix::new();
-    terms(w, &mut m);
-    m
-}
-
-/// Table 4's terms, pushed into `sink` in table order.
+/// Table 4, the No-Cache scheme's operation frequencies: its terms,
+/// pushed into `sink` in table order.
 #[inline]
 pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     let miss = w.ls() * w.msdat() * (1.0 - w.shd()) + w.mains();
@@ -35,7 +29,13 @@ pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::collect::Collected;
+    use crate::scheme::Scheme;
     use crate::workload::{Level, ParamId};
+
+    fn table(w: &WorkloadParams) -> Collected {
+        Collected::from(|sink| terms(w, sink))
+    }
 
     #[test]
     fn middle_values_match_hand_computation() {
@@ -44,7 +44,7 @@ mod tests {
         // read-through = 0.3*0.25*0.75 = 0.05625
         // write-through = 0.3*0.25*0.25 = 0.01875
         let w = WorkloadParams::at_level(Level::Middle);
-        let m = mix(&w);
+        let m = table(&w);
         assert!((m.freq(Operation::CleanMiss(MissSource::Memory)) - 0.00535 * 0.8).abs() < 1e-12);
         assert!((m.freq(Operation::DirtyMiss(MissSource::Memory)) - 0.00535 * 0.2).abs() < 1e-12);
         assert!((m.freq(Operation::ReadThrough) - 0.05625).abs() < 1e-12);
@@ -55,7 +55,7 @@ mod tests {
     fn throughs_sum_to_shared_reference_rate() {
         for level in Level::ALL {
             let w = WorkloadParams::at_level(level);
-            let m = mix(&w);
+            let m = table(&w);
             let throughs = m.freq(Operation::ReadThrough) + m.freq(Operation::WriteThrough);
             assert!((throughs - w.ls() * w.shd()).abs() < 1e-12);
         }
@@ -66,7 +66,7 @@ mod tests {
         let w = WorkloadParams::default()
             .with_param(ParamId::Shd, 0.0)
             .unwrap();
-        assert_eq!(mix(&w), crate::scheme::base::mix(&w));
+        assert_eq!(table(&w), Collected::scheme(Scheme::Base, &w));
     }
 
     #[test]
@@ -74,7 +74,7 @@ mod tests {
         let w = WorkloadParams::default()
             .with_param(ParamId::Shd, 1.0)
             .unwrap();
-        let m = mix(&w);
+        let m = table(&w);
         // Only instruction misses remain.
         let total_miss = m.freq(Operation::CleanMiss(MissSource::Memory))
             + m.freq(Operation::DirtyMiss(MissSource::Memory));
@@ -85,12 +85,12 @@ mod tests {
     fn apl_is_irrelevant_to_no_cache() {
         let w = WorkloadParams::default();
         let w2 = w.with_param(ParamId::Apl, 1.0).unwrap();
-        assert_eq!(mix(&w), mix(&w2));
+        assert_eq!(table(&w), table(&w2));
     }
 
     #[test]
     fn no_cache_emits_no_flushes_or_broadcasts() {
-        let m = mix(&WorkloadParams::default());
+        let m = table(&WorkloadParams::default());
         assert_eq!(m.freq(Operation::CleanFlush), 0.0);
         assert_eq!(m.freq(Operation::DirtyFlush), 0.0);
         assert_eq!(m.freq(Operation::WriteBroadcast), 0.0);

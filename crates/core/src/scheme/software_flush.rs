@@ -21,19 +21,12 @@
 //!    stream, so instruction misses occur at rate `mains·(1 + ls·shd/apl)`
 //!    per non-flush instruction.
 
-use crate::scheme::{OperationMix, TermSink};
+use crate::scheme::TermSink;
 use crate::system::{MissSource, Operation};
 use crate::workload::WorkloadParams;
 
-/// Table 5: operation frequencies for the Software-Flush scheme, per
-/// non-flush instruction.
-pub fn mix(w: &WorkloadParams) -> OperationMix {
-    let mut m = OperationMix::new();
-    terms(w, &mut m);
-    m
-}
-
-/// Table 5's terms, pushed into `sink` in table order.
+/// Table 5, the Software-Flush scheme's operation frequencies per
+/// non-flush instruction: its terms, pushed into `sink` in table order.
 #[inline]
 pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
     // Flush instructions per non-flush instruction.
@@ -59,14 +52,20 @@ pub(crate) fn terms<S: TermSink>(w: &WorkloadParams, sink: &mut S) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::collect::Collected;
+    use crate::scheme::Scheme;
     use crate::workload::{Level, ParamId};
+
+    fn table(w: &WorkloadParams) -> Collected {
+        Collected::from(|sink| terms(w, sink))
+    }
 
     #[test]
     fn middle_values_match_hand_computation() {
         // ls=0.3, shd=0.25, apl=1/0.13, mdshd=0.25,
         // msdat=0.014, mains=0.0022, md=0.2.
         let w = WorkloadParams::at_level(Level::Middle);
-        let m = mix(&w);
+        let m = table(&w);
         let flush = 0.3 * 0.25 * 0.13;
         let imiss = 0.0022 * (1.0 + flush);
         let miss = 0.3 * 0.014 * 0.75 + imiss;
@@ -82,7 +81,7 @@ mod tests {
     fn flush_rate_splits_by_mdshd() {
         for level in Level::ALL {
             let w = WorkloadParams::at_level(level);
-            let m = mix(&w);
+            let m = table(&w);
             let total = m.freq(Operation::CleanFlush) + m.freq(Operation::DirtyFlush);
             assert!((total - w.ls() * w.shd() / w.apl()).abs() < 1e-12);
         }
@@ -93,7 +92,7 @@ mod tests {
         let w = WorkloadParams::default()
             .with_param(ParamId::Shd, 0.0)
             .unwrap();
-        assert_eq!(mix(&w), crate::scheme::base::mix(&w));
+        assert_eq!(table(&w), Collected::scheme(Scheme::Base, &w));
     }
 
     #[test]
@@ -106,7 +105,7 @@ mod tests {
         let w = WorkloadParams::default()
             .with_param(ParamId::Apl, 1e9)
             .unwrap();
-        let m = mix(&w);
+        let m = table(&w);
         assert!(m.freq(Operation::CleanFlush) < 1e-9);
         assert!(m.freq(Operation::DirtyFlush) < 1e-9);
     }
@@ -115,14 +114,14 @@ mod tests {
     fn apl_one_is_heavier_than_no_cache_per_shared_reference() {
         // §5.3: at apl = 1 every shared reference costs a flush plus a
         // miss, heavier in both CPU and bus than No-Cache's throughs.
-        use crate::demand::demand;
+        use crate::demand::scheme_demand;
         use crate::system::BusSystemModel;
         let w = WorkloadParams::default()
             .with_param(ParamId::Apl, 1.0)
             .unwrap();
         let sys = BusSystemModel::new();
-        let sf = demand(&mix(&w), &sys).unwrap();
-        let nc = demand(&crate::scheme::no_cache::mix(&w), &sys).unwrap();
+        let sf = scheme_demand(Scheme::SoftwareFlush, &w, &sys).unwrap();
+        let nc = scheme_demand(Scheme::NoCache, &w, &sys).unwrap();
         assert!(sf.cpu() > nc.cpu());
         assert!(sf.interconnect() > nc.interconnect());
     }
@@ -132,7 +131,7 @@ mod tests {
         let base = WorkloadParams::default();
         let frequent = base.with_param(ParamId::Apl, 2.0).unwrap();
         let rare = base.with_param(ParamId::Apl, 20.0).unwrap();
-        let cm = |w: &WorkloadParams| mix(w).freq(Operation::CleanMiss(MissSource::Memory));
+        let cm = |w: &WorkloadParams| table(w).freq(Operation::CleanMiss(MissSource::Memory));
         assert!(cm(&frequent) > cm(&rare));
     }
 }

@@ -59,9 +59,10 @@ fn frequency_table(title: &str, scheme: Scheme, workload: &WorkloadParams) -> Ta
         title,
         vec!["operation".into(), "frequency / instruction".into()],
     );
-    for (op, freq) in scheme.mix(workload).iter() {
+    scheme_terms(scheme, workload, &BusSystemModel::new(), |op, freq, _| {
         t.push_row(vec![op.name().to_string(), fmt_f(freq)]);
-    }
+    })
+    .expect("the Table 1 bus prices every operation");
     t.notes.push(format!(
         "evaluated at middle (Table 7) parameters; scheme = {scheme}"
     ));

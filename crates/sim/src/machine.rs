@@ -318,16 +318,24 @@ impl Multiprocessor {
         }
     }
 
-    /// Instruction fetch, common to all protocols: one execution cycle
-    /// plus a memory miss if absent. (Code is per-processor in our
-    /// traces, so fetch misses are always memory-sourced.)
+    /// Instruction fetch: one execution cycle plus a miss if absent,
+    /// counted as an instruction miss. A code block can sit in another
+    /// cache like any block, so the snoopy protocols serve the miss as
+    /// their load miss (a dirty owner supplies it and the holders see
+    /// the fill); the others fill it clean from memory.
     fn fetch(&mut self, cpu: usize, block: BlockAddr) {
         self.counters[cpu].instructions += 1;
         self.bus_op(cpu, Operation::Instruction);
         if self.caches[cpu].touch(block).is_none() {
             self.counters[cpu].instr_misses += 1;
-            let dirty = self.fill(cpu, block, LineState::Clean);
-            self.miss_op(cpu, dirty, false);
+            match self.config.protocol() {
+                ProtocolKind::Dragon => dragon::read_miss(self, cpu, block),
+                ProtocolKind::WriteInvalidate => write_invalidate::read_miss(self, cpu, block),
+                ProtocolKind::Base | ProtocolKind::NoCache | ProtocolKind::SoftwareFlush => {
+                    let dirty = self.fill(cpu, block, LineState::Clean);
+                    self.miss_op(cpu, dirty, false);
+                }
+            }
         }
     }
 
@@ -707,6 +715,44 @@ mod tests {
 
     fn machine(protocol: ProtocolKind, cpus: u16) -> Multiprocessor {
         Multiprocessor::new(SimConfig::new(protocol), cpus)
+    }
+
+    #[test]
+    fn snoopy_fetch_misses_see_other_caches() {
+        // cpu0 writes a block; cpu1 fetches it as code, then writes it;
+        // cpu0 reads it back.
+        let trace = [
+            acc(0, AccessKind::Store, 0x8000_0000),
+            acc(1, AccessKind::Fetch, 0x8000_0000),
+            acc(1, AccessKind::Store, 0x8000_0000),
+            acc(0, AccessKind::Load, 0x8000_0000),
+        ];
+        for protocol in [ProtocolKind::Dragon, ProtocolKind::WriteInvalidate] {
+            let mut m = machine(protocol, 2);
+            let block = Addr(0x8000_0000).block(m.config.block_bits());
+            for (i, access) in trace.into_iter().enumerate() {
+                m.step(access.cpu.index(), access);
+                let dirty = m
+                    .caches
+                    .iter()
+                    .filter(|c| c.peek(block).is_some_and(LineState::is_dirty))
+                    .count();
+                assert!(
+                    dirty <= 1,
+                    "{protocol}: {dirty} dirty copies after record {i}"
+                );
+            }
+            assert_eq!(m.counters[1].instr_misses, 1, "{protocol}");
+            assert_eq!(
+                m.counters[1].cache_sourced_misses, 1,
+                "{protocol}: cpu0 owns the block dirty and supplies the fetch"
+            );
+            if protocol == ProtocolKind::WriteInvalidate {
+                assert_eq!(m.counters[1].broadcasts, 1, "cpu1's store upgrades");
+                assert_eq!(m.counters[0].invalidations, 1, "cpu0's copy dies");
+                assert_eq!(m.counters[0].data_misses, 2, "cpu0's load misses");
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use swcc_core::demand::scheme_demand;
+use swcc_core::demand::scheme_terms;
 use swcc_core::scheme::Scheme;
-use swcc_core::system::{CostModel, NetworkSystemModel};
+use swcc_core::system::{NetworkSystemModel, Operation};
 use swcc_core::workload::WorkloadParams;
 use swcc_core::{ModelError, Result};
 
@@ -150,14 +150,14 @@ enum CpuPhase {
 /// Simulates `scheme` under `workload` on a circuit-switched network.
 ///
 /// The workload is sampled per instruction from the scheme's operation
-/// mix; operation costs come from Table 9. Returns per-run statistics
-/// comparable to the analytical model.
+/// frequencies (Tables 3–5); operation costs come from Table 9. Returns
+/// per-run statistics comparable to the analytical model.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::UnsupportedScheme`] for Dragon and propagates
-/// [`ModelError::UnsupportedOperation`] if the mix contains an
-/// operation Table 9 does not define.
+/// [`ModelError::UnsupportedOperation`] if the table has a term Table 9
+/// does not define.
 ///
 /// # Examples
 ///
@@ -196,26 +196,19 @@ pub fn simulate_network(
         });
     }
     let system = NetworkSystemModel::new(config.stages);
-    // Validate the mix eagerly so errors surface before simulation.
-    let _ = scheme_demand(scheme, workload, &system)?;
     // Per-instruction sampling table: (probability, local cycles,
-    // network cycles).
+    // network cycles). The base cycle is charged unconditionally.
     let mut ops: Vec<(f64, u64, u64)> = Vec::new();
-    for (op, freq) in scheme.mix(workload).iter() {
-        let cost = system.cost(op).ok_or(ModelError::UnsupportedOperation {
-            operation: op,
-            model: system.model_name(),
-        })?;
-        if op == swcc_core::system::Operation::Instruction {
-            continue; // the base cycle is charged unconditionally
+    scheme_terms(scheme, workload, &system, |op, freq, cost| {
+        if op != Operation::Instruction {
+            debug_assert!(freq <= 1.0, "per-instruction op probability");
+            ops.push((
+                freq,
+                u64::from(cost.local()),
+                u64::from(cost.interconnect()),
+            ));
         }
-        debug_assert!(freq <= 1.0, "per-instruction op probability");
-        ops.push((
-            freq,
-            u64::from(cost.local()),
-            u64::from(cost.interconnect()),
-        ));
-    }
+    })?;
 
     let n = config.stages;
     let cpus = 1usize << n;
@@ -409,23 +402,17 @@ pub fn simulate_network_packet(
         });
     }
     let system = NetworkSystemModel::new(config.stages);
-    let _ = scheme_demand(scheme, workload, &system)?;
     let round_trip = u64::from(system.round_trip());
     // (probability, local cycles, payload cycles) per op.
     let mut ops: Vec<(f64, u64, u64)> = Vec::new();
-    for (op, freq) in scheme.mix(workload).iter() {
-        let cost = system.cost(op).ok_or(ModelError::UnsupportedOperation {
-            operation: op,
-            model: system.model_name(),
-        })?;
-        if op == swcc_core::system::Operation::Instruction {
-            continue;
+    scheme_terms(scheme, workload, &system, |op, freq, cost| {
+        if op != Operation::Instruction {
+            let payload = u64::from(cost.interconnect())
+                .saturating_sub(round_trip)
+                .max(u64::from(cost.interconnect() > 0));
+            ops.push((freq, u64::from(cost.local()), payload));
         }
-        let payload = u64::from(cost.interconnect())
-            .saturating_sub(round_trip)
-            .max(u64::from(cost.interconnect() > 0));
-        ops.push((freq, u64::from(cost.local()), payload));
-    }
+    })?;
 
     let n = config.stages;
     let cpus = 1usize << n;

@@ -30,8 +30,18 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
         }
         return;
     }
-    // Miss. Find a dirty owner (cache supply) and other holders.
     m.counters[cpu].data_misses += 1;
+    read_miss(m, cpu, block);
+    if write {
+        store_update(m, cpu, block);
+    }
+}
+
+/// Brings an absent block into `cpu`'s cache, as a load, a store or an
+/// instruction fetch that misses: a dirty owner supplies it (and keeps
+/// ownership), memory otherwise, and it fills shared when other caches
+/// hold it.
+pub(crate) fn read_miss(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
     let found = snoop(&m.caches, cpu, block);
     let fill_state = if found.holders > 0 {
         LineState::SharedClean
@@ -43,9 +53,6 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
     if let Some(o) = found.owner {
         // The supplier keeps ownership; both ends now know it's shared.
         m.caches[o].set_state(block, LineState::SharedDirty);
-    }
-    if write {
-        store_update(m, cpu, block);
     }
 }
 

@@ -41,26 +41,37 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
         }
         None => {
             m.counters[cpu].data_misses += 1;
-            let found = snoop(&m.caches, cpu, block);
-            let fill_state = if write {
-                LineState::Dirty
-            } else if found.holders == 0 {
-                LineState::Clean
-            } else {
-                LineState::SharedClean
-            };
-            let dirty_victim = m.fill(cpu, block, fill_state);
-            m.miss_op(cpu, dirty_victim, found.owner.is_some());
             if write {
+                let found = snoop(&m.caches, cpu, block);
+                let dirty_victim = m.fill(cpu, block, LineState::Dirty);
+                m.miss_op(cpu, dirty_victim, found.owner.is_some());
                 invalidate_others(m, cpu, block);
-            } else if found.holders > 0 {
-                // Every snooping holder observes the fill and downgrades
-                // to Shared — including a dirty owner, whose supplying
-                // transfer updates memory (Illinois).
-                for o in (0..m.caches.len()).filter(|&o| o != cpu) {
-                    m.caches[o].set_state(block, LineState::SharedClean);
-                }
+            } else {
+                read_miss(m, cpu, block);
             }
+        }
+    }
+}
+
+/// Brings an absent block into `cpu`'s cache for reading, as a load or
+/// an instruction fetch that misses: a dirty owner supplies it, memory
+/// otherwise, and it fills Exclusive (`Clean`) only when no other cache
+/// holds it.
+pub(crate) fn read_miss(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
+    let found = snoop(&m.caches, cpu, block);
+    let fill_state = if found.holders == 0 {
+        LineState::Clean
+    } else {
+        LineState::SharedClean
+    };
+    let dirty_victim = m.fill(cpu, block, fill_state);
+    m.miss_op(cpu, dirty_victim, found.owner.is_some());
+    if found.holders > 0 {
+        // Every snooping holder observes the fill and downgrades to
+        // Shared — including a dirty owner, whose supplying transfer
+        // updates memory (Illinois).
+        for o in (0..m.caches.len()).filter(|&o| o != cpu) {
+            m.caches[o].set_state(block, LineState::SharedClean);
         }
     }
 }

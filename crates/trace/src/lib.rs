@@ -35,7 +35,6 @@ pub mod layout;
 pub mod record;
 pub mod stats;
 pub mod synth;
-pub mod transform;
 
 pub use layout::{AddressLayout, Region};
 pub use record::{Access, AccessKind, Addr, BlockAddr, CpuId, Trace};

@@ -148,10 +148,7 @@ proptest! {
                 rates[i],
                 sizes[i],
                 stages,
-                SolveOptions {
-                    hint: Some(hints[i]),
-                    ..SolveOptions::default()
-                },
+                SolveOptions { hint: Some(hints[i]) },
             )
             .unwrap();
             prop_assert_eq!(

@@ -85,7 +85,9 @@ proptest! {
     #[test]
     fn frequencies_are_finite_and_nonnegative(w in workloads()) {
         for s in Scheme::ALL {
-            for (op, f) in s.mix(&w).iter() {
+            let mut terms = Vec::new();
+            scheme_terms(s, &w, &BusSystemModel::new(), |op, f, _| terms.push((op, f))).unwrap();
+            for (op, f) in terms {
                 prop_assert!(f.is_finite() && f >= 0.0, "{s}/{op}: {f}");
             }
         }
@@ -176,10 +178,7 @@ proptest! {
         // A warm start (any hint, even a bad one) must land on the same
         // fixed point as a cold solve, within the shared tolerance.
         let cold = solve(rate, size, stages).unwrap();
-        let opts = SolveOptions {
-            hint: Some(hint),
-            ..SolveOptions::default()
-        };
+        let opts = SolveOptions { hint: Some(hint) };
         let warm = swcc_core::network::solve_with(rate, size, stages, opts).unwrap();
         prop_assert!(
             (warm.think_fraction() - cold.think_fraction()).abs() <= 1e-9,
@@ -188,10 +187,7 @@ proptest! {
             cold.think_fraction()
         );
         // A hint chain: the same point hinted with its own cold root.
-        let rehinted = SolveOptions {
-            hint: Some(cold.think_fraction()),
-            ..SolveOptions::default()
-        };
+        let rehinted = SolveOptions { hint: Some(cold.think_fraction()) };
         let again = swcc_core::network::solve_with(rate, size, stages, rehinted).unwrap();
         prop_assert!((again.think_fraction() - cold.think_fraction()).abs() <= 1e-9);
     }
