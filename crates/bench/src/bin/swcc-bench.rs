@@ -13,7 +13,10 @@
 //!
 //! This is a single fast pass (median of a few dozen batched samples),
 //! intended for regression tracking and for the README's performance
-//! table. `--compare` diffs two reports
+//! table. Each sample of a comparison times a batch of reference calls
+//! and then a batch of subject calls, and each speedup is the median of
+//! the per-sample ratios, so drift in host speed between samples cancels
+//! instead of moving the ratio. `--compare` diffs two reports
 //! and exits nonzero when a machine-independent quantity (speedup
 //! ratio, solver iteration count) regressed — the perf half of CI's
 //! regression gate (the tolerance applies to the ratios; counts must
@@ -63,22 +66,56 @@ fn residual_evals(f: impl FnOnce()) -> u32 {
     u32::try_from(evals).expect("a 50-solve sweep stays far below u32::MAX evaluations")
 }
 
+/// Wall-clock nanoseconds per `f()` call over one batch of [`ITERS`]
+/// calls.
+fn batch_ns(f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..ITERS {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e9 / ITERS as f64
+}
+
+fn median(samples: impl Iterator<Item = f64>) -> f64 {
+    let samples: Vec<f64> = samples.collect();
+    swcc_obs::quantile::median(&samples).expect("SAMPLES > 0 and Instant yields finite ns")
+}
+
 /// Median wall-clock nanoseconds of one `f()` call, measured over
 /// [`SAMPLES`] batches of [`ITERS`] calls each.
 fn median_ns(mut f: impl FnMut()) -> f64 {
     for _ in 0..ITERS {
         f(); // warm-up
     }
-    let samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..ITERS {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / ITERS as f64
-        })
+    median((0..SAMPLES).map(|_| batch_ns(&mut f)))
+}
+
+/// A reference timed against a subject, sample by sample.
+struct Paired {
+    /// Median nanoseconds per reference call.
+    reference_ns: f64,
+    /// Median nanoseconds per subject call.
+    subject_ns: f64,
+    /// Median of the per-sample ratios `reference / subject`.
+    speedup: f64,
+}
+
+/// Times `reference` against `subject` over [`SAMPLES`] samples, each a
+/// batch of [`ITERS`] reference calls followed by a batch of subject
+/// calls.
+fn paired_ns(mut reference: impl FnMut(), mut subject: impl FnMut()) -> Paired {
+    for _ in 0..ITERS {
+        reference(); // warm-up
+        subject();
+    }
+    let samples: Vec<(f64, f64)> = (0..SAMPLES)
+        .map(|_| (batch_ns(&mut reference), batch_ns(&mut subject)))
         .collect();
-    swcc_obs::quantile::median(&samples).expect("SAMPLES > 0 and Instant yields finite ns")
+    Paired {
+        reference_ns: median(samples.iter().map(|s| s.0)),
+        subject_ns: median(samples.iter().map(|s| s.1)),
+        speedup: median(samples.iter().map(|s| s.0 / s.1)),
+    }
 }
 
 /// One pointwise-versus-swept comparison over a 1..=n curve.
@@ -91,13 +128,13 @@ struct CurveBench {
 }
 
 impl CurveBench {
-    fn new(points: u32, pointwise_ns: f64, swept_ns: f64) -> Self {
+    fn new(points: u32, timed: Paired) -> Self {
         let per = f64::from(points);
         CurveBench {
             points,
-            pointwise_ns_per_point: pointwise_ns / per,
-            swept_ns_per_point: swept_ns / per,
-            speedup: pointwise_ns / swept_ns,
+            pointwise_ns_per_point: timed.reference_ns / per,
+            swept_ns_per_point: timed.subject_ns / per,
+            speedup: timed.speedup,
         }
     }
 }
@@ -167,8 +204,8 @@ struct BatchPatelBench {
     /// Total residual evaluations across the batch; deterministic for
     /// a given grid, so `--compare` gates it exactly.
     batch_iterations: u64,
-    /// Warm scalar wall / batch wall on the same grid — the gated
-    /// batch-engine speedup.
+    /// Warm scalar wall / batch wall on the same grid, per sample — the
+    /// gated batch-engine speedup.
     speedup_vs_warm: f64,
 }
 
@@ -201,23 +238,29 @@ fn run() -> Report {
     let w = WorkloadParams::default();
     let sys = BusSystemModel::new();
 
-    let mva_pointwise = median_ns(|| {
-        for n in 1..=CURVE_POINTS {
-            std::hint::black_box(machine_repairman(n, 0.37, 1.2).unwrap());
-        }
-    });
-    let mva_swept = median_ns(|| {
-        std::hint::black_box(machine_repairman_sweep(CURVE_POINTS, 0.37, 1.2).unwrap());
-    });
+    let mva = paired_ns(
+        || {
+            for n in 1..=CURVE_POINTS {
+                std::hint::black_box(machine_repairman(n, 0.37, 1.2).unwrap());
+            }
+        },
+        || {
+            std::hint::black_box(machine_repairman_sweep(CURVE_POINTS, 0.37, 1.2).unwrap());
+        },
+    );
 
-    let bus_pointwise = median_ns(|| {
-        for n in 1..=CURVE_POINTS {
-            std::hint::black_box(analyze_bus(Scheme::Dragon, &w, &sys, n).unwrap());
-        }
-    });
-    let bus_swept = median_ns(|| {
-        std::hint::black_box(analyze_bus_sweep(Scheme::Dragon, &w, &sys, CURVE_POINTS).unwrap());
-    });
+    let bus = paired_ns(
+        || {
+            for n in 1..=CURVE_POINTS {
+                std::hint::black_box(analyze_bus(Scheme::Dragon, &w, &sys, n).unwrap());
+            }
+        },
+        || {
+            std::hint::black_box(
+                analyze_bus_sweep(Scheme::Dragon, &w, &sys, CURVE_POINTS).unwrap(),
+            );
+        },
+    );
 
     let stages = 8u32;
     let rates = || (1..=PATEL_SOLVES).map(|i| f64::from(i) * 0.002);
@@ -226,8 +269,7 @@ fn run() -> Report {
             std::hint::black_box(solve(rate, 20.0, stages).unwrap());
         }
     };
-    let cold_ns = median_ns(cold_sweep);
-    let warm_ns = median_ns(|| warm_chain(rates(), stages));
+    let patel = paired_ns(cold_sweep, || warm_chain(rates(), stages));
     let cold_iterations = residual_evals(cold_sweep);
     let warm_iterations = residual_evals(|| warm_chain(rates(), stages));
 
@@ -254,7 +296,7 @@ fn run() -> Report {
     let rooted_ns = median_ns(rooted_sweep);
     let rooted_iterations = residual_evals(rooted_sweep);
     let (setup_ns_per_solve, iteration_ns) = PatelBench::split_overhead(
-        warm_ns,
+        patel.subject_ns,
         rooted_ns,
         warm_iterations,
         rooted_iterations,
@@ -265,14 +307,16 @@ fn run() -> Report {
     let batch_rates: Vec<f64> = (1..=BATCH_LANES).map(|i| i as f64 * 1.0e-4).collect();
     let batch_sizes = vec![20.0; BATCH_LANES];
     let batch_solver = BatchPatelSolver::new();
-    let warm_grid_ns = median_ns(|| warm_chain(batch_rates.iter().copied(), stages));
-    let batch_ns = median_ns(|| {
-        std::hint::black_box(
-            batch_solver
-                .solve(&batch_rates, &batch_sizes, stages)
-                .unwrap(),
-        );
-    });
+    let batch_patel = paired_ns(
+        || warm_chain(batch_rates.iter().copied(), stages),
+        || {
+            std::hint::black_box(
+                batch_solver
+                    .solve(&batch_rates, &batch_sizes, stages)
+                    .unwrap(),
+            );
+        },
+    );
     let batch_iterations = batch_solver
         .solve(&batch_rates, &batch_sizes, stages)
         .unwrap()
@@ -283,16 +327,18 @@ fn run() -> Report {
     let grid_customers = CURVE_POINTS;
     let grid_services: Vec<f64> = (0..BATCH_LANES).map(|i| 0.1 + i as f64 * 5.0e-4).collect();
     let grid_thinks = vec![1.2; BATCH_LANES];
-    let grid_pointwise_ns = median_ns(|| {
-        for (&s, &z) in grid_services.iter().zip(&grid_thinks) {
-            std::hint::black_box(machine_repairman(grid_customers, s, z).unwrap());
-        }
-    });
-    let grid_batch_ns = median_ns(|| {
-        std::hint::black_box(
-            machine_repairman_grid(grid_customers, &grid_services, &grid_thinks).unwrap(),
-        );
-    });
+    let grid = paired_ns(
+        || {
+            for (&s, &z) in grid_services.iter().zip(&grid_thinks) {
+                std::hint::black_box(machine_repairman(grid_customers, s, z).unwrap());
+            }
+        },
+        || {
+            std::hint::black_box(
+                machine_repairman_grid(grid_customers, &grid_services, &grid_thinks).unwrap(),
+            );
+        },
+    );
 
     Report {
         schema: BENCH_SCHEMA.to_string(),
@@ -301,34 +347,34 @@ fn run() -> Report {
             "swcc-bench {} (median of {SAMPLES} samples x {ITERS} iterations)",
             env!("CARGO_PKG_VERSION")
         ),
-        mva_curve: CurveBench::new(CURVE_POINTS, mva_pointwise, mva_swept),
-        bus_curve_dragon: CurveBench::new(CURVE_POINTS, bus_pointwise, bus_swept),
+        mva_curve: CurveBench::new(CURVE_POINTS, mva),
+        bus_curve_dragon: CurveBench::new(CURVE_POINTS, bus),
         patel_rate_sweep: PatelBench {
             solves: PATEL_SOLVES,
             stages,
-            cold_ns_per_solve: cold_ns / f64::from(PATEL_SOLVES),
-            warm_ns_per_solve: warm_ns / f64::from(PATEL_SOLVES),
+            cold_ns_per_solve: patel.reference_ns / f64::from(PATEL_SOLVES),
+            warm_ns_per_solve: patel.subject_ns / f64::from(PATEL_SOLVES),
             cold_iterations,
             warm_iterations,
             iteration_speedup: f64::from(cold_iterations) / f64::from(warm_iterations),
-            wall_speedup: cold_ns / warm_ns,
+            wall_speedup: patel.speedup,
             setup_ns_per_solve,
             iteration_ns,
         },
         batch_patel: BatchPatelBench {
             lanes: BATCH_LANES,
             stages,
-            warm_scalar_ns_per_solve: warm_grid_ns / BATCH_LANES as f64,
-            batch_ns_per_solve: batch_ns / BATCH_LANES as f64,
+            warm_scalar_ns_per_solve: batch_patel.reference_ns / BATCH_LANES as f64,
+            batch_ns_per_solve: batch_patel.subject_ns / BATCH_LANES as f64,
             batch_iterations,
-            speedup_vs_warm: warm_grid_ns / batch_ns,
+            speedup_vs_warm: batch_patel.speedup,
         },
         batch_grid: BatchGridBench {
             lanes: BATCH_LANES,
             customers: grid_customers,
-            pointwise_ns_per_lane: grid_pointwise_ns / BATCH_LANES as f64,
-            batch_ns_per_lane: grid_batch_ns / BATCH_LANES as f64,
-            speedup: grid_pointwise_ns / grid_batch_ns,
+            pointwise_ns_per_lane: grid.reference_ns / BATCH_LANES as f64,
+            batch_ns_per_lane: grid.subject_ns / BATCH_LANES as f64,
+            speedup: grid.speedup,
         },
     }
 }

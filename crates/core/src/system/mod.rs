@@ -98,9 +98,10 @@ impl Operation {
         Operation::CycleSteal,
     ];
 
-    /// Stable dense index of this operation within [`Operation::ALL`].
+    /// Stable dense index of this operation within [`Operation::ALL`],
+    /// for tables and counters kept per operation.
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         match self {
             Operation::Instruction => 0,
             Operation::CleanMiss(MissSource::Memory) => 1,

@@ -19,6 +19,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
+use swcc_core::system::Operation;
 use swcc_core::workload::{ParamId, WorkloadParams};
 use swcc_sim::measure::measure_workload;
 use swcc_sim::{
@@ -189,7 +190,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let c = report.counters(cpu);
         say!(
             "  cpu{cpu}: {} instr, U={:.4}, wait={}, misses d={} i={}",
-            c.instructions,
+            c.count(Operation::Instruction),
             report.utilization(cpu),
             c.contention_cycles,
             c.data_misses,

@@ -17,9 +17,15 @@
 //! Bus operations request the bus at the processor's current time; the
 //! bus grants in FCFS order (`bus_free` high-water mark), and the
 //! difference between request and grant is accounted as contention.
-//! Unlike the analytical model — which assumes exponential service — the
-//! simulator uses the *fixed* service times of Table 1, which is exactly
-//! why the paper observes the model slightly overestimating contention.
+//! A transaction holds the bus for its Table 1 time, fixed by default
+//! or exponentially distributed with that mean ([`ServiceDiscipline`]);
+//! `ext_service` measured the exponential simulation farther from the
+//! model's contention than the fixed one at 2, 4 and 8 CPUs.
+//!
+//! The handlers of [`crate::protocol`] make the line-state transitions
+//! and charge each [`Operation`] they cause; the machine times every
+//! charge and counts it per operation in [`CpuCounters`], and every
+//! event total of a [`SimReport`] is a view of those counts.
 
 use std::time::Instant;
 
@@ -27,23 +33,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use swcc_core::system::{CostModel, NetworkSystemModel, OpCost, Operation};
-use swcc_trace::{Access, AccessKind, Addr, BlockAddr, Trace};
+use swcc_core::system::{CostModel, MissSource, NetworkSystemModel, OpCost, Operation};
+use swcc_trace::{Access, AccessKind, BlockAddr, Trace};
 
 use crate::cache::{Cache, LineState};
 use crate::config::{InterconnectKind, ServiceDiscipline, SimConfig};
 use crate::metrics::{EV_SIM_BUS_OP, EV_SIM_CACHE_FILL, EV_SIM_EVENTS, EV_SIM_RUN};
-use crate::protocol::{base, dragon, no_cache, software_flush, write_invalidate, ProtocolKind};
+use crate::network::link_id;
+use crate::protocol::{
+    base, dragon, no_cache, software_flush, write_invalidate, Machine, ProtocolKind,
+};
 use crate::report::SimReport;
 
 /// Per-processor event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct CpuCounters {
-    /// Instructions executed (fetch records).
-    pub instructions: u64,
-    /// Flush records processed (Software-Flush only).
-    pub flush_records: u64,
     /// Data loads.
     pub data_reads: u64,
     /// Data stores.
@@ -52,36 +57,22 @@ pub struct CpuCounters {
     pub instr_misses: u64,
     /// Data misses (cached references only).
     pub data_misses: u64,
-    /// Misses that replaced a dirty block (write-back performed).
-    pub dirty_replacements: u64,
-    /// Misses supplied by another cache (Dragon).
-    pub cache_sourced_misses: u64,
-    /// Uncached shared loads (No-Cache).
-    pub read_throughs: u64,
-    /// Uncached shared stores (No-Cache).
-    pub write_throughs: u64,
-    /// Flushes of clean/absent lines.
-    pub clean_flushes: u64,
-    /// Flushes that wrote a dirty line back.
-    pub dirty_flushes: u64,
-    /// Write-broadcasts issued (Dragon).
-    pub broadcasts: u64,
-    /// Copies this cache dropped on a snooped invalidation
-    /// (Write-Invalidate).
-    pub invalidations: u64,
-    /// Copies this cache updated in place on a snooped write-broadcast
-    /// (Dragon).
-    pub updates: u64,
-    /// Cache line fills (block insertions on a miss).
-    pub fills: u64,
     /// Interconnect transactions this processor won arbitration for.
     pub bus_transactions: u64,
-    /// Cycles stolen by the cache controller while snooping (Dragon).
-    pub cycle_steals: u64,
     /// Cycles spent waiting for the bus.
     pub contention_cycles: u64,
     /// Final local time in cycles.
     pub cycles: u64,
+    /// Operations charged to this processor, by [`Operation::index`].
+    operations: [u64; Operation::ALL.len()],
+}
+
+impl CpuCounters {
+    /// How many times `op` was charged to this processor (its
+    /// instructions are its [`Operation::Instruction`] count).
+    pub fn count(&self, op: Operation) -> u64 {
+        self.operations[op.index()]
+    }
 }
 
 /// The interconnect fabric state.
@@ -106,11 +97,15 @@ pub struct Multiprocessor {
     pub(crate) bus_busy: u64,
     pub(crate) counters: Vec<CpuCounters>,
     fabric: Fabric,
+    /// Each operation's cost on the fabric, by [`Operation::index`]
+    /// (`None` for the snoopy operations a network lacks).
+    costs: [Option<OpCost>; Operation::ALL.len()],
     /// Block of the current access; the network fabric routes it to
     /// its memory module.
     pending_block: BlockAddr,
-    /// Processor issuing the current access (network routing source).
-    pending_cpu: u32,
+    /// Whether the current access is an instruction fetch, whose miss
+    /// counts as an instruction miss.
+    fetching: bool,
     /// RNG for stochastic service disciplines.
     rng: StdRng,
 }
@@ -141,6 +136,10 @@ impl Multiprocessor {
                 }
             }
         };
+        let costs = Operation::ALL.map(|op| match &fabric {
+            Fabric::Bus { .. } => config.system().cost(op),
+            Fabric::Network { system, .. } => system.cost(op),
+        });
         Multiprocessor {
             config,
             caches,
@@ -148,8 +147,9 @@ impl Multiprocessor {
             bus_busy: 0,
             counters: vec![CpuCounters::default(); usize::from(cpus)],
             fabric,
+            costs,
             pending_block: BlockAddr(0),
-            pending_cpu: 0,
+            fetching: false,
             rng,
         }
     }
@@ -288,7 +288,7 @@ impl Multiprocessor {
     pub(crate) fn step(&mut self, cpu: usize, access: Access) {
         let block = access.addr.block(self.config.block_bits());
         self.pending_block = block;
-        self.pending_cpu = cpu as u32;
+        self.fetching = access.kind == AccessKind::Fetch;
         match access.kind {
             AccessKind::Fetch => self.fetch(cpu, block),
             AccessKind::Load | AccessKind::Store => {
@@ -300,7 +300,10 @@ impl Multiprocessor {
                 }
                 match self.config.protocol() {
                     ProtocolKind::Base => base::data(self, cpu, write, block),
-                    ProtocolKind::NoCache => no_cache::data(self, cpu, write, access.addr, block),
+                    ProtocolKind::NoCache => {
+                        let shared = self.config.shared_policy().is_shared(access.addr);
+                        no_cache::data(self, cpu, write, shared, block)
+                    }
                     ProtocolKind::SoftwareFlush => software_flush::data(self, cpu, write, block),
                     ProtocolKind::Dragon => dragon::data(self, cpu, write, block),
                     ProtocolKind::WriteInvalidate => {
@@ -324,26 +327,107 @@ impl Multiprocessor {
     /// their load miss (a dirty owner supplies it and the holders see
     /// the fill); the others fill it clean from memory.
     fn fetch(&mut self, cpu: usize, block: BlockAddr) {
-        self.counters[cpu].instructions += 1;
-        self.bus_op(cpu, Operation::Instruction);
+        self.charge(cpu, Operation::Instruction);
         if self.caches[cpu].touch(block).is_none() {
-            self.counters[cpu].instr_misses += 1;
             match self.config.protocol() {
                 ProtocolKind::Dragon => dragon::read_miss(self, cpu, block),
                 ProtocolKind::WriteInvalidate => write_invalidate::read_miss(self, cpu, block),
                 ProtocolKind::Base | ProtocolKind::NoCache | ProtocolKind::SoftwareFlush => {
-                    let dirty = self.fill(cpu, block, LineState::Clean);
-                    self.miss_op(cpu, dirty, false);
+                    self.fill(cpu, block, LineState::Clean, MissSource::Memory)
                 }
             }
         }
     }
 
-    /// Charges one hardware operation: CPU time always, interconnect
-    /// time with FCFS arbitration (bus) or per-link path reservation
-    /// (network) and contention accounting.
-    pub(crate) fn bus_op(&mut self, cpu: usize, op: Operation) {
-        let cost = self.op_cost(op);
+    /// Reserves the interconnect for `hold` cycles starting no earlier
+    /// than `request`; returns the grant time.
+    ///
+    /// On the bus this is the single FCFS high-water mark. On the
+    /// network the whole source→module path (destination-tag routing)
+    /// is reserved at the earliest instant every link is free — a
+    /// waiting circuit establishment, the FCFS analogue of the
+    /// drop-and-retry fabric in [`crate::network`].
+    fn reserve(&mut self, cpu: usize, request: u64, hold: u64) -> u64 {
+        match &mut self.fabric {
+            Fabric::Bus { free } => {
+                let grant = request.max(*free);
+                *free = grant + hold;
+                grant
+            }
+            Fabric::Network { system, links } => {
+                let n = system.stages();
+                // Memory is block-interleaved across the 2^n modules:
+                // the access goes to module block mod 2^n.
+                let dst = (self.pending_block.0 & ((1u64 << n) - 1)) as u32;
+                let link = |i: u32| link_id(n, i, cpu as u32, dst);
+                let mut grant = request;
+                for i in 0..n {
+                    grant = grant.max(links[i as usize][link(i)]);
+                }
+                for i in 0..n {
+                    links[i as usize][link(i)] = grant + hold;
+                }
+                grant
+            }
+        }
+    }
+
+    /// Samples an exponential service time with the given mean,
+    /// stochastically rounded to whole cycles (minimum 1) so the
+    /// long-run mean is preserved.
+    fn exponential_cycles(&mut self, mean: f64) -> u64 {
+        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        let x = (-mean * u.ln()).max(f64::EPSILON);
+        let floor = x.floor();
+        let frac = x - floor;
+        let rounded = floor as u64 + u64::from(self.rng.gen_bool(frac));
+        rounded.max(1)
+    }
+}
+
+impl Machine for Multiprocessor {
+    fn caches(&mut self) -> &mut [Cache] {
+        &mut self.caches
+    }
+
+    /// Counts `op` against `cpu` and charges its time: CPU time always,
+    /// interconnect time with FCFS arbitration (bus) or per-link path
+    /// reservation (network) and contention accounting. A miss counts
+    /// as an instruction or a data miss by the record that caused it.
+    fn charge(&mut self, cpu: usize, op: Operation) {
+        let index = op.index();
+        let counters = &mut self.counters[cpu];
+        counters.operations[index] += 1;
+        if let Operation::CleanMiss(_) | Operation::DirtyMiss(_) = op {
+            if self.fetching {
+                counters.instr_misses += 1;
+            } else {
+                counters.data_misses += 1;
+            }
+            if swcc_obs::trace_enabled() {
+                // The fill has just inserted the current block.
+                let block = self.pending_block;
+                let dirty = self.caches[cpu]
+                    .peek(block)
+                    .is_some_and(LineState::is_dirty);
+                let victim = matches!(op, Operation::DirtyMiss(_));
+                swcc_obs::event_sampled(
+                    EV_SIM_CACHE_FILL,
+                    &[
+                        swcc_obs::Field::u64("cpu", cpu as u64),
+                        swcc_obs::Field::u64("block", block.0),
+                        swcc_obs::Field::bool("dirty", dirty),
+                        swcc_obs::Field::bool("dirty_victim", victim),
+                    ],
+                );
+            }
+        }
+        let cost = self.costs[index].unwrap_or_else(|| {
+            panic!(
+                "operation {op} is snoopy and undefined on a network \
+                 (config validation should have rejected this protocol)"
+            )
+        });
         let hold = match self.config.service() {
             ServiceDiscipline::Fixed => u64::from(cost.interconnect()),
             ServiceDiscipline::Exponential if cost.interconnect() > 0 => {
@@ -353,7 +437,7 @@ impl Multiprocessor {
         };
         if hold > 0 {
             let request = self.time[cpu];
-            let grant = self.reserve(request, hold);
+            let grant = self.reserve(cpu, request, hold);
             let wait = grant - request;
             self.bus_busy += hold;
             self.counters[cpu].bus_transactions += 1;
@@ -378,146 +462,6 @@ impl Multiprocessor {
         }
         self.counters[cpu].cycles = self.time[cpu];
     }
-
-    /// The cost of `op` under the active interconnect's cost table.
-    fn op_cost(&self, op: Operation) -> OpCost {
-        match &self.fabric {
-            Fabric::Bus { .. } => self
-                .config
-                .system()
-                .cost(op)
-                .expect("bus system model defines every operation"),
-            Fabric::Network { system, .. } => system.cost(op).unwrap_or_else(|| {
-                panic!(
-                    "operation {op} is snoopy and undefined on a network                      (config validation should have rejected this protocol)"
-                )
-            }),
-        }
-    }
-
-    /// Reserves the interconnect for `hold` cycles starting no earlier
-    /// than `request`; returns the grant time.
-    ///
-    /// On the bus this is the single FCFS high-water mark. On the
-    /// network the whole source→module path (destination-tag routing)
-    /// is reserved at the earliest instant every link is free — a
-    /// waiting circuit establishment, the FCFS analogue of the
-    /// drop-and-retry fabric in [`crate::network`].
-    fn reserve(&mut self, request: u64, hold: u64) -> u64 {
-        match &mut self.fabric {
-            Fabric::Bus { free } => {
-                let grant = request.max(*free);
-                *free = grant + hold;
-                grant
-            }
-            Fabric::Network { system, links } => {
-                let n = system.stages();
-                let src = self.pending_cpu;
-                // Memory is block-interleaved across the 2^n modules:
-                // the access goes to module block mod 2^n.
-                let dst = (self.pending_block.0 & ((1u64 << n) - 1)) as u32;
-                let link_id = |i: u32| -> usize {
-                    let low = n - i - 1;
-                    let mask = (1u32 << low) - 1;
-                    (((dst >> low) << low) | (src & mask)) as usize
-                };
-                let mut grant = request;
-                for i in 0..n {
-                    grant = grant.max(links[i as usize][link_id(i)]);
-                }
-                for i in 0..n {
-                    links[i as usize][link_id(i)] = grant + hold;
-                }
-                grant
-            }
-        }
-    }
-
-    /// Samples an exponential service time with the given mean,
-    /// stochastically rounded to whole cycles (minimum 1) so the
-    /// long-run mean is preserved.
-    fn exponential_cycles(&mut self, mean: f64) -> u64 {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let x = (-mean * u.ln()).max(f64::EPSILON);
-        let floor = x.floor();
-        let frac = x - floor;
-        let rounded = floor as u64 + u64::from(self.rng.gen_bool(frac));
-        rounded.max(1)
-    }
-
-    /// Charges the appropriate miss operation.
-    pub(crate) fn miss_op(&mut self, cpu: usize, dirty_victim: bool, from_cache: bool) {
-        use swcc_core::system::MissSource;
-        let source = if from_cache {
-            self.counters[cpu].cache_sourced_misses += 1;
-            MissSource::Cache
-        } else {
-            MissSource::Memory
-        };
-        let op = if dirty_victim {
-            Operation::DirtyMiss(source)
-        } else {
-            Operation::CleanMiss(source)
-        };
-        self.bus_op(cpu, op);
-    }
-
-    /// Inserts a block, returning whether the victim was dirty (and
-    /// counting the write-back).
-    pub(crate) fn fill(&mut self, cpu: usize, block: BlockAddr, state: LineState) -> bool {
-        let ev = self.caches[cpu].insert(block, state);
-        let dirty = ev.victim.is_some_and(|(_, s)| s.is_dirty());
-        self.counters[cpu].fills += 1;
-        if dirty {
-            self.counters[cpu].dirty_replacements += 1;
-        }
-        if swcc_obs::trace_enabled() {
-            swcc_obs::event_sampled(
-                EV_SIM_CACHE_FILL,
-                &[
-                    swcc_obs::Field::u64("cpu", cpu as u64),
-                    swcc_obs::Field::u64("block", block.0),
-                    swcc_obs::Field::bool("dirty", state.is_dirty()),
-                    swcc_obs::Field::bool("dirty_victim", dirty),
-                ],
-            );
-        }
-        dirty
-    }
-
-    /// Whether the software schemes treat `addr` as shared.
-    pub(crate) fn is_shared_addr(&self, addr: Addr) -> bool {
-        self.config.shared_policy().is_shared(addr)
-    }
-}
-
-/// What one snoop of the other caches found for a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Snoop {
-    /// Other caches holding the block.
-    pub(crate) holders: u64,
-    /// The lowest-numbered other cache holding it dirty.
-    pub(crate) owner: Option<usize>,
-}
-
-/// Peeks once into every cache but `cpu`'s for `block`.
-pub(crate) fn snoop(caches: &[Cache], cpu: usize, block: BlockAddr) -> Snoop {
-    let mut found = Snoop {
-        holders: 0,
-        owner: None,
-    };
-    for (o, cache) in caches.iter().enumerate() {
-        if o == cpu {
-            continue;
-        }
-        if let Some(state) = cache.peek(block) {
-            found.holders += 1;
-            if state.is_dirty() && found.owner.is_none() {
-                found.owner = Some(o);
-            }
-        }
-    }
-    found
 }
 
 /// Each processor's substream of a trace, read in place.
@@ -601,7 +545,7 @@ pub fn simulate(trace: &Trace, config: &SimConfig) -> SimReport {
 mod tests {
     use super::*;
     use swcc_trace::synth::Preset;
-    use swcc_trace::CpuId;
+    use swcc_trace::{Addr, CpuId};
 
     /// The scheduler [`Multiprocessor::run`] replaced, kept as its
     /// reference: per-processor copies of the trace and a linear scan
@@ -688,6 +632,105 @@ mod tests {
         }
     }
 
+    /// Release builds (CI's `cargo test --release -p swcc-sim`) check
+    /// far more random traces.
+    const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 20_000 };
+
+    /// How many times `op` was charged, over every processor.
+    fn charged(m: &Multiprocessor, op: Operation) -> u64 {
+        m.counters.iter().map(|c| c.count(op)).sum()
+    }
+
+    /// Steps a snoopy protocol through `trace`, checking after every
+    /// step that the lines of every block in `blocks` are coherent and
+    /// that the step charged one cycle steal per other copy its
+    /// broadcast reached: each holder a Dragon store updates, each copy
+    /// a Write-Invalidate store removes.
+    fn check_coherence(m: &mut Multiprocessor, trace: &Trace, blocks: &[BlockAddr]) {
+        let protocol = m.config.protocol();
+        let copies = |m: &Multiprocessor, block| -> Vec<Option<LineState>> {
+            m.caches.iter().map(|c| c.peek(block)).collect()
+        };
+        for (i, &access) in trace.records().iter().enumerate() {
+            let cpu = access.cpu.index();
+            let block = access.addr.block(m.config.block_bits());
+            let before = copies(m, block);
+            let (steals, broadcasts) = (
+                charged(m, Operation::CycleSteal),
+                charged(m, Operation::WriteBroadcast),
+            );
+            m.step(cpu, access);
+            let after = copies(m, block);
+            let others = (0..before.len()).filter(|&o| o != cpu);
+            let (updated, removed) = (
+                others.clone().filter(|&o| before[o].is_some()).count() as u64,
+                others
+                    .filter(|&o| before[o].is_some() && after[o].is_none())
+                    .count() as u64,
+            );
+            let stolen = charged(m, Operation::CycleSteal) - steals;
+            let broadcast = charged(m, Operation::WriteBroadcast) - broadcasts;
+            let store = access.kind == AccessKind::Store;
+            match protocol {
+                ProtocolKind::Dragon => {
+                    let expected = if store { updated } else { 0 };
+                    assert_eq!(stolen, expected, "{protocol}: steals at record {i}");
+                    assert_eq!(broadcast, u64::from(expected > 0), "{protocol}: record {i}");
+                }
+                _ => assert_eq!(stolen, removed, "{protocol}: steals at record {i}"),
+            }
+            for &b in blocks {
+                let lines: Vec<LineState> = copies(m, b).into_iter().flatten().collect();
+                let dirty = lines.iter().filter(|s| s.is_dirty()).count();
+                assert!(
+                    dirty <= 1,
+                    "{protocol}: {dirty} dirty copies of {b:?} after record {i}"
+                );
+                if protocol == ProtocolKind::WriteInvalidate {
+                    assert!(
+                        !lines.contains(&LineState::SharedDirty),
+                        "{protocol}: SharedDirty {b:?} after record {i}"
+                    );
+                    let exclusive = lines.iter().any(|s| !s.is_shared());
+                    assert!(
+                        !exclusive || lines.len() == 1,
+                        "{protocol}: exclusive line among {lines:?} of {b:?} after record {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(CASES))]
+
+        /// The coherence checker on random traces that mix fetches,
+        /// loads, stores and flushes over eight blocks, on 2 to 4
+        /// processors with direct-mapped and 2-way caches of one to four
+        /// sets, so that evictions interleave with the snoops.
+        #[test]
+        fn snoopy_protocols_stay_coherent_after_every_step(
+            cpus in 2u16..5,
+            records in proptest::collection::vec((0u16..4, 0u8..4, 0u64..128), 1..500),
+            ways in 1usize..3,
+            sets_log in 0u32..3,
+        ) {
+            let kinds = [AccessKind::Fetch, AccessKind::Load, AccessKind::Store, AccessKind::Flush];
+            let trace = Trace::from_records(
+                records
+                    .into_iter()
+                    .map(|(cpu, kind, addr)| acc(cpu % cpus, kinds[usize::from(kind)], addr))
+                    .collect(),
+            );
+            let blocks: Vec<BlockAddr> = (0..8).map(BlockAddr).collect();
+            for protocol in [ProtocolKind::Dragon, ProtocolKind::WriteInvalidate] {
+                let mut b = SimConfig::builder(protocol);
+                b.cache_bytes((16 * ways as u64) << sets_log).ways(ways);
+                check_coherence(&mut Multiprocessor::new(b.build(), cpus), &trace, &blocks);
+            }
+        }
+    }
+
     #[test]
     fn streams_resume_after_a_saturated_gap() {
         // cpu0's two records lie more than u16::MAX records apart, so
@@ -744,12 +787,21 @@ mod tests {
             }
             assert_eq!(m.counters[1].instr_misses, 1, "{protocol}");
             assert_eq!(
-                m.counters[1].cache_sourced_misses, 1,
+                m.counters[1].count(Operation::CleanMiss(MissSource::Cache)),
+                1,
                 "{protocol}: cpu0 owns the block dirty and supplies the fetch"
             );
             if protocol == ProtocolKind::WriteInvalidate {
-                assert_eq!(m.counters[1].broadcasts, 1, "cpu1's store upgrades");
-                assert_eq!(m.counters[0].invalidations, 1, "cpu0's copy dies");
+                assert_eq!(
+                    m.counters[1].count(Operation::WriteBroadcast),
+                    1,
+                    "cpu1's store upgrades"
+                );
+                assert_eq!(
+                    m.counters[0].count(Operation::CycleSteal),
+                    1,
+                    "cpu0's copy dies"
+                );
                 assert_eq!(m.counters[0].data_misses, 2, "cpu0's load misses");
             }
         }
@@ -788,7 +840,10 @@ mod tests {
         m.step(0, acc(0, AccessKind::Store, 0x0)); // miss, fill dirty
         let t_after_first = m.time[0];
         m.step(0, acc(0, AccessKind::Load, 0x80)); // conflict: dirty miss
-        assert_eq!(m.counters[0].dirty_replacements, 1);
+        assert_eq!(
+            m.counters[0].count(Operation::DirtyMiss(MissSource::Memory)),
+            1
+        );
         // Dirty miss costs 14 cpu cycles.
         assert_eq!(m.time[0] - t_after_first, 14);
     }
@@ -834,7 +889,7 @@ mod tests {
         let mut m = machine(ProtocolKind::Base, 1);
         m.step(0, acc(0, AccessKind::Flush, 0x8000_0000));
         assert_eq!(m.time[0], 0);
-        assert_eq!(m.counters[0].flush_records, 0);
+        assert_eq!(m.counters[0], CpuCounters::default());
     }
 
     fn network_machine(protocol: ProtocolKind, stages: u32) -> Multiprocessor {

@@ -5,19 +5,24 @@
 //! `apl`, `mdshd`) directly, and cache-dependent quantities (`msdat`,
 //! `mains`, `md`, `oclean`, `opres`, `nshd`) via cache simulation. This
 //! module reproduces that pipeline: [`measure_workload`] replays the
-//! trace through Dragon-style caches (state only, no timing) and
-//! assembles a validated [`WorkloadParams`] — which can then be fed to
-//! the analytical model and compared against a timed simulation of the
-//! *same* trace.
+//! trace through the simulator's own Dragon handlers (state only, no
+//! timing) and assembles a validated [`WorkloadParams`] — which can then
+//! be fed to the analytical model and compared against a timed
+//! simulation of the *same* trace.
+//!
+//! The replay makes no line-state transition of its own: it counts the
+//! operations the Dragon handlers charge to it in place of a timed
+//! machine.
 
 use serde::{Deserialize, Serialize};
+use swcc_core::system::{MissSource, Operation};
 use swcc_core::workload::WorkloadParams;
 use swcc_trace::stats::TraceStats;
-use swcc_trace::{AccessKind, BlockAddr, Trace};
+use swcc_trace::{AccessKind, Trace};
 
-use crate::cache::{Cache, LineState};
+use crate::cache::Cache;
 use crate::config::SimConfig;
-use crate::machine::snoop;
+use crate::protocol::{dragon, snoop, Machine};
 
 /// Raw measurement counters, exposed for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -60,14 +65,54 @@ pub fn measure_workload(trace: &Trace, config: &SimConfig) -> WorkloadParams {
     params
 }
 
+/// The measurement replay: Dragon caches without clocks, counting each
+/// charged operation against the reference in flight.
+struct Replay {
+    caches: Vec<Cache>,
+    counts: MeasurementCounts,
+    /// Whether the reference in flight is an instruction fetch.
+    fetching: bool,
+    /// Whether the reference in flight is a data reference to a shared
+    /// block.
+    shared: bool,
+}
+
+impl Machine for Replay {
+    fn caches(&mut self) -> &mut [Cache] {
+        &mut self.caches
+    }
+
+    fn charge(&mut self, _cpu: usize, op: Operation) {
+        let m = &mut self.counts;
+        match op {
+            Operation::CleanMiss(source) | Operation::DirtyMiss(source) => {
+                m.dirty_replacements += u64::from(matches!(op, Operation::DirtyMiss(_)));
+                if self.fetching {
+                    m.instr_misses += 1;
+                    return;
+                }
+                m.data_misses += 1;
+                if self.shared {
+                    m.shared_misses += 1;
+                    if source == MissSource::Cache {
+                        m.shared_misses_other_dirty += 1;
+                    }
+                }
+            }
+            Operation::WriteBroadcast if self.shared => m.broadcast_stores += 1,
+            Operation::CycleSteal if self.shared => m.broadcast_holders += 1,
+            _ => {}
+        }
+    }
+}
+
 /// Like [`measure_workload`], also returning the raw counters.
 ///
 /// One pass of [`TraceStats::measure_shared`] yields the trace-only
-/// parameters and the shared blocks; one replay through the caches
-/// yields the rest. The replay snoops the other caches at most once per
-/// reference: the snoop's holders and dirty owner stay valid through the
-/// reference, because only the referencing cache changes before a store
-/// updates the others.
+/// parameters and the shared blocks; one replay through the Dragon
+/// handlers yields the rest. Besides the handlers' own snoops, the
+/// replay snoops the other caches once per shared reference, before the
+/// reference, to see whether another cache holds the block.
 pub fn measure_workload_with_counts(
     trace: &Trace,
     config: &SimConfig,
@@ -76,56 +121,37 @@ pub fn measure_workload_with_counts(
     let (trace_stats, shared) = TraceStats::measure_shared(trace, block_bits);
 
     let cpus = usize::from(trace.cpus().max(1));
-    let mut caches: Vec<Cache> = (0..cpus)
-        .map(|_| Cache::new(config.cache_bytes(), config.ways(), config.block_bits()))
-        .collect();
-    let mut m = MeasurementCounts::default();
+    let mut replay = Replay {
+        caches: (0..cpus)
+            .map(|_| Cache::new(config.cache_bytes(), config.ways(), block_bits))
+            .collect(),
+        counts: MeasurementCounts::default(),
+        fetching: false,
+        shared: false,
+    };
 
     for a in trace {
         let cpu = a.cpu.index();
         let block = a.addr.block(block_bits);
         match a.kind {
             AccessKind::Fetch => {
-                m.instructions += 1;
-                if caches[cpu].touch(block).is_none() {
-                    m.instr_misses += 1;
-                    let others = snoop(&caches, cpu, block).holders;
-                    fill(&mut caches[cpu], block, others, &mut m);
+                replay.counts.instructions += 1;
+                replay.fetching = true;
+                if replay.caches[cpu].touch(block).is_none() {
+                    dragon::read_miss(&mut replay, cpu, block);
                 }
             }
             AccessKind::Load | AccessKind::Store => {
-                m.data_refs += 1;
-                let write = a.kind.is_write();
-                let is_shared = shared.contains(block);
-                let hit = caches[cpu].touch(block).is_some();
-                if hit && !write && !is_shared {
-                    // A load hit on an unshared block counts nothing more.
-                    continue;
-                }
-                let found = snoop(&caches, cpu, block);
-                if is_shared {
-                    m.shared_refs += 1;
-                    if found.holders > 0 {
-                        m.shared_refs_other_present += 1;
+                replay.counts.data_refs += 1;
+                replay.fetching = false;
+                replay.shared = shared.contains(block);
+                if replay.shared {
+                    replay.counts.shared_refs += 1;
+                    if snoop(&replay.caches, cpu, block).holders > 0 {
+                        replay.counts.shared_refs_other_present += 1;
                     }
                 }
-                if !hit {
-                    m.data_misses += 1;
-                    if is_shared {
-                        m.shared_misses += 1;
-                        if found.owner.is_some() {
-                            m.shared_misses_other_dirty += 1;
-                        }
-                    }
-                    fill(&mut caches[cpu], block, found.holders, &mut m);
-                }
-                if write {
-                    store_update(&mut caches, cpu, block, found.holders);
-                    if is_shared && found.holders > 0 {
-                        m.broadcast_stores += 1;
-                        m.broadcast_holders += found.holders;
-                    }
-                }
+                dragon::data(&mut replay, cpu, a.kind.is_write(), block);
             }
             AccessKind::Flush => {
                 // Parameter measurement models the Dragon machine, which
@@ -134,6 +160,7 @@ pub fn measure_workload_with_counts(
         }
     }
 
+    let m = replay.counts;
     let mut b = WorkloadParams::builder();
     b.ls(trace_stats.ls().clamp(0.0, 1.0))
         .wr(trace_stats.wr().clamp(0.0, 1.0))
@@ -168,39 +195,13 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Fills a missed block, shared if `others` other caches hold it.
-fn fill(cache: &mut Cache, block: BlockAddr, others: u64, m: &mut MeasurementCounts) {
-    let state = if others > 0 {
-        LineState::SharedClean
-    } else {
-        LineState::Clean
-    };
-    let ev = cache.insert(block, state);
-    if ev.victim.is_some_and(|(_, s)| s.is_dirty()) {
-        m.dirty_replacements += 1;
-    }
-}
-
-/// The write half of a store that `others` other caches also hold:
-/// Dragon's broadcast update, or a local write when there are none.
-fn store_update(caches: &mut [Cache], cpu: usize, block: BlockAddr, others: u64) {
-    if others == 0 {
-        caches[cpu].set_state(block, LineState::Dirty);
-    } else {
-        for (o, cache) in caches.iter_mut().enumerate() {
-            if o != cpu {
-                cache.set_state(block, LineState::SharedClean);
-            }
-        }
-        caches[cpu].set_state(block, LineState::SharedDirty);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::LineState;
     use crate::protocol::ProtocolKind;
     use swcc_trace::synth::{pops_like, SynthConfig};
+    use swcc_trace::BlockAddr;
 
     fn cfg() -> SimConfig {
         SimConfig::new(ProtocolKind::Dragon)
@@ -369,12 +370,18 @@ mod tests {
         m
     }
 
+    /// Release builds (CI's `cargo test --release -p swcc-sim`) check
+    /// far more random traces.
+    const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 20_000 };
+
     proptest::proptest! {
-        /// The one-pass statistics and the single snoop per reference
-        /// count what the reference counts. Every kind of record hits
-        /// every block, so processors fetch from blocks that others
-        /// load and store: a block no two processors load or store can
-        /// still sit in another cache, and the replay must snoop for it.
+        #![proptest_config(proptest::ProptestConfig::with_cases(CASES))]
+
+        /// The replay through the Dragon handlers counts what the
+        /// reference counts. Every kind of record hits every block, so
+        /// processors fetch from blocks that others load and store: a
+        /// block no two processors load or store can still sit in
+        /// another cache, and the replay must snoop for it.
         #[test]
         fn replay_matches_the_reference_replay(
             records in proptest::collection::vec((0u16..4, 0u8..4, 0u64..1024), 1..500),

@@ -335,6 +335,16 @@ pub fn simulate_network(
     Ok(report)
 }
 
+/// The link leaving stage `stage` of a `stages`-stage network on the
+/// path from processor `src` to memory module `dst`, by
+/// destination-tag routing: the top `stage + 1` destination bits above
+/// the remaining low source bits.
+pub(crate) fn link_id(stages: u32, stage: u32, src: u32, dst: u32) -> usize {
+    let low = stages - stage - 1;
+    let mask = (1u32 << low) - 1;
+    (((dst >> low) << low) | (src & mask)) as usize
+}
+
 /// Attempts to reserve the whole path; on success transitions the
 /// processor to `Transferring`.
 fn try_setup(
@@ -347,22 +357,15 @@ fn try_setup(
     report: &mut NetworkSimReport,
 ) {
     let n = links.len() as u32;
-    let src = cpu as u32;
-    // Destination-tag routing: link after stage i keeps the top i+1
-    // destination bits and the remaining low source bits.
-    let link_id = |i: u32| -> usize {
-        let low = n - i - 1;
-        let mask = (1u32 << low) - 1;
-        (((dst >> low) << low) | (src & mask)) as usize
-    };
+    let link = |i: u32| link_id(n, i, cpu as u32, dst);
     for i in 0..n {
-        if links[i as usize][link_id(i)] > now {
+        if links[i as usize][link(i)] > now {
             return; // blocked: stay Requesting, retry next cycle
         }
     }
     let until = now + hold;
     for i in 0..n {
-        links[i as usize][link_id(i)] = until;
+        links[i as usize][link(i)] = until;
     }
     report.transactions += 1;
     *phase = CpuPhase::Transferring(until);
@@ -457,12 +460,9 @@ pub fn simulate_network_packet(
         time[cpu] += local;
         for payload in payloads {
             let dst = rng.gen_range(0..cpus as u32);
-            let src = cpu as u32;
             let mut arrival = time[cpu]; // header at stage 0 input
             for i in 0..n {
-                let low = n - i - 1;
-                let mask = (1u32 << low) - 1;
-                let lid = (((dst >> low) << low) | (src & mask)) as usize;
+                let lid = link_id(n, i, cpu as u32, dst);
                 let start = arrival.max(links[i as usize][lid]);
                 links[i as usize][lid] = start + payload;
                 arrival = start + 1; // header forwards to the next stage

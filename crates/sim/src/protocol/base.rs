@@ -6,29 +6,23 @@
 //! inconsistent copies — the simulator measures timing, not values, and
 //! Base exists precisely to show the cost floor.
 
+use swcc_core::system::MissSource;
 use swcc_trace::BlockAddr;
 
 use crate::cache::LineState;
-use crate::machine::Multiprocessor;
+use crate::protocol::Machine;
 
 /// Handles a data reference under the Base protocol.
-pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: BlockAddr) {
-    match m.caches[cpu].touch(block) {
-        Some(_) => {
-            if write {
-                m.caches[cpu].set_state(block, LineState::Dirty);
-            }
-        }
-        None => {
-            m.counters[cpu].data_misses += 1;
-            let state = if write {
-                LineState::Dirty
-            } else {
-                LineState::Clean
-            };
-            let dirty_victim = m.fill(cpu, block, state);
-            m.miss_op(cpu, dirty_victim, false);
-        }
+pub(crate) fn data(m: &mut impl Machine, cpu: usize, write: bool, block: BlockAddr) {
+    if m.caches()[cpu].touch(block).is_none() {
+        let state = if write {
+            LineState::Dirty
+        } else {
+            LineState::Clean
+        };
+        m.fill(cpu, block, state, MissSource::Memory);
+    } else if write {
+        m.caches()[cpu].set_state(block, LineState::Dirty);
     }
 }
 
@@ -36,7 +30,9 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::machine::Multiprocessor;
     use crate::protocol::ProtocolKind;
+    use swcc_core::system::Operation;
 
     fn machine() -> Multiprocessor {
         Multiprocessor::new(SimConfig::new(ProtocolKind::Base), 2)
@@ -71,7 +67,10 @@ mod tests {
         data(&mut m, 1, false, BlockAddr(5));
         // cpu1 fetched from memory even though cpu0 holds it dirty:
         // Base performs no coherence.
-        assert_eq!(m.counters[1].cache_sourced_misses, 0);
+        assert_eq!(
+            m.counters[1].count(Operation::CleanMiss(MissSource::Cache)),
+            0
+        );
         assert_eq!(m.caches[1].peek(BlockAddr(5)), Some(LineState::Clean));
     }
 }

@@ -20,18 +20,13 @@ use swcc_core::system::Operation;
 use swcc_trace::BlockAddr;
 
 use crate::cache::LineState;
-use crate::machine::{snoop, Multiprocessor};
+use crate::protocol::{snoop, Machine};
 
 /// Handles a data reference under the Dragon protocol.
-pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: BlockAddr) {
-    if m.caches[cpu].touch(block).is_some() {
-        if write {
-            store_update(m, cpu, block);
-        }
-        return;
+pub(crate) fn data(m: &mut impl Machine, cpu: usize, write: bool, block: BlockAddr) {
+    if m.caches()[cpu].touch(block).is_none() {
+        read_miss(m, cpu, block);
     }
-    m.counters[cpu].data_misses += 1;
-    read_miss(m, cpu, block);
     if write {
         store_update(m, cpu, block);
     }
@@ -41,18 +36,17 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
 /// instruction fetch that misses: a dirty owner supplies it (and keeps
 /// ownership), memory otherwise, and it fills shared when other caches
 /// hold it.
-pub(crate) fn read_miss(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    let found = snoop(&m.caches, cpu, block);
+pub(crate) fn read_miss(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
+    let found = snoop(m.caches(), cpu, block);
     let fill_state = if found.holders > 0 {
         LineState::SharedClean
     } else {
         LineState::Clean
     };
-    let dirty_victim = m.fill(cpu, block, fill_state);
-    m.miss_op(cpu, dirty_victim, found.owner.is_some());
+    m.fill(cpu, block, fill_state, found.source());
     if let Some(o) = found.owner {
         // The supplier keeps ownership; both ends now know it's shared.
-        m.caches[o].set_state(block, LineState::SharedDirty);
+        m.caches()[o].set_state(block, LineState::SharedDirty);
     }
 }
 
@@ -61,36 +55,35 @@ pub(crate) fn read_miss(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
 /// One pass over the other caches: the first holder found puts the
 /// broadcast on the bus, so every snooper's cycle steal follows it, in
 /// ascending processor order.
-fn store_update(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
+fn store_update(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
     let mut broadcast = false;
-    for o in 0..m.caches.len() {
+    for o in 0..m.caches().len() {
         // Snooping caches update their copy, stealing one cycle, and
         // lose any ownership (the writer is now the owner).
-        if o == cpu || !m.caches[o].set_state(block, LineState::SharedClean) {
+        if o == cpu || !m.caches()[o].set_state(block, LineState::SharedClean) {
             continue;
         }
         if !broadcast {
             broadcast = true;
-            m.counters[cpu].broadcasts += 1;
-            m.bus_op(cpu, Operation::WriteBroadcast);
+            m.charge(cpu, Operation::WriteBroadcast);
         }
-        m.counters[o].updates += 1;
-        m.counters[o].cycle_steals += 1;
-        m.bus_op(o, Operation::CycleSteal);
+        m.charge(o, Operation::CycleSteal);
     }
     let state = if broadcast {
         LineState::SharedDirty
     } else {
         LineState::Dirty
     };
-    m.caches[cpu].set_state(block, state);
+    m.caches()[cpu].set_state(block, state);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::machine::Multiprocessor;
     use crate::protocol::ProtocolKind;
+    use swcc_core::system::MissSource;
 
     fn machine(cpus: u16) -> Multiprocessor {
         Multiprocessor::new(SimConfig::new(ProtocolKind::Dragon), cpus)
@@ -104,7 +97,7 @@ mod tests {
         data(&mut m, 0, true, BlockAddr(7));
         assert_eq!(m.time[0], t);
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::Dirty));
-        assert_eq!(m.counters[0].broadcasts, 0);
+        assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 0);
     }
 
     #[test]
@@ -114,8 +107,8 @@ mod tests {
         data(&mut m, 1, false, BlockAddr(7));
         let t1 = m.time[1];
         data(&mut m, 0, true, BlockAddr(7));
-        assert_eq!(m.counters[0].broadcasts, 1);
-        assert_eq!(m.counters[1].cycle_steals, 1);
+        assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 1);
+        assert_eq!(m.counters[1].count(Operation::CycleSteal), 1);
         assert_eq!(m.time[1], t1 + 1, "snooper steals one cycle");
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::SharedDirty));
         assert_eq!(m.caches[1].peek(BlockAddr(7)), Some(LineState::SharedClean));
@@ -126,7 +119,10 @@ mod tests {
         let mut m = machine(2);
         data(&mut m, 0, true, BlockAddr(7)); // cpu0: Dirty
         data(&mut m, 1, false, BlockAddr(7));
-        assert_eq!(m.counters[1].cache_sourced_misses, 1);
+        assert_eq!(
+            m.counters[1].count(Operation::CleanMiss(MissSource::Cache)),
+            1
+        );
         // cpu1 requested the bus at time 0, waited out cpu0's 7-cycle
         // transaction, then paid the 9-CPU-cycle cache-sourced clean miss.
         assert_eq!(m.counters[1].contention_cycles, 7);
@@ -141,7 +137,10 @@ mod tests {
         let mut m = machine(3);
         data(&mut m, 0, false, BlockAddr(7));
         data(&mut m, 1, false, BlockAddr(7));
-        assert_eq!(m.counters[1].cache_sourced_misses, 0);
+        assert_eq!(
+            m.counters[1].count(Operation::CleanMiss(MissSource::Cache)),
+            0
+        );
         assert_eq!(m.caches[1].peek(BlockAddr(7)), Some(LineState::SharedClean));
     }
 
@@ -152,8 +151,10 @@ mod tests {
             data(&mut m, cpu, false, BlockAddr(7));
         }
         data(&mut m, 3, true, BlockAddr(7)); // miss + broadcast
-        assert_eq!(m.counters[3].broadcasts, 1);
-        let steals: u64 = (0..3).map(|c| m.counters[c].cycle_steals).sum();
+        assert_eq!(m.counters[3].count(Operation::WriteBroadcast), 1);
+        let steals: u64 = (0..3)
+            .map(|c| m.counters[c].count(Operation::CycleSteal))
+            .sum();
         assert_eq!(steals, 3);
         assert_eq!(m.caches[3].peek(BlockAddr(7)), Some(LineState::SharedDirty));
     }
@@ -163,7 +164,7 @@ mod tests {
         let mut m = machine(2);
         data(&mut m, 0, true, BlockAddr(7));
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::Dirty));
-        assert_eq!(m.counters[0].broadcasts, 0);
+        assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 0);
     }
 
     #[test]
@@ -176,6 +177,9 @@ mod tests {
         data(&mut m, 1, false, BlockAddr(7));
         data(&mut m, 0, true, BlockAddr(7)); // SharedDirty in cpu0
         data(&mut m, 0, false, BlockAddr(15)); // evicts the owner copy
-        assert_eq!(m.counters[0].dirty_replacements, 1);
+        assert_eq!(
+            m.counters[0].count(Operation::DirtyMiss(MissSource::Memory)),
+            1
+        );
     }
 }

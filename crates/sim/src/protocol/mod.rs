@@ -1,7 +1,7 @@
 //! Coherence protocols simulated by the machine.
 //!
-//! Each protocol is a set of handlers over the shared
-//! [`crate::machine::Multiprocessor`] state, one module per protocol:
+//! Each protocol is a set of handlers over a `Machine` (below), one
+//! module per protocol:
 //!
 //! * `base` — write-back caching, no coherence (the paper's upper
 //!   bound).
@@ -13,6 +13,12 @@
 //!   cache-to-cache supply, and snoop cycle-stealing.
 //! * `write_invalidate` — Illinois/MESI-like invalidation protocol
 //!   (extension).
+//!
+//! A handler makes the line-state transitions and charges each
+//! [`Operation`] they cause, a miss's fill included, to its `Machine`.
+//! The timed [`crate::Multiprocessor`] prices and counts every charge;
+//! parameter measurement ([`crate::measure`]) replays `dragon` without
+//! clocks and counts only what Table 2 needs.
 
 pub(crate) mod base;
 pub(crate) mod dragon;
@@ -25,6 +31,74 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use swcc_core::scheme::Scheme;
+use swcc_core::system::{MissSource, Operation};
+use swcc_trace::BlockAddr;
+
+use crate::cache::{Cache, LineState};
+
+/// What a protocol handler acts on: every processor's cache, and a sink
+/// for the operations its transitions charge.
+pub(crate) trait Machine {
+    /// Every processor's cache, indexed by processor id.
+    fn caches(&mut self) -> &mut [Cache];
+
+    /// Charges one hardware operation to `cpu`.
+    fn charge(&mut self, cpu: usize, op: Operation);
+
+    /// Inserts `block` into `cpu`'s cache in `state` and charges the
+    /// miss that brought it from `source`: a dirty miss when the victim
+    /// it replaced was dirty, a clean one otherwise.
+    fn fill(&mut self, cpu: usize, block: BlockAddr, state: LineState, source: MissSource) {
+        let victim = self.caches()[cpu].insert(block, state).victim;
+        let op = if victim.is_some_and(|(_, s)| s.is_dirty()) {
+            Operation::DirtyMiss(source)
+        } else {
+            Operation::CleanMiss(source)
+        };
+        self.charge(cpu, op);
+    }
+}
+
+/// What one snoop of the other caches found for a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Snoop {
+    /// Other caches holding the block.
+    pub(crate) holders: u64,
+    /// The lowest-numbered other cache holding it dirty.
+    pub(crate) owner: Option<usize>,
+}
+
+impl Snoop {
+    /// Where a miss on the block is served from: the dirty owner's
+    /// cache if there is one, memory otherwise.
+    pub(crate) fn source(self) -> MissSource {
+        if self.owner.is_some() {
+            MissSource::Cache
+        } else {
+            MissSource::Memory
+        }
+    }
+}
+
+/// Peeks once into every cache but `cpu`'s for `block`.
+pub(crate) fn snoop(caches: &[Cache], cpu: usize, block: BlockAddr) -> Snoop {
+    let mut found = Snoop {
+        holders: 0,
+        owner: None,
+    };
+    for (o, cache) in caches.iter().enumerate() {
+        if o == cpu {
+            continue;
+        }
+        if let Some(state) = cache.peek(block) {
+            found.holders += 1;
+            if state.is_dirty() && found.owner.is_none() {
+                found.owner = Some(o);
+            }
+        }
+    }
+    found
+}
 
 /// Which coherence protocol the simulator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -7,23 +7,17 @@
 //! page-table tag used by C.mmp and the Elxsi 6400.
 
 use swcc_core::system::Operation;
-use swcc_trace::{Addr, BlockAddr};
+use swcc_trace::BlockAddr;
 
-use crate::machine::Multiprocessor;
-use crate::protocol::base;
+use crate::protocol::{base, Machine};
 
-/// Handles a data reference under the No-Cache protocol.
-pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, addr: Addr, block: BlockAddr) {
-    if m.is_shared_addr(addr) {
-        if write {
-            m.counters[cpu].write_throughs += 1;
-            m.bus_op(cpu, Operation::WriteThrough);
-        } else {
-            m.counters[cpu].read_throughs += 1;
-            m.bus_op(cpu, Operation::ReadThrough);
-        }
-    } else {
-        base::data(m, cpu, write, block);
+/// Handles a data reference under the No-Cache protocol; `shared` is
+/// the shared policy's verdict on the referenced address.
+pub(crate) fn data(m: &mut impl Machine, cpu: usize, write: bool, shared: bool, block: BlockAddr) {
+    match (shared, write) {
+        (true, true) => m.charge(cpu, Operation::WriteThrough),
+        (true, false) => m.charge(cpu, Operation::ReadThrough),
+        (false, _) => base::data(m, cpu, write, block),
     }
 }
 
@@ -31,8 +25,9 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, addr: Addr, 
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::machine::Multiprocessor;
     use crate::protocol::ProtocolKind;
-    use swcc_trace::AddressLayout;
+    use swcc_trace::{Access, AccessKind, Addr, AddressLayout, CpuId};
 
     fn machine() -> Multiprocessor {
         Multiprocessor::new(SimConfig::new(ProtocolKind::NoCache), 2)
@@ -43,9 +38,11 @@ mod tests {
     #[test]
     fn shared_load_is_a_read_through() {
         let mut m = machine();
-        let addr = Addr(SHARED + 0x40);
-        data(&mut m, 0, false, addr, addr.block(4));
-        assert_eq!(m.counters[0].read_throughs, 1);
+        m.step(
+            0,
+            Access::new(CpuId(0), AccessKind::Load, Addr(SHARED + 0x40)),
+        );
+        assert_eq!(m.counters[0].count(Operation::ReadThrough), 1);
         assert_eq!(m.time[0], 5);
         // Nothing was cached.
         assert_eq!(m.caches[0].occupancy(), 0);
@@ -54,9 +51,8 @@ mod tests {
     #[test]
     fn shared_store_is_a_write_through() {
         let mut m = machine();
-        let addr = Addr(SHARED);
-        data(&mut m, 0, true, addr, addr.block(4));
-        assert_eq!(m.counters[0].write_throughs, 1);
+        m.step(0, Access::new(CpuId(0), AccessKind::Store, Addr(SHARED)));
+        assert_eq!(m.counters[0].count(Operation::WriteThrough), 1);
         assert_eq!(m.time[0], 2);
     }
 
@@ -65,9 +61,9 @@ mod tests {
         let mut m = machine();
         let addr = Addr(SHARED + 0x10);
         for _ in 0..5 {
-            data(&mut m, 0, false, addr, addr.block(4));
+            data(&mut m, 0, false, true, addr.block(4));
         }
-        assert_eq!(m.counters[0].read_throughs, 5);
+        assert_eq!(m.counters[0].count(Operation::ReadThrough), 5);
         assert_eq!(m.time[0], 25);
     }
 
@@ -75,10 +71,11 @@ mod tests {
     fn private_data_behaves_like_base() {
         let mut m = machine();
         let addr = Addr(AddressLayout::PRIVATE_BASE);
-        data(&mut m, 0, false, addr, addr.block(4));
-        data(&mut m, 0, false, addr, addr.block(4));
+        for _ in 0..2 {
+            m.step(0, Access::new(CpuId(0), AccessKind::Load, addr));
+        }
         assert_eq!(m.counters[0].data_misses, 1);
-        assert_eq!(m.counters[0].read_throughs, 0);
+        assert_eq!(m.counters[0].count(Operation::ReadThrough), 0);
         assert_eq!(m.time[0], 10, "one clean miss, then a free hit");
     }
 }

@@ -13,27 +13,24 @@
 use swcc_core::system::Operation;
 use swcc_trace::BlockAddr;
 
-use crate::machine::Multiprocessor;
-use crate::protocol::base;
+use crate::protocol::{base, Machine};
 
 /// Handles a data reference under Software-Flush (identical to Base).
-pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: BlockAddr) {
+pub(crate) fn data(m: &mut impl Machine, cpu: usize, write: bool, block: BlockAddr) {
     base::data(m, cpu, write, block);
 }
 
 /// Handles an explicit flush record.
-pub(crate) fn flush(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    m.counters[cpu].flush_records += 1;
-    let dirty = m.caches[cpu]
+pub(crate) fn flush(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
+    let dirty = m.caches()[cpu]
         .invalidate(block)
         .is_some_and(|s| s.is_dirty());
-    if dirty {
-        m.counters[cpu].dirty_flushes += 1;
-        m.bus_op(cpu, Operation::DirtyFlush);
+    let op = if dirty {
+        Operation::DirtyFlush
     } else {
-        m.counters[cpu].clean_flushes += 1;
-        m.bus_op(cpu, Operation::CleanFlush);
-    }
+        Operation::CleanFlush
+    };
+    m.charge(cpu, op);
 }
 
 #[cfg(test)]
@@ -41,6 +38,7 @@ mod tests {
     use super::*;
     use crate::cache::LineState;
     use crate::config::SimConfig;
+    use crate::machine::Multiprocessor;
     use crate::protocol::ProtocolKind;
 
     fn machine() -> Multiprocessor {
@@ -52,7 +50,7 @@ mod tests {
         let mut m = machine();
         data(&mut m, 0, false, BlockAddr(9)); // clean fill, 10 cycles
         flush(&mut m, 0, BlockAddr(9));
-        assert_eq!(m.counters[0].clean_flushes, 1);
+        assert_eq!(m.counters[0].count(Operation::CleanFlush), 1);
         assert_eq!(m.time[0], 11);
         assert_eq!(m.caches[0].peek(BlockAddr(9)), None);
     }
@@ -62,7 +60,7 @@ mod tests {
         let mut m = machine();
         data(&mut m, 0, true, BlockAddr(9)); // dirty fill, 10 cycles
         flush(&mut m, 0, BlockAddr(9));
-        assert_eq!(m.counters[0].dirty_flushes, 1);
+        assert_eq!(m.counters[0].count(Operation::DirtyFlush), 1);
         assert_eq!(m.time[0], 16, "10 + 6 for the dirty flush");
     }
 
@@ -70,7 +68,7 @@ mod tests {
     fn flush_of_absent_line_is_clean() {
         let mut m = machine();
         flush(&mut m, 0, BlockAddr(9));
-        assert_eq!(m.counters[0].clean_flushes, 1);
+        assert_eq!(m.counters[0].count(Operation::CleanFlush), 1);
         assert_eq!(m.time[0], 1);
     }
 

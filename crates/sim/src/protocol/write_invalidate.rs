@@ -20,36 +20,33 @@ use swcc_core::system::Operation;
 use swcc_trace::BlockAddr;
 
 use crate::cache::LineState;
-use crate::machine::{snoop, Multiprocessor};
+use crate::protocol::{snoop, Machine};
 
 /// Handles a data reference under the write-invalidate protocol.
-pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: BlockAddr) {
-    match m.caches[cpu].touch(block) {
+pub(crate) fn data(m: &mut impl Machine, cpu: usize, write: bool, block: BlockAddr) {
+    match m.caches()[cpu].touch(block) {
         Some(state) => {
             if write {
                 match state {
                     LineState::Dirty => {}
                     LineState::Clean => {
                         // Exclusive: silent upgrade.
-                        m.caches[cpu].set_state(block, LineState::Dirty);
+                        m.caches()[cpu].set_state(block, LineState::Dirty);
                     }
                     LineState::SharedClean | LineState::SharedDirty => {
-                        upgrade(m, cpu, block);
+                        // Shared: broadcast an invalidation, then own it.
+                        m.charge(cpu, Operation::WriteBroadcast);
+                        invalidate_others(m, cpu, block);
                     }
                 }
             }
         }
-        None => {
-            m.counters[cpu].data_misses += 1;
-            if write {
-                let found = snoop(&m.caches, cpu, block);
-                let dirty_victim = m.fill(cpu, block, LineState::Dirty);
-                m.miss_op(cpu, dirty_victim, found.owner.is_some());
-                invalidate_others(m, cpu, block);
-            } else {
-                read_miss(m, cpu, block);
-            }
+        None if write => {
+            let source = snoop(m.caches(), cpu, block).source();
+            m.fill(cpu, block, LineState::Dirty, source);
+            invalidate_others(m, cpu, block);
         }
+        None => read_miss(m, cpu, block),
     }
 }
 
@@ -57,52 +54,43 @@ pub(crate) fn data(m: &mut Multiprocessor, cpu: usize, write: bool, block: Block
 /// an instruction fetch that misses: a dirty owner supplies it, memory
 /// otherwise, and it fills Exclusive (`Clean`) only when no other cache
 /// holds it.
-pub(crate) fn read_miss(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    let found = snoop(&m.caches, cpu, block);
+pub(crate) fn read_miss(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
+    let found = snoop(m.caches(), cpu, block);
     let fill_state = if found.holders == 0 {
         LineState::Clean
     } else {
         LineState::SharedClean
     };
-    let dirty_victim = m.fill(cpu, block, fill_state);
-    m.miss_op(cpu, dirty_victim, found.owner.is_some());
+    m.fill(cpu, block, fill_state, found.source());
     if found.holders > 0 {
         // Every snooping holder observes the fill and downgrades to
         // Shared — including a dirty owner, whose supplying transfer
         // updates memory (Illinois).
-        for o in (0..m.caches.len()).filter(|&o| o != cpu) {
-            m.caches[o].set_state(block, LineState::SharedClean);
+        for o in (0..m.caches().len()).filter(|&o| o != cpu) {
+            m.caches()[o].set_state(block, LineState::SharedClean);
         }
     }
 }
 
-/// A store to a Shared line: broadcast an invalidation, drop the other
-/// copies, and take Modified ownership.
-fn upgrade(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    m.counters[cpu].broadcasts += 1;
-    m.bus_op(cpu, Operation::WriteBroadcast);
-    invalidate_others(m, cpu, block);
-    m.caches[cpu].set_state(block, LineState::Dirty);
-}
-
-/// Invalidates every other copy; each snooping cache steals one cycle.
-fn invalidate_others(m: &mut Multiprocessor, cpu: usize, block: BlockAddr) {
-    for o in 0..m.caches.len() {
-        if o == cpu || m.caches[o].invalidate(block).is_none() {
+/// Invalidates every other copy, each snooping cache stealing one
+/// cycle, and leaves `cpu` the Modified owner.
+fn invalidate_others(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
+    for o in 0..m.caches().len() {
+        if o == cpu || m.caches()[o].invalidate(block).is_none() {
             continue;
         }
-        m.counters[o].invalidations += 1;
-        m.counters[o].cycle_steals += 1;
-        m.bus_op(o, Operation::CycleSteal);
+        m.charge(o, Operation::CycleSteal);
     }
-    m.caches[cpu].set_state(block, LineState::Dirty);
+    m.caches()[cpu].set_state(block, LineState::Dirty);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::machine::Multiprocessor;
     use crate::protocol::ProtocolKind;
+    use swcc_core::system::MissSource;
 
     fn machine(cpus: u16) -> Multiprocessor {
         Multiprocessor::new(SimConfig::new(ProtocolKind::WriteInvalidate), cpus)
@@ -116,7 +104,7 @@ mod tests {
         data(&mut m, 0, true, BlockAddr(7)); // E -> M, no bus
         assert_eq!(m.time[0], t);
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::Dirty));
-        assert_eq!(m.counters[0].broadcasts, 0);
+        assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 0);
     }
 
     #[test]
@@ -126,11 +114,14 @@ mod tests {
         data(&mut m, 1, false, BlockAddr(7));
         data(&mut m, 2, false, BlockAddr(7));
         data(&mut m, 0, true, BlockAddr(7));
-        assert_eq!(m.counters[0].broadcasts, 1);
+        assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 1);
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::Dirty));
         assert_eq!(m.caches[1].peek(BlockAddr(7)), None, "copy invalidated");
         assert_eq!(m.caches[2].peek(BlockAddr(7)), None);
-        assert_eq!(m.counters[1].cycle_steals + m.counters[2].cycle_steals, 2);
+        assert_eq!(
+            m.counters[1].count(Operation::CycleSteal) + m.counters[2].count(Operation::CycleSteal),
+            2
+        );
     }
 
     #[test]
@@ -147,7 +138,10 @@ mod tests {
         let mut m = machine(2);
         data(&mut m, 0, true, BlockAddr(7)); // M in cpu0
         data(&mut m, 1, false, BlockAddr(7)); // supplied by cpu0
-        assert_eq!(m.counters[1].cache_sourced_misses, 1);
+        assert_eq!(
+            m.counters[1].count(Operation::CleanMiss(MissSource::Cache)),
+            1
+        );
         // Illinois: supplier downgrades to Shared, memory updated.
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::SharedClean));
         assert_eq!(m.caches[1].peek(BlockAddr(7)), Some(LineState::SharedClean));
@@ -173,6 +167,6 @@ mod tests {
             data(&mut m, 0, true, BlockAddr(7)); // M hits: free
         }
         assert_eq!(m.time[0], t);
-        assert_eq!(m.counters[0].broadcasts, 1);
+        assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 1);
     }
 }

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use swcc_core::system::{MissSource, Operation};
 
 use crate::machine::CpuCounters;
 use crate::protocol::ProtocolKind;
@@ -10,7 +11,9 @@ use crate::protocol::ProtocolKind;
 /// The result of one simulation run.
 ///
 /// Exposes the paper's validation metrics: miss rates, cycles lost to
-/// bus contention, processor utilization, and processing power.
+/// bus contention, processor utilization, and processing power. Every
+/// event total is a view of the operations the protocol charged
+/// ([`SimReport::count`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimReport {
     protocol: ProtocolKind,
@@ -49,10 +52,16 @@ impl SimReport {
         &self.cpus[cpu]
     }
 
+    /// How many times `op` was charged, summed over processors: the
+    /// simulator's side of each Table 3–6 term.
+    pub fn count(&self, op: Operation) -> u64 {
+        self.sum(|c| c.count(op))
+    }
+
     /// Total instructions executed (across processors, excluding flush
     /// records).
     pub fn instructions(&self) -> u64 {
-        self.cpus.iter().map(|c| c.instructions).sum()
+        self.count(Operation::Instruction)
     }
 
     /// Total data references.
@@ -63,12 +72,7 @@ impl SimReport {
     /// Data references that went through the cache (excludes No-Cache's
     /// read/write-throughs).
     pub fn cached_data_refs(&self) -> u64 {
-        self.data_refs()
-            - self
-                .cpus
-                .iter()
-                .map(|c| c.read_throughs + c.write_throughs)
-                .sum::<u64>()
+        self.data_refs() - self.read_throughs() - self.write_throughs()
     }
 
     /// Total data misses.
@@ -95,8 +99,7 @@ impl SimReport {
     /// Measured dirty-replacement probability `md` (write-backs per
     /// miss).
     pub fn md(&self) -> f64 {
-        let dirty: u64 = self.cpus.iter().map(|c| c.dirty_replacements).sum();
-        ratio(dirty, self.data_misses() + self.instr_misses())
+        ratio(self.dirty_replacements(), self.fills())
     }
 
     /// One processor's utilization: productive (1-cycle) instructions
@@ -106,7 +109,7 @@ impl SimReport {
         if c.cycles == 0 {
             0.0
         } else {
-            c.instructions as f64 / c.cycles as f64
+            c.count(Operation::Instruction) as f64 / c.cycles as f64
         }
     }
 
@@ -142,34 +145,48 @@ impl SimReport {
     /// Total trace records replayed: instructions, data references, and
     /// flush records.
     pub fn accesses(&self) -> u64 {
-        self.instructions() + self.data_refs() + self.sum(|c| c.flush_records)
+        self.instructions() + self.data_refs() + self.clean_flushes() + self.dirty_flushes()
     }
 
-    /// Copies dropped by snooped invalidations (Write-Invalidate).
+    /// Copies dropped by snooped invalidations (Write-Invalidate): each
+    /// costs the dropping cache one stolen cycle.
     pub fn invalidations(&self) -> u64 {
-        self.sum(|c| c.invalidations)
+        match self.protocol {
+            ProtocolKind::WriteInvalidate => self.cycle_steals(),
+            _ => 0,
+        }
     }
 
-    /// Copies updated in place by snooped write-broadcasts (Dragon).
+    /// Copies updated in place by snooped write-broadcasts (Dragon):
+    /// each costs the updating cache one stolen cycle.
     pub fn updates(&self) -> u64 {
-        self.sum(|c| c.updates)
+        match self.protocol {
+            ProtocolKind::Dragon => self.cycle_steals(),
+            _ => 0,
+        }
     }
 
     /// Write-broadcasts issued on the bus (Dragon updates and
     /// Write-Invalidate upgrade invalidations).
     pub fn broadcasts(&self) -> u64 {
-        self.sum(|c| c.broadcasts)
+        self.count(Operation::WriteBroadcast)
     }
 
     /// Dirty blocks written back to memory: dirty replacements plus
     /// dirty software flushes.
     pub fn write_backs(&self) -> u64 {
-        self.sum(|c| c.dirty_replacements + c.dirty_flushes)
+        self.dirty_replacements() + self.dirty_flushes()
     }
 
-    /// Cache line fills (block insertions on a miss).
+    /// Cache line fills (block insertions on a miss): one per miss.
     pub fn fills(&self) -> u64 {
-        self.sum(|c| c.fills)
+        self.data_misses() + self.instr_misses()
+    }
+
+    /// Misses that replaced a dirty block, wherever the block came from.
+    fn dirty_replacements(&self) -> u64 {
+        self.count(Operation::DirtyMiss(MissSource::Memory))
+            + self.count(Operation::DirtyMiss(MissSource::Cache))
     }
 
     /// Interconnect transactions arbitrated.
@@ -179,27 +196,27 @@ impl SimReport {
 
     /// Software flushes of clean or absent lines (Software-Flush).
     pub fn clean_flushes(&self) -> u64 {
-        self.sum(|c| c.clean_flushes)
+        self.count(Operation::CleanFlush)
     }
 
     /// Software flushes that wrote a dirty line back (Software-Flush).
     pub fn dirty_flushes(&self) -> u64 {
-        self.sum(|c| c.dirty_flushes)
+        self.count(Operation::DirtyFlush)
     }
 
     /// Uncached shared loads (No-Cache).
     pub fn read_throughs(&self) -> u64 {
-        self.sum(|c| c.read_throughs)
+        self.count(Operation::ReadThrough)
     }
 
     /// Uncached shared stores (No-Cache).
     pub fn write_throughs(&self) -> u64 {
-        self.sum(|c| c.write_throughs)
+        self.count(Operation::WriteThrough)
     }
 
     /// Processor cycles stolen by snooping cache controllers.
     pub fn cycle_steals(&self) -> u64 {
-        self.sum(|c| c.cycle_steals)
+        self.count(Operation::CycleSteal)
     }
 
     /// Processor cycles spent waiting for the interconnect.
@@ -279,7 +296,10 @@ mod tests {
     fn no_cache_reports_throughs() {
         let r = report(ProtocolKind::NoCache);
         let throughs: u64 = (0..r.cpus())
-            .map(|c| r.counters(c).read_throughs + r.counters(c).write_throughs)
+            .map(|c| {
+                r.counters(c).count(Operation::ReadThrough)
+                    + r.counters(c).count(Operation::WriteThrough)
+            })
             .sum();
         assert!(throughs > 0);
         assert!(r.cached_data_refs() < r.data_refs());
@@ -288,7 +308,9 @@ mod tests {
     #[test]
     fn dragon_reports_broadcasts() {
         let r = report(ProtocolKind::Dragon);
-        let b: u64 = (0..r.cpus()).map(|c| r.counters(c).broadcasts).sum();
+        let b: u64 = (0..r.cpus())
+            .map(|c| r.counters(c).count(Operation::WriteBroadcast))
+            .sum();
         assert!(b > 0, "a sharing workload must broadcast");
     }
 
@@ -311,7 +333,12 @@ mod tests {
         let wi = report(ProtocolKind::WriteInvalidate);
         assert!(wi.invalidations() > 0, "upgrades drop other copies");
         assert_eq!(wi.updates(), 0, "Write-Invalidate never updates");
-        assert!(wi.write_backs() >= wi.counters(0).dirty_replacements);
+        assert!(
+            wi.write_backs()
+                >= wi
+                    .counters(0)
+                    .count(Operation::DirtyMiss(MissSource::Memory))
+        );
     }
 
     #[test]
