@@ -289,26 +289,36 @@ pub fn trace_driven_network(instructions_per_cpu: usize, seed: u64) -> Table {
             "err %".into(),
         ],
     );
+    const STAGES: [u32; 2] = [2, 3];
+    // One workload family for all schemes: identical generator settings,
+    // with flush records only for Software-Flush, so Base and No-Cache
+    // share each stage count's plain trace.
+    let traces: Vec<[swcc_trace::Trace; 2]> = STAGES
+        .iter()
+        .map(|&stages| {
+            [false, true].map(|flushes| {
+                let mut gen = swcc_trace::synth::SynthConfig::builder();
+                gen.cpus(1u16 << stages)
+                    .instructions_per_cpu(instructions_per_cpu)
+                    .seed(seed)
+                    .emit_flushes(flushes);
+                gen.build().generate()
+            })
+        })
+        .collect();
     for protocol in [
         ProtocolKind::Base,
         ProtocolKind::SoftwareFlush,
         ProtocolKind::NoCache,
     ] {
-        for stages in [2u32, 3] {
+        for (stages, pair) in STAGES.into_iter().zip(&traces) {
             let cpus = 1u16 << stages;
-            // One workload family for all schemes: identical generator
-            // settings, with flush records only for Software-Flush.
-            let mut gen = swcc_trace::synth::SynthConfig::builder();
-            gen.cpus(cpus)
-                .instructions_per_cpu(instructions_per_cpu)
-                .seed(seed)
-                .emit_flushes(protocol.uses_flushes());
-            let trace = gen.build().generate();
+            let trace = &pair[usize::from(protocol.uses_flushes())];
             let mut b = SimConfig::builder(protocol);
             b.network(stages);
             let config = b.build();
-            let report = simulate(&trace, &config);
-            let workload = measure_workload(&trace, &config);
+            let report = simulate(trace, &config);
+            let workload = measure_workload(trace, &config);
             let scheme = protocol.scheme().expect("software schemes");
             let model = analyze_network(scheme, &workload, stages).expect("network schemes");
             let err = (model.power() - report.power()) / report.power() * 100.0;

@@ -147,7 +147,10 @@ pub(crate) fn run_curve(curve: &Curve, opts: &ValidationOptions) -> CurveRun {
             .config(n, opts.instructions_per_cpu, opts.seed)
             .generate()
     };
-    let (workload, counts) = measure_workload_with_counts(&trace(curve.max_cpus), &config);
+    // The parameters come from the largest machine's trace, which also
+    // drives the last simulated point.
+    let full = trace(curve.max_cpus);
+    let (workload, counts) = measure_workload_with_counts(&full, &config);
     let scheme = curve
         .protocol
         .scheme()
@@ -155,7 +158,11 @@ pub(crate) fn run_curve(curve: &Curve, opts: &ValidationOptions) -> CurveRun {
     let points = (1..=curve.max_cpus)
         .map(|n| CurvePoint {
             n,
-            sim: simulate(&trace(n), &config),
+            sim: if n == curve.max_cpus {
+                simulate(&full, &config)
+            } else {
+                simulate(&trace(n), &config)
+            },
             model: analyze_bus(scheme, &workload, config.system(), u32::from(n))
                 .expect("bus analysis cannot fail for valid workloads"),
         })

@@ -20,7 +20,7 @@ use swcc_core::workload::WorkloadParams;
 use swcc_trace::stats::TraceStats;
 use swcc_trace::{AccessKind, Trace};
 
-use crate::cache::Cache;
+use crate::cache::{Cache, LineState};
 use crate::config::SimConfig;
 use crate::protocol::{dragon, snoop, Machine};
 
@@ -110,9 +110,9 @@ impl Machine for Replay {
 ///
 /// One pass of [`TraceStats::measure_shared`] yields the trace-only
 /// parameters and the shared blocks; one replay through the Dragon
-/// handlers yields the rest. Besides the handlers' own snoops, the
-/// replay snoops the other caches once per shared reference, before the
-/// reference, to see whether another cache holds the block.
+/// handlers yields the rest. Whether another cache holds a shared block
+/// is read from the line the handler leaves behind when it has snooped
+/// (a miss or a store); only a shared load hit snoops once more.
 pub fn measure_workload_with_counts(
     trace: &Trace,
     config: &SimConfig,
@@ -145,13 +145,24 @@ pub fn measure_workload_with_counts(
                 replay.counts.data_refs += 1;
                 replay.fetching = false;
                 replay.shared = shared.contains(block);
+                let misses = replay.counts.data_misses;
+                dragon::data(&mut replay, cpu, a.kind.is_write(), block);
                 if replay.shared {
                     replay.counts.shared_refs += 1;
-                    if snoop(&replay.caches, cpu, block).holders > 0 {
-                        replay.counts.shared_refs_other_present += 1;
-                    }
+                    // The handler changes no other cache's contents. A
+                    // store ends shared, and a miss fills shared, exactly
+                    // when another cache holds the block; only a load hit
+                    // leaves the question open.
+                    let snooped = a.kind.is_write() || replay.counts.data_misses > misses;
+                    let others_hold = if snooped {
+                        replay.caches[cpu]
+                            .peek(block)
+                            .is_some_and(LineState::is_shared)
+                    } else {
+                        snoop(&replay.caches, cpu, block).holders > 0
+                    };
+                    replay.counts.shared_refs_other_present += u64::from(others_hold);
                 }
-                dragon::data(&mut replay, cpu, a.kind.is_write(), block);
             }
             AccessKind::Flush => {
                 // Parameter measurement models the Dragon machine, which
@@ -198,7 +209,6 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::LineState;
     use crate::protocol::ProtocolKind;
     use swcc_trace::synth::{pops_like, SynthConfig};
     use swcc_trace::BlockAddr;

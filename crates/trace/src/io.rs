@@ -103,13 +103,14 @@ fn kind_from_char(c: &str) -> Option<AccessKind> {
 /// `# swcc trace: <cpus> cpus, <records> records`.
 const TEXT_HEADER: &str = "# swcc trace: ";
 
-/// Writes a trace in the text format, header line first.
+/// Writes a trace in the text format, header line first, and flushes
+/// the writer.
 ///
 /// A `&mut` reference to any writer can be passed.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Propagates I/O errors from the writer, its final flush included.
 pub fn write_text<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoError> {
     writeln!(
         writer,
@@ -120,6 +121,7 @@ pub fn write_text<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoE
     for a in trace {
         writeln!(writer, "{} {} {:#x}", a.cpu.0, kind_char(a.kind), a.addr)?;
     }
+    writer.flush()?;
     Ok(())
 }
 
@@ -190,11 +192,11 @@ pub fn read_text<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
     Ok(trace)
 }
 
-/// Writes a trace in the binary format.
+/// Writes a trace in the binary format and flushes the writer.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Propagates I/O errors from the writer, its final flush included.
 pub fn write_binary<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoError> {
     writer.write_all(BINARY_MAGIC)?;
     writer.write_all(&trace.cpus().to_le_bytes())?;
@@ -204,6 +206,7 @@ pub fn write_binary<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceI
         writer.write_all(&[kind_char(a.kind) as u8])?;
         writer.write_all(&a.addr.0.to_le_bytes())?;
     }
+    writer.flush()?;
     Ok(())
 }
 
@@ -368,6 +371,30 @@ mod tests {
         let mut bin = Vec::new();
         write_binary(&t, &mut bin).unwrap();
         assert_eq!(read_binary(bin.as_slice()).unwrap().len(), 0);
+    }
+
+    /// Accepts every byte and fails to flush.
+    struct FailingFlush;
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn writers_report_a_failed_flush() {
+        let t = sample();
+        for result in [write_text(&t, FailingFlush), write_binary(&t, FailingFlush)] {
+            match result {
+                Err(TraceIoError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
+                other => panic!("expected the flush error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -178,6 +178,13 @@ impl Trace {
         Trace { records, cpus }
     }
 
+    /// A trace of `cpus` processors over records whose processor ids are
+    /// all below `cpus`, as the generator's are by construction.
+    pub(crate) fn generated(cpus: u16, records: Vec<Access>) -> Self {
+        debug_assert!(records.iter().all(|r| r.cpu.0 < cpus));
+        Trace { records, cpus }
+    }
+
     /// Appends one record.
     ///
     /// # Panics

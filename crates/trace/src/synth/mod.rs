@@ -21,6 +21,13 @@
 //! validation exercises the same path the authors used.
 //!
 //! Everything is seeded and deterministic.
+//!
+//! Generation costs O(1) per reference. A reused private block at
+//! stack position `pos` (geometric, mean 4) moves to the top by
+//! rotating the `pos + 1` entries above and at it; the only scan of the
+//! `private_depth`-deep recency stack is the lookup of a fresh block,
+//! which the bump pointer may have wrapped onto. Records are written
+//! straight into the trace's one buffer, sized from the configuration.
 
 mod calibrate;
 mod presets;
@@ -122,6 +129,20 @@ impl SynthConfig {
     /// Generates the trace.
     pub fn generate(&self) -> Trace {
         Generator::new(self.clone()).run()
+    }
+
+    /// Records to allocate for the trace, so that its buffer is not
+    /// reallocated as it grows: one fetch per instruction, a data
+    /// reference with probability `ls`, at most one flush per shared
+    /// reference, and four standard deviations of the count as headroom
+    /// (each instruction adds at most two records beyond its fetch, so
+    /// the count's deviation is at most the square root of the
+    /// instruction count).
+    fn record_estimate(&self) -> usize {
+        let instructions = self.instructions_per_cpu as f64 * f64::from(self.cpus);
+        let flushes = if self.emit_flushes { self.shd } else { 0.0 };
+        let mean = instructions * (1.0 + self.ls * (1.0 + flushes));
+        (mean + 4.0 * instructions.sqrt()).ceil() as usize
     }
 
     /// A builder starting from this configuration, so a preset can be
@@ -325,23 +346,19 @@ impl Generator {
 
     fn run(mut self) -> Trace {
         let total = self.config.instructions_per_cpu * usize::from(self.config.cpus);
-        let mut trace = Trace::new(self.config.cpus);
+        let mut records = Vec::with_capacity(self.config.record_estimate());
         let mut active: Vec<usize> = (0..self.cpus.len()).collect();
-        let mut out = Vec::new();
         for _ in 0..total {
             debug_assert!(!active.is_empty());
             let pick = self.rng.gen_range(0..active.len());
             let idx = active[pick];
-            out.clear();
-            self.step(idx, &mut out);
-            for a in &out {
-                trace.push(*a);
-            }
+            self.step(idx, &mut records);
             if self.cpus[idx].generated >= self.config.instructions_per_cpu {
                 active.swap_remove(pick);
             }
         }
-        trace
+        records.shrink_to_fit();
+        Trace::generated(self.config.cpus, records)
     }
 
     /// Generates one instruction (fetch + optional data access) for the
@@ -390,28 +407,21 @@ impl Generator {
 
     fn private_access(&mut self, idx: usize, out: &mut Vec<Access>) {
         let base = self.layout.private_base(self.cpus[idx].cpu).0;
-        let size = self.layout.private_size();
-        let reuse = self.config.private_reuse;
-        let depth = self.config.private_depth;
-        let block = {
-            let stack_len = self.cpus[idx].private_stack.len();
-            if stack_len > 0 && self.rng.gen_bool(reuse) {
-                // Reuse a recent block, biased toward the top of the stack.
-                let max = stack_len.min(depth);
-                let pos = (Self::geometric(&mut self.rng, 4.0) as usize - 1).min(max - 1);
-                self.cpus[idx].private_stack[pos]
-            } else {
-                // Touch the next fresh block (wrapping within the segment).
-                let st = &mut self.cpus[idx];
-                let b = st.private_next;
-                st.private_next = (st.private_next + 1) % (size / BLOCK_BYTES);
-                b
-            }
-        };
+        let blocks = self.layout.private_size() / BLOCK_BYTES;
         let st = &mut self.cpus[idx];
-        st.private_stack.retain(|&b| b != block);
-        st.private_stack.insert(0, block);
-        st.private_stack.truncate(depth);
+        let reused = !st.private_stack.is_empty() && self.rng.gen_bool(self.config.private_reuse);
+        let block = if reused {
+            // Reuse a recent block, biased toward the top of the stack.
+            let last = st.private_stack.len() - 1;
+            let pos = (Self::geometric(&mut self.rng, 4.0) as usize - 1).min(last);
+            reuse(&mut st.private_stack, pos)
+        } else {
+            // Touch the next fresh block (wrapping within the segment).
+            let b = st.private_next;
+            st.private_next = (b + 1) % blocks;
+            touch_fresh(&mut st.private_stack, self.config.private_depth, b);
+            b
+        };
         let offset = self.rng.gen_range(0..BLOCK_BYTES / WORD_BYTES) * WORD_BYTES;
         let kind = if self.rng.gen_bool(self.config.wr_private) {
             AccessKind::Store
@@ -472,10 +482,30 @@ impl Generator {
     }
 }
 
+/// Moves the block at `pos` of a recency stack (most recent first) to
+/// the top and returns it, shifting only the `pos` blocks above it.
+fn reuse(stack: &mut [u64], pos: usize) -> u64 {
+    stack[..=pos].rotate_right(1);
+    stack[0]
+}
+
+/// Puts a fresh block on top of a recency stack of at most `depth`
+/// blocks. Once the bump pointer has wrapped, the block may still be in
+/// the stack; it then moves up from where it sits, as a reuse would.
+fn touch_fresh(stack: &mut Vec<u64>, depth: usize, block: u64) {
+    if let Some(pos) = stack.iter().position(|&b| b == block) {
+        reuse(stack, pos);
+    } else {
+        stack.insert(0, block);
+        stack.truncate(depth);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::Region;
+    use proptest::Strategy as _;
 
     fn tiny() -> SynthConfig {
         let mut b = SynthConfig::builder();
@@ -590,6 +620,54 @@ mod tests {
         assert!((mean - 8.0).abs() < 0.35, "mean = {mean}");
     }
 
+    /// The recency-stack step the generator first made, kept as the
+    /// oracle of `recency_stack_matches_the_retain_insert_oracle`: drop
+    /// the block wherever it sits, push it on top, cut to `depth`.
+    fn oracle_touch(stack: &mut Vec<u64>, depth: usize, block: u64) {
+        stack.retain(|&b| b != block);
+        stack.insert(0, block);
+        stack.truncate(depth);
+    }
+
+    /// Release builds (`cargo test --release -p swcc-trace`) check far
+    /// more operation sequences.
+    const CASES: u32 = if cfg!(debug_assertions) { 256 } else { 20_000 };
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(CASES))]
+
+        /// Reuses and fresh touches, in the generator's order of
+        /// decisions, leave the stack as the oracle leaves it. Each op is
+        /// a fresh block (`true`, and any op on an empty stack) or a
+        /// reuse at `pos % len`. Depths 0, 1, 2–7 and 64 are drawn; the
+        /// segment holds at most 11 blocks, so the bump pointer wraps
+        /// onto blocks still in the stack, and depth 64 is deeper than
+        /// the blocks there are.
+        #[test]
+        fn recency_stack_matches_the_retain_insert_oracle(
+            depth in (0usize..4, 2usize..8).prop_map(|(k, mid)| [0, 1, mid, 64][k]),
+            blocks in 1u64..12,
+            ops in proptest::collection::vec((proptest::bool::ANY, 0usize..64), 0..300),
+        ) {
+            let (mut stack, mut want, mut next) = (Vec::new(), Vec::new(), 0);
+            for (fresh, pos) in ops {
+                let block = if !fresh && !stack.is_empty() {
+                    let pos = pos % stack.len();
+                    let block = want[pos];
+                    proptest::prop_assert_eq!(reuse(&mut stack, pos), block);
+                    block
+                } else {
+                    let block = next;
+                    next = (next + 1) % blocks;
+                    touch_fresh(&mut stack, depth, block);
+                    block
+                };
+                oracle_touch(&mut want, depth, block);
+                proptest::prop_assert_eq!(&stack, &want);
+            }
+        }
+    }
+
     #[test]
     fn geometric_of_mean_one_is_constant_one() {
         let mut rng = StdRng::seed_from_u64(2);
@@ -604,6 +682,73 @@ mod tests {
         let mut b = SynthConfig::builder();
         b.ls(1.2);
         let _ = b.build();
+    }
+
+    /// FNV-1a over the processor count and every record's processor,
+    /// kind and address.
+    fn digest(trace: &Trace) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(u64::from(trace.cpus()));
+        for a in trace {
+            eat(u64::from(a.cpu.0) | (a.kind as u64) << 16);
+            eat(a.addr.0);
+        }
+        h
+    }
+
+    /// Every preset, plain and flushing, and three private recency
+    /// stacks the presets never build (none, one block deep, and deeper
+    /// than an 8-block private segment that half the private references
+    /// bump, so `private_next` keeps wrapping onto blocks still in the
+    /// stack), at a fixed size and seed. The digests were recorded with
+    /// the generator that rebuilt the stack with `retain` and
+    /// `insert(0, _)`: any change that moves one draw or one record
+    /// moves them.
+    #[test]
+    fn generated_traces_are_golden() {
+        const GOLDEN: [(&str, u64); 9] = [
+            ("POPS", 0x6727_13a7_a983_6ba8),
+            ("POPS flushing", 0x7e99_9a1d_2ed8_9382),
+            ("THOR", 0x49a5_fab2_8d7e_0d44),
+            ("THOR flushing", 0xe72a_dad8_4ea8_5b8d),
+            ("PERO", 0x4683_881c_6c65_5c4d),
+            ("PERO flushing", 0xc600_2ffb_29d7_e117),
+            ("depth 0", 0x7612_4942_32a4_3a70),
+            ("depth 1", 0xef06_1e5e_4114_2360),
+            ("depth 256, 8 blocks", 0x3b67_bea6_c3c7_7599),
+        ];
+        let mut configs = Vec::new();
+        for preset in Preset::ALL {
+            let plain = preset.config(4, 10_000, 0x601d);
+            let flushing = plain.to_builder().emit_flushes(true).build();
+            configs.push((preset.name().to_string(), plain));
+            configs.push((format!("{} flushing", preset.name()), flushing));
+        }
+        for (name, depth, blocks, private_reuse) in [
+            ("depth 0", 0, 65_536, 0.96),
+            ("depth 1", 1, 64, 0.96),
+            ("depth 256, 8 blocks", 256, 8, 0.5),
+        ] {
+            let mut b = SynthConfig::builder();
+            b.cpus(3)
+                .instructions_per_cpu(10_000)
+                .seed(0x601d)
+                .private_depth(depth)
+                .private_size(blocks * BLOCK_BYTES)
+                .private_reuse(private_reuse);
+            configs.push((name.to_string(), b.build()));
+        }
+        let got: Vec<(String, u64)> = configs
+            .iter()
+            .map(|(name, config)| (name.clone(), digest(&config.generate())))
+            .collect();
+        let want: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
