@@ -20,9 +20,7 @@
 //!   compiler can auto-vectorize.
 //! * [`machine_repairman_grid`] runs the exact-MVA recurrence step of
 //!   [`crate::queue`] for a whole grid of `(service, think)` lanes in
-//!   one population-outer, lane-inner pass, and
-//!   [`machine_repairman_sweep_grid`] runs the scalar lane loop of
-//!   [`crate::queue`] once per lane.
+//!   one population-outer, lane-inner pass.
 //!
 //! # Exact compatibility
 //!
@@ -41,9 +39,7 @@
 //!   demand;
 //! * a [`machine_repairman_grid`] lane equals
 //!   [`machine_repairman`](crate::queue::machine_repairman) bit for
-//!   bit, and a [`machine_repairman_sweep_grid`] lane equals
-//!   [`machine_repairman_sweep`](crate::queue::machine_repairman_sweep)
-//!   point for point.
+//!   bit.
 //!
 //! The scalar APIs therefore remain the N=1 case, and the property
 //! tests in `tests/batch_equivalence.rs` assert the equivalences with
@@ -54,7 +50,7 @@ use crate::metrics;
 use crate::network::patel::{
     residual_and_slope, Lane, OperatingPoint, DEFAULT_TOLERANCE, MAX_ITERATIONS,
 };
-use crate::queue::{self, MvaSolution, MvaSweep};
+use crate::queue::{self, MvaSolution};
 
 /// A hint value meaning "start this lane cold" in
 /// [`BatchPatelSolver::solve_hinted`]. Any value outside the open
@@ -677,61 +673,11 @@ pub fn machine_repairman_grid(
     Ok(out)
 }
 
-/// Solves machine-repairman **curves** (every population
-/// `1..=max_customers`) for a whole grid of `(service, think)` lanes in
-/// one call.
-///
-/// Each lane runs the scalar lane loop behind
-/// [`machine_repairman_sweep`](crate::queue::machine_repairman_sweep),
-/// so lane `i` of the result is point-for-point bit-identical to
-/// `machine_repairman_sweep(max_customers, services[i], thinks[i])`;
-/// the grid pays validation and instrumentation once for all lanes.
-///
-/// # Errors
-///
-/// As [`machine_repairman_grid`], except `max_customers == 0` yields
-/// empty (but valid) sweeps, matching the scalar sweep.
-pub fn machine_repairman_sweep_grid(
-    max_customers: u32,
-    services: &[f64],
-    thinks: &[f64],
-) -> Result<Vec<MvaSweep>> {
-    queue::validate(None, services, thinks)?;
-    let n = services.len();
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::BATCH_MVA_GRIDS, 1);
-        swcc_obs::counter_add(metrics::BATCH_MVA_GRID_LANES, n as u64);
-        swcc_obs::observe(metrics::BATCH_LANE_WIDTH, n as f64);
-        // Same numerical work as n scalar sweeps.
-        swcc_obs::counter_add(metrics::MVA_SWEEPS, n as u64);
-        swcc_obs::counter_add(
-            metrics::MVA_SWEEP_POINTS,
-            u64::from(max_customers) * n as u64,
-        );
-    }
-    let _grid_span = if swcc_obs::trace_enabled() {
-        swcc_obs::span(
-            metrics::EV_BATCH_MVA_GRID,
-            &[
-                swcc_obs::Field::u64("lanes", n as u64),
-                swcc_obs::Field::u64("customers", u64::from(max_customers)),
-            ],
-        )
-    } else {
-        swcc_obs::span(metrics::EV_BATCH_MVA_GRID, &[])
-    };
-    Ok(services
-        .iter()
-        .zip(thinks)
-        .map(|(&service, &think)| queue::Lane::new(service, think).sweep(max_customers))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::{solve_with, SolveOptions};
-    use crate::queue::{machine_repairman, machine_repairman_sweep};
+    use crate::queue::machine_repairman;
 
     fn bits(x: f64) -> u64 {
         x.to_bits()
@@ -752,9 +698,6 @@ mod tests {
         assert_eq!(s.len(), 0);
         assert_eq!(s.total_iterations(), 0);
         assert!(machine_repairman_grid(4, &[], &[]).unwrap().is_empty());
-        assert!(machine_repairman_sweep_grid(4, &[], &[])
-            .unwrap()
-            .is_empty());
     }
 
     #[test]
@@ -900,29 +843,11 @@ mod tests {
     }
 
     #[test]
-    fn mva_sweep_grid_matches_scalar_sweeps() {
-        let services = [0.37, 0.0, 1.5];
-        let thinks = [1.2, 5.0, 6.0];
-        let grid = machine_repairman_sweep_grid(24, &services, &thinks).unwrap();
-        for i in 0..services.len() {
-            let scalar = machine_repairman_sweep(24, services[i], thinks[i]).unwrap();
-            assert_eq!(grid[i], scalar, "lane {i}");
-        }
-    }
-
-    #[test]
     fn mva_grid_rejects_bad_inputs() {
         assert!(machine_repairman_grid(0, &[1.0], &[1.0]).is_err());
         assert!(machine_repairman_grid(4, &[1.0], &[]).is_err());
         assert!(machine_repairman_grid(4, &[-1.0], &[1.0]).is_err());
         assert!(machine_repairman_grid(4, &[0.0], &[0.0]).is_err());
-        assert!(machine_repairman_sweep_grid(4, &[1.0], &[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn empty_sweep_grid_population_is_valid() {
-        let grid = machine_repairman_sweep_grid(0, &[0.37], &[1.2]).unwrap();
-        assert_eq!(grid.len(), 1);
-        assert_eq!(grid[0].max_customers(), 0);
+        assert!(machine_repairman_grid(4, &[1.0], &[f64::NAN]).is_err());
     }
 }

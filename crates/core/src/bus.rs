@@ -13,7 +13,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::machine_repairman_sweep_grid;
 use crate::demand::{scheme_demand, Demand};
 use crate::error::Result;
 use crate::metrics;
@@ -242,100 +241,6 @@ pub fn analyze_bus_sweep(
     Ok(curve)
 }
 
-/// Sweeps processor count from 1 to `max_processors` for **several
-/// schemes at once**, running every scheme's MVA recurrence in one
-/// lockstep grid pass ([`machine_repairman_sweep_grid`]).
-///
-/// `curves[i]` is **bit-identical** to
-/// `analyze_bus_sweep(schemes[i], …)` — each lane of the batch grid
-/// executes exactly the scalar recurrence — but a whole 4-scheme figure
-/// costs a single traversal of the populations instead of four.
-///
-/// # Errors
-///
-/// Propagates demand/solver errors (which for valid workloads cannot
-/// occur). An empty scheme list or a `max_processors` of zero yields
-/// empty (but valid) curves.
-///
-/// # Examples
-///
-/// ```
-/// use swcc_core::bus::{analyze_bus_sweep, bus_power_curves};
-/// use swcc_core::scheme::Scheme;
-/// use swcc_core::system::BusSystemModel;
-/// use swcc_core::workload::WorkloadParams;
-///
-/// # fn main() -> Result<(), swcc_core::ModelError> {
-/// let system = BusSystemModel::new();
-/// let workload = WorkloadParams::default();
-/// let curves = bus_power_curves(&Scheme::ALL, &workload, &system, 16)?;
-/// let scalar = analyze_bus_sweep(Scheme::ALL[1], &workload, &system, 16)?;
-/// assert_eq!(curves[1], scalar);
-/// # Ok(())
-/// # }
-/// ```
-pub fn bus_power_curves(
-    schemes: &[Scheme],
-    workload: &WorkloadParams,
-    system: &BusSystemModel,
-    max_processors: u32,
-) -> Result<Vec<Vec<BusPerformance>>> {
-    let cases: Vec<(Scheme, WorkloadParams)> = schemes.iter().map(|&s| (s, *workload)).collect();
-    bus_power_curve_set(&cases, system, max_processors)
-}
-
-/// The general form of [`bus_power_curves`]: one curve lane per
-/// `(scheme, workload)` case, so a figure that varies the workload
-/// across its series (e.g. an `apl` family) still evaluates as a single
-/// lockstep grid pass.
-///
-/// `curves[i]` is **bit-identical** to
-/// `analyze_bus_sweep(cases[i].0, &cases[i].1, …)`.
-///
-/// # Errors
-///
-/// As [`bus_power_curves`].
-pub fn bus_power_curve_set(
-    cases: &[(Scheme, WorkloadParams)],
-    system: &BusSystemModel,
-    max_processors: u32,
-) -> Result<Vec<Vec<BusPerformance>>> {
-    let demands = cases
-        .iter()
-        .map(|(s, w)| scheme_demand(*s, w, system))
-        .collect::<Result<Vec<Demand>>>()?;
-    let services: Vec<f64> = demands.iter().map(Demand::interconnect).collect();
-    let thinks: Vec<f64> = demands.iter().map(Demand::think_time).collect();
-    let grid = machine_repairman_sweep_grid(max_processors, &services, &thinks)?;
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::BUS_SWEEPS, cases.len() as u64);
-        swcc_obs::counter_add(
-            metrics::BUS_SWEEP_POINTS,
-            u64::from(max_processors) * cases.len() as u64,
-        );
-    }
-    Ok(grid
-        .into_iter()
-        .zip(cases)
-        .zip(demands)
-        .map(|((sweep, &(scheme, _)), demand)| {
-            sweep
-                .points()
-                .iter()
-                .map(|mva| {
-                    BusPerformance::from_queue_solution(
-                        scheme,
-                        mva.customers(),
-                        demand,
-                        mva.waiting(),
-                        mva.server_utilization(),
-                    )
-                })
-                .collect()
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,19 +360,6 @@ mod tests {
                 assert_eq!(*swept, pointwise, "{s} at n={n}");
             }
         }
-    }
-
-    #[test]
-    fn batched_curves_are_bit_identical_to_scalar_sweeps() {
-        let w = WorkloadParams::at_level(Level::High);
-        let curves = bus_power_curves(&Scheme::ALL, &w, &sys(), 32).unwrap();
-        assert_eq!(curves.len(), Scheme::ALL.len());
-        for (i, s) in Scheme::ALL.into_iter().enumerate() {
-            let scalar = analyze_bus_sweep(s, &w, &sys(), 32).unwrap();
-            assert_eq!(curves[i], scalar, "{s}");
-        }
-        assert!(bus_power_curves(&[], &w, &sys(), 32).unwrap().is_empty());
-        assert!(bus_power_curves(&Scheme::ALL, &w, &sys(), 0).unwrap()[0].is_empty());
     }
 
     #[test]

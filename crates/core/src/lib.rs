@@ -85,10 +85,8 @@ pub use error::{ModelError, Result};
 /// let _ = WorkloadParams::default();
 /// ```
 pub mod prelude {
-    pub use crate::batch::{
-        machine_repairman_grid, machine_repairman_sweep_grid, BatchPatelSolver, PatelBatchSolution,
-    };
-    pub use crate::bus::{analyze_bus, analyze_bus_sweep, bus_power_curves, BusPerformance};
+    pub use crate::batch::{machine_repairman_grid, BatchPatelSolver, PatelBatchSolution};
+    pub use crate::bus::{analyze_bus, analyze_bus_sweep, BusPerformance};
     pub use crate::demand::{scheme_demand, scheme_terms, Demand};
     pub use crate::network::{
         analyze_network, network_power_curve, network_power_curves, NetworkPerformance,

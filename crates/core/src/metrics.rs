@@ -52,8 +52,7 @@ pub const BUS_SWEEP_POINTS: &str = "core.bus.sweep_points";
 pub const BATCH_PATEL_BATCHES: &str = "core.batch.patel_batches";
 /// Lanes submitted across all batch Patel solves.
 pub const BATCH_PATEL_LANES: &str = "core.batch.patel_lanes";
-/// Lockstep MVA grid evaluations ([`crate::batch::machine_repairman_grid`]
-/// and [`crate::batch::machine_repairman_sweep_grid`]).
+/// Lockstep MVA grid evaluations ([`crate::batch::machine_repairman_grid`]).
 pub const BATCH_MVA_GRIDS: &str = "core.batch.mva_grids";
 /// Lanes submitted across all batch MVA grid evaluations.
 pub const BATCH_MVA_GRID_LANES: &str = "core.batch.mva_grid_lanes";

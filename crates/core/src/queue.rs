@@ -23,8 +23,8 @@
 //! The recurrence is written once, as one step (`step`) beside the
 //! zero-service closed form (`idle`) and one input check
 //! (`validate`). A scalar lane loop (`Lane`) runs them behind
-//! [`machine_repairman`], [`machine_repairman_sweep`] and every lane of
-//! [`machine_repairman_sweep_grid`](crate::batch::machine_repairman_sweep_grid);
+//! [`machine_repairman`], [`machine_repairman_sweep`] and
+//! [`analyze_bus_sweep`](crate::bus::analyze_bus_sweep);
 //! [`machine_repairman_grid`](crate::batch::machine_repairman_grid)
 //! runs the same step lane-inner. Each lane therefore executes the same
 //! float ops in the same order on every path.
@@ -278,15 +278,6 @@ impl Lane {
             response,
             throughput,
             queue_len,
-        }
-    }
-
-    /// The lane's solutions at every population `1..=max_customers`.
-    pub(crate) fn sweep(self, max_customers: u32) -> MvaSweep {
-        MvaSweep {
-            service: self.service,
-            think: self.think,
-            points: self.map_sweep(max_customers, |mva| mva),
         }
     }
 
@@ -756,7 +747,11 @@ mod tests {
         // among them) at every population from 2 to 16.
         let services = [0.1, 0.37, 1.0];
         let thinks = [2.0, 1.2, 1.5];
-        let sweeps = crate::batch::machine_repairman_sweep_grid(16, &services, &thinks).unwrap();
+        let sweeps: Vec<MvaSweep> = services
+            .iter()
+            .zip(&thinks)
+            .map(|(&service, &think)| machine_repairman_sweep(16, service, think).unwrap())
+            .collect();
         let mut sim = RepairmanSim { rng: 0x5EED };
         for customers in 2..=16u32 {
             let grid = crate::batch::machine_repairman_grid(customers, &services, &thinks).unwrap();

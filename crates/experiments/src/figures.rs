@@ -5,7 +5,6 @@
 //! runs in microseconds.
 
 use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver};
-use swcc_core::bus::{bus_power_curve_set, bus_power_curves};
 use swcc_core::network::{analyze_network, network_power_curves};
 use swcc_core::prelude::*;
 
@@ -15,25 +14,27 @@ use crate::artifact::{Figure, Series};
 /// plots, which run to 16).
 pub const BUS_MAX_PROCESSORS: u32 = 16;
 
-fn power_points(curve: &[BusPerformance]) -> Vec<(f64, f64)> {
-    curve
+/// `(processors, power)` of `scheme` on `workload`, from one processor
+/// sweep of the bus.
+fn power_points(scheme: Scheme, workload: &WorkloadParams, max_processors: u32) -> Vec<(f64, f64)> {
+    analyze_bus_sweep(scheme, workload, &BusSystemModel::new(), max_processors)
+        .expect("every scheme is defined on a bus")
         .iter()
         .map(|p| (f64::from(p.processors()), p.power()))
         .collect()
 }
 
 fn bus_figure(title: &str, workload: &WorkloadParams) -> Figure {
-    let system = BusSystemModel::new();
     let mut fig = Figure::new(title, "processors", "processing power");
     let ideal: Vec<(f64, f64)> = (1..=BUS_MAX_PROCESSORS)
         .map(|n| (f64::from(n), f64::from(n)))
         .collect();
     fig.push_series(Series::new("ideal", ideal));
-    // All four scheme curves come from one lockstep batch grid pass.
-    let curves = bus_power_curves(&Scheme::ALL, workload, &system, BUS_MAX_PROCESSORS)
-        .expect("all schemes are defined on a bus");
-    for (scheme, curve) in Scheme::ALL.into_iter().zip(&curves) {
-        fig.push_series(Series::new(scheme.to_string(), power_points(curve)));
+    for scheme in Scheme::ALL {
+        fig.push_series(Series::new(
+            scheme.to_string(),
+            power_points(scheme, workload, BUS_MAX_PROCESSORS),
+        ));
     }
     fig
 }
@@ -93,40 +94,25 @@ pub fn high_sharing_workload() -> WorkloadParams {
 /// Figure 7: effect of varying `apl` on Software-Flush, with Dragon and
 /// No-Cache as reference curves; other parameters at middle values.
 pub fn fig7() -> Figure {
-    let system = BusSystemModel::new();
     let w = WorkloadParams::default();
     let mut fig = Figure::new(
         "Figure 7: effect of varying apl (bus, middle parameters)",
         "processors",
         "processing power",
     );
-    // Six apl variants plus two reference schemes: eight curve lanes,
-    // one lockstep batch grid pass.
-    const APLS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 25.0, 100.0];
-    let mut cases: Vec<(Scheme, WorkloadParams)> = APLS
-        .iter()
-        .map(|&apl| {
-            (
-                Scheme::SoftwareFlush,
-                w.with_param(ParamId::Apl, apl).expect("apl >= 1"),
-            )
-        })
-        .collect();
-    cases.push((Scheme::Dragon, w));
-    cases.push((Scheme::NoCache, w));
-    let curves = bus_power_curve_set(&cases, &system, BUS_MAX_PROCESSORS)
-        .expect("all cases are defined on a bus");
-    for (apl, curve) in APLS.iter().zip(&curves) {
+    // Six apl variants plus two reference schemes.
+    for apl in [1.0, 2.0, 4.0, 8.0, 25.0, 100.0] {
+        let workload = w.with_param(ParamId::Apl, apl).expect("apl >= 1");
         fig.push_series(Series::new(
             format!("Software-Flush apl={apl}"),
-            power_points(curve),
+            power_points(Scheme::SoftwareFlush, &workload, BUS_MAX_PROCESSORS),
         ));
     }
-    for (scheme, curve) in [Scheme::Dragon, Scheme::NoCache]
-        .into_iter()
-        .zip(&curves[6..])
-    {
-        fig.push_series(Series::new(scheme.to_string(), power_points(curve)));
+    for scheme in [Scheme::Dragon, Scheme::NoCache] {
+        fig.push_series(Series::new(
+            scheme.to_string(),
+            power_points(scheme, &w, BUS_MAX_PROCESSORS),
+        ));
     }
     fig
 }
@@ -186,17 +172,17 @@ pub fn fig9() -> Figure {
 /// parameters): bus curves for all four schemes, network curves for the
 /// three schemes that work without a snoopy bus.
 pub fn fig10() -> Figure {
-    let system = BusSystemModel::new();
     let w = WorkloadParams::default();
     let mut fig = Figure::new(
         "Figure 10: buses versus networks in the small scale (middle parameters)",
         "processors",
         "processing power",
     );
-    let bus_curves =
-        bus_power_curves(&Scheme::ALL, &w, &system, 64).expect("all schemes are defined on a bus");
-    for (scheme, curve) in Scheme::ALL.into_iter().zip(&bus_curves) {
-        fig.push_series(Series::new(format!("{scheme} (bus)"), power_points(curve)));
+    for scheme in Scheme::ALL {
+        fig.push_series(Series::new(
+            format!("{scheme} (bus)"),
+            power_points(scheme, &w, 64),
+        ));
     }
     let net_schemes = [Scheme::Base, Scheme::SoftwareFlush, Scheme::NoCache];
     let net_curves =

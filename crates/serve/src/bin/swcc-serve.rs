@@ -8,9 +8,10 @@
 //! ```
 //!
 //! Binds the listener, installs a process-wide metrics registry
-//! covering the model and serve layers, prints one `listening on …`
-//! line to stdout, and serves until a client sends
-//! `{"cmd":"shutdown"}`. On exit it prints a final stats line.
+//! covering the model and serve layers and passes it to the server,
+//! prints one `listening on …` line to stdout, and serves until a
+//! client sends `{"cmd":"shutdown"}`. On exit it prints a final stats
+//! line.
 //!
 //! Live telemetry is always available in-band via
 //! `{"cmd":"telemetry"}`. With `--telemetry-addr` a second listener
@@ -105,8 +106,9 @@ fn main() -> ExitCode {
         swcc_obs::RegistryBuilder::new(),
     ))
     .build();
-    // The telemetry command needs the concrete registry for cumulative
-    // snapshots; the install API only exposes the trait object.
+    // Core's solvers record through the installed registry and the
+    // server records into the one it is passed: passing the same one
+    // puts both layers' counters in `stats`, `telemetry` and `/metrics`.
     let registry: &'static swcc_obs::MetricsRegistry = Box::leak(Box::new(registry));
     let _ = swcc_obs::install(registry);
     config.registry = Some(registry);

@@ -885,8 +885,12 @@ mod tests {
             .collect()
     }
 
+    /// Release builds (CI's `cargo test --release -p swcc-serve --lib`)
+    /// run far more cases.
+    const CASES: u32 = if cfg!(debug_assertions) { 256 } else { 50_000 };
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(CASES))]
 
         #[test]
         fn batch_calls_equal_a_loop_of_scalar_calls(

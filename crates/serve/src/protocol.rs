@@ -356,7 +356,20 @@ fn parse_query(value: &Value, total_points: &mut usize) -> Result<Query, String>
 /// Returns a human-readable message naming the offending query index
 /// (`"query 3: …"`) for batch requests.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    parse_line(line).map_err(|(e, _)| e)
+}
+
+/// [`parse_request`], parsing the line once: an error also carries the
+/// line's `id` when the line is JSON that holds one, so the error
+/// response can echo it.
+pub(crate) fn parse_line(line: &str) -> Result<Request, (String, Option<u64>)> {
+    let value: Value =
+        serde_json::from_str(line).map_err(|e| (format!("invalid JSON: {e}"), None))?;
+    request_from_value(&value).map_err(|e| (e, value.get_field("id").and_then(Value::as_u64)))
+}
+
+/// The protocol half of [`parse_request`]: a parsed line as a request.
+fn request_from_value(value: &Value) -> Result<Request, String> {
     if !value.is_object() {
         return Err("request must be a JSON object".into());
     }

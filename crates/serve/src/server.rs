@@ -52,7 +52,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -66,12 +66,12 @@ use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::ParamId;
 
-use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry};
+use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry, Recorder as _};
 
 use crate::cache::{Admission, Flight, PointHashState, PointKey, SolvedPointCache};
 use crate::metrics;
 use crate::protocol::{
-    error_response, parse_request, Batch, Machine, Query, QueryKind, Request, TelemetryFormat,
+    error_response, parse_line, Batch, Machine, Query, QueryKind, Request, TelemetryFormat,
     MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::telemetry::{self, RequestTrace, Telemetry};
@@ -90,11 +90,12 @@ pub struct ServeConfig {
     /// How long a coalesced query waits on another request's in-flight
     /// solve before re-claiming the point for itself.
     pub solve_timeout: Duration,
-    /// The process metrics registry, for the `telemetry` command's
-    /// cumulative section (`None` renders `"cumulative":null`). This is
-    /// the same registry the binary passes to [`swcc_obs::install`] —
-    /// the trait-object install API deliberately hides the concrete
-    /// snapshot type, so the server needs its own reference.
+    /// The registry the server records its `serve.*` metrics into, and
+    /// that `stats`, `telemetry` and `/metrics` read. It must hold
+    /// [`crate::metrics`]' names. `None` gives the server a private
+    /// registry of those names alone. The binary passes the registry it
+    /// installs with [`swcc_obs::install`], so core's solver counters
+    /// sit beside serve's and every count is process-wide.
     pub registry: Option<&'static MetricsRegistry>,
     /// Optional bind address for the plain-text exposition listener
     /// (`GET /metrics`, `/telemetry`, `/slow`).
@@ -136,21 +137,15 @@ pub struct BusPoint {
 }
 
 /// Shared state behind all connections: the two solved-point caches
-/// and the traffic counters backing `{"cmd":"stats"}`.
+/// and the telemetry hub, whose registry holds the counters behind
+/// `{"cmd":"stats"}`.
 #[derive(Debug)]
 pub struct ServeState {
     bus_points: SolvedPointCache<BusPoint>,
     net_points: SolvedPointCache<OperatingPoint>,
     solve_timeout: Duration,
     shutdown: AtomicBool,
-    requests: AtomicU64,
-    queries: AtomicU64,
-    errors: AtomicU64,
-    connections: AtomicU64,
-    solves: AtomicU64,
-    solve_lanes: AtomicU64,
     telemetry: Telemetry,
-    registry: Option<&'static MetricsRegistry>,
 }
 
 impl ServeState {
@@ -161,31 +156,27 @@ impl ServeState {
             net_points: SolvedPointCache::new(),
             solve_timeout: config.solve_timeout,
             shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            solves: AtomicU64::new(0),
-            solve_lanes: AtomicU64::new(0),
-            telemetry: Telemetry::new(
-                config.access_log.as_deref(),
-                config.slow_threshold_us,
-                config.slow_capacity,
-            ),
-            registry: config.registry,
+            telemetry: Telemetry::new(config),
         }
     }
 
-    /// The live telemetry hub (windows, slow captures, access log).
+    /// The live telemetry hub (windows, registry, slow captures, access
+    /// log).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// Adds `by` to the `serve.*` counter `name` in this server's
+    /// registry.
+    fn count(&self, name: &'static str, by: u64) {
+        self.telemetry.metrics().counter_add(name, by);
     }
 
     /// Renders the `telemetry` snapshot response (JSON, with the
     /// Prometheus exposition of the same snapshot inlined when asked).
     pub fn telemetry_response(&self, format: TelemetryFormat) -> String {
         self.telemetry
-            .capture(telemetry::epoch_seconds(), self.registry)
+            .capture(telemetry::epoch_seconds())
             .to_response(format == TelemetryFormat::Prometheus)
     }
 
@@ -213,23 +204,28 @@ impl ServeState {
         self.shutdown.store(true, Ordering::Release);
     }
 
-    /// Renders the stats response line.
+    /// Renders the stats response line. Its traffic counters are the
+    /// registry's `serve.*` counters of the same names.
     pub fn stats_response(&self) -> String {
         use std::fmt::Write as _;
         let bus = self.bus_points.stats();
         let net = self.net_points.stats();
+        let registry = self.telemetry.metrics();
         let mut out = String::from("{\"ok\":true,\"stats\":{");
-        let _ = write!(
-            out,
-            "\"requests\":{},\"queries\":{},\"errors\":{},\"connections\":{},\
-             \"solves\":{},\"solve_lanes\":{},",
-            self.requests.load(Ordering::Relaxed),
-            self.queries.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.connections.load(Ordering::Relaxed),
-            self.solves.load(Ordering::Relaxed),
-            self.solve_lanes.load(Ordering::Relaxed),
-        );
+        for (field, name) in [
+            ("requests", metrics::SERVE_REQUESTS),
+            ("queries", metrics::SERVE_QUERIES),
+            ("errors", metrics::SERVE_ERRORS),
+            ("connections", metrics::SERVE_CONNECTIONS),
+            ("solves", metrics::SERVE_SOLVES),
+            ("solve_lanes", metrics::SERVE_SOLVE_LANES),
+        ] {
+            let _ = write!(
+                out,
+                "\"{field}\":{},",
+                registry.counter_value(name).unwrap_or(0)
+            );
+        }
         out.push_str("\"uptime_s\":");
         push_json_f64(&mut out, self.telemetry.uptime_s());
         out.push_str(",\"build\":{\"commit\":");
@@ -286,13 +282,6 @@ struct Lane<V> {
     key: PointKey,
     demand: Demand,
     state: LaneState<V>,
-}
-
-#[derive(Default)]
-struct Acct {
-    hits: u64,
-    misses: u64,
-    coalesced: u64,
 }
 
 /// RAII over this request's claimed cache slots: a claim is pending
@@ -359,23 +348,24 @@ impl<V: Copy> Drop for ClaimSet<'_, V> {
     }
 }
 
-/// Admits every lane with one shard-grouped `begin_many`.
-fn admit<V: Copy>(lanes: &mut [Lane<V>], claims: &mut ClaimSet<'_, V>, acct: &mut Acct) {
+/// Admits every lane with one shard-grouped `begin_many`, counting each
+/// admission into the request's trace.
+fn admit<V: Copy>(lanes: &mut [Lane<V>], claims: &mut ClaimSet<'_, V>, trace: &mut RequestTrace) {
     let keys: Vec<PointKey> = lanes.iter().map(|lane| lane.key).collect();
     let admissions = claims.cache.begin_many(&keys);
     for (lane, admission) in lanes.iter_mut().zip(admissions) {
         lane.state = match admission {
             Admission::Hit(v) => {
-                acct.hits += 1;
+                trace.hits += 1;
                 LaneState::Value(v, Provenance::Hit)
             }
             Admission::Claimed => {
-                acct.misses += 1;
+                trace.misses += 1;
                 claims.claim(lane.key);
                 LaneState::Ours(Provenance::Miss)
             }
             Admission::Shared(flight) => {
-                acct.coalesced += 1;
+                trace.coalesced += 1;
                 if claims.owns(&lane.key) {
                     // A duplicate point within this request coalesces
                     // onto our own claim; its value is in the ClaimSet
@@ -393,11 +383,13 @@ fn admit<V: Copy>(lanes: &mut [Lane<V>], claims: &mut ClaimSet<'_, V>, acct: &mu
 /// result, coalesced lanes wait on the owning request's flight — with
 /// one re-claim retry if that request aborted or the wait timed out. A
 /// retry's claim joins `claims`, so an error or a panic in `solve_one`
-/// releases it like the batch's own.
+/// releases it like the batch's own. Each wait is observed into
+/// `registry` and added to `wait_us`.
 fn resolve_lanes<V: Copy>(
     lanes: &mut [Lane<V>],
     claims: &mut ClaimSet<'_, V>,
     timeout: Duration,
+    registry: &MetricsRegistry,
     wait_us: &mut f64,
     solve_one: &mut dyn FnMut(&PointKey) -> Result<V, String>,
 ) -> Result<(), String> {
@@ -415,9 +407,7 @@ fn resolve_lanes<V: Copy>(
                 let got = flight.wait_for(timeout);
                 let waited_us = started.elapsed().as_secs_f64() * 1e6;
                 *wait_us += waited_us;
-                if swcc_obs::enabled() {
-                    swcc_obs::observe(metrics::SERVE_FLIGHT_WAIT_US, waited_us);
-                }
+                registry.observe(metrics::SERVE_FLIGHT_WAIT_US, waited_us);
                 match got {
                     Some(v) => LaneState::Value(v, Provenance::Coalesced),
                     // The owning request aborted (solver error or
@@ -506,12 +496,8 @@ enum QueryPlan {
 }
 
 fn record_solve(state: &ServeState, lanes: usize) {
-    state.solves.fetch_add(1, Ordering::Relaxed);
-    state.solve_lanes.fetch_add(lanes as u64, Ordering::Relaxed);
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SERVE_SOLVES, 1);
-        swcc_obs::counter_add(metrics::SERVE_SOLVE_LANES, lanes as u64);
-    }
+    state.count(metrics::SERVE_SOLVES, 1);
+    state.count(metrics::SERVE_SOLVE_LANES, lanes as u64);
 }
 
 /// Executes one parsed batch and renders its response line.
@@ -607,11 +593,6 @@ pub fn run_batch_traced(
     trace.points = points;
     trace.phase("plan", phase_started, started, 0);
 
-    state.queries.fetch_add(points, Ordering::Relaxed);
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SERVE_QUERIES, points);
-        swcc_obs::observe(metrics::SERVE_BATCH_WIDTH, points as f64);
-    }
     let _span = swcc_obs::span(
         metrics::EV_SERVE_REQUEST,
         &[
@@ -623,11 +604,10 @@ pub fn run_batch_traced(
 
     // --- Admit: one shard-grouped begin_many() per cache. -----------
     let phase_started = Instant::now();
-    let mut acct = Acct::default();
     let mut bus_claims = ClaimSet::new(&state.bus_points, bus_lanes.len());
     let mut net_claims = ClaimSet::new(&state.net_points, net_lanes.len());
-    admit(&mut bus_lanes, &mut bus_claims, &mut acct);
-    admit(&mut net_lanes, &mut net_claims, &mut acct);
+    admit(&mut bus_lanes, &mut bus_claims, trace);
+    admit(&mut net_lanes, &mut net_claims, trace);
     trace.phase("admit", phase_started, started, 0);
 
     // --- Solve: drain all claims into one grid call per machine
@@ -699,11 +679,13 @@ pub fn run_batch_traced(
     // --- Resolve: settle coalesced waits (after our publishes, so a
     // duplicate key never deadlocks on itself).
     let phase_started = Instant::now();
+    let registry = state.telemetry.metrics();
     let mut flight_wait_us = 0.0;
     resolve_lanes(
         &mut bus_lanes,
         &mut bus_claims,
         state.solve_timeout,
+        registry,
         &mut flight_wait_us,
         &mut solve_bus_one,
     )?;
@@ -711,6 +693,7 @@ pub fn run_batch_traced(
         &mut net_lanes,
         &mut net_claims,
         state.solve_timeout,
+        registry,
         &mut flight_wait_us,
         &mut solve_net_one,
     )?;
@@ -768,16 +751,8 @@ pub fn run_batch_traced(
     let _ = write!(
         out,
         "],\"cache\":{{\"hits\":{},\"misses\":{},\"coalesced\":{}}}",
-        acct.hits, acct.misses, acct.coalesced
+        trace.hits, trace.misses, trace.coalesced
     );
-    trace.hits = acct.hits;
-    trace.misses = acct.misses;
-    trace.coalesced = acct.coalesced;
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SERVE_CACHE_HITS, acct.hits);
-        swcc_obs::counter_add(metrics::SERVE_CACHE_MISSES, acct.misses);
-        swcc_obs::counter_add(metrics::SERVE_CACHE_COALESCED, acct.coalesced);
-    }
     trace.phase("render", phase_started, started, 0);
     out.push('}');
     Ok(out)
@@ -927,13 +902,10 @@ pub struct PendingRecord {
 }
 
 impl PendingRecord {
-    /// Folds the request into the windows / access log / slow ring,
-    /// with the duration measured up to now.
+    /// Folds the request into the windows / registry / access log /
+    /// slow ring, with the duration measured up to now.
     pub fn finish(self, state: &ServeState) {
         let duration_us = self.started.elapsed().as_secs_f64() * 1e6;
-        if swcc_obs::enabled() {
-            swcc_obs::observe(metrics::SERVE_REQUEST_US, duration_us);
-        }
         let rid = self
             .request_id
             .unwrap_or_else(|| state.telemetry.next_request_id());
@@ -951,25 +923,15 @@ impl PendingRecord {
 /// [`handle_request`] with telemetry recording deferred to the caller.
 pub fn handle_request_deferred(state: &ServeState, line: &str) -> (String, bool, PendingRecord) {
     let started = Instant::now();
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SERVE_REQUESTS, 1);
-    }
+    // Counted on arrival, so a `stats` reply counts itself; the rest of
+    // the request is counted when it is recorded.
+    state.count(metrics::SERVE_REQUESTS, 1);
     let mut trace = RequestTrace::default();
     let mut request_id: Option<String> = None;
-    let (cmd, response, shutdown, ok) = match parse_request(line) {
-        Err(e) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            if swcc_obs::enabled() {
-                swcc_obs::counter_add(metrics::SERVE_ERRORS, 1);
-            }
-            // Echo the correlation id even for malformed batches, so
-            // the client can attribute the error to its request.
-            let id = serde_json::from_str::<serde::Value>(line)
-                .ok()
-                .and_then(|v| v.get_field("id").and_then(serde::Value::as_u64));
-            ("error", error_response(id, &e), false, false)
-        }
+    let (cmd, response, shutdown, ok) = match parse_line(line) {
+        // Echo the correlation id even for malformed batches, so the
+        // client can attribute the error to its request.
+        Err((e, id)) => ("error", error_response(id, &e), false, false),
         Ok(Request::Ping) => (
             "ping",
             format!("{{\"ok\":true,\"pong\":true,\"version\":\"{PROTOCOL_VERSION}\"}}"),
@@ -978,9 +940,7 @@ pub fn handle_request_deferred(state: &ServeState, line: &str) -> (String, bool,
         ),
         Ok(Request::Stats) => ("stats", state.stats_response(), false, true),
         Ok(Request::Telemetry { slow, format }) => {
-            if swcc_obs::enabled() {
-                swcc_obs::counter_add(metrics::SERVE_TELEMETRY_REQUESTS, 1);
-            }
+            state.count(metrics::SERVE_TELEMETRY_REQUESTS, 1);
             let response = if slow {
                 state.slow_response()
             } else {
@@ -1013,18 +973,8 @@ pub fn handle_request_deferred(state: &ServeState, line: &str) -> (String, bool,
             request_id = Some(rid);
             match outcome {
                 Ok(Ok(response)) => ("batch", response, false, true),
-                Ok(Err(e)) => {
-                    state.errors.fetch_add(1, Ordering::Relaxed);
-                    if swcc_obs::enabled() {
-                        swcc_obs::counter_add(metrics::SERVE_ERRORS, 1);
-                    }
-                    ("batch", error_response(id, &e), false, false)
-                }
+                Ok(Err(e)) => ("batch", error_response(id, &e), false, false),
                 Err(panic) => {
-                    state.errors.fetch_add(1, Ordering::Relaxed);
-                    if swcc_obs::enabled() {
-                        swcc_obs::counter_add(metrics::SERVE_ERRORS, 1);
-                    }
                     let detail = panic
                         .downcast_ref::<&str>()
                         .map(|s| (*s).to_string())
@@ -1137,13 +1087,6 @@ fn utf8(line: &[u8]) -> io::Result<&str> {
     std::str::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Counts one rejected line under `metric`.
-fn count_rejected_line(metric: &'static str) {
-    if swcc_obs::enabled() {
-        swcc_obs::counter_add(metric, 1);
-    }
-}
-
 fn serve_connection(
     state: &ServeState,
     stream: TcpStream,
@@ -1164,11 +1107,11 @@ fn serve_connection(
             Ok(LineRead::TimedOut) => {
                 // A line trickling in past its deadline: close, so one
                 // slow client cannot hold a worker.
-                count_rejected_line(metrics::SERVE_LINE_TIMEOUTS);
+                state.count(metrics::SERVE_LINE_TIMEOUTS, 1);
                 return Ok(false);
             }
             Ok(LineRead::TooLong) => {
-                count_rejected_line(metrics::SERVE_OVERSIZED_LINES);
+                state.count(metrics::SERVE_OVERSIZED_LINES, 1);
                 let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
                 writer.write_all(error_response(None, &message).as_bytes())?;
                 writer.write_all(b"\n")?;
@@ -1343,7 +1286,7 @@ fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
         SCRAPE_TIMEOUT,
     )? {
         LineRead::TimedOut => {
-            count_rejected_line(metrics::SERVE_LINE_TIMEOUTS);
+            state.count(metrics::SERVE_LINE_TIMEOUTS, 1);
             return Ok(());
         }
         LineRead::TooLong => None,
@@ -1357,16 +1300,14 @@ fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
             "text/plain",
             format!("request line exceeds {MAX_SCRAPE_LINE_BYTES} bytes\n"),
         ),
-        Some("/metrics") => {
-            let snapshot = state
+        Some("/metrics") => (
+            "200 OK",
+            "text/plain; version=0.0.4",
+            state
                 .telemetry
-                .capture(telemetry::epoch_seconds(), state.registry);
-            (
-                "200 OK",
-                "text/plain; version=0.0.4",
-                snapshot.to_prometheus(),
-            )
-        }
+                .capture(telemetry::epoch_seconds())
+                .to_prometheus(),
+        ),
         Some("/telemetry") => (
             "200 OK",
             "application/json",
@@ -1379,11 +1320,13 @@ fn serve_scrape(state: &ServeState, stream: TcpStream) -> io::Result<()> {
             "unknown path; try /metrics, /telemetry, /slow\n".to_string(),
         ),
     };
-    if path.is_none() {
-        count_rejected_line(metrics::SERVE_OVERSIZED_LINES);
-    } else if swcc_obs::enabled() {
-        swcc_obs::counter_add(metrics::SERVE_TELEMETRY_SCRAPES, 1);
-    }
+    state.count(
+        match path {
+            None => metrics::SERVE_OVERSIZED_LINES,
+            Some(_) => metrics::SERVE_TELEMETRY_SCRAPES,
+        },
+        1,
+    );
     let mut writer = BufWriter::new(stream);
     write!(
         writer,
@@ -1411,10 +1354,7 @@ fn worker_loop(
         if state.shutting_down() {
             return;
         }
-        state.connections.fetch_add(1, Ordering::Relaxed);
-        if swcc_obs::enabled() {
-            swcc_obs::counter_add(metrics::SERVE_CONNECTIONS, 1);
-        }
+        state.count(metrics::SERVE_CONNECTIONS, 1);
         if let Ok(true) = serve_connection(state, stream, read_timeout) {
             // This connection initiated shutdown: wake the peers and
             // the telemetry listener blocked in accept so they drain.
@@ -1427,12 +1367,18 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::parse_request;
     use swcc_core::bus::analyze_bus;
     use swcc_core::scheme::Scheme;
     use swcc_core::workload::{Level, WorkloadParams};
 
     fn state() -> ServeState {
         ServeState::new(&ServeConfig::default())
+    }
+
+    /// A `serve.*` counter of `state`'s registry.
+    fn counter(state: &ServeState, name: &str) -> u64 {
+        state.telemetry().metrics().counter_value(name).unwrap()
     }
 
     fn batch(line: &str) -> Batch {
@@ -1510,7 +1456,7 @@ mod tests {
         let stats = state.bus_points.stats();
         assert_eq!(stats.misses, 32, "cold pass claims every point");
         assert!(stats.hits >= 32, "warm pass is all hits");
-        assert_eq!(state.solves.load(Ordering::Relaxed), 1, "one grid call");
+        assert_eq!(counter(&state, metrics::SERVE_SOLVES), 1, "one grid call");
     }
 
     #[test]
@@ -1537,9 +1483,9 @@ mod tests {
         // cold point drains into a single lockstep MVA grid. (Distinct
         // keys, not 128: schemes whose variations induce the same
         // queue share entries by design.)
-        assert_eq!(state.solves.load(Ordering::Relaxed), 1);
+        assert_eq!(counter(&state, metrics::SERVE_SOLVES), 1);
         let entries = state.bus_points.len() as u64;
-        assert_eq!(state.solve_lanes.load(Ordering::Relaxed), entries);
+        assert_eq!(counter(&state, metrics::SERVE_SOLVE_LANES), entries);
         assert!(entries >= 64, "at least one full sweep of distinct keys");
     }
 
@@ -1550,7 +1496,7 @@ mod tests {
         let line = r#"{"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4},"sweep":{"param":"shd","from":0.1,"to":0.1,"points":3}}]}"#;
         let response = run_batch(&state, &batch(line)).unwrap();
         assert!(response.contains("\"ok\":true"));
-        assert_eq!(state.solve_lanes.load(Ordering::Relaxed), 1);
+        assert_eq!(counter(&state, metrics::SERVE_SOLVE_LANES), 1);
         let parsed: serde::Value = serde_json::from_str(&response).unwrap();
         let cache = parsed.get_field("cache").unwrap();
         assert_eq!(
@@ -1589,12 +1535,14 @@ mod tests {
                 demand,
                 state: LaneState::Wait(flight),
             }];
+            let registry = metrics::register(swcc_obs::RegistryBuilder::new()).build();
             let resolved = catch_unwind(AssertUnwindSafe(|| {
                 let mut claims = ClaimSet::new(&cache, lanes.len());
                 resolve_lanes(
                     &mut lanes,
                     &mut claims,
                     Duration::from_secs(5),
+                    &registry,
                     &mut 0.0,
                     &mut |k| solve(k),
                 )
@@ -1622,7 +1570,7 @@ mod tests {
         let (response, shutdown) = handle_request(&state, "{\"queries\":[]}");
         assert!(response.contains("\"ok\":false"));
         assert!(!shutdown);
-        assert_eq!(state.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(counter(&state, metrics::SERVE_ERRORS), 1);
     }
 
     #[test]
@@ -1669,6 +1617,77 @@ mod tests {
         assert!(points[0].get_field("value").is_some());
         assert!(points[1].get_field("value").is_none());
         assert!(points[2].get_field("value").is_none());
+    }
+
+    /// Every count `stats` reports is the registry's: a default server
+    /// (no registry passed) keeps its own, and `telemetry`'s
+    /// `cumulative` section shows the same numbers.
+    #[test]
+    fn stats_and_cumulative_read_the_same_counters() {
+        let state = state();
+        let bus = |sweep: &str| {
+            format!(
+                r#"{{"queries":[{{"scheme":"dragon","machine":{{"interconnect":"bus","processors":8}},"sweep":{sweep}}}]}}"#
+            )
+        };
+        let lines = [
+            // Three identical points: one miss, two coalesced.
+            bus(r#"{"param":"shd","from":0.1,"to":0.1,"points":3}"#),
+            bus(r#"{"param":"shd","from":0.05,"to":0.2,"points":5}"#),
+            r#"{"queries":[{"scheme":"base","machine":{"interconnect":"network","stages":4}}]}"#
+                .to_string(),
+            "{not json".to_string(),
+            bus(r#"{"param":"shd","from":0.1,"to":0.2,"points":0}"#),
+            r#"{"cmd":"ping"}"#.to_string(),
+            r#"{"cmd":"stats"}"#.to_string(),
+            r#"{"cmd":"telemetry"}"#.to_string(),
+        ];
+        let mut failed = 0;
+        for line in &lines {
+            let (response, _) = handle_request(&state, line);
+            failed += u64::from(!response.starts_with("{\"ok\":true"));
+        }
+        assert_eq!(failed, 2, "the malformed line and the zero-point sweep");
+
+        let value = |text: &str| serde_json::from_str::<serde::Value>(text).unwrap();
+        let stats = value(&state.stats_response());
+        let telemetry = value(&state.telemetry_response(TelemetryFormat::Json));
+        let stats = stats.get_field("stats").unwrap();
+        let cumulative = telemetry
+            .get_field("cumulative")
+            .and_then(|c| c.get_field("counters"))
+            .expect("a default server reports its own registry");
+        let read = |v: &serde::Value, path: &[&str]| {
+            path.iter()
+                .try_fold(v, |v, k| v.get_field(k))
+                .and_then(serde::Value::as_u64)
+                .unwrap_or_else(|| panic!("no {path:?}"))
+        };
+        for (field, name) in [
+            (&["requests"][..], metrics::SERVE_REQUESTS),
+            (&["queries"], metrics::SERVE_QUERIES),
+            (&["errors"], metrics::SERVE_ERRORS),
+            (&["connections"], metrics::SERVE_CONNECTIONS),
+            (&["solves"], metrics::SERVE_SOLVES),
+            (&["solve_lanes"], metrics::SERVE_SOLVE_LANES),
+            (&["cache", "hits"], metrics::SERVE_CACHE_HITS),
+            (&["cache", "misses"], metrics::SERVE_CACHE_MISSES),
+            (&["cache", "coalesced"], metrics::SERVE_CACHE_COALESCED),
+        ] {
+            assert_eq!(read(stats, field), read(cumulative, &[name]), "{name}");
+        }
+        // The counts are the mix's, not zeros that agree.
+        assert_eq!(read(stats, &["requests"]), lines.len() as u64);
+        assert_eq!(read(stats, &["errors"]), failed);
+        assert_eq!(read(stats, &["queries"]), 3 + 5 + 1);
+        assert_eq!(
+            read(stats, &["solves"]),
+            3,
+            "two bus grids and one network batch"
+        );
+        assert_eq!(read(stats, &["cache", "coalesced"]), 2);
+        assert_eq!(read(stats, &["connections"]), 0, "no socket was opened");
+        assert_eq!(read(cumulative, &[metrics::SERVE_TELEMETRY_REQUESTS]), 1);
     }
 
     #[test]
@@ -1758,8 +1777,12 @@ mod tests {
         }
     }
 
+    /// Release builds (CI's `cargo test --release -p swcc-serve --lib`)
+    /// run far more cases.
+    const CASES: u32 = if cfg!(debug_assertions) { 256 } else { 40_000 };
+
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(CASES))]
 
         #[test]
         fn hostile_lines_get_one_json_error_response(
@@ -1781,7 +1804,7 @@ mod tests {
                 "]".repeat(depth)
             );
             assert_rejected(&state, &nested);
-            proptest::prop_assert_eq!(state.errors.load(Ordering::Relaxed), 4);
+            proptest::prop_assert_eq!(counter(&state, metrics::SERVE_ERRORS), 4);
         }
     }
 }

@@ -8,6 +8,10 @@
 //! the slow threshold — captured with its full phase-span breakdown into
 //! a bounded ring retrievable via `{"cmd":"telemetry","slow":true}`.
 //!
+//! The hub also holds the server's metrics registry: every `serve.*`
+//! count is recorded into it once, where it happens, and `stats`,
+//! `telemetry` and `/metrics` all read it (see [`Telemetry::metrics`]).
+//!
 //! The `telemetry` response renders the windowed snapshot, the
 //! cumulative metrics registry, uptime, and build provenance as JSON;
 //! with `"format":"prometheus"` the same snapshot is additionally
@@ -28,9 +32,12 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use swcc_obs::sync::Mutex;
 use swcc_obs::window::{self, WindowRing, WindowedSnapshot};
-use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry, MetricsSnapshot};
+use swcc_obs::{
+    push_json_f64, push_json_str, MetricsRegistry, MetricsSnapshot, Recorder as _, RegistryBuilder,
+};
 
 use crate::metrics;
+use crate::server::ServeConfig;
 
 /// Schema identifier carried by `telemetry` responses.
 pub const TELEMETRY_SCHEMA: &str = "swcc-telemetry/v1";
@@ -111,8 +118,8 @@ pub struct PhaseSpan {
 }
 
 /// Per-request accounting accumulated while a batch executes, consumed
-/// by [`Telemetry::record`] for windows, the access log, and slow
-/// captures.
+/// by [`Telemetry::record`] for the windows, the registry, the access
+/// log, and slow captures.
 #[derive(Debug, Default)]
 pub struct RequestTrace {
     /// Queries in the batch.
@@ -159,14 +166,23 @@ impl RequestTrace {
     }
 }
 
+/// The registry a server records into: the one its config passes, or
+/// its own.
+#[derive(Debug)]
+enum Registry {
+    Passed(&'static MetricsRegistry),
+    Own(MetricsRegistry),
+}
+
 /// The serve-side telemetry hub owned by
-/// [`crate::server::ServeState`]: windows, request-id generator, slow
-/// ring, access log.
+/// [`crate::server::ServeState`]: windows, metrics registry, request-id
+/// generator, slow ring, access log.
 #[derive(Debug)]
 pub struct Telemetry {
     started: Instant,
     seq: AtomicU64,
     windows: WindowRing,
+    registry: Registry,
     slow_threshold_us: f64,
     slow_capacity: usize,
     slow: Mutex<VecDeque<String>>,
@@ -174,16 +190,14 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Builds the hub. `access_log` is opened append-or-create; an open
-    /// failure disables the log (reported on stderr) rather than
-    /// failing the server. A non-positive `slow_threshold_us` disables
-    /// slow capture.
-    pub fn new(
-        access_log: Option<&str>,
-        slow_threshold_us: f64,
-        slow_capacity: usize,
-    ) -> Telemetry {
-        let access = access_log.and_then(|path| {
+    /// Builds the hub from the config's `registry`, `access_log`,
+    /// `slow_threshold_us` and `slow_capacity`. Without a registry the
+    /// hub builds its own of [`crate::metrics`]' names. The access log
+    /// is opened append-or-create; an open failure disables the log
+    /// (reported on stderr) rather than failing the server. A
+    /// non-positive `slow_threshold_us` disables slow capture.
+    pub fn new(config: &ServeConfig) -> Telemetry {
+        let access = config.access_log.as_deref().and_then(|path| {
             match OpenOptions::new().create(true).append(true).open(path) {
                 Ok(file) => Some(Mutex::new(BufWriter::new(file))),
                 Err(e) => {
@@ -196,10 +210,23 @@ impl Telemetry {
             started: Instant::now(),
             seq: AtomicU64::new(0),
             windows: WindowRing::new(WINDOW_COUNTERS, SAMPLES_PER_SECOND),
-            slow_threshold_us,
-            slow_capacity: slow_capacity.max(1),
+            registry: match config.registry {
+                Some(registry) => Registry::Passed(registry),
+                None => Registry::Own(metrics::register(RegistryBuilder::new()).build()),
+            },
+            slow_threshold_us: config.slow_threshold_us,
+            slow_capacity: config.slow_capacity.max(1),
             slow: Mutex::new(VecDeque::new()),
             access,
+        }
+    }
+
+    /// The registry every `serve.*` metric of this server is recorded
+    /// into, and that `stats`, `telemetry` and `/metrics` read.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        match &self.registry {
+            Registry::Passed(registry) => registry,
+            Registry::Own(registry) => registry,
         }
     }
 
@@ -220,8 +247,11 @@ impl Telemetry {
         &self.windows
     }
 
-    /// Folds one finished request into the windows, the access log, and
-    /// (when over the threshold) the slow-capture ring.
+    /// Folds one finished request into the windows and the registry,
+    /// the access log, and (when over the threshold) the slow-capture
+    /// ring. Its points, error and cache split are counted here, in
+    /// both; the request line itself is counted in the registry when it
+    /// arrives (`serve.requests`), so a `stats` reply counts itself.
     pub fn record(
         &self,
         now_s: u64,
@@ -231,23 +261,25 @@ impl Telemetry {
         duration_us: f64,
         trace: &RequestTrace,
     ) {
+        let registry = self.metrics();
         self.windows.add(now_s, W_REQUESTS, 1);
+        for (window, name, n) in [
+            (W_QUERIES, metrics::SERVE_QUERIES, trace.points),
+            (W_ERRORS, metrics::SERVE_ERRORS, u64::from(!ok)),
+            (W_HITS, metrics::SERVE_CACHE_HITS, trace.hits),
+            (W_MISSES, metrics::SERVE_CACHE_MISSES, trace.misses),
+            (W_COALESCED, metrics::SERVE_CACHE_COALESCED, trace.coalesced),
+        ] {
+            if n > 0 {
+                self.windows.add(now_s, window, n);
+                registry.counter_add(name, n);
+            }
+        }
         if trace.points > 0 {
-            self.windows.add(now_s, W_QUERIES, trace.points);
-        }
-        if !ok {
-            self.windows.add(now_s, W_ERRORS, 1);
-        }
-        if trace.hits > 0 {
-            self.windows.add(now_s, W_HITS, trace.hits);
-        }
-        if trace.misses > 0 {
-            self.windows.add(now_s, W_MISSES, trace.misses);
-        }
-        if trace.coalesced > 0 {
-            self.windows.add(now_s, W_COALESCED, trace.coalesced);
+            registry.observe(metrics::SERVE_BATCH_WIDTH, trace.points as f64);
         }
         self.windows.sample(now_s, duration_us);
+        registry.observe(metrics::SERVE_REQUEST_US, duration_us);
 
         if let Some(access) = &self.access {
             let line = access_line(request_id, cmd, ok, duration_us, trace);
@@ -256,12 +288,13 @@ impl Telemetry {
                 .write_all(line.as_bytes())
                 .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush());
-            if swcc_obs::enabled() {
+            registry.counter_add(
                 match written {
-                    Ok(()) => swcc_obs::counter_add(metrics::SERVE_ACCESS_LOG_LINES, 1),
-                    Err(_) => swcc_obs::counter_add(metrics::SERVE_ACCESS_LOG_ERRORS, 1),
-                }
-            }
+                    Ok(()) => metrics::SERVE_ACCESS_LOG_LINES,
+                    Err(_) => metrics::SERVE_ACCESS_LOG_ERRORS,
+                },
+                1,
+            );
         }
 
         if self.slow_threshold_us > 0.0 && duration_us > self.slow_threshold_us {
@@ -278,9 +311,7 @@ impl Telemetry {
                 ring.pop_front();
             }
             ring.push_back(capture);
-            if swcc_obs::enabled() {
-                swcc_obs::counter_add(metrics::SERVE_SLOW_CAPTURED, 1);
-            }
+            registry.counter_add(metrics::SERVE_SLOW_CAPTURED, 1);
         }
     }
 
@@ -291,27 +322,27 @@ impl Telemetry {
 
     /// Takes one consistent snapshot of everything the `telemetry`
     /// command reports.
-    pub fn capture(&self, now_s: u64, registry: Option<&MetricsRegistry>) -> TelemetrySnapshot {
+    pub fn capture(&self, now_s: u64) -> TelemetrySnapshot {
         TelemetrySnapshot {
             uptime_s: self.uptime_s(),
             windows: self.windows.snapshot(now_s),
-            cumulative: registry.map(MetricsRegistry::snapshot),
+            cumulative: self.metrics().snapshot(),
         }
     }
 }
 
 /// One consistent view of the live telemetry: the rolling windows, the
-/// cumulative registry (when installed), and uptime. Both renderings
-/// below read exactly these fields, so the JSON and Prometheus views of
-/// one snapshot can never disagree.
+/// cumulative registry, and uptime. Both renderings below read exactly
+/// these fields, so the JSON and Prometheus views of one snapshot can
+/// never disagree.
 #[derive(Debug)]
 pub struct TelemetrySnapshot {
     /// Seconds since server start at snapshot time.
     pub uptime_s: f64,
     /// The rolling windows.
     pub windows: WindowedSnapshot,
-    /// The cumulative registry, when one is installed.
-    pub cumulative: Option<MetricsSnapshot>,
+    /// The server's registry ([`Telemetry::metrics`]).
+    pub cumulative: MetricsSnapshot,
 }
 
 impl TelemetrySnapshot {
@@ -334,10 +365,7 @@ impl TelemetrySnapshot {
         out.push_str("},\"windows\":");
         out.push_str(&self.windows.to_json());
         out.push_str(",\"cumulative\":");
-        match &self.cumulative {
-            Some(snapshot) => out.push_str(&window::registry_to_json(snapshot)),
-            None => out.push_str("null"),
-        }
+        out.push_str(&window::registry_to_json(&self.cumulative));
         if include_exposition {
             out.push_str(",\"exposition\":");
             push_json_str(&mut out, &self.to_prometheus());
@@ -360,9 +388,7 @@ impl TelemetrySnapshot {
             build_profile(),
         ));
         out.push_str(&self.windows.to_prometheus("swcc_serve_window"));
-        if let Some(snapshot) = &self.cumulative {
-            out.push_str(&window::registry_to_prometheus(snapshot, "swcc_"));
-        }
+        out.push_str(&window::registry_to_prometheus(&self.cumulative, "swcc_"));
         out
     }
 }
@@ -455,6 +481,14 @@ fn finite(v: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn hub(slow_threshold_us: f64, slow_capacity: usize) -> Telemetry {
+        Telemetry::new(&ServeConfig {
+            slow_threshold_us,
+            slow_capacity,
+            ..ServeConfig::default()
+        })
+    }
+
     fn trace() -> RequestTrace {
         let mut t = RequestTrace {
             queries: 2,
@@ -473,14 +507,14 @@ mod tests {
 
     #[test]
     fn request_ids_are_unique_and_sequential() {
-        let t = Telemetry::new(None, 0.0, 4);
+        let t = hub(0.0, 4);
         assert_eq!(t.next_request_id(), "r1");
         assert_eq!(t.next_request_id(), "r2");
     }
 
     #[test]
     fn record_folds_into_the_windows() {
-        let t = Telemetry::new(None, 0.0, 4);
+        let t = hub(0.0, 4);
         let now = epoch_seconds();
         t.record(now, "r1", "batch", true, 800.0, &trace());
         t.record(now, "r2", "batch", false, 200.0, &RequestTrace::default());
@@ -490,11 +524,30 @@ mod tests {
         assert_eq!(snap.total(10, "errors"), Some(1));
         assert_eq!(snap.total(10, "hits"), Some(60));
         assert_eq!(snap.window(10).map(|w| w.observed), Some(2));
+        // The registry gets the same counts from the same call.
+        let registry = t.metrics();
+        for (name, want) in [
+            (metrics::SERVE_QUERIES, 64),
+            (metrics::SERVE_ERRORS, 1),
+            (metrics::SERVE_CACHE_HITS, 60),
+            (metrics::SERVE_CACHE_MISSES, 4),
+            (metrics::SERVE_CACHE_COALESCED, 0),
+        ] {
+            assert_eq!(registry.counter_value(name), Some(want), "{name}");
+        }
+        let widths = registry
+            .histogram(metrics::SERVE_BATCH_WIDTH)
+            .map(|h| h.count());
+        assert_eq!(widths, Some(1), "one batch had points");
+        let durations = registry
+            .histogram(metrics::SERVE_REQUEST_US)
+            .map(|h| h.count());
+        assert_eq!(durations, Some(2));
     }
 
     #[test]
     fn slow_ring_is_bounded_and_keeps_the_newest() {
-        let t = Telemetry::new(None, 100.0, 2);
+        let t = hub(100.0, 2);
         let now = epoch_seconds();
         for i in 0..5u64 {
             t.record(
@@ -512,6 +565,8 @@ mod tests {
         assert!(captures[0].contains("\"request\":\"r3\""));
         assert!(captures[1].contains("\"request\":\"r4\""));
         assert!(captures[1].contains("\"name\":\"serve.request\""));
+        let captured = t.metrics().counter_value(metrics::SERVE_SLOW_CAPTURED);
+        assert_eq!(captured, Some(5), "evicted captures were counted too");
     }
 
     #[test]
@@ -522,10 +577,10 @@ mod tests {
 
     #[test]
     fn json_and_prometheus_come_from_one_snapshot() {
-        let t = Telemetry::new(None, 0.0, 4);
+        let t = hub(0.0, 4);
         let now = epoch_seconds();
         t.record(now, "r1", "batch", true, 123.0, &trace());
-        let snap = t.capture(now + 1, None);
+        let snap = t.capture(now + 1);
         let json = snap.to_response(true);
         let prom = snap.to_prometheus();
         // The uptime is sampled once and must appear identically

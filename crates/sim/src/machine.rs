@@ -330,7 +330,9 @@ impl Multiprocessor {
         self.charge(cpu, Operation::Instruction);
         if self.caches[cpu].touch(block).is_none() {
             match self.config.protocol() {
-                ProtocolKind::Dragon => dragon::read_miss(self, cpu, block),
+                ProtocolKind::Dragon => {
+                    dragon::read_miss(self, cpu, block);
+                }
                 ProtocolKind::WriteInvalidate => write_invalidate::read_miss(self, cpu, block),
                 ProtocolKind::Base | ProtocolKind::NoCache | ProtocolKind::SoftwareFlush => {
                     self.fill(cpu, block, LineState::Clean, MissSource::Memory)
@@ -642,7 +644,8 @@ mod tests {
     }
 
     /// Steps a snoopy protocol through `trace`, checking after every
-    /// step that the lines of every block in `blocks` are coherent and
+    /// step that the lines of every block in `blocks` are coherent (at
+    /// most one dirty copy, and an exclusive line the only copy) and
     /// that the step charged one cycle steal per other copy its
     /// broadcast reached: each holder a Dragon store updates, each copy
     /// a Write-Invalidate store removes.
@@ -691,12 +694,12 @@ mod tests {
                         !lines.contains(&LineState::SharedDirty),
                         "{protocol}: SharedDirty {b:?} after record {i}"
                     );
-                    let exclusive = lines.iter().any(|s| !s.is_shared());
-                    assert!(
-                        !exclusive || lines.len() == 1,
-                        "{protocol}: exclusive line among {lines:?} of {b:?} after record {i}"
-                    );
                 }
+                let exclusive = lines.iter().any(|s| !s.is_shared());
+                assert!(
+                    !exclusive || lines.len() == 1,
+                    "{protocol}: exclusive line among {lines:?} of {b:?} after record {i}"
+                );
             }
         }
     }

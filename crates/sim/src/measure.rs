@@ -111,8 +111,10 @@ impl Machine for Replay {
 /// One pass of [`TraceStats::measure_shared`] yields the trace-only
 /// parameters and the shared blocks; one replay through the Dragon
 /// handlers yields the rest. Whether another cache holds a shared block
-/// is read from the line the handler leaves behind when it has snooped
-/// (a miss or a store); only a shared load hit snoops once more.
+/// is read from the line the handler leaves behind: an exclusive line
+/// is the only copy, and a shared one says so exactly when the handler
+/// has snooped (a miss or a store); only a load hit on a shared line
+/// snoops once more.
 pub fn measure_workload_with_counts(
     trace: &Trace,
     config: &SimConfig,
@@ -149,18 +151,16 @@ pub fn measure_workload_with_counts(
                 dragon::data(&mut replay, cpu, a.kind.is_write(), block);
                 if replay.shared {
                     replay.counts.shared_refs += 1;
-                    // The handler changes no other cache's contents. A
-                    // store ends shared, and a miss fills shared, exactly
-                    // when another cache holds the block; only a load hit
-                    // leaves the question open.
+                    // The handler changes no other cache's contents. An
+                    // exclusive line is the only copy; a store ends
+                    // shared, and a miss fills shared, exactly when
+                    // another cache holds the block; only a load hit on
+                    // a shared line leaves the question open.
                     let snooped = a.kind.is_write() || replay.counts.data_misses > misses;
-                    let others_hold = if snooped {
-                        replay.caches[cpu]
-                            .peek(block)
-                            .is_some_and(LineState::is_shared)
-                    } else {
-                        snoop(&replay.caches, cpu, block).holders > 0
-                    };
+                    let others_hold = replay.caches[cpu]
+                        .peek(block)
+                        .is_some_and(LineState::is_shared)
+                        && (snooped || snoop(&replay.caches, cpu, block).holders > 0);
                     replay.counts.shared_refs_other_present += u64::from(others_hold);
                 }
             }

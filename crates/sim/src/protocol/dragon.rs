@@ -13,8 +13,14 @@
 //! Line states: `Clean` (exclusive-clean), `Dirty` (exclusive-modified),
 //! `SharedClean` (valid elsewhere, not owner), `SharedDirty` (valid
 //! elsewhere, owner — supplies data and owes the write-back).
-//! Sharedness is re-evaluated on every store by snooping the other
-//! caches, as the bus's shared line would in hardware.
+//!
+//! The exclusive states are exact: a miss that finds the block in
+//! another cache downgrades a lone exclusive holder (a dirty one keeps
+//! ownership as `SharedDirty`), so a `Clean` or `Dirty` line is the only
+//! copy and a store to it snoops no cache. A shared line may outlive
+//! its other copies, which are evicted silently, so a store to one
+//! snoops the other caches, as the bus's shared line would in hardware,
+//! and ends `Dirty` when none holds the block.
 
 use swcc_core::system::Operation;
 use swcc_trace::BlockAddr;
@@ -24,19 +30,26 @@ use crate::protocol::{snoop, Machine};
 
 /// Handles a data reference under the Dragon protocol.
 pub(crate) fn data(m: &mut impl Machine, cpu: usize, write: bool, block: BlockAddr) {
-    if m.caches()[cpu].touch(block).is_none() {
-        read_miss(m, cpu, block);
+    let state = match m.caches()[cpu].touch(block) {
+        Some(state) => state,
+        None => read_miss(m, cpu, block),
+    };
+    if !write {
+        return;
     }
-    if write {
+    if state.is_shared() {
         store_update(m, cpu, block);
+    } else {
+        // No other cache holds the block: the store completes locally.
+        m.caches()[cpu].set_state(block, LineState::Dirty);
     }
 }
 
 /// Brings an absent block into `cpu`'s cache, as a load, a store or an
-/// instruction fetch that misses: a dirty owner supplies it (and keeps
-/// ownership), memory otherwise, and it fills shared when other caches
-/// hold it.
-pub(crate) fn read_miss(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
+/// instruction fetch that misses, and returns the state it filled: a
+/// dirty owner supplies it (and keeps ownership), memory otherwise, and
+/// it fills shared when other caches hold it.
+pub(crate) fn read_miss(m: &mut impl Machine, cpu: usize, block: BlockAddr) -> LineState {
     let found = snoop(m.caches(), cpu, block);
     let fill_state = if found.holders > 0 {
         LineState::SharedClean
@@ -44,13 +57,21 @@ pub(crate) fn read_miss(m: &mut impl Machine, cpu: usize, block: BlockAddr) {
         LineState::Clean
     };
     m.fill(cpu, block, fill_state, found.source());
-    if let Some(o) = found.owner {
-        // The supplier keeps ownership; both ends now know it's shared.
-        m.caches()[o].set_state(block, LineState::SharedDirty);
+    if let Some(o) = found.exclusive {
+        // The lone holder now shares the block; a dirty one supplied it
+        // and keeps ownership.
+        let shared = if found.owner == Some(o) {
+            LineState::SharedDirty
+        } else {
+            LineState::SharedClean
+        };
+        m.caches()[o].set_state(block, shared);
     }
+    fill_state
 }
 
-/// Performs the write half of a store: broadcast if shared, else local.
+/// Performs the write half of a store to a shared line: a broadcast if
+/// another cache still holds the block, else a local write.
 ///
 /// One pass over the other caches: the first holder found puts the
 /// broadcast on the bus, so every snooper's cycle steal follows it, in
@@ -98,6 +119,21 @@ mod tests {
         assert_eq!(m.time[0], t);
         assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::Dirty));
         assert_eq!(m.counters[0].count(Operation::WriteBroadcast), 0);
+    }
+
+    #[test]
+    fn a_miss_downgrades_a_lone_exclusive_holder() {
+        let mut m = machine(3);
+        data(&mut m, 0, false, BlockAddr(7)); // clean fill, exclusive
+        data(&mut m, 1, false, BlockAddr(7));
+        assert_eq!(m.caches[0].peek(BlockAddr(7)), Some(LineState::SharedClean));
+        assert_eq!(m.caches[1].peek(BlockAddr(7)), Some(LineState::SharedClean));
+        // cpu2 writes a block exclusively, then cpu0 misses on it:
+        // cpu2 supplies it and keeps ownership.
+        data(&mut m, 2, true, BlockAddr(9));
+        data(&mut m, 0, false, BlockAddr(9));
+        assert_eq!(m.caches[2].peek(BlockAddr(9)), Some(LineState::SharedDirty));
+        assert_eq!(m.caches[0].peek(BlockAddr(9)), Some(LineState::SharedClean));
     }
 
     #[test]

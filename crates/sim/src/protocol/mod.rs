@@ -66,6 +66,9 @@ pub(crate) struct Snoop {
     pub(crate) holders: u64,
     /// The lowest-numbered other cache holding it dirty.
     pub(crate) owner: Option<usize>,
+    /// Another cache holding it in an exclusive state (`Clean` or
+    /// `Dirty`).
+    pub(crate) exclusive: Option<usize>,
 }
 
 impl Snoop {
@@ -85,6 +88,7 @@ pub(crate) fn snoop(caches: &[Cache], cpu: usize, block: BlockAddr) -> Snoop {
     let mut found = Snoop {
         holders: 0,
         owner: None,
+        exclusive: None,
     };
     for (o, cache) in caches.iter().enumerate() {
         if o == cpu {
@@ -94,6 +98,9 @@ pub(crate) fn snoop(caches: &[Cache], cpu: usize, block: BlockAddr) -> Snoop {
             found.holders += 1;
             if state.is_dirty() && found.owner.is_none() {
                 found.owner = Some(o);
+            }
+            if !state.is_shared() {
+                found.exclusive = Some(o);
             }
         }
     }

@@ -227,7 +227,8 @@ impl SynthConfigBuilder {
     /// # Panics
     ///
     /// Panics if probabilities are outside `[0, 1]`, any structural knob
-    /// is zero, or the shared segment is smaller than one region. (The
+    /// is zero, the private segment is smaller than one block, or the
+    /// shared segment is smaller than one region. (The
     /// generator is test/bench infrastructure; misconfiguration is a
     /// programming error, not a runtime condition.)
     pub fn build(&self) -> SynthConfig {
@@ -254,6 +255,11 @@ impl SynthConfigBuilder {
         assert!(
             c.region_blocks >= 1 && c.hot_regions >= 1,
             "region shape must be >= 1"
+        );
+        assert!(
+            c.private_size >= BLOCK_BYTES,
+            "private_size must be at least one {BLOCK_BYTES}-byte block, got {}",
+            c.private_size
         );
         assert!(
             c.shared_size >= c.hot_regions * c.region_blocks * 16,
@@ -681,6 +687,14 @@ mod tests {
     fn builder_rejects_bad_probability() {
         let mut b = SynthConfig::builder();
         b.ls(1.2);
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "private_size")]
+    fn builder_rejects_a_private_segment_smaller_than_one_block() {
+        let mut b = SynthConfig::builder();
+        b.private_size(BLOCK_BYTES / 2);
         let _ = b.build();
     }
 

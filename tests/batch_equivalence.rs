@@ -11,15 +11,10 @@
 
 use proptest::prelude::*;
 
-use swcc_core::batch::{
-    machine_repairman_grid, machine_repairman_sweep_grid, BatchPatelSolver, Stages, COLD,
-};
-use swcc_core::bus::{analyze_bus_sweep, bus_power_curve_set, bus_power_curves};
+use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver, Stages, COLD};
 use swcc_core::metrics::SOLVER_RESIDUAL_EVALS;
 use swcc_core::network::{solve_with, OperatingPoint, SolveOptions};
-use swcc_core::prelude::*;
-use swcc_core::queue::{machine_repairman, machine_repairman_sweep};
-use swcc_core::system::BusSystemModel;
+use swcc_core::queue::machine_repairman;
 
 fn bits(x: f64) -> u64 {
     x.to_bits()
@@ -57,39 +52,6 @@ fn mva_lanes() -> impl Strategy<Value = Vec<(f64, f64)>> {
         }),
         0..32,
     )
-}
-
-/// A strategy over in-domain workloads (same envelope as the model
-/// invariant suite).
-fn workloads() -> impl Strategy<Value = WorkloadParams> {
-    (
-        0.0..=1.0f64,   // ls
-        0.0..=0.2f64,   // msdat
-        0.0..=0.05f64,  // mains
-        0.0..=1.0f64,   // md
-        0.0..=1.0f64,   // shd
-        0.0..=1.0f64,   // wr
-        1.0..=200.0f64, // apl
-        0.0..=1.0f64,   // mdshd
-        (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=16.0f64),
-    )
-        .prop_map(
-            |(ls, msdat, mains, md, shd, wr, apl, mdshd, (oclean, opres, nshd))| {
-                let mut b = WorkloadParams::builder();
-                b.ls(ls)
-                    .msdat(msdat)
-                    .mains(mains)
-                    .md(md)
-                    .shd(shd)
-                    .wr(wr)
-                    .apl(apl)
-                    .mdshd(mdshd)
-                    .oclean(oclean)
-                    .opres(opres)
-                    .nshd(nshd);
-                b.build().expect("strategy stays in-domain")
-            },
-        )
 }
 
 proptest! {
@@ -193,47 +155,6 @@ proptest! {
         for i in 0..lanes.len() {
             let scalar = machine_repairman(customers, services[i], thinks[i]).unwrap();
             prop_assert_eq!(grid[i], scalar);
-        }
-    }
-
-    /// The lockstep MVA sweep grid equals per-lane scalar sweeps
-    /// point-for-point, including the empty population (0 customers).
-    #[test]
-    fn mva_sweep_grid_matches_scalar(lanes in mva_lanes(), max_customers in 0u32..24) {
-        let services: Vec<f64> = lanes.iter().map(|l| l.0).collect();
-        let thinks: Vec<f64> = lanes.iter().map(|l| l.1).collect();
-        let grid = machine_repairman_sweep_grid(max_customers, &services, &thinks).unwrap();
-        for i in 0..lanes.len() {
-            let scalar = machine_repairman_sweep(max_customers, services[i], thinks[i]).unwrap();
-            prop_assert_eq!(&grid[i], &scalar);
-        }
-    }
-
-    /// Batched bus power curves equal per-scheme scalar sweeps for
-    /// arbitrary in-domain workloads, through both the uniform-workload
-    /// and per-case entry points.
-    #[test]
-    fn bus_curves_match_scalar_sweeps(
-        workload in workloads(),
-        other in workloads(),
-        max_processors in 0u32..32,
-    ) {
-        let system = BusSystemModel::new();
-        let curves = bus_power_curves(&Scheme::ALL, &workload, &system, max_processors).unwrap();
-        for (i, scheme) in Scheme::ALL.into_iter().enumerate() {
-            let scalar = analyze_bus_sweep(scheme, &workload, &system, max_processors).unwrap();
-            prop_assert_eq!(&curves[i], &scalar);
-        }
-        // Mixed-workload lanes through the general entry point.
-        let cases = [
-            (Scheme::ALL[0], workload),
-            (Scheme::ALL[2], other),
-            (Scheme::ALL[0], other),
-        ];
-        let set = bus_power_curve_set(&cases, &system, max_processors).unwrap();
-        for (i, (scheme, w)) in cases.iter().enumerate() {
-            let scalar = analyze_bus_sweep(*scheme, w, &system, max_processors).unwrap();
-            prop_assert_eq!(&set[i], &scalar);
         }
     }
 }

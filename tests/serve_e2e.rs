@@ -14,7 +14,6 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use serde::Value;
@@ -26,8 +25,7 @@ use swcc_core::scheme::Scheme;
 use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, ParamId, WorkloadParams};
-use swcc_obs::MetricsRegistry;
-use swcc_serve::metrics::{SERVE_LINE_TIMEOUTS, SERVE_OVERSIZED_LINES};
+use swcc_serve::metrics::{SERVE_LINE_TIMEOUTS, SERVE_OVERSIZED_LINES, SERVE_REQUESTS};
 use swcc_serve::protocol::{MAX_BUS_PROCESSORS, MAX_LINE_BYTES};
 use swcc_serve::{spawn, RunningServer, ServeConfig};
 
@@ -433,9 +431,14 @@ fn telemetry_command_reports_windows_uptime_and_build() {
         .and_then(Value::as_array)
         .expect("telemetry has windows.windows[]");
     assert_eq!(windows.len(), 3, "1s / 10s / 60s");
-    // No registry was installed into this config → cumulative is null.
-    let cumulative = telemetry.get_field("cumulative").expect("field present");
-    assert!(cumulative.is_null(), "{cumulative:?}");
+    // No registry was passed in this config: the server reports its
+    // own, which has counted the batch and this request.
+    let requests = telemetry
+        .get_field("cumulative")
+        .and_then(|c| c.get_field("counters"))
+        .and_then(|c| c.get_field(SERVE_REQUESTS))
+        .and_then(Value::as_u64);
+    assert_eq!(requests, Some(2), "{}", client.response);
     // The slow view always answers, even when empty.
     let slow = client.send(r#"{"cmd":"telemetry","slow":true}"#);
     assert!(ok(&slow));
@@ -576,21 +579,13 @@ fn cold_sweep_admission_cost_does_not_grow_with_the_cache() {
     server.join();
 }
 
-/// The registry this test binary installs once, so connection-level
-/// counters can be read back. Only the over-long line test reads it.
-fn registry() -> &'static MetricsRegistry {
-    static REGISTRY: OnceLock<&'static MetricsRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let registry = swcc_serve::metrics::register(swcc_obs::RegistryBuilder::new()).build();
-        let registry: &'static MetricsRegistry = Box::leak(Box::new(registry));
-        swcc_obs::install(registry).expect("first registry install in this process");
-        registry
-    })
+/// A connection-level counter of `server`'s own registry.
+fn counter(server: &RunningServer, name: &str) -> Option<u64> {
+    server.state().telemetry().metrics().counter_value(name)
 }
 
 #[test]
 fn an_over_long_request_line_is_rejected_counted_and_closed() {
-    let registry = registry();
     let server = spawn(ServeConfig {
         workers: 1,
         read_timeout: Duration::from_secs(5),
@@ -619,7 +614,7 @@ fn an_over_long_request_line_is_rejected_counted_and_closed() {
     );
     response.clear();
     assert_eq!(reader.read_line(&mut response).expect("read"), 0, "closed");
-    assert_eq!(registry.counter_value(SERVE_OVERSIZED_LINES), Some(1));
+    assert_eq!(counter(&server, SERVE_OVERSIZED_LINES), Some(1));
 
     // The single worker is free again, and a line of exactly the cap is
     // served.
@@ -638,7 +633,7 @@ fn an_over_long_request_line_is_rejected_counted_and_closed() {
     let mut reply = String::new();
     let _ = scrape.read_to_string(&mut reply);
     assert!(reply.starts_with("HTTP/1.0 414 "), "{reply}");
-    assert_eq!(registry.counter_value(SERVE_OVERSIZED_LINES), Some(2));
+    assert_eq!(counter(&server, SERVE_OVERSIZED_LINES), Some(2));
 
     drop(client);
     server.shutdown();
@@ -647,7 +642,6 @@ fn an_over_long_request_line_is_rejected_counted_and_closed() {
 
 #[test]
 fn a_trickled_request_line_times_out_from_its_first_byte() {
-    let registry = registry();
     let timeout = Duration::from_millis(300);
     let server = spawn(ServeConfig {
         workers: 1,
@@ -713,7 +707,7 @@ fn a_trickled_request_line_times_out_from_its_first_byte() {
         "closed after {held:?}, before the deadline"
     );
     assert!(held < Duration::from_secs(2), "held for {held:?}");
-    assert_eq!(registry.counter_value(SERVE_LINE_TIMEOUTS), Some(1));
+    assert_eq!(counter(&server, SERVE_LINE_TIMEOUTS), Some(1));
 
     drop(ping);
     server.shutdown();
@@ -758,7 +752,7 @@ fn a_trickled_request_line_times_out_from_its_first_byte() {
     let mut byte = [0u8; 1];
     assert_eq!(idle.read(&mut byte).expect("closed, not timed out"), 0);
     assert!(connected.elapsed() >= timeout / 2);
-    assert_eq!(registry.counter_value(SERVE_LINE_TIMEOUTS), Some(1));
+    assert_eq!(counter(&server, SERVE_LINE_TIMEOUTS), Some(0));
 
     server.shutdown();
     server.join();
