@@ -64,9 +64,15 @@ pub struct OperatingPoint {
 }
 
 impl OperatingPoint {
-    /// Assembles a solved point from its parts (the batch engine solves
-    /// the fixed point outside this module; see [`crate::batch`]).
-    pub(crate) fn from_parts(
+    /// Assembles a solved point from the solver's inputs, `stages`,
+    /// `rate` and `size`, and its two outputs, `think_fraction` (`U`)
+    /// and `accepted` (`m_n`).
+    ///
+    /// Every solver builds its points this way (the batch engine solves
+    /// the fixed point outside this module; see [`crate::batch`]), so a
+    /// caller that keeps the two outputs of a solve can rebuild the
+    /// same point, bit for bit, from the same inputs.
+    pub fn from_parts(
         stages: u32,
         rate: f64,
         size: f64,

@@ -45,7 +45,12 @@
 //! and bit-compares every served float against the equivalent direct
 //! library call in this process (network floats against both a batch
 //! lane and `analyze_network`) — proving the wire format preserves
-//! results exactly. Keep `--connections` at or below the server's
+//! results exactly. It checks each bus query at `--processors` and at a
+//! second count (twice as many, or half as many above 512), and each
+//! network query at 6 and at 8 stages. Bus demand does not depend on
+//! the processor count, so the second count asks for a key the first
+//! already cached, and a server that served one machine's point for
+//! another would fail. Keep `--connections` at or below the server's
 //! worker count: the server is one-thread-per-connection.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -63,6 +68,7 @@ use swcc_core::network::{analyze_network, NetworkPerformance};
 use swcc_core::scheme::Scheme;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, WorkloadParams};
+use swcc_serve::protocol::MAX_BUS_PROCESSORS;
 
 struct Args {
     addr: String,
@@ -429,7 +435,21 @@ fn field_f64(value: &Value, name: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("response missing numeric \"{name}\""))
 }
 
-/// Bit-compares full-mode served results against direct library calls.
+/// Network stage counts `--verify` checks, in order.
+const VERIFY_STAGES: [u32; 2] = [6, 8];
+
+/// The bus machine `--verify` checks after `processors`: twice as many,
+/// or half as many when twice would pass the protocol's limit.
+fn second_processor_count(processors: u32) -> u32 {
+    if processors <= MAX_BUS_PROCESSORS / 2 {
+        processors * 2
+    } else {
+        processors / 2
+    }
+}
+
+/// Bit-compares full-mode served results against direct library calls,
+/// on two bus machines and two networks.
 fn verify(addr: &str, processors: u32) -> Result<u64, String> {
     let (mut reader, mut writer) = connect(addr)?;
     let mut response = String::new();
@@ -437,7 +457,11 @@ fn verify(addr: &str, processors: u32) -> Result<u64, String> {
     let bus_system = BusSystemModel::new();
     let mut checked = 0u64;
 
-    for scheme in Scheme::ALL {
+    let bus_machines = [processors, second_processor_count(processors)];
+    for (processors, scheme) in bus_machines
+        .into_iter()
+        .flat_map(|p| Scheme::ALL.into_iter().map(move |s| (p, s)))
+    {
         let line = format!(
             "{{\"queries\":[{{\"scheme\":\"{scheme}\",\"machine\":{{\
              \"interconnect\":\"bus\",\"processors\":{processors}}}}}]}}"
@@ -463,15 +487,19 @@ fn verify(addr: &str, processors: u32) -> Result<u64, String> {
             let got = field_f64(point, name)?;
             if got.to_bits() != want.to_bits() {
                 return Err(format!(
-                    "verify: bus {scheme} {name} mismatch: served {got:?} vs direct {want:?}"
+                    "verify: bus {scheme} at {processors} processors {name} mismatch: \
+                     served {got:?} vs direct {want:?}"
                 ));
             }
             checked += 1;
         }
     }
 
-    for scheme in [Scheme::Base, Scheme::NoCache, Scheme::SoftwareFlush] {
-        let stages = 6u32;
+    for (stages, scheme) in VERIFY_STAGES.into_iter().flat_map(|n| {
+        [Scheme::Base, Scheme::NoCache, Scheme::SoftwareFlush]
+            .into_iter()
+            .map(move |s| (n, s))
+    }) {
         let line = format!(
             "{{\"queries\":[{{\"scheme\":\"{scheme}\",\"machine\":{{\
              \"interconnect\":\"network\",\"stages\":{stages}}}}}]}}"
@@ -506,7 +534,8 @@ fn verify(addr: &str, processors: u32) -> Result<u64, String> {
             for (path, want) in [("batch", batch), ("analyze_network", scalar)] {
                 if got.to_bits() != want.to_bits() {
                     return Err(format!(
-                        "verify: network {scheme} {name} mismatch: served {got:?} vs {path} {want:?}"
+                        "verify: network {scheme} at {stages} stages {name} mismatch: \
+                         served {got:?} vs {path} {want:?}"
                     ));
                 }
                 checked += 1;

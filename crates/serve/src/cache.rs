@@ -2,10 +2,13 @@
 //!
 //! The contention solves are pure functions of a handful of `f64` bit
 //! patterns: a machine-repairman `waiting` depends only on
-//! `(service, think, processors)`, a Patel operating point only on
-//! `(rate, size, stages)`. Memoizing them turns a solve into a hash
-//! lookup, which is what makes interactive query serving viable. The
-//! server keeps one cache per machine family, and each is:
+//! `(service, think)` at a given processor count, a Patel operating
+//! point only on `(rate, size)` at a given stage count. Memoizing them
+//! turns a solve into a hash lookup, which is what makes interactive
+//! query serving viable. The server keeps one cache per machine
+//! ([`MachineCaches`]: one per bus processor count, one per network
+//! stage count, each created on first use), so a key is just the two
+//! float-bit words and an entry is 32 bytes. Each cache is:
 //!
 //! * **Sharded** — N independently locked shards, so concurrent server
 //!   threads rarely contend; the shard index is taken from bits 32 and
@@ -52,40 +55,38 @@
 use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use swcc_obs::sync::{Condvar, Mutex};
 
-/// Identifies one solved operating point.
+/// Identifies one solved operating point within its machine's cache.
 ///
-/// The `(service, think)` fields are the `to_bits()` images of the
-/// queueing inputs (for the network model: transaction size and rate),
-/// and `machine` is the bus processor count or the network stage count.
-/// No field names the scheme: a solved value depends on the scheme only
-/// through the demand bits, so two schemes (or two workloads) that
-/// induce the same queue share one entry.
+/// The fields are the `to_bits()` images of the queueing inputs (for
+/// the network model: transaction size and rate). The machine is not
+/// part of the key: each machine has a cache of its own
+/// ([`MachineCaches`]). No field names the scheme either: a solved value
+/// depends on the scheme only through the demand bits, so two schemes
+/// (or two workloads) that induce the same queue share one entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PointKey {
     /// Bit pattern of the service-time-like input (`b` / transaction size).
     pub service: u64,
     /// Bit pattern of the think-time-like input (`c − b` / rate).
     pub think: u64,
-    /// Machine discriminant (bus processor count, network stage count).
-    pub machine: u32,
 }
 
 /// Builds [`PointHasher`]s: the cheap, seeded hasher for [`PointKey`]
 /// maps and sets.
 ///
 /// The state starts from a seed drawn once per instance from
-/// [`RandomState`]. Each float-bits word is folded in by an xor, a
-/// multiply and a rotate; the `u32` machine tag is xored in; `finish`
-/// applies splitmix64's finalizer. That is four multiplies per key where
-/// SipHash spends dozens of rounds. The seed matters because keys are
-/// the bits of client-chosen floats: through the multiply's carries it
-/// decides which keys share a hash, so a client cannot precompute keys
-/// that pile into one bucket. Clones share the seed.
+/// [`RandomState`]. Each of a key's two float-bits words is folded in by
+/// an xor, a multiply and a rotate, and `finish` applies splitmix64's
+/// finalizer. That is four multiplies per key where SipHash spends
+/// dozens of rounds. The seed matters because keys are the bits of
+/// client-chosen floats: through the multiply's carries it decides which
+/// keys share a hash, so a client cannot precompute keys that pile into
+/// one bucket. Clones share the seed.
 ///
 /// [`SolvedPointCache`] picks a shard from bits 32 and up of this hash.
 /// std's `HashMap` indexes buckets with the low bits and keeps the top
@@ -133,11 +134,6 @@ impl Hasher for PointHasher {
             word[..chunk.len()].copy_from_slice(chunk);
             self.write_u64(u64::from_le_bytes(word));
         }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        // A key's one tag, `machine`, is xored in; `finish` spreads it.
-        self.0 ^= u64::from(word);
     }
 
     fn write_u64(&mut self, word: u64) {
@@ -289,6 +285,19 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Total hash-table lookups across all shard maps.
     pub probes: u64,
+}
+
+impl CacheStats {
+    /// The field-by-field sum of two caches' counters.
+    pub fn plus(self, other: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            coalesced: self.coalesced + other.coalesced,
+            inserts: self.inserts + other.inserts,
+            probes: self.probes + other.probes,
+        }
+    }
 }
 
 /// The sharded, hash-indexed, single-flight solved-point cache.
@@ -480,6 +489,47 @@ impl<V: Copy> SolvedPointCache<V> {
     }
 }
 
+/// One [`SolvedPointCache`] per machine, each created on first use.
+/// Slot `m − 1` holds machine `m`'s cache, for `m` from 1 to the count
+/// the table was made with; an empty slot allocates nothing.
+#[derive(Debug)]
+pub struct MachineCaches<V> {
+    slots: Box<[OnceLock<SolvedPointCache<V>>]>,
+}
+
+impl<V: Copy> MachineCaches<V> {
+    /// A table of `machines` empty slots, for machines 1 to `machines`.
+    pub fn new(machines: u32) -> Self {
+        MachineCaches {
+            slots: (0..machines).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Machine `machine`'s cache, created on first use; `None` for a
+    /// machine the table has no slot for.
+    pub fn get(&self, machine: u32) -> Option<&SolvedPointCache<V>> {
+        let slot = self.slots.get(machine.checked_sub(1)? as usize)?;
+        Some(slot.get_or_init(SolvedPointCache::new))
+    }
+
+    /// The caches created so far.
+    fn created(&self) -> impl Iterator<Item = &SolvedPointCache<V>> {
+        self.slots.iter().filter_map(OnceLock::get)
+    }
+
+    /// Solved + pending entries, summed over every machine's cache.
+    pub fn len(&self) -> usize {
+        self.created().map(SolvedPointCache::len).sum()
+    }
+
+    /// The admission counters, summed over every machine's cache.
+    pub fn stats(&self) -> CacheStats {
+        self.created()
+            .map(SolvedPointCache::stats)
+            .fold(CacheStats::default(), CacheStats::plus)
+    }
+}
+
 // The scalar calls. The server admits, publishes and aborts whole
 // batches, so only the tests use these: as the one-key reference that
 // the batch calls must equal.
@@ -556,7 +606,6 @@ mod tests {
         PointKey {
             service: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             think: i,
-            machine: 16,
         }
     }
 
@@ -578,7 +627,6 @@ mod tests {
         let base = PointKey {
             service: 10,
             think: 20,
-            machine: 16,
         };
         cache.insert(base, 1.0);
         for variant in [
@@ -588,13 +636,30 @@ mod tests {
             },
             PointKey { think: 21, ..base },
             PointKey {
-                machine: 17,
-                ..base
+                service: 20,
+                think: 10,
             },
         ] {
             assert_eq!(cache.get(&variant), None, "{variant:?}");
         }
         assert_eq!(cache.get(&base), Some(1.0));
+    }
+
+    #[test]
+    fn each_machine_gets_a_cache_of_its_own_on_first_use() {
+        let caches: MachineCaches<f64> = MachineCaches::new(4);
+        assert!(caches.get(0).is_none());
+        assert!(caches.get(5).is_none());
+        assert_eq!(caches.created().count(), 0);
+        caches.get(2).unwrap().insert(key(1), 2.0);
+        caches.get(4).unwrap().insert(key(1), 4.0);
+        assert_eq!(caches.get(2).unwrap().get(&key(1)), Some(2.0));
+        assert_eq!(caches.get(4).unwrap().get(&key(1)), Some(4.0));
+        assert_eq!(caches.get(3).unwrap().get(&key(1)), None);
+        assert_eq!(caches.created().count(), 3);
+        assert_eq!(caches.len(), 2);
+        let s = caches.stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (2, 1, 2));
     }
 
     #[test]
@@ -670,7 +735,6 @@ mod tests {
             let k = PointKey {
                 service: service + i,
                 think: think - 3 * i,
-                machine: 16,
             };
             cache.insert(k, i);
         }

@@ -3,8 +3,8 @@
 //! A std-only TCP service that answers batches of coherence-model
 //! queries — `(scheme, workload, machine) → power / penalty /
 //! sensitivity` — through the `swcc-core` batch solver engine, fronted
-//! by a sharded single-flight solved-point cache that this crate keeps
-//! in a private module, `cache`.
+//! by sharded single-flight solved-point caches, one per machine, that
+//! this crate keeps in a private module, `cache`.
 //!
 //! The wire protocol (newline-delimited JSON) is documented in
 //! [`protocol`]; the admission/solve pipeline and its bit-identity

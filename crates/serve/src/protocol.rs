@@ -21,7 +21,7 @@
 //! * `machine` — `{"interconnect":"bus","processors":N}` with `N` from
 //!   1 to [`MAX_BUS_PROCESSORS`], or
 //!   `{"interconnect":"network","stages":S}` (`2^S` processors, `S` from
-//!   1 to 30).
+//!   1 to [`MAX_NETWORK_STAGES`]).
 //! * `workload` — optional overrides of the Table 7 middle values,
 //!   keyed by paper parameter name (`ls`, `msdat`, …, `nshd`).
 //! * `sweep` — optional: vary one parameter over `points` evenly
@@ -61,6 +61,8 @@ pub const MAX_POINTS: usize = 262_144;
 /// keeps a request of [`MAX_POINTS`] points to a fraction of a second
 /// of solving.
 pub const MAX_BUS_PROCESSORS: u32 = 1024;
+/// Most stages accepted for a network machine (`2^30` processors).
+pub const MAX_NETWORK_STAGES: u32 = 30;
 /// Most bytes read for one request line, its newline excluded: 1 KiB
 /// for each query of the largest batch, whose queries take about 600
 /// bytes each. A longer line is answered with an error naming this
@@ -211,8 +213,10 @@ fn parse_machine(value: &Value) -> Result<Machine, String> {
                 .get_field("stages")
                 .and_then(Value::as_u64)
                 .ok_or("network machine needs an integer \"stages\"")?;
-            if stages == 0 || stages > 30 {
-                return Err("\"stages\" must be between 1 and 30".into());
+            if stages == 0 || stages > u64::from(MAX_NETWORK_STAGES) {
+                return Err(format!(
+                    "\"stages\" must be between 1 and {MAX_NETWORK_STAGES}"
+                ));
             }
             Ok(Machine::Network {
                 stages: stages as u32,
@@ -553,6 +557,23 @@ mod tests {
             let err = parse_request(&line(n)).unwrap_err();
             assert!(err.contains("query 0"), "{err}");
             assert!(err.contains("between 1 and 1024"), "{err}");
+        }
+    }
+
+    #[test]
+    fn network_stage_counts_are_capped() {
+        let line = |n: u64| {
+            format!(
+                r#"{{"queries":[{{"scheme":"base","machine":{{"interconnect":"network","stages":{n}}}}}]}}"#
+            )
+        };
+        for n in [1, u64::from(MAX_NETWORK_STAGES)] {
+            assert!(parse_request(&line(n)).is_ok(), "{n} stages");
+        }
+        for n in [0, u64::from(MAX_NETWORK_STAGES) + 1] {
+            let err = parse_request(&line(n)).unwrap_err();
+            assert!(err.contains("query 0"), "{err}");
+            assert!(err.contains("\"stages\" must be between 1 and 30"), "{err}");
         }
     }
 

@@ -9,22 +9,28 @@
 //!
 //! Every query point reduces to a queueing-solver input before it
 //! touches the server's solved-point caches (the private `cache`
-//! module, one cache per machine family):
+//! module). There is one cache per machine, one per bus processor count
+//! and one per network stage count, each created the first time a
+//! query names its machine, so a key is just the two input words:
 //!
 //! * **Bus** — `analyze_bus` depends on the workload only through the
 //!   demand `(c, b)`, and the contention solve only through
-//!   `(service, think) = (b, c − b)`. The cache key is those bits plus
-//!   the processor count, and the cached value is the solver outputs
-//!   `(waiting, bus_utilization)`. Reassembling through
+//!   `(service, think) = (b, c − b)`. The cache key is those bits, and
+//!   the cached value is the solver outputs `(waiting,
+//!   bus_utilization)`. Reassembling through
 //!   [`BusPerformance::from_queue_solution`] reproduces the direct
 //!   call's getters bitwise, because [`machine_repairman_grid`] lanes
 //!   are bit-identical to scalar [`machine_repairman`] solves.
 //! * **Network** — likewise keyed on
-//!   `(transaction_size, transaction_rate)` bits plus the stage count,
-//!   caching the solved [`OperatingPoint`]. Misses are solved by
+//!   `(transaction_size, transaction_rate)` bits, caching the solver's
+//!   two outputs `(think_fraction, accepted)`. Misses are solved by
 //!   [`BatchPatelSolver::solve_grid`], whose cold lanes run the same
-//!   guarded-Newton kernel as `patel::solve`, so served network results
-//!   match `analyze_network` bitwise.
+//!   guarded-Newton kernel as `patel::solve`. The solver builds each
+//!   point with [`OperatingPoint::from_parts`] from its lane's inputs,
+//!   which are exactly the key's bits and the machine's stage count, so
+//!   the point reassembled from the key, the machine and the cached
+//!   outputs is the solver's own, and served network results match
+//!   `analyze_network` bitwise.
 //!
 //! Neither key names the scheme: the solved value depends on the
 //! scheme only through the demand bits, so two schemes (or two
@@ -32,11 +38,12 @@
 //!
 //! Admission is single-flight: the first request to miss a key claims
 //! it and solves; concurrent requests for the same key attach to the
-//! in-flight solve and block only on its completion. All of one
-//! request's misses are drained into one solver call per machine family
-//! (one MVA grid per distinct processor count, one Patel batch for
-//! every network lane), so a cold 4096-point sweep costs one lockstep
-//! solve, not 4096.
+//! in-flight solve and block only on its completion. A request's lanes
+//! are grouped by machine, and each group admits into its machine's
+//! cache with one batch call. All of one request's misses are drained
+//! into one MVA grid per bus machine and one Patel batch for every
+//! network lane, so a cold 4096-point sweep costs one lockstep solve,
+//! not 4096.
 //!
 //! ## Failure containment
 //!
@@ -68,11 +75,11 @@ use swcc_core::workload::ParamId;
 
 use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry, Recorder as _};
 
-use crate::cache::{Admission, Flight, PointHashState, PointKey, SolvedPointCache};
+use crate::cache::{Admission, Flight, MachineCaches, PointHashState, PointKey, SolvedPointCache};
 use crate::metrics;
 use crate::protocol::{
     error_response, parse_line, Batch, Machine, Query, QueryKind, Request, TelemetryFormat,
-    MAX_LINE_BYTES, PROTOCOL_VERSION,
+    MAX_BUS_PROCESSORS, MAX_LINE_BYTES, MAX_NETWORK_STAGES, PROTOCOL_VERSION,
 };
 use crate::telemetry::{self, RequestTrace, Telemetry};
 
@@ -125,9 +132,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// The solved bus contention point cached per `(service, think,
-/// processors)`: exactly the two [`machine_repairman`] outputs
-/// [`BusPerformance`] is assembled from.
+/// The solved bus contention point cached per `(service, think)` in
+/// one processor count's cache: exactly the two [`machine_repairman`]
+/// outputs [`BusPerformance`] is assembled from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusPoint {
     /// Mean bus waiting time per transaction, `w`.
@@ -136,13 +143,48 @@ pub struct BusPoint {
     pub bus_utilization: f64,
 }
 
-/// Shared state behind all connections: the two solved-point caches
-/// and the telemetry hub, whose registry holds the counters behind
-/// `{"cmd":"stats"}`.
+/// The solved network point cached per `(size, rate)` in one stage
+/// count's cache: exactly the two outputs of the Patel solve. The
+/// solve's inputs are the key and the machine, so
+/// [`NetPoint::operating_point`] reassembles the solver's own
+/// [`OperatingPoint`] bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NetPoint {
+    /// The processor's think fraction `U`.
+    think_fraction: f64,
+    /// Accepted unit-request rate at the memory side, `m_n`.
+    accepted: f64,
+}
+
+impl NetPoint {
+    fn solved(point: &OperatingPoint) -> Self {
+        NetPoint {
+            think_fraction: point.think_fraction(),
+            accepted: point.accepted_rate(),
+        }
+    }
+
+    /// The point a `stages`-stage solve of `key`'s inputs returned.
+    fn operating_point(self, stages: u32, key: &PointKey) -> OperatingPoint {
+        OperatingPoint::from_parts(
+            stages,
+            f64::from_bits(key.think),
+            f64::from_bits(key.service),
+            self.think_fraction,
+            self.accepted,
+        )
+    }
+}
+
+/// Shared state behind all connections: one solved-point cache per
+/// machine and the telemetry hub, whose registry holds the counters
+/// behind `{"cmd":"stats"}`.
 #[derive(Debug)]
 pub struct ServeState {
-    bus_points: SolvedPointCache<BusPoint>,
-    net_points: SolvedPointCache<OperatingPoint>,
+    /// One cache per bus processor count.
+    bus_points: MachineCaches<BusPoint>,
+    /// One cache per network stage count.
+    net_points: MachineCaches<NetPoint>,
     solve_timeout: Duration,
     shutdown: AtomicBool,
     telemetry: Telemetry,
@@ -152,8 +194,8 @@ impl ServeState {
     /// Fresh state with empty caches.
     pub fn new(config: &ServeConfig) -> Self {
         ServeState {
-            bus_points: SolvedPointCache::new(),
-            net_points: SolvedPointCache::new(),
+            bus_points: MachineCaches::new(MAX_BUS_PROCESSORS),
+            net_points: MachineCaches::new(MAX_NETWORK_STAGES),
             solve_timeout: config.solve_timeout,
             shutdown: AtomicBool::new(false),
             telemetry: Telemetry::new(config),
@@ -205,11 +247,11 @@ impl ServeState {
     }
 
     /// Renders the stats response line. Its traffic counters are the
-    /// registry's `serve.*` counters of the same names.
+    /// registry's `serve.*` counters of the same names; its cache
+    /// counters and `entries` are summed over every machine's cache.
     pub fn stats_response(&self) -> String {
         use std::fmt::Write as _;
-        let bus = self.bus_points.stats();
-        let net = self.net_points.stats();
+        let cache = self.bus_points.stats().plus(self.net_points.stats());
         let registry = self.telemetry.metrics();
         let mut out = String::from("{\"ok\":true,\"stats\":{");
         for (field, name) in [
@@ -239,11 +281,11 @@ impl ServeState {
             out,
             "\"cache\":{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"inserts\":{},\
              \"probes\":{},\"entries\":{}}}}}}}",
-            bus.hits + net.hits,
-            bus.misses + net.misses,
-            bus.coalesced + net.coalesced,
-            bus.inserts + net.inserts,
-            bus.probes + net.probes,
+            cache.hits,
+            cache.misses,
+            cache.coalesced,
+            cache.inserts,
+            cache.probes,
             self.bus_points.len() + self.net_points.len(),
         );
         out
@@ -284,20 +326,20 @@ struct Lane<V> {
     state: LaneState<V>,
 }
 
-/// RAII over this request's claimed cache slots: a claim is pending
-/// (`None`) until `publish_many` records its value; anything still
-/// pending on drop (solver error, panic) is aborted so coalesced waiters
-/// wake and re-claim.
+/// RAII over this request's claimed slots in one machine's cache: a
+/// claim is pending (`None`) until `publish_many` records its value;
+/// anything still pending on drop (solver error, panic) is aborted so
+/// coalesced waiters wake and re-claim.
 struct ClaimSet<'a, V: Copy> {
     cache: &'a SolvedPointCache<V>,
     claims: HashMap<PointKey, Option<V>, PointHashState>,
 }
 
 impl<'a, V: Copy> ClaimSet<'a, V> {
-    fn new(cache: &'a SolvedPointCache<V>, lanes: usize) -> Self {
+    fn new(cache: &'a SolvedPointCache<V>) -> Self {
         ClaimSet {
             cache,
-            claims: HashMap::with_capacity_and_hasher(lanes, PointHashState::new()),
+            claims: HashMap::with_hasher(PointHashState::new()),
         }
     }
 
@@ -348,12 +390,46 @@ impl<V: Copy> Drop for ClaimSet<'_, V> {
     }
 }
 
-/// Admits every lane with one shard-grouped `begin_many`, counting each
-/// admission into the request's trace.
-fn admit<V: Copy>(lanes: &mut [Lane<V>], claims: &mut ClaimSet<'_, V>, trace: &mut RequestTrace) {
-    let keys: Vec<PointKey> = lanes.iter().map(|lane| lane.key).collect();
+/// One machine's lanes of a request, in plan order, admitted into that
+/// machine's cache through their own claims.
+struct Group<'a, V: Copy> {
+    /// The bus processor count or the network stage count.
+    machine: u32,
+    lanes: Vec<Lane<V>>,
+    claims: ClaimSet<'a, V>,
+}
+
+/// `machine`'s group and its index, appended with that machine's cache
+/// the first time the request names it; `None` for a machine `caches`
+/// has no slot for. A request names few machines, so a search per query
+/// is enough.
+fn group_of<'g, 'a, V: Copy>(
+    groups: &'g mut Vec<Group<'a, V>>,
+    caches: &'a MachineCaches<V>,
+    machine: u32,
+) -> Option<(usize, &'g mut Group<'a, V>)> {
+    let index = match groups.iter().position(|g| g.machine == machine) {
+        Some(index) => index,
+        None => {
+            groups.push(Group {
+                machine,
+                lanes: Vec::new(),
+                claims: ClaimSet::new(caches.get(machine)?),
+            });
+            groups.len() - 1
+        }
+    };
+    Some((index, groups.get_mut(index)?))
+}
+
+/// Admits every lane of `group` with one shard-grouped `begin_many`,
+/// counting each admission into the request's trace.
+fn admit<V: Copy>(group: &mut Group<'_, V>, trace: &mut RequestTrace) {
+    let claims = &mut group.claims;
+    let keys: Vec<PointKey> = group.lanes.iter().map(|lane| lane.key).collect();
+    claims.claims.reserve(keys.len());
     let admissions = claims.cache.begin_many(&keys);
-    for (lane, admission) in lanes.iter_mut().zip(admissions) {
+    for (lane, admission) in group.lanes.iter_mut().zip(admissions) {
         lane.state = match admission {
             Admission::Hit(v) => {
                 trace.hits += 1;
@@ -444,25 +520,23 @@ fn lane_value<V: Copy>(lane: &Lane<V>) -> Result<(V, Provenance), String> {
     }
 }
 
-fn bus_key(demand: &Demand, processors: u32) -> PointKey {
+fn bus_key(demand: &Demand) -> PointKey {
     PointKey {
         service: demand.interconnect().to_bits(),
         think: demand.think_time().to_bits(),
-        machine: processors,
     }
 }
 
-fn net_key(demand: &Demand, stages: u32) -> PointKey {
+fn net_key(demand: &Demand) -> PointKey {
     PointKey {
         service: demand.transaction_size().to_bits(),
         think: demand.transaction_rate().to_bits(),
-        machine: stages,
     }
 }
 
-fn solve_bus_one(key: &PointKey) -> Result<BusPoint, String> {
+fn solve_bus_one(processors: u32, key: &PointKey) -> Result<BusPoint, String> {
     let mva = machine_repairman(
-        key.machine,
+        processors,
         f64::from_bits(key.service),
         f64::from_bits(key.think),
     )
@@ -473,26 +547,38 @@ fn solve_bus_one(key: &PointKey) -> Result<BusPoint, String> {
     })
 }
 
-fn solve_net_one(key: &PointKey) -> Result<OperatingPoint, String> {
+fn solve_net_one(stages: u32, key: &PointKey) -> Result<NetPoint, String> {
     let batch = BatchPatelSolver::new()
         .solve_grid(
             &[f64::from_bits(key.think)],
             &[f64::from_bits(key.service)],
-            &Stages::Uniform(key.machine),
+            &Stages::Uniform(stages),
             None,
         )
         .map_err(|e| e.to_string())?;
     batch
         .points()
         .first()
-        .copied()
+        .map(NetPoint::solved)
         .ok_or_else(|| "internal: one-lane network solve returned no points".to_string())
 }
 
+/// Where a query's answer comes from: its points are `len` lanes of
+/// one machine's group, from `start`, or a sensitivity ranking.
 enum QueryPlan {
-    Bus { start: usize, len: usize },
-    Net { start: usize, len: usize },
-    Sensitivity { ranking: Vec<(ParamId, f64)> },
+    Bus {
+        group: usize,
+        start: usize,
+        len: usize,
+    },
+    Net {
+        group: usize,
+        start: usize,
+        len: usize,
+    },
+    Sensitivity {
+        ranking: Vec<(ParamId, f64)>,
+    },
 }
 
 fn record_solve(state: &ServeState, lanes: usize) {
@@ -527,11 +613,12 @@ pub fn run_batch_traced(
     let started = Instant::now();
     let bus_system = BusSystemModel::new();
 
-    // --- Plan: expand every query point to a cache key + demand. -----
+    // --- Plan: expand every query point to a cache key + demand, in
+    // its machine's group. ---------------------------------------------
     let phase_started = Instant::now();
     let mut plans: Vec<QueryPlan> = Vec::with_capacity(batch.queries.len());
-    let mut bus_lanes: Vec<Lane<BusPoint>> = Vec::new();
-    let mut net_lanes: Vec<Lane<OperatingPoint>> = Vec::new();
+    let mut bus_groups: Vec<Group<'_, BusPoint>> = Vec::new();
+    let mut net_groups: Vec<Group<'_, NetPoint>> = Vec::new();
     let mut points = 0u64;
     for (i, query) in batch.queries.iter().enumerate() {
         // Log the protocol's wire spelling ("software-flush"), not the
@@ -552,36 +639,48 @@ pub fn run_batch_traced(
                     });
                     continue;
                 }
-                let start = bus_lanes.len();
+                let (group, Group { lanes, .. }) =
+                    group_of(&mut bus_groups, &state.bus_points, processors).ok_or_else(|| {
+                        format!(
+                            "query {i}: \"processors\" must be between 1 and {MAX_BUS_PROCESSORS}"
+                        )
+                    })?;
+                let start = lanes.len();
                 for w in &query.workloads {
                     let demand = scheme_demand(query.scheme, w, &bus_system)
                         .map_err(|e| format!("query {i}: {e}"))?;
-                    bus_lanes.push(Lane {
-                        key: bus_key(&demand, processors),
+                    lanes.push(Lane {
+                        key: bus_key(&demand),
                         demand,
                         state: LaneState::Ours(Provenance::Miss), // placeholder until admission
                     });
                 }
                 points += query.workloads.len() as u64;
                 plans.push(QueryPlan::Bus {
+                    group,
                     start,
                     len: query.workloads.len(),
                 });
             }
             Machine::Network { stages } => {
                 let system = NetworkSystemModel::new(stages);
-                let start = net_lanes.len();
+                let (group, Group { lanes, .. }) =
+                    group_of(&mut net_groups, &state.net_points, stages).ok_or_else(|| {
+                        format!("query {i}: \"stages\" must be between 1 and {MAX_NETWORK_STAGES}")
+                    })?;
+                let start = lanes.len();
                 for w in &query.workloads {
                     let demand = scheme_demand(query.scheme, w, &system)
                         .map_err(|e| format!("query {i}: {e}"))?;
-                    net_lanes.push(Lane {
-                        key: net_key(&demand, stages),
+                    lanes.push(Lane {
+                        key: net_key(&demand),
                         demand,
                         state: LaneState::Ours(Provenance::Miss),
                     });
                 }
                 points += query.workloads.len() as u64;
                 plans.push(QueryPlan::Net {
+                    group,
                     start,
                     len: query.workloads.len(),
                 });
@@ -602,78 +701,88 @@ pub fn run_batch_traced(
         ],
     );
 
-    // --- Admit: one shard-grouped begin_many() per cache. -----------
+    // --- Admit: one shard-grouped begin_many() per machine. ----------
     let phase_started = Instant::now();
-    let mut bus_claims = ClaimSet::new(&state.bus_points, bus_lanes.len());
-    let mut net_claims = ClaimSet::new(&state.net_points, net_lanes.len());
-    admit(&mut bus_lanes, &mut bus_claims, trace);
-    admit(&mut net_lanes, &mut net_claims, trace);
+    for group in &mut bus_groups {
+        admit(group, trace);
+    }
+    for group in &mut net_groups {
+        admit(group, trace);
+    }
     trace.phase("admit", phase_started, started, 0);
 
-    // --- Solve: drain all claims into one grid call per machine
-    // family (bus grids are per distinct processor count).
-    let bus_pending = bus_claims.pending_keys();
-    if !bus_pending.is_empty() {
-        let phase_started = Instant::now();
-        let lanes_total = bus_pending.len() as u64;
-        let mut groups: HashMap<u32, Vec<PointKey>> = HashMap::new();
-        for key in bus_pending {
-            groups.entry(key.machine).or_default().push(key);
+    // --- Solve: drain each bus machine's claims into one MVA grid, and
+    // every network machine's into one Patel batch.
+    let phase_started = Instant::now();
+    let mut bus_solved = 0;
+    for group in &mut bus_groups {
+        let keys = group.claims.pending_keys();
+        if keys.is_empty() {
+            continue;
         }
-        for (processors, keys) in groups {
-            let services: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.service)).collect();
-            let thinks: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.think)).collect();
-            let _solve_span = swcc_obs::span(
-                metrics::EV_SERVE_SOLVE,
-                &[
-                    swcc_obs::Field::str("machine", "bus"),
-                    swcc_obs::Field::u64("lanes", keys.len() as u64),
-                ],
-            );
-            let grid = machine_repairman_grid(processors, &services, &thinks)
-                .map_err(|e| format!("bus solve failed: {e}"))?;
-            record_solve(state, keys.len());
-            let values: Vec<BusPoint> = grid
-                .iter()
-                .map(|mva| BusPoint {
-                    waiting: mva.waiting(),
-                    bus_utilization: mva.server_utilization(),
-                })
-                .collect();
-            bus_claims.publish_many(&keys, &values);
-        }
-        trace.phase("solve.bus", phase_started, started, lanes_total);
+        let services: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.service)).collect();
+        let thinks: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.think)).collect();
+        let _solve_span = swcc_obs::span(
+            metrics::EV_SERVE_SOLVE,
+            &[
+                swcc_obs::Field::str("machine", "bus"),
+                swcc_obs::Field::u64("lanes", keys.len() as u64),
+            ],
+        );
+        let grid = machine_repairman_grid(group.machine, &services, &thinks)
+            .map_err(|e| format!("bus solve failed: {e}"))?;
+        record_solve(state, keys.len());
+        let values: Vec<BusPoint> = grid
+            .iter()
+            .map(|mva| BusPoint {
+                waiting: mva.waiting(),
+                bus_utilization: mva.server_utilization(),
+            })
+            .collect();
+        group.claims.publish_many(&keys, &values);
+        bus_solved += keys.len();
     }
-    let net_pending = net_claims.pending_keys();
-    if !net_pending.is_empty() {
+    if bus_solved > 0 {
+        trace.phase("solve.bus", phase_started, started, bus_solved as u64);
+    }
+    let net_pending: Vec<Vec<PointKey>> = net_groups
+        .iter()
+        .map(|group| group.claims.pending_keys())
+        .collect();
+    let net_lanes: usize = net_pending.iter().map(Vec::len).sum();
+    if net_lanes > 0 {
         let phase_started = Instant::now();
-        let rates: Vec<f64> = net_pending
-            .iter()
-            .map(|k| f64::from_bits(k.think))
-            .collect();
-        let sizes: Vec<f64> = net_pending
-            .iter()
-            .map(|k| f64::from_bits(k.service))
-            .collect();
-        let stage_counts: Vec<u32> = net_pending.iter().map(|k| k.machine).collect();
+        let mut rates = Vec::with_capacity(net_lanes);
+        let mut sizes = Vec::with_capacity(net_lanes);
+        let mut stage_counts = Vec::with_capacity(net_lanes);
+        for (group, keys) in net_groups.iter().zip(&net_pending) {
+            for key in keys {
+                rates.push(f64::from_bits(key.think));
+                sizes.push(f64::from_bits(key.service));
+                stage_counts.push(group.machine);
+            }
+        }
         let _solve_span = swcc_obs::span(
             metrics::EV_SERVE_SOLVE,
             &[
                 swcc_obs::Field::str("machine", "network"),
-                swcc_obs::Field::u64("lanes", net_pending.len() as u64),
+                swcc_obs::Field::u64("lanes", net_lanes as u64),
             ],
         );
         let batch_solution = BatchPatelSolver::new()
             .solve_grid(&rates, &sizes, &Stages::PerLane(&stage_counts), None)
             .map_err(|e| format!("network solve failed: {e}"))?;
-        record_solve(state, net_pending.len());
-        net_claims.publish_many(&net_pending, batch_solution.points());
-        trace.phase(
-            "solve.network",
-            phase_started,
-            started,
-            net_pending.len() as u64,
-        );
+        record_solve(state, net_lanes);
+        let mut solved = batch_solution.points();
+        for (group, keys) in net_groups.iter_mut().zip(&net_pending) {
+            let (slice, rest) = solved
+                .split_at_checked(keys.len())
+                .ok_or("internal: network solve returned too few points")?;
+            solved = rest;
+            let values: Vec<NetPoint> = slice.iter().map(NetPoint::solved).collect();
+            group.claims.publish_many(keys, &values);
+        }
+        trace.phase("solve.network", phase_started, started, net_lanes as u64);
     }
 
     // --- Resolve: settle coalesced waits (after our publishes, so a
@@ -681,22 +790,28 @@ pub fn run_batch_traced(
     let phase_started = Instant::now();
     let registry = state.telemetry.metrics();
     let mut flight_wait_us = 0.0;
-    resolve_lanes(
-        &mut bus_lanes,
-        &mut bus_claims,
-        state.solve_timeout,
-        registry,
-        &mut flight_wait_us,
-        &mut solve_bus_one,
-    )?;
-    resolve_lanes(
-        &mut net_lanes,
-        &mut net_claims,
-        state.solve_timeout,
-        registry,
-        &mut flight_wait_us,
-        &mut solve_net_one,
-    )?;
+    for group in &mut bus_groups {
+        let processors = group.machine;
+        resolve_lanes(
+            &mut group.lanes,
+            &mut group.claims,
+            state.solve_timeout,
+            registry,
+            &mut flight_wait_us,
+            &mut |key| solve_bus_one(processors, key),
+        )?;
+    }
+    for group in &mut net_groups {
+        let stages = group.machine;
+        resolve_lanes(
+            &mut group.lanes,
+            &mut group.claims,
+            state.solve_timeout,
+            registry,
+            &mut flight_wait_us,
+            &mut |key| solve_net_one(stages, key),
+        )?;
+    }
     trace.flight_wait_us = flight_wait_us;
     trace.phase("resolve", phase_started, started, 0);
 
@@ -734,15 +849,17 @@ pub fn run_batch_traced(
                 }
                 out.push_str("]}");
             }
-            QueryPlan::Bus { start, len } => {
-                let lanes = bus_lanes
-                    .get(*start..*start + *len)
+            QueryPlan::Bus { group, start, len } => {
+                let lanes = bus_groups
+                    .get(*group)
+                    .and_then(|g| g.lanes.get(*start..*start + *len))
                     .ok_or_else(|| format!("internal: bus plan for query {qi} out of range"))?;
                 render_bus_query(&mut out, query, lanes, batch.compact)?;
             }
-            QueryPlan::Net { start, len } => {
-                let lanes = net_lanes
-                    .get(*start..*start + *len)
+            QueryPlan::Net { group, start, len } => {
+                let lanes = net_groups
+                    .get(*group)
+                    .and_then(|g| g.lanes.get(*start..*start + *len))
                     .ok_or_else(|| format!("internal: net plan for query {qi} out of range"))?;
                 render_net_query(&mut out, query, lanes, batch.compact)?;
             }
@@ -758,6 +875,36 @@ pub fn run_batch_traced(
     Ok(out)
 }
 
+/// Writes a compact query's `values` array: `primary` of each lane. A
+/// lane whose value has the previous lane's bits repeats that lane's
+/// text rather than formatting the float again, so a run of identical
+/// points (a Base `shd` sweep is one) is formatted once.
+fn render_values<V: Copy>(
+    out: &mut String,
+    lanes: &[Lane<V>],
+    primary: impl Fn(&Lane<V>, V) -> f64,
+) -> Result<(), String> {
+    out.push_str("{\"values\":[");
+    let mut previous: Option<(u64, std::ops::Range<usize>)> = None;
+    for (j, lane) in lanes.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        let (v, _) = lane_value(lane)?;
+        let value = primary(lane, v);
+        match &previous {
+            Some((bits, text)) if *bits == value.to_bits() => out.extend_from_within(text.clone()),
+            _ => {
+                let start = out.len();
+                push_json_f64(out, value);
+                previous = Some((value.to_bits(), start..out.len()));
+            }
+        }
+    }
+    out.push_str("]}");
+    Ok(())
+}
+
 fn render_bus_query(
     out: &mut String,
     query: &Query,
@@ -767,28 +914,20 @@ fn render_bus_query(
     let Machine::Bus { processors } = query.machine else {
         return Err("internal: bus plan paired with a non-bus machine".to_string());
     };
+    let perf_of = |lane: &Lane<BusPoint>, v: BusPoint| {
+        BusPerformance::from_queue_solution(
+            query.scheme,
+            processors,
+            lane.demand,
+            v.waiting,
+            v.bus_utilization,
+        )
+    };
     if compact {
-        out.push_str("{\"values\":[");
-        for (j, lane) in lanes.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let (v, _) = lane_value(lane)?;
-            let perf = BusPerformance::from_queue_solution(
-                query.scheme,
-                processors,
-                lane.demand,
-                v.waiting,
-                v.bus_utilization,
-            );
-            let primary = match query.kind {
-                QueryKind::Penalty => perf.waiting(),
-                _ => perf.power(),
-            };
-            push_json_f64(out, primary);
-        }
-        out.push_str("]}");
-        return Ok(());
+        return render_values(out, lanes, |lane, v| match query.kind {
+            QueryKind::Penalty => perf_of(lane, v).waiting(),
+            _ => perf_of(lane, v).power(),
+        });
     }
     out.push_str("{\"points\":[");
     for (j, lane) in lanes.iter().enumerate() {
@@ -796,13 +935,7 @@ fn render_bus_query(
             out.push(',');
         }
         let (v, provenance) = lane_value(lane)?;
-        let perf = BusPerformance::from_queue_solution(
-            query.scheme,
-            processors,
-            lane.demand,
-            v.waiting,
-            v.bus_utilization,
-        );
+        let perf = perf_of(lane, v);
         out.push('{');
         if let Some(value) = query.sweep_values.get(j) {
             out.push_str("\"value\":");
@@ -830,34 +963,31 @@ fn render_bus_query(
 fn render_net_query(
     out: &mut String,
     query: &Query,
-    lanes: &[Lane<OperatingPoint>],
+    lanes: &[Lane<NetPoint>],
     compact: bool,
 ) -> Result<(), String> {
     let Machine::Network { stages } = query.machine else {
         return Err("internal: net plan paired with a non-network machine".to_string());
     };
+    let perf_of = |lane: &Lane<NetPoint>, v: NetPoint| {
+        NetworkPerformance::from_operating_point(
+            query.scheme,
+            stages,
+            lane.demand,
+            v.operating_point(stages, &lane.key),
+        )
+    };
     if compact {
-        out.push_str("{\"values\":[");
-        for (j, lane) in lanes.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let (point, _) = lane_value(lane)?;
-            let perf =
-                NetworkPerformance::from_operating_point(query.scheme, stages, lane.demand, point);
-            push_json_f64(out, perf.power());
-        }
-        out.push_str("]}");
-        return Ok(());
+        return render_values(out, lanes, |lane, v| perf_of(lane, v).power());
     }
     out.push_str("{\"points\":[");
     for (j, lane) in lanes.iter().enumerate() {
         if j > 0 {
             out.push(',');
         }
-        let (point, provenance) = lane_value(lane)?;
-        let perf =
-            NetworkPerformance::from_operating_point(query.scheme, stages, lane.demand, point);
+        let (v, provenance) = lane_value(lane)?;
+        let perf = perf_of(lane, v);
+        let point = perf.operating_point();
         out.push('{');
         if let Some(value) = query.sweep_values.get(j) {
             out.push_str("\"value\":");
@@ -1369,6 +1499,7 @@ mod tests {
     use super::*;
     use crate::protocol::parse_request;
     use swcc_core::bus::analyze_bus;
+    use swcc_core::network::analyze_network;
     use swcc_core::scheme::Scheme;
     use swcc_core::workload::{Level, WorkloadParams};
 
@@ -1459,6 +1590,177 @@ mod tests {
         assert_eq!(counter(&state, metrics::SERVE_SOLVES), 1, "one grid call");
     }
 
+    /// An entry of either family's cache is two key words and two solved
+    /// floats; a field that grows one fails here.
+    #[test]
+    fn a_solved_point_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<(PointKey, BusPoint)>(), 32);
+        assert_eq!(std::mem::size_of::<(PointKey, NetPoint)>(), 32);
+    }
+
+    /// Bus demand does not depend on the processor count, so one
+    /// workload at two counts is one `(service, think)` key. A cache
+    /// that ignored the machine would serve one count's point for the
+    /// other; each machine must get an entry and bits of its own.
+    #[test]
+    fn one_workload_on_two_machines_gets_each_machines_own_bits() {
+        let query = |interconnect: &str, size: &str, n: u32, scheme: &str| {
+            format!(
+                r#"{{"scheme":"{scheme}","machine":{{"interconnect":"{interconnect}","{size}":{n}}},"workload":{{"shd":0.1}}}}"#
+            )
+        };
+        for ((p1, p2), (s1, s2)) in [((4, 16), (4, 6)), ((16, 4), (6, 4))] {
+            for compact in [false, true] {
+                let state = state();
+                let queries = [
+                    query("bus", "processors", p1, "dragon"),
+                    query("bus", "processors", p2, "dragon"),
+                    query("network", "stages", s1, "software-flush"),
+                    query("network", "stages", s2, "software-flush"),
+                ];
+                let line = format!(
+                    r#"{{"compact":{compact},"queries":[{}]}}"#,
+                    queries.join(",")
+                );
+                let parsed_batch = batch(&line);
+                let response = run_batch(&state, &parsed_batch).unwrap();
+                let parsed: serde::Value = serde_json::from_str(&response).unwrap();
+                for (qi, query) in parsed_batch.queries.iter().enumerate() {
+                    let workload = &query.workloads[0];
+                    let want: Vec<(&str, f64)> = match query.machine {
+                        Machine::Bus { processors } => {
+                            let d = analyze_bus(
+                                query.scheme,
+                                workload,
+                                &BusSystemModel::new(),
+                                processors,
+                            )
+                            .unwrap();
+                            vec![
+                                ("power", d.power()),
+                                ("utilization", d.utilization()),
+                                ("cpi", d.cycles_per_instruction()),
+                                ("waiting", d.waiting()),
+                                ("bus_utilization", d.bus_utilization()),
+                            ]
+                        }
+                        Machine::Network { stages } => {
+                            let demand = scheme_demand(
+                                query.scheme,
+                                workload,
+                                &NetworkSystemModel::new(stages),
+                            )
+                            .unwrap();
+                            let solved = BatchPatelSolver::new()
+                                .solve_grid(
+                                    &[demand.transaction_rate()],
+                                    &[demand.transaction_size()],
+                                    &Stages::Uniform(stages),
+                                    None,
+                                )
+                                .unwrap();
+                            let point = solved.points()[0];
+                            let d = NetworkPerformance::from_operating_point(
+                                query.scheme,
+                                stages,
+                                demand,
+                                point,
+                            );
+                            vec![
+                                ("power", d.power()),
+                                ("utilization", d.utilization()),
+                                ("think_fraction", point.think_fraction()),
+                                ("accepted_rate", point.accepted_rate()),
+                            ]
+                        }
+                    };
+                    let result = parsed
+                        .get_field("results")
+                        .and_then(|r| r.get_index(qi))
+                        .unwrap();
+                    let served = |field: &str| {
+                        let value = if compact {
+                            assert_eq!(field, "power");
+                            result.get_field("values").and_then(|v| v.get_index(0))
+                        } else {
+                            result
+                                .get_field("points")
+                                .and_then(|p| p.get_index(0))
+                                .and_then(|p| p.get_field(field))
+                        };
+                        value.and_then(serde::Value::as_f64).unwrap().to_bits()
+                    };
+                    let checked = if compact { &want[..1] } else { &want[..] };
+                    for (field, want) in checked {
+                        assert_eq!(
+                            served(field),
+                            want.to_bits(),
+                            "query {qi} ({:?}) {field}, compact {compact}",
+                            query.machine
+                        );
+                    }
+                }
+                let stats: serde::Value = serde_json::from_str(&state.stats_response()).unwrap();
+                let entries = stats
+                    .get_field("stats")
+                    .and_then(|s| s.get_field("cache"))
+                    .and_then(|c| c.get_field("entries"))
+                    .and_then(serde::Value::as_u64);
+                assert_eq!(entries, Some(4), "one entry per machine");
+            }
+        }
+    }
+
+    /// Base ignores `shd`, so its compact `shd` sweep is one run of
+    /// identical points, formatted once and repeated; beside a Dragon
+    /// sweep whose points all differ, every value must still read back
+    /// as the direct call's bits.
+    #[test]
+    fn compact_runs_of_identical_points_read_back_as_direct_calls() {
+        let state = state();
+        let sweep = r#""sweep":{"param":"shd","from":0.05,"to":0.2,"points":5}"#;
+        let bus = r#""machine":{"interconnect":"bus","processors":8}"#;
+        let net = r#""machine":{"interconnect":"network","stages":6}"#;
+        let line = format!(
+            r#"{{"compact":true,"queries":[{{"scheme":"base",{bus},{sweep}}},{{"kind":"penalty","scheme":"base",{bus},{sweep}}},{{"scheme":"dragon",{bus},{sweep}}},{{"scheme":"base",{net},{sweep}}}]}}"#
+        );
+        let parsed_batch = batch(&line);
+        let response = run_batch(&state, &parsed_batch).unwrap();
+        let parsed: serde::Value = serde_json::from_str(&response).unwrap();
+        let mut distinct = Vec::new();
+        for (qi, query) in parsed_batch.queries.iter().enumerate() {
+            let values = parsed
+                .get_field("results")
+                .and_then(|r| r.get_index(qi))
+                .and_then(|q| q.get_field("values"))
+                .and_then(serde::Value::as_array)
+                .unwrap();
+            assert_eq!(values.len(), query.workloads.len());
+            let mut bits: Vec<u64> = Vec::new();
+            for (j, (served, w)) in values.iter().zip(&query.workloads).enumerate() {
+                let want = match query.machine {
+                    Machine::Bus { processors } => {
+                        let d = analyze_bus(query.scheme, w, &BusSystemModel::new(), processors)
+                            .unwrap();
+                        match query.kind {
+                            QueryKind::Penalty => d.waiting(),
+                            _ => d.power(),
+                        }
+                    }
+                    Machine::Network { stages } => {
+                        analyze_network(query.scheme, w, stages).unwrap().power()
+                    }
+                };
+                let got = served.as_f64().unwrap().to_bits();
+                assert_eq!(got, want.to_bits(), "query {qi} point {j}");
+                bits.push(got);
+            }
+            bits.dedup();
+            distinct.push(bits.len());
+        }
+        assert_eq!(distinct, [1, 1, 5, 1], "distinct values per query");
+    }
+
     #[test]
     fn one_line_gets_byte_identical_responses_from_fresh_states() {
         // A response carries no server-side timing, so two fresh servers
@@ -1518,7 +1820,7 @@ mod tests {
             &BusSystemModel::new(),
         )
         .unwrap();
-        let key = bus_key(&demand, 4);
+        let key = bus_key(&demand);
         type Solve = fn(&PointKey) -> Result<BusPoint, String>;
         let panics: Solve = |_| panic!("solver exploded");
         let fails: Solve = |_| Err("solver failed".to_string());
@@ -1537,7 +1839,7 @@ mod tests {
             }];
             let registry = metrics::register(swcc_obs::RegistryBuilder::new()).build();
             let resolved = catch_unwind(AssertUnwindSafe(|| {
-                let mut claims = ClaimSet::new(&cache, lanes.len());
+                let mut claims = ClaimSet::new(&cache);
                 resolve_lanes(
                     &mut lanes,
                     &mut claims,
@@ -1594,6 +1896,40 @@ mod tests {
         };
         let err = run_batch(&state, &pathological).unwrap_err();
         assert!(err.contains("no workload"), "got: {err}");
+    }
+
+    #[test]
+    fn a_machine_without_a_cache_slot_is_an_error_not_a_panic() {
+        // The parser refuses these machines; a batch built in code
+        // reaches the engine with them, which must answer, not index
+        // past its table of per-machine caches.
+        let state = state();
+        for machine in [
+            Machine::Bus { processors: 0 },
+            Machine::Bus {
+                processors: MAX_BUS_PROCESSORS + 1,
+            },
+            Machine::Network { stages: 0 },
+            Machine::Network {
+                stages: MAX_NETWORK_STAGES + 1,
+            },
+        ] {
+            let batch = Batch {
+                id: None,
+                request: None,
+                compact: true,
+                queries: vec![Query {
+                    kind: QueryKind::Power,
+                    scheme: Scheme::Base,
+                    machine,
+                    workloads: vec![WorkloadParams::at_level(Level::Middle)],
+                    sweep_values: Vec::new(),
+                }],
+            };
+            let err = run_batch(&state, &batch).unwrap_err();
+            assert!(err.contains("query 0: \""), "{machine:?}: {err}");
+            assert!(err.contains("must be between 1 and"), "{machine:?}: {err}");
+        }
     }
 
     #[test]

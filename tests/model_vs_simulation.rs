@@ -85,11 +85,14 @@ fn software_flush_model_tracks_simulation_within_30_percent() {
 }
 
 #[test]
-fn model_contention_bias_is_pessimistic_at_scale() {
-    // §3: "it consistently overestimates bus contention" (exponential
-    // vs fixed service). At 8 processors under a sharing-heavy trace,
-    // the model should predict *at most* the simulated power, within
-    // noise.
+fn dragon_model_power_stays_below_1_08x_simulation_at_8_cpus() {
+    // At 8 processors on a sharing-heavy (PERO-like) trace, Dragon's
+    // model power must stay below 1.08 times the simulated power. This
+    // bounds the model's optimism and names no cause for its error: the
+    // paper (§3) blames its contention overestimate on the exponential
+    // bus service the model assumes, but `ext_service` runs the
+    // simulator with exponential service and lands farther from the
+    // model than the fixed-service run does.
     let trace = Preset::Pero.config(8, INSTRUCTIONS, 113).generate();
     let config = SimConfig::new(ProtocolKind::Dragon);
     let workload = measure_workload(&trace, &config);
