@@ -41,17 +41,21 @@
 //!   windows have p99 over the ceiling; without a timeline, fail if
 //!   the post-warmup client p99 is over it.
 //!
-//! `--verify` additionally replays a set of full-mode single queries
+//! `--verify` additionally sends one full-mode request of 14 queries
 //! and bit-compares every served float against the equivalent direct
 //! library call in this process (network floats against both a batch
 //! lane and `analyze_network`) — proving the wire format preserves
-//! results exactly. It checks each bus query at `--processors` and at a
-//! second count (twice as many, or half as many above 512), and each
-//! network query at 6 and at 8 stages. Bus demand does not depend on
-//! the processor count, so the second count asks for a key the first
-//! already cached, and a server that served one machine's point for
-//! another would fail. Keep `--connections` at or below the server's
-//! worker count: the server is one-thread-per-connection.
+//! results exactly. The request names every scheme at `--processors`
+//! and at a second count (twice as many, or half as many above 512),
+//! and every network scheme at 6 and at 8 stages. Bus demand does not
+//! depend on the processor count, so the two bus machines share keys
+//! inside the one request, and a server that served one machine's point
+//! for another would fail; the two networks are solved in one request
+//! too. Keep `--connections` at or below the server's worker count: the
+//! server is one-thread-per-connection.
+//!
+//! `--shutdown` sends `{"cmd":"shutdown"}` once the run ends, whether
+//! it passed or failed.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -61,14 +65,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use swcc_core::batch::{BatchPatelSolver, Stages};
+use swcc_core::batch::BatchPatelSolver;
 use swcc_core::bus::analyze_bus;
 use swcc_core::demand::scheme_demand;
 use swcc_core::network::{analyze_network, NetworkPerformance};
 use swcc_core::scheme::Scheme;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
 use swcc_core::workload::{Level, WorkloadParams};
-use swcc_serve::protocol::MAX_BUS_PROCESSORS;
+use swcc_serve::protocol::{Machine, MAX_BUS_PROCESSORS};
 
 struct Args {
     addr: String,
@@ -448,98 +452,95 @@ fn second_processor_count(processors: u32) -> u32 {
     }
 }
 
-/// Bit-compares full-mode served results against direct library calls,
-/// on two bus machines and two networks.
+/// Bit-compares full-mode served results against direct library calls:
+/// one request naming two bus machines and two networks.
 fn verify(addr: &str, processors: u32) -> Result<u64, String> {
+    let workload = WorkloadParams::at_level(Level::Middle);
+    let machines = [processors, second_processor_count(processors)]
+        .map(|processors| Machine::Bus { processors })
+        .into_iter()
+        .chain(VERIFY_STAGES.map(|stages| Machine::Network { stages }));
+    let queries: Vec<(Scheme, Machine)> = machines
+        .flat_map(|machine| Scheme::ALL.into_iter().map(move |scheme| (scheme, machine)))
+        .filter(|(scheme, machine)| {
+            matches!(machine, Machine::Bus { .. }) || !scheme.requires_bus()
+        })
+        .collect();
+    let line = queries
+        .iter()
+        .map(|(scheme, machine)| {
+            let (interconnect, size, n) = match *machine {
+                Machine::Bus { processors } => ("bus", "processors", processors),
+                Machine::Network { stages } => ("network", "stages", stages),
+            };
+            format!(
+                "{{\"scheme\":\"{scheme}\",\"machine\":{{\"interconnect\":\"{interconnect}\",\"{size}\":{n}}}}}"
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    let line = format!("{{\"queries\":[{line}]}}");
     let (mut reader, mut writer) = connect(addr)?;
     let mut response = String::new();
-    let workload = WorkloadParams::at_level(Level::Middle);
-    let bus_system = BusSystemModel::new();
+    round_trip(&mut reader, &mut writer, &line, &mut response)?;
+    let parsed: Value =
+        serde_json::from_str(response.trim()).map_err(|e| format!("verify parse: {e}"))?;
     let mut checked = 0u64;
-
-    let bus_machines = [processors, second_processor_count(processors)];
-    for (processors, scheme) in bus_machines
-        .into_iter()
-        .flat_map(|p| Scheme::ALL.into_iter().map(move |s| (p, s)))
-    {
-        let line = format!(
-            "{{\"queries\":[{{\"scheme\":\"{scheme}\",\"machine\":{{\
-             \"interconnect\":\"bus\",\"processors\":{processors}}}}}]}}"
-        );
-        round_trip(&mut reader, &mut writer, &line, &mut response)?;
-        let parsed: Value =
-            serde_json::from_str(response.trim()).map_err(|e| format!("verify parse: {e}"))?;
+    for (qi, (scheme, machine)) in queries.into_iter().enumerate() {
         let point = parsed
             .get_field("results")
-            .and_then(|r| r.get_index(0))
+            .and_then(|r| r.get_index(qi))
             .and_then(|q| q.get_field("points"))
             .and_then(|p| p.get_index(0))
             .ok_or_else(|| format!("verify: malformed response for {scheme}: {response}"))?;
-        let direct =
-            analyze_bus(scheme, &workload, &bus_system, processors).map_err(|e| e.to_string())?;
-        for (name, want) in [
-            ("power", direct.power()),
-            ("utilization", direct.utilization()),
-            ("cpi", direct.cycles_per_instruction()),
-            ("waiting", direct.waiting()),
-            ("bus_utilization", direct.bus_utilization()),
-        ] {
+        // (field, direct call, its value) for every float checked.
+        let want = match machine {
+            Machine::Bus { processors } => {
+                let direct = analyze_bus(scheme, &workload, &BusSystemModel::new(), processors)
+                    .map_err(|e| e.to_string())?;
+                vec![
+                    ("power", "analyze_bus", direct.power()),
+                    ("utilization", "analyze_bus", direct.utilization()),
+                    ("cpi", "analyze_bus", direct.cycles_per_instruction()),
+                    ("waiting", "analyze_bus", direct.waiting()),
+                    ("bus_utilization", "analyze_bus", direct.bus_utilization()),
+                ]
+            }
+            Machine::Network { stages } => {
+                let demand = scheme_demand(scheme, &workload, &NetworkSystemModel::new(stages))
+                    .map_err(|e| e.to_string())?;
+                let solved = BatchPatelSolver::new()
+                    .solve(
+                        &[demand.transaction_rate()],
+                        &[demand.transaction_size()],
+                        stages,
+                    )
+                    .map_err(|e| e.to_string())?;
+                let batch = NetworkPerformance::from_operating_point(
+                    scheme,
+                    stages,
+                    demand,
+                    solved.points()[0],
+                );
+                let pointwise =
+                    analyze_network(scheme, &workload, stages).map_err(|e| e.to_string())?;
+                vec![
+                    ("power", "batch", batch.power()),
+                    ("power", "analyze_network", pointwise.power()),
+                    ("utilization", "batch", batch.utilization()),
+                    ("utilization", "analyze_network", pointwise.utilization()),
+                ]
+            }
+        };
+        for (name, path, want) in want {
             let got = field_f64(point, name)?;
             if got.to_bits() != want.to_bits() {
                 return Err(format!(
-                    "verify: bus {scheme} at {processors} processors {name} mismatch: \
-                     served {got:?} vs direct {want:?}"
+                    "verify: {scheme} on {machine:?} {name} mismatch: \
+                     served {got:?} vs {path} {want:?}"
                 ));
             }
             checked += 1;
-        }
-    }
-
-    for (stages, scheme) in VERIFY_STAGES.into_iter().flat_map(|n| {
-        [Scheme::Base, Scheme::NoCache, Scheme::SoftwareFlush]
-            .into_iter()
-            .map(move |s| (n, s))
-    }) {
-        let line = format!(
-            "{{\"queries\":[{{\"scheme\":\"{scheme}\",\"machine\":{{\
-             \"interconnect\":\"network\",\"stages\":{stages}}}}}]}}"
-        );
-        round_trip(&mut reader, &mut writer, &line, &mut response)?;
-        let parsed: Value =
-            serde_json::from_str(response.trim()).map_err(|e| format!("verify parse: {e}"))?;
-        let point = parsed
-            .get_field("results")
-            .and_then(|r| r.get_index(0))
-            .and_then(|q| q.get_field("points"))
-            .and_then(|p| p.get_index(0))
-            .ok_or_else(|| format!("verify: malformed response for {scheme}: {response}"))?;
-        let demand = scheme_demand(scheme, &workload, &NetworkSystemModel::new(stages))
-            .map_err(|e| e.to_string())?;
-        let solved = BatchPatelSolver::new()
-            .solve_grid(
-                &[demand.transaction_rate()],
-                &[demand.transaction_size()],
-                &Stages::Uniform(stages),
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-        let direct =
-            NetworkPerformance::from_operating_point(scheme, stages, demand, solved.points()[0]);
-        let pointwise = analyze_network(scheme, &workload, stages).map_err(|e| e.to_string())?;
-        for (name, batch, scalar) in [
-            ("power", direct.power(), pointwise.power()),
-            ("utilization", direct.utilization(), pointwise.utilization()),
-        ] {
-            let got = field_f64(point, name)?;
-            for (path, want) in [("batch", batch), ("analyze_network", scalar)] {
-                if got.to_bits() != want.to_bits() {
-                    return Err(format!(
-                        "verify: network {scheme} at {stages} stages {name} mismatch: \
-                         served {got:?} vs {path} {want:?}"
-                    ));
-                }
-                checked += 1;
-            }
         }
     }
     Ok(checked)
@@ -560,9 +561,8 @@ fn opt_json(v: Option<f64>) -> String {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    let line = build_request(&args);
+fn run(args: &Args) -> Result<(), String> {
+    let line = build_request(args);
     let queries_per_request = 4 * u64::from(args.sweep_points);
     let warmup_ms = args.warmup.as_secs_f64() * 1e3;
 
@@ -613,18 +613,6 @@ fn run() -> Result<(), String> {
     } else {
         0
     };
-
-    if args.shutdown {
-        if let Ok((mut reader, mut writer)) = connect(&args.addr) {
-            let mut response = String::new();
-            let _ = round_trip(
-                &mut reader,
-                &mut writer,
-                r#"{"cmd":"shutdown"}"#,
-                &mut response,
-            );
-        }
-    }
 
     let qps = if elapsed > 0.0 {
         queries as f64 / elapsed
@@ -874,7 +862,24 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let outcome = parse_args().and_then(|args| {
+        let outcome = run(&args);
+        // Whatever the run's outcome: a failed verify or gate must not
+        // leave the server running.
+        if args.shutdown {
+            if let Ok((mut reader, mut writer)) = connect(&args.addr) {
+                let mut response = String::new();
+                let _ = round_trip(
+                    &mut reader,
+                    &mut writer,
+                    r#"{"cmd":"shutdown"}"#,
+                    &mut response,
+                );
+            }
+        }
+        outcome
+    });
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("swcc-loadgen: {e}");

@@ -8,7 +8,8 @@
 //! query serving viable. The server keeps one cache per machine
 //! ([`MachineCaches`]: one per bus processor count, one per network
 //! stage count, each created on first use), so a key is just the two
-//! float-bit words and an entry is 32 bytes. Each cache is:
+//! float-bit words of the queue's inputs, the value the solve's two
+//! output words, and an entry 32 bytes. Each cache is:
 //!
 //! * **Sharded** — N independently locked shards, so concurrent server
 //!   threads rarely contend; the shard index is taken from bits 32 and
@@ -20,14 +21,15 @@
 //!   probe counter in [`CacheStats`] counts those hash-table lookups and
 //!   lets tests pin the constant, so neither a linear scan nor a search
 //!   that grows with the shard can quietly come back.
-//! * **Single-flight** — [`begin`](SolvedPointCache::begin) returns
+//! * **Single-flight** — admission
+//!   ([`begin_many`](SolvedPointCache::begin_many)) returns
 //!   [`Admission::Claimed`] to exactly one caller per missing key;
 //!   concurrent identical queries get [`Admission::Shared`] and block
 //!   on a [`Flight`] instead of re-solving. The claimant publishes the
 //!   value ([`publish_many`](SolvedPointCache::publish_many)) or, on
 //!   failure, aborts the claim
 //!   ([`abort_many`](SolvedPointCache::abort_many)), waking waiters
-//!   empty-handed so they can fall back to solving themselves.
+//!   empty-handed so they can fall back to admitting the key again.
 //! * **Lazy flights** — a claim is a `flights` entry with no flight
 //!   attached. The first caller that finds the key claimed allocates
 //!   the flight, and later callers share it, so a key nobody else asks
@@ -39,8 +41,9 @@
 //!   run the same per-key rules as the scalar calls, in key order
 //!   within each shard, so they answer exactly as a loop of scalar
 //!   calls would; flights are resolved after every lock is released.
-//!   The scalar `get`, `insert`, `publish` and `abort` exist only in
-//!   test builds, as the reference the batch calls must equal.
+//!   They are the cache's only entry points outside tests: the scalar
+//!   `begin`, `get`, `insert`, `publish` and `abort` exist only in test
+//!   builds, as the reference the batch calls must equal.
 //!
 //! Locks are the non-poisoning [`swcc_obs::sync`] wrappers: a worker
 //! that panics mid-insert leaves a valid (merely smaller) shard behind
@@ -143,7 +146,8 @@ impl Hasher for PointHasher {
     }
 }
 
-/// Outcome of one [`SolvedPointCache::begin`] admission.
+/// Outcome of one key's admission
+/// ([`SolvedPointCache::begin_many`]).
 #[derive(Debug)]
 pub enum Admission<V> {
     /// The value was already solved; use it directly.
@@ -350,18 +354,6 @@ impl<V: Copy> SolvedPointCache<V> {
         (self.hasher.hash_one(key) >> 32) as usize & (self.shards.len() - 1)
     }
 
-    /// Runs `body` on one key under its shard's lock.
-    fn with_shard<R>(
-        &self,
-        key: &PointKey,
-        body: impl FnOnce(&mut Shard<V>, &mut CacheStats) -> R,
-    ) -> R {
-        let mut delta = CacheStats::default();
-        let out = body(&mut self.shards[self.shard_index(key)].lock(), &mut delta);
-        self.record(delta);
-        out
-    }
-
     /// Runs `body` on every position of `keys`, taking each shard lock
     /// once: one counting sort groups the positions by shard, and each
     /// non-empty shard runs its positions in their original order, so a
@@ -412,17 +404,13 @@ impl<V: Copy> SolvedPointCache<V> {
         }
     }
 
-    /// Admission with single-flight coalescing: exactly one concurrent
-    /// caller per missing key is told [`Admission::Claimed`]; the rest
-    /// share a [`Flight`] that the first of them attaches to the claim.
-    pub fn begin(&self, key: PointKey) -> Admission<V> {
-        self.with_shard(&key, |shard, delta| shard.begin(key, delta))
-    }
-
-    /// [`begin`](SolvedPointCache::begin) on every key, taking each
-    /// shard lock once. The admissions come back in key order and equal
-    /// those of a loop of `begin` calls: the first occurrence of a
-    /// missing key is `Claimed`, later ones `Shared`.
+    /// Admits every key with single-flight coalescing, taking each
+    /// shard lock once. Exactly one concurrent caller per missing key is
+    /// told [`Admission::Claimed`]; the rest share a [`Flight`] that the
+    /// first of them attaches to the claim. The admissions come back in
+    /// key order and equal those of a loop of one-key admissions: the
+    /// first occurrence of a missing key is `Claimed`, later ones
+    /// `Shared`.
     pub fn begin_many(&self, keys: &[PointKey]) -> Vec<Admission<V>> {
         // Placeholders: the shard pass writes every position once.
         let mut out: Vec<Admission<V>> = keys.iter().map(|_| Admission::Claimed).collect();
@@ -537,6 +525,24 @@ impl<V: Copy> MachineCaches<V> {
 impl<V: Copy> SolvedPointCache<V> {
     pub(crate) fn with_shards(shards: usize) -> Self {
         Self::with_shards_and_hasher(shards, PointHashState::new())
+    }
+
+    /// Runs `body` on one key under its shard's lock.
+    fn with_shard<R>(
+        &self,
+        key: &PointKey,
+        body: impl FnOnce(&mut Shard<V>, &mut CacheStats) -> R,
+    ) -> R {
+        let mut delta = CacheStats::default();
+        let out = body(&mut self.shards[self.shard_index(key)].lock(), &mut delta);
+        self.record(delta);
+        out
+    }
+
+    /// Admits one key: the one-key reference that
+    /// [`begin_many`](SolvedPointCache::begin_many) must equal.
+    pub(crate) fn begin(&self, key: PointKey) -> Admission<V> {
+        self.with_shard(&key, |shard, delta| shard.begin(key, delta))
     }
 
     /// Looks up a solved value. Pending (in-flight) keys read as

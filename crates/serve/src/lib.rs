@@ -38,7 +38,6 @@ pub use protocol::{
     parse_request, Batch, Machine, Query, QueryKind, Request, TelemetryFormat, PROTOCOL_VERSION,
 };
 pub use server::{
-    handle_request, run_batch, run_batch_traced, spawn, BusPoint, RunningServer, ServeConfig,
-    ServeState,
+    handle_request, run_batch, run_batch_traced, spawn, RunningServer, ServeConfig, ServeState,
 };
 pub use telemetry::{PhaseSpan, RequestTrace, Telemetry, TelemetrySnapshot, TELEMETRY_SCHEMA};

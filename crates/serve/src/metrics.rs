@@ -2,12 +2,12 @@
 //!
 //! The serve layer reports traffic shape (requests, queries, batch
 //! widths), cache effectiveness (hits / misses / coalesced admissions),
-//! and solver amortization (grid calls vs lanes) through the
-//! `swcc-obs` dispatch functions. As everywhere else in the workspace,
-//! nothing is recorded unless a recorder is installed
-//! ([`swcc_obs::install`]) or a capture span is active; the binaries
-//! install a registry covering both these names and the model-layer
-//! names ([`swcc_core::metrics::register`]).
+//! and solver amortization (solver calls vs lanes). Each server records
+//! them into its own always-on registry (the one
+//! [`ServeConfig::registry`](crate::ServeConfig::registry) passes, or a
+//! private one built by [`register`]), which `stats`, `telemetry` and
+//! `/metrics` all read. The trace events below are recorded only when a
+//! trace sink is installed.
 
 use swcc_obs::RegistryBuilder;
 
@@ -30,16 +30,19 @@ pub const SERVE_OVERSIZED_LINES: &str = "serve.oversized_lines";
 /// exposition listener.
 pub const SERVE_LINE_TIMEOUTS: &str = "serve.line_timeouts";
 
-/// Query points answered from a ready cache entry.
+/// Admissions answered from a ready cache entry. These and the next two
+/// count admissions, not points: a point whose flight was lost is
+/// admitted, and counted, a second time.
 pub const SERVE_CACHE_HITS: &str = "serve.cache.hits";
-/// Query points that claimed a cold cache slot and solved it.
+/// Admissions that claimed a cold cache slot, to be solved.
 pub const SERVE_CACHE_MISSES: &str = "serve.cache.misses";
-/// Query points that attached to another request's in-flight solve
-/// instead of solving (single-flight admission).
+/// Admissions that attached to an in-flight solve instead of solving
+/// (single-flight admission), another request's or this one's.
 pub const SERVE_CACHE_COALESCED: &str = "serve.cache.coalesced";
 
-/// Batch solver calls made on behalf of cache misses (one MVA grid per
-/// distinct processor count, one Patel batch for all network lanes).
+/// Batch solver calls made on behalf of cache misses: one per machine
+/// whose misses a request solves (an MVA grid per bus processor count,
+/// a Patel batch per network stage count).
 pub const SERVE_SOLVES: &str = "serve.solves";
 /// Lanes submitted across all serve-side solver calls.
 pub const SERVE_SOLVE_LANES: &str = "serve.solve_lanes";
@@ -61,7 +64,8 @@ pub const SERVE_BATCH_WIDTH: &str = "serve.batch_width";
 /// Distribution of wall-clock microseconds per request.
 pub const SERVE_REQUEST_US: &str = "serve.request_us";
 /// Distribution of microseconds spent waiting on another request's
-/// in-flight solve (coalesced admissions only).
+/// in-flight solve: one observation per wait, a lost flight's retry
+/// included.
 pub const SERVE_FLIGHT_WAIT_US: &str = "serve.flight_wait_us";
 
 // --- Trace event names (see `swcc_obs::trace`) -------------------------

@@ -11,39 +11,45 @@
 //! touches the server's solved-point caches (the private `cache`
 //! module). There is one cache per machine, one per bus processor count
 //! and one per network stage count, each created the first time a
-//! query names its machine, so a key is just the two input words:
+//! query names its machine. A key is the bits of the queue's two input
+//! words, and an entry holds the solve's two output words:
 //!
 //! * **Bus** — `analyze_bus` depends on the workload only through the
 //!   demand `(c, b)`, and the contention solve only through
 //!   `(service, think) = (b, c − b)`. The cache key is those bits, and
-//!   the cached value is the solver outputs `(waiting,
+//!   the cached words are the solver outputs `(waiting,
 //!   bus_utilization)`. Reassembling through
 //!   [`BusPerformance::from_queue_solution`] reproduces the direct
 //!   call's getters bitwise, because [`machine_repairman_grid`] lanes
-//!   are bit-identical to scalar [`machine_repairman`] solves.
+//!   are bit-identical to scalar `machine_repairman` solves.
 //! * **Network** — likewise keyed on
 //!   `(transaction_size, transaction_rate)` bits, caching the solver's
 //!   two outputs `(think_fraction, accepted)`. Misses are solved by
-//!   [`BatchPatelSolver::solve_grid`], whose cold lanes run the same
-//!   guarded-Newton kernel as `patel::solve`. The solver builds each
-//!   point with [`OperatingPoint::from_parts`] from its lane's inputs,
-//!   which are exactly the key's bits and the machine's stage count, so
-//!   the point reassembled from the key, the machine and the cached
-//!   outputs is the solver's own, and served network results match
-//!   `analyze_network` bitwise.
+//!   [`BatchPatelSolver`], whose cold lanes run the same guarded-Newton
+//!   kernel as `patel::solve`, so a lane's bits do not depend on its
+//!   batch. The solver builds each point with
+//!   [`OperatingPoint::from_parts`] from its lane's inputs, which are
+//!   exactly the key's bits and the machine's stage count, so the point
+//!   reassembled from them and the cached outputs is the solver's own,
+//!   and served network results match `analyze_network` bitwise.
 //!
 //! Neither key names the scheme: the solved value depends on the
 //! scheme only through the demand bits, so two schemes (or two
 //! workloads) that induce the same queue share one cache entry.
 //!
+//! The machine family, bus or network, is data, not a second copy of
+//! the pipeline: a request's lanes sit in one list of groups, one per
+//! machine, and one plan, admit, solve, resolve and render step serves
+//! every group. Three functions decide what differs: the demand's
+//! system model and key, the one solver call for a machine's keys, and
+//! the answer rebuilt from the two cached words.
+//!
 //! Admission is single-flight: the first request to miss a key claims
 //! it and solves; concurrent requests for the same key attach to the
-//! in-flight solve and block only on its completion. A request's lanes
-//! are grouped by machine, and each group admits into its machine's
-//! cache with one batch call. All of one request's misses are drained
-//! into one MVA grid per bus machine and one Patel batch for every
-//! network lane, so a cold 4096-point sweep costs one lockstep solve,
-//! not 4096.
+//! in-flight solve and block only on its completion. Each group admits
+//! with one batch call, and its claims are drained into one solver
+//! call, one MVA grid or one Patel batch per machine, so a cold
+//! 4096-point sweep costs one lockstep solve, not 4096.
 //!
 //! ## Failure containment
 //!
@@ -51,9 +57,10 @@
 //! reported as an error response naming the originating request id —
 //! the connection and the process keep serving. Claimed-but-unsolved
 //! cache slots are released by a RAII guard (`ClaimSet`) during
-//! unwinding, waking any coalesced waiters, who then re-claim and solve
-//! for themselves (the retry arm of `resolve_lanes`, whose claims the
-//! same guard holds).
+//! unwinding, waking any coalesced waiters. A lane whose flight is lost
+//! that way, or whose wait times out, goes back to pending, and the same
+//! admit, solve and resolve steps take the point over under the same
+//! guard.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -64,14 +71,14 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver, Stages};
+use swcc_core::batch::{machine_repairman_grid, BatchPatelSolver};
 use swcc_core::bus::BusPerformance;
 use swcc_core::demand::{scheme_demand, Demand};
 use swcc_core::network::{NetworkPerformance, OperatingPoint};
-use swcc_core::queue::machine_repairman;
+use swcc_core::scheme::Scheme;
 use swcc_core::sensitivity::sensitivity_table_at;
 use swcc_core::system::{BusSystemModel, NetworkSystemModel};
-use swcc_core::workload::ParamId;
+use swcc_core::workload::{ParamId, WorkloadParams};
 
 use swcc_obs::{push_json_f64, push_json_str, MetricsRegistry, Recorder as _};
 
@@ -94,8 +101,9 @@ pub struct ServeConfig {
     /// this long without the first byte of a request line, and a line
     /// must complete within this long of its first byte.
     pub read_timeout: Duration,
-    /// How long a coalesced query waits on another request's in-flight
-    /// solve before re-claiming the point for itself.
+    /// How long a request waits, in all, on other requests' in-flight
+    /// solves before it admits their points again; a second wait that
+    /// long is an error.
     pub solve_timeout: Duration,
     /// The registry the server records its `serve.*` metrics into, and
     /// that `stats`, `telemetry` and `/metrics` read. It must hold
@@ -132,49 +140,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// The solved bus contention point cached per `(service, think)` in
-/// one processor count's cache: exactly the two [`machine_repairman`]
-/// outputs [`BusPerformance`] is assembled from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BusPoint {
-    /// Mean bus waiting time per transaction, `w`.
-    pub waiting: f64,
-    /// Bus (server) utilization.
-    pub bus_utilization: f64,
-}
-
-/// The solved network point cached per `(size, rate)` in one stage
-/// count's cache: exactly the two outputs of the Patel solve. The
-/// solve's inputs are the key and the machine, so
-/// [`NetPoint::operating_point`] reassembles the solver's own
-/// [`OperatingPoint`] bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct NetPoint {
-    /// The processor's think fraction `U`.
-    think_fraction: f64,
-    /// Accepted unit-request rate at the memory side, `m_n`.
-    accepted: f64,
-}
-
-impl NetPoint {
-    fn solved(point: &OperatingPoint) -> Self {
-        NetPoint {
-            think_fraction: point.think_fraction(),
-            accepted: point.accepted_rate(),
-        }
-    }
-
-    /// The point a `stages`-stage solve of `key`'s inputs returned.
-    fn operating_point(self, stages: u32, key: &PointKey) -> OperatingPoint {
-        OperatingPoint::from_parts(
-            stages,
-            f64::from_bits(key.think),
-            f64::from_bits(key.service),
-            self.think_fraction,
-            self.accepted,
-        )
-    }
-}
+/// A solve's two output words, cached per point in its machine's cache:
+/// `[waiting, bus_utilization]` on a bus, `[think_fraction, accepted]`
+/// on a network.
+type Solved = [f64; 2];
 
 /// Shared state behind all connections: one solved-point cache per
 /// machine and the telemetry hub, whose registry holds the counters
@@ -182,9 +151,9 @@ impl NetPoint {
 #[derive(Debug)]
 pub struct ServeState {
     /// One cache per bus processor count.
-    bus_points: MachineCaches<BusPoint>,
+    bus_points: MachineCaches<Solved>,
     /// One cache per network stage count.
-    net_points: MachineCaches<NetPoint>,
+    net_points: MachineCaches<Solved>,
     solve_timeout: Duration,
     shutdown: AtomicBool,
     telemetry: Telemetry,
@@ -199,6 +168,20 @@ impl ServeState {
             solve_timeout: config.solve_timeout,
             shutdown: AtomicBool::new(false),
             telemetry: Telemetry::new(config),
+        }
+    }
+
+    /// `machine`'s cache, created on first use, or the protocol's range
+    /// error for a machine the tables have no slot for.
+    fn cache(&self, machine: Machine) -> Result<&SolvedPointCache<Solved>, String> {
+        match machine {
+            Machine::Bus { processors } => self.bus_points.get(processors).ok_or_else(|| {
+                format!("\"processors\" must be between 1 and {MAX_BUS_PROCESSORS}")
+            }),
+            Machine::Network { stages } => self
+                .net_points
+                .get(stages)
+                .ok_or_else(|| format!("\"stages\" must be between 1 and {MAX_NETWORK_STAGES}")),
         }
     }
 
@@ -310,51 +293,162 @@ impl Provenance {
     }
 }
 
-enum LaneState<V> {
-    /// Claimed by this request; value lands in the [`ClaimSet`] after
-    /// the batch solve.
-    Ours(Provenance),
-    /// Answered.
-    Value(V, Provenance),
-    /// Attached to another request's in-flight solve.
-    Wait(Arc<Flight<V>>),
+// --- What a machine's family decides --------------------------------
+//
+// The bus MVA and Patel's network differ only in the demand and key, the
+// solver call and the rebuilt answer below; every pipeline step serves both.
+
+/// The demand `scheme` puts on `workload` under `machine`'s system
+/// model (`bus` for every bus machine), and the point's cache key: the
+/// bits of the queue's two inputs, `(b, c − b)` on a bus and `(b, m)`
+/// on a network, where the transaction size is `b` and the rate `m` is
+/// `1 / (c − b)`.
+fn demand_of(
+    machine: Machine,
+    scheme: Scheme,
+    workload: &WorkloadParams,
+    bus: &BusSystemModel,
+) -> swcc_core::Result<(Demand, PointKey)> {
+    let (demand, think) = match machine {
+        Machine::Bus { .. } => {
+            let demand = scheme_demand(scheme, workload, bus)?;
+            (demand, demand.think_time())
+        }
+        Machine::Network { stages } => {
+            let demand = scheme_demand(scheme, workload, &NetworkSystemModel::new(stages))?;
+            (demand, demand.transaction_rate())
+        }
+    };
+    let key = PointKey {
+        service: demand.interconnect().to_bits(),
+        think: think.to_bits(),
+    };
+    Ok((demand, key))
 }
 
-struct Lane<V> {
+/// `machine`'s one solver call for `keys`: an MVA grid over the bus's
+/// processors, or a Patel batch over the network's stages. The words
+/// come back in key order.
+fn solve_keys(machine: Machine, keys: &[PointKey]) -> swcc_core::Result<Vec<Solved>> {
+    let services: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.service)).collect();
+    let thinks: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.think)).collect();
+    Ok(match machine {
+        Machine::Bus { processors } => machine_repairman_grid(processors, &services, &thinks)?
+            .iter()
+            .map(|mva| [mva.waiting(), mva.server_utilization()])
+            .collect(),
+        Machine::Network { stages } => BatchPatelSolver::new()
+            .solve(&thinks, &services, stages)?
+            .points()
+            .iter()
+            .map(|point| [point.think_fraction(), point.accepted_rate()])
+            .collect(),
+    })
+}
+
+/// A lane's answer: the direct call's result, rebuilt from the query's
+/// machine, the lane's demand and key, and the two cached words.
+enum Answer {
+    Bus(BusPerformance),
+    Network(NetworkPerformance),
+}
+
+impl Answer {
+    fn rebuilt(query: &Query, lane: &Lane, [first, second]: Solved) -> Answer {
+        let (scheme, demand, key) = (query.scheme, lane.demand, lane.key);
+        match query.machine {
+            Machine::Bus { processors } => Answer::Bus(BusPerformance::from_queue_solution(
+                scheme, processors, demand, first, second,
+            )),
+            Machine::Network { stages } => {
+                let (rate, size) = (f64::from_bits(key.think), f64::from_bits(key.service));
+                let point = OperatingPoint::from_parts(stages, rate, size, first, second);
+                let perf = NetworkPerformance::from_operating_point(scheme, stages, demand, point);
+                Answer::Network(perf)
+            }
+        }
+    }
+
+    /// A compact response's one value: the bus waiting time for a
+    /// penalty query, the power otherwise.
+    fn value(&self, kind: QueryKind) -> f64 {
+        match self {
+            Answer::Bus(perf) if kind == QueryKind::Penalty => perf.waiting(),
+            Answer::Bus(perf) => perf.power(),
+            Answer::Network(perf) => perf.power(),
+        }
+    }
+
+    /// Writes a full response point's fields, each `"name":value,`.
+    fn push_fields(&self, out: &mut String) {
+        let fields: &[(&str, f64)] = match self {
+            Answer::Bus(perf) => &[
+                ("power", perf.power()),
+                ("utilization", perf.utilization()),
+                ("cpi", perf.cycles_per_instruction()),
+                ("waiting", perf.waiting()),
+                ("bus_utilization", perf.bus_utilization()),
+            ],
+            Answer::Network(perf) => &[
+                ("power", perf.power()),
+                ("utilization", perf.utilization()),
+                ("think_fraction", perf.operating_point().think_fraction()),
+                ("accepted_rate", perf.operating_point().accepted_rate()),
+            ],
+        };
+        for (name, value) in fields {
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\":");
+            push_json_f64(out, *value);
+            out.push(',');
+        }
+    }
+}
+
+/// The family's name: the `serve.solve` span's `machine` field, the
+/// suffix of its solve phase and the prefix of its solve errors.
+fn family(machine: Machine) -> &'static str {
+    match machine {
+        Machine::Bus { .. } => "bus",
+        Machine::Network { .. } => "network",
+    }
+}
+
+enum LaneState {
+    /// Not admitted yet, or its flight was lost: the next [`admit`]
+    /// admits it.
+    Pending,
+    /// Claimed by this request; value lands in the [`ClaimSet`] after
+    /// the solve.
+    Ours(Provenance),
+    /// Answered.
+    Value(Solved, Provenance),
+    /// Attached to another request's in-flight solve.
+    Wait(Arc<Flight<Solved>>),
+}
+
+struct Lane {
     key: PointKey,
     demand: Demand,
-    state: LaneState<V>,
+    state: LaneState,
 }
 
 /// RAII over this request's claimed slots in one machine's cache: a
 /// claim is pending (`None`) until `publish_many` records its value;
 /// anything still pending on drop (solver error, panic) is aborted so
 /// coalesced waiters wake and re-claim.
-struct ClaimSet<'a, V: Copy> {
-    cache: &'a SolvedPointCache<V>,
-    claims: HashMap<PointKey, Option<V>, PointHashState>,
+struct ClaimSet<'a> {
+    cache: &'a SolvedPointCache<Solved>,
+    claims: HashMap<PointKey, Option<Solved>, PointHashState>,
 }
 
-impl<'a, V: Copy> ClaimSet<'a, V> {
-    fn new(cache: &'a SolvedPointCache<V>) -> Self {
+impl<'a> ClaimSet<'a> {
+    fn new(cache: &'a SolvedPointCache<Solved>) -> Self {
         ClaimSet {
             cache,
             claims: HashMap::with_hasher(PointHashState::new()),
         }
-    }
-
-    fn claim(&mut self, key: PointKey) {
-        self.claims.insert(key, None);
-    }
-
-    /// Admits one key outside the batch, for the retry arm of
-    /// [`resolve_lanes`]; a claim it wins is owned by this set.
-    fn begin(&mut self, key: PointKey) -> Admission<V> {
-        let admission = self.cache.begin(key);
-        if let Admission::Claimed = admission {
-            self.claim(key);
-        }
-        admission
     }
 
     fn owns(&self, key: &PointKey) -> bool {
@@ -369,19 +463,19 @@ impl<'a, V: Copy> ClaimSet<'a, V> {
             .collect()
     }
 
-    fn publish_many(&mut self, keys: &[PointKey], values: &[V]) {
+    fn publish_many(&mut self, keys: &[PointKey], values: &[Solved]) {
         self.cache.publish_many(keys, values);
         for (key, value) in keys.iter().zip(values) {
             self.claims.insert(*key, Some(*value));
         }
     }
 
-    fn solved(&self, key: &PointKey) -> Option<V> {
+    fn solved(&self, key: &PointKey) -> Option<Solved> {
         self.claims.get(key).copied().flatten()
     }
 }
 
-impl<V: Copy> Drop for ClaimSet<'_, V> {
+impl Drop for ClaimSet<'_> {
     fn drop(&mut self) {
         let pending = self.pending_keys();
         if !pending.is_empty() {
@@ -392,44 +486,52 @@ impl<V: Copy> Drop for ClaimSet<'_, V> {
 
 /// One machine's lanes of a request, in plan order, admitted into that
 /// machine's cache through their own claims.
-struct Group<'a, V: Copy> {
-    /// The bus processor count or the network stage count.
-    machine: u32,
-    lanes: Vec<Lane<V>>,
-    claims: ClaimSet<'a, V>,
+struct Group<'a> {
+    machine: Machine,
+    lanes: Vec<Lane>,
+    claims: ClaimSet<'a>,
 }
 
-/// `machine`'s group and its index, appended with that machine's cache
-/// the first time the request names it; `None` for a machine `caches`
-/// has no slot for. A request names few machines, so a search per query
-/// is enough.
-fn group_of<'g, 'a, V: Copy>(
-    groups: &'g mut Vec<Group<'a, V>>,
-    caches: &'a MachineCaches<V>,
-    machine: u32,
-) -> Option<(usize, &'g mut Group<'a, V>)> {
+/// `machine`'s group's index and lanes, the group appended with that
+/// machine's cache the first time the request names it. A request names
+/// few machines, so a search per query is enough.
+fn group_of<'g, 'a>(
+    groups: &'g mut Vec<Group<'a>>,
+    state: &'a ServeState,
+    machine: Machine,
+) -> Result<(usize, &'g mut Vec<Lane>), String> {
     let index = match groups.iter().position(|g| g.machine == machine) {
         Some(index) => index,
         None => {
             groups.push(Group {
                 machine,
                 lanes: Vec::new(),
-                claims: ClaimSet::new(caches.get(machine)?),
+                claims: ClaimSet::new(state.cache(machine)?),
             });
             groups.len() - 1
         }
     };
-    Some((index, groups.get_mut(index)?))
+    let group = groups.get_mut(index).ok_or("internal: no such group")?;
+    Ok((index, &mut group.lanes))
 }
 
-/// Admits every lane of `group` with one shard-grouped `begin_many`,
+/// Admits `group`'s pending lanes with one shard-grouped `begin_many`,
 /// counting each admission into the request's trace.
-fn admit<V: Copy>(group: &mut Group<'_, V>, trace: &mut RequestTrace) {
+fn admit(group: &mut Group<'_>, trace: &mut RequestTrace) {
+    let keys: Vec<PointKey> = group
+        .lanes
+        .iter()
+        .filter(|lane| matches!(lane.state, LaneState::Pending))
+        .map(|lane| lane.key)
+        .collect();
     let claims = &mut group.claims;
-    let keys: Vec<PointKey> = group.lanes.iter().map(|lane| lane.key).collect();
     claims.claims.reserve(keys.len());
     let admissions = claims.cache.begin_many(&keys);
-    for (lane, admission) in group.lanes.iter_mut().zip(admissions) {
+    let pending = group
+        .lanes
+        .iter_mut()
+        .filter(|lane| matches!(lane.state, LaneState::Pending));
+    for (lane, admission) in pending.zip(admissions) {
         lane.state = match admission {
             Admission::Hit(v) => {
                 trace.hits += 1;
@@ -437,7 +539,7 @@ fn admit<V: Copy>(group: &mut Group<'_, V>, trace: &mut RequestTrace) {
             }
             Admission::Claimed => {
                 trace.misses += 1;
-                claims.claim(lane.key);
+                claims.claims.insert(lane.key, None);
                 LaneState::Ours(Provenance::Miss)
             }
             Admission::Shared(flight) => {
@@ -445,7 +547,7 @@ fn admit<V: Copy>(group: &mut Group<'_, V>, trace: &mut RequestTrace) {
                 if claims.owns(&lane.key) {
                     // A duplicate point within this request coalesces
                     // onto our own claim; its value is in the ClaimSet
-                    // after the batch solve, no waiting needed.
+                    // after the solve, no waiting needed.
                     LaneState::Ours(Provenance::Coalesced)
                 } else {
                     LaneState::Wait(flight)
@@ -455,123 +557,118 @@ fn admit<V: Copy>(group: &mut Group<'_, V>, trace: &mut RequestTrace) {
     }
 }
 
-/// Settles every lane to a value: claimed lanes read the batch-solve
-/// result, coalesced lanes wait on the owning request's flight — with
-/// one re-claim retry if that request aborted or the wait timed out. A
-/// retry's claim joins `claims`, so an error or a panic in `solve_one`
-/// releases it like the batch's own. Each wait is observed into
-/// `registry` and added to `wait_us`.
-fn resolve_lanes<V: Copy>(
-    lanes: &mut [Lane<V>],
-    claims: &mut ClaimSet<'_, V>,
-    timeout: Duration,
-    registry: &MetricsRegistry,
+/// Solves the claims `group` has not published yet with its machine's
+/// one solver call, and publishes them. Returns the lanes it solved.
+fn solve(state: &ServeState, group: &mut Group<'_>) -> Result<usize, String> {
+    let keys = group.claims.pending_keys();
+    if keys.is_empty() {
+        return Ok(0);
+    }
+    let family = family(group.machine);
+    let _solve_span = swcc_obs::span(
+        metrics::EV_SERVE_SOLVE,
+        &[
+            swcc_obs::Field::str("machine", family),
+            swcc_obs::Field::u64("lanes", keys.len() as u64),
+        ],
+    );
+    let values =
+        solve_keys(group.machine, &keys).map_err(|e| format!("{family} solve failed: {e}"))?;
+    state.count(metrics::SERVE_SOLVES, 1);
+    state.count(metrics::SERVE_SOLVE_LANES, keys.len() as u64);
+    group.claims.publish_many(&keys, &values);
+    Ok(keys.len())
+}
+
+/// Settles `group`'s lanes where it can: a claimed lane reads the value
+/// its solve published, and a coalesced lane waits on the owning
+/// request's flight until `deadline`, each wait observed into the
+/// registry and added to `wait_us`. A lane whose flight is lost (the
+/// owner aborted, or the deadline passed) goes back to pending. Returns
+/// how many did.
+fn resolve(
+    state: &ServeState,
+    group: &mut Group<'_>,
+    deadline: Instant,
     wait_us: &mut f64,
-    solve_one: &mut dyn FnMut(&PointKey) -> Result<V, String>,
-) -> Result<(), String> {
-    for lane in lanes.iter_mut() {
+) -> Result<usize, String> {
+    let registry = state.telemetry.metrics();
+    let mut lost = 0;
+    for lane in &mut group.lanes {
         let next = match &lane.state {
             LaneState::Value(..) => continue,
+            LaneState::Pending => return Err("internal: lane left unadmitted".to_string()),
             LaneState::Ours(provenance) => {
-                let v = claims
+                let v = group
+                    .claims
                     .solved(&lane.key)
-                    .ok_or("internal: claimed point missing after batch solve")?;
+                    .ok_or("internal: claimed point missing after its solve")?;
                 LaneState::Value(v, *provenance)
             }
             LaneState::Wait(flight) => {
                 let started = Instant::now();
-                let got = flight.wait_for(timeout);
+                let got = flight.wait_for(deadline.saturating_duration_since(started));
                 let waited_us = started.elapsed().as_secs_f64() * 1e6;
                 *wait_us += waited_us;
                 registry.observe(metrics::SERVE_FLIGHT_WAIT_US, waited_us);
                 match got {
                     Some(v) => LaneState::Value(v, Provenance::Coalesced),
-                    // The owning request aborted (solver error or
-                    // panic) or is stuck past the timeout: take the
-                    // point over ourselves.
-                    None => match claims.begin(lane.key) {
-                        Admission::Hit(v) => LaneState::Value(v, Provenance::Coalesced),
-                        Admission::Claimed => {
-                            let v = solve_one(&lane.key)?;
-                            claims.publish_many(&[lane.key], &[v]);
-                            LaneState::Value(v, Provenance::Miss)
-                        }
-                        Admission::Shared(flight) => match flight.wait_for(timeout) {
-                            Some(v) => LaneState::Value(v, Provenance::Coalesced),
-                            None => {
-                                return Err("timed out waiting for an in-flight solve".to_string())
-                            }
-                        },
-                    },
+                    None => {
+                        lost += 1;
+                        LaneState::Pending
+                    }
                 }
             }
         };
         lane.state = next;
     }
-    Ok(())
+    Ok(lost)
 }
 
-fn lane_value<V: Copy>(lane: &Lane<V>) -> Result<(V, Provenance), String> {
+/// Resolves every group's lanes (after this request's publishes, so a
+/// duplicate key never deadlocks on itself). Lanes whose flight was
+/// lost are admitted, solved and resolved once more by the same steps,
+/// so the retry's admissions, solve and waits are counted like the
+/// first; a flight lost twice is an error.
+fn settle(
+    state: &ServeState,
+    groups: &mut [Group<'_>],
+    trace: &mut RequestTrace,
+) -> Result<(), String> {
+    for retry in [false, true] {
+        if retry {
+            for group in groups.iter_mut() {
+                admit(group, trace);
+                solve(state, group)?;
+            }
+        }
+        // One deadline per round: an owner that never publishes costs
+        // the request one timeout, however many of its lanes wait on it.
+        let deadline = Instant::now() + state.solve_timeout;
+        let mut lost = 0;
+        for group in groups.iter_mut() {
+            lost += resolve(state, group, deadline, &mut trace.flight_wait_us)?;
+        }
+        if lost == 0 {
+            return Ok(());
+        }
+    }
+    Err("timed out waiting for an in-flight solve".to_string())
+}
+
+fn lane_value(lane: &Lane) -> Result<(Solved, Provenance), String> {
     match &lane.state {
         LaneState::Value(v, p) => Ok((*v, *p)),
-        // resolve_lanes settles every lane; answering an internal
-        // error beats panicking mid-response if that ever regresses.
+        // settle() settles every lane; answering an internal error
+        // beats panicking mid-response if that ever regresses.
         _ => Err("internal: lane left unsettled after resolve".to_string()),
     }
-}
-
-fn bus_key(demand: &Demand) -> PointKey {
-    PointKey {
-        service: demand.interconnect().to_bits(),
-        think: demand.think_time().to_bits(),
-    }
-}
-
-fn net_key(demand: &Demand) -> PointKey {
-    PointKey {
-        service: demand.transaction_size().to_bits(),
-        think: demand.transaction_rate().to_bits(),
-    }
-}
-
-fn solve_bus_one(processors: u32, key: &PointKey) -> Result<BusPoint, String> {
-    let mva = machine_repairman(
-        processors,
-        f64::from_bits(key.service),
-        f64::from_bits(key.think),
-    )
-    .map_err(|e| e.to_string())?;
-    Ok(BusPoint {
-        waiting: mva.waiting(),
-        bus_utilization: mva.server_utilization(),
-    })
-}
-
-fn solve_net_one(stages: u32, key: &PointKey) -> Result<NetPoint, String> {
-    let batch = BatchPatelSolver::new()
-        .solve_grid(
-            &[f64::from_bits(key.think)],
-            &[f64::from_bits(key.service)],
-            &Stages::Uniform(stages),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-    batch
-        .points()
-        .first()
-        .map(NetPoint::solved)
-        .ok_or_else(|| "internal: one-lane network solve returned no points".to_string())
 }
 
 /// Where a query's answer comes from: its points are `len` lanes of
 /// one machine's group, from `start`, or a sensitivity ranking.
 enum QueryPlan {
-    Bus {
-        group: usize,
-        start: usize,
-        len: usize,
-    },
-    Net {
+    Lanes {
         group: usize,
         start: usize,
         len: usize,
@@ -579,11 +676,6 @@ enum QueryPlan {
     Sensitivity {
         ranking: Vec<(ParamId, f64)>,
     },
-}
-
-fn record_solve(state: &ServeState, lanes: usize) {
-    state.count(metrics::SERVE_SOLVES, 1);
-    state.count(metrics::SERVE_SOLVE_LANES, lanes as u64);
 }
 
 /// Executes one parsed batch and renders its response line.
@@ -613,79 +705,47 @@ pub fn run_batch_traced(
     let started = Instant::now();
     let bus_system = BusSystemModel::new();
 
-    // --- Plan: expand every query point to a cache key + demand, in
-    // its machine's group. ---------------------------------------------
+    // --- Plan: expand every query point to a demand and a cache key,
+    // in its machine's group. -------------------------------------------
     let phase_started = Instant::now();
     let mut plans: Vec<QueryPlan> = Vec::with_capacity(batch.queries.len());
-    let mut bus_groups: Vec<Group<'_, BusPoint>> = Vec::new();
-    let mut net_groups: Vec<Group<'_, NetPoint>> = Vec::new();
+    let mut groups: Vec<Group<'_>> = Vec::new();
     let mut points = 0u64;
     for (i, query) in batch.queries.iter().enumerate() {
         // Log the protocol's wire spelling ("software-flush"), not the
         // human Display name ("Software-Flush").
         trace.note_scheme(&query.scheme.to_string().to_ascii_lowercase());
-        match query.machine {
-            Machine::Bus { processors } => {
-                if query.kind == QueryKind::Sensitivity {
-                    let workload = query
-                        .workloads
-                        .first()
-                        .ok_or_else(|| format!("query {i}: no workload to rank"))?;
-                    let table = sensitivity_table_at(processors, workload)
-                        .map_err(|e| format!("query {i}: {e}"))?;
-                    points += 1;
-                    plans.push(QueryPlan::Sensitivity {
-                        ranking: table.ranking(query.scheme),
-                    });
-                    continue;
-                }
-                let (group, Group { lanes, .. }) =
-                    group_of(&mut bus_groups, &state.bus_points, processors).ok_or_else(|| {
-                        format!(
-                            "query {i}: \"processors\" must be between 1 and {MAX_BUS_PROCESSORS}"
-                        )
-                    })?;
-                let start = lanes.len();
-                for w in &query.workloads {
-                    let demand = scheme_demand(query.scheme, w, &bus_system)
-                        .map_err(|e| format!("query {i}: {e}"))?;
-                    lanes.push(Lane {
-                        key: bus_key(&demand),
-                        demand,
-                        state: LaneState::Ours(Provenance::Miss), // placeholder until admission
-                    });
-                }
-                points += query.workloads.len() as u64;
-                plans.push(QueryPlan::Bus {
-                    group,
-                    start,
-                    len: query.workloads.len(),
-                });
-            }
-            Machine::Network { stages } => {
-                let system = NetworkSystemModel::new(stages);
-                let (group, Group { lanes, .. }) =
-                    group_of(&mut net_groups, &state.net_points, stages).ok_or_else(|| {
-                        format!("query {i}: \"stages\" must be between 1 and {MAX_NETWORK_STAGES}")
-                    })?;
-                let start = lanes.len();
-                for w in &query.workloads {
-                    let demand = scheme_demand(query.scheme, w, &system)
-                        .map_err(|e| format!("query {i}: {e}"))?;
-                    lanes.push(Lane {
-                        key: net_key(&demand),
-                        demand,
-                        state: LaneState::Ours(Provenance::Miss),
-                    });
-                }
-                points += query.workloads.len() as u64;
-                plans.push(QueryPlan::Net {
-                    group,
-                    start,
-                    len: query.workloads.len(),
-                });
-            }
+        if let (QueryKind::Sensitivity, Machine::Bus { processors }) = (query.kind, query.machine) {
+            let workload = query
+                .workloads
+                .first()
+                .ok_or_else(|| format!("query {i}: no workload to rank"))?;
+            let table = sensitivity_table_at(processors, workload)
+                .map_err(|e| format!("query {i}: {e}"))?;
+            points += 1;
+            plans.push(QueryPlan::Sensitivity {
+                ranking: table.ranking(query.scheme),
+            });
+            continue;
         }
+        let (group, lanes) =
+            group_of(&mut groups, state, query.machine).map_err(|e| format!("query {i}: {e}"))?;
+        let start = lanes.len();
+        for workload in &query.workloads {
+            let (demand, key) = demand_of(query.machine, query.scheme, workload, &bus_system)
+                .map_err(|e| format!("query {i}: {e}"))?;
+            lanes.push(Lane {
+                key,
+                demand,
+                state: LaneState::Pending,
+            });
+        }
+        points += query.workloads.len() as u64;
+        plans.push(QueryPlan::Lanes {
+            group,
+            start,
+            len: query.workloads.len(),
+        });
     }
 
     trace.queries = batch.queries.len() as u64;
@@ -703,116 +763,27 @@ pub fn run_batch_traced(
 
     // --- Admit: one shard-grouped begin_many() per machine. ----------
     let phase_started = Instant::now();
-    for group in &mut bus_groups {
-        admit(group, trace);
-    }
-    for group in &mut net_groups {
+    for group in &mut groups {
         admit(group, trace);
     }
     trace.phase("admit", phase_started, started, 0);
 
-    // --- Solve: drain each bus machine's claims into one MVA grid, and
-    // every network machine's into one Patel batch.
-    let phase_started = Instant::now();
-    let mut bus_solved = 0;
-    for group in &mut bus_groups {
-        let keys = group.claims.pending_keys();
-        if keys.is_empty() {
-            continue;
-        }
-        let services: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.service)).collect();
-        let thinks: Vec<f64> = keys.iter().map(|k| f64::from_bits(k.think)).collect();
-        let _solve_span = swcc_obs::span(
-            metrics::EV_SERVE_SOLVE,
-            &[
-                swcc_obs::Field::str("machine", "bus"),
-                swcc_obs::Field::u64("lanes", keys.len() as u64),
-            ],
-        );
-        let grid = machine_repairman_grid(group.machine, &services, &thinks)
-            .map_err(|e| format!("bus solve failed: {e}"))?;
-        record_solve(state, keys.len());
-        let values: Vec<BusPoint> = grid
-            .iter()
-            .map(|mva| BusPoint {
-                waiting: mva.waiting(),
-                bus_utilization: mva.server_utilization(),
-            })
-            .collect();
-        group.claims.publish_many(&keys, &values);
-        bus_solved += keys.len();
-    }
-    if bus_solved > 0 {
-        trace.phase("solve.bus", phase_started, started, bus_solved as u64);
-    }
-    let net_pending: Vec<Vec<PointKey>> = net_groups
-        .iter()
-        .map(|group| group.claims.pending_keys())
-        .collect();
-    let net_lanes: usize = net_pending.iter().map(Vec::len).sum();
-    if net_lanes > 0 {
+    // --- Solve: one solver call per machine with claims, timed one
+    // family at a time.
+    for (name, phase) in [("bus", "solve.bus"), ("network", "solve.network")] {
         let phase_started = Instant::now();
-        let mut rates = Vec::with_capacity(net_lanes);
-        let mut sizes = Vec::with_capacity(net_lanes);
-        let mut stage_counts = Vec::with_capacity(net_lanes);
-        for (group, keys) in net_groups.iter().zip(&net_pending) {
-            for key in keys {
-                rates.push(f64::from_bits(key.think));
-                sizes.push(f64::from_bits(key.service));
-                stage_counts.push(group.machine);
-            }
+        let mut solved = 0;
+        for group in groups.iter_mut().filter(|g| family(g.machine) == name) {
+            solved += solve(state, group)?;
         }
-        let _solve_span = swcc_obs::span(
-            metrics::EV_SERVE_SOLVE,
-            &[
-                swcc_obs::Field::str("machine", "network"),
-                swcc_obs::Field::u64("lanes", net_lanes as u64),
-            ],
-        );
-        let batch_solution = BatchPatelSolver::new()
-            .solve_grid(&rates, &sizes, &Stages::PerLane(&stage_counts), None)
-            .map_err(|e| format!("network solve failed: {e}"))?;
-        record_solve(state, net_lanes);
-        let mut solved = batch_solution.points();
-        for (group, keys) in net_groups.iter_mut().zip(&net_pending) {
-            let (slice, rest) = solved
-                .split_at_checked(keys.len())
-                .ok_or("internal: network solve returned too few points")?;
-            solved = rest;
-            let values: Vec<NetPoint> = slice.iter().map(NetPoint::solved).collect();
-            group.claims.publish_many(keys, &values);
+        if solved > 0 {
+            trace.phase(phase, phase_started, started, solved as u64);
         }
-        trace.phase("solve.network", phase_started, started, net_lanes as u64);
     }
 
-    // --- Resolve: settle coalesced waits (after our publishes, so a
-    // duplicate key never deadlocks on itself).
+    // --- Resolve: settle coalesced waits, retrying lost flights. -----
     let phase_started = Instant::now();
-    let registry = state.telemetry.metrics();
-    let mut flight_wait_us = 0.0;
-    for group in &mut bus_groups {
-        let processors = group.machine;
-        resolve_lanes(
-            &mut group.lanes,
-            &mut group.claims,
-            state.solve_timeout,
-            registry,
-            &mut flight_wait_us,
-            &mut |key| solve_bus_one(processors, key),
-        )?;
-    }
-    for group in &mut net_groups {
-        let stages = group.machine;
-        resolve_lanes(
-            &mut group.lanes,
-            &mut group.claims,
-            state.solve_timeout,
-            registry,
-            &mut flight_wait_us,
-            &mut |key| solve_net_one(stages, key),
-        )?;
-    }
-    trace.flight_wait_us = flight_wait_us;
+    settle(state, &mut groups, trace)?;
     trace.phase("resolve", phase_started, started, 0);
 
     // --- Render. ------------------------------------------------------
@@ -849,19 +820,12 @@ pub fn run_batch_traced(
                 }
                 out.push_str("]}");
             }
-            QueryPlan::Bus { group, start, len } => {
-                let lanes = bus_groups
+            QueryPlan::Lanes { group, start, len } => {
+                let lanes = groups
                     .get(*group)
                     .and_then(|g| g.lanes.get(*start..*start + *len))
-                    .ok_or_else(|| format!("internal: bus plan for query {qi} out of range"))?;
-                render_bus_query(&mut out, query, lanes, batch.compact)?;
-            }
-            QueryPlan::Net { group, start, len } => {
-                let lanes = net_groups
-                    .get(*group)
-                    .and_then(|g| g.lanes.get(*start..*start + *len))
-                    .ok_or_else(|| format!("internal: net plan for query {qi} out of range"))?;
-                render_net_query(&mut out, query, lanes, batch.compact)?;
+                    .ok_or_else(|| format!("internal: plan for query {qi} out of range"))?;
+                render_query(&mut out, query, lanes, batch.compact)?;
             }
         }
     }
@@ -875,58 +839,18 @@ pub fn run_batch_traced(
     Ok(out)
 }
 
-/// Writes a compact query's `values` array: `primary` of each lane. A
-/// lane whose value has the previous lane's bits repeats that lane's
-/// text rather than formatting the float again, so a run of identical
-/// points (a Base `shd` sweep is one) is formatted once.
-fn render_values<V: Copy>(
-    out: &mut String,
-    lanes: &[Lane<V>],
-    primary: impl Fn(&Lane<V>, V) -> f64,
-) -> Result<(), String> {
-    out.push_str("{\"values\":[");
-    let mut previous: Option<(u64, std::ops::Range<usize>)> = None;
-    for (j, lane) in lanes.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let (v, _) = lane_value(lane)?;
-        let value = primary(lane, v);
-        match &previous {
-            Some((bits, text)) if *bits == value.to_bits() => out.extend_from_within(text.clone()),
-            _ => {
-                let start = out.len();
-                push_json_f64(out, value);
-                previous = Some((value.to_bits(), start..out.len()));
-            }
-        }
-    }
-    out.push_str("]}");
-    Ok(())
-}
-
-fn render_bus_query(
+/// Writes one query's answer: in a compact response its `values`
+/// array, in a full one a `points` array of every field and the point's
+/// provenance.
+fn render_query(
     out: &mut String,
     query: &Query,
-    lanes: &[Lane<BusPoint>],
+    lanes: &[Lane],
     compact: bool,
 ) -> Result<(), String> {
-    let Machine::Bus { processors } = query.machine else {
-        return Err("internal: bus plan paired with a non-bus machine".to_string());
-    };
-    let perf_of = |lane: &Lane<BusPoint>, v: BusPoint| {
-        BusPerformance::from_queue_solution(
-            query.scheme,
-            processors,
-            lane.demand,
-            v.waiting,
-            v.bus_utilization,
-        )
-    };
     if compact {
-        return render_values(out, lanes, |lane, v| match query.kind {
-            QueryKind::Penalty => perf_of(lane, v).waiting(),
-            _ => perf_of(lane, v).power(),
+        return render_values(out, lanes, |lane, v| {
+            Answer::rebuilt(query, lane, v).value(query.kind)
         });
     }
     out.push_str("{\"points\":[");
@@ -935,24 +859,14 @@ fn render_bus_query(
             out.push(',');
         }
         let (v, provenance) = lane_value(lane)?;
-        let perf = perf_of(lane, v);
         out.push('{');
         if let Some(value) = query.sweep_values.get(j) {
             out.push_str("\"value\":");
             push_json_f64(out, *value);
             out.push(',');
         }
-        out.push_str("\"power\":");
-        push_json_f64(out, perf.power());
-        out.push_str(",\"utilization\":");
-        push_json_f64(out, perf.utilization());
-        out.push_str(",\"cpi\":");
-        push_json_f64(out, perf.cycles_per_instruction());
-        out.push_str(",\"waiting\":");
-        push_json_f64(out, perf.waiting());
-        out.push_str(",\"bus_utilization\":");
-        push_json_f64(out, perf.bus_utilization());
-        out.push_str(",\"cached\":");
+        Answer::rebuilt(query, lane, v).push_fields(out);
+        out.push_str("\"cached\":");
         push_json_str(out, provenance.name());
         out.push('}');
     }
@@ -960,51 +874,31 @@ fn render_bus_query(
     Ok(())
 }
 
-fn render_net_query(
+/// Writes a compact query's `values` array: `value` of each lane. A
+/// lane whose value has the previous lane's bits repeats that lane's
+/// text rather than formatting the float again, so a run of identical
+/// points (a Base `shd` sweep is one) is formatted once.
+fn render_values(
     out: &mut String,
-    query: &Query,
-    lanes: &[Lane<NetPoint>],
-    compact: bool,
+    lanes: &[Lane],
+    value: impl Fn(&Lane, Solved) -> f64,
 ) -> Result<(), String> {
-    let Machine::Network { stages } = query.machine else {
-        return Err("internal: net plan paired with a non-network machine".to_string());
-    };
-    let perf_of = |lane: &Lane<NetPoint>, v: NetPoint| {
-        NetworkPerformance::from_operating_point(
-            query.scheme,
-            stages,
-            lane.demand,
-            v.operating_point(stages, &lane.key),
-        )
-    };
-    if compact {
-        return render_values(out, lanes, |lane, v| perf_of(lane, v).power());
-    }
-    out.push_str("{\"points\":[");
+    out.push_str("{\"values\":[");
+    let mut previous: Option<(u64, std::ops::Range<usize>)> = None;
     for (j, lane) in lanes.iter().enumerate() {
         if j > 0 {
             out.push(',');
         }
-        let (v, provenance) = lane_value(lane)?;
-        let perf = perf_of(lane, v);
-        let point = perf.operating_point();
-        out.push('{');
-        if let Some(value) = query.sweep_values.get(j) {
-            out.push_str("\"value\":");
-            push_json_f64(out, *value);
-            out.push(',');
+        let (v, _) = lane_value(lane)?;
+        let value = value(lane, v);
+        match &previous {
+            Some((bits, text)) if *bits == value.to_bits() => out.extend_from_within(text.clone()),
+            _ => {
+                let start = out.len();
+                push_json_f64(out, value);
+                previous = Some((value.to_bits(), start..out.len()));
+            }
         }
-        out.push_str("\"power\":");
-        push_json_f64(out, perf.power());
-        out.push_str(",\"utilization\":");
-        push_json_f64(out, perf.utilization());
-        out.push_str(",\"think_fraction\":");
-        push_json_f64(out, point.think_fraction());
-        out.push_str(",\"accepted_rate\":");
-        push_json_f64(out, point.accepted_rate());
-        out.push_str(",\"cached\":");
-        push_json_str(out, provenance.name());
-        out.push('}');
     }
     out.push_str("]}");
     Ok(())
@@ -1498,10 +1392,10 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::protocol::parse_request;
+    use swcc_core::batch::Stages;
     use swcc_core::bus::analyze_bus;
     use swcc_core::network::analyze_network;
-    use swcc_core::scheme::Scheme;
-    use swcc_core::workload::{Level, WorkloadParams};
+    use swcc_core::workload::Level;
 
     fn state() -> ServeState {
         ServeState::new(&ServeConfig::default())
@@ -1591,11 +1485,10 @@ mod tests {
     }
 
     /// An entry of either family's cache is two key words and two solved
-    /// floats; a field that grows one fails here.
+    /// words; a field that grows one fails here.
     #[test]
     fn a_solved_point_entry_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<(PointKey, BusPoint)>(), 32);
-        assert_eq!(std::mem::size_of::<(PointKey, NetPoint)>(), 32);
+        assert_eq!(std::mem::size_of::<(PointKey, Solved)>(), 32);
     }
 
     /// Bus demand does not depend on the processor count, so one
@@ -1811,50 +1704,166 @@ mod tests {
         );
     }
 
+    /// A retry's claim joins its group's `ClaimSet`, so a solver error
+    /// or an unwind while the claim is held releases it like the first
+    /// admission's claims.
     #[test]
     fn a_retry_claim_is_released_when_its_solve_panics_or_fails() {
-        let cache: SolvedPointCache<BusPoint> = SolvedPointCache::new();
-        let demand = scheme_demand(
+        let state = state();
+        let machine = Machine::Bus { processors: 4 };
+        let cache = state.cache(machine).unwrap();
+        let (demand, _) = demand_of(
+            machine,
             Scheme::Base,
             &WorkloadParams::at_level(Level::Middle),
             &BusSystemModel::new(),
         )
         .unwrap();
-        let key = bus_key(&demand);
-        type Solve = fn(&PointKey) -> Result<BusPoint, String>;
-        let panics: Solve = |_| panic!("solver exploded");
-        let fails: Solve = |_| Err("solver failed".to_string());
-        for solve in [panics, fails] {
-            // Another request claims the point, this one attaches to the
-            // claim, and the owner aborts: the retry arm re-claims it.
+        // A key the MVA input check rejects: a NaN service time.
+        let key = PointKey {
+            service: f64::NAN.to_bits(),
+            think: demand.think_time().to_bits(),
+        };
+        for unwinds in [false, true] {
+            // Another request claims the point, this one's lane attaches
+            // to the claim, and the owner aborts: the flight is lost.
             assert!(matches!(cache.begin(key), Admission::Claimed));
             let Admission::Shared(flight) = cache.begin(key) else {
                 panic!("expected to share the claim");
             };
             cache.abort(&key);
-            let mut lanes = vec![Lane {
-                key,
-                demand,
-                state: LaneState::Wait(flight),
-            }];
-            let registry = metrics::register(swcc_obs::RegistryBuilder::new()).build();
-            let resolved = catch_unwind(AssertUnwindSafe(|| {
-                let mut claims = ClaimSet::new(&cache);
-                resolve_lanes(
-                    &mut lanes,
-                    &mut claims,
-                    Duration::from_secs(5),
-                    &registry,
-                    &mut 0.0,
-                    &mut |k| solve(k),
-                )
+            let mut group = Group {
+                machine,
+                lanes: vec![Lane {
+                    key,
+                    demand,
+                    state: LaneState::Wait(flight),
+                }],
+                claims: ClaimSet::new(cache),
+            };
+            let settled = catch_unwind(AssertUnwindSafe(|| {
+                let mut trace = RequestTrace::default();
+                if unwinds {
+                    // The group's own steps up to the retry's claim,
+                    // then an unwind while it is held.
+                    assert_eq!(resolve(&state, &mut group, Instant::now(), &mut 0.0), Ok(1));
+                    admit(&mut group, &mut trace);
+                    assert!(group.claims.owns(&key), "the retry claimed the point");
+                    panic!("solver exploded");
+                }
+                settle(&state, std::slice::from_mut(&mut group), &mut trace)
             }));
-            assert!(!matches!(resolved, Ok(Ok(()))));
+            drop(group);
+            match settled {
+                Ok(Err(e)) => assert!(!unwinds && e.starts_with("bus solve failed"), "{e}"),
+                Err(_) => assert!(unwinds),
+                Ok(Ok(())) => panic!("a NaN service time solved"),
+            }
             // The retry's claim was released, so the next caller claims
             // the point instead of waiting on an orphaned claim.
             assert!(matches!(cache.begin(key), Admission::Claimed));
             cache.abort(&key);
         }
+    }
+
+    /// A flight lost twice (another request's claim never published)
+    /// is an error, and both of its admissions and both waits are
+    /// counted alike by the cache, the registry and the histogram.
+    #[test]
+    fn a_lost_flight_is_counted_once_everywhere() {
+        let state = ServeState::new(&ServeConfig {
+            solve_timeout: Duration::from_millis(1),
+            ..ServeConfig::default()
+        });
+        let machine = Machine::Bus { processors: 4 };
+        let (_, key) = demand_of(
+            machine,
+            Scheme::Base,
+            &WorkloadParams::at_level(Level::Middle),
+            &BusSystemModel::new(),
+        )
+        .unwrap();
+        let cache = state.cache(machine).unwrap();
+        assert!(matches!(cache.begin(key), Admission::Claimed));
+        let before = cache.stats();
+        let line =
+            r#"{"queries":[{"scheme":"base","machine":{"interconnect":"bus","processors":4}}]}"#;
+        let (response, _) = handle_request(&state, line);
+        assert!(
+            response.contains("timed out waiting for an in-flight solve"),
+            "{response}"
+        );
+        let after = cache.stats();
+        for (delta, name) in [
+            (after.hits - before.hits, metrics::SERVE_CACHE_HITS),
+            (after.misses - before.misses, metrics::SERVE_CACHE_MISSES),
+            (
+                after.coalesced - before.coalesced,
+                metrics::SERVE_CACHE_COALESCED,
+            ),
+        ] {
+            assert_eq!(delta, counter(&state, name), "{name}");
+        }
+        assert_eq!(after.coalesced - before.coalesced, 2);
+        let waits = state
+            .telemetry()
+            .metrics()
+            .histogram(metrics::SERVE_FLIGHT_WAIT_US)
+            .unwrap()
+            .count();
+        assert_eq!(waits, 2, "both waits observed");
+        cache.abort(&key);
+    }
+
+    /// An owner that never publishes costs a request waiting on it one
+    /// solve timeout per round, not one per lane that waits on it.
+    #[test]
+    fn stuck_lanes_share_one_timeout_per_round() {
+        let timeout = Duration::from_millis(200);
+        let state = ServeState::new(&ServeConfig {
+            solve_timeout: timeout,
+            ..ServeConfig::default()
+        });
+        let line = r#"{"queries":[{"scheme":"dragon","machine":{"interconnect":"bus","processors":4},"sweep":{"param":"shd","from":0.01,"to":0.3,"points":8}}]}"#;
+        let machine = Machine::Bus { processors: 4 };
+        let cache = state.cache(machine).unwrap();
+        for workload in &batch(line).queries[0].workloads {
+            let (_, key) =
+                demand_of(machine, Scheme::Dragon, workload, &BusSystemModel::new()).unwrap();
+            assert!(matches!(cache.begin(key), Admission::Claimed));
+        }
+        let started = Instant::now();
+        let (response, _) = handle_request(&state, line);
+        let took = started.elapsed();
+        assert!(
+            response.contains("timed out waiting for an in-flight solve"),
+            "{response}"
+        );
+        // Two rounds of one timeout each; a timeout per lane would be 16.
+        assert!(took < timeout * 4, "{took:?}");
+        assert_eq!(counter(&state, metrics::SERVE_CACHE_COALESCED), 16);
+    }
+
+    /// Each machine a request names is one solver call, whatever its
+    /// family: two bus machines and two networks are four calls.
+    #[test]
+    fn each_machine_is_one_solver_call() {
+        let state = state();
+        let query = |scheme: &str, machine: &str| {
+            format!(
+                r#"{{"scheme":"{scheme}","machine":{machine},"sweep":{{"param":"shd","from":0.01,"to":0.3,"points":16}}}}"#
+            )
+        };
+        let queries = [
+            query("dragon", r#"{"interconnect":"bus","processors":4}"#),
+            query("dragon", r#"{"interconnect":"bus","processors":16}"#),
+            query("software-flush", r#"{"interconnect":"network","stages":4}"#),
+            query("software-flush", r#"{"interconnect":"network","stages":6}"#),
+        ];
+        let line = format!(r#"{{"compact":true,"queries":[{}]}}"#, queries.join(","));
+        run_batch(&state, &batch(&line)).unwrap();
+        assert_eq!(counter(&state, metrics::SERVE_SOLVES), 4);
+        assert_eq!(counter(&state, metrics::SERVE_SOLVE_LANES), 64);
     }
 
     #[test]

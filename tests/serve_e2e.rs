@@ -382,6 +382,32 @@ fn shutdown_command_stops_the_server() {
     }
 }
 
+/// `swcc-loadgen --shutdown` shuts the server down however its run
+/// ends: here `--verify` names a bus machine past the protocol's limit,
+/// so the run fails.
+#[test]
+fn loadgen_shutdown_stops_the_server_when_its_run_fails() {
+    let server = start(2);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_swcc-loadgen"))
+        .args(["--addr", &server.addr().to_string()])
+        .args(["--connections", "1", "--duration-ms", "100"])
+        .args(["--sweep-points", "16", "--processors", "2000"])
+        .args(["--verify", "--shutdown"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !server.state().shutting_down() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let shut_down = server.state().shutting_down();
+    server.shutdown();
+    server.join();
+    let status = status.expect("run swcc-loadgen");
+    assert!(!status.success(), "the failed verify exits non-zero");
+    assert!(shut_down, "the server is still running 5 s after the run");
+}
+
 #[test]
 fn stats_carry_uptime_and_build_provenance() {
     let server = start(1);
